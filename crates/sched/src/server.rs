@@ -11,7 +11,15 @@
 //!   detected and dropped — there is no peer left to answer;
 //! * a reader thread only ever touches its own connection and a cloned
 //!   [`SchedClient`], so nothing a client does can reach the scheduler
-//!   loop except as a typed command.
+//!   loop except as a typed command;
+//! * a client that stops reading its replies is dropped after
+//!   [`REPLY_TIMEOUT`] instead of pinning its reader thread.
+//!
+//! Replies are one `write` each on a `TCP_NODELAY` socket (a response
+//! split in two on a Nagle'd socket waits for the peer's delayed ACK —
+//! ~40 ms per request), and [`Server::stop`] joins every reader thread,
+//! so the reply to the `drain`/`shutdown` that ends the daemon is on the
+//! wire before the process can exit.
 //!
 //! With a tracer attached, `client_connect` / `client_disconnect`
 //! instants land on the scheduler timeline (0), interleaved with the
@@ -19,10 +27,11 @@
 //! in the scheduler view.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use mfc_trace::{Category, TraceHandle};
 use serde_json::json;
@@ -30,13 +39,25 @@ use serde_json::json;
 use crate::protocol::{self, Request};
 use crate::scheduler::SchedClient;
 
+/// Longest a reply may take to enter the client's socket buffer; also
+/// what bounds the joins in [`Server::stop`].
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A listening daemon front end. Binding succeeds before any client
 /// traffic; [`Server::stop`] (also run on drop) unblocks the accept
-/// loop and joins it.
+/// loop and joins it and every client's reader thread.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    /// Returns the connections still open when the loop stopped.
+    accept: Option<JoinHandle<Vec<ClientConn>>>,
+}
+
+/// One accepted connection: its reader thread and a handle on the socket
+/// to end that thread's blocking read.
+struct ClientConn {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
 }
 
 impl Server {
@@ -55,20 +76,34 @@ impl Server {
         let accept = std::thread::Builder::new()
             .name("mfc-serve-accept".into())
             .spawn(move || {
+                let mut clients: Vec<ClientConn> = Vec::new();
                 for conn in listener.incoming() {
                     if accept_stop.load(Ordering::Relaxed) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    clients.retain(|c| !c.reader.is_finished());
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_write_timeout(Some(REPLY_TIMEOUT));
+                    let Ok(handle) = stream.try_clone() else {
+                        continue;
+                    };
                     let sched = sched.clone();
                     let tl = tl.clone();
-                    // Reader threads are detached: they exit on their
-                    // client's EOF, and after the scheduler loop ends
-                    // every command they relay answers ShuttingDown.
-                    let _ = std::thread::Builder::new()
+                    // Reader threads exit on their client's EOF; after the
+                    // scheduler loop ends every command they relay answers
+                    // ShuttingDown.
+                    if let Ok(reader) = std::thread::Builder::new()
                         .name("mfc-serve-client".into())
-                        .spawn(move || serve_client(stream, &sched, tl.as_deref()));
+                        .spawn(move || serve_client(stream, &sched, tl.as_deref()))
+                    {
+                        clients.push(ClientConn {
+                            stream: handle,
+                            reader,
+                        });
+                    }
                 }
+                clients
             })?;
         Ok(Server {
             addr: local,
@@ -82,16 +117,21 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting new clients and join the accept thread. Existing
-    /// connections keep their reader threads until they disconnect;
-    /// their commands fail typed once the scheduler loop is gone.
+    /// Stop accepting new clients, then end every open connection once
+    /// its in-flight reply is written: closing the read half makes the
+    /// reader thread's next `read_line` see EOF, which it reaches only
+    /// after answering the frame it is working on. Each join is bounded by
+    /// [`REPLY_TIMEOUT`] (a peer that does not take its reply).
     pub fn stop(&mut self) {
         if let Some(h) = self.accept.take() {
             self.stop.store(true, Ordering::Relaxed);
             // The accept loop blocks in `incoming()`; a throwaway
             // connection wakes it to observe the stop flag.
             let _ = TcpStream::connect(self.addr);
-            let _ = h.join();
+            for c in h.join().unwrap_or_default() {
+                let _ = c.stream.shutdown(Shutdown::Read);
+                let _ = c.reader.join();
+            }
         }
     }
 }
@@ -126,13 +166,9 @@ fn serve_client(stream: TcpStream, sched: &SchedClient, tl: Option<&TraceHandle>
                     if line.trim().is_empty() {
                         continue; // blank keep-alive line
                     }
-                    let resp = handle_line(&line, sched);
-                    if out
-                        .write_all(resp.as_bytes())
-                        .and_then(|()| out.write_all(b"\n"))
-                        .and_then(|()| out.flush())
-                        .is_err()
-                    {
+                    let mut resp = handle_line(&line, sched);
+                    resp.push('\n');
+                    if out.write_all(resp.as_bytes()).is_err() {
                         break;
                     }
                 }

@@ -6,9 +6,9 @@ use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn serve_bin() -> &'static str {
     env!("CARGO_BIN_EXE_mfc-serve")
@@ -48,7 +48,12 @@ fn unwritable_out_dir_fails_at_startup_with_exit_3() {
         ])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("writable") || stderr.contains("create") || stderr.contains("directory"),
@@ -74,88 +79,184 @@ fn unwritable_ledger_fails_at_startup_with_exit_3() {
         ])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = fs::remove_dir_all(&base);
+}
+
+/// A spawned `mfc-serve --listen 127.0.0.1:0` and one client connection
+/// to it.
+struct Daemon {
+    child: Child,
+    /// Held open to the end: the daemon prints its summary on exit.
+    _stdout: BufReader<ChildStdout>,
+    out_dir: PathBuf,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Daemon {
+    fn spawn(tag: &str) -> Daemon {
+        let out_dir = tmp_dir(tag);
+        let mut child = Command::new(serve_bin())
+            .args([
+                "--listen",
+                "127.0.0.1:0",
+                "--out-dir",
+                out_dir.to_str().unwrap(),
+                "--budget",
+                "2",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+
+        // The bound address is announced on stdout (line-buffered).
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let addr = loop {
+            let mut line = String::new();
+            if stdout.read_line(&mut line).unwrap() == 0 {
+                let mut err = String::new();
+                child
+                    .stderr
+                    .take()
+                    .unwrap()
+                    .read_to_string(&mut err)
+                    .unwrap();
+                panic!("daemon exited before announcing its address: {err}");
+            }
+            if let Some(rest) = line.trim().strip_prefix("listening on ") {
+                break rest.to_string();
+            }
+        };
+
+        let writer = TcpStream::connect(&addr).unwrap();
+        writer.set_nodelay(true).unwrap();
+        writer
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        Daemon {
+            child,
+            _stdout: stdout,
+            out_dir,
+            reader,
+            writer,
+        }
+    }
+
+    /// One request frame (a single write), one reply line.
+    fn roundtrip_raw(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        let mut resp = String::new();
+        self.reader.read_line(&mut resp).unwrap();
+        resp
+    }
+
+    fn roundtrip(&mut self, line: &str) -> serde_json::Value {
+        let resp = self.roundtrip_raw(line);
+        serde_json::from_str(&resp).unwrap_or_else(|e| panic!("unparseable reply {resp:?}: {e}"))
+    }
+
+    fn ledger(&self) -> PathBuf {
+        self.out_dir.join("ledger.jsonl")
+    }
+
+    /// Wait for the daemon to exit; returns its exit code.
+    fn finish(mut self) -> Option<i32> {
+        let code = self.child.wait().unwrap().code();
+        let _ = fs::remove_dir_all(&self.out_dir);
+        code
+    }
+}
+
+fn is_ok(v: &serde_json::Value) -> bool {
+    v.get("ok").and_then(|b| b.as_bool()) == Some(true)
 }
 
 /// Full daemon lifecycle against the real binary: bind on an ephemeral
 /// port, submit a job over TCP, drain, exit 0, complete ledger on disk.
 #[test]
 fn daemon_end_to_end_over_tcp() {
-    let out_dir = tmp_dir("e2e");
-    let ledger = out_dir.join("ledger.jsonl");
-    let mut child = Command::new(serve_bin())
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--out-dir",
-            out_dir.to_str().unwrap(),
-            "--ledger",
-            ledger.to_str().unwrap(),
-            "--budget",
-            "2",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut d = Daemon::spawn("e2e");
 
-    // The bound address is announced on stdout (line-buffered).
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        if stdout.read_line(&mut line).unwrap() == 0 {
-            let mut err = String::new();
-            child.stderr.take().unwrap().read_to_string(&mut err).unwrap();
-            panic!("daemon exited before announcing its address: {err}");
-        }
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-
-    let stream = TcpStream::connect(&addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut roundtrip = |line: &str| -> serde_json::Value {
-        writer.write_all(line.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        serde_json::from_str(&resp).unwrap()
-    };
-
-    let v = roundtrip(r#"{"cmd":"ping"}"#);
-    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    let v = d.roundtrip(r#"{"cmd":"ping"}"#);
+    assert!(is_ok(&v), "{v:?}");
 
     let submit = format!(
         r#"{{"cmd":"submit","job":{{"case":{},"name":"wire","max_steps":6}}}}"#,
         serde_json::to_string(&Path::new(sod_case())).unwrap()
     );
-    let v = roundtrip(&submit);
-    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    let v = d.roundtrip(&submit);
+    assert!(is_ok(&v), "{v:?}");
     let id = v.get("id").and_then(|i| i.as_u64()).unwrap();
 
-    let v = roundtrip(r#"{"cmd":"drain"}"#);
-    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    let v = d.roundtrip(r#"{"cmd":"drain"}"#);
+    assert!(is_ok(&v), "{v:?}");
 
-    let status = child.wait().unwrap();
+    let status = d.child.wait().unwrap();
     assert_eq!(status.code(), Some(0), "daemon did not exit 0 after drain");
 
     // The ledger records the streamed job as done with its checkpoint.
-    let text = fs::read_to_string(&ledger).unwrap();
+    let text = fs::read_to_string(d.ledger()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 1, "ledger: {text}");
     let rec: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
     assert_eq!(rec.get("id").and_then(|i| i.as_u64()), Some(id));
-    assert_eq!(rec.get("state").and_then(|s| s.as_str()), Some("done"), "{rec:?}");
+    assert_eq!(
+        rec.get("state").and_then(|s| s.as_str()),
+        Some("done"),
+        "{rec:?}"
+    );
     assert_eq!(rec.get("steps").and_then(|s| s.as_u64()), Some(6));
     let ckpt = rec
         .get("output")
         .and_then(|o| o.as_str())
         .expect("done job records its checkpoint path");
     assert!(Path::new(ckpt).is_file(), "missing checkpoint {ckpt}");
-    let _ = fs::remove_dir_all(&out_dir);
+    d.finish();
+}
+
+/// Satellite regression: the reply to the `drain` that ends an idle
+/// daemon used to be lost about once in a hundred daemons — the process
+/// exited while the connection's reader thread was still writing it.
+#[test]
+fn every_throw_away_daemon_answers_its_final_drain() {
+    for i in 0..50 {
+        let mut d = Daemon::spawn("drain50");
+        let resp = d.roundtrip_raw(r#"{"cmd":"drain"}"#);
+        let v: serde_json::Value = serde_json::from_str(&resp)
+            .unwrap_or_else(|e| panic!("daemon {i}: drain reply {resp:?} is not JSON: {e}"));
+        assert!(is_ok(&v), "daemon {i}: {v:?}");
+        assert_eq!(d.finish(), Some(0), "daemon {i}");
+    }
+}
+
+/// Satellite regression: replies are one write on a no-delay socket. Two
+/// writes on a Nagle'd socket cost every request the peer's delayed ACK
+/// (~40 ms); a loop-back ping is tens of microseconds.
+#[test]
+fn loopback_ping_round_trip_is_sub_millisecond_scale() {
+    let mut d = Daemon::spawn("ping_rtt");
+    let mut rtts: Vec<Duration> = (0..101)
+        .map(|_| {
+            let t0 = Instant::now();
+            let v = d.roundtrip(r#"{"cmd":"ping"}"#);
+            let rtt = t0.elapsed();
+            assert!(is_ok(&v), "{v:?}");
+            rtt
+        })
+        .collect();
+    rtts.sort();
+    let p50 = rtts[rtts.len() / 2];
+    assert!(p50 < Duration::from_millis(2), "ping p50 {p50:?}");
+    assert!(is_ok(&d.roundtrip(r#"{"cmd":"shutdown"}"#)));
+    assert_eq!(d.finish(), Some(0));
 }
