@@ -92,12 +92,13 @@ pub trait Lane:
 
     /// Unit-stride load of `WIDTH` lanes from `src[0..WIDTH]`.
     ///
-    /// Debug-asserts the slice holds a full packet — the guard that
-    /// catches a kernel body indexing past its lane packet (tail-handling
-    /// bugs) before it corrupts memory.
+    /// Panics unless the slice holds a full packet — one bounds check per
+    /// packet, the guard that catches a kernel body indexing past its lane
+    /// packet (tail-handling bugs) — and then copies the packet whole.
     fn load(src: &[f64]) -> Self;
 
-    /// Unit-stride store of `WIDTH` lanes into `dst[0..WIDTH]`.
+    /// Unit-stride store of `WIDTH` lanes into `dst[0..WIDTH]`, with the
+    /// same single full-packet bounds check as [`Lane::load`].
     fn store(self, dst: &mut [f64]);
 
     /// Build a packet lane-by-lane (`f(0), f(1), ..`) — for non-contiguous
@@ -174,12 +175,10 @@ impl Lane for f64 {
     }
     #[inline(always)]
     fn load(src: &[f64]) -> Self {
-        debug_assert!(!src.is_empty(), "lane load past the packet");
         src[0]
     }
     #[inline(always)]
     fn store(self, dst: &mut [f64]) {
-        debug_assert!(!dst.is_empty(), "lane store past the packet");
         dst[0] = self;
     }
     #[inline(always)]
@@ -300,13 +299,11 @@ impl<const W: usize> Lane for VecF64<W> {
     }
     #[inline(always)]
     fn load(src: &[f64]) -> Self {
-        debug_assert!(src.len() >= W, "lane load past the packet");
-        VecF64(std::array::from_fn(|i| src[i]))
+        VecF64(*src.first_chunk().expect("lane load past the packet"))
     }
     #[inline(always)]
     fn store(self, dst: &mut [f64]) {
-        debug_assert!(dst.len() >= W, "lane store past the packet");
-        dst[..W].copy_from_slice(&self.0);
+        *dst.first_chunk_mut().expect("lane store past the packet") = self.0;
     }
     #[inline(always)]
     fn from_lanes(mut f: impl FnMut(usize) -> f64) -> Self {

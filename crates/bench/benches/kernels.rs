@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mfc_acc::Context;
 use mfc_bench::{packed_buffer, BENCH_N, BENCH_NF};
 use mfc_core::eqidx::EqIdx;
-use mfc_core::fluid::Fluid;
+use mfc_core::fluid::{Fluid, FluidTable};
 use mfc_core::riemann::RiemannSolver;
 use mfc_core::weno::{reconstruct_sweep, WenoOrder};
 use mfc_layout::{Dims4, Flat4D};
@@ -42,7 +42,7 @@ fn bench_weno(c: &mut Criterion) {
 
 fn bench_riemann(c: &mut Criterion) {
     let eq = EqIdx::new(2, 3);
-    let fluids = [Fluid::air(), Fluid::water()];
+    let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
     let faces = 100_000;
     // Perturbed face states.
     let mk = |phase: f64| -> Vec<[f64; 7]> {

@@ -12,8 +12,13 @@
 //!   * fused grind is < 1.3x faster than staged on the 3-D benchmark case,
 //!   * the ledger-measured staged/fused traffic ratio drifts more than 25%
 //!     from the `fusionmodel` prediction,
-//!   * fused grind regresses by more than 20% against the committed
-//!     baseline, or
+//!   * fused grind — or either dominant fused stage, WENO ns per
+//!     face-variable and Riemann ns per face — regresses by more than 20%
+//!     against the committed baseline,
+//!   * the fused WENO stage at the default lane width is more than 10%
+//!     slower than at width 1 (it is the same scalar line kernel at every
+//!     width; explicit packets that lose to the loop vectoriser fail
+//!     here), or
 //!   * tracing costs more than 2%: traced and untraced fused solvers
 //!     alternate *single steps*, and the ratio of their accumulated
 //!     thread-CPU times must stay under 1.02. Adjacent steps share the
@@ -49,6 +54,9 @@ const REPS: usize = 5;
 const MIN_FUSED_SPEEDUP: f64 = 1.3;
 const MAX_MODEL_DRIFT: f64 = 0.25;
 const MAX_GRIND_REGRESSION: f64 = 0.20;
+/// Ceiling on fused-WENO time at the default lane width over width 1
+/// (target 1.05; the rest is best-of-5 timing noise).
+const MAX_WENO_WIDTH_RATIO: f64 = 1.10;
 /// Ceiling on the paired traced/untraced grind ratio. Measured A/B
 /// interleaved so host load cancels; a 2% bar on an absolute clock would
 /// be pure jitter on a shared machine.
@@ -134,6 +142,7 @@ fn measure(mode: RhsMode, workers: usize, vector_width: usize) -> Measurement {
     let mut bytes = 0.0;
     let mut ai = 0.0;
     let mut lanes = (0, 0);
+    let mut stage_ns = [0.0; 2];
     for _ in 0..REPS {
         let mut solver = solver_for(mode, workers, vector_width, None);
         solver.run_steps(WARMUP_STEPS).unwrap();
@@ -157,6 +166,14 @@ fn measure(mode: RhsMode, workers: usize, vector_width: usize) -> Measurement {
             });
             ai = if traffic > 0.0 { flops / traffic } else { 0.0 };
             lanes = solver.context().lane_stats();
+            // Warm-up and measured steps launch the same kernels, so the
+            // whole-run ledger ratio is the measured run's.
+            stage_ns = ["f_weno_reconstruct", "f_riemann_solve"].map(|label| {
+                stats
+                    .iter()
+                    .find(|k| k.label == label)
+                    .map_or(0.0, |k| k.wall.as_secs_f64() * 1e9 / k.items as f64)
+            });
         }
     }
     if !best_cpu.is_finite() {
@@ -168,6 +185,8 @@ fn measure(mode: RhsMode, workers: usize, vector_width: usize) -> Measurement {
         sweep_bytes: bytes,
         ai,
         lanes,
+        weno_ns_per_face_var: stage_ns[0],
+        riemann_ns_per_face: stage_ns[1],
     }
 }
 
@@ -180,6 +199,10 @@ struct Measurement {
     ai: f64,
     /// `(full_packets, tail_elems)` lane tiling of the measured run.
     lanes: (u64, u64),
+    /// Fused-stage costs from the kernel ledger: WENO ns per reconstructed
+    /// face of one variable, Riemann ns per face (0 for staged runs).
+    weno_ns_per_face_var: f64,
+    riemann_ns_per_face: f64,
 }
 
 /// One step of `solver`, returning its thread-CPU cost in ns (wall ns
@@ -389,6 +412,7 @@ fn main() {
     // Vector axis: the same serial fused solve with lane packets disabled.
     let fused_w1 = measure(RhsMode::Fused, 1, 1);
     let vector_speedup = fused_w1.us / fused_us;
+    let weno_width_ratio = fused.weno_ns_per_face_var / fused_w1.weno_ns_per_face_var;
     let hw_width = mfc_acc::hw_lane_width();
     let eff = mfc_perfmodel::VectorEfficiency::new(vw, fused.lanes);
     let roofline_cap =
@@ -445,6 +469,9 @@ fn main() {
         "modeled_traffic_ratio": modeled_ratio,
         "staged_cpu_us_per_cell_step": staged_cpu_us,
         "fused_cpu_us_per_cell_step": fused_cpu_us,
+        "weno_ns_per_face_var": fused.weno_ns_per_face_var,
+        "riemann_ns_per_face": fused.riemann_ns_per_face,
+        "weno_w4_over_w1": weno_width_ratio,
         "traced_fused_us_per_cell_step": traced_fused_us,
         "trace_overhead_frac": trace_overhead,
         "overlap_ranks": OVERLAP_RANKS,
@@ -562,6 +589,16 @@ fn main() {
             MAX_ENSEMBLE_LPT_DRIFT * 100.0
         ));
     }
+    println!(
+        "fused WENO stage: {:.2} ns/face-var at W={vw} vs {:.2} at W=1 — ratio {weno_width_ratio:.3} \
+         (gate {MAX_WENO_WIDTH_RATIO})",
+        fused.weno_ns_per_face_var, fused_w1.weno_ns_per_face_var,
+    );
+    if weno_width_ratio > MAX_WENO_WIDTH_RATIO {
+        failures.push(format!(
+            "fused WENO at W={vw} is {weno_width_ratio:.2}x its W=1 time (> {MAX_WENO_WIDTH_RATIO} allowed)"
+        ));
+    }
     let drift = (measured_ratio / modeled_ratio - 1.0).abs();
     if drift > MAX_MODEL_DRIFT {
         failures.push(format!(
@@ -587,6 +624,30 @@ fn main() {
                     regression * 100.0,
                     MAX_GRIND_REGRESSION * 100.0
                 ));
+            }
+            for (field, now) in [
+                ("weno_ns_per_face_var", fused.weno_ns_per_face_var),
+                ("riemann_ns_per_face", fused.riemann_ns_per_face),
+            ] {
+                match baseline[field].as_f64() {
+                    Some(base) => {
+                        let regression = now / base - 1.0;
+                        println!(
+                            "{field}: {now:.2} vs committed {base:.2} ({:+.1}%)",
+                            regression * 100.0
+                        );
+                        if regression > MAX_GRIND_REGRESSION {
+                            failures.push(format!(
+                                "{field} regressed {:.0}% vs committed baseline (> {:.0}% allowed)",
+                                regression * 100.0,
+                                MAX_GRIND_REGRESSION * 100.0
+                            ));
+                        }
+                    }
+                    None => println!(
+                        "{field}: committed baseline predates the stage fields — gate skipped"
+                    ),
+                }
             }
             // The untraced measurement *is* the tracing-disabled fast
             // path: instrumentation compiled in, no tracer attached.

@@ -36,6 +36,7 @@ use mfc_acc::{resilience_summary, Context, Ledger};
 use mfc_core::axisym::Geometry;
 use mfc_core::bc::{BcKind, BcSpec};
 use mfc_core::case::{CaseBuilder, Patch};
+use mfc_core::eos::MAX_FLUIDS;
 use mfc_core::fluid::Fluid;
 use mfc_core::output::{postprocess_wave_files, write_vtk_rectilinear};
 #[cfg(test)]
@@ -331,6 +332,13 @@ impl CaseFile {
     pub fn to_case(&self) -> Result<CaseBuilder, String> {
         if self.fluids.is_empty() {
             return Err("at least one fluid is required".into());
+        }
+        // The kernels' per-fluid private arrays are sized at compile time.
+        if self.fluids.len() > MAX_FLUIDS {
+            return Err(format!(
+                "at most {MAX_FLUIDS} fluids are supported, got {}",
+                self.fluids.len()
+            ));
         }
         if !(1..=3).contains(&self.ndim) {
             return Err(format!("ndim must be 1..=3, got {}", self.ndim));

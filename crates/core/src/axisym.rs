@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::domain::{Domain, MAX_EQ};
 use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
-use crate::riemann::face_state_public as face_state;
+use crate::fluid::{Fluid, FluidTable};
+use crate::riemann::face_state;
 use crate::state::StateField;
 
 /// Coordinate system of the governing equations.
@@ -68,7 +68,7 @@ pub fn axisym_source(
     let d3 = dom.dims3();
     let kernel = AxisymKernel {
         eq,
-        fluids,
+        fluids: &FluidTable::new(fluids),
         src: prim.as_slice(),
         radii,
         ny: dom.n[1],
@@ -87,7 +87,7 @@ pub fn axisym_source(
 /// [`face_state`], so each lane is bitwise the scalar source of its cell.
 struct AxisymKernel<'a> {
     eq: EqIdx,
-    fluids: &'a [Fluid],
+    fluids: &'a FluidTable,
     src: &'a [f64],
     radii: &'a [f64],
     /// Interior cells along y.
@@ -165,7 +165,7 @@ pub fn cylindrical_source(
     let d3 = dom.dims3();
     let kernel = CylindricalKernel {
         eq,
-        fluids,
+        fluids: &FluidTable::new(fluids),
         src: prim.as_slice(),
         radii,
         ny: dom.n[1],
@@ -182,7 +182,7 @@ pub fn cylindrical_source(
 /// structure as [`AxisymKernel`] with the three-axis source rows.
 struct CylindricalKernel<'a> {
     eq: EqIdx,
-    fluids: &'a [Fluid],
+    fluids: &'a FluidTable,
     src: &'a [f64],
     radii: &'a [f64],
     /// Interior cells along y.

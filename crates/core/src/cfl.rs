@@ -2,10 +2,9 @@
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneMaxKernel, LaunchConfig};
 
-use crate::domain::MAX_EQ;
 use crate::eos::sound_speed;
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::{with_eq_layout, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
 use crate::recovery::StepFault;
 use crate::state::StateField;
 
@@ -71,21 +70,25 @@ pub fn try_max_dt_geom(
     // the horizontal fold extracts lanes in ascending order, so the
     // reduction visits bitwise the scalar per-cell rates in the scalar
     // item order.
-    let kernel = DtKernel {
-        eq,
-        fluids,
-        src: prim.as_slice(),
-        widths,
-        radial_metric,
-        viscous: crate::viscous::is_viscous(fluids),
-        ny,
-        pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-        ext1: dom.ext(0),
-        ext2: dom.ext(1),
-        block: dom.ext(0) * dom.ext(1) * dom.ext(2),
-    };
+    let table = FluidTable::new(fluids);
     let nz = dom.n[2];
-    let rate = ctx.launch_max_vec(&cfg, cost, ny * nz, nx, &kernel);
+    let rate = with_eq_layout!(eq, eq => {
+        let kernel = DtKernel {
+            eq,
+            fluids,
+            table: &table,
+            src: prim.as_slice(),
+            widths,
+            radial_metric,
+            viscous: crate::viscous::is_viscous(fluids),
+            ny,
+            pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
+            ext1: dom.ext(0),
+            ext2: dom.ext(1),
+            block: dom.ext(0) * dom.ext(1) * dom.ext(2),
+        };
+        ctx.launch_max_vec(&cfg, cost, ny * nz, nx, &kernel)
+    });
     if rate.is_finite() && rate > 0.0 {
         Ok(cfl / rate)
     } else {
@@ -97,9 +100,11 @@ pub fn try_max_dt_geom(
 /// interior x offset. Each lane computes the scalar wave-speed rate of
 /// its own cell; transverse widths and the azimuthal metric are uniform
 /// per row and enter as splats.
-struct DtKernel<'a> {
-    eq: EqIdx,
+struct DtKernel<'a, E> {
+    eq: E,
+    /// Per-fluid viscosities (the diffusive bound).
     fluids: &'a [Fluid],
+    table: &'a FluidTable,
     src: &'a [f64],
     widths: [&'a [f64]; 3],
     radial_metric: Option<&'a [f64]>,
@@ -113,7 +118,7 @@ struct DtKernel<'a> {
     block: usize,
 }
 
-impl LaneMaxKernel for DtKernel<'_> {
+impl<E: EqLayout> LaneMaxKernel for DtKernel<'_, E> {
     #[inline(always)]
     fn packet<L: Lane>(&self, row: usize, col: usize) -> L {
         let eq = &self.eq;
@@ -122,15 +127,16 @@ impl LaneMaxKernel for DtKernel<'_> {
         let k = row / self.ny + self.pad[2];
         let base = i + self.ext1 * (j + self.ext2 * k);
         let neq = eq.neq();
-        let mut p = [L::splat(0.0); MAX_EQ];
-        for (e, v) in p.iter_mut().enumerate().take(neq) {
+        let mut p = eq.vars::<L>();
+        let p = &mut p.as_mut()[..neq];
+        for (e, v) in p.iter_mut().enumerate() {
             *v = L::load(&self.src[base + e * self.block..]);
         }
-        let (rho, _, c) = sound_speed(eq, self.fluids, &p[..neq]);
+        let (rho, _, c) = sound_speed(eq, self.table, p);
         // Mixture kinematic viscosity for the diffusive stability bound.
         let nu = if self.viscous {
             let mut alphas = [L::splat(0.0); crate::eos::MAX_FLUIDS];
-            eq.alphas(&p[..neq], &mut alphas[..eq.nf()]);
+            eq.alphas(p, &mut alphas[..eq.nf()]);
             let mut s = L::splat(0.0);
             for (f, a) in self.fluids.iter().zip(&alphas[..eq.nf()]) {
                 s = s + *a * L::splat(f.viscosity);

@@ -5,8 +5,8 @@
 
 use mfc_acc::Lane;
 
-use crate::eqidx::EqIdx;
-use crate::fluid::{Fluid, MixtureRules};
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 
 /// Maximum number of fluids supported without heap allocation in kernels.
 ///
@@ -16,7 +16,7 @@ use crate::fluid::{Fluid, MixtureRules};
 pub const MAX_FLUIDS: usize = 8;
 
 /// Convert one cell's conservative vector to primitives, in place layouts
-/// per [`EqIdx`].
+/// per [`EqLayout`].
 ///
 /// Returns the mixture density (handy for callers that need it anyway).
 ///
@@ -25,10 +25,14 @@ pub const MAX_FLUIDS: usize = 8;
 /// its own cell, so lane `i` of the packed result is bitwise the scalar
 /// result for cell `i`.
 #[inline]
-pub fn cons_to_prim<L: Lane>(eq: &EqIdx, fluids: &[Fluid], cons: &[L], prim: &mut [L]) -> L {
+pub fn cons_to_prim<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
+    cons: &[L],
+    prim: &mut [L],
+) -> L {
     debug_assert_eq!(cons.len(), eq.neq());
     debug_assert_eq!(prim.len(), eq.neq());
-    debug_assert!(fluids.len() <= MAX_FLUIDS);
 
     // Partial densities are floored at zero: high-order reconstruction can
     // drive a vanishing phase's alpha*rho slightly negative at diffuse
@@ -51,20 +55,18 @@ pub fn cons_to_prim<L: Lane>(eq: &EqIdx, fluids: &[Fluid], cons: &[L], prim: &mu
         kinetic = kinetic + L::splat(0.5) * rho * u * u;
     }
 
-    let mut alphas = [L::splat(0.0); MAX_FLUIDS];
-    eq.alphas(cons, &mut alphas[..eq.nf()]);
     for i in 0..eq.n_adv() {
         prim[eq.adv(i)] = cons[eq.adv(i)];
     }
 
-    let mix = MixtureRules::evaluate(fluids, &alphas[..eq.nf()]);
+    let mix = fluids.mixture(eq, cons);
     prim[eq.energy()] = mix.pressure(cons[eq.energy()] - kinetic);
     rho
 }
 
 /// Convert one cell's primitive vector to conservatives.
 #[inline]
-pub fn prim_to_cons<L: Lane>(eq: &EqIdx, fluids: &[Fluid], prim: &[L], cons: &mut [L]) {
+pub fn prim_to_cons<E: EqLayout, L: Lane>(eq: &E, fluids: &FluidTable, prim: &[L], cons: &mut [L]) {
     debug_assert_eq!(cons.len(), eq.neq());
     debug_assert_eq!(prim.len(), eq.neq());
 
@@ -82,33 +84,31 @@ pub fn prim_to_cons<L: Lane>(eq: &EqIdx, fluids: &[Fluid], prim: &[L], cons: &mu
         kinetic = kinetic + L::splat(0.5) * rho * u * u;
     }
 
-    let mut alphas = [L::splat(0.0); MAX_FLUIDS];
-    eq.alphas(prim, &mut alphas[..eq.nf()]);
     for i in 0..eq.n_adv() {
         cons[eq.adv(i)] = prim[eq.adv(i)];
     }
 
-    let mix = MixtureRules::evaluate(fluids, &alphas[..eq.nf()]);
+    let mix = fluids.mixture(eq, prim);
     cons[eq.energy()] = mix.internal_energy(prim[eq.energy()]) + kinetic;
 }
 
 /// Mixture density, pressure, and frozen sound speed of a primitive cell.
 #[inline]
-pub fn sound_speed<L: Lane>(eq: &EqIdx, fluids: &[Fluid], prim: &[L]) -> (L, L, L) {
+pub fn sound_speed<E: EqLayout, L: Lane>(eq: &E, fluids: &FluidTable, prim: &[L]) -> (L, L, L) {
     let mut rho = L::splat(0.0);
     for i in 0..eq.nf() {
         rho = rho + prim[eq.cont(i)];
     }
     let p = prim[eq.energy()];
-    let mut alphas = [L::splat(0.0); MAX_FLUIDS];
-    eq.alphas(prim, &mut alphas[..eq.nf()]);
-    let mix = MixtureRules::evaluate(fluids, &alphas[..eq.nf()]);
+    let mix = fluids.mixture(eq, prim);
     (rho, p, mix.sound_speed(rho, p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
 
     fn sample_prim(eq: &EqIdx) -> Vec<f64> {
         let mut p = vec![0.0; eq.neq()];
@@ -134,6 +134,7 @@ mod tests {
         ] {
             for ndim in 1..=3 {
                 let eq = EqIdx::new(nf, ndim);
+                let fluids = FluidTable::new(&fluids);
                 let prim = sample_prim(&eq);
                 let mut cons = vec![0.0; eq.neq()];
                 let mut back = vec![0.0; eq.neq()];
@@ -153,7 +154,7 @@ mod tests {
     fn energy_matches_manual_single_fluid() {
         // Euler: rho E = p/(gamma-1) + 1/2 rho u^2
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let prim = [1.2, 30.0, 1.0e5];
         let mut cons = [0.0; 3];
         prim_to_cons(&eq, &fluids, &prim, &mut cons);
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn cons_to_prim_returns_density() {
         let eq = EqIdx::new(2, 2);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let prim = sample_prim(&eq);
         let mut cons = vec![0.0; eq.neq()];
         prim_to_cons(&eq, &fluids, &prim, &mut cons);
@@ -177,7 +178,7 @@ mod tests {
     #[test]
     fn sound_speed_positive_and_sane() {
         let eq = EqIdx::new(2, 1);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let mut prim = vec![0.0; eq.neq()];
         prim[eq.cont(0)] = 1.2 * 0.999;
         prim[eq.cont(1)] = 1000.0 * 0.001;

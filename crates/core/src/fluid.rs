@@ -3,6 +3,9 @@
 use mfc_acc::Lane;
 use serde::{Deserialize, Serialize};
 
+use crate::eos::MAX_FLUIDS;
+use crate::eqidx::EqLayout;
+
 /// One fluid component, closed by the stiffened-gas EOS
 /// `p = (gamma - 1) rho e - gamma pi_inf`.
 ///
@@ -74,6 +77,76 @@ impl Fluid {
     #[inline(always)]
     pub fn sound_speed(&self, rho: f64, p: f64) -> f64 {
         (self.gamma * (p + self.pi_inf) / rho).sqrt()
+    }
+}
+
+/// The per-fluid Allaire coefficients of a fluid set, evaluated once per
+/// launch so the per-cell kernels look up `1/(gamma-1)` and
+/// `gamma pi_inf/(gamma-1)` instead of re-dividing for every cell and face
+/// side. Each entry is the value of the same scalar expression
+/// ([`Fluid::big_gamma`] / [`Fluid::big_pi`]), so a kernel reading the
+/// table produces the bits it would produce from the fluids themselves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FluidTable {
+    nf: usize,
+    big_gamma: [f64; MAX_FLUIDS],
+    big_pi: [f64; MAX_FLUIDS],
+    min_pi: f64,
+}
+
+impl FluidTable {
+    pub fn new(fluids: &[Fluid]) -> Self {
+        assert!(
+            (1..=MAX_FLUIDS).contains(&fluids.len()),
+            "between 1 and {MAX_FLUIDS} fluids are supported, got {}",
+            fluids.len()
+        );
+        let mut t = FluidTable {
+            nf: fluids.len(),
+            big_gamma: [0.0; MAX_FLUIDS],
+            big_pi: [0.0; MAX_FLUIDS],
+            min_pi: f64::INFINITY,
+        };
+        for (i, f) in fluids.iter().enumerate() {
+            t.big_gamma[i] = f.big_gamma();
+            t.big_pi[i] = f.big_pi();
+            t.min_pi = t.min_pi.min(f.pi_inf);
+        }
+        t
+    }
+
+    /// Smallest liquid stiffness of the set: `p + min_pi > 0` is the
+    /// admissibility bound on pressure.
+    #[inline(always)]
+    pub fn min_pi(&self) -> f64 {
+        self.min_pi
+    }
+
+    /// Mixture coefficients of one cell from its stored volume fractions
+    /// (`state` is a conservative or primitive vector — both keep them in
+    /// the `adv` slots): the clamped fractions and their complement, as in
+    /// [`EqLayout::alphas`], weighted as in [`MixtureRules::evaluate`].
+    /// Every accumulator sees the operations of those two in the same
+    /// order, so the result is bitwise theirs — without the intermediate
+    /// per-fluid array.
+    #[inline(always)]
+    pub fn mixture<E: EqLayout, L: Lane>(&self, eq: &E, state: &[L]) -> MixtureRules<L> {
+        debug_assert_eq!(self.nf, eq.nf());
+        let mut sum = L::splat(0.0);
+        let mut big_gamma = L::splat(0.0);
+        let mut big_pi = L::splat(0.0);
+        for i in 0..eq.n_adv() {
+            let a = state[eq.adv(i)].clamp(0.0, 1.0);
+            sum = sum + a;
+            big_gamma = big_gamma + a * L::splat(self.big_gamma[i]);
+            big_pi = big_pi + a * L::splat(self.big_pi[i]);
+        }
+        let last = eq.nf() - 1;
+        let a = (L::splat(1.0) - sum).clamp(0.0, 1.0);
+        MixtureRules {
+            big_gamma: big_gamma + a * L::splat(self.big_gamma[last]),
+            big_pi: big_pi + a * L::splat(self.big_pi[last]),
+        }
     }
 }
 
@@ -173,6 +246,26 @@ mod tests {
         let expect_pi = 0.5 * fluids[0].big_pi() + 0.5 * fluids[1].big_pi();
         assert!((m_half.big_gamma - expect_gamma).abs() < 1e-12);
         assert!((m_half.big_pi - expect_pi).abs() < 1e-6);
+    }
+
+    #[test]
+    fn table_mixture_is_bitwise_alphas_then_evaluate() {
+        use crate::eqidx::EqIdx;
+        let fluids = [Fluid::air(), Fluid::water(), Fluid::new(1.6, 1.0e5)];
+        let table = FluidTable::new(&fluids);
+        assert_eq!(table.min_pi(), 0.0);
+        let eq = EqIdx::new(3, 2);
+        for (a0, a1) in [(0.2, 0.3), (1.3, -0.2), (0.7, 0.7), (1e-9, 0.999)] {
+            let mut state = vec![0.5; eq.neq()];
+            state[eq.adv(0)] = a0;
+            state[eq.adv(1)] = a1;
+            let mut alphas = [0.0; 3];
+            eq.alphas(&state, &mut alphas);
+            let want = MixtureRules::evaluate(&fluids, &alphas);
+            let got = table.mixture(&eq, &state);
+            assert_eq!(got.big_gamma.to_bits(), want.big_gamma.to_bits());
+            assert_eq!(got.big_pi.to_bits(), want.big_pi.to_bits());
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! lines along the sweep axis — through pack → WENO → Riemann → update in
 //! a single pass. All intermediates live in a few KB of per-pencil scratch
 //! ([`FusedScratch`]) that stays resident in L1/L2, and the per-face
-//! variable vectors are stack-allocated at `MAX_EQ` (the compile-time-sized
+//! variable vectors are the layout's [`EqLayout::Vars`] — sized exactly
+//! `neq` for the shipped shapes, whose sweep body is instantiated over a
+//! [`crate::eqidx::ConstEq`] picked once per sweep (the compile-time-sized
 //! "private arrays" of §III-D). Two further sources of traffic disappear
 //! structurally:
 //!
@@ -27,19 +29,21 @@
 //!   `1 - (n/(n+2*ng))^2` of the staged WENO/Riemann work is dead. Skipping
 //!   it cannot change a single consumed bit.
 //!
-//! Per-line arithmetic is delegated to the *same* inlined kernels the
-//! staged path uses ([`crate::weno::reconstruct_line_padded_vec`],
+//! Per-line arithmetic is delegated to the *same* face kernels the staged
+//! path uses ([`crate::weno::reconstruct_line_padded`],
 //! [`crate::limiter::limit_state`], [`RiemannSolver::flux`]) in the same
 //! order, so the fused engine is bitwise identical to the staged one —
 //! `tests/rhs_fusion.rs` asserts this on every shipped case.
 //!
 //! Unlike the staged stages, which tile lanes across whole grid rows, the
-//! fused WENO/Riemann/update stages tile lane packets along the
-//! *unit-stride face index within each pencil line* (OpenACC's `vector`
-//! level nested inside the pencil `gang`s). Each lane still performs the
-//! exact scalar op sequence on its own face, so every width remains
-//! bitwise identical to the scalar engine; the gather stage stays scalar
-//! (it is a pure byte shuffle with no arithmetic to vectorize).
+//! fused Riemann/update stages tile lane packets along the *unit-stride
+//! face index within each pencil line* (OpenACC's `vector` level nested
+//! inside the pencil `gang`s). Each lane still performs the exact scalar
+//! op sequence on its own face, so every width remains bitwise identical
+//! to the scalar engine. The WENO stage runs the scalar line kernel at
+//! every width (its plain face loop is what the compiler's loop vectoriser
+//! packs best), and the gather stage stays scalar (it is a pure byte
+//! shuffle with no arithmetic to vectorize).
 //!
 //! Every stage still lands in the `mfc-acc` ledger under its own label
 //! (`f_sweep_gather`/`f_weno_reconstruct`/`f_riemann_solve`/
@@ -53,17 +57,14 @@ use std::time::{Duration, Instant};
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneGangBody, ParSlice};
 
 use crate::axisym::Geometry;
-use crate::domain::{Domain, MAX_EQ};
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
-use crate::limiter::{limit_state, Limiter};
-use crate::rhs::{
-    admissible_mask, region_transverse, state_admissible, sweep_to_canonical, Region, RhsConfig,
-    RhsWorkspace,
-};
+use crate::domain::Domain;
+use crate::eqidx::{with_eq_layout, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
+use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
+use crate::rhs::{region_transverse, sweep_to_canonical, Region, RhsConfig, RhsWorkspace};
 use crate::riemann::RiemannSolver;
 use crate::state::StateField;
-use crate::weno::{reconstruct_line_padded_vec, WenoOrder};
+use crate::weno::{reconstruct_line_padded, WenoOrder};
 
 /// Transverse lines per pencil. Eight 8-byte values span one 64-byte cache
 /// line, so the strided y/z gathers read (and fully consume) whole lines.
@@ -86,7 +87,7 @@ pub(crate) struct FusedScratch {
 
 impl FusedScratch {
     /// Allocate scratch for `dom` at lane width `vector_width`: per-line
-    /// extents are rounded up to a lane multiple so a debug-asserted
+    /// extents are rounded up to a lane multiple so a bounds-checked
     /// full-packet load anchored at any in-line index stays inside the
     /// allocation even on the buffer's final line.
     pub(crate) fn new(dom: &Domain, vector_width: usize) -> Self {
@@ -209,41 +210,46 @@ pub(crate) fn fused_sweep_axis_region(
     let nbatches = bcount.div_ceil(PENCIL_B);
     let units = ocount * nbatches;
 
-    let body = FusedBody {
-        eq,
-        fluids,
-        order: cfg.order,
-        solver: cfg.solver,
-        limiter: cfg.limiter,
-        axis,
-        psl,
-        rsl,
-        dsl,
-        w,
-        radial,
-        n1,
-        n2,
-        n3,
-        cell_stride,
-        sweep_stride: match axis {
-            0 => 1,
-            1 => n1,
-            _ => n1 * n2,
-        },
-        pad,
-        s_lo,
-        s_n,
-        rext,
-        rnf,
-        batch_t1,
-        bq,
-        bcount,
-        oq,
-        nbatches,
-    };
+    let table = FluidTable::new(fluids);
     let t_axis = Instant::now();
-    let (stage_times, gangs) =
-        ctx.gang_vec_scope(units, (nlines * s_n) as u64, &mut fused[..], &body);
+    // The one place the sweep looks at the layout's shape: the body below
+    // is instantiated per layout, and every per-face loop inside it runs
+    // on that instance's (for the shipped shapes, literal) counts.
+    let (stage_times, gangs) = with_eq_layout!(eq, eq => {
+        let body = FusedBody {
+            eq,
+            fluids: &table,
+            order: cfg.order,
+            solver: cfg.solver,
+            limiter: cfg.limiter,
+            axis,
+            psl,
+            rsl,
+            dsl,
+            w,
+            radial,
+            n1,
+            n2,
+            n3,
+            cell_stride,
+            sweep_stride: match axis {
+                0 => 1,
+                1 => n1,
+                _ => n1 * n2,
+            },
+            pad,
+            s_lo,
+            s_n,
+            rext,
+            rnf,
+            batch_t1,
+            bq,
+            bcount,
+            oq,
+            nbatches,
+        };
+        ctx.gang_vec_scope(units, (nlines * s_n) as u64, &mut fused[..], &body)
+    });
     // Per-stage CPU time summed over gangs in fixed gang order (exceeds
     // the axis wall clock when gangs overlap; the residual clamps at 0).
     let (mut tg, mut tw, mut tr, mut tu) = (
@@ -277,7 +283,9 @@ pub(crate) fn fused_sweep_axis_region(
     // Analytic lane tiling of the vector stages (the same convention as
     // `launch_vec`): WENO tiles `neq` face lines and Riemann one face
     // line of `rnf` faces per pencil line; the update tiles `s_n` cells
-    // per line. The scalar gather contributes no vector elements.
+    // per line. The scalar gather contributes no vector elements. (The
+    // WENO stage is accounted as tiled although its packing is left to
+    // the compiler: the count is of elements that run as lanes.)
     let vw = ctx.vector_width();
     let face_rows = (nlines * (neq + 1)) as u64;
     ctx.note_lane_tiling(
@@ -355,9 +363,9 @@ pub(crate) fn fused_sweep_axis_region(
 /// lane width ([`LaneGangBody`]): each gang streams its pencil range
 /// through the four stages with its own [`FusedScratch`], tiling lane
 /// packets along the unit-stride face index within every pencil line.
-struct FusedBody<'a> {
-    eq: EqIdx,
-    fluids: &'a [Fluid],
+struct FusedBody<'a, E> {
+    eq: E,
+    fluids: &'a FluidTable,
     order: WenoOrder,
     solver: RiemannSolver,
     limiter: Limiter,
@@ -391,7 +399,7 @@ struct FusedBody<'a> {
     nbatches: usize,
 }
 
-impl FusedBody<'_> {
+impl<E: EqLayout> FusedBody<'_, E> {
     /// Sweep coordinates (t1, t2) of batch line `b` of the unit at outer
     /// coordinate `oc`, batch origin `b0`.
     #[inline(always)]
@@ -442,35 +450,28 @@ impl FusedBody<'_> {
         let eq = &self.eq;
         let neq = eq.neq();
         let rnf = self.rnf;
-        let mut pl = [0.0; MAX_EQ];
-        let mut pr = [0.0; MAX_EQ];
-        let mut f = [0.0; MAX_EQ];
-        let mut mean = [0.0; MAX_EQ];
+        let (mut pl, mut pr) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let (mut f, mut mean) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
+        let (f, mean) = (&mut f.as_mut()[..neq], &mut mean.as_mut()[..neq]);
         for e in 0..neq {
             pl[e] = left[(b * neq + e) * rnf + m];
             pr[e] = right[(b * neq + e) * rnf + m];
         }
         let cl = self.pad - 1 + m;
-        if !state_admissible(eq, self.fluids, &pl[..neq]) {
-            for (e, mv) in mean.iter_mut().enumerate().take(neq) {
+        if !admissible(eq, self.fluids, pl) {
+            for (e, mv) in mean.iter_mut().enumerate() {
                 *mv = self.cell_val(v, t1, t2, b, e, cl);
             }
-            limit_state(self.limiter, eq, self.fluids, &mean[..neq], &mut pl[..neq]);
+            limit_state(self.limiter, eq, self.fluids, mean, pl);
         }
-        if !state_admissible(eq, self.fluids, &pr[..neq]) {
-            for (e, mv) in mean.iter_mut().enumerate().take(neq) {
+        if !admissible(eq, self.fluids, pr) {
+            for (e, mv) in mean.iter_mut().enumerate() {
                 *mv = self.cell_val(v, t1, t2, b, e, cl + 1);
             }
-            limit_state(self.limiter, eq, self.fluids, &mean[..neq], &mut pr[..neq]);
+            limit_state(self.limiter, eq, self.fluids, mean, pr);
         }
-        let s = self.solver.flux(
-            eq,
-            self.fluids,
-            self.axis,
-            &pl[..neq],
-            &pr[..neq],
-            &mut f[..neq],
-        );
+        let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
         for e in 0..neq {
             flux[(b * neq + e) * rnf + m] = f[e];
         }
@@ -478,7 +479,7 @@ impl FusedBody<'_> {
     }
 }
 
-impl LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_> {
+impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E> {
     fn run<L: Lane>(
         &self,
         _gang: usize,
@@ -524,34 +525,32 @@ impl LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_> {
             }
 
             // --- stage 2: WENO reconstruction per line per variable,
-            //     lane packets along the face index ---
+            //     through the scalar line kernel at every lane width:
+            //     its plain face loop is what LLVM's loop vectoriser
+            //     turns into the host's packed arithmetic, faster than
+            //     explicit packets ran it (lanes are bitwise invisible,
+            //     so the choice cannot change a value) ---
             {
                 let t0 = Instant::now();
                 for b in 0..bw {
                     let (t1, t2) = self.line_t(oc, b0, b);
                     for e in 0..neq {
                         let fo = (b * neq + e) * rnf;
-                        if axis == 0 {
+                        let line = if axis == 0 {
                             let base = self.line_base(t1, t2, e) + self.s_lo;
-                            reconstruct_line_padded_vec::<L>(
-                                self.order,
-                                &self.psl[base..base + rext],
-                                pad,
-                                s_n,
-                                &mut left[fo..fo + rnf],
-                                &mut right[fo..fo + rnf],
-                            );
+                            &self.psl[base..base + rext]
                         } else {
                             let lo = (b * neq + e) * rext;
-                            reconstruct_line_padded_vec::<L>(
-                                self.order,
-                                &v[lo..lo + rext],
-                                pad,
-                                s_n,
-                                &mut left[fo..fo + rnf],
-                                &mut right[fo..fo + rnf],
-                            );
-                        }
+                            &v[lo..lo + rext]
+                        };
+                        reconstruct_line_padded(
+                            self.order,
+                            line,
+                            pad,
+                            s_n,
+                            &mut left[fo..fo + rnf],
+                            &mut right[fo..fo + rnf],
+                        );
                     }
                 }
                 times[1] += t0.elapsed();
@@ -567,26 +566,20 @@ impl LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_> {
                     let (t1, t2) = self.line_t(oc, b0, b);
                     let mut m = 0;
                     while m + L::WIDTH <= rnf {
-                        let mut pl = [L::splat(0.0); MAX_EQ];
-                        let mut pr = [L::splat(0.0); MAX_EQ];
+                        let (mut pl, mut pr) = (eq.vars::<L>(), eq.vars::<L>());
+                        let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
                         for e in 0..neq {
                             pl[e] = L::load(&left[(b * neq + e) * rnf + m..]);
                             pr[e] = L::load(&right[(b * neq + e) * rnf + m..]);
                         }
                         let ok = L::mask_and(
-                            admissible_mask(eq, self.fluids, &pl[..neq]),
-                            admissible_mask(eq, self.fluids, &pr[..neq]),
+                            admissible_mask(eq, self.fluids, pl),
+                            admissible_mask(eq, self.fluids, pr),
                         );
                         if L::mask_all(ok) {
-                            let mut f = [L::splat(0.0); MAX_EQ];
-                            let s = self.solver.flux(
-                                eq,
-                                self.fluids,
-                                axis,
-                                &pl[..neq],
-                                &pr[..neq],
-                                &mut f[..neq],
-                            );
+                            let mut f = eq.vars::<L>();
+                            let f = &mut f.as_mut()[..neq];
+                            let s = self.solver.flux(eq, self.fluids, axis, pl, pr, f);
                             for e in 0..neq {
                                 f[e].store(&mut flux[(b * neq + e) * rnf + m..]);
                             }

@@ -20,10 +20,9 @@
 use mfc_acc::{with_lane_width, Context, KernelClass, KernelCost, Lane, LaunchConfig, ParSlice};
 use serde::{Deserialize, Serialize};
 
-use crate::domain::MAX_EQ;
-use crate::eos::{cons_to_prim, MAX_FLUIDS};
-use crate::eqidx::EqIdx;
-use crate::fluid::{Fluid, MixtureRules};
+use crate::eos::cons_to_prim;
+use crate::eqidx::{with_eq_layout, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
 use crate::state::StateField;
 
 /// Tolerances of the health scan.
@@ -146,34 +145,37 @@ pub fn scan_and_convert(
     // (and bitwise-identical primitive stores, since the lane conversion
     // is the generic scalar op sequence per lane).
     let d3 = dom.dims3();
-    let scanner = HealthScanner {
-        eq,
-        fluids,
-        slack,
-        src: cons.as_slice(),
-        out: ParSlice::new(prim.as_mut_slice()),
-        nx,
-        ny,
-        pad: [px, py, pz],
-        ext1: d3.n1,
-        ext2: d3.n2,
-        block: d3.len(),
-    };
+    let table = FluidTable::new(fluids);
     let vw = ctx.vector_width();
-    let results = ctx.launch_gangs(
-        &cfg,
-        cost,
-        dom.interior_cells(),
-        |_gang, range| with_lane_width!(vw, L => scanner.scan_range::<L>(range)),
-    );
+    let results = with_eq_layout!(eq, eq => {
+        let scanner = HealthScanner {
+            eq,
+            fluids: &table,
+            slack,
+            src: cons.as_slice(),
+            out: ParSlice::new(prim.as_mut_slice()),
+            nx,
+            ny,
+            pad: [px, py, pz],
+            ext1: d3.n1,
+            ext2: d3.n2,
+            block: d3.len(),
+        };
+        ctx.launch_gangs(
+            &cfg,
+            cost,
+            dom.interior_cells(),
+            |_gang, range| with_lane_width!(vw, L => scanner.scan_range::<L>(range)),
+        )
+    });
     results.into_iter().flatten().next()
 }
 
 /// State of the fused health scan, shared by the lane fast path and the
 /// scalar fallback walk.
-struct HealthScanner<'a> {
-    eq: EqIdx,
-    fluids: &'a [Fluid],
+struct HealthScanner<'a, E> {
+    eq: E,
+    fluids: &'a FluidTable,
     slack: f64,
     src: &'a [f64],
     out: ParSlice<'a>,
@@ -186,7 +188,7 @@ struct HealthScanner<'a> {
     block: usize,
 }
 
-impl HealthScanner<'_> {
+impl<E: EqLayout> HealthScanner<'_, E> {
     /// Walk a contiguous interior item range, lane packets first, and
     /// return the first violation.
     fn scan_range<L: Lane>(&self, range: std::ops::Range<usize>) -> Option<Violation> {
@@ -218,12 +220,13 @@ impl HealthScanner<'_> {
         let j = (item / self.nx) % self.ny + self.pad[1];
         let k = item / (self.nx * self.ny) + self.pad[2];
         let cell = i + self.ext1 * (j + self.ext2 * k);
-        let mut c = [L::splat(0.0); MAX_EQ];
-        for (e, v) in c.iter_mut().enumerate().take(neq) {
+        let (mut c, mut p) = (eq.vars::<L>(), eq.vars::<L>());
+        let (c, p) = (&mut c.as_mut()[..neq], &mut p.as_mut()[..neq]);
+        for (e, v) in c.iter_mut().enumerate() {
             *v = L::load(&self.src[cell + e * self.block..]);
         }
         let mut ok = L::splat(0.0).ge(L::splat(0.0)); // all-true
-        for v in &c[..neq] {
+        for v in c.iter() {
             ok = L::mask_and(ok, v.finite());
         }
         let mut rho = L::splat(0.0);
@@ -239,11 +242,8 @@ impl HealthScanner<'_> {
         if !L::mask_all(ok) {
             return false;
         }
-        let mut p = [L::splat(0.0); MAX_EQ];
-        cons_to_prim(eq, self.fluids, &c[..neq], &mut p[..neq]);
-        let mut alphas = [L::splat(0.0); MAX_FLUIDS];
-        eq.alphas(&c[..neq], &mut alphas[..eq.nf()]);
-        let mix = MixtureRules::evaluate(self.fluids, &alphas[..eq.nf()]);
+        cons_to_prim(eq, self.fluids, c, p);
+        let mix = self.fluids.mixture(eq, c);
         let pres = p[eq.energy()];
         let floor = pres * (L::splat(1.0) + mix.big_gamma) + mix.big_pi;
         // Healthy iff finite and NOT (floor <= 0) — the exact complement
@@ -252,7 +252,7 @@ impl HealthScanner<'_> {
         if !L::mask_all(ok) {
             return false;
         }
-        for (e, v) in p.iter().enumerate().take(neq) {
+        for (e, v) in p.iter().enumerate() {
             self.out.set_lanes(cell + e * self.block, *v);
         }
         true
@@ -267,12 +267,13 @@ impl HealthScanner<'_> {
         let j = (item / self.nx) % self.ny + self.pad[1];
         let k = item / (self.nx * self.ny) + self.pad[2];
         let cell = i + self.ext1 * (j + self.ext2 * k);
-        let mut c = [0.0; MAX_EQ];
-        for (e, v) in c.iter_mut().enumerate().take(neq) {
+        let (mut c, mut p) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let (c, p) = (&mut c.as_mut()[..neq], &mut p.as_mut()[..neq]);
+        for (e, v) in c.iter_mut().enumerate() {
             *v = self.src[cell + e * self.block];
         }
 
-        for (e, &v) in c[..neq].iter().enumerate() {
+        for (e, &v) in c.iter().enumerate() {
             if !v.is_finite() {
                 return Some(Violation {
                     kind: ViolationKind::NotFinite,
@@ -307,15 +308,12 @@ impl HealthScanner<'_> {
                 });
             }
         }
-        let mut p = [0.0; MAX_EQ];
-        cons_to_prim(eq, self.fluids, &c[..neq], &mut p[..neq]);
+        cons_to_prim(eq, self.fluids, c, p);
         // The stiffened-gas floor is a *mixture* quantity: the frozen
         // sound speed c^2 = (p (1 + Gamma) + Pi) / (Gamma rho) stays
         // real iff p (1 + Gamma) + Pi > 0. A global per-fluid bound
         // would flag admissible tension states in stiffened liquids.
-        let mut alphas = [0.0; MAX_FLUIDS];
-        eq.alphas(&c[..neq], &mut alphas[..eq.nf()]);
-        let mix = MixtureRules::evaluate(self.fluids, &alphas[..eq.nf()]);
+        let mix = self.fluids.mixture(eq, c);
         let pres = p[eq.energy()];
         if !pres.is_finite() || pres * (1.0 + mix.big_gamma) + mix.big_pi <= 0.0 {
             return Some(Violation {
@@ -325,7 +323,7 @@ impl HealthScanner<'_> {
                 value: pres,
             });
         }
-        for (e, &v) in p[..neq].iter().enumerate() {
+        for (e, &v) in p.iter().enumerate() {
             self.out.set(cell + e * self.block, v);
         }
         None

@@ -9,7 +9,7 @@
 use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig};
 
 use crate::domain::{Domain, MAX_EQ};
-use crate::fluid::Fluid;
+use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
 use crate::state::StateField;
 
@@ -215,6 +215,7 @@ impl GhostCellIbm {
         let neq = eq.neq();
         let centers = CellCenters::new(&dom, grid);
         let band = 2.0 * centers.max_width();
+        let fluids = &FluidTable::new(fluids);
 
         // Pass 1: collect ghost-cell updates (reads unmodified field).
         let mut updates: Vec<((usize, usize, usize), [f64; MAX_EQ])> = Vec::new();
@@ -321,7 +322,7 @@ impl CellCenters {
     }
 
     /// Trilinear interpolation of the *primitive* state at point `x`.
-    fn interp_prim(&self, q: &StateField, fluids: &[Fluid], x: [f64; 3], out: &mut [f64]) {
+    fn interp_prim(&self, q: &StateField, fluids: &FluidTable, x: [f64; 3], out: &mut [f64]) {
         let eq = self.dom.eq;
         let neq = eq.neq();
         let i0 = Self::locate(&self.cx, x[0]);
@@ -462,7 +463,12 @@ mod tests {
         let mut cons = [0.0; MAX_EQ];
         q.load_cell(i, j, 0, &mut cons[..eq.neq()]);
         let mut prim = [0.0; MAX_EQ];
-        crate::eos::cons_to_prim(&eq, &cb.fluids, &cons[..eq.neq()], &mut prim[..eq.neq()]);
+        crate::eos::cons_to_prim(
+            &eq,
+            &FluidTable::new(&cb.fluids),
+            &cons[..eq.neq()],
+            &mut prim[..eq.neq()],
+        );
         let u = prim[eq.mom(0)];
         assert!(u < 0.0, "upstream ghost cell should reflect: u = {u}");
     }

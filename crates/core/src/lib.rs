@@ -63,8 +63,8 @@ pub mod weno;
 
 pub use case::{CaseBuilder, Patch};
 pub use domain::Domain;
-pub use eqidx::EqIdx;
-pub use fluid::{Fluid, MixtureRules};
+pub use eqidx::{EqIdx, EqLayout};
+pub use fluid::{Fluid, FluidTable, MixtureRules};
 pub use grid::{Grid, Grid1D};
 pub use health::{HealthConfig, Violation, ViolationKind};
 pub use recovery::{RecoveryAction, RecoveryPolicy, SolverError, StepFault, StepOutcome};

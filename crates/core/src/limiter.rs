@@ -13,10 +13,11 @@
 //!   largest admissible `theta` in [0, 1]. Retains more of the
 //!   high-order information than the full fallback.
 
+use mfc_acc::Lane;
 use serde::{Deserialize, Serialize};
 
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 
 /// Positivity enforcement strategy for reconstructed face states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,32 +38,41 @@ const POS_EPS: f64 = 1e-12;
 /// Whether a primitive state is admissible (positive partial densities
 /// and stiffened pressure).
 #[inline(always)]
-pub fn admissible(eq: &EqIdx, fluids: &[Fluid], prim: &[f64]) -> bool {
-    let mut rho = 0.0;
+pub fn admissible<E: EqLayout>(eq: &E, fluids: &FluidTable, prim: &[f64]) -> bool {
+    f64::mask_all(admissible_mask(eq, fluids, prim))
+}
+
+/// [`admissible`] per lane: no partial density negative, mixture density
+/// positive, `p + min_pi > 0` (a NaN fails only the comparisons it enters,
+/// exactly like a branchy scalar cascade). In the Riemann sweeps the mask
+/// only picks the all-admissible fast path — it never enters float
+/// arithmetic.
+#[inline(always)]
+pub(crate) fn admissible_mask<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
+    prim: &[L],
+) -> L::Mask {
+    // All-true start: 0 >= 0 holds in every lane.
+    let mut ok = L::splat(0.0).ge(L::splat(0.0));
+    let mut rho = L::splat(0.0);
     for i in 0..eq.nf() {
         let ar = prim[eq.cont(i)];
-        if ar < 0.0 {
-            return false;
-        }
-        rho += ar;
+        ok = L::mask_and(ok, L::mask_not(ar.lt(L::splat(0.0))));
+        rho = rho + ar;
     }
-    if rho <= 0.0 {
-        return false;
-    }
-    let min_pi = fluids
-        .iter()
-        .map(|f| f.pi_inf)
-        .fold(f64::INFINITY, f64::min);
-    prim[eq.energy()] + min_pi > 0.0
+    ok = L::mask_and(ok, L::mask_not(rho.le(L::splat(0.0))));
+    let p = prim[eq.energy()];
+    L::mask_and(ok, (p + L::splat(fluids.min_pi())).gt(L::splat(0.0)))
 }
 
 /// Apply the limiter to one reconstructed primitive state `prim`, given
 /// the admissible cell average `mean`. Returns the theta actually used
 /// (1 = untouched, 0 = full fallback).
-pub fn limit_state(
+pub fn limit_state<E: EqLayout>(
     limiter: Limiter,
-    eq: &EqIdx,
-    fluids: &[Fluid],
+    eq: &E,
+    fluids: &FluidTable,
     mean: &[f64],
     prim: &mut [f64],
 ) -> f64 {
@@ -98,10 +108,7 @@ pub fn limit_state(
                     }
                 }
             }
-            let min_pi = fluids
-                .iter()
-                .map(|f| f.pi_inf)
-                .fold(f64::INFINITY, f64::min);
+            let min_pi = fluids.min_pi();
             let e = eq.energy();
             let floor = POS_EPS * (mean[e].abs() + min_pi) - min_pi;
             if prim[e] < floor {
@@ -122,13 +129,15 @@ pub fn limit_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
 
     fn eq2() -> EqIdx {
         EqIdx::new(2, 1)
     }
 
-    fn fluids() -> Vec<Fluid> {
-        vec![Fluid::air(), Fluid::water()]
+    fn fluids() -> FluidTable {
+        FluidTable::new(&[Fluid::air(), Fluid::water()])
     }
 
     #[test]
@@ -205,7 +214,7 @@ mod tests {
         // Pure-water fluids: pressure may legitimately be negative down
         // to -pi_inf; the limiter must allow moderately negative p.
         let eq = EqIdx::new(1, 1);
-        let water = vec![Fluid::water()];
+        let water = FluidTable::new(&[Fluid::water()]);
         let mean = [1000.0, 0.0, 1.0e5];
         let mut prim = [1000.0, 0.0, -1.0e6]; // fine under 3.43e8 stiffness
         let theta = limit_state(Limiter::ZhangShu, &eq, &water, &mean, &mut prim);

@@ -9,7 +9,7 @@ use std::io::{self, Write};
 
 use crate::domain::{Domain, MAX_EQ};
 use crate::eos::cons_to_prim;
-use crate::fluid::Fluid;
+use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
 use crate::state::StateField;
 
@@ -87,11 +87,12 @@ impl ProbeSet {
     pub fn sample(&mut self, t: f64, fluids: &[Fluid], q: &StateField) {
         let dom = *q.domain();
         let neq = dom.eq.neq();
+        let fluids = FluidTable::new(fluids);
         let mut cons = [0.0; MAX_EQ];
         let mut prim = [0.0; MAX_EQ];
         for (slot, &(i, j, k)) in self.cells.iter().enumerate() {
             q.load_cell(i, j, k, &mut cons[..neq]);
-            cons_to_prim(&dom.eq, fluids, &cons[..neq], &mut prim[..neq]);
+            cons_to_prim(&dom.eq, &fluids, &cons[..neq], &mut prim[..neq]);
             self.history[slot].push(Sample {
                 t,
                 prim: prim[..neq].to_vec(),

@@ -30,11 +30,11 @@ use mfc_layout::{
 };
 
 use crate::axisym::Geometry;
-use crate::domain::{Domain, MAX_EQ};
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::domain::Domain;
+use crate::eqidx::{with_eq_layout, EqIdx, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
-use crate::limiter::{limit_state, Limiter};
+use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
 use crate::riemann::RiemannSolver;
 use crate::state::StateField;
 use crate::weno::{reconstruct_sweep, reconstruct_sweep_region, WenoOrder};
@@ -787,36 +787,39 @@ fn riemann_sweep_region(
     // of its own face; a packet containing any inadmissible state replays
     // through the scalar path so the positivity limiter stays the scalar
     // arithmetic.
-    let kernel = RiemannKernel {
-        eq: *eq,
-        fluids,
-        solver: cfg.solver,
-        limiter: cfg.limiter,
-        axis,
-        lsl: left.as_slice(),
-        rsl: right.as_slice(),
-        psl: packed.as_slice(),
-        fsl: ParSlice::new(flux.as_mut_slice()),
-        usl: ParSlice::new(ustar.as_mut_slice()),
-        nf1,
-        f_lo,
-        t1_lo,
-        t1_n,
-        t2_lo,
-        t1,
-        face_stride,
-        cell_stride,
-        ext1,
-        pad,
-    };
-    ctx.launch_vec(&cfgl, cost, t1_n * t2_n, f_count, &kernel);
+    let table = FluidTable::new(fluids);
+    with_eq_layout!(*eq, eq => {
+        let kernel = RiemannKernel {
+            eq,
+            fluids: &table,
+            solver: cfg.solver,
+            limiter: cfg.limiter,
+            axis,
+            lsl: left.as_slice(),
+            rsl: right.as_slice(),
+            psl: packed.as_slice(),
+            fsl: ParSlice::new(flux.as_mut_slice()),
+            usl: ParSlice::new(ustar.as_mut_slice()),
+            nf1,
+            f_lo,
+            t1_lo,
+            t1_n,
+            t2_lo,
+            t1,
+            face_stride,
+            cell_stride,
+            ext1,
+            pad,
+        };
+        ctx.launch_vec(&cfgl, cost, t1_n * t2_n, f_count, &kernel)
+    });
 }
 
 /// Lane kernel of the Riemann sweeps: row = transverse line of the
 /// window, col = offset into the face window.
-struct RiemannKernel<'a> {
-    eq: EqIdx,
-    fluids: &'a [Fluid],
+struct RiemannKernel<'a, E> {
+    eq: E,
+    fluids: &'a FluidTable,
     solver: RiemannSolver,
     limiter: Limiter,
     axis: usize,
@@ -838,7 +841,7 @@ struct RiemannKernel<'a> {
     pad: usize,
 }
 
-impl RiemannKernel<'_> {
+impl<E: EqLayout> RiemannKernel<'_, E> {
     /// `(m, line)` of one window item.
     #[inline(always)]
     fn decode(&self, lr: usize, col: usize) -> (usize, usize) {
@@ -856,60 +859,53 @@ impl RiemannKernel<'_> {
         let eq = &self.eq;
         let neq = eq.neq();
         let face = m + self.nf1 * line;
-        let mut pl = [0.0; MAX_EQ];
-        let mut pr = [0.0; MAX_EQ];
-        let mut f = [0.0; MAX_EQ];
+        let (mut pl, mut pr) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let (mut f, mut mean) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
+        let (f, mean) = (&mut f.as_mut()[..neq], &mut mean.as_mut()[..neq]);
         for e in 0..neq {
             pl[e] = self.lsl[face + e * self.face_stride];
             pr[e] = self.rsl[face + e * self.face_stride];
         }
         let cell_l = (self.pad - 1 + m) + self.ext1 * line;
         let cell_r = cell_l + 1;
-        let mut mean = [0.0; MAX_EQ];
-        if !state_admissible(eq, self.fluids, &pl[..neq]) {
-            for (e, mv) in mean.iter_mut().enumerate().take(neq) {
+        if !admissible(eq, self.fluids, pl) {
+            for (e, mv) in mean.iter_mut().enumerate() {
                 *mv = self.psl[cell_l + e * self.cell_stride];
             }
-            limit_state(self.limiter, eq, self.fluids, &mean[..neq], &mut pl[..neq]);
+            limit_state(self.limiter, eq, self.fluids, mean, pl);
         }
-        if !state_admissible(eq, self.fluids, &pr[..neq]) {
-            for (e, mv) in mean.iter_mut().enumerate().take(neq) {
+        if !admissible(eq, self.fluids, pr) {
+            for (e, mv) in mean.iter_mut().enumerate() {
                 *mv = self.psl[cell_r + e * self.cell_stride];
             }
-            limit_state(self.limiter, eq, self.fluids, &mean[..neq], &mut pr[..neq]);
+            limit_state(self.limiter, eq, self.fluids, mean, pr);
         }
-        let s = self.solver.flux(
-            eq,
-            self.fluids,
-            self.axis,
-            &pl[..neq],
-            &pr[..neq],
-            &mut f[..neq],
-        );
-        for (e, &v) in f[..neq].iter().enumerate() {
+        let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
+        for (e, &v) in f.iter().enumerate() {
             self.fsl.set(face + e * self.face_stride, v);
         }
         self.usl.set(face, s);
     }
 }
 
-impl LaneKernel for RiemannKernel<'_> {
+impl<E: EqLayout> LaneKernel for RiemannKernel<'_, E> {
     #[inline(always)]
     fn packet<L: Lane>(&self, lr: usize, col: usize) {
         let (m, line) = self.decode(lr, col);
         let eq = &self.eq;
         let neq = eq.neq();
         let face = m + self.nf1 * line;
-        let mut pl = [L::splat(0.0); MAX_EQ];
-        let mut pr = [L::splat(0.0); MAX_EQ];
-        let mut f = [L::splat(0.0); MAX_EQ];
+        let (mut pl, mut pr, mut f) = (eq.vars::<L>(), eq.vars::<L>(), eq.vars::<L>());
+        let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
+        let f = &mut f.as_mut()[..neq];
         for e in 0..neq {
             pl[e] = L::load(&self.lsl[face + e * self.face_stride..]);
             pr[e] = L::load(&self.rsl[face + e * self.face_stride..]);
         }
         let ok = L::mask_and(
-            admissible_mask(eq, self.fluids, &pl[..neq]),
-            admissible_mask(eq, self.fluids, &pr[..neq]),
+            admissible_mask(eq, self.fluids, pl),
+            admissible_mask(eq, self.fluids, pr),
         );
         if !L::mask_all(ok) {
             // A lane needs the positivity limiter (rare, and branchy by
@@ -921,66 +917,12 @@ impl LaneKernel for RiemannKernel<'_> {
             }
             return;
         }
-        let s = self.solver.flux(
-            eq,
-            self.fluids,
-            self.axis,
-            &pl[..neq],
-            &pr[..neq],
-            &mut f[..neq],
-        );
-        for (e, v) in f.iter().enumerate().take(neq) {
+        let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
+        for (e, v) in f.iter().enumerate() {
             self.fsl.set_lanes(face + e * self.face_stride, *v);
         }
         self.usl.set_lanes(face, s);
     }
-}
-
-/// A primitive state is admissible if its mixture density and stiffened
-/// pressure are positive.
-#[inline(always)]
-pub(crate) fn state_admissible(eq: &EqIdx, fluids: &[Fluid], prim: &[f64]) -> bool {
-    let mut rho = 0.0;
-    for i in 0..eq.nf() {
-        let ar = prim[eq.cont(i)];
-        if ar < 0.0 {
-            return false;
-        }
-        rho += ar;
-    }
-    if rho <= 0.0 {
-        return false;
-    }
-    let p = prim[eq.energy()];
-    let min_pi = fluids
-        .iter()
-        .map(|f| f.pi_inf)
-        .fold(f64::INFINITY, f64::min);
-    p + min_pi > 0.0
-}
-
-/// Lane-wide [`state_admissible`]: each mask lane holds exactly the
-/// scalar predicate of its own state (the scalar early returns become a
-/// conjunction; NaNs compare false on every branch in both forms, so the
-/// fall-through semantics match). Used only to pick the all-admissible
-/// fast path — the mask never enters float arithmetic.
-#[inline(always)]
-pub(crate) fn admissible_mask<L: Lane>(eq: &EqIdx, fluids: &[Fluid], prim: &[L]) -> L::Mask {
-    // All-true start: 0 >= 0 holds in every lane.
-    let mut ok = L::splat(0.0).ge(L::splat(0.0));
-    let mut rho = L::splat(0.0);
-    for i in 0..eq.nf() {
-        let ar = prim[eq.cont(i)];
-        ok = L::mask_and(ok, L::mask_not(ar.lt(L::splat(0.0))));
-        rho = rho + ar;
-    }
-    ok = L::mask_and(ok, L::mask_not(rho.le(L::splat(0.0))));
-    let p = prim[eq.energy()];
-    let min_pi = fluids
-        .iter()
-        .map(|f| f.pi_inf)
-        .fold(f64::INFINITY, f64::min);
-    L::mask_and(ok, (p + L::splat(min_pi)).gt(L::splat(0.0)))
 }
 
 /// `rhs[cell] += (F[m] - F[m+1]) / dx`, `divu[cell] += (S*[m+1] - S*[m]) / dx`.

@@ -7,13 +7,11 @@
 //! contact) rather than HLL: treat this solver as a single-fluid baseline
 //! for accuracy comparisons, not a production multiphase solver.
 
-use crate::domain::MAX_EQ;
-use crate::eos::prim_to_cons;
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 use mfc_acc::Lane;
 
-use super::{face_state, physical_flux};
+use super::{davis_speeds, face_side};
 
 /// Compute the HLL flux across one face; returns the HLLC-style contact
 /// speed estimate (for the alpha source, kept consistent across solvers).
@@ -23,39 +21,26 @@ use super::{face_state, physical_flux};
 /// priority order, so the `L = f64` instantiation is bitwise the branchy
 /// original and packed lanes match it per face.
 #[inline]
-pub fn hll_flux<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
+pub fn hll_flux<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
     axis: usize,
     priml: &[L],
     primr: &[L],
     flux: &mut [L],
 ) -> L {
     let neq = eq.neq();
-    let l = face_state(eq, fluids, priml, axis);
-    let r = face_state(eq, fluids, primr, axis);
-    let sl = (l.un - l.c).min(r.un - r.c);
-    let sr = (l.un + l.c).max(r.un + r.c);
-    let denom = l.rho * (sl - l.un) - r.rho * (sr - r.un);
-    let s_star = L::select(
-        denom.abs().lt(L::splat(1e-300)),
-        L::splat(0.5) * (l.un + r.un),
-        (r.p - l.p + l.rho * l.un * (sl - l.un) - r.rho * r.un * (sr - r.un)) / denom,
-    );
+    let left = face_side(eq, fluids, priml, axis);
+    let right = face_side(eq, fluids, primr, axis);
+    let (fl, fr) = (&left.flux.as_ref()[..neq], &right.flux.as_ref()[..neq]);
+    let (ql, qr) = (&left.cons.as_ref()[..neq], &right.cons.as_ref()[..neq]);
+    let flux = &mut flux[..neq];
 
-    let mut fl = [L::splat(0.0); MAX_EQ];
-    let mut fr = [L::splat(0.0); MAX_EQ];
-    physical_flux(eq, fluids, priml, axis, &mut fl[..neq]);
-    physical_flux(eq, fluids, primr, axis, &mut fr[..neq]);
-    let mut ql = [L::splat(0.0); MAX_EQ];
-    let mut qr = [L::splat(0.0); MAX_EQ];
-    prim_to_cons(eq, fluids, priml, &mut ql[..neq]);
-    prim_to_cons(eq, fluids, primr, &mut qr[..neq]);
+    let (sl, sr, s_star) = davis_speeds(&left.state, &right.state);
 
-    let mut sub = [L::splat(0.0); MAX_EQ];
     let inv = L::splat(1.0) / (sr - sl);
-    for (e, s) in sub.iter_mut().enumerate().take(neq) {
-        *s = (sr * fl[e] - sl * fr[e] + sl * sr * (qr[e] - ql[e])) * inv;
+    for e in 0..neq {
+        flux[e] = (sr * fl[e] - sl * fr[e] + sl * sr * (qr[e] - ql[e])) * inv;
     }
     // Volume fractions are material invariants (see the HLLC module): the
     // HLL average treats them like conserved densities, which couples
@@ -64,13 +49,13 @@ pub fn hll_flux<L: Lane>(
     let side = s_star.ge(L::splat(0.0));
     for i in 0..eq.n_adv() {
         let e = eq.adv(i);
-        sub[e] = L::select(side, priml[e], primr[e]) * s_star;
+        flux[e] = L::select(side, priml[e], primr[e]) * s_star;
     }
 
     let sup_l = sl.ge(L::splat(0.0));
     let sup_r = sr.le(L::splat(0.0));
     for e in 0..neq {
-        flux[e] = L::select(sup_l, fl[e], L::select(sup_r, fr[e], sub[e]));
+        flux[e] = L::select(sup_l, fl[e], L::select(sup_r, fr[e], flux[e]));
     }
     s_star
 }
@@ -78,14 +63,17 @@ pub fn hll_flux<L: Lane>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
     use crate::riemann::hllc::hllc_flux;
+    use crate::riemann::tests::physical_flux;
 
     #[test]
     fn hll_smears_contacts_more_than_hllc() {
         // Isolated contact: HLLC flux equals upwind flux, HLL adds
         // diffusion proportional to the density jump.
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let priml = [1.0, 20.0, 1.0e5];
         let primr = [0.1, 20.0, 1.0e5];
         let mut f_hll = vec![0.0; 3];
@@ -103,7 +91,7 @@ mod tests {
     #[test]
     fn hll_flux_between_upwind_fluxes_for_subsonic_jump() {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let priml = [1.0, 0.0, 2.0e5];
         let primr = [0.6, 0.0, 1.0e5];
         let mut f = vec![0.0; 3];

@@ -6,13 +6,11 @@
 //! speed `S*`, which the RHS uses as the interface velocity in the
 //! non-conservative `alpha div(u)` term.
 
-use crate::domain::MAX_EQ;
-use crate::eos::prim_to_cons;
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 use mfc_acc::Lane;
 
-use super::{face_state, physical_flux};
+use super::{davis_speeds, face_side};
 
 /// Compute the HLLC flux across one face; returns the contact speed `S*`.
 ///
@@ -26,38 +24,23 @@ use super::{face_state, physical_flux};
 /// solve of its own face. IEEE arithmetic never traps, so evaluating the
 /// discarded alternatives (which may produce inf/NaN) is harmless.
 #[inline]
-pub fn hllc_flux<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
+pub fn hllc_flux<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
     axis: usize,
     priml: &[L],
     primr: &[L],
     flux: &mut [L],
 ) -> L {
     let neq = eq.neq();
-    let l = face_state(eq, fluids, priml, axis);
-    let r = face_state(eq, fluids, primr, axis);
+    let left = face_side(eq, fluids, priml, axis);
+    let right = face_side(eq, fluids, primr, axis);
+    let (l, r) = (left.state, right.state);
+    let (fl, fr) = (&left.flux.as_ref()[..neq], &right.flux.as_ref()[..neq]);
+    let (ql, qr) = (&left.cons.as_ref()[..neq], &right.cons.as_ref()[..neq]);
+    let flux = &mut flux[..neq];
 
-    // Davis estimates.
-    let sl = (l.un - l.c).min(r.un - r.c);
-    let sr = (l.un + l.c).max(r.un + r.c);
-    // Contact speed. A vanishing denominator falls back to the mean normal
-    // velocity (the `denom.abs() < 1e-300` guard of the scalar solver).
-    let denom = l.rho * (sl - l.un) - r.rho * (sr - r.un);
-    let s_star = L::select(
-        denom.abs().lt(L::splat(1e-300)),
-        L::splat(0.5) * (l.un + r.un),
-        (r.p - l.p + l.rho * l.un * (sl - l.un) - r.rho * r.un * (sr - r.un)) / denom,
-    );
-
-    let mut fl = [L::splat(0.0); MAX_EQ];
-    let mut fr = [L::splat(0.0); MAX_EQ];
-    physical_flux(eq, fluids, priml, axis, &mut fl[..neq]);
-    physical_flux(eq, fluids, primr, axis, &mut fr[..neq]);
-    let mut ql = [L::splat(0.0); MAX_EQ];
-    let mut qr = [L::splat(0.0); MAX_EQ];
-    prim_to_cons(eq, fluids, priml, &mut ql[..neq]);
-    prim_to_cons(eq, fluids, primr, &mut qr[..neq]);
+    let (sl, sr, s_star) = davis_speeds(&l, &r);
 
     // Star-region correction on the subsonic side containing x/t = 0:
     // F = F_K + S_K (q*_K - q_K), K picked by the sign of S* exactly like
@@ -69,12 +52,11 @@ pub fn hllc_flux<L: Lane>(
     let fs_p = L::select(side, l.p, r.p);
     let chi = (sk - fs_un) / (sk - s_star);
 
-    let mut sub = [L::splat(0.0); MAX_EQ];
     // Partial densities scale by chi like the mixture density.
     for i in 0..eq.nf() {
         let e = eq.cont(i);
         let q = L::select(side, ql[e], qr[e]);
-        sub[e] = L::select(side, fl[e], fr[e]) + sk * (chi * q - q);
+        flux[e] = L::select(side, fl[e], fr[e]) + sk * (chi * q - q);
     }
     // Volume fractions are material invariants: constant across the
     // acoustic waves, jumping only at the contact, and the star-region
@@ -84,7 +66,7 @@ pub fn hllc_flux<L: Lane>(
     // the alpha*div(u) closure.)
     for i in 0..eq.n_adv() {
         let e = eq.adv(i);
-        sub[e] = L::select(side, ql[e], qr[e]) * s_star;
+        flux[e] = L::select(side, ql[e], qr[e]) * s_star;
     }
     // Momentum: normal component jumps to S*, tangential are advected.
     for d in 0..eq.ndim() {
@@ -95,21 +77,21 @@ pub fn hllc_flux<L: Lane>(
         } else {
             chi * q
         };
-        sub[e] = L::select(side, fl[e], fr[e]) + sk * (q_star - q);
+        flux[e] = L::select(side, fl[e], fr[e]) + sk * (q_star - q);
     }
     // Energy.
     let e = eq.energy();
     let q = L::select(side, ql[e], qr[e]);
     let e_star = chi * (q + (s_star - fs_un) * (fs_rho * s_star + fs_p / (sk - fs_un)));
-    sub[e] = L::select(side, fl[e], fr[e]) + sk * (e_star - q);
+    flux[e] = L::select(side, fl[e], fr[e]) + sk * (e_star - q);
 
     // Wave-pattern cascade, in the scalar solver's priority order: a
     // supersonic-left lane takes F(qL), else supersonic-right takes F(qR),
-    // else the star-region flux.
+    // else the star-region flux assembled above.
     let sup_l = sl.ge(L::splat(0.0));
     let sup_r = sr.le(L::splat(0.0));
     for e in 0..neq {
-        flux[e] = L::select(sup_l, fl[e], L::select(sup_r, fr[e], sub[e]));
+        flux[e] = L::select(sup_l, fl[e], L::select(sup_r, fr[e], flux[e]));
     }
     s_star
 }
@@ -117,7 +99,11 @@ pub fn hllc_flux<L: Lane>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
     use crate::riemann::exact::{ExactRiemann, PrimSide};
+    use crate::riemann::face_state;
+    use crate::riemann::tests::physical_flux;
 
     /// HLLC's interface flux for a Sod problem should be in the
     /// neighbourhood of the exact Godunov flux.  The Davis wave-speed
@@ -129,7 +115,7 @@ mod tests {
     fn sod_flux_close_to_exact_godunov_flux() {
         let eq = EqIdx::new(1, 1);
         let air = Fluid::air();
-        let fluids = [air];
+        let fluids = FluidTable::new(&[air]);
         let priml = [1.0, 0.0, 1.0];
         let primr = [0.125, 0.0, 0.1];
 
@@ -168,7 +154,7 @@ mod tests {
     fn isolated_contact_is_resolved_exactly() {
         // Equal pressure & velocity, jump in density: HLLC preserves it.
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let priml = [1.0, 20.0, 1.0e5];
         let primr = [0.1, 20.0, 1.0e5];
         let mut f = vec![0.0; 3];
@@ -185,7 +171,7 @@ mod tests {
     #[test]
     fn contact_speed_between_acoustic_speeds() {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let priml = [1.0, 0.0, 2.0e5];
         let primr = [0.5, -30.0, 0.5e5];
         let l = face_state(&eq, &fluids, &priml, 0);
@@ -202,7 +188,7 @@ mod tests {
         // Material interface between air and water at uniform p, u: the
         // alpha flux must be alpha*u of the upwind side.
         let eq = EqIdx::new(2, 1);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let mut priml = vec![0.0; eq.neq()];
         priml[eq.cont(0)] = 1.2;
         priml[eq.cont(1)] = 0.0;

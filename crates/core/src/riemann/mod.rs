@@ -13,9 +13,8 @@ pub mod hll;
 pub mod hllc;
 pub mod rusanov;
 
-use crate::eos::MAX_FLUIDS;
-use crate::eqidx::EqIdx;
-use crate::fluid::{Fluid, MixtureRules};
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 use mfc_acc::Lane;
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +32,7 @@ pub enum RiemannSolver {
 impl RiemannSolver {
     /// Approximate FLOPs per face per equation-system solve, from the
     /// arithmetic in each implementation (divisions/sqrts weighted 4/8).
-    pub fn flops_per_face(self, eq: &EqIdx) -> f64 {
+    pub fn flops_per_face(self, eq: &impl EqLayout) -> f64 {
         let neq = eq.neq() as f64;
         match self {
             // 2 EOS evals (~30 each incl. sqrt), wave speeds, star states
@@ -53,10 +52,10 @@ impl RiemannSolver {
     /// sequence (wave-pattern branches become bit selects of fully
     /// evaluated alternatives), so the result is bitwise the scalar one.
     #[inline]
-    pub fn flux<L: Lane>(
+    pub fn flux<E: EqLayout, L: Lane>(
         self,
-        eq: &EqIdx,
-        fluids: &[Fluid],
+        eq: &E,
+        fluids: &FluidTable,
         axis: usize,
         priml: &[L],
         primr: &[L],
@@ -68,17 +67,6 @@ impl RiemannSolver {
             RiemannSolver::Rusanov => rusanov::rusanov_flux(eq, fluids, axis, priml, primr, flux),
         }
     }
-}
-
-/// Crate-public alias for [`face_state`], used by source-term kernels.
-#[inline(always)]
-pub(crate) fn face_state_public<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
-    prim: &[L],
-    axis: usize,
-) -> FaceState<L> {
-    face_state(eq, fluids, prim, axis)
 }
 
 /// Scalar face quantities derived from one primitive state (one value per
@@ -97,9 +85,9 @@ pub(crate) struct FaceState<L = f64> {
 /// Evaluate density, pressure, sound speed, and total energy of a
 /// primitive state (normal along `axis`).
 #[inline(always)]
-pub(crate) fn face_state<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
+pub(crate) fn face_state<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
     prim: &[L],
     axis: usize,
 ) -> FaceState<L> {
@@ -108,9 +96,7 @@ pub(crate) fn face_state<L: Lane>(
         rho = rho + prim[eq.cont(i)];
     }
     let p = prim[eq.energy()];
-    let mut alphas = [L::splat(0.0); MAX_FLUIDS];
-    eq.alphas(prim, &mut alphas[..eq.nf()]);
-    let mix = MixtureRules::evaluate(fluids, &alphas[..eq.nf()]);
+    let mix = fluids.mixture(eq, prim);
     let mut kinetic = L::splat(0.0);
     for d in 0..eq.ndim() {
         kinetic = kinetic + L::splat(0.5) * rho * prim[eq.mom(d)] * prim[eq.mom(d)];
@@ -124,36 +110,94 @@ pub(crate) fn face_state<L: Lane>(
     }
 }
 
-/// The physical flux of the homogeneous (conservative) part of the
-/// 5-equation system, from a primitive state. The volume-fraction flux is
-/// the conservative `alpha u_n` part; the non-conservative `alpha div(u)`
-/// source is handled by the RHS using the returned interface velocities.
+/// Everything a solver needs from one side of a face, from a single
+/// mixture evaluation: the [`FaceState`], and the physical flux and
+/// conservative vector derived from it.
+///
+/// `flux` is the flux of the homogeneous (conservative) part of the
+/// 5-equation system; the volume-fraction flux is the conservative
+/// `alpha u_n` part, and the non-conservative `alpha div(u)` source is
+/// handled by the RHS using the returned interface velocities. `cons` is
+/// [`crate::eos::prim_to_cons`] of the state — its density, kinetic and
+/// internal energy are, expression for expression, the ones
+/// [`face_state`] already holds, so reusing them changes no bit.
+pub(crate) struct FaceSide<E: EqLayout, L: Lane> {
+    pub state: FaceState<L>,
+    pub flux: E::Vars<L>,
+    pub cons: E::Vars<L>,
+}
+
 #[inline(always)]
-pub(crate) fn physical_flux<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
+pub(crate) fn face_side<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
     prim: &[L],
     axis: usize,
-    out: &mut [L],
-) {
+) -> FaceSide<E, L> {
     let fs = face_state(eq, fluids, prim, axis);
+    let mut flux = eq.vars::<L>();
+    let mut cons = eq.vars::<L>();
+    let (f, q) = (flux.as_mut(), cons.as_mut());
     for i in 0..eq.nf() {
-        out[eq.cont(i)] = prim[eq.cont(i)] * fs.un;
+        let e = eq.cont(i);
+        f[e] = prim[e] * fs.un;
+        q[e] = prim[e];
     }
     for d in 0..eq.ndim() {
-        out[eq.mom(d)] = fs.rho * prim[eq.mom(d)] * fs.un;
+        let e = eq.mom(d);
+        f[e] = fs.rho * prim[e] * fs.un;
+        q[e] = fs.rho * prim[e];
     }
-    out[eq.mom(axis)] = out[eq.mom(axis)] + fs.p;
-    out[eq.energy()] = (fs.rho_e + fs.p) * fs.un;
+    f[eq.mom(axis)] = f[eq.mom(axis)] + fs.p;
+    f[eq.energy()] = (fs.rho_e + fs.p) * fs.un;
+    q[eq.energy()] = fs.rho_e;
     for i in 0..eq.n_adv() {
-        out[eq.adv(i)] = prim[eq.adv(i)] * fs.un;
+        let e = eq.adv(i);
+        f[e] = prim[e] * fs.un;
+        q[e] = prim[e];
+    }
+    FaceSide {
+        state: fs,
+        flux,
+        cons,
     }
 }
 
+/// The Davis wave-speed estimates `(S_L, S_R)` and the contact speed `S*`
+/// shared by the HLL-family solvers. A vanishing denominator falls back to
+/// the mean normal velocity (the `denom.abs() < 1e-300` guard of the scalar
+/// solver).
+#[inline(always)]
+pub(crate) fn davis_speeds<L: Lane>(l: &FaceState<L>, r: &FaceState<L>) -> (L, L, L) {
+    let sl = (l.un - l.c).min(r.un - r.c);
+    let sr = (l.un + l.c).max(r.un + r.c);
+    let denom = l.rho * (sl - l.un) - r.rho * (sr - r.un);
+    let s_star = L::select(
+        denom.abs().lt(L::splat(1e-300)),
+        L::splat(0.5) * (l.un + r.un),
+        (r.p - l.p + l.rho * l.un * (sl - l.un) - r.rho * r.un * (sr - r.un)) / denom,
+    );
+    (sl, sr, s_star)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::eos::prim_to_cons;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
+
+    /// The physical flux of a primitive state (reference for the solver
+    /// consistency tests).
+    pub(crate) fn physical_flux(
+        eq: &EqIdx,
+        fluids: &FluidTable,
+        prim: &[f64],
+        axis: usize,
+        out: &mut [f64],
+    ) {
+        out.copy_from_slice(&face_side(eq, fluids, prim, axis).flux[..eq.neq()]);
+    }
 
     pub(crate) fn two_fluid_prim(eq: &EqIdx, alpha_air: f64, u: f64, p: f64) -> Vec<f64> {
         let mut prim = vec![0.0; eq.neq()];
@@ -169,7 +213,7 @@ mod tests {
     fn physical_flux_matches_manual_euler() {
         // Single-fluid 1D: F = [rho u, rho u^2 + p, (E + p) u]
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let prim = [1.2, 30.0, 1.0e5];
         let mut f = [0.0; 3];
         physical_flux(&eq, &fluids, &prim, 0, &mut f);
@@ -183,7 +227,7 @@ mod tests {
     fn all_solvers_are_consistent() {
         // F(q, q) must equal the physical flux.
         let eq = EqIdx::new(2, 2);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let mut prim = two_fluid_prim(&eq, 0.7, 25.0, 2.0e5);
         prim[eq.mom(1)] = -12.0;
         let mut want = vec![0.0; eq.neq()];
@@ -209,7 +253,7 @@ mod tests {
         // Mirroring both states about the face must negate the density
         // flux and preserve the momentum flux.
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let l = [1.2, 50.0, 1.5e5];
         let r = [0.8, -10.0, 0.9e5];
         let ml = [0.8, 10.0, 0.9e5];
@@ -241,7 +285,7 @@ mod tests {
     #[test]
     fn interface_velocity_sign_follows_flow() {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         // Uniform rightward flow: interface velocity must be u.
         let prim = [1.2, 42.0, 1.0e5];
         let mut f = vec![0.0; 3];
@@ -258,7 +302,7 @@ mod tests {
     #[test]
     fn supersonic_flux_is_pure_upwind() {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         // Both states moving right at Mach > 1: flux must equal F(qL).
         let l = [1.2, 600.0, 1.0e5];
         let r = [0.5, 650.0, 0.8e5];
@@ -277,11 +321,14 @@ mod tests {
     fn conservative_state_helper_consistency() {
         // face_state's rho_e agrees with prim_to_cons.
         let eq = EqIdx::new(2, 1);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let prim = two_fluid_prim(&eq, 0.4, 15.0, 3.0e5);
         let mut cons = vec![0.0; eq.neq()];
         prim_to_cons(&eq, &fluids, &prim, &mut cons);
-        let fs = face_state(&eq, &fluids, &prim, 0);
-        assert!((fs.rho_e - cons[eq.energy()]).abs() < 1e-6);
+        let side = face_side(&eq, &fluids, &prim, 0);
+        assert_eq!(side.state.rho_e, cons[eq.energy()]);
+        // The conservative vector derived from the face state is bitwise
+        // the EOS conversion.
+        assert_eq!(&side.cons[..eq.neq()], &cons[..]);
     }
 }

@@ -1,13 +1,11 @@
 //! Rusanov (local Lax–Friedrichs) single-wave solver — the most diffusive
 //! baseline.
 
-use crate::domain::MAX_EQ;
-use crate::eos::prim_to_cons;
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::EqLayout;
+use crate::fluid::FluidTable;
 use mfc_acc::Lane;
 
-use super::{face_state, physical_flux};
+use super::face_side;
 
 /// Compute the Rusanov flux; returns the mean normal velocity as the
 /// interface-velocity estimate.
@@ -15,27 +13,22 @@ use super::{face_state, physical_flux};
 /// Already branch-free, so the [`Lane`] version is a direct elementwise
 /// transcription: each packed lane performs the scalar op sequence.
 #[inline]
-pub fn rusanov_flux<L: Lane>(
-    eq: &EqIdx,
-    fluids: &[Fluid],
+pub fn rusanov_flux<E: EqLayout, L: Lane>(
+    eq: &E,
+    fluids: &FluidTable,
     axis: usize,
     priml: &[L],
     primr: &[L],
     flux: &mut [L],
 ) -> L {
     let neq = eq.neq();
-    let l = face_state(eq, fluids, priml, axis);
-    let r = face_state(eq, fluids, primr, axis);
+    let left = face_side(eq, fluids, priml, axis);
+    let right = face_side(eq, fluids, primr, axis);
+    let (l, r) = (left.state, right.state);
+    let (fl, fr) = (&left.flux.as_ref()[..neq], &right.flux.as_ref()[..neq]);
+    let (ql, qr) = (&left.cons.as_ref()[..neq], &right.cons.as_ref()[..neq]);
+    let flux = &mut flux[..neq];
     let smax = (l.un.abs() + l.c).max(r.un.abs() + r.c);
-
-    let mut fl = [L::splat(0.0); MAX_EQ];
-    let mut fr = [L::splat(0.0); MAX_EQ];
-    physical_flux(eq, fluids, priml, axis, &mut fl[..neq]);
-    physical_flux(eq, fluids, primr, axis, &mut fr[..neq]);
-    let mut ql = [L::splat(0.0); MAX_EQ];
-    let mut qr = [L::splat(0.0); MAX_EQ];
-    prim_to_cons(eq, fluids, priml, &mut ql[..neq]);
-    prim_to_cons(eq, fluids, primr, &mut qr[..neq]);
 
     for e in 0..neq {
         flux[e] = L::splat(0.5) * (fl[e] + fr[e]) - L::splat(0.5) * smax * (qr[e] - ql[e]);
@@ -46,11 +39,13 @@ pub fn rusanov_flux<L: Lane>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eqidx::EqIdx;
+    use crate::fluid::Fluid;
 
     #[test]
     fn dissipation_scales_with_jump() {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let base = [1.0, 0.0, 1.0e5];
         let mut f_small = vec![0.0; 3];
         let mut f_big = vec![0.0; 3];
@@ -64,7 +59,7 @@ mod tests {
     #[test]
     fn stationary_uniform_state_has_zero_mass_flux() {
         let eq = EqIdx::new(2, 1);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let mut prim = vec![0.0; eq.neq()];
         prim[eq.cont(0)] = 0.6;
         prim[eq.cont(1)] = 400.0;

@@ -3,10 +3,10 @@
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
 use mfc_layout::Flat4D;
 
-use crate::domain::{Domain, MAX_EQ};
+use crate::domain::Domain;
 use crate::eos::{cons_to_prim, prim_to_cons};
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eqidx::{with_eq_layout, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
 
 /// The state of one block: ghost-inclusive cells × equations, stored as a
 /// single contiguous [`Flat4D`] with x fastest and the equation index
@@ -110,6 +110,23 @@ impl StateField {
         }
     }
 
+    /// `self = a*q0 + b*(self + dt*rhs)` elementwise — the tail of an SSP-RK
+    /// stage in one pass and in place. Per element this is the operation
+    /// sequence of `axpy(dt, rhs)` followed by `lincomb(a, q0, b, ..)` on a
+    /// copy, so the result is bitwise theirs without the field-sized
+    /// temporary or the two extra sweeps over memory.
+    pub fn ssp_combine(&mut self, a: f64, q0: &StateField, b: f64, dt: f64, rhs: &StateField) {
+        let out = self.data.as_mut_slice();
+        let q0s = q0.data.as_slice();
+        let rs = rhs.data.as_slice();
+        assert_eq!(out.len(), q0s.len());
+        assert_eq!(out.len(), rs.len());
+        for ((o, &q0v), &rv) in out.iter_mut().zip(q0s).zip(rs) {
+            let stage = *o + dt * rv;
+            *o = a * q0v + b * stage;
+        }
+    }
+
     pub fn fill(&mut self, v: f64) {
         self.data.as_mut_slice().fill(v);
     }
@@ -130,31 +147,7 @@ pub fn cons_to_prim_field(
     cons: &StateField,
     prim: &mut StateField,
 ) {
-    let dom = *cons.domain();
-    assert_eq!(prim.domain(), &dom);
-    let d3 = dom.dims3();
-    let neq = dom.eq.neq();
-    let cost = KernelCost::new(
-        KernelClass::Other,
-        convert_flops(&dom),
-        8.0 * neq as f64,
-        8.0 * neq as f64,
-    );
-    let cfg = LaunchConfig::tuned("s_convert_to_primitive");
-    // Lane-tiled over the x-coalesced cell index: each equation is a
-    // contiguous block, so a packet loads `WIDTH` consecutive cells of
-    // each variable with unit stride. Item count/ordering match the
-    // scalar launch exactly.
-    let kernel = ConvertKernel {
-        eq: dom.eq,
-        fluids,
-        src: cons.as_slice(),
-        out: ParSlice::new(prim.as_mut_slice()),
-        n1: d3.n1,
-        block: d3.len(),
-        to_prim: true,
-    };
-    ctx.launch_vec(&cfg, cost, d3.n2 * d3.n3, d3.n1, &kernel);
+    convert_field(ctx, fluids, cons, prim, true);
 }
 
 /// Convert a whole field primitive→conservative.
@@ -164,8 +157,18 @@ pub fn prim_to_cons_field(
     prim: &StateField,
     cons: &mut StateField,
 ) {
-    let dom = *prim.domain();
-    assert_eq!(cons.domain(), &dom);
+    convert_field(ctx, fluids, prim, cons, false);
+}
+
+fn convert_field(
+    ctx: &Context,
+    fluids: &[Fluid],
+    src: &StateField,
+    out: &mut StateField,
+    to_prim: bool,
+) {
+    let dom = *src.domain();
+    assert_eq!(out.domain(), &dom);
     let d3 = dom.dims3();
     let neq = dom.eq.neq();
     let cost = KernelCost::new(
@@ -174,26 +177,37 @@ pub fn prim_to_cons_field(
         8.0 * neq as f64,
         8.0 * neq as f64,
     );
-    let cfg = LaunchConfig::tuned("s_convert_to_conservative");
-    let kernel = ConvertKernel {
-        eq: dom.eq,
-        fluids,
-        src: prim.as_slice(),
-        out: ParSlice::new(cons.as_mut_slice()),
-        n1: d3.n1,
-        block: d3.len(),
-        to_prim: false,
-    };
-    ctx.launch_vec(&cfg, cost, d3.n2 * d3.n3, d3.n1, &kernel);
+    let cfg = LaunchConfig::tuned(if to_prim {
+        "s_convert_to_primitive"
+    } else {
+        "s_convert_to_conservative"
+    });
+    // Lane-tiled over the x-coalesced cell index: each equation is a
+    // contiguous block, so a packet loads `WIDTH` consecutive cells of
+    // each variable with unit stride. Item count/ordering match the
+    // scalar launch exactly.
+    let table = FluidTable::new(fluids);
+    with_eq_layout!(dom.eq, eq => {
+        let kernel = ConvertKernel {
+            eq,
+            fluids: &table,
+            src: src.as_slice(),
+            out: ParSlice::new(out.as_mut_slice()),
+            n1: d3.n1,
+            block: d3.len(),
+            to_prim,
+        };
+        ctx.launch_vec(&cfg, cost, d3.n2 * d3.n3, d3.n1, &kernel)
+    });
 }
 
 /// Lane kernel of the two field conversions: row = (j, k) line, col = i.
 /// The per-cell EOS arithmetic is the generic [`cons_to_prim`] /
 /// [`prim_to_cons`], so each lane is bitwise the scalar conversion of its
 /// own cell; `to_prim` selects the direction uniformly per launch.
-struct ConvertKernel<'a> {
-    eq: EqIdx,
-    fluids: &'a [Fluid],
+struct ConvertKernel<'a, E> {
+    eq: E,
+    fluids: &'a FluidTable,
     src: &'a [f64],
     out: ParSlice<'a>,
     /// Cells along the coalesced x direction.
@@ -203,22 +217,23 @@ struct ConvertKernel<'a> {
     to_prim: bool,
 }
 
-impl LaneKernel for ConvertKernel<'_> {
+impl<E: EqLayout> LaneKernel for ConvertKernel<'_, E> {
     #[inline(always)]
     fn packet<L: Lane>(&self, row: usize, col: usize) {
         let idx = row * self.n1 + col;
-        let neq = self.eq.neq();
-        let mut a = [L::splat(0.0); MAX_EQ];
-        let mut b = [L::splat(0.0); MAX_EQ];
-        for (e, v) in a.iter_mut().enumerate().take(neq) {
+        let eq = &self.eq;
+        let neq = eq.neq();
+        let (mut a, mut b) = (eq.vars::<L>(), eq.vars::<L>());
+        let (a, b) = (&mut a.as_mut()[..neq], &mut b.as_mut()[..neq]);
+        for (e, v) in a.iter_mut().enumerate() {
             *v = L::load(&self.src[idx + e * self.block..]);
         }
         if self.to_prim {
-            cons_to_prim(&self.eq, self.fluids, &a[..neq], &mut b[..neq]);
+            cons_to_prim(eq, self.fluids, a, b);
         } else {
-            prim_to_cons(&self.eq, self.fluids, &a[..neq], &mut b[..neq]);
+            prim_to_cons(eq, self.fluids, a, b);
         }
-        for (e, v) in b.iter().enumerate().take(neq) {
+        for (e, v) in b.iter().enumerate() {
             self.out.set_lanes(idx + e * self.block, *v);
         }
     }

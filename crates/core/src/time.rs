@@ -72,10 +72,7 @@ pub fn rk_step(
             q.axpy(dt, &ws.rhs);
             // q^{n+1} = 1/2 q0 + 1/2 (q1 + dt L(q1))
             eval_rhs(q, &mut ws.rhs);
-            q.axpy(dt, &ws.rhs);
-            let q0 = &ws.q0;
-            let tmp = q.clone();
-            q.lincomb(0.5, q0, 0.5, &tmp);
+            q.ssp_combine(0.5, &ws.q0, 0.5, dt, &ws.rhs);
         }
         TimeScheme::Rk3 => {
             ws.q0.as_mut_slice().copy_from_slice(q.as_slice());
@@ -84,14 +81,10 @@ pub fn rk_step(
             q.axpy(dt, &ws.rhs);
             // Stage 2: q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
             eval_rhs(q, &mut ws.rhs);
-            q.axpy(dt, &ws.rhs);
-            let tmp = q.clone();
-            q.lincomb(0.75, &ws.q0, 0.25, &tmp);
+            q.ssp_combine(0.75, &ws.q0, 0.25, dt, &ws.rhs);
             // Stage 3: q^{n+1} = 1/3 q0 + 2/3 (q2 + dt L(q2))
             eval_rhs(q, &mut ws.rhs);
-            q.axpy(dt, &ws.rhs);
-            let tmp = q.clone();
-            q.lincomb(1.0 / 3.0, &ws.q0, 2.0 / 3.0, &tmp);
+            q.ssp_combine(1.0 / 3.0, &ws.q0, 2.0 / 3.0, dt, &ws.rhs);
         }
     }
 }
@@ -140,6 +133,62 @@ mod tests {
                 rate > min_rate,
                 "{scheme:?}: rate {rate} (e1={e1:.2e}, e2={e2:.2e})"
             );
+        }
+    }
+
+    /// The in-place stage combine is bitwise the `axpy` → copy → `lincomb`
+    /// sequence it replaced, on values that round differently under any
+    /// reassociation.
+    #[test]
+    fn in_place_stage_combine_matches_the_three_call_sequence_bitwise() {
+        let dom = Domain::new([7, 5, 1], 2, EqIdx::new(2, 2));
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut field = || {
+            let mut f = StateField::zeros(dom);
+            for v in f.as_mut_slice() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *v = ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1.0e5;
+            }
+            f
+        };
+        let (q_init, rhs0) = (field(), field());
+        let dt = 3.7e-4;
+        let eval = |q: &mut StateField, rhs: &mut StateField| {
+            // A state-dependent RHS, so each stage sees the previous one.
+            for ((r, &qv), &r0) in rhs
+                .as_mut_slice()
+                .iter_mut()
+                .zip(q.as_slice())
+                .zip(rhs0.as_slice())
+            {
+                *r = r0 - 0.3 * qv;
+            }
+        };
+        for scheme in [TimeScheme::Rk2, TimeScheme::Rk3] {
+            let mut q = q_init.clone();
+            let mut ws = RkWorkspace::new(&q);
+            rk_step(scheme, dt, &mut q, &mut ws, eval);
+
+            let q0 = q_init.clone();
+            let mut want = q_init.clone();
+            let mut rhs = StateField::zeros(dom);
+            let tails: &[(f64, f64)] = match scheme {
+                TimeScheme::Rk2 => &[(0.5, 0.5)],
+                _ => &[(0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)],
+            };
+            eval(&mut want, &mut rhs);
+            want.axpy(dt, &rhs);
+            for &(a, b) in tails {
+                eval(&mut want, &mut rhs);
+                want.axpy(dt, &rhs);
+                let tmp = want.clone();
+                want.lincomb(a, &q0, b, &tmp);
+            }
+            let bits =
+                |f: &StateField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q), bits(&want), "{scheme:?}");
         }
     }
 

@@ -178,8 +178,17 @@ pub fn reconstruct_line(
 /// [`reconstruct_line`] with an explicit pad width, which may exceed the
 /// stencil's ghost requirement (a WENO5-sized line temporarily degraded to
 /// WENO3 by the recovery ladder): the stencil just ignores the extra
-/// layers. This is the per-pencil entry point of the fused sweep engine;
-/// it runs the exact same face arithmetic as the staged field kernel.
+/// layers. This is the per-pencil entry point of the fused sweep engine at
+/// every lane width; it runs the exact same face arithmetic as the staged
+/// field kernel.
+///
+/// The order is matched once per line and each arm is a plain loop over
+/// the line's stencil windows with no index arithmetic or bounds check
+/// left inside — the shape LLVM's loop vectoriser turns into packed
+/// arithmetic at the host's width. Explicit lane packets
+/// ([`face_pair`] at a packed `L`) ran the fused WENO stage 1.3–1.4x
+/// slower than that on the bench host, and lanes cannot change a value,
+/// so the fused engine does not use them here.
 pub fn reconstruct_line_padded(
     order: WenoOrder,
     v: &[f64],
@@ -194,48 +203,52 @@ pub fn reconstruct_line_padded(
     );
     assert_eq!(v.len(), n + 2 * pad, "padded line length mismatch");
     assert!(left.len() > n && right.len() > n);
-    for m in 0..=n {
-        let (lv, rv) = face_pair::<f64>(order, v, pad - 1 + m);
-        left[m] = lv;
-        right[m] = rv;
+    match order {
+        WenoOrder::First => line_faces::<2>(v, pad, n, left, right, |w| (w[0], w[1])),
+        WenoOrder::Weno3 => line_faces::<4>(v, pad, n, left, right, pair3),
+        WenoOrder::Weno5 => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5_face)),
+        WenoOrder::Weno5Z => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5z_face)),
+        WenoOrder::Weno5M => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5m_face)),
     }
 }
 
-/// Lane-packed [`reconstruct_line_padded`]: reconstruct the `n + 1` faces
-/// as full `L::WIDTH` packets followed by a scalar tail, returning
-/// `(full_packets, tail_faces)` for the caller's lane-tiling counters.
-///
-/// Each packet performs, lane for lane, the scalar face arithmetic, and
-/// the tail *is* the scalar path — so the outputs are bitwise identical
-/// to [`reconstruct_line_padded`] at every width.
-pub fn reconstruct_line_padded_vec<L: Lane>(
-    order: WenoOrder,
+/// Faces `0..=n` of a padded line from its `K`-cell stencil windows:
+/// window `m` is cells `c - K/2 + 1 ..= c + K/2` around the face's left
+/// cell `c = pad - 1 + m`.
+#[inline(always)]
+fn line_faces<const K: usize>(
     v: &[f64],
     pad: usize,
     n: usize,
     left: &mut [f64],
     right: &mut [f64],
-) -> (usize, usize) {
-    assert!(
-        pad >= order.ghost_layers(),
-        "line pad {pad} narrower than the stencil"
-    );
-    assert_eq!(v.len(), n + 2 * pad, "padded line length mismatch");
-    assert!(left.len() > n && right.len() > n);
-    let nfaces = n + 1;
-    let packets = nfaces / L::WIDTH;
-    for p in 0..packets {
-        let m = p * L::WIDTH;
-        let (lv, rv) = face_pair::<L>(order, v, pad - 1 + m);
-        lv.store(&mut left[m..]);
-        rv.store(&mut right[m..]);
+    pair: impl Fn(&[f64; K]) -> (f64, f64),
+) {
+    let cells = &v[pad - K / 2..][..n + K];
+    for ((w, l), r) in cells.windows(K).zip(&mut left[..=n]).zip(&mut right[..=n]) {
+        let w: &[f64; K] = w.try_into().expect("windows(K) yields K cells");
+        (*l, *r) = pair(w);
     }
-    for m in packets * L::WIDTH..nfaces {
-        let (lv, rv) = face_pair::<f64>(order, v, pad - 1 + m);
-        left[m] = lv;
-        right[m] = rv;
-    }
-    (packets, nfaces % L::WIDTH)
+}
+
+/// Left/right WENO3 values at a face from its 4-cell window (the right
+/// state is the mirrored stencil).
+#[inline(always)]
+fn pair3<L: Lane>(w: &[L; 4]) -> (L, L) {
+    (
+        weno3_face(&[w[0], w[1], w[2]]),
+        weno3_face(&[w[3], w[2], w[1]]),
+    )
+}
+
+/// Left/right fifth-order values at a face from its 6-cell window, for
+/// any of the three fifth-order `face` functions.
+#[inline(always)]
+fn pair5<L: Lane>(w: &[L; 6], face: impl Fn(&[L; 5]) -> L) -> (L, L) {
+    (
+        face(&[w[0], w[1], w[2], w[3], w[4]]),
+        face(&[w[5], w[4], w[3], w[2], w[1]]),
+    )
 }
 
 /// Field-level WENO sweep: reconstruct every variable along every line of a
@@ -334,22 +347,10 @@ fn face_pair<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
     let at = |d: isize| L::load(&v[(c as isize + d) as usize..]);
     match order {
         WenoOrder::First => (at(0), at(1)),
-        WenoOrder::Weno3 => (
-            weno3_face(&[at(-1), at(0), at(1)]),
-            weno3_face(&[at(2), at(1), at(0)]),
-        ),
-        WenoOrder::Weno5 => (
-            weno5_face(&[at(-2), at(-1), at(0), at(1), at(2)]),
-            weno5_face(&[at(3), at(2), at(1), at(0), at(-1)]),
-        ),
-        WenoOrder::Weno5Z => (
-            weno5z_face(&[at(-2), at(-1), at(0), at(1), at(2)]),
-            weno5z_face(&[at(3), at(2), at(1), at(0), at(-1)]),
-        ),
-        WenoOrder::Weno5M => (
-            weno5m_face(&[at(-2), at(-1), at(0), at(1), at(2)]),
-            weno5m_face(&[at(3), at(2), at(1), at(0), at(-1)]),
-        ),
+        WenoOrder::Weno3 => pair3(&[at(-1), at(0), at(1), at(2)]),
+        WenoOrder::Weno5 => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5_face),
+        WenoOrder::Weno5Z => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5z_face),
+        WenoOrder::Weno5M => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5m_face),
     }
 }
 

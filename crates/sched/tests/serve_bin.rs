@@ -169,11 +169,19 @@ impl Daemon {
         self.out_dir.join("ledger.jsonl")
     }
 
-    /// Wait for the daemon to exit; returns its exit code.
+    /// Wait for the daemon to exit by itself; returns its exit code.
     fn finish(mut self) -> Option<i32> {
         let code = self.child.wait().unwrap().code();
         let _ = fs::remove_dir_all(&self.out_dir);
         code
+    }
+}
+
+/// A test that fails mid-session must not leave its daemon behind.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -222,6 +230,41 @@ fn daemon_end_to_end_over_tcp() {
         .expect("done job records its checkpoint path");
     assert!(Path::new(ckpt).is_file(), "missing checkpoint {ckpt}");
     d.finish();
+}
+
+/// Satellite regression: a case with more fluids than the kernels'
+/// private arrays hold used to be admitted (the dry run said "19 eqs")
+/// and then failed by panic isolation. `submit` must reject it typed, and
+/// the daemon must stay healthy.
+#[test]
+fn submit_rejects_more_than_max_fluids() {
+    let mut d = Daemon::spawn("nine_fluids");
+    let fluids = [r#"{"gamma":1.4,"pi_inf":0.0}"#; 9].join(",");
+    let alpha = vec![format!("{}", 1.0 / 9.0); 9].join(",");
+    let rho = ["1.0"; 9].join(",");
+    let case = d.out_dir.join("nine.json");
+    fs::write(
+        &case,
+        format!(
+            r#"{{"name":"nine","fluids":[{fluids}],"ndim":1,"cells":[32,1,1],"bc":"periodic",
+               "patches":[{{"region":"all","state":{{"alpha":[{alpha}],"rho":[{rho}],
+               "vel":[0.0,0.0,0.0],"p":1.0e5}}}}],"run":{{"steps":2}}}}"#
+        ),
+    )
+    .unwrap();
+    let v = d.roundtrip(&format!(
+        r#"{{"cmd":"submit","job":{{"case":{}}}}}"#,
+        serde_json::to_string(&case).unwrap()
+    ));
+    assert!(!is_ok(&v), "a 9-fluid case was admitted: {v:?}");
+    assert!(v.to_string().contains("at most 8 fluids"), "{v:?}");
+
+    assert!(is_ok(&d.roundtrip(r#"{"cmd":"ping"}"#)));
+    assert!(is_ok(&d.roundtrip(r#"{"cmd":"drain"}"#)));
+    let ledger = d.ledger();
+    let text = fs::read_to_string(&ledger).unwrap_or_default();
+    assert_eq!(d.finish(), Some(0));
+    assert!(text.is_empty(), "a rejected job reached the ledger: {text}");
 }
 
 /// Satellite regression: the reply to the `drain` that ends an idle

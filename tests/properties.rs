@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use mfc::core::eos::{cons_to_prim, prim_to_cons};
 use mfc::core::eqidx::EqIdx;
-use mfc::core::fluid::{Fluid, MixtureRules};
+use mfc::core::fluid::{Fluid, FluidTable, MixtureRules};
 use mfc::core::riemann::RiemannSolver;
 use mfc::core::weno::{reconstruct_line, WenoOrder};
 use mfc::fft::{fft_inplace, ifft_inplace, lowpass_filter_line, Complex};
@@ -34,7 +34,7 @@ proptest! {
         p in 1.0f64..1e8,
     ) {
         let eq = EqIdx::new(2, 1);
-        let fluids = [f0, f1];
+        let fluids = FluidTable::new(&[f0, f1]);
         let prim = vec![a * r0, (1.0 - a) * r1, u, p, a];
         let mut cons = vec![0.0; 5];
         let mut back = vec![0.0; 5];
@@ -93,7 +93,7 @@ proptest! {
         p in 10.0f64..1e7,
     ) {
         let eq = EqIdx::new(1, 1);
-        let fluids = [f0];
+        let fluids = FluidTable::new(&[f0]);
         let prim = vec![rho, u, p];
         for solver in [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov] {
             let mut f = vec![0.0; 3];
@@ -114,11 +114,11 @@ proptest! {
         p_r in 100.0f64..1e6,
     ) {
         let eq = EqIdx::new(1, 1);
-        let fluids = [Fluid::air()];
+        let fluids = FluidTable::new(&[Fluid::air()]);
         let priml = vec![rho_l, u_l, p_l];
         let primr = vec![rho_r, u_r, p_r];
-        let cl = fluids[0].sound_speed(rho_l, p_l);
-        let cr = fluids[0].sound_speed(rho_r, p_r);
+        let cl = Fluid::air().sound_speed(rho_l, p_l);
+        let cr = Fluid::air().sound_speed(rho_r, p_r);
         let sl = (u_l - cl).min(u_r - cr);
         let sr = (u_l + cl).max(u_r + cr);
         let mut f = vec![0.0; 3];
@@ -229,7 +229,7 @@ proptest! {
     ) {
         use mfc::core::limiter::{admissible, limit_state, Limiter};
         let eq = EqIdx::new(2, 1);
-        let fluids = [Fluid::air(), Fluid::water()];
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let mean = vec![0.6, 400.0, 5.0, 1.0e5, 0.5];
         let state = vec![ar0, ar1, u, p, a];
         for lim in [Limiter::FirstOrderFallback, Limiter::ZhangShu] {
