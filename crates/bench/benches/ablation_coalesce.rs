@@ -23,7 +23,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mfc_bench::{packed_buffer, BENCH_NF};
-use mfc_core::weno::weno5_face;
+use mfc_core::weno::weno5_cell;
 use mfc_layout::{transpose_2134_geam, Dims4, Flat4D};
 
 const N1: usize = 100;
@@ -32,10 +32,10 @@ const N3: usize = 100;
 
 fn bench_coalescing(c: &mut Criterion) {
     let xbuf = packed_buffer(N1, N2, N3, BENCH_NF);
-    let faces = N2 - 6;
+    let cells = N2 - 6;
 
     let mut g = c.benchmark_group("ablation_coalesce");
-    g.throughput(Throughput::Elements((faces * N1 * N3 * BENCH_NF) as u64));
+    g.throughput(Throughput::Elements((cells * N1 * N3 * BENCH_NF) as u64));
     g.sample_size(10);
 
     g.bench_function("strided_gpu_like_order", |b| {
@@ -48,16 +48,17 @@ fn bench_coalescing(c: &mut Criterion) {
                     for i in 0..N1 {
                         // Sweep index innermost: consecutive iterations
                         // jump n1 elements — the uncoalesced pattern.
-                        for m in 0..faces {
+                        for m in 0..cells {
                             let jc = 2 + m;
                             let base = d.idx(i, jc, k, f);
-                            acc += weno5_face(&[
+                            let (l, r) = weno5_cell(&[
                                 s[base - 2 * N1],
                                 s[base - N1],
                                 s[base],
                                 s[base + N1],
                                 s[base + 2 * N1],
                             ]);
+                            acc += l + r;
                         }
                     }
                 }
@@ -73,17 +74,18 @@ fn bench_coalescing(c: &mut Criterion) {
             let mut acc = 0.0;
             for f in 0..BENCH_NF {
                 for k in 0..N3 {
-                    for m in 0..faces {
+                    for m in 0..cells {
                         let jc = 2 + m;
                         for i in 0..N1 {
                             let base = d.idx(i, jc, k, f);
-                            acc += weno5_face(&[
+                            let (l, r) = weno5_cell(&[
                                 s[base - 2 * N1],
                                 s[base - N1],
                                 s[base],
                                 s[base + N1],
                                 s[base + 2 * N1],
                             ]);
+                            acc += l + r;
                         }
                     }
                 }
@@ -102,15 +104,16 @@ fn bench_coalescing(c: &mut Criterion) {
                 for k in 0..N3 {
                     for i in 0..N1 {
                         let line = ybuf.line(i, k, f);
-                        for m in 0..faces {
+                        for m in 0..cells {
                             let c = 2 + m;
-                            acc += weno5_face(&[
+                            let (l, r) = weno5_cell(&[
                                 line[c - 2],
                                 line[c - 1],
                                 line[c],
                                 line[c + 1],
                                 line[c + 2],
                             ]);
+                            acc += l + r;
                         }
                     }
                 }

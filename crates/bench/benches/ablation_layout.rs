@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mfc_bench::{packed_buffer, scalar_fields, BENCH_NF};
-use mfc_core::weno::weno5_face;
+use mfc_core::weno::weno5_cell;
 
 const N1: usize = 106; // 100 interior + 6 ghosts
 const N2: usize = 100;
@@ -21,10 +21,10 @@ const N3: usize = 100;
 fn bench_layouts(c: &mut Criterion) {
     let flat = packed_buffer(N1, N2, N3, BENCH_NF);
     let aos = scalar_fields(N1, N2, N3, BENCH_NF);
-    let faces = N1 - 6;
+    let cells = N1 - 6;
 
     let mut g = c.benchmark_group("ablation_layout");
-    g.throughput(Throughput::Elements((faces * N2 * N3 * BENCH_NF) as u64));
+    g.throughput(Throughput::Elements((cells * N2 * N3 * BENCH_NF) as u64));
     g.sample_size(10);
 
     // Flat packed buffer: contiguous lines, one allocation.
@@ -35,15 +35,16 @@ fn bench_layouts(c: &mut Criterion) {
                 for k in 0..N3 {
                     for j in 0..N2 {
                         let line = flat.line(j, k, f);
-                        for m in 0..faces {
+                        for m in 0..cells {
                             let c = 2 + m;
-                            acc += weno5_face(&[
+                            let (l, r) = weno5_cell(&[
                                 line[c - 2],
                                 line[c - 1],
                                 line[c],
                                 line[c + 1],
                                 line[c + 2],
                             ]);
+                            acc += l + r;
                         }
                     }
                 }
@@ -60,16 +61,17 @@ fn bench_layouts(c: &mut Criterion) {
             for f in 0..BENCH_NF {
                 for k in 0..N3 {
                     for j in 0..N2 {
-                        for m in 0..faces {
+                        for m in 0..cells {
                             let c = 2 + m;
                             let sf = aos.field(f);
-                            acc += weno5_face(&[
+                            let (l, r) = weno5_cell(&[
                                 sf.get(c - 2, j, k),
                                 sf.get(c - 1, j, k),
                                 sf.get(c, j, k),
                                 sf.get(c + 1, j, k),
                                 sf.get(c + 2, j, k),
                             ]);
+                            acc += l + r;
                         }
                     }
                 }

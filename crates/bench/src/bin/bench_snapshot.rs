@@ -18,7 +18,11 @@
 //!   * the fused WENO stage at the default lane width is more than 10%
 //!     slower than at width 1 (it is the same scalar line kernel at every
 //!     width; explicit packets that lose to the loop vectoriser fail
-//!     here), or
+//!     here),
+//!   * the fused WENO stage costs more than 5 ns per face-variable on a
+//!     host whose line kernel runs the AVX2 entry (the snapshot also
+//!     times both entries of the line kernel alone, so the baseline
+//!     entry has a number on an AVX2 host without a switch), or
 //!   * tracing costs more than 2%: traced and untraced fused solvers
 //!     alternate *single steps*, and the ratio of their accumulated
 //!     thread-CPU times must stay under 1.02. Adjacent steps share the
@@ -41,6 +45,7 @@ use mfc_core::case::presets;
 use mfc_core::par::{run_distributed_with_mode, ExchangeMode};
 use mfc_core::rhs::RhsMode;
 use mfc_core::solver::{DtMode, Solver, SolverConfig};
+use mfc_core::weno::{self, WenoOrder};
 use mfc_mpsim::Staging;
 use mfc_perfmodel::{fusionmodel, EnsembleModel, JobCost};
 use mfc_sched::{JobSpec, JobState, SchedConfig, Scheduler};
@@ -57,6 +62,10 @@ const MAX_GRIND_REGRESSION: f64 = 0.20;
 /// Ceiling on fused-WENO time at the default lane width over width 1
 /// (target 1.05; the rest is best-of-5 timing noise).
 const MAX_WENO_WIDTH_RATIO: f64 = 1.10;
+/// Ceiling on the fused WENO stage, ns per face-variable, where the line
+/// kernel dispatches to its AVX2 entry (measured 3.0–3.6 on the bench
+/// host; the baseline entry alone is above the bar).
+const MAX_WENO_NS_AVX2: f64 = 5.0;
 /// Ceiling on the paired traced/untraced grind ratio. Measured A/B
 /// interleaved so host load cancels; a 2% bar on an absolute clock would
 /// be pure jitter on a shared machine.
@@ -80,7 +89,14 @@ const MIN_THREAD_SPEEDUP_W4: f64 = 2.0;
 /// runs in thin boundary shells whose short pencils amortize per-region
 /// setup poorly. Production-sized blocks (Sec. III-B runs 8M+ cells/GPU)
 /// are >97% interior, where the region path is the plain path.
-const MAX_OVERLAP_OVERHEAD: f64 = 0.25;
+///
+/// It was 0.25 while WENO was evaluated per face side. Per-cell WENO took
+/// 28% off the sendrecv run and 9% off the overlapped one — a shell's
+/// 3-cell lines are five scalar cells each, which the rewrite does not
+/// speed up — so the same bookkeeping now reads as +44% (EXPERIMENTS.md);
+/// the bar moved with the denominator, and the absolute overlapped grind
+/// is held by the regression check against the committed snapshot.
+const MAX_OVERLAP_OVERHEAD: f64 = 0.60;
 /// Floor on the W=4-lane fused speedup over W=1, enforced only where the
 /// roofline-bounded vector-efficiency model predicts at least that much
 /// headroom on this host (it does not on a scalar-tail-dominated tiling
@@ -97,10 +113,11 @@ const ENSEMBLE_STEPS: [u64; 6] = [90, 75, 60, 45, 30, 15];
 /// shares absorb the tail, trailing it by thread/checkpoint overhead on
 /// millisecond-scale jobs), so the envelope is generous but bounded.
 const MAX_ENSEMBLE_LPT_DRIFT: f64 = 0.5;
-/// Ceiling on ensemble makespan regression vs. the committed baseline
-/// (wall-clock of a multi-threaded scheduler on a shared box — noisier
-/// than the single-thread grind axis, hence the wider bar).
-const MAX_ENSEMBLE_REGRESSION: f64 = 0.35;
+/// Ceiling on the regression of the multi-threaded axes — ensemble
+/// makespan, 2-rank overlapped grind — vs. the committed baseline
+/// (wall-clock of several threads on a shared box — noisier than the
+/// single-thread grind axis, hence the wider bar).
+const MAX_THREADED_REGRESSION: f64 = 0.35;
 
 /// Nanoseconds this thread has actually run on a CPU, from
 /// `/proc/thread-self/schedstat`. Unlike a wall clock this excludes
@@ -188,6 +205,49 @@ fn measure(mode: RhsMode, workers: usize, vector_width: usize) -> Measurement {
         weno_ns_per_face_var: stage_ns[0],
         riemann_ns_per_face: stage_ns[1],
     }
+}
+
+/// One entry point of the WENO line kernel.
+type WenoLineFn = fn(WenoOrder, &[f64], usize, usize, &mut [f64], &mut [f64]);
+
+/// Best-of-reps ns per face-variable of `entry` reconstructing a
+/// cache-resident batch of 96-cell WENO5 lines (the `grind3d` line
+/// length) — the line kernel alone, outside the solver.
+fn measure_weno_line(entry: WenoLineFn) -> f64 {
+    const LINES: usize = 56;
+    const CELLS: usize = 96;
+    const PAD: usize = 3;
+    let ext = CELLS + 2 * PAD;
+    let v: Vec<f64> = (0..LINES * ext)
+        .map(|i| 1.0 + 0.3 * (i as f64 * 0.07).sin() + 1e-3 * ((i * 7919) % 1013) as f64)
+        .collect();
+    let mut left = vec![0.0; LINES * (CELLS + 1)];
+    let mut right = vec![0.0; LINES * (CELLS + 1)];
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS * 4 {
+        let sweeps = 200;
+        let t0 = Instant::now();
+        for _ in 0..sweeps {
+            for ((line, l), r) in v
+                .chunks_exact(ext)
+                .zip(left.chunks_exact_mut(CELLS + 1))
+                .zip(right.chunks_exact_mut(CELLS + 1))
+            {
+                entry(
+                    WenoOrder::Weno5,
+                    std::hint::black_box(line),
+                    PAD,
+                    CELLS,
+                    l,
+                    r,
+                );
+            }
+            std::hint::black_box((&mut left, &mut right));
+        }
+        let faces = (sweeps * LINES * (CELLS + 1)) as f64;
+        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / faces);
+    }
+    best
 }
 
 struct Measurement {
@@ -413,6 +473,8 @@ fn main() {
     let fused_w1 = measure(RhsMode::Fused, 1, 1);
     let vector_speedup = fused_w1.us / fused_us;
     let weno_width_ratio = fused.weno_ns_per_face_var / fused_w1.weno_ns_per_face_var;
+    let weno_line_ns = measure_weno_line(weno::reconstruct_line_padded);
+    let weno_line_baseline_ns = measure_weno_line(weno::reconstruct_line_padded_baseline);
     let hw_width = mfc_acc::hw_lane_width();
     let eff = mfc_perfmodel::VectorEfficiency::new(vw, fused.lanes);
     let roofline_cap =
@@ -472,6 +534,9 @@ fn main() {
         "weno_ns_per_face_var": fused.weno_ns_per_face_var,
         "riemann_ns_per_face": fused.riemann_ns_per_face,
         "weno_w4_over_w1": weno_width_ratio,
+        "weno_isa": weno::line_isa(),
+        "weno_line_ns_per_face_var": weno_line_ns,
+        "weno_line_baseline_ns_per_face_var": weno_line_baseline_ns,
         "traced_fused_us_per_cell_step": traced_fused_us,
         "trace_overhead_frac": trace_overhead,
         "overlap_ranks": OVERLAP_RANKS,
@@ -599,6 +664,21 @@ fn main() {
             "fused WENO at W={vw} is {weno_width_ratio:.2}x its W=1 time (> {MAX_WENO_WIDTH_RATIO} allowed)"
         ));
     }
+    println!(
+        "WENO5 line kernel alone: {weno_line_ns:.2} ns/face-var through the {} entry, \
+         {weno_line_baseline_ns:.2} through the baseline entry",
+        weno::line_isa()
+    );
+    if weno::line_isa() == "avx2" {
+        if fused.weno_ns_per_face_var > MAX_WENO_NS_AVX2 {
+            failures.push(format!(
+                "fused WENO stage {:.2} ns/face-var on the avx2 entry (> {MAX_WENO_NS_AVX2} allowed)",
+                fused.weno_ns_per_face_var
+            ));
+        }
+    } else {
+        println!("  (no AVX2 on this host — {MAX_WENO_NS_AVX2} ns gate skipped)");
+    }
     let drift = (measured_ratio / modeled_ratio - 1.0).abs();
     if drift > MAX_MODEL_DRIFT {
         failures.push(format!(
@@ -680,6 +760,16 @@ fn main() {
                     MAX_OVERLAP_OVERHEAD * 100.0
                 ));
             }
+            if let Some(base) = baseline["overlapped_us_per_cell_step"].as_f64() {
+                let regression = overlapped_us / base - 1.0;
+                if regression > MAX_THREADED_REGRESSION {
+                    failures.push(format!(
+                        "overlapped grind regressed {:.0}% vs committed baseline (> {:.0}% allowed)",
+                        regression * 100.0,
+                        MAX_THREADED_REGRESSION * 100.0
+                    ));
+                }
+            }
             match baseline["ensemble_makespan_ms"].as_f64() {
                 Some(base) => {
                     let regression = ens.makespan_ms / base - 1.0;
@@ -688,12 +778,12 @@ fn main() {
                         ens.makespan_ms,
                         regression * 100.0
                     );
-                    if regression > MAX_ENSEMBLE_REGRESSION {
+                    if regression > MAX_THREADED_REGRESSION {
                         failures.push(format!(
                             "ensemble makespan regressed {:.0}% vs committed baseline \
                              (> {:.0}% allowed)",
                             regression * 100.0,
-                            MAX_ENSEMBLE_REGRESSION * 100.0
+                            MAX_THREADED_REGRESSION * 100.0
                         ));
                     }
                 }

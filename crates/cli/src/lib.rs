@@ -483,10 +483,7 @@ pub fn dry_run(case_file: &CaseFile) -> Result<DryRunReport, RunError> {
             "t_end is only supported for serial runs; use run.steps".into(),
         ));
     }
-    let ng = cfg.rhs.order.ghost_layers().max(1);
-    let dims = best_block_dims(ranks, case_file.cells);
-    validate_halo_extents(dims, case_file.cells, ng)
-        .map_err(|e| RunError::Config(e.to_string()))?;
+    let (dims, ng) = decomposition(case_file, &cfg)?;
     if let Some(path) = &case_file.run.faults {
         let text = std::fs::read_to_string(path)
             .map_err(|e| RunError::Io(format!("cannot read fault plan {path:?}: {e}")))?;
@@ -515,6 +512,20 @@ pub fn dry_run(case_file: &CaseFile) -> Result<DryRunReport, RunError> {
     })
 }
 
+/// Rank decomposition of a lowered case and the ghost depth it has to
+/// feed: every block must be at least that many cells wide along every
+/// active axis, on one rank as on many.
+fn decomposition(
+    case_file: &CaseFile,
+    cfg: &SolverConfig,
+) -> Result<([usize; 3], usize), RunError> {
+    let ng = cfg.rhs.order.ghost_layers().max(1);
+    let dims = best_block_dims(case_file.run.ranks.max(1), case_file.cells);
+    validate_halo_extents(dims, case_file.cells, case_file.ndim, ng)
+        .map_err(|e| RunError::Config(e.to_string()))?;
+    Ok((dims, ng))
+}
+
 /// Execute a case file end to end.
 pub fn run_case(case_file: &CaseFile) -> Result<RunSummary, RunError> {
     let case = case_file.to_case().map_err(RunError::Config)?;
@@ -522,6 +533,7 @@ pub fn run_case(case_file: &CaseFile) -> Result<RunSummary, RunError> {
         .numerics
         .to_solver_config()
         .map_err(RunError::Config)?;
+    decomposition(case_file, &cfg)?;
     let steps = if case_file.run.steps == 0 && case_file.run.t_end.is_none() {
         return Err(RunError::Config(
             "run.steps or run.t_end must be set".into(),

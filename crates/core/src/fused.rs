@@ -29,8 +29,8 @@
 //!   `1 - (n/(n+2*ng))^2` of the staged WENO/Riemann work is dead. Skipping
 //!   it cannot change a single consumed bit.
 //!
-//! Per-line arithmetic is delegated to the *same* face kernels the staged
-//! path uses ([`crate::weno::reconstruct_line_padded`],
+//! Per-line arithmetic is delegated to the *same* cell and face kernels
+//! the staged path uses ([`crate::weno::reconstruct_line_padded`],
 //! [`crate::limiter::limit_state`], [`RiemannSolver::flux`]) in the same
 //! order, so the fused engine is bitwise identical to the staged one —
 //! `tests/rhs_fusion.rs` asserts this on every shipped case.
@@ -40,10 +40,11 @@
 //! face index within each pencil line* (OpenACC's `vector` level nested
 //! inside the pencil `gang`s). Each lane still performs the exact scalar
 //! op sequence on its own face, so every width remains bitwise identical
-//! to the scalar engine. The WENO stage runs the scalar line kernel at
-//! every width (its plain face loop is what the compiler's loop vectoriser
-//! packs best), and the gather stage stays scalar (it is a pure byte
-//! shuffle with no arithmetic to vectorize).
+//! to the scalar engine. The WENO stage runs the scalar per-cell line
+//! kernel at every width (its plain cell loop is what the compiler's loop
+//! vectoriser packs best, at the width of the entry the running CPU
+//! selects), and the gather stage stays scalar (it is a pure byte shuffle
+//! with no arithmetic to vectorize).
 //!
 //! Every stage still lands in the `mfc-acc` ledger under its own label
 //! (`f_sweep_gather`/`f_weno_reconstruct`/`f_riemann_solve`/
@@ -525,11 +526,11 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
             }
 
             // --- stage 2: WENO reconstruction per line per variable,
-            //     through the scalar line kernel at every lane width:
-            //     its plain face loop is what LLVM's loop vectoriser
-            //     turns into the host's packed arithmetic, faster than
-            //     explicit packets ran it (lanes are bitwise invisible,
-            //     so the choice cannot change a value) ---
+            //     through the scalar per-cell line kernel at every lane
+            //     width: its plain cell loop is what LLVM's loop
+            //     vectoriser turns into the host's packed arithmetic,
+            //     faster than explicit packets ran it (lanes are bitwise
+            //     invisible, so the choice cannot change a value) ---
             {
                 let t0 = Instant::now();
                 for b in 0..bw {

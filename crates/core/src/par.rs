@@ -145,8 +145,10 @@ pub fn run_distributed_traced(
         n_ranks,
         "rank count must factorize onto the grid"
     );
-    validate_halo_extents(dims, global_n, ng).map_err(|e| ResilienceError::Decomposition {
-        detail: e.to_string(),
+    validate_halo_extents(dims, global_n, eq.ndim(), ng).map_err(|e| {
+        ResilienceError::Decomposition {
+            detail: e.to_string(),
+        }
     })?;
     let periodic = [
         case.bc.axis_periodic(0),
@@ -553,8 +555,10 @@ pub fn run_distributed_resilient(
         n_ranks,
         "rank count must factorize onto the grid"
     );
-    validate_halo_extents(dims, global_n, ng).map_err(|e| ResilienceError::Decomposition {
-        detail: e.to_string(),
+    validate_halo_extents(dims, global_n, eq.ndim(), ng).map_err(|e| {
+        ResilienceError::Decomposition {
+            detail: e.to_string(),
+        }
     })?;
     let periodic = [
         case.bc.axis_periodic(0),
@@ -767,7 +771,7 @@ pub fn run_distributed_resilient(
                     let _shrink_span = ctx.span("shrink", Category::Recovery);
                     size_cur = comm.size();
                     dims_cur = best_block_dims(size_cur, global_n);
-                    if let Err(e) = validate_halo_extents(dims_cur, global_n, ng) {
+                    if let Err(e) = validate_halo_extents(dims_cur, global_n, eq.ndim(), ng) {
                         return Err(ResilienceError::Decomposition {
                             detail: format!("after shrinking to {size_cur} ranks: {e}"),
                         });
@@ -1406,8 +1410,10 @@ pub fn run_distributed_with_output(
     let ng = cfg.rhs.order.ghost_layers().max(1);
     let global_n = case.cells;
     let dims = best_block_dims(n_ranks, global_n);
-    validate_halo_extents(dims, global_n, ng).map_err(|e| ResilienceError::Decomposition {
-        detail: e.to_string(),
+    validate_halo_extents(dims, global_n, eq.ndim(), ng).map_err(|e| {
+        ResilienceError::Decomposition {
+            detail: e.to_string(),
+        }
     })?;
     let periodic = [
         case.bc.axis_periodic(0),

@@ -4,6 +4,15 @@
 //! along the sweep direction, exactly like MFC.  The field-level kernel
 //! consumes a direction-coalesced [`Flat4D`] buffer so the stencil reads
 //! are unit-stride — the access pattern whose absence costs 10x (§III-C).
+//!
+//! The arithmetic is per *cell*, like MFC's `s_weno`: one function per
+//! order returns the centre cell's (left-face, right-face) values, with
+//! the smoothness indicators computed once and shared by both faces and
+//! the nonlinear weights carried in common-denominator form — the same
+//! weights as the textbook `d_k / (eps + beta_k)^2`, one division per face
+//! value instead of seven. The fused engine's line kernel walks the cells
+//! of a line, the staged lane kernels tile its faces; both call the same
+//! function, so they agree to the bit.
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
 use mfc_layout::Flat4D;
@@ -40,15 +49,24 @@ impl WenoOrder {
         }
     }
 
-    /// Approximate FLOPs per reconstructed face value (both sides),
-    /// counted from the arithmetic below; feeds the roofline ledger.
+    /// FLOPs per reconstructed face of one variable (both sides — one
+    /// cell evaluation), counted from the per-cell arithmetic below: every
+    /// add, subtract, multiply and abs is one operation and a division
+    /// four, the weighting of [`crate::riemann::RiemannSolver::flops_per_face`].
+    /// Feeds the roofline ledger.
     pub fn flops_per_face(self) -> f64 {
         match self {
             WenoOrder::First => 2.0,
-            WenoOrder::Weno3 => 2.0 * 26.0,
-            WenoOrder::Weno5 => 2.0 * 72.0,
-            WenoOrder::Weno5Z => 2.0 * 78.0,
-            WenoOrder::Weno5M => 2.0 * 92.0,
+            // 8 shared (2 differences, 2 beta, 4 s) + 2 x (9 + 1 division).
+            WenoOrder::Weno3 => 34.0,
+            // 35 shared (7 differences, 17 beta, 6 s, 3 P, 2 candidate
+            // differences) + 2 x (15 + 1 division).
+            WenoOrder::Weno5 => 73.0,
+            // As WENO5 with 14 operations of weight factors (tau5, t, P,
+            // g) for 9.
+            WenoOrder::Weno5Z => 78.0,
+            // WENO5 + 2 x (26 + 4 divisions) to normalise and map.
+            WenoOrder::Weno5M => 157.0,
         }
     }
 }
@@ -56,53 +74,134 @@ impl WenoOrder {
 /// Jiang–Shu smoothness regularization.
 const EPS: f64 = 1e-6;
 
-/// Fifth-order upwind-biased value at the right face of the center cell,
-/// from the five cell averages `v[0..5]` (center at `v[2]`).
-///
-/// Generic over [`Lane`] — like every face function here — with scalar
-/// literals broadcast via `splat` around the identical op sequence, so
-/// each packed lane computes bitwise the `f64` result for its face.
-#[inline(always)]
-pub fn weno5_face<L: Lane>(v: &[L; 5]) -> L {
-    // Candidate stencil reconstructions at x_{i+1/2}.
-    let q0 = (L::splat(2.0) * v[0] - L::splat(7.0) * v[1] + L::splat(11.0) * v[2]) / L::splat(6.0);
-    let q1 = (-v[1] + L::splat(5.0) * v[2] + L::splat(2.0) * v[3]) / L::splat(6.0);
-    let q2 = (L::splat(2.0) * v[2] + L::splat(5.0) * v[3] - v[4]) / L::splat(6.0);
-    // Smoothness indicators.
-    let b0 = L::splat(13.0 / 12.0) * sq(v[0] - L::splat(2.0) * v[1] + v[2])
-        + L::splat(0.25) * sq(v[0] - L::splat(4.0) * v[1] + L::splat(3.0) * v[2]);
-    let b1 = L::splat(13.0 / 12.0) * sq(v[1] - L::splat(2.0) * v[2] + v[3])
-        + L::splat(0.25) * sq(v[1] - v[3]);
-    let b2 = L::splat(13.0 / 12.0) * sq(v[2] - L::splat(2.0) * v[3] + v[4])
-        + L::splat(0.25) * sq(L::splat(3.0) * v[2] - L::splat(4.0) * v[3] + v[4]);
-    // Nonlinear weights from the optimal linear weights (1/10, 6/10, 3/10).
-    let a0 = L::splat(0.1) / sq(L::splat(EPS) + b0);
-    let a1 = L::splat(0.6) / sq(L::splat(EPS) + b1);
-    let a2 = L::splat(0.3) / sq(L::splat(EPS) + b2);
-    (a0 * q0 + a1 * q1 + a2 * q2) / (a0 + a1 + a2)
-}
-
 /// WENO-Z regularization (larger than JS's to keep the tau ratio clean).
 const EPS_Z: f64 = 1e-40;
 
-/// Fifth-order WENO-Z value at the right face of the center cell.
+/// Optimal linear weights of the three fifth-order candidate stencils,
+/// far (fully upwind) stencil first.
+const D5: [f64; 3] = [0.1, 0.6, 0.3];
+
 #[inline(always)]
-pub fn weno5z_face<L: Lane>(v: &[L; 5]) -> L {
-    let q0 = (L::splat(2.0) * v[0] - L::splat(7.0) * v[1] + L::splat(11.0) * v[2]) / L::splat(6.0);
-    let q1 = (-v[1] + L::splat(5.0) * v[2] + L::splat(2.0) * v[3]) / L::splat(6.0);
-    let q2 = (L::splat(2.0) * v[2] + L::splat(5.0) * v[3] - v[4]) / L::splat(6.0);
-    let b0 = L::splat(13.0 / 12.0) * sq(v[0] - L::splat(2.0) * v[1] + v[2])
-        + L::splat(0.25) * sq(v[0] - L::splat(4.0) * v[1] + L::splat(3.0) * v[2]);
-    let b1 = L::splat(13.0 / 12.0) * sq(v[1] - L::splat(2.0) * v[2] + v[3])
-        + L::splat(0.25) * sq(v[1] - v[3]);
-    let b2 = L::splat(13.0 / 12.0) * sq(v[2] - L::splat(2.0) * v[3] + v[4])
-        + L::splat(0.25) * sq(L::splat(3.0) * v[2] - L::splat(4.0) * v[3] + v[4]);
-    // Global fifth-order smoothness indicator.
-    let tau5 = (b0 - b2).abs();
-    let a0 = L::splat(0.1) * (L::splat(1.0) + tau5 / (b0 + L::splat(EPS_Z)));
-    let a1 = L::splat(0.6) * (L::splat(1.0) + tau5 / (b1 + L::splat(EPS_Z)));
-    let a2 = L::splat(0.3) * (L::splat(1.0) + tau5 / (b2 + L::splat(EPS_Z)));
-    (a0 * q0 + a1 * q1 + a2 * q2) / (a0 + a1 + a2)
+fn sq<L: Lane>(x: L) -> L {
+    x * x
+}
+
+/// `[x1*x2, x0*x2, x0*x1]`: multiplying weights `d_k / x_k` through by
+/// `x0*x1*x2` turns them into `d_k * P_k` — the same weights once
+/// normalised, with no division.
+#[inline(always)]
+fn cross_products<L: Lane>(x: [L; 3]) -> [L; 3] {
+    [x[1] * x[2], x[0] * x[2], x[0] * x[1]]
+}
+
+/// Offset of a fifth-order face value from the centre cell's average
+/// `vc`. The face value is `c1 + w0 (c0 - c1) + w2 (c2 - c1)`: the
+/// central candidate corrected toward its neighbours by their normalised
+/// weights (`w1` is what is left of one). `lin6` is `6 (c1 - vc)`, `far3`
+/// is `3 (c0 - c1)` and `near6` is `6 (c2 - c1)`; `a` are the
+/// un-normalised weights, far stencil first. The candidates' common `1/6`
+/// rides in the one division, and the weights are normalised before they
+/// meet the data, so the offset keeps the magnitude of the data however
+/// small the `a_k` are.
+#[inline(always)]
+fn offset5<L: Lane>(lin6: L, far3: L, near6: L, a: [L; 3]) -> L {
+    let sixth = L::splat(1.0 / 6.0);
+    let inv = sixth / (a[0] + a[1] + a[2]);
+    lin6 * sixth + (a[0] * inv) * (far3 + far3) + (a[2] * inv) * near6
+}
+
+/// The fifth-order skeleton every scheme shares: (left-face, right-face)
+/// values of the centre cell `v[2]`.
+///
+/// Everything is written on the stencil's first differences (MFC's `dvd`
+/// on a uniform line), so a constant stencil reconstructs to its value
+/// exactly. The smoothness indicators — four times Jiang–Shu's,
+/// `13/3 (second difference)^2 + (one-sided slope)^2`; `factors` scales
+/// its regularisation by the same 4, which cancels in the normalised
+/// weights — are computed once and shared by both faces. `factors` maps
+/// them to common-denominator weight factors `g` (`g[k]` belongs to the
+/// candidate stencil starting at cell `k`); each side scales them by the
+/// optimal weights' ratios to the central one, far stencil first, and
+/// `weights` has the last word before [`offset5`] normalises them.
+///
+/// Mirror symmetry is bitwise: reversing `v` negates and reverses `d`,
+/// maps `dd` to `[-dd[2], dd[1], -dd[0]]`, so (with `factors` symmetric)
+/// reverses `b` and `g`, swaps `lo` and `hi` with a sign, and thereby
+/// turns each side's offset into the exact negative of the other's.
+#[inline(always)]
+fn cell5<L: Lane>(
+    v: &[L; 5],
+    factors: impl Fn([L; 3]) -> [L; 3],
+    weights: impl Fn([L; 3]) -> [L; 3],
+) -> (L, L) {
+    let (two, three, c) = (L::splat(2.0), L::splat(3.0), L::splat(13.0 / 3.0));
+    let d = [v[1] - v[0], v[2] - v[1], v[3] - v[2], v[4] - v[3]];
+    // Second differences about cells 1, 2 and (sign reversed) 3.
+    let dd = [d[1] - d[0], d[2] - d[1], d[2] - d[3]];
+    let g = factors([
+        c * sq(dd[0]) + sq(three * d[1] - d[0]),
+        c * sq(dd[1]) + sq(d[2] + d[1]),
+        c * sq(dd[2]) + sq(three * d[2] - d[3]),
+    ]);
+    // Candidate differences: right face `3 (c0 - c1)` and `6 (c2 - c1)`,
+    // left face the same two with the roles swapped.
+    let (lo, hi) = (dd[0] - dd[1], dd[1] + dd[2]);
+    let (far, near) = (L::splat(D5[0] / D5[1]), L::splat(D5[2] / D5[1]));
+    (
+        v[2] - offset5(
+            d[2] + two * d[1],
+            hi,
+            lo,
+            weights([far * g[2], g[1], near * g[0]]),
+        ),
+        v[2] + offset5(
+            d[1] + two * d[2],
+            lo,
+            hi,
+            weights([far * g[0], g[1], near * g[2]]),
+        ),
+    )
+}
+
+/// Jiang–Shu weight factors `1 / (eps + beta_k)^2` in common-denominator
+/// form, from four times the smoothness indicators.
+#[inline(always)]
+fn js_factors<L: Lane>(b4: [L; 3]) -> [L; 3] {
+    cross_products(b4.map(|b| sq(L::splat(4.0 * EPS) + b)))
+}
+
+/// Fifth-order Jiang–Shu reconstruction of one cell from the five cell
+/// averages `v` (centre `v[2]`): its (left-face, right-face) values.
+///
+/// Generic over [`Lane`] — like every cell function here — with scalar
+/// literals broadcast via `splat` around the identical op sequence, so
+/// each packed lane computes bitwise the `f64` result for its cell. One
+/// division per face value.
+#[inline(always)]
+pub fn weno5_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+    cell5(v, js_factors, |a| a)
+}
+
+/// Fifth-order WENO-Z reconstruction of one cell: weights
+/// `d_k (1 + tau5 / (beta_k + eps))` in common-denominator form,
+/// `d_k (t_k + tau5) P_k` with `t_k = beta_k + eps`.
+#[inline(always)]
+pub fn weno5z_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+    cell5(
+        v,
+        |b4| {
+            // Global fifth-order smoothness indicator.
+            let tau5 = (b4[0] - b4[2]).abs();
+            let t = b4.map(|b| b + L::splat(4.0 * EPS_Z));
+            let p = cross_products(t);
+            [
+                (t[0] + tau5) * p[0],
+                (t[1] + tau5) * p[1],
+                (t[2] + tau5) * p[2],
+            ]
+        },
+        |a| a,
+    )
 }
 
 /// Henrick's mapping: pulls a nonlinear weight toward its optimal value
@@ -116,46 +215,39 @@ fn henrick_map<L: Lane>(w: L, g: f64) -> L {
         / (L::splat(g * g) + w * L::splat(1.0 - 2.0 * g))
 }
 
-/// Fifth-order mapped WENO (WENO-M) value at the right face of the
-/// center cell.
+/// Fifth-order mapped WENO (WENO-M) reconstruction of one cell: the
+/// shared Jiang–Shu factors, normalised per side and pushed through the
+/// Henrick map (which keeps its own divisions).
 #[inline(always)]
-pub fn weno5m_face<L: Lane>(v: &[L; 5]) -> L {
-    let q0 = (L::splat(2.0) * v[0] - L::splat(7.0) * v[1] + L::splat(11.0) * v[2]) / L::splat(6.0);
-    let q1 = (-v[1] + L::splat(5.0) * v[2] + L::splat(2.0) * v[3]) / L::splat(6.0);
-    let q2 = (L::splat(2.0) * v[2] + L::splat(5.0) * v[3] - v[4]) / L::splat(6.0);
-    let b0 = L::splat(13.0 / 12.0) * sq(v[0] - L::splat(2.0) * v[1] + v[2])
-        + L::splat(0.25) * sq(v[0] - L::splat(4.0) * v[1] + L::splat(3.0) * v[2]);
-    let b1 = L::splat(13.0 / 12.0) * sq(v[1] - L::splat(2.0) * v[2] + v[3])
-        + L::splat(0.25) * sq(v[1] - v[3]);
-    let b2 = L::splat(13.0 / 12.0) * sq(v[2] - L::splat(2.0) * v[3] + v[4])
-        + L::splat(0.25) * sq(L::splat(3.0) * v[2] - L::splat(4.0) * v[3] + v[4]);
-    // JS weights first...
-    let a0 = L::splat(0.1) / sq(L::splat(EPS) + b0);
-    let a1 = L::splat(0.6) / sq(L::splat(EPS) + b1);
-    let a2 = L::splat(0.3) / sq(L::splat(EPS) + b2);
-    let sum = a0 + a1 + a2;
-    // ...then the Henrick map and renormalization.
-    let m0 = henrick_map(a0 / sum, 0.1);
-    let m1 = henrick_map(a1 / sum, 0.6);
-    let m2 = henrick_map(a2 / sum, 0.3);
-    (m0 * q0 + m1 * q1 + m2 * q2) / (m0 + m1 + m2)
+pub fn weno5m_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+    cell5(v, js_factors, |a| {
+        let inv = L::splat(1.0) / (a[0] + a[1] + a[2]);
+        [
+            henrick_map(a[0] * inv, D5[0]),
+            henrick_map(a[1] * inv, D5[1]),
+            henrick_map(a[2] * inv, D5[2]),
+        ]
+    })
 }
 
-/// Third-order variant from three cell averages (center at `v[1]`).
+/// Third-order reconstruction of one cell from three cell averages
+/// (centre `v[1]`): its (left-face, right-face) values. The two
+/// smoothness indicators are shared by both faces; the candidates are
+/// `centre + d_k / 2`, the `1/2` riding in the division.
 #[inline(always)]
-pub fn weno3_face<L: Lane>(v: &[L; 3]) -> L {
-    let q0 = (-v[0] + L::splat(3.0) * v[1]) / L::splat(2.0);
-    let q1 = (v[1] + v[2]) / L::splat(2.0);
-    let b0 = sq(v[1] - v[0]);
-    let b1 = sq(v[2] - v[1]);
-    let a0 = L::splat(1.0 / 3.0) / sq(L::splat(EPS) + b0);
-    let a1 = L::splat(2.0 / 3.0) / sq(L::splat(EPS) + b1);
-    (a0 * q0 + a1 * q1) / (a0 + a1)
-}
-
-#[inline(always)]
-fn sq<L: Lane>(x: L) -> L {
-    x * x
+pub fn weno3_cell<L: Lane>(v: &[L; 3]) -> (L, L) {
+    let d = [v[1] - v[0], v[2] - v[1]];
+    let s = d.map(|dk| sq(L::splat(EPS) + sq(dk)));
+    let (w0, w1) = (L::splat(1.0 / 3.0), L::splat(2.0 / 3.0));
+    // Offset toward the `e[1]` side from weights `a`, far stencil first.
+    let offset = |e: [L; 2], a: [L; 2]| {
+        let inv = L::splat(0.5) / (a[0] + a[1]);
+        (a[0] * inv) * e[0] + (a[1] * inv) * e[1]
+    };
+    (
+        v[1] - offset([d[1], d[0]], [w0 * s[0], w1 * s[1]]),
+        v[1] + offset(d, [w0 * s[1], w1 * s[0]]),
+    )
 }
 
 /// Reconstruct left/right states at every face of one padded line.
@@ -179,17 +271,76 @@ pub fn reconstruct_line(
 /// stencil's ghost requirement (a WENO5-sized line temporarily degraded to
 /// WENO3 by the recovery ladder): the stencil just ignores the extra
 /// layers. This is the per-pencil entry point of the fused sweep engine at
-/// every lane width; it runs the exact same face arithmetic as the staged
+/// every lane width; it runs the exact same cell arithmetic as the staged
 /// field kernel.
 ///
-/// The order is matched once per line and each arm is a plain loop over
-/// the line's stencil windows with no index arithmetic or bounds check
-/// left inside — the shape LLVM's loop vectoriser turns into packed
-/// arithmetic at the host's width. Explicit lane packets
-/// ([`face_pair`] at a packed `L`) ran the fused WENO stage 1.3–1.4x
-/// slower than that on the bench host, and lanes cannot change a value,
-/// so the fused engine does not use them here.
+/// The line body is compiled twice from one source — for the build's
+/// baseline target and, on x86-64, with AVX2 enabled — and the entry is
+/// chosen from what the running CPU reports (std caches the detection, so
+/// the choice is made once per process). Neither entry may contract a
+/// multiply-add, and packing lanes cannot change an IEEE result, so the
+/// two are bitwise identical; [`line_isa`] names the one that runs.
 pub fn reconstruct_line_padded(
+    order: WenoOrder,
+    v: &[f64],
+    pad: usize,
+    n: usize,
+    left: &mut [f64],
+    right: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU was just seen to support AVX2, the only
+        // requirement of `line_avx2` beyond those of the safe line body.
+        return unsafe { line_avx2(order, v, pad, n, left, right) };
+    }
+    line_body(order, v, pad, n, left, right);
+}
+
+/// The baseline-target entry of [`reconstruct_line_padded`], whatever the
+/// CPU supports — for benchmarks and the entry-equivalence test.
+#[doc(hidden)]
+pub fn reconstruct_line_padded_baseline(
+    order: WenoOrder,
+    v: &[f64],
+    pad: usize,
+    n: usize,
+    left: &mut [f64],
+    right: &mut [f64],
+) {
+    line_body(order, v, pad, n, left, right);
+}
+
+/// Instruction set of the line-kernel entry [`reconstruct_line_padded`]
+/// runs in this process: `"avx2"` or `"baseline"`.
+pub fn line_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// [`line_body`] compiled with AVX2 (and never FMA) enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn line_avx2(
+    order: WenoOrder,
+    v: &[f64],
+    pad: usize,
+    n: usize,
+    left: &mut [f64],
+    right: &mut [f64],
+) {
+    line_body(order, v, pad, n, left, right);
+}
+
+/// The order is matched once per line and each arm is a plain loop over
+/// the line's cell stencils with no index arithmetic or bounds check
+/// left inside — the shape LLVM's loop vectoriser turns into packed
+/// arithmetic at the width of whichever entry it is inlined into.
+#[inline(always)]
+fn line_body(
     order: WenoOrder,
     v: &[f64],
     pad: usize,
@@ -204,51 +355,41 @@ pub fn reconstruct_line_padded(
     assert_eq!(v.len(), n + 2 * pad, "padded line length mismatch");
     assert!(left.len() > n && right.len() > n);
     match order {
-        WenoOrder::First => line_faces::<2>(v, pad, n, left, right, |w| (w[0], w[1])),
-        WenoOrder::Weno3 => line_faces::<4>(v, pad, n, left, right, pair3),
-        WenoOrder::Weno5 => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5_face)),
-        WenoOrder::Weno5Z => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5z_face)),
-        WenoOrder::Weno5M => line_faces::<6>(v, pad, n, left, right, |w| pair5(w, weno5m_face)),
+        WenoOrder::First => line_cells::<1>(v, pad, n, left, right, |w| (w[0], w[0])),
+        WenoOrder::Weno3 => line_cells::<3>(v, pad, n, left, right, weno3_cell),
+        WenoOrder::Weno5 => line_cells::<5>(v, pad, n, left, right, weno5_cell),
+        WenoOrder::Weno5Z => line_cells::<5>(v, pad, n, left, right, weno5z_cell),
+        WenoOrder::Weno5M => line_cells::<5>(v, pad, n, left, right, weno5m_cell),
     }
 }
 
-/// Faces `0..=n` of a padded line from its `K`-cell stencil windows:
-/// window `m` is cells `c - K/2 + 1 ..= c + K/2` around the face's left
-/// cell `c = pad - 1 + m`.
+/// Faces `0..=n` of a padded line from the `K`-cell stencils of its
+/// `n + 2` cells `pad - 1 ..= pad + n`: cell `pad - 1 + j` gives the
+/// left state of face `j` (its right-face value) and the right state of
+/// face `j - 1` (its left-face value). The two end cells feed one face
+/// each and stay outside the loop — scalar, with the side nobody reads
+/// dead code: folding them into packets through stack scratch ran
+/// 96-cell lines 10–40 % slower (EXPERIMENTS.md).
 #[inline(always)]
-fn line_faces<const K: usize>(
+fn line_cells<const K: usize>(
     v: &[f64],
     pad: usize,
     n: usize,
     left: &mut [f64],
     right: &mut [f64],
-    pair: impl Fn(&[f64; K]) -> (f64, f64),
+    cell: impl Fn(&[f64; K]) -> (f64, f64),
 ) {
-    let cells = &v[pad - K / 2..][..n + K];
-    for ((w, l), r) in cells.windows(K).zip(&mut left[..=n]).zip(&mut right[..=n]) {
-        let w: &[f64; K] = w.try_into().expect("windows(K) yields K cells");
-        (*l, *r) = pair(w);
+    let stencil = |w: &[f64]| cell(w.try_into().expect("windows(K) yields K cells"));
+    let cells = &v[pad - 1 - K / 2..][..n + 1 + K];
+    left[0] = stencil(&cells[..K]).1;
+    for ((w, l), r) in cells[1..n + K]
+        .windows(K)
+        .zip(&mut left[1..=n])
+        .zip(&mut right[..n])
+    {
+        (*r, *l) = stencil(w);
     }
-}
-
-/// Left/right WENO3 values at a face from its 4-cell window (the right
-/// state is the mirrored stencil).
-#[inline(always)]
-fn pair3<L: Lane>(w: &[L; 4]) -> (L, L) {
-    (
-        weno3_face(&[w[0], w[1], w[2]]),
-        weno3_face(&[w[3], w[2], w[1]]),
-    )
-}
-
-/// Left/right fifth-order values at a face from its 6-cell window, for
-/// any of the three fifth-order `face` functions.
-#[inline(always)]
-fn pair5<L: Lane>(w: &[L; 6], face: impl Fn(&[L; 5]) -> L) -> (L, L) {
-    (
-        face(&[w[0], w[1], w[2], w[3], w[4]]),
-        face(&[w[5], w[4], w[3], w[2], w[1]]),
-    )
+    right[n] = stencil(&cells[n + 1..]).0;
 }
 
 /// Field-level WENO sweep: reconstruct every variable along every line of a
@@ -327,38 +468,51 @@ impl LaneKernel for WenoSweepKernel<'_> {
     #[inline(always)]
     fn packet<L: Lane>(&self, line: usize, m: usize) {
         let v = &self.src[line * self.ext..(line + 1) * self.ext];
-        let (lv, rv) = face_pair::<L>(self.order, v, self.pad - 1 + m);
+        let (lv, rv) = face_states::<L>(self.order, v, self.pad - 1 + m);
         self.lout.set_lanes(line * self.nf1 + m, lv);
         self.rout.set_lanes(line * self.nf1 + m, rv);
     }
 }
 
-/// Left/right reconstructed values at face `m` of a padded line, with the
-/// center cell at `c = pad - 1 + m` — the single per-face arithmetic both
-/// the full and region-restricted sweeps share.
+/// (left-face, right-face) values of cell `c` of a padded line — the
+/// dispatch over [`WenoOrder`] the staged lane kernels share.
 ///
 /// At a packed width each stencil slot becomes one unit-stride lane load
 /// at its offset from `c`, so lane `i` sees exactly the scalar stencil of
-/// face `m + i`. The furthest slots are `c - 2` and `c + 3` (WENO5), which
-/// stay inside the `pad >= ghost_layers()` padding for every full packet
-/// the sweeps tile (`m + WIDTH - 1 <= n`).
+/// cell `c + i`.
 #[inline(always)]
-fn face_pair<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
+fn cell_faces<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
     let at = |d: isize| L::load(&v[(c as isize + d) as usize..]);
     match order {
-        WenoOrder::First => (at(0), at(1)),
-        WenoOrder::Weno3 => pair3(&[at(-1), at(0), at(1), at(2)]),
-        WenoOrder::Weno5 => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5_face),
-        WenoOrder::Weno5Z => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5z_face),
-        WenoOrder::Weno5M => pair5(&[at(-2), at(-1), at(0), at(1), at(2), at(3)], weno5m_face),
+        WenoOrder::First => (at(0), at(0)),
+        WenoOrder::Weno3 => weno3_cell(&[at(-1), at(0), at(1)]),
+        WenoOrder::Weno5 => weno5_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
+        WenoOrder::Weno5Z => weno5z_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
+        WenoOrder::Weno5M => weno5m_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
     }
+}
+
+/// Left/right states at face `m` of a padded line for the staged
+/// kernels, which tile faces: the right-face value of the face's left
+/// cell `c = pad - 1 + m` and the left-face value of cell `c + 1`, each
+/// through the per-cell function the line kernel walks (the half of a
+/// cell that the face does not touch is dead code after inlining). The
+/// furthest slots are `c - 2` and `c + 3` (WENO5), which stay inside the
+/// `pad >= ghost_layers()` padding for every full packet the sweeps tile
+/// (`m + WIDTH - 1 <= n`).
+#[inline(always)]
+fn face_states<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
+    (
+        cell_faces::<L>(order, v, c).1,
+        cell_faces::<L>(order, v, c + 1).0,
+    )
 }
 
 /// Region-restricted [`reconstruct_sweep`]: reconstruct only faces
 /// `f_lo..f_lo + f_count` along the sweep axis, on the transverse line
 /// window `t1_lo..t1_lo + t1_n` × `t2_lo..t2_lo + t2_n` (padded sweep
 /// coordinates), for every variable. Face values land at their absolute
-/// indices in `left`/`right` through the identical per-face arithmetic,
+/// indices in `left`/`right` through the identical per-cell arithmetic,
 /// so the restricted faces are bitwise identical to a full sweep — the
 /// overlapped stepping mode builds its interior and shell passes from
 /// this.
@@ -456,7 +610,7 @@ impl LaneKernel for WenoRegionKernel<'_> {
         let e = rest / self.t2_n;
         let line = t1i + self.n2 * (t2i + self.n3 * e);
         let v = &self.src[line * self.ext..(line + 1) * self.ext];
-        let (lv, rv) = face_pair::<L>(self.order, v, self.pad - 1 + m);
+        let (lv, rv) = face_states::<L>(self.order, v, self.pad - 1 + m);
         self.lout.set_lanes(line * self.nf1 + m, lv);
         self.rout.set_lanes(line * self.nf1 + m, rv);
     }
@@ -466,6 +620,7 @@ impl LaneKernel for WenoRegionKernel<'_> {
 mod tests {
     use super::*;
     use mfc_layout::Dims4;
+    use proptest::prelude::*;
 
     /// Cell average of `f` over `[a, b]` via Simpson (plenty for tests).
     fn cell_avg(f: impl Fn(f64) -> f64, a: f64, b: f64) -> f64 {
@@ -632,41 +787,270 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_kernel_matches_line_function() {
-        let n = 12;
-        let ng = 3;
-        let dims = Dims4::new(n + 2 * ng, 3, 2, 2);
-        let packed = Flat4D::from_fn(dims, |i1, i2, i3, i4| {
-            ((i1 * 7 + i2 * 3 + i3 * 11 + i4 * 5) % 13) as f64 * 0.5
-        });
-        let fdims = Dims4::new(n + 1, 3, 2, 2);
-        let mut left = Flat4D::zeros(fdims);
-        let mut right = Flat4D::zeros(fdims);
-        let ctx = Context::serial();
-        reconstruct_sweep(&ctx, WenoOrder::Weno5, &packed, n, &mut left, &mut right);
+    const ORDERS: [WenoOrder; 5] = [
+        WenoOrder::First,
+        WenoOrder::Weno3,
+        WenoOrder::Weno5,
+        WenoOrder::Weno5Z,
+        WenoOrder::Weno5M,
+    ];
 
-        let mut lref = vec![0.0; n + 1];
-        let mut rref = vec![0.0; n + 1];
-        for i4 in 0..2 {
-            for i3 in 0..2 {
-                for i2 in 0..3 {
-                    reconstruct_line(
-                        WenoOrder::Weno5,
-                        packed.line(i2, i3, i4),
-                        n,
-                        &mut lref,
-                        &mut rref,
+    /// (left-face, right-face) values of the centre cell of a 5-cell
+    /// stencil through the production dispatch over `order`.
+    fn cell(order: WenoOrder, v: &[f64; 5]) -> (f64, f64) {
+        cell_faces::<f64>(order, v, 2)
+    }
+
+    /// The textbook division form in plain `f64` (Jiang & Shu 1996, Borges
+    /// et al. 2008, Henrick et al. 2005), one face side at a time: the
+    /// candidates of the centre cell's right face and their normalised
+    /// nonlinear weights. Independent of everything above but the
+    /// constants.
+    fn textbook_right(order: WenoOrder, v: &[f64; 5]) -> (Vec<f64>, Vec<f64>) {
+        let (q, alpha): (Vec<f64>, Vec<f64>) = match order {
+            WenoOrder::First => (vec![v[2]], vec![1.0]),
+            WenoOrder::Weno3 => {
+                let q = vec![(-v[1] + 3.0 * v[2]) / 2.0, (v[2] + v[3]) / 2.0];
+                let b = [(v[2] - v[1]).powi(2), (v[3] - v[2]).powi(2)];
+                let d = [1.0 / 3.0, 2.0 / 3.0];
+                (q, (0..2).map(|k| d[k] / (EPS + b[k]).powi(2)).collect())
+            }
+            _ => {
+                let q = vec![
+                    (2.0 * v[0] - 7.0 * v[1] + 11.0 * v[2]) / 6.0,
+                    (-v[1] + 5.0 * v[2] + 2.0 * v[3]) / 6.0,
+                    (2.0 * v[2] + 5.0 * v[3] - v[4]) / 6.0,
+                ];
+                let b = [
+                    13.0 / 12.0 * (v[0] - 2.0 * v[1] + v[2]).powi(2)
+                        + 0.25 * (v[0] - 4.0 * v[1] + 3.0 * v[2]).powi(2),
+                    13.0 / 12.0 * (v[1] - 2.0 * v[2] + v[3]).powi(2) + 0.25 * (v[1] - v[3]).powi(2),
+                    13.0 / 12.0 * (v[2] - 2.0 * v[3] + v[4]).powi(2)
+                        + 0.25 * (3.0 * v[2] - 4.0 * v[3] + v[4]).powi(2),
+                ];
+                let js: Vec<f64> = (0..3).map(|k| D5[k] / (EPS + b[k]).powi(2)).collect();
+                let alpha = match order {
+                    WenoOrder::Weno5 => js,
+                    WenoOrder::Weno5Z => {
+                        let tau5 = (b[0] - b[2]).abs();
+                        (0..3)
+                            .map(|k| D5[k] * (1.0 + tau5 / (b[k] + EPS_Z)))
+                            .collect()
+                    }
+                    _ => {
+                        let sum: f64 = js.iter().sum();
+                        (0..3)
+                            .map(|k| {
+                                let (w, g) = (js[k] / sum, D5[k]);
+                                w * (g + g * g - 3.0 * g * w + w * w)
+                                    / (g * g + w * (1.0 - 2.0 * g))
+                            })
+                            .collect()
+                    }
+                };
+                (q, alpha)
+            }
+        };
+        let sum: f64 = alpha.iter().sum();
+        (q, alpha.iter().map(|a| a / sum).collect())
+    }
+
+    fn reversed(v: &[f64; 5]) -> [f64; 5] {
+        [v[4], v[3], v[2], v[1], v[0]]
+    }
+
+    /// Stencil shapes the property tests draw from, all of magnitude
+    /// `scale`: free values, a constant, a step at any position, and small
+    /// variations on a large offset.
+    fn stencil(kind: usize, base: &[f64], scale: f64) -> [f64; 5] {
+        let at = |k: usize| match kind {
+            0 => base[k],
+            1 => base[0],
+            2 => {
+                if (k as f64) < 2.5 + 3.0 * base[2] {
+                    base[0]
+                } else {
+                    base[1]
+                }
+            }
+            _ => 1.0 + 1e-3 * base[k],
+        };
+        [0, 1, 2, 3, 4].map(|k| scale * at(k))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Common-denominator weights on first differences against the
+        /// textbook form: same value to rounding at every magnitude the
+        /// solver can meet, finite, and inside the candidates' hull.
+        #[test]
+        fn cells_match_the_textbook_division_form(
+            base in proptest::collection::vec(-1.0f64..1.0, 5),
+            exp in -300i32..=12,
+            kind in 0usize..4,
+        ) {
+            let scale = 10f64.powi(exp);
+            let v = stencil(kind, &base, scale);
+            let tol = 1e-12 * scale;
+            for order in ORDERS {
+                let (left, right) = cell(order, &v);
+                for (got, w) in [(left, reversed(&v)), (right, v)] {
+                    let (q, omega) = textbook_right(order, &w);
+                    let want: f64 = q.iter().zip(&omega).map(|(q, w)| q * w).sum();
+                    prop_assert!(got.is_finite(), "{order:?} {v:?}: {got}");
+                    prop_assert!(
+                        (got - want).abs() <= tol,
+                        "{order:?} {v:?}: {got:e} vs textbook {want:e}"
                     );
-                    for m in 0..=n {
-                        assert_eq!(left.get(m, i2, i3, i4), lref[m]);
-                        assert_eq!(right.get(m, i2, i3, i4), rref[m]);
+                    let lo = q.iter().copied().fold(f64::INFINITY, f64::min);
+                    let hi = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    prop_assert!(
+                        lo - tol <= got && got <= hi + tol,
+                        "{order:?} {v:?}: {got:e} outside [{lo:e}, {hi:e}]"
+                    );
+                }
+            }
+        }
+
+        /// The left face of a cell is the right face of the mirrored cell,
+        /// to the bit: a mirror-symmetric flow stays mirror-symmetric.
+        #[test]
+        fn mirrored_stencil_swaps_the_pair_bitwise(
+            base in proptest::collection::vec(-1.0f64..1.0, 5),
+            exp in -300i32..=12,
+            kind in 0usize..4,
+        ) {
+            let v = stencil(kind, &base, 10f64.powi(exp));
+            for order in ORDERS {
+                let (left, right) = cell(order, &v);
+                let (mleft, mright) = cell(order, &reversed(&v));
+                prop_assert!(
+                    left.to_bits() == mright.to_bits() && right.to_bits() == mleft.to_bits(),
+                    "{order:?} {v:?}: ({left:e}, {right:e}) vs mirrored ({mleft:e}, {mright:e})"
+                );
+            }
+        }
+    }
+
+    /// A deterministic rough buffer: smooth waves, a jump and noise.
+    fn rough(i: usize) -> f64 {
+        let x = i as f64;
+        let noise = (i.wrapping_mul(2654435761) % 1000) as f64 * 1e-4;
+        (0.37 * x).sin() + if i % 23 < 11 { 2.0 } else { -0.5 } + noise
+    }
+
+    /// The staged lane kernels (full and region-restricted sweep) tile
+    /// faces, the fused engine's line kernel walks cells; at every lane
+    /// width, order and pad — including the recovery ladder's degraded
+    /// line, WENO3 or first order on a pad-3 buffer — they must agree to
+    /// the bit.
+    #[test]
+    fn line_kernel_matches_the_lane_kernels_at_every_width() {
+        let (n, m2, m3, nv, pad) = (13, 3, 2, 2, 3);
+        let packed = Flat4D::from_fn(Dims4::new(n + 2 * pad, m2, m3, nv), |i1, i2, i3, i4| {
+            rough(i1 + 19 * (i2 + m2 * (i3 + m3 * i4)))
+        });
+        let fdims = Dims4::new(n + 1, m2, m3, nv);
+        for order in ORDERS {
+            let mut lref = Flat4D::zeros(fdims);
+            let mut rref = Flat4D::zeros(fdims);
+            for i4 in 0..nv {
+                for i3 in 0..m3 {
+                    for i2 in 0..m2 {
+                        let (mut l, mut r) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+                        reconstruct_line_padded(
+                            order,
+                            packed.line(i2, i3, i4),
+                            pad,
+                            n,
+                            &mut l,
+                            &mut r,
+                        );
+                        for m in 0..=n {
+                            lref.set(m, i2, i3, i4, l[m]);
+                            rref.set(m, i2, i3, i4, r[m]);
+                        }
+                    }
+                }
+            }
+            for width in [1, 2, 4, 8] {
+                let ctx = Context::serial().with_vector_width(width);
+                let mut left = Flat4D::zeros(fdims);
+                let mut right = Flat4D::zeros(fdims);
+                reconstruct_sweep(&ctx, order, &packed, n, &mut left, &mut right);
+                assert!(
+                    bits(&left) == bits(&lref) && bits(&right) == bits(&rref),
+                    "{order:?} W={width}: full sweep differs from the line kernel"
+                );
+                // The ledger saw one item per face per line.
+                let stats = ctx.ledger().kernel("s_weno_reconstruct").unwrap();
+                assert_eq!(stats.items as usize, (n + 1) * m2 * m3 * nv);
+
+                // Faces 2..12 on transverse lines (1..3, 1..2): exactly
+                // those match, everything else stays untouched.
+                let (f_lo, f_count) = (2, 10);
+                let mut left = Flat4D::zeros(fdims);
+                let mut right = Flat4D::zeros(fdims);
+                reconstruct_sweep_region(
+                    &ctx, order, &packed, n, f_lo, f_count, 1, 2, 1, 1, &mut left, &mut right,
+                );
+                for i4 in 0..nv {
+                    for i3 in 0..m3 {
+                        for i2 in 0..m2 {
+                            for m in 0..=n {
+                                let inside = (f_lo..f_lo + f_count).contains(&m)
+                                    && (1..3).contains(&i2)
+                                    && i3 == 1;
+                                let want =
+                                    |r: &Flat4D| if inside { r.get(m, i2, i3, i4) } else { 0.0 };
+                                assert!(
+                                    left.get(m, i2, i3, i4).to_bits() == want(&lref).to_bits()
+                                        && right.get(m, i2, i3, i4).to_bits()
+                                            == want(&rref).to_bits(),
+                                    "{order:?} W={width}: region face {m} line ({i2},{i3},{i4})"
+                                );
+                            }
+                        }
                     }
                 }
             }
         }
-        // Ledger saw one item per face per line.
-        let stats = ctx.ledger().kernel("s_weno_reconstruct").unwrap();
-        assert_eq!(stats.items as usize, (n + 1) * 3 * 2 * 2);
+    }
+
+    fn bits(f: &Flat4D) -> Vec<u64> {
+        f.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The AVX2 entry and the baseline entry of the line kernel are one
+    /// source compiled twice without contraction: identical bits on every
+    /// order and line length. Where the CPU lacks AVX2 the dispatched
+    /// entry *is* the baseline one and there is nothing to compare.
+    #[test]
+    fn avx2_entry_matches_the_baseline_entry_bitwise() {
+        if line_isa() != "avx2" {
+            eprintln!("skipped: this CPU runs the baseline entry only");
+            return;
+        }
+        let pad = 3;
+        for order in ORDERS {
+            for n in [0, 1, 2, 3, 4, 5, 7, 8, 31, 96, 257] {
+                let v: Vec<f64> = (0..n + 2 * pad).map(|i| rough(i + 5 * n)).collect();
+                let (mut l, mut r) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+                let (mut lb, mut rb) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+                reconstruct_line_padded(order, &v, pad, n, &mut l, &mut r);
+                reconstruct_line_padded_baseline(order, &v, pad, n, &mut lb, &mut rb);
+                for m in 0..=n {
+                    assert!(
+                        l[m].to_bits() == lb[m].to_bits() && r[m].to_bits() == rb[m].to_bits(),
+                        "{order:?} n={n} face {m}: avx2 ({:e}, {:e}) vs baseline ({:e}, {:e})",
+                        l[m],
+                        r[m],
+                        lb[m],
+                        rb[m]
+                    );
+                }
+            }
+        }
     }
 }

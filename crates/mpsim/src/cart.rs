@@ -62,8 +62,10 @@ pub fn best_block_dims(n: usize, extents: [usize; 3]) -> [usize; 3] {
 /// `pack_send_slab` ships the `ng` interior layers adjacent to each split
 /// face. On a rank whose local extent along that axis is below `ng`, those
 /// layers would overlap the *opposite* ghost region, silently sending
-/// stale ghost data as if it were interior. Such decompositions are a
-/// configuration error, rejected before any rank is spawned.
+/// stale ghost data as if it were interior; on an unsplit axis the
+/// boundary fill reads the same `ng` interior layers and the block is
+/// refused outright. Such decompositions are a configuration error,
+/// rejected before any rank is spawned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompositionError {
     /// Axis whose blocks are too thin.
@@ -82,8 +84,8 @@ impl std::fmt::Display for DecompositionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "decomposition splits axis {} ({} cells over {} ranks) into blocks as thin as \
-             {} cells, below the {}-layer halo depth; a send slab would overlap the \
+            "decomposition leaves axis {} ({} cells over {} ranks) with blocks as thin as \
+             {} cells, below the {}-layer halo depth; a ghost fill would read the \
              opposite ghost region",
             self.axis, self.global, self.ranks, self.thinnest, self.ng
         )
@@ -93,19 +95,22 @@ impl std::fmt::Display for DecompositionError {
 impl std::error::Error for DecompositionError {}
 
 /// Validate that every rank of a `dims` decomposition of a `global` domain
-/// is at least `ng` cells wide along every *split* axis.
+/// is at least `ng` cells wide along each of the `ndim` active axes.
 ///
 /// The thinnest block along an axis is `global / p` (the remainder goes to
 /// the low ranks), so the check is exact, not conservative. Unsplit axes
-/// (`p == 1`) never exchange halos and are not constrained.
+/// (`p == 1`) are held to it too: their ghost layers are filled from the
+/// same `ng` interior layers by the boundary conditions. Axes beyond
+/// `ndim` carry no ghosts and are not constrained.
 pub fn validate_halo_extents(
     dims: [usize; 3],
     global: [usize; 3],
+    ndim: usize,
     ng: usize,
 ) -> Result<(), DecompositionError> {
-    for axis in 0..3 {
-        let p = dims[axis];
-        if p > 1 && global[axis] / p < ng {
+    for axis in 0..ndim.min(3) {
+        let p = dims[axis].max(1);
+        if global[axis] / p < ng {
             return Err(DecompositionError {
                 axis,
                 ranks: p,
@@ -288,19 +293,31 @@ mod tests {
     fn thin_rank_decompositions_are_rejected() {
         // Regression (thin-rank halo bug): a 2-cell-wide rank under a
         // 3-layer halo would pack ghost cells into its send slab.
-        let err = validate_halo_extents([4, 1, 1], [8, 8, 1], 3).unwrap_err();
+        let err = validate_halo_extents([4, 1, 1], [8, 8, 1], 2, 3).unwrap_err();
         assert_eq!(err.axis, 0);
         assert_eq!(err.thinnest, 2);
         assert_eq!(err.ng, 3);
         // 1-cell-wide ranks fail too.
-        assert!(validate_halo_extents([1, 8, 1], [16, 8, 1], 2).is_err());
-        // Exactly ng cells per rank is fine, as are unsplit thin axes.
-        assert!(validate_halo_extents([4, 1, 1], [12, 8, 1], 3).is_ok());
-        assert!(validate_halo_extents([1, 1, 1], [2, 1, 1], 3).is_ok());
+        assert!(validate_halo_extents([1, 8, 1], [16, 8, 1], 2, 2).is_err());
+        // Exactly ng cells per rank is fine, as are inactive axes.
+        assert!(validate_halo_extents([4, 1, 1], [12, 8, 1], 2, 3).is_ok());
         // The remainder convention means global/p is the thinnest block:
         // 13 cells over 4 ranks -> 4,3,3,3, rejected at ng=4 not ng=3.
-        assert!(validate_halo_extents([4, 1, 1], [13, 1, 1], 3).is_ok());
-        assert!(validate_halo_extents([4, 1, 1], [13, 1, 1], 4).is_err());
+        assert!(validate_halo_extents([4, 1, 1], [13, 1, 1], 1, 3).is_ok());
+        assert!(validate_halo_extents([4, 1, 1], [13, 1, 1], 1, 4).is_err());
+    }
+
+    #[test]
+    fn thin_unsplit_active_axes_are_rejected() {
+        // Regression: a single rank with fewer interior cells than ghost
+        // layers passed here and then panicked in `Domain::new`.
+        let err = validate_halo_extents([1, 1, 1], [2, 1, 1], 1, 3).unwrap_err();
+        assert_eq!((err.axis, err.ranks, err.thinnest), (0, 1, 2));
+        assert!(validate_halo_extents([1, 1, 1], [3, 1, 1], 1, 3).is_ok());
+        // The thin axis of a 2-D case counts; the unused third does not.
+        let err = validate_halo_extents([2, 1, 1], [64, 2, 1], 2, 3).unwrap_err();
+        assert_eq!(err.axis, 1);
+        assert!(validate_halo_extents([2, 1, 1], [64, 3, 1], 2, 3).is_ok());
     }
 
     #[test]

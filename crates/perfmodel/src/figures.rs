@@ -390,9 +390,20 @@ mod tests {
                 .find(|p| p.device == dev && p.kernel == k)
                 .unwrap()
         };
-        // V100: Riemann memory-bound, WENO compute-bound.
+        // V100: Riemann memory-bound. The paper's WENO kernel is
+        // compute-bound there, and so was this solver's while it evaluated
+        // the division form per face side (ledger AI 2.0, 10.0 after
+        // stencil reuse). The per-cell common-denominator arithmetic does
+        // the same reconstruction in half the FLOPs, which puts the
+        // measured kernel left of the V100 ridge (5.1 < 7.8): the
+        // cross-vendor switch of sides no longer reproduces from this
+        // solver's own counts (EXPERIMENTS.md, Fig. 1). It stays several
+        // times as intense as the Riemann kernel.
         assert!(find("NV V100 PCIe", KernelClass::Riemann).memory_bound(&hw::V100_PCIE));
-        assert!(!find("NV V100 PCIe", KernelClass::Weno).memory_bound(&hw::V100_PCIE));
+        let weno = find("NV V100 PCIe", KernelClass::Weno);
+        assert!(weno.memory_bound(&hw::V100_PCIE));
+        assert!(weno.ai > 0.6 * hw::V100_PCIE.ridge_ai());
+        assert!(weno.ai > 3.0 * find("NV V100 PCIe", KernelClass::Riemann).ai);
         // MI250X: both memory-bound.
         assert!(find("AMD MI250X GCD", KernelClass::Weno).memory_bound(&hw::MI250X_GCD));
         assert!(find("AMD MI250X GCD", KernelClass::Riemann).memory_bound(&hw::MI250X_GCD));

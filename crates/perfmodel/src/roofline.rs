@@ -220,9 +220,11 @@ mod tests {
 
     #[test]
     fn weno_reuse_lifts_ai_above_v100_ridge() {
-        // The ledger counts full stencil traffic (AI ~2); the effective AI
-        // after stencil reuse must cross the V100 ridge for the paper's
-        // "WENO is compute-bound on V100" to reproduce.
+        // The ledger counts full stencil traffic (AI ~2 for a division-form
+        // WENO5 evaluated per face side — the paper's kernel, and this
+        // solver's until its per-cell rewrite halved the FLOPs); the
+        // effective AI after stencil reuse must cross the V100 ridge for
+        // the paper's "WENO is compute-bound on V100" to reproduce.
         let eff = effective_ai(KernelClass::Weno, 2.0);
         assert!(eff > V100_PCIE.ridge_ai(), "eff = {eff}");
     }

@@ -232,32 +232,18 @@ fn daemon_end_to_end_over_tcp() {
     d.finish();
 }
 
-/// Satellite regression: a case with more fluids than the kernels'
-/// private arrays hold used to be admitted (the dry run said "19 eqs")
-/// and then failed by panic isolation. `submit` must reject it typed, and
-/// the daemon must stay healthy.
-#[test]
-fn submit_rejects_more_than_max_fluids() {
-    let mut d = Daemon::spawn("nine_fluids");
-    let fluids = [r#"{"gamma":1.4,"pi_inf":0.0}"#; 9].join(",");
-    let alpha = vec![format!("{}", 1.0 / 9.0); 9].join(",");
-    let rho = ["1.0"; 9].join(",");
-    let case = d.out_dir.join("nine.json");
-    fs::write(
-        &case,
-        format!(
-            r#"{{"name":"nine","fluids":[{fluids}],"ndim":1,"cells":[32,1,1],"bc":"periodic",
-               "patches":[{{"region":"all","state":{{"alpha":[{alpha}],"rho":[{rho}],
-               "vel":[0.0,0.0,0.0],"p":1.0e5}}}}],"run":{{"steps":2}}}}"#
-        ),
-    )
-    .unwrap();
+/// `submit` of `case_text` must be rejected typed with `needle` in the
+/// reply, the daemon must stay healthy, and nothing may reach the ledger.
+fn rejected_at_submit(tag: &str, case_text: &str, needle: &str) {
+    let mut d = Daemon::spawn(tag);
+    let case = d.out_dir.join("case.json");
+    fs::write(&case, case_text).unwrap();
     let v = d.roundtrip(&format!(
         r#"{{"cmd":"submit","job":{{"case":{}}}}}"#,
         serde_json::to_string(&case).unwrap()
     ));
-    assert!(!is_ok(&v), "a 9-fluid case was admitted: {v:?}");
-    assert!(v.to_string().contains("at most 8 fluids"), "{v:?}");
+    assert!(!is_ok(&v), "{tag}: the case was admitted: {v:?}");
+    assert!(v.to_string().contains(needle), "{v:?}");
 
     assert!(is_ok(&d.roundtrip(r#"{"cmd":"ping"}"#)));
     assert!(is_ok(&d.roundtrip(r#"{"cmd":"drain"}"#)));
@@ -265,6 +251,39 @@ fn submit_rejects_more_than_max_fluids() {
     let text = fs::read_to_string(&ledger).unwrap_or_default();
     assert_eq!(d.finish(), Some(0));
     assert!(text.is_empty(), "a rejected job reached the ledger: {text}");
+}
+
+/// Satellite regression: a case with more fluids than the kernels'
+/// private arrays hold used to be admitted (the dry run said "19 eqs")
+/// and then failed by panic isolation.
+#[test]
+fn submit_rejects_more_than_max_fluids() {
+    let fluids = [r#"{"gamma":1.4,"pi_inf":0.0}"#; 9].join(",");
+    let alpha = vec![format!("{}", 1.0 / 9.0); 9].join(",");
+    let rho = ["1.0"; 9].join(",");
+    rejected_at_submit(
+        "nine_fluids",
+        &format!(
+            r#"{{"name":"nine","fluids":[{fluids}],"ndim":1,"cells":[32,1,1],"bc":"periodic",
+               "patches":[{{"region":"all","state":{{"alpha":[{alpha}],"rho":[{rho}],
+               "vel":[0.0,0.0,0.0],"p":1.0e5}}}}],"run":{{"steps":2}}}}"#
+        ),
+        "at most 8 fluids",
+    );
+}
+
+/// Satellite regression: a single-rank case with fewer interior cells
+/// than the stencil's ghost layers used to be admitted (the halo check
+/// skipped unsplit axes) and then panicked in `Domain::new`.
+#[test]
+fn submit_rejects_fewer_cells_than_ghost_layers() {
+    rejected_at_submit(
+        "thin_axis",
+        r#"{"name":"thin","fluids":[{"gamma":1.4,"pi_inf":0.0}],"ndim":1,"cells":[2,1,1],
+           "bc":"periodic","patches":[{"region":"all","state":{"alpha":[1.0],"rho":[1.0],
+           "vel":[0.0,0.0,0.0],"p":1.0e5}}],"numerics":{"order":"weno5"},"run":{"steps":2}}"#,
+        "below the 3-layer halo depth",
+    );
 }
 
 /// Satellite regression: the reply to the `drain` that ends an idle
