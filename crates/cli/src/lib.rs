@@ -38,12 +38,11 @@ use mfc_core::bc::{BcKind, BcSpec};
 use mfc_core::case::{CaseBuilder, Patch};
 use mfc_core::eos::MAX_FLUIDS;
 use mfc_core::fluid::Fluid;
-use mfc_core::output::{postprocess_wave_files, write_vtk_rectilinear};
+use mfc_core::output::write_vtk_rectilinear;
 #[cfg(test)]
 use mfc_core::par::run_single;
 use mfc_core::par::{
-    run_distributed_resilient, run_distributed_traced, run_distributed_with_output, ExchangeMode,
-    GlobalField, ResilienceOpts,
+    run_distributed_resilient, ExchangeMode, GlobalField, ResilienceOpts, WaveOutput,
 };
 use mfc_core::probes::{Probe, ProbeSet};
 use mfc_core::recovery::RecoveryPolicy;
@@ -176,7 +175,7 @@ pub struct RunConfig {
     /// Simulated ranks (1 = serial).
     pub ranks: usize,
     /// Checkpoint wave period in steps (0 = off). Any non-zero value —
-    /// or a fault plan — routes the run through the fault-tolerant
+    /// or a fault plan, or more than one rank — runs the distributed
     /// driver. Settable from the command line as `--checkpoint-every N`.
     pub checkpoint_every: u64,
     /// Path to a fault-plan JSON file (see `mfc_mpsim::FaultPlan`).
@@ -258,9 +257,11 @@ pub struct IoConfig {
     /// ([`mfc_mpsim::DEFAULT_WAVE_SIZE`]). Settable from the command line
     /// as `--io-wave N`.
     pub wave: usize,
-    /// Distributed runs only: write per-rank wave files and reassemble
-    /// the global field by post-processing them (the paper's I/O path)
-    /// instead of the in-memory gather. The two are bitwise identical.
+    /// Distributed runs only: every rank also writes its block of the
+    /// final state as a wave file under `<output.dir>/waves` (the paper's
+    /// I/O path) for `mfc-post` to reassemble, bitwise identical to the
+    /// in-memory gather. Combines with checkpointing, fault plans and the
+    /// recovery ladder.
     pub wave_files: bool,
 }
 
@@ -575,15 +576,14 @@ pub fn run_case(case_file: &CaseFile) -> Result<RunSummary, RunError> {
             .max_retries = n;
     }
 
-    // A fault plan, a checkpoint period, or a multi-rank recovery ladder
-    // routes the run through the fault-tolerant driver (on simulated
-    // ranks, even when ranks == 1).
-    let resilient = case_file.run.checkpoint_every > 0
-        || case_file.run.faults.is_some()
-        || (recovery.is_some() && case_file.run.ranks > 1);
-    let mut resilience = String::new();
+    // More than one rank, a fault plan or a checkpoint period runs the
+    // distributed driver (on simulated ranks, even when ranks == 1);
+    // everything else is the serial solver.
+    let distributed = case_file.run.ranks > 1
+        || case_file.run.checkpoint_every > 0
+        || case_file.run.faults.is_some();
 
-    let (global, steps_done, t_done, grind_ns) = if resilient {
+    let (global, steps_done, t_done, grind_ns, resilience) = if distributed {
         if case_file.run.t_end.is_some() {
             return Err(RunError::Config(
                 "t_end is only supported for serial runs; use run.steps".into(),
@@ -620,65 +620,30 @@ pub fn run_case(case_file: &CaseFile) -> Result<RunSummary, RunError> {
             failure_policy: case_file.run.failure_policy,
             spares,
             ckpt_keep: case_file.run.ckpt_keep,
+            // The paper's I/O path: every rank also writes its block with
+            // the wave-throttled writer, for `mfc-post` to reassemble
+            // (bitwise identical to the in-memory gather used here).
+            output: case_file.io.wave_files.then(|| WaveOutput {
+                dir: case_file.output.dir.join("waves"),
+                wave_size: case_file.io.wave,
+                step_id: steps,
+            }),
         };
         let t0 = std::time::Instant::now();
         let (gf, _) =
             run_distributed_resilient(&case, cfg, ranks, steps, Staging::DeviceDirect, &opts)
                 .map_err(map_resilience_err)?;
         let wall = t0.elapsed();
-        resilience = resilience_summary(&events);
         let cells = gf.n.iter().product::<usize>();
         let grind = wall.as_nanos() as f64
             / (cells as f64 * gf.neq as f64 * (steps as f64 * cfg.scheme.stages() as f64).max(1.0));
-        (gf, steps as u64, f64::NAN, grind)
-    } else if case_file.run.ranks > 1 {
-        if case_file.run.t_end.is_some() {
-            return Err(RunError::Config(
-                "t_end is only supported for serial runs; use run.steps".into(),
-            ));
-        }
-        let t0 = std::time::Instant::now();
-        let gf = if case_file.io.wave_files {
-            // The paper's I/O path: every rank writes its block with the
-            // wave-throttled writer, then the host post-processes the
-            // files back into the global field (bitwise identical to the
-            // in-memory gather).
-            let wave_dir = case_file.output.dir.join("waves");
-            std::fs::create_dir_all(&wave_dir)
-                .map_err(|e| RunError::Io(format!("cannot create wave dir: {e}")))?;
-            let dims = run_distributed_with_output(
-                &case,
-                cfg,
-                case_file.run.ranks,
-                steps,
-                Staging::DeviceDirect,
-                case_file.numerics.exchange(),
-                &wave_dir,
-                case_file.io.wave,
-                steps,
-                tracer.clone(),
-            )
-            .map_err(map_resilience_err)?;
-            postprocess_wave_files(&wave_dir, steps, case.cells, case.eq(), dims)
-                .map_err(|e| RunError::Io(format!("wave post-processing failed: {e}")))?
-        } else {
-            let (gf, _) = run_distributed_traced(
-                &case,
-                cfg,
-                case_file.run.ranks,
-                steps,
-                Staging::DeviceDirect,
-                case_file.numerics.exchange(),
-                tracer.clone(),
-            )
-            .map_err(map_resilience_err)?;
-            gf
-        };
-        let wall = t0.elapsed();
-        let cells = gf.n.iter().product::<usize>();
-        let grind = wall.as_nanos() as f64
-            / (cells as f64 * gf.neq as f64 * (steps as f64 * cfg.scheme.stages() as f64).max(1.0));
-        (gf, steps as u64, f64::NAN, grind)
+        (
+            gf,
+            steps as u64,
+            f64::NAN,
+            grind,
+            resilience_summary(&events),
+        )
     } else {
         // Explicit worker plumbing: the context uses exactly the
         // configured count (default 1) instead of silently grabbing the
@@ -733,13 +698,14 @@ pub fn run_case(case_file: &CaseFile) -> Result<RunSummary, RunError> {
         }
         // Serial ladder activity (health faults, retries, rung changes)
         // lands in the solver's own ledger.
-        resilience = resilience_summary(solver.context().ledger());
+        let resilience = resilience_summary(solver.context().ledger());
         solver.context().flush_ledger_to_trace();
         (
             run_single_snapshot(&solver, &case),
             solver.steps(),
             solver.time(),
             solver.grind().ns_per_cell_eq_rhs(),
+            resilience,
         )
     };
 

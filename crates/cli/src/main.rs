@@ -38,9 +38,10 @@ flags:
                          Must be a power of two in 1..=8; results are
                          bitwise identical at every width
   --faults plan.json     fault-injection plan (mfc_mpsim::FaultPlan)
-  --checkpoint-every N   checkpoint wave period in steps; any non-zero
-                         value routes the run through the fault-tolerant
-                         driver
+  --checkpoint-every N   checkpoint wave period in steps. Multi-rank,
+                         checkpointed and fault-plan runs all use the one
+                         distributed driver; a non-zero N adds its
+                         checkpoint layer (and needs run.steps)
   --ckpt-keep N          checkpoint retention: keep the N newest committed
                          waves per rank (default 2; the newest committed
                          wave is never garbage-collected)
@@ -66,12 +67,17 @@ flags:
                          collectives, I/O waves, and recovery activity
   --io-wave N            writer-wave width for file-per-process output
                          (io.wave case key; default 128, MFC's production
-                         value)
+                         value). With the io.wave_files case key every
+                         rank writes its block under <output.dir>/waves
+                         for mfc-post; this combines with checkpointing,
+                         fault plans and the recovery ladder, and a wave
+                         file that cannot be written is exit 3
 
 exit codes:
   0  success
   2  usage error or invalid case/configuration
-  3  I/O failure (case file, plans, output directory, probes, VTK)
+  3  I/O failure (case file, plans, output directory, probes, VTK,
+     checkpoint and wave files)
   4  numerical failure (health-watchdog abort after ladder exhaustion)
 ";
 

@@ -11,41 +11,15 @@ use crate::state::StateField;
 /// Largest stable time step for the given primitive state:
 /// `dt = cfl / max_cells sum_d (|u_d| + c) / dx_d`.
 ///
-/// `widths[d]` are the ghost-inclusive cell widths along axis `d`.
-pub fn max_dt(
-    ctx: &Context,
-    fluids: &[Fluid],
-    prim: &StateField,
-    widths: [&[f64]; 3],
-    cfl: f64,
-) -> f64 {
-    max_dt_geom(ctx, fluids, prim, widths, cfl, None)
-}
-
-/// [`max_dt`] with an optional azimuthal metric: in 3-D cylindrical
-/// coordinates the azimuthal cell width is `r * dtheta`, so pass the
-/// ghost-inclusive radial centers to tighten the theta CFL bound (the
-/// restriction the paper's FFT filter exists to relax).
-pub fn max_dt_geom(
-    ctx: &Context,
-    fluids: &[Fluid],
-    prim: &StateField,
-    widths: [&[f64]; 3],
-    cfl: f64,
-    radial_metric: Option<&[f64]>,
-) -> f64 {
-    match try_max_dt_geom(ctx, fluids, prim, widths, cfl, radial_metric) {
-        Ok(dt) => dt,
-        Err(StepFault::DegenerateWaveSpeed { rate }) => {
-            panic!("degenerate wave-speed rate {rate}")
-        }
-        Err(f) => panic!("{f}"),
-    }
-}
-
-/// Fallible variant of [`max_dt_geom`]: a non-finite or non-positive
-/// wave-speed reduction (an all-NaN or vacuum state) becomes a typed
-/// [`StepFault`] for the recovery ladder instead of a panic.
+/// `widths[d]` are the ghost-inclusive cell widths along axis `d`. With
+/// an azimuthal metric — in 3-D cylindrical coordinates the azimuthal
+/// cell width is `r * dtheta` — pass the ghost-inclusive radial centers
+/// to tighten the theta CFL bound (the restriction the paper's FFT filter
+/// exists to relax).
+///
+/// A non-finite or non-positive wave-speed reduction (an all-NaN or
+/// vacuum state) is a typed [`StepFault`] for the recovery ladder, never
+/// a panic.
 pub fn try_max_dt_geom(
     ctx: &Context,
     fluids: &[Fluid],
@@ -185,7 +159,8 @@ mod tests {
         let g = Grid1D::uniform(8, 0.0, 1.0);
         let wx = g.widths_with_ghosts(3);
         let ones = vec![1.0];
-        let dt = max_dt(&ctx, &[Fluid::air()], &prim, [&wx, &ones, &ones], 0.5);
+        let dt =
+            try_max_dt_geom(&ctx, &[Fluid::air()], &prim, [&wx, &ones, &ones], 0.5, None).unwrap();
         // c = sqrt(1.4e5/1.4) ≈ 316.23; rate = (100 + c)/0.125.
         let c = (1.4 * 1.0e5 / 1.4f64).sqrt();
         let want = 0.5 / ((100.0 + c) / 0.125);
@@ -209,8 +184,18 @@ mod tests {
             }
             prim
         };
-        let slow = max_dt(&ctx, &[Fluid::air()], &mk(10.0), [&wx, &ones, &ones], 0.5);
-        let fast = max_dt(&ctx, &[Fluid::air()], &mk(500.0), [&wx, &ones, &ones], 0.5);
+        let dt = |u: f64| {
+            try_max_dt_geom(
+                &ctx,
+                &[Fluid::air()],
+                &mk(u),
+                [&wx, &ones, &ones],
+                0.5,
+                None,
+            )
+            .unwrap()
+        };
+        let (slow, fast) = (dt(10.0), dt(500.0));
         assert!(fast < slow);
     }
 
@@ -239,6 +224,6 @@ mod tests {
         let prim = StateField::zeros(dom);
         let w = vec![1.0; 8];
         let ones = vec![1.0];
-        let _ = max_dt(&ctx, &[Fluid::air()], &prim, [&w, &ones, &ones], 1.5);
+        let _ = try_max_dt_geom(&ctx, &[Fluid::air()], &prim, [&w, &ones, &ones], 1.5, None);
     }
 }

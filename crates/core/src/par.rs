@@ -12,17 +12,25 @@
 //! a device→host copy before the send and a host→device copy after the
 //! receive; both land in the transfer ledger, and their modelled cost is
 //! Fig. 4's gap.
+//!
+//! There is one distributed step loop: the rank body of
+//! [`run_distributed_resilient`]. Checkpointing, fault injection, the
+//! numerical-recovery ladder, span tracing and wave-file output are
+//! optional layers of [`ResilienceOpts`] around it; with all of them off
+//! ([`run_distributed`], [`run_distributed_with_mode`]) every fault-aware
+//! primitive is its plain blocking counterpart and no per-step state is
+//! saved.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mfc_acc::{Context, Ledger, QueueSet, ResilienceEvent, ResilienceEventKind, TransferDirection};
 use mfc_mpsim::{
     best_block_dims, validate_halo_extents, CartComm, Comm, CommFault, FailurePolicy, FaultCtx,
-    SpareWake, Staging, World,
+    SpareWake, Staging, WaveWriter, World,
 };
 use mfc_trace::{Category, Tracer};
 use serde::{Deserialize, Serialize};
@@ -49,14 +57,11 @@ use crate::time::{rk_step, RkWorkspace};
 pub enum ExchangeMode {
     /// Paired `MPI_Sendrecv`, the paper's default path.
     Sendrecv,
-    /// Post all receives, then all sends, then complete (`MPI_Irecv` /
-    /// `MPI_Isend` / `MPI_Waitall`) — the overlap-friendly variant.
-    NonBlocking,
     /// Per axis, post the nonblocking exchange and run the interior RHS
     /// sweep on an async queue while the messages are in flight; after
     /// the drain, finish the boundary shells. The OpenACC `async(queue)`
-    /// overlap of the paper's §III-B, bitwise identical to the other
-    /// modes (the same per-face arithmetic runs in the same order).
+    /// overlap of the paper's §III-B, bitwise identical to `Sendrecv`
+    /// (the same per-face arithmetic runs in the same order).
     Overlapped,
 }
 
@@ -104,13 +109,8 @@ pub fn run_distributed(
     run_distributed_with_mode(case, cfg, n_ranks, steps, staging, ExchangeMode::Sendrecv)
 }
 
-/// [`run_distributed`] with an explicit halo-exchange mode.
-///
-/// Step acceptance is a collective decision: each rank scans its block's
-/// health after the update and an allreduce-min over the per-rank verdicts
-/// (mirroring the global `dt` reduction) makes every rank agree — so on a
-/// numerical fault all ranks return the same typed error in lockstep
-/// instead of one rank panicking while its peers hang in a receive.
+/// [`run_distributed`] with an explicit halo-exchange mode: the one
+/// driver ([`run_distributed_resilient`]) with every optional layer off.
 pub fn run_distributed_with_mode(
     case: &CaseBuilder,
     cfg: SolverConfig,
@@ -119,222 +119,22 @@ pub fn run_distributed_with_mode(
     staging: Staging,
     mode: ExchangeMode,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
-    run_distributed_traced(case, cfg, n_ranks, steps, staging, mode, None)
+    let opts = ResilienceOpts {
+        exchange: mode,
+        ..ResilienceOpts::fault_free(PathBuf::new(), 0)
+    };
+    run_distributed_resilient(case, cfg, n_ranks, steps, staging, &opts)
 }
 
-/// [`run_distributed_with_mode`] with an optional span tracer: each rank
-/// attaches its per-rank [`mfc_trace::TraceHandle`] to both the launch
-/// context (kernel events) and the communicator (message events), wraps
-/// the step phases in spans, and flushes its kernel ledger into the trace
-/// at the end — `mfc-run --trace` builds its per-rank timelines from this.
-pub fn run_distributed_traced(
-    case: &CaseBuilder,
-    cfg: SolverConfig,
-    n_ranks: usize,
-    steps: usize,
-    staging: Staging,
-    mode: ExchangeMode,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<(GlobalField, CommStats), ResilienceError> {
-    let eq = case.eq();
-    let ng = cfg.rhs.order.ghost_layers().max(1);
-    let global_n = case.cells;
-    let dims = best_block_dims(n_ranks, global_n);
-    assert_eq!(
-        dims.iter().product::<usize>(),
-        n_ranks,
-        "rank count must factorize onto the grid"
-    );
-    validate_halo_extents(dims, global_n, eq.ndim(), ng).map_err(|e| {
-        ResilienceError::Decomposition {
-            detail: e.to_string(),
-        }
-    })?;
-    let periodic = [
-        case.bc.axis_periodic(0),
-        case.bc.axis_periodic(1),
-        case.bc.axis_periodic(2),
-    ];
-    let global_grid = case.grid();
-
-    let mut results = World::run(n_ranks, |mut comm| {
-        let mut ctx = Context::with_workers(cfg.workers).with_vector_width(cfg.vector_width);
-        if let Some(tr) = &tracer {
-            let h = tr.handle(comm.rank());
-            comm.set_tracer(Arc::clone(&h));
-            ctx.set_tracer(h);
-        }
-        let cart = CartComm::new(comm.rank(), dims, periodic);
-        // Local block.
-        let mut n = [1usize; 3];
-        let mut off = [0usize; 3];
-        for d in 0..eq.ndim() {
-            let (o, l) = cart.local_extent(d, global_n[d]);
-            off[d] = o;
-            n[d] = l;
-        }
-        let dom = Domain::new(n, ng, eq);
-        let local_grid = Grid {
-            x: global_grid.x.slice(off[0], n[0]),
-            y: if eq.ndim() >= 2 {
-                global_grid.y.slice(off[1], n[1])
-            } else {
-                Grid1D::collapsed()
-            },
-            z: if eq.ndim() >= 3 {
-                global_grid.z.slice(off[2], n[2])
-            } else {
-                Grid1D::collapsed()
-            },
-        };
-        let mut q = case.init_block(&ctx, &dom, &global_grid, off);
-        let mut ws = RhsWorkspace::new(dom, &local_grid);
-        let mut rk = RkWorkspace::new(&q);
-        let mut stats = CommStats::default();
-
-        // Faces whose ghosts come from a neighbour rather than physical BCs.
-        let mut skip = [(false, false); 3];
-        for (d, s) in skip.iter_mut().enumerate().take(eq.ndim()) {
-            *s = (
-                cart.neighbor(d, -1).is_some(),
-                cart.neighbor(d, 1).is_some(),
-            );
-        }
-
-        let widths = [
-            local_grid.x.widths_with_ghosts(dom.pad(0)),
-            local_grid.y.widths_with_ghosts(dom.pad(1)),
-            local_grid.z.widths_with_ghosts(dom.pad(2)),
-        ];
-
-        let plan = OverlapPlan::new(&dom);
-
-        let health = HealthConfig::default();
-        for s in 0..steps {
-            let _step_span = ctx.span("step", Category::Phase);
-            // Global dt. A locally degenerate CFL reduction (all-NaN or
-            // vacuum state) is encoded as a negative dt so the min-
-            // reduction carries the verdict to every rank.
-            let _dt_span = ctx.span("dt_reduce", Category::Phase);
-            let dt = match cfg.dt {
-                DtMode::Fixed(dt) => dt,
-                DtMode::Cfl(c) => {
-                    crate::state::cons_to_prim_field(&ctx, &case.fluids, &q, &mut ws.prim);
-                    let local = cfl::try_max_dt_geom(
-                        &ctx,
-                        &case.fluids,
-                        &ws.prim,
-                        [&widths[0], &widths[1], &widths[2]],
-                        c,
-                        None,
-                    )
-                    .unwrap_or(-1.0);
-                    comm.allreduce_min(local)
-                }
-            };
-            drop(_dt_span);
-            ctx.trace_counter("dt", dt);
-            if dt <= 0.0 {
-                return Err(ResilienceError::Numerical {
-                    rank: comm.rank(),
-                    step: s as u64,
-                    detail: "degenerate wave-speed rate in the CFL reduction".into(),
-                    violation: None,
-                });
-            }
-            {
-                let _rk_span = ctx.span("rk_stages", Category::Phase);
-                let (comm_ref, stats_ref) = (&mut comm, &mut stats);
-                let fluids = &case.fluids;
-                let bc = &case.bc;
-                let ws_ref = &mut ws;
-                let ctx_ref = &ctx;
-                rk_step(cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
-                    if mode == ExchangeMode::Overlapped {
-                        overlapped_halo_rhs(
-                            ctx_ref, comm_ref, &cart, q, staging, stats_ref, &cfg.rhs, fluids, bc,
-                            skip, &plan, ws_ref, rhs, false,
-                        )
-                        .expect("plain (non-policied) waits cannot fault");
-                    } else {
-                        exchange_halos(ctx_ref, comm_ref, &cart, q, staging, mode, stats_ref);
-                        apply_bcs(ctx_ref, q, bc, skip);
-                        compute_rhs(ctx_ref, &cfg.rhs, fluids, q, ws_ref, rhs);
-                    }
-                });
-            }
-            // Collective step acceptance: the watchdog's verdict travels
-            // the same allreduce-min path as the global dt.
-            let _health_span = ctx.span("health_verdict", Category::Phase);
-            let viol = scan_and_convert(&ctx, &case.fluids, &health, &q, &mut ws.prim);
-            let verdict = comm.allreduce_min(if viol.is_some() { 0.0 } else { 1.0 });
-            if verdict < 1.0 {
-                return Err(ResilienceError::Numerical {
-                    rank: comm.rank(),
-                    step: s as u64,
-                    detail: viol
-                        .map(|v| v.to_string())
-                        .unwrap_or_else(|| "a peer rank reported a nonphysical state".into()),
-                    violation: viol,
-                });
-            }
-        }
-
-        ctx.flush_ledger_to_trace();
-
-        // Ship the interior home.
-        let mut block = Vec::with_capacity(dom.interior_cells() * eq.neq());
-        for e in 0..eq.neq() {
-            for (i, j, k) in dom.interior() {
-                block.push(q.get(i, j, k, e));
-            }
-        }
-        let gathered = comm.gather(block);
-        Ok((gathered, off, n, stats))
-    });
-
-    // Assemble on the host side from rank 0's gather. On a numerical
-    // abort every rank returns an error; prefer the one carrying the
-    // offending-cell report.
-    if results.iter().any(|r| r.is_err()) {
-        let mut first = None;
-        for r in results {
-            if let Err(e) = r {
-                if matches!(
-                    &e,
-                    ResilienceError::Numerical {
-                        violation: Some(_),
-                        ..
-                    }
-                ) {
-                    return Err(e);
-                }
-                first.get_or_insert(e);
-            }
-        }
-        return Err(first.expect("at least one rank errored"));
+/// Offset and interior size of `cart`'s block of the global grid — the
+/// one place the decomposition arithmetic is applied.
+fn block_extent(cart: &CartComm, ndim: usize, global_n: [usize; 3]) -> ([usize; 3], [usize; 3]) {
+    let mut off = [0usize; 3];
+    let mut n = [1usize; 3];
+    for d in 0..ndim {
+        (off[d], n[d]) = cart.local_extent(d, global_n[d]);
     }
-    let (gathered, _, _, stats0) = results.remove(0).expect("checked above");
-    let blocks = gathered.expect("rank 0 holds the gather");
-    // Sanity-check the extents the ranks reported against the same
-    // arithmetic recomputed host-side (which `assemble_global` uses).
-    for (idx, reported) in results.iter().enumerate() {
-        let cart = CartComm::new(idx + 1, dims, periodic);
-        let mut off = [0usize; 3];
-        let mut n = [1usize; 3];
-        for d in 0..eq.ndim() {
-            let (o, l) = cart.local_extent(d, global_n[d]);
-            off[d] = o;
-            n[d] = l;
-        }
-        let reported = reported.as_ref().expect("checked above");
-        debug_assert_eq!(reported.1, off);
-        debug_assert_eq!(reported.2, n);
-    }
-    Ok((
-        assemble_global(eq, global_n, dims, periodic, &blocks),
-        stats0,
-    ))
+    (off, n)
 }
 
 /// Scatter per-rank interior blocks (in gather order) into one global
@@ -350,13 +150,7 @@ fn assemble_global(
     let mut data = vec![0.0; global_n[0] * global_n[1] * global_n[2] * neq];
     for (rank, block) in blocks.iter().enumerate() {
         let cart = CartComm::new(rank, dims, periodic);
-        let mut off = [0usize; 3];
-        let mut n = [1usize; 3];
-        for d in 0..eq.ndim() {
-            let (o, l) = cart.local_extent(d, global_n[d]);
-            off[d] = o;
-            n[d] = l;
-        }
+        let (off, n) = block_extent(&cart, eq.ndim(), global_n);
         let mut it = block.iter();
         for e in 0..neq {
             for k in 0..n[2] {
@@ -377,6 +171,20 @@ fn assemble_global(
         neq,
         data,
     }
+}
+
+/// Wave-throttled file-per-process output of the final state (§III-A):
+/// every rank writes its interior block as
+/// [`mfc_mpsim::WaveWriter::rank_path`]`(dir, step_id, rank)`, to be
+/// reassembled by [`crate::output::postprocess_wave_files`] (`mfc-post`).
+#[derive(Debug, Clone)]
+pub struct WaveOutput {
+    /// Directory receiving the per-rank files; created if missing.
+    pub dir: PathBuf,
+    /// Writer-wave width: at most this many ranks hold open files at once.
+    pub wave_size: usize,
+    /// Output step id in the file names.
+    pub step_id: usize,
 }
 
 /// Options for [`run_distributed_resilient`].
@@ -403,10 +211,9 @@ pub struct ResilienceOpts {
     /// phases, checkpoint waves, rollbacks, and every kernel launch and
     /// message (`mfc-run --trace`). `None` keeps the untraced fast path.
     pub trace: Option<Arc<Tracer>>,
-    /// Halo-exchange mode. [`ExchangeMode::Sendrecv`] and
-    /// [`ExchangeMode::NonBlocking`] both run the policied paired
-    /// exchange; [`ExchangeMode::Overlapped`] hides the exchange behind
-    /// the interior sweeps with policied waits at the drain.
+    /// Halo-exchange mode: the paired exchange, or the exchange hidden
+    /// behind the interior sweeps; receives and drain waits are
+    /// fault-aware either way.
     pub exchange: ExchangeMode,
     /// What the survivors do when a rank death is *permanent* (the
     /// simulated process never restarts): resurrect in place (the
@@ -422,6 +229,12 @@ pub struct ResilienceOpts {
     /// Clamped to at least 1 — the newest committed wave is never
     /// deleted.
     pub ckpt_keep: usize,
+    /// Write the final state as per-rank wave files once the last step is
+    /// accepted (so a replayed run writes them after the replay). A rank's
+    /// failed write is committed like a checkpoint's: every rank returns
+    /// [`ResilienceError::Io`]. After a shrink the files follow the
+    /// survivors' decomposition.
+    pub output: Option<WaveOutput>,
 }
 
 impl ResilienceOpts {
@@ -439,6 +252,7 @@ impl ResilienceOpts {
             failure_policy: FailurePolicy::Revive,
             spares: 0,
             ckpt_keep: 2,
+            output: None,
         }
     }
 }
@@ -466,9 +280,10 @@ pub enum ResilienceError {
     /// would overlap the opposite ghost region. Rejected host-side before
     /// any rank is spawned.
     Decomposition { detail: String },
-    /// A checkpoint write (or the checkpoint directory creation) failed.
-    /// The abort is collective: every rank learns of the failed write
-    /// through the commit reduction and returns this in lockstep.
+    /// A checkpoint or wave-file write (or the creation of either
+    /// directory) failed. The abort is collective: every rank learns of
+    /// the failed write through the commit reduction and returns this in
+    /// lockstep.
     Io { rank: usize, detail: String },
     /// The fault script or resilience configuration is inconsistent with
     /// the run — a death targets a rank outside the world, the scripted
@@ -492,7 +307,7 @@ impl std::fmt::Display for ResilienceError {
                 write!(f, "invalid decomposition: {detail}")
             }
             ResilienceError::Io { rank, detail } => {
-                write!(f, "checkpoint I/O failure (rank {rank}): {detail}")
+                write!(f, "file write failure (rank {rank}): {detail}")
             }
             ResilienceError::Plan { detail } => {
                 write!(f, "invalid fault plan: {detail}")
@@ -527,13 +342,20 @@ struct Era {
     size: usize,
 }
 
-/// Fault-tolerant [`run_distributed`]: same numerics and decomposition,
-/// but every step's collectives and halo exchanges go through the
-/// fault-aware ("policied") path, the conservative state is checkpointed
-/// every `opts.checkpoint_every` steps, and any detected failure —
-/// message loss beyond the retry budget, a silent rank, or a scripted
-/// rank death — triggers a global rollback to the last committed
+/// The distributed driver. Every step's collectives and halo exchanges go
+/// through the fault-aware ("policied") path — which *is* the plain
+/// blocking path when `opts.faults` is `None` — the conservative state is
+/// checkpointed every `opts.checkpoint_every` steps, and any detected
+/// failure — message loss beyond the retry budget, a silent rank, or a
+/// scripted rank death — triggers a global rollback to the last committed
 /// checkpoint wave and a replay.
+///
+/// Step acceptance is a collective decision: each rank scans its block's
+/// health after the update and an allreduce-min over the per-rank verdicts
+/// (mirroring the global `dt` reduction) makes every rank agree — so on a
+/// numerical fault all ranks retry (under `opts.recovery`) or return the
+/// same typed error in lockstep instead of one rank panicking while its
+/// peers hang in a receive.
 ///
 /// Because checkpoints are bitwise snapshots and the numerics are
 /// deterministic, a faulty run that recovers produces output **bitwise
@@ -594,6 +416,16 @@ pub fn run_distributed_resilient(
             detail: format!("creating checkpoint dir {}: {e}", opts.ckpt_dir.display()),
         })?;
     }
+    let output = match &opts.output {
+        Some(out) => {
+            std::fs::create_dir_all(&out.dir).map_err(|e| ResilienceError::Io {
+                rank: 0,
+                detail: format!("creating wave dir {}: {e}", out.dir.display()),
+            })?;
+            Some((out, WaveWriter::new(out.wave_size)))
+        }
+        None => None,
+    };
     let total_steps = steps as u64;
     let every = opts.checkpoint_every;
 
@@ -640,13 +472,7 @@ pub fn run_distributed_resilient(
 
         let build_layout = |logical: usize, dims_now: [usize; 3]| {
             let cart = CartComm::new(logical, dims_now, periodic);
-            let mut n = [1usize; 3];
-            let mut off = [0usize; 3];
-            for d in 0..eq.ndim() {
-                let (o, l) = cart.local_extent(d, global_n[d]);
-                off[d] = o;
-                n[d] = l;
-            }
+            let (off, n) = block_extent(&cart, eq.ndim(), global_n);
             let dom = Domain::new(n, ng, eq);
             let local_grid = Grid {
                 x: global_grid.x.slice(off[0], n[0]),
@@ -713,13 +539,15 @@ pub fn run_distributed_resilient(
             dims,
             size: n_ranks,
         }];
-        // Numerical-recovery ladder state and the q^n retry snapshot.
+        // Numerical-recovery ladder state and the q^n retry snapshot. Only
+        // an armed ladder retries from the snapshot — without one a
+        // rejected step ends the run — so only then is it kept.
         let policy = opts.recovery.clone();
         let mut rec = RecoveryState::default();
         let mut attempts: u32 = 0;
-        let mut q_save = q.clone();
+        let mut q_save = policy.as_ref().map(|_| q.clone());
 
-        'steps: while step < total_steps {
+        'steps: loop {
             // ---- Recovery: rendezvous, reconfigure, roll back, resume
             // (or abort). ----
             if needs_recovery {
@@ -915,7 +743,7 @@ pub fn run_distributed_resilient(
                                 size: size_cur,
                             });
                             rk = RkWorkspace::new(&q);
-                            q_save = q.clone();
+                            q_save = q_save.map(|_| q.clone());
                         }
                         // The replay is a fresh deterministic run from the
                         // wave: restart the ladder state with it.
@@ -938,6 +766,37 @@ pub fn run_distributed_resilient(
                     }
                 }
                 continue;
+            }
+
+            // ---- Last step accepted: the output layer (§III-A). Bring
+            // the state back to the host (a ledger event), write in
+            // throttled waves, and commit the per-rank outcomes like a
+            // checkpoint wave; a comm fault here rolls back and replays
+            // like any other. ----
+            if step == total_steps {
+                let Some((out, writer)) = &output else {
+                    break;
+                };
+                let t0 = Instant::now();
+                let block = crate::output::block_to_vec(&q);
+                ctx.ledger()
+                    .record_transfer(TransferDirection::DeviceToHost, (block.len() * 8) as u64);
+                let saved = writer
+                    .write(comm, &out.dir, out.step_id, &block)
+                    .map(|_wave| ());
+                let flag = if saved.is_ok() { 1.0 } else { 0.0 };
+                match comm.allreduce_policied(flag, f64::min) {
+                    Ok(v) if v >= 1.0 => break,
+                    Ok(_) => {
+                        let path = WaveWriter::rank_path(&out.dir, out.step_id, me.get());
+                        return Err(write_failed(me.get(), &path, saved));
+                    }
+                    Err(fault) => {
+                        detect_fault(comm, &fault, step, t0.elapsed(), &note);
+                        needs_recovery = true;
+                        continue;
+                    }
+                }
             }
 
             if let Some(faults) = comm.fault_ctx().cloned() {
@@ -1015,16 +874,7 @@ pub fn run_distributed_resilient(
                             );
                         }
                     }
-                    Ok(_) => {
-                        let detail = match saved {
-                            Err(e) => format!("writing {}: {e}", path.display()),
-                            Ok(()) => "a peer rank failed its checkpoint write".into(),
-                        };
-                        return Err(ResilienceError::Io {
-                            rank: me.get(),
-                            detail,
-                        });
-                    }
+                    Ok(_) => return Err(write_failed(me.get(), &path, saved)),
                     Err(fault) => {
                         detect_fault(comm, &fault, step, t0.elapsed(), &note);
                         needs_recovery = true;
@@ -1038,7 +888,9 @@ pub fn run_distributed_resilient(
             // verdict allreduce mirrors the dt reduction, so every rank
             // accepts, retries, or aborts the same attempt in lockstep.
             let _step_span = ctx.span("step", Category::Phase);
-            q_save.as_mut_slice().copy_from_slice(q.as_slice());
+            if let Some(save) = &mut q_save {
+                save.as_mut_slice().copy_from_slice(q.as_slice());
+            }
             let dt = loop {
                 let eff = match &policy {
                     Some(p) => p.effective_config(&cfg, rec.rung),
@@ -1103,14 +955,14 @@ pub fn run_distributed_resilient(
                                 // evaluation; q/rhs are rolled back anyway.
                                 if let Err(f) = overlapped_halo_rhs(
                                     ctx_ref, comm_ref, &cart, q, staging, stats_ref, rhs_cfg,
-                                    fluids, bc, skip, &plan, ws_ref, rhs, true,
+                                    fluids, bc, skip, &plan, ws_ref, rhs,
                                 ) {
                                     *fault_ref = Some(f);
                                 }
                             } else {
-                                if let Err(f) = exchange_halos_policied(
-                                    ctx_ref, comm_ref, &cart, q, staging, stats_ref,
-                                ) {
+                                if let Err(f) =
+                                    halo_exchange(ctx_ref, comm_ref, &cart, q, staging, stats_ref)
+                                {
                                     *fault_ref = Some(f);
                                     return;
                                 }
@@ -1163,7 +1015,9 @@ pub fn run_distributed_resilient(
                         "degenerate wave-speed rate in the CFL reduction".into(),
                     );
                 }
-                q.as_mut_slice().copy_from_slice(q_save.as_slice());
+                if let Some(save) = &q_save {
+                    q.as_mut_slice().copy_from_slice(save.as_slice());
+                }
                 attempts += 1;
                 let exhausted = match &policy {
                     None => true,
@@ -1258,13 +1112,7 @@ pub fn run_distributed_resilient(
 
         // All scripted faults are behind us (peers past their last death
         // cannot re-die), so the final gather uses the plain path.
-        let mut block = Vec::with_capacity(dom.interior_cells() * eq.neq());
-        for e in 0..eq.neq() {
-            for (i, j, k) in dom.interior() {
-                block.push(q.get(i, j, k, e));
-            }
-        }
-        let gathered = comm.gather(block);
+        let gathered = comm.gather(crate::output::block_to_vec(&q));
         Ok((gathered, stats))
     };
 
@@ -1289,27 +1137,21 @@ pub fn run_distributed_resilient(
         Some(faults) => World::run_with_spares(n_ranks, opts.spares, Arc::clone(faults), body),
         None => World::run(n_ranks, body),
     };
-    // Prefer the violation-carrying numerical error; then any error.
-    // (Every terminal error is collective, so the survivors agree.)
-    let mut first_err = None;
-    for r in &results {
-        if let Err(e) = r {
-            if matches!(
-                e,
-                ResilienceError::Numerical {
-                    violation: Some(_),
-                    ..
-                }
-            ) {
-                return Err(e.clone());
-            }
-            if first_err.is_none() {
-                first_err = Some(e.clone());
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
+    // Every terminal error is collective, so the survivors agree on the
+    // variant; prefer the rank that saw the cause itself (the offending
+    // cell, the path that could not be written), then any error.
+    let mut errors = results.iter().filter_map(|r| r.as_ref().err());
+    if let Some(first) = errors.next() {
+        let observed = |e: &&ResilienceError| match e {
+            ResilienceError::Numerical { violation, .. } => violation.is_some(),
+            ResilienceError::Io { detail, .. } => detail != PEER_WRITE_FAILED,
+            _ => false,
+        };
+        let chosen = std::iter::once(first)
+            .chain(errors)
+            .find(observed)
+            .unwrap_or(first);
+        return Err(chosen.clone());
     }
     // The gather lands on whichever physical rank holds logical slot 0 at
     // the end — not necessarily physical rank 0 (it may have died
@@ -1358,9 +1200,29 @@ fn detect_fault(
     }
 }
 
-/// Fault-aware [`exchange_halos`]: paired send + policied receive per
-/// axis and direction. Any detector verdict aborts the exchange.
-fn exchange_halos_policied(
+/// The collective error for a committed write (checkpoint wave or wave
+/// file) that failed somewhere: the rank whose own write failed names its
+/// path and cause, its peers say they were told.
+fn write_failed<E: std::fmt::Display>(
+    rank: usize,
+    path: &Path,
+    saved: Result<(), E>,
+) -> ResilienceError {
+    let detail = match saved {
+        Err(e) => format!("writing {}: {e}", path.display()),
+        Ok(()) => PEER_WRITE_FAILED.into(),
+    };
+    ResilienceError::Io { rank, detail }
+}
+
+/// [`ResilienceError::Io`] detail on the ranks whose own write succeeded.
+const PEER_WRITE_FAILED: &str = "a peer rank failed its write";
+
+/// One full halo exchange: per axis, both directions, ship `ng` layers —
+/// paired send + policied receive (send my high interior slab to the +1
+/// neighbour, receive my low ghost slab from the -1 neighbour; then the
+/// reverse). Any detector verdict aborts the exchange.
+fn halo_exchange(
     ctx: &Context,
     comm: &mut Comm,
     cart: &CartComm,
@@ -1388,135 +1250,6 @@ fn exchange_halos_policied(
     Ok(())
 }
 
-/// Run distributed and let every rank write its interior block with the
-/// wave-throttled file-per-process writer (§III-A), as output step
-/// `step_id` under `dir`. Returns the decomposition dims needed to
-/// post-process the files back into a global field
-/// ([`crate::output::postprocess_wave_files`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_with_output(
-    case: &CaseBuilder,
-    cfg: SolverConfig,
-    n_ranks: usize,
-    steps: usize,
-    staging: Staging,
-    mode: ExchangeMode,
-    dir: &std::path::Path,
-    wave_size: usize,
-    step_id: usize,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<[usize; 3], ResilienceError> {
-    let eq = case.eq();
-    let ng = cfg.rhs.order.ghost_layers().max(1);
-    let global_n = case.cells;
-    let dims = best_block_dims(n_ranks, global_n);
-    validate_halo_extents(dims, global_n, eq.ndim(), ng).map_err(|e| {
-        ResilienceError::Decomposition {
-            detail: e.to_string(),
-        }
-    })?;
-    let periodic = [
-        case.bc.axis_periodic(0),
-        case.bc.axis_periodic(1),
-        case.bc.axis_periodic(2),
-    ];
-    let global_grid = case.grid();
-    let writer = mfc_mpsim::WaveWriter::new(wave_size);
-
-    World::run(n_ranks, |mut comm| {
-        let mut ctx = Context::with_workers(cfg.workers).with_vector_width(cfg.vector_width);
-        if let Some(tr) = &tracer {
-            let h = tr.handle(comm.rank());
-            comm.set_tracer(Arc::clone(&h));
-            ctx.set_tracer(h);
-        }
-        let cart = CartComm::new(comm.rank(), dims, periodic);
-        let mut n = [1usize; 3];
-        let mut off = [0usize; 3];
-        for d in 0..eq.ndim() {
-            let (o, l) = cart.local_extent(d, global_n[d]);
-            off[d] = o;
-            n[d] = l;
-        }
-        let dom = Domain::new(n, ng, eq);
-        let local_grid = Grid {
-            x: global_grid.x.slice(off[0], n[0]),
-            y: if eq.ndim() >= 2 {
-                global_grid.y.slice(off[1], n[1])
-            } else {
-                Grid1D::collapsed()
-            },
-            z: if eq.ndim() >= 3 {
-                global_grid.z.slice(off[2], n[2])
-            } else {
-                Grid1D::collapsed()
-            },
-        };
-        let mut q = case.init_block(&ctx, &dom, &global_grid, off);
-        let mut ws = RhsWorkspace::new(dom, &local_grid);
-        let mut rk = RkWorkspace::new(&q);
-        let mut stats = CommStats::default();
-        let mut skip = [(false, false); 3];
-        for (d, s) in skip.iter_mut().enumerate().take(eq.ndim()) {
-            *s = (
-                cart.neighbor(d, -1).is_some(),
-                cart.neighbor(d, 1).is_some(),
-            );
-        }
-        let widths = [
-            local_grid.x.widths_with_ghosts(dom.pad(0)),
-            local_grid.y.widths_with_ghosts(dom.pad(1)),
-            local_grid.z.widths_with_ghosts(dom.pad(2)),
-        ];
-        let plan = OverlapPlan::new(&dom);
-        for _ in 0..steps {
-            let _step_span = ctx.span("step", Category::Phase);
-            let dt = match cfg.dt {
-                DtMode::Fixed(dt) => dt,
-                DtMode::Cfl(c) => {
-                    crate::state::cons_to_prim_field(&ctx, &case.fluids, &q, &mut ws.prim);
-                    let local = cfl::max_dt(
-                        &ctx,
-                        &case.fluids,
-                        &ws.prim,
-                        [&widths[0], &widths[1], &widths[2]],
-                        c,
-                    );
-                    comm.allreduce_min(local)
-                }
-            };
-            let (comm_ref, stats_ref) = (&mut comm, &mut stats);
-            let fluids = &case.fluids;
-            let bc = &case.bc;
-            let ws_ref = &mut ws;
-            let ctx_ref = &ctx;
-            rk_step(cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
-                if mode == ExchangeMode::Overlapped {
-                    overlapped_halo_rhs(
-                        ctx_ref, comm_ref, &cart, q, staging, stats_ref, &cfg.rhs, fluids, bc,
-                        skip, &plan, ws_ref, rhs, false,
-                    )
-                    .expect("plain (non-policied) waits cannot fault");
-                } else {
-                    exchange_halos(ctx_ref, comm_ref, &cart, q, staging, mode, stats_ref);
-                    apply_bcs(ctx_ref, q, bc, skip);
-                    compute_rhs(ctx_ref, &cfg.rhs, fluids, q, ws_ref, rhs);
-                }
-            });
-        }
-        // §III-A output: bring the state back to the host (a ledger
-        // event) and write in throttled waves.
-        let block = crate::output::block_to_vec(&q);
-        ctx.ledger()
-            .record_transfer(TransferDirection::DeviceToHost, (block.len() * 8) as u64);
-        writer
-            .write(&comm, dir, step_id, &block)
-            .expect("wave write failed");
-        ctx.flush_ledger_to_trace();
-    });
-    Ok(dims)
-}
-
 /// Serial reference producing the same [`GlobalField`] shape.
 pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> GlobalField {
     let mut solver = crate::solver::Solver::new(
@@ -1527,21 +1260,10 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
     solver
         .run_steps(steps)
         .expect("serial reference run hit a numerical fault");
-    let dom = *solver.domain();
-    let eq = dom.eq;
-    let q = solver.state();
-    let n = case.cells;
-    let mut data = Vec::with_capacity(dom.interior_cells() * eq.neq());
-    for e in 0..eq.neq() {
-        for (i, j, k) in dom.interior() {
-            let _ = (i, j, k);
-            data.push(q.get(i, j, k, e));
-        }
-    }
     GlobalField {
-        n,
-        neq: eq.neq(),
-        data,
+        n: case.cells,
+        neq: solver.domain().eq.neq(),
+        data: crate::output::block_to_vec(solver.state()),
     }
 }
 
@@ -1557,14 +1279,14 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
 /// exchanged, physical BCs are applied and [`rhs_overlap_finish`] runs
 /// the boundary shells plus the grid-global closures (`shell_rhs`).
 ///
-/// Bitwise identical to `exchange_halos` + `apply_bcs` + `compute_rhs`:
+/// Bitwise identical to [`halo_exchange`] + `apply_bcs` + `compute_rhs`:
 /// the interior region is inset `dom.ng` cells from every exchanged face,
 /// so its stencils never read a ghost, and each cell accumulates its
 /// axis contributions in the same x, y, z order either way.
 ///
-/// With `policied`, the drain waits go through the fault detector; a
-/// verdict abandons the exchange (after letting leftover interior queues
-/// run, so no queued work is dropped) and the caller rolls back.
+/// The drain waits go through the fault detector; a verdict abandons the
+/// exchange (after letting leftover interior queues run, so no queued
+/// work is dropped) and the caller rolls back.
 #[allow(clippy::too_many_arguments)]
 fn overlapped_halo_rhs(
     ctx: &Context,
@@ -1580,7 +1302,6 @@ fn overlapped_halo_rhs(
     plan: &OverlapPlan,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
-    policied: bool,
 ) -> Result<(), CommFault> {
     let dom = *q.domain();
     rhs_overlap_begin(ctx, rhs_cfg, fluids, q, ws, rhs);
@@ -1628,16 +1349,12 @@ fn overlapped_halo_rhs(
             // What remains after the hiding is the exposed comm time.
             let _drain = ctx.span("halo_drain", Category::Phase);
             for (send_dir, req) in pending {
-                let buf = if policied {
-                    match comm.wait_policied(req) {
-                        Ok(b) => b,
-                        Err(f) => {
-                            fault = Some(f);
-                            break 'axes;
-                        }
+                let buf = match comm.wait_policied(req) {
+                    Ok(b) => b,
+                    Err(f) => {
+                        fault = Some(f);
+                        break 'axes;
                     }
-                } else {
-                    comm.wait(req)
                 };
                 unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
             }
@@ -1655,69 +1372,6 @@ fn overlapped_halo_rhs(
     let _shell = ctx.span("shell_rhs", Category::Phase);
     rhs_overlap_finish(ctx, rhs_cfg, fluids, q, ws, rhs, plan);
     Ok(())
-}
-
-/// One full halo exchange: per axis, both directions, ship `ng` layers.
-#[allow(clippy::too_many_arguments)]
-fn exchange_halos(
-    ctx: &Context,
-    comm: &mut Comm,
-    cart: &CartComm,
-    q: &mut StateField,
-    staging: Staging,
-    mode: ExchangeMode,
-    stats: &mut CommStats,
-) {
-    let _span = ctx.span("halo_exchange", Category::Phase);
-    let dom = *q.domain();
-
-    for axis in 0..dom.eq.ndim() {
-        // dir = +1: send my high interior slab to the +1 neighbour, receive
-        // my low ghost slab from the -1 neighbour. Then the reverse.
-        match mode {
-            ExchangeMode::Sendrecv => {
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    let send_to = cart.neighbor(axis, send_dir);
-                    let recv_from = cart.neighbor(axis, -send_dir);
-                    let tag = (axis as u64) << 8 | tag;
-
-                    if let Some(dest) = send_to {
-                        let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
-                        comm.send(dest, tag, buf);
-                    }
-                    if let Some(src) = recv_from {
-                        let buf = comm.recv(src, tag);
-                        unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
-                    }
-                }
-            }
-            ExchangeMode::NonBlocking => {
-                // Post both receives first, then both sends, then drain —
-                // the MPI_Irecv/Isend/Waitall pattern.
-                let mut pending = Vec::new();
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(src) = cart.neighbor(axis, -send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        pending.push((send_dir, comm.irecv(src, tag)));
-                    }
-                }
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(dest) = cart.neighbor(axis, send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
-                        comm.isend(dest, tag, buf);
-                    }
-                }
-                for (send_dir, req) in pending {
-                    let buf = comm.wait(req);
-                    unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
-                }
-            }
-            ExchangeMode::Overlapped => {
-                unreachable!("overlapped exchange goes through overlapped_halo_rhs")
-            }
-        }
-    }
 }
 
 /// Pack the interior slab adjacent to the `send_dir` face of `axis`,
@@ -1923,6 +1577,7 @@ mod tests {
             failure_policy: FailurePolicy::Revive,
             spares: 0,
             ckpt_keep: 2,
+            output: None,
         };
         let (field, _) =
             run_distributed_resilient(&case, cfg, 2, 10, Staging::DeviceDirect, &opts).unwrap();
@@ -1975,6 +1630,7 @@ mod tests {
             failure_policy: FailurePolicy::Revive,
             spares: 0,
             ckpt_keep: 2,
+            output: None,
         };
         let err = run_distributed_resilient(&case, cfg, 2, 6, Staging::DeviceDirect, &opts)
             .expect_err("death without checkpoints cannot be recovered");
@@ -2028,6 +1684,7 @@ mod tests {
             failure_policy: FailurePolicy::Revive,
             spares: 0,
             ckpt_keep: 2,
+            output: None,
         };
         let (field, _) =
             run_distributed_resilient(&case, cfg, 2, 6, Staging::DeviceDirect, &opts).unwrap();
@@ -2097,25 +1754,23 @@ mod tests {
             }
             other => panic!("expected Decomposition error, got {other:?}"),
         }
-        // The resilient and output drivers reject it too.
+        // Called directly, with or without the output layer, the driver
+        // rejects it too.
         let dir = resil_dir("thin");
         let opts = ResilienceOpts::fault_free(&dir, 0);
         let err = run_distributed_resilient(&case, cfg, 8, 1, Staging::DeviceDirect, &opts)
             .expect_err("resilient driver must also reject thin ranks");
         assert!(matches!(err, ResilienceError::Decomposition { .. }));
-        let err = run_distributed_with_output(
-            &case,
-            cfg,
-            8,
-            1,
-            Staging::DeviceDirect,
-            ExchangeMode::Sendrecv,
-            &dir,
-            4,
-            0,
-            None,
-        )
-        .expect_err("output driver must also reject thin ranks");
+        let opts = ResilienceOpts {
+            output: Some(WaveOutput {
+                dir: dir.clone(),
+                wave_size: 4,
+                step_id: 0,
+            }),
+            ..opts
+        };
+        let err = run_distributed_resilient(&case, cfg, 8, 1, Staging::DeviceDirect, &opts)
+            .expect_err("the output layer does not change that");
         assert!(matches!(err, ResilienceError::Decomposition { .. }));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2153,6 +1808,7 @@ mod tests {
             failure_policy: FailurePolicy::Revive,
             spares: 0,
             ckpt_keep: 2,
+            output: None,
         };
         let (field, _) =
             run_distributed_resilient(&case, cfg, 2, 6, Staging::DeviceDirect, &opts).unwrap();

@@ -145,8 +145,10 @@ impl CheckpointHeader {
 }
 
 /// Path of rank `rank`'s checkpoint file for wave `wave` under `dir` —
-/// the per-rank naming used by the resilient driver
-/// ([`crate::par::run_distributed_resilient`]).
+/// the per-rank naming used by the distributed driver
+/// ([`crate::par::run_distributed_resilient`]), whose checkpoint layer
+/// writes one such file per rank every `checkpoint_every` steps. (Its
+/// wave-file *output* layer is separate: [`crate::par::WaveOutput`].)
 pub fn wave_path(dir: &Path, rank: usize, wave: u64) -> PathBuf {
     dir.join(format!("ckpt_r{rank}_w{wave}.bin"))
 }

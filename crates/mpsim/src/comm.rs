@@ -10,7 +10,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mfc_trace::{Category, CommOp, SpanGuard, TraceHandle};
@@ -176,6 +176,37 @@ impl Mailbox {
     }
 }
 
+/// Reusable barrier over the *current roster*: the caller supplies the
+/// arrival count that releases a generation ([`Comm::size`], on which all
+/// roster members agree), so idle hot spares and permanently dead ranks —
+/// which never arrive — cannot strand the survivors the way a barrier
+/// sized for the physical world would.
+#[derive(Debug, Default)]
+struct RosterBarrier {
+    /// (ranks arrived in this generation, generation counter).
+    state: Mutex<(usize, u64)>,
+    released: Condvar,
+}
+
+impl RosterBarrier {
+    fn wait(&self, parties: usize) {
+        let mut st = self.state.lock().expect("a rank panicked at a barrier");
+        st.0 += 1;
+        if st.0 >= parties {
+            *st = (0, st.1 + 1);
+            self.released.notify_all();
+        } else {
+            let gen = st.1;
+            while st.1 == gen {
+                st = self
+                    .released
+                    .wait(st)
+                    .expect("a rank panicked at a barrier");
+            }
+        }
+    }
+}
+
 /// One rank's handle into the simulated world.
 ///
 /// Mirrors the slice of the MPI API MFC uses. Receives match on
@@ -201,7 +232,7 @@ pub struct Comm {
     roster: Vec<usize>,
     mailboxes: Arc<Vec<Mailbox>>,
     pending: VecDeque<Message>,
-    barrier: Arc<Barrier>,
+    barrier: Arc<RosterBarrier>,
     faults: Option<Arc<FaultCtx>>,
     /// Recovery generation this rank currently runs in.
     gen: Cell<u64>,
@@ -462,10 +493,10 @@ impl Comm {
         self.recv_policied(source, recv_tag)
     }
 
-    /// Global synchronization (`MPI_Barrier`).
+    /// Synchronize the current epoch's roster (`MPI_Barrier`).
     pub fn barrier(&self) {
         let _span = self.trace_collective("barrier", 0);
-        self.barrier.wait();
+        self.barrier.wait(self.size());
     }
 
     /// Fault-aware barrier: message-based (star), so a dead or silent
@@ -722,7 +753,7 @@ impl World {
         let size = active + spares;
         let mailboxes: Arc<Vec<Mailbox>> =
             Arc::new((0..size).map(|_| Mailbox::default()).collect());
-        let barrier = Arc::new(Barrier::new(size));
+        let barrier = Arc::new(RosterBarrier::default());
 
         let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
         std::thread::scope(|scope| {

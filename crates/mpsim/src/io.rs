@@ -72,19 +72,22 @@ impl WaveWriter {
     /// Write this rank's `data` to its own file, in waves.
     ///
     /// Every rank must call this (it synchronizes on barriers). Returns the
-    /// wave index this rank wrote in.
+    /// wave index this rank wrote in. A rank whose own write fails still
+    /// reaches every barrier and reports the error afterwards — returning
+    /// early would strand its peers at the barrier.
     pub fn write(&self, comm: &Comm, dir: &Path, step: usize, data: &[f64]) -> io::Result<usize> {
         let _span = comm
             .tracer()
             .map(|t| t.span_bytes("io_wave_write", Category::Io, (data.len() * 8) as u64));
         let my_wave = comm.rank() / self.wave_size;
         let n_waves = comm.size().div_ceil(self.wave_size);
+        let mut written = Ok(());
         for wave in 0..n_waves {
             if wave == my_wave {
                 let t0 = Instant::now();
-                let mut f = File::create(Self::rank_path(dir, step, comm.rank()))?;
-                write_doubles(&mut f, data)?;
-                if let Some(t) = comm.tracer() {
+                written = File::create(Self::rank_path(dir, step, comm.rank()))
+                    .and_then(|mut f| write_doubles(&mut f, data));
+                if let (Ok(()), Some(t)) = (&written, comm.tracer()) {
                     t.io("wave_file", (data.len() * 8) as u64, t0);
                 }
             } else if wave < my_wave {
@@ -96,7 +99,7 @@ impl WaveWriter {
             // before the next begins.
             comm.barrier();
         }
-        Ok(my_wave)
+        written.map(|()| my_wave)
     }
 
     /// Read one rank's file back.
@@ -230,6 +233,47 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(waves, vec![0, 0, 1, 1, 2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_reaches_every_barrier_and_reports_afterwards() {
+        // Regression: rank 1's file cannot be created (a directory sits at
+        // its path). It used to return before its barriers, leaving ranks
+        // 0 and 2 waiting forever; now every rank returns and only rank 1
+        // carries the error.
+        let dir = tmpdir("wavefail");
+        std::fs::create_dir(WaveWriter::rank_path(&dir, 5, 1)).unwrap();
+        let outcomes = World::run(3, |c| {
+            WaveWriter::new(1)
+                .write(&c, &dir, 5, &[c.rank() as f64])
+                .is_ok()
+        });
+        assert_eq!(outcomes, vec![true, false, true]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn idle_spares_do_not_strand_the_wave_barriers() {
+        // The barrier spans the roster, not the physical world: a hot
+        // spare parked outside the decomposition never arrives at it.
+        use crate::fault::{FaultCtx, FaultPlan};
+        use std::sync::Arc;
+        let dir = tmpdir("wavespare");
+        let faults = Arc::new(FaultCtx::new_with_spares(FaultPlan::none(), 2, 1));
+        World::run_with_spares(2, 1, Arc::clone(&faults), |c| {
+            if c.is_spare() {
+                faults.board.spare_wait(c.phys_rank());
+                return;
+            }
+            WaveWriter::new(1)
+                .write(&c, &dir, 0, &[c.rank() as f64])
+                .unwrap();
+            faults.board.shutdown();
+        });
+        for rank in 0..2 {
+            assert_eq!(WaveWriter::read(&dir, 0, rank).unwrap(), vec![rank as f64]);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,8 +9,10 @@
 //!     Paraview/VisIt.
 
 use mfc::core::output::{postprocess_wave_files, write_vtk_rectilinear};
-use mfc::core::par::{run_distributed, run_distributed_with_output, ExchangeMode};
-use mfc::mpsim::Staging;
+use mfc::core::par::{
+    run_distributed, run_distributed_resilient, ExchangeMode, ResilienceOpts, WaveOutput,
+};
+use mfc::mpsim::{best_block_dims, Staging};
 use mfc::{presets, SolverConfig};
 
 fn main() {
@@ -27,19 +29,17 @@ fn main() {
     // The overlapped exchange hides the halo messages behind the interior
     // sweeps; the cross-check below proves it is bitwise identical to the
     // plain sendrecv gather path.
-    let dims = run_distributed_with_output(
-        &case,
-        cfg,
-        ranks,
-        steps,
-        Staging::DeviceDirect,
-        ExchangeMode::Overlapped,
-        &dir,
-        2, // waves of 2 writers (DEFAULT_WAVE_SIZE = 128 in production)
-        0, // output step id
-        None,
-    )
-    .unwrap();
+    let opts = ResilienceOpts {
+        exchange: ExchangeMode::Overlapped,
+        output: Some(WaveOutput {
+            dir: dir.clone(),
+            wave_size: 2, // waves of 2 writers (DEFAULT_WAVE_SIZE = 128 in production)
+            step_id: 0,
+        }),
+        ..ResilienceOpts::fault_free("", 0)
+    };
+    run_distributed_resilient(&case, cfg, ranks, steps, Staging::DeviceDirect, &opts).unwrap();
+    let dims = best_block_dims(ranks, case.cells);
     println!(
         "rank files written under {} (decomposition {dims:?})",
         dir.display()

@@ -67,6 +67,7 @@ fn run_with_plan(
         failure_policy: FailurePolicy::Revive,
         spares: 0,
         ckpt_keep: 2,
+        output: None,
     };
     let out = run_distributed_resilient(
         &presets::sod(32),
@@ -79,6 +80,81 @@ fn run_with_plan(
     .map(|(field, _)| field);
     std::fs::remove_dir_all(&dir).ok();
     (out, events)
+}
+
+#[test]
+fn wave_files_are_written_once_after_the_replay_bitwise_equal_to_fault_free() {
+    // The output layer runs after the last *accepted* step: a transient
+    // death mid-run is rolled back and replayed first, then every rank
+    // writes its wave file exactly once — the same bytes a fault-free run
+    // writes.
+    use mfc_core::par::WaveOutput;
+    use mfc_mpsim::WaveWriter;
+    use mfc_trace::{EventKind, Tracer};
+
+    let dir = ckpt_dir("waveout");
+    let run = |tag: &str, deaths: Vec<RankDeath>| {
+        let plan = FaultPlan {
+            deaths,
+            ..FaultPlan::none()
+        };
+        let tracer = Arc::new(Tracer::new());
+        let opts = ResilienceOpts {
+            faults: Some(Arc::new(
+                FaultCtx::new(plan, 2).with_detector(fast_detector()),
+            )),
+            trace: Some(Arc::clone(&tracer)),
+            output: Some(WaveOutput {
+                dir: dir.join(tag),
+                wave_size: 1,
+                step_id: STEPS,
+            }),
+            ..ResilienceOpts::fault_free(dir.join(format!("{tag}_ckpt")), 4)
+        };
+        let (field, _) = run_distributed_resilient(
+            &presets::sod(32),
+            SolverConfig::default(),
+            2,
+            STEPS,
+            mfc_mpsim::Staging::DeviceDirect,
+            &opts,
+        )
+        .expect("a transient death is recoverable");
+        assert_eq!(field.max_abs_diff(reference()), 0.0);
+        tracer.snapshot()
+    };
+    run("clean", Vec::new());
+    let traces = run(
+        "faulty",
+        vec![RankDeath {
+            rank: 1,
+            step: 6,
+            permanent: false,
+        }],
+    );
+    for rank in 0..2 {
+        assert_eq!(
+            std::fs::read(WaveWriter::rank_path(&dir.join("faulty"), STEPS, rank)).unwrap(),
+            std::fs::read(WaveWriter::rank_path(&dir.join("clean"), STEPS, rank)).unwrap(),
+            "rank {rank}: recovered wave file differs from the fault-free one"
+        );
+        let trace = traces.iter().find(|t| t.rank == rank).unwrap();
+        let names: Vec<&str> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Begin { name, .. } => Some(name),
+                _ => None,
+            })
+            .filter(|name| matches!(*name, "rollback" | "io_wave_write"))
+            .collect();
+        assert_eq!(
+            names,
+            ["rollback", "io_wave_write"],
+            "rank {rank}: one write, after the rollback"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -134,13 +134,15 @@ fn shock_on_stretched_grid_stays_stable_and_conservative_interiorwise() {
     let rhs_cfg = RhsConfig::default();
     for _ in 0..100 {
         mfc::core::state::cons_to_prim_field(&ctx, &fluids, &q, &mut ws.prim);
-        let dt = mfc::core::cfl::max_dt(
+        let dt = mfc::core::cfl::try_max_dt_geom(
             &ctx,
             &fluids,
             &ws.prim,
             [&widths[0], &widths[1], &widths[2]],
             0.5,
-        );
+            None,
+        )
+        .unwrap();
         rk_step(TimeScheme::Rk3, dt, &mut q, &mut rk, |q, rhs| {
             apply_bcs(&ctx, q, &bc, [(false, false); 3]);
             compute_rhs(&ctx, &rhs_cfg, &fluids, q, &mut ws, rhs);

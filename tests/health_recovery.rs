@@ -203,6 +203,7 @@ fn collective_ladder_matches_serial_ladder_bitwise() {
         failure_policy: FailurePolicy::Revive,
         spares: 0,
         ckpt_keep: 2,
+        output: None,
     };
     let (field, _) = run_distributed_resilient(
         &case,
@@ -223,6 +224,40 @@ fn collective_ladder_matches_serial_ladder_bitwise() {
         .events_of(ResilienceEventKind::HealthFault)
         .is_empty());
     assert!(!events.events_of(ResilienceEventKind::Retry).is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rejected_step_without_a_ladder_is_numerical_and_writes_no_wave_file() {
+    // The output layer sits behind the same collective health verdict as
+    // everything else: a blown-up state is a typed error on every rank,
+    // never a result on disk.
+    use mfc_core::par::{ResilienceError, WaveOutput};
+
+    let dir = tmp_dir("noladder_output");
+    let opts = ResilienceOpts {
+        output: Some(WaveOutput {
+            dir: dir.join("waves"),
+            wave_size: 1,
+            step_id: 30,
+        }),
+        ..ResilienceOpts::fault_free(&dir, 0)
+    };
+    let err = run_distributed_resilient(
+        &presets::sod(32),
+        overdriven_cfg(),
+        2,
+        30,
+        mfc_mpsim::Staging::DeviceDirect,
+        &opts,
+    )
+    .expect_err("an overdriven dt with no ladder must abort");
+    assert!(
+        matches!(err, ResilienceError::Numerical { .. }),
+        "expected a numerical abort, got {err:?}"
+    );
+    let written = std::fs::read_dir(dir.join("waves")).unwrap().count();
+    assert_eq!(written, 0, "no wave file may be written for a rejected run");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -296,6 +331,7 @@ fn corrupt_checkpoint_wave_is_skipped_during_rollback() {
         failure_policy: FailurePolicy::Revive,
         spares: 0,
         ckpt_keep: 2,
+        output: None,
     };
     let (field, _) = run_distributed_resilient(
         &case,

@@ -76,6 +76,52 @@ fn opts_for(
         failure_policy: policy,
         spares,
         ckpt_keep: 2,
+        output: None,
+    }
+}
+
+#[test]
+fn wave_files_follow_the_post_recovery_roster_under_both_policies() {
+    // The output layer's wave barriers span the *current* roster: after
+    // a shrink the three survivors write (and nobody waits for the dead
+    // rank); under `spare` the promoted spare writes slot 2's file and
+    // the idle second spare is not waited for either. Either way the
+    // files reassemble to the serial field.
+    use mfc_core::output::postprocess_wave_files;
+    use mfc_core::par::WaveOutput;
+    use mfc_mpsim::best_block_dims;
+
+    let case = presets::sod(64);
+    let cfg = SolverConfig::default();
+    let serial = run_single(&case, cfg, STEPS);
+    for (policy, spares, writers) in [(FailurePolicy::Shrink, 0, 3), (FailurePolicy::Spare, 2, 4)] {
+        let dir = tmp_dir(&format!("waves_{policy:?}"));
+        let faults = Arc::new(
+            FaultCtx::new_with_spares(perm_death_plan(), 4, spares).with_detector(detector()),
+        );
+        let events = Arc::new(Ledger::default());
+        let opts = ResilienceOpts {
+            output: Some(WaveOutput {
+                dir: dir.join("waves"),
+                wave_size: 2,
+                step_id: STEPS,
+            }),
+            ..opts_for(
+                &dir,
+                faults,
+                &events,
+                policy,
+                spares,
+                ExchangeMode::Sendrecv,
+            )
+        };
+        run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        let dims = best_block_dims(writers, case.cells);
+        let field = postprocess_wave_files(&dir.join("waves"), STEPS, case.cells, case.eq(), dims)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(field.max_abs_diff(&serial), 0.0, "{policy:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -14,9 +14,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mfc::core::case::presets;
-use mfc::core::par::{run_distributed, run_distributed_traced, ExchangeMode};
+use mfc::core::par::{
+    run_distributed, run_distributed_resilient, ExchangeMode, GlobalField, ResilienceOpts,
+};
 use mfc::core::rhs::RhsMode;
 use mfc::core::solver::{DtMode, SolverConfig};
+use mfc::core::CaseBuilder;
 use mfc::mpsim::Staging;
 use mfc::trace::{chrome, nesting, reconcile_trace, splits, Tracer};
 use mfc_cli::{run_case, CaseFile};
@@ -28,6 +31,25 @@ fn cfg_for(mode: RhsMode) -> SolverConfig {
     };
     cfg.rhs.mode = mode;
     cfg
+}
+
+/// The driver with only its trace layer on.
+fn run_traced(
+    case: &CaseBuilder,
+    cfg: SolverConfig,
+    ranks: usize,
+    steps: usize,
+    exchange: ExchangeMode,
+    tracer: &Arc<Tracer>,
+) -> GlobalField {
+    let opts = ResilienceOpts {
+        trace: Some(Arc::clone(tracer)),
+        exchange,
+        ..ResilienceOpts::fault_free("", 0)
+    };
+    let (field, _) =
+        run_distributed_resilient(case, cfg, ranks, steps, Staging::DeviceDirect, &opts).unwrap();
+    field
 }
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -74,13 +96,22 @@ fn traced_two_rank_sod_exports_valid_reconciling_chrome_trace() {
     reconcile_trace(&parsed)
         .expect("traced per-kernel totals must match the analytic ledger exactly");
 
-    // The wave-throttled I/O shows up: every rank carries the write span
-    // and its file-write leaf.
+    // The fault-free step phases and the wave-throttled I/O show up:
+    // every rank carries the spans and the file-write leaf.
     for (rank, events) in &parsed.ranks {
-        assert!(
-            events.iter().any(|e| e.name == "io_wave_write"),
-            "rank {rank} lacks the io_wave_write span"
-        );
+        for span in [
+            "step",
+            "dt_reduce",
+            "rk_stages",
+            "halo_exchange",
+            "health_verdict",
+            "io_wave_write",
+        ] {
+            assert!(
+                events.iter().any(|e| e.name == span),
+                "rank {rank} lacks the {span} span"
+            );
+        }
         assert!(
             events
                 .iter()
@@ -107,16 +138,7 @@ fn tracer_attachment_is_bitwise_transparent() {
     let cfg = cfg_for(RhsMode::Fused);
     let (plain, _) = run_distributed(&case, cfg, 2, 6, Staging::DeviceDirect).unwrap();
     let tracer = Arc::new(Tracer::new());
-    let (traced, _) = run_distributed_traced(
-        &case,
-        cfg,
-        2,
-        6,
-        Staging::DeviceDirect,
-        ExchangeMode::Sendrecv,
-        Some(Arc::clone(&tracer)),
-    )
-    .unwrap();
+    let traced = run_traced(&case, cfg, 2, 6, ExchangeMode::Sendrecv, &tracer);
     assert_eq!(
         plain.max_abs_diff(&traced),
         0.0,
@@ -135,16 +157,7 @@ fn overlapped_run_traces_hidden_and_exposed_comm() {
     let case = presets::sod(64);
     let cfg = cfg_for(RhsMode::Fused);
     let tracer = Arc::new(Tracer::new());
-    let (traced, _) = run_distributed_traced(
-        &case,
-        cfg,
-        2,
-        6,
-        Staging::DeviceDirect,
-        ExchangeMode::Overlapped,
-        Some(Arc::clone(&tracer)),
-    )
-    .unwrap();
+    let traced = run_traced(&case, cfg, 2, 6, ExchangeMode::Overlapped, &tracer);
     let (plain, _) = run_distributed(&case, cfg, 2, 6, Staging::DeviceDirect).unwrap();
     assert_eq!(traced.max_abs_diff(&plain), 0.0);
 
@@ -201,7 +214,7 @@ proptest! {
         ny_2d in 6usize..12,
         rank_sel in 0usize..3,
         fused in proptest::bool::ANY,
-        exchange_sel in 0usize..3,
+        overlapped in proptest::bool::ANY,
         steps in 1usize..4,
     ) {
         let ny = if two_d { ny_2d } else { 1 };
@@ -209,22 +222,13 @@ proptest! {
         let ndim = if ny == 1 { 1 } else { 2 };
         let case = presets::two_phase_benchmark(ndim, [nx, ny, 1]);
         let mode = if fused { RhsMode::Fused } else { RhsMode::Staged };
-        let exchange = [
-            ExchangeMode::Sendrecv,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Overlapped,
-        ][exchange_sel];
+        let exchange = if overlapped {
+            ExchangeMode::Overlapped
+        } else {
+            ExchangeMode::Sendrecv
+        };
         let tracer = Arc::new(Tracer::new());
-        run_distributed_traced(
-            &case,
-            cfg_for(mode),
-            ranks,
-            steps,
-            Staging::DeviceDirect,
-            exchange,
-            Some(Arc::clone(&tracer)),
-        )
-        .unwrap();
+        run_traced(&case, cfg_for(mode), ranks, steps, exchange, &tracer);
 
         let traces = tracer.snapshot();
         prop_assert_eq!(traces.len(), ranks);
