@@ -44,5 +44,5 @@ pub use report::{hot_kernel_share, kernel_summary, resilience_summary, transfer_
 pub use shared::ParSlice;
 pub use vector::{
     hw_lane_width, validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64,
-    DEFAULT_WIDTH, MAX_WIDTH,
+    DEFAULT_WIDTH, MAX_WIDTH, MAX_WORKERS,
 };

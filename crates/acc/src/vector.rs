@@ -44,6 +44,11 @@ pub fn validate_width(w: usize) -> Result<(), String> {
     }
 }
 
+/// Largest admissible worker (gang) count per context. Every launch fans
+/// out to this many threads, so the bound is a resource limit of the
+/// process, not a tuning setting.
+pub const MAX_WORKERS: usize = 256;
+
 /// Lane width the host's SIMD units can actually retire per FP
 /// instruction, from the compile-time target features (8 under AVX-512, 4
 /// under AVX/AVX2, 2 under baseline x86-64 SSE2 or NEON, else 1). The

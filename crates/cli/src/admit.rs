@@ -1,0 +1,340 @@
+//! Admission: the one place that decides whether a case may run (MFC's
+//! `m_checker`). [`admit`] is the only constructor of [`Admitted`] and an
+//! `Admitted` the only way into [`Admitted::run`], so `mfc-run`, `mfc-run
+//! --dry-run`, `mfc-post --case` and `mfc-sched` admission cannot disagree
+//! about a case. `admit` steps nothing, creates no directory and writes
+//! no file; it reads the plan and ladder files the run names, once.
+//!
+//! One line per rule, with what breaking it used to do. All are
+//! [`RunError::Config`] (exit 2) unless marked:
+//!
+//! - [`CaseFile::to_case`] lowers: 1..=`MAX_FLUIDS` fluids, `ndim` 1..=3,
+//!   a patch, one `alpha`/`rho` per fluid summing to 1 — EOS array panics
+//! - [`crate::NumericsConfig::to_solver_config`] lowers: known scheme,
+//!   `vector_width` a power of two ≤ 8 — `Context::with_vector_width`
+//! - `patches[0]` is the `all` background — `CaseBuilder::state_at` expect
+//! - `half_space.axis` is active — index panic in `Region::contains`
+//! - `numerics.cfl` in (0, 1] — assert in `cfl::try_max_dt_geom`
+//! - `numerics.dt`, `run.t_end` finite and > 0 — a run that never ends
+//! - `numerics.workers` ≤ [`MAX_WORKERS`] — thread exhaustion
+//! - geometry fits `ndim` and has a radial `lo` ≥ 0 — `axisym.rs` asserts
+//! - `lo` < `hi`, finite, cells wider than rounding, on every axis (an
+//!   inactive axis still gets a one-cell grid) — `grid.rs` asserts
+//! - `run.steps` or `run.t_end` set; `io.wave` ≥ 1
+//! - ranks ≤ cells and blocks ≥ the halo depth on every active axis — an
+//!   unbounded `best_block_dims` search; `Domain::new` assert
+//! - a distributed run takes `run.steps`, not `run.t_end`, and no probes
+//!   (they were silently dropped); every probe lies inside the domain —
+//!   `ProbeSet::new` assert
+//! - the fault plan parses and fits the rank count, the recovery ladder
+//!   parses (unreadable file: [`RunError::Io`], exit 3)
+
+use std::path::{Path, PathBuf};
+
+use mfc_acc::MAX_WORKERS;
+use mfc_core::axisym::Geometry;
+use mfc_core::case::{CaseBuilder, Region};
+use mfc_core::par::ExchangeMode;
+use mfc_core::probes::Probe;
+use mfc_core::recovery::RecoveryPolicy;
+use mfc_core::solver::SolverConfig;
+use mfc_mpsim::{best_block_dims, validate_halo_extents, FailurePolicy, FaultPlan};
+
+use crate::schema::{CaseFile, IoConfig, OutputConfig};
+use crate::RunError;
+
+pub(crate) mod run;
+
+/// What admission checks, for the `--help` texts; kept beside the rules.
+pub const ADMISSION_RULES: &str = "\
+admission (mfc-run, --dry-run / --validate, mfc-post --case and mfc-serve
+apply the same checks; a refused case is exit 2 and nothing is written):
+  schema       1..=8 fluids, ndim 1..=3, patches[0] the `all` background,
+               one alpha/rho per fluid summing to 1, half_space on an
+               active axis
+  numerics     known scheme, vector_width a power of two <= 8, cfl in
+               (0, 1], fixed dt finite and > 0, workers <= 256
+  geometry     axisymmetric needs ndim >= 2, cylindrical3_d ndim = 3, both
+               a radial lo >= 0; lo < hi and finite on every axis
+  stopping     run.steps or run.t_end (finite, > 0); a distributed run
+               (ranks > 1, checkpoint_every > 0 or a fault plan) needs
+               run.steps and takes no probes
+  layout       ranks <= cells, blocks at least the halo depth wide on
+               every active axis, io.wave >= 1, probes inside the domain
+  files        fault plan and recovery ladder parse and fit the rank
+               count (unreadable: exit 3)
+";
+
+/// A case that passed every admission rule, lowered and ready to run.
+/// Built only by [`admit`]; nothing in it can be changed afterwards.
+#[derive(Debug, Clone)]
+pub struct Admitted {
+    name: String,
+    case: CaseBuilder,
+    cfg: SolverConfig,
+    ranks: usize,
+    dims: [usize; 3],
+    ghost_layers: usize,
+    /// Step budget (0 = none) and end time; see [`Admitted::finished`].
+    steps: usize,
+    t_end: Option<f64>,
+    distributed: bool,
+    plan: FaultPlan,
+    recovery: Option<RecoveryPolicy>,
+    checkpoint_every: u64,
+    ckpt_keep: usize,
+    failure_policy: FailurePolicy,
+    spares: usize,
+    exchange: ExchangeMode,
+    trace: Option<PathBuf>,
+    output: OutputConfig,
+    io: IoConfig,
+    probes: Vec<Probe>,
+}
+
+impl Admitted {
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The lowered case (global extents, fluids, patches, boundaries).
+    pub fn case(&self) -> &CaseBuilder {
+        &self.case
+    }
+
+    pub fn solver_config(&self) -> SolverConfig {
+        self.cfg
+    }
+
+    /// Simulated ranks (at least 1).
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    /// Rank decomposition of the grid.
+    pub fn dims(&self) -> [usize; 3] {
+        self.dims
+    }
+
+    /// Whether [`Admitted::run`] uses the distributed driver: more than
+    /// one rank, a checkpoint period, or a fault plan. Everything else is
+    /// the serial `Solver`.
+    pub fn distributed(&self) -> bool {
+        self.distributed
+    }
+
+    /// The stopping rule: whether a solver that has taken `steps` steps to
+    /// time `t` is done — the step budget or `t_end`, whichever is first.
+    pub fn finished(&self, steps: u64, t: f64) -> bool {
+        (self.steps != 0 && steps >= self.steps as u64) || self.t_end.is_some_and(|end| t >= end)
+    }
+
+    /// Where a distributed run with `io.wave_files` puts its wave files.
+    pub fn wave_dir(&self) -> PathBuf {
+        self.output.dir.join("waves")
+    }
+
+    /// What admission established, as `mfc-run --dry-run` prints it.
+    pub fn report(&self) -> String {
+        format!(
+            "case '{}' admissible: {:?} cells x {} eqs, {} rank(s) as {:?} ({} ghost layers), \
+             {} worker(s), vector width {}, {}",
+            self.name,
+            self.case.cells,
+            self.case.eq().neq(),
+            self.ranks,
+            self.dims,
+            self.ghost_layers,
+            self.cfg.workers,
+            self.cfg.vector_width,
+            match self.t_end {
+                Some(t) => format!("until t = {t:.4e}"),
+                None => format!("{} steps", self.steps),
+            }
+        )
+    }
+}
+
+/// Check `case_file` against every admission rule (module docs) and lower
+/// it. Never steps the solver, creates a directory or writes a file.
+pub fn admit(case_file: &CaseFile) -> Result<Admitted, RunError> {
+    let case = case_file.to_case().map_err(RunError::Config)?;
+    let cfg = case_file
+        .numerics
+        .to_solver_config()
+        .map_err(RunError::Config)?;
+    let run = &case_file.run;
+    let ranks = run.ranks.max(1);
+    let distributed = ranks > 1 || run.checkpoint_every > 0 || run.faults.is_some();
+    let ghost_layers = cfg.rhs.order.ghost_layers().max(1);
+    let dims =
+        check_case(case_file, &case, ranks, distributed, ghost_layers).map_err(RunError::Config)?;
+
+    let plan = match &run.faults {
+        Some(path) => FaultPlan::from_json(&read_named(path, "fault plan")?)
+            .map_err(|e| RunError::Config(format!("bad fault plan: {e}")))?,
+        None => FaultPlan::none(),
+    };
+    plan.validate_for(ranks)
+        .map_err(|e| RunError::Config(format!("bad fault plan: {e}")))?;
+    // Recovery ladder: an explicit file, or the default ladder when only
+    // a retry budget is given.
+    let mut recovery: Option<RecoveryPolicy> = match &run.recovery {
+        Some(path) => Some(
+            serde_json::from_str(&read_named(path, "recovery ladder")?)
+                .map_err(|e| RunError::Config(format!("bad recovery ladder: {e}")))?,
+        ),
+        None => None,
+    };
+    if let Some(n) = run.max_retries {
+        recovery
+            .get_or_insert_with(RecoveryPolicy::default)
+            .max_retries = n;
+    }
+
+    Ok(Admitted {
+        name: case_file.name.clone(),
+        case,
+        cfg,
+        ranks,
+        dims,
+        ghost_layers,
+        steps: run.steps,
+        t_end: run.t_end,
+        distributed,
+        plan,
+        recovery,
+        checkpoint_every: run.checkpoint_every,
+        ckpt_keep: run.ckpt_keep,
+        failure_policy: run.failure_policy,
+        spares: run.spares,
+        exchange: case_file.numerics.exchange(),
+        trace: run.trace.clone(),
+        output: case_file.output.clone(),
+        io: case_file.io.clone(),
+        probes: case_file.probes.clone(),
+    })
+}
+
+/// [`admit`], reporting what it established instead of running it.
+pub fn dry_run(case_file: &CaseFile) -> Result<String, RunError> {
+    admit(case_file).map(|a| a.report())
+}
+
+fn read_named(path: &Path, what: &str) -> Result<String, RunError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| RunError::Io(format!("cannot read {what} {path:?}: {e}")))
+}
+
+/// One admission rule: refuse with the formatted message unless `$ok`
+/// (a comparison with NaN is false, so NaN refuses).
+macro_rules! require {
+    ($ok:expr, $($msg:tt)+) => {
+        if $ok {
+        } else {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+/// The rules on the case's own values (`case` is `cf` lowered); returns
+/// the rank decomposition, whose blocks must be at least `ng` cells wide
+/// along every active axis, on one rank as on many.
+fn check_case(
+    cf: &CaseFile,
+    case: &CaseBuilder,
+    ranks: usize,
+    distributed: bool,
+    ng: usize,
+) -> Result<[usize; 3], String> {
+    let (ndim, num, run) = (case.ndim, &cf.numerics, &cf.run);
+    require!(
+        matches!(cf.patches[0].region, Region::All),
+        "patches[0] must be the `all` background region: every cell needs a state before \
+         later patches overwrite it"
+    );
+    for (i, p) in cf.patches.iter().enumerate() {
+        let inactive = matches!(p.region, Region::HalfSpace { axis, .. } if axis >= ndim);
+        require!(
+            !inactive,
+            "patch {i}: half_space is not on an active axis (ndim = {ndim})"
+        );
+    }
+
+    let cfl = num.cfl;
+    require!(
+        cfl > 0.0 && cfl <= 1.0,
+        "numerics.cfl must be in (0, 1], got {cfl}"
+    );
+    for (key, v) in [("numerics.dt", num.dt), ("run.t_end", run.t_end)] {
+        let Some(v) = v else { continue };
+        require!(
+            v.is_finite() && v > 0.0,
+            "{key} must be finite and positive, got {v}"
+        );
+    }
+    require!(
+        num.workers <= MAX_WORKERS,
+        "numerics.workers = {} exceeds the limit of {MAX_WORKERS}",
+        num.workers
+    );
+    let min_ndim = match num.geometry {
+        Geometry::Cartesian => 1,
+        Geometry::Axisymmetric => 2,
+        Geometry::Cylindrical3D => 3,
+    };
+    require!(
+        ndim >= min_ndim,
+        "geometry {} needs ndim >= {min_ndim}, got ndim = {ndim}",
+        serde_json::to_string(&num.geometry).unwrap_or_default()
+    );
+    require!(
+        !num.geometry.has_radial_axis() || case.lo[1] >= 0.0,
+        "the radial axis must start at r >= 0, got lo[1] = {}",
+        case.lo[1]
+    );
+    for d in 0..3 {
+        let (lo, hi, n) = (case.lo[d], case.hi[d], case.cells[d]);
+        let dx = (hi - lo) / n as f64;
+        // Faces are lo + i dx: they stay distinct only while dx clears
+        // the rounding of the larger bound.
+        require!(
+            dx.is_finite() && dx > 4.0 * f64::EPSILON * lo.abs().max(hi.abs()),
+            "axis {d}: lo = {lo}, hi = {hi} over {n} cells is not an increasing, finite, \
+             resolvable extent (need lo < hi)"
+        );
+    }
+
+    require!(
+        run.steps != 0 || run.t_end.is_some(),
+        "run.steps or run.t_end must be set"
+    );
+    require!(cf.io.wave != 0, "io.wave must be at least 1");
+    const DRIVER: &str =
+        "the distributed driver (run.ranks > 1, run.checkpoint_every or run.faults)";
+    require!(
+        !distributed || run.t_end.is_none(),
+        "run.t_end is not supported by {DRIVER}; use run.steps"
+    );
+    require!(
+        !distributed || cf.probes.is_empty(),
+        "probes are sampled by the serial solver only, not by {DRIVER}"
+    );
+    for p in &cf.probes {
+        require!(
+            (0..ndim).all(|d| (case.lo[d]..=case.hi[d]).contains(&p.x[d])),
+            "probe '{}' at {:?} lies outside the domain",
+            p.name,
+            p.x
+        );
+    }
+
+    let cells: f64 = case.cells.iter().map(|&n| n as f64).product();
+    require!(
+        ranks as f64 <= cells,
+        "decomposition: run.ranks = {ranks} exceeds the grid's {cells} cells"
+    );
+    let dims = best_block_dims(ranks, case.cells);
+    validate_halo_extents(dims, case.cells, ndim, ng).map_err(|e| e.to_string())?;
+    Ok(dims)
+}

@@ -10,18 +10,18 @@
 //! mfc-post --case <case.json> <step> <out.vtk>
 //! ```
 //!
-//! The `--case` form re-derives the wave directory, global extents, and
-//! rank decomposition from the case file that produced the run. Because
+//! The `--case` form admits the case file that produced the run exactly
+//! as `mfc-run` did and takes the wave directory, global extents and
+//! rank decomposition from that admission. Because
 //! post-processing is a pure byte reshuffle — no kernels run — a case
 //! file that explicitly pins `numerics.vector_width` is rejected here as
 //! a config error: the key cannot affect this tool's output and its
 //! presence usually means the wrong file was passed.
 
-use mfc_cli::CaseFile;
+use mfc_cli::{admit, vtk_fields, CaseFile};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::grid::Grid;
 use mfc_core::output::{postprocess_wave_files, write_vtk_rectilinear};
-use mfc_mpsim::best_block_dims;
 
 const USAGE: &str = "usage: mfc-post <dir> <step> <nx> <ny> <nz> <nfluids> <ndim> <px> <py> <pz> <out.vtk>\n       mfc-post --case <case.json> <step> <out.vtk>";
 
@@ -40,8 +40,8 @@ struct PostJob {
     out: std::path::PathBuf,
 }
 
-/// The `--case` form: everything about the run geometry comes from the
-/// case file, exactly as `mfc-run` derived it.
+/// The `--case` form: everything about the run geometry comes from
+/// admitting the case file, exactly as `mfc-run` did.
 fn job_from_case(args: &[String]) -> PostJob {
     if args.len() != 3 {
         die("--case needs <case.json> <step> <out.vtk>");
@@ -50,6 +50,11 @@ fn job_from_case(args: &[String]) -> PostJob {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("error: cannot read {}: {e}", path.display());
         std::process::exit(3);
+    });
+    let case = CaseFile::from_json(&text).unwrap_or_else(|e| die(&e));
+    let admitted = admit(&case).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(e.exit_code());
     });
     // Post-processing runs no kernels, so a case that explicitly pins
     // the SIMD lane width is using the wrong knob for this tool.
@@ -64,17 +69,15 @@ fn job_from_case(args: &[String]) -> PostJob {
              (no kernels run); remove it from the case file or use \
              `mfc-run --vector-width`");
     }
-    let case = CaseFile::from_json(&text).unwrap_or_else(|e| die(&e));
-    let builder = case.to_case().unwrap_or_else(|e| die(&e));
     let step = args[1].parse::<usize>().unwrap_or_else(|_| {
         die(&format!("'{}' is not a non-negative integer", args[1]));
     });
     PostJob {
-        dir: case.output.dir.join("waves"),
+        dir: admitted.wave_dir(),
         step,
-        n: case.cells,
-        eq: builder.eq(),
-        dims: best_block_dims(case.run.ranks, case.cells),
+        n: admitted.case().cells,
+        eq: admitted.case().eq(),
+        dims: admitted.dims(),
         out: std::path::PathBuf::from(&args[2]),
     }
 }
@@ -138,17 +141,7 @@ fn main() {
     // Unit-box grid: cell extents are what visualization needs; physical
     // extents can be rescaled in the viewer.
     let grid = Grid::uniform(n, [0.0; 3], [1.0, 1.0, 1.0]);
-    let mut fields: Vec<(String, usize)> = Vec::new();
-    for f in 0..eq.nf() {
-        fields.push((format!("alpha_rho_{f}"), eq.cont(f)));
-    }
-    for d in 0..eq.ndim() {
-        fields.push((format!("momentum_{d}"), eq.mom(d)));
-    }
-    fields.push(("energy".to_string(), eq.energy()));
-    for a in 0..eq.n_adv() {
-        fields.push((format!("alpha_{a}"), eq.adv(a)));
-    }
+    let fields = vtk_fields(&eq);
     let refs: Vec<(&str, usize)> = fields.iter().map(|(s, i)| (s.as_str(), *i)).collect();
     if let Err(e) = write_vtk_rectilinear(&out, &grid, &gf, &refs) {
         eprintln!("error writing {}: {e}", out.display());

@@ -1,7 +1,7 @@
 //! `mfc-run <case.json>` — execute a JSON case file.
 
-use mfc_cli::{dry_run, run_case, CaseFile, RunError};
-use mfc_core::rhs::RhsMode;
+use mfc_cli::{admit, CaseFile, RunError, ADMISSION_RULES};
+use mfc_mpsim::FailurePolicy;
 
 const USAGE: &str = "usage: mfc-run <case.json> [--validate] [--dry-run] \
 [--rhs-mode staged|fused] [--overlap] [--workers N] [--vector-width N] \
@@ -17,13 +17,12 @@ usage: mfc-run <case.json> [flags]
 
 flags:
   --help                 print this help and exit
-  --validate             parse and validate the case, run nothing
-  --dry-run              full admission-grade validation without stepping:
-                         schema, solver configuration, stopping criteria,
-                         rank decomposition + halo extents, worker /
-                         vector-width bounds, fault-plan and recovery
-                         files; exits 0 (valid) or 2 (invalid). The same
-                         check mfc-serve applies before admitting a job
+  --dry-run, --validate  admit the case (every check listed under
+                         'admission' below) and report what was
+                         established, without stepping or writing
+                         anything: exit 0 (admissible), 2 (refused) or 3
+                         (a named plan/ladder file is unreadable). The two
+                         spellings are one code path
   --rhs-mode MODE        sweep engine: 'staged' grid-sized buffers or the
                          'fused' pencil engine (default; bitwise identical)
   --overlap              distributed runs: overlap the halo exchange with
@@ -72,7 +71,9 @@ flags:
                          for mfc-post; this combines with checkpointing,
                          fault plans and the recovery ladder, and a wave
                          file that cannot be written is exit 3
+";
 
+const EXIT_CODES: &str = "\
 exit codes:
   0  success
   2  usage error or invalid case/configuration
@@ -81,207 +82,88 @@ exit codes:
   4  numerical failure (health-watchdog abort after ladder exhaustion)
 ";
 
+/// Parse a strictly positive count.
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
+}
+
+/// Apply value-taking flag `name` to the loaded case file; `None` when
+/// `v` is missing or not a value the flag can take. Range and consistency
+/// rules are admission's, not the flag's.
+fn apply(c: &mut CaseFile, name: &str, v: Option<&str>) -> Option<()> {
+    match name {
+        // The case file's own spelling of `numerics.mode`: staged | fused.
+        "--rhs-mode" => c.numerics.mode = serde_json::from_str(&format!("\"{}\"", v?)).ok()?,
+        "--workers" => c.numerics.workers = positive(v?)?,
+        "--vector-width" => c.numerics.vector_width = v?.parse().ok()?,
+        "--faults" => c.run.faults = Some(v?.into()),
+        "--checkpoint-every" => c.run.checkpoint_every = v?.parse().ok()?,
+        "--ckpt-keep" => c.run.ckpt_keep = positive(v?)?,
+        "--failure-policy" => c.run.failure_policy = FailurePolicy::from_flag(v?).ok()?,
+        "--spares" => c.run.spares = v?.parse().ok()?,
+        "--recovery" => c.run.recovery = Some(v?.into()),
+        "--max-retries" => c.run.max_retries = Some(v?.parse().ok()?),
+        "--trace" => c.run.trace = Some(v?.into()),
+        "--io-wave" => c.io.wave = positive(v?)?,
+        _ if name.starts_with("--") => die(&format!("unknown flag {name}")),
+        _ => die("only one case file may be given"),
+    }
+    Some(())
+}
+
+/// Flags that take no value; every other `--flag` consumes the next
+/// argument.
+const SWITCHES: [&str; 3] = ["--validate", "--dry-run", "--overlap"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut validate_only = false;
-    let mut dry_run_only = false;
-    let mut overlap = false;
-    let mut workers: Option<usize> = None;
-    let mut vector_width: Option<usize> = None;
-    let mut rhs_mode: Option<RhsMode> = None;
-    let mut faults: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut recovery: Option<String> = None;
-    let mut ckpt_keep: Option<usize> = None;
-    let mut failure_policy: Option<mfc_mpsim::FailurePolicy> = None;
-    let mut spares: Option<usize> = None;
-    let mut max_retries: Option<u32> = None;
-    let mut trace: Option<String> = None;
-    let mut io_wave: Option<usize> = None;
-    let mut path: Option<String> = None;
-
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{HELP}\n{ADMISSION_RULES}\n{EXIT_CODES}");
+        return;
+    }
+    // Locate the case file first (skipping flag values), so every flag
+    // can then be applied to the loaded case as it is parsed.
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{HELP}");
-                return;
-            }
-            "--validate" => validate_only = true,
-            "--dry-run" => dry_run_only = true,
-            "--overlap" => overlap = true,
-            "--vector-width" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => match mfc_acc::validate_width(n) {
-                    Ok(()) => vector_width = Some(n),
-                    Err(e) => die(&format!("--vector-width: {e}")),
-                },
-                _ => die("--vector-width needs a lane count (power of two, <=8)"),
-            },
-            "--workers" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => workers = Some(n),
-                _ => die("--workers needs a positive thread count"),
-            },
-            "--rhs-mode" => match it.next().map(String::as_str) {
-                Some("staged") => rhs_mode = Some(RhsMode::Staged),
-                Some("fused") => rhs_mode = Some(RhsMode::Fused),
-                _ => die("--rhs-mode needs 'staged' or 'fused'"),
-            },
-            "--faults" => match it.next() {
-                Some(v) => faults = Some(v.clone()),
-                None => die("--faults needs a plan file"),
-            },
-            "--checkpoint-every" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => checkpoint_every = Some(n),
-                _ => die("--checkpoint-every needs a step count"),
-            },
-            "--ckpt-keep" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => ckpt_keep = Some(n),
-                _ => die("--ckpt-keep needs a positive wave count"),
-            },
-            "--failure-policy" => match it.next() {
-                Some(v) => match mfc_mpsim::FailurePolicy::from_flag(v) {
-                    Ok(p) => failure_policy = Some(p),
-                    Err(e) => die(&e),
-                },
-                None => die("--failure-policy needs 'revive', 'shrink', or 'spare'"),
-            },
-            "--spares" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => spares = Some(n),
-                _ => die("--spares needs a rank count"),
-            },
-            "--recovery" => match it.next() {
-                Some(v) => recovery = Some(v.clone()),
-                None => die("--recovery needs a ladder file"),
-            },
-            "--max-retries" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => max_retries = Some(n),
-                _ => die("--max-retries needs a retry count"),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace = Some(v.clone()),
-                None => die("--trace needs an output path"),
-            },
-            "--io-wave" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => io_wave = Some(n),
-                _ => die("--io-wave needs a positive wave width"),
-            },
-            other if other.starts_with("--") => die(&format!("unknown flag {other}")),
-            other => {
-                if path.replace(other.to_string()).is_some() {
-                    die("only one case file may be given");
-                }
-            }
+    let mut path = None;
+    while let (None, Some(arg)) = (path, it.next()) {
+        if !arg.starts_with("--") {
+            path = Some(arg);
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            it.next();
         }
     }
     let Some(path) = path else {
         eprintln!("{USAGE}");
-        eprintln!("see `mfc-run --help` or crates/cli/src/lib.rs for the schema");
+        eprintln!("see `mfc-run --help` or crates/cli/src/schema.rs for the schema");
         std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: i/o failure: cannot read {path}: {e}");
-            std::process::exit(3);
-        }
-    };
-    let mut case = match CaseFile::from_json(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: invalid configuration: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&RunError::Io(format!("cannot read {path}: {e}"))));
+    let mut case = CaseFile::from_json(&text).unwrap_or_else(|e| {
+        eprintln!("error: invalid configuration: {e}");
+        std::process::exit(2)
+    });
+
     // Command-line flags override the case file.
-    if let Some(mode) = rhs_mode {
-        case.numerics.mode = mode;
-    }
-    if overlap {
-        case.numerics.overlap = true;
-    }
-    if let Some(n) = workers {
-        case.numerics.workers = n;
-    }
-    if let Some(w) = vector_width {
-        case.numerics.vector_width = w;
-    }
-    if let Some(plan) = faults {
-        case.run.faults = Some(plan.into());
-    }
-    if let Some(every) = checkpoint_every {
-        case.run.checkpoint_every = every;
-    }
-    if let Some(ladder) = recovery {
-        case.run.recovery = Some(ladder.into());
-    }
-    if let Some(n) = ckpt_keep {
-        case.run.ckpt_keep = n;
-    }
-    if let Some(p) = failure_policy {
-        case.run.failure_policy = p;
-    }
-    if let Some(n) = spares {
-        case.run.spares = n;
-    }
-    if let Some(n) = max_retries {
-        case.run.max_retries = Some(n);
-    }
-    if let Some(t) = trace {
-        case.run.trace = Some(t.into());
-    }
-    if let Some(w) = io_wave {
-        case.io.wave = w;
-    }
-    if dry_run_only {
-        match dry_run(&case) {
-            Ok(r) => {
-                println!(
-                    "case '{}' admissible: {:?} cells x {} eqs, {} rank(s) as {:?} \
-                     ({} ghost layers), {} worker(s), vector width {}, {}",
-                    r.name,
-                    r.cells,
-                    r.neq,
-                    r.ranks,
-                    r.dims,
-                    r.ghost_layers,
-                    r.workers,
-                    r.vector_width,
-                    match r.t_end {
-                        Some(t) => format!("until t = {t:.4e}"),
-                        None => format!("{} steps", r.steps),
-                    }
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(match e {
-                    RunError::Io(_) => 3,
-                    _ => 2,
-                });
+    let mut admit_only = false;
+    let mut it = args.iter().filter(|a| !std::ptr::eq(*a, path));
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--validate" | "--dry-run" => admit_only = true,
+            "--overlap" => case.numerics.overlap = true,
+            name => {
+                let value = it.next().map(String::as_str);
+                if apply(&mut case, name, value).is_none() {
+                    die(&format!("{name} needs a value it accepts"));
+                }
             }
         }
     }
-    if validate_only {
-        match case
-            .to_case()
-            .and_then(|_| case.numerics.to_solver_config())
-        {
-            Ok(_) => {
-                println!(
-                    "case '{}' is valid ({:?} cells, {} fluids, {} patches)",
-                    case.name,
-                    case.cells,
-                    case.fluids.len(),
-                    case.patches.len()
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: invalid configuration: {e}");
-                std::process::exit(2);
-            }
-        }
+
+    let admitted = admit(&case).unwrap_or_else(|e| fail(&e));
+    if admit_only {
+        println!("{}", admitted.report());
+        return;
     }
     println!(
         "running case '{}' ({:?} cells, {} fluids)",
@@ -289,32 +171,26 @@ fn main() {
         case.cells,
         case.fluids.len()
     );
-    match run_case(&case) {
-        Ok(s) => {
-            println!(
-                "done: {} steps, t = {:.4e}, {} cells, grind {:.1} ns/cell/PDE/RHS",
-                s.steps, s.time, s.cells, s.grind_ns
-            );
-            if !s.resilience.is_empty() {
-                println!("resilience events:");
-                print!("{}", s.resilience);
-            }
-            if let Some(p) = s.vtk_path {
-                println!("wrote {}", p.display());
-            }
-            if let Some(p) = &case.run.trace {
-                println!("wrote trace {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(match e {
-                RunError::Config(_) => 2,
-                RunError::Io(_) => 3,
-                RunError::Numerical(_) => 4,
-            });
-        }
+    let s = admitted.run().unwrap_or_else(|e| fail(&e));
+    println!(
+        "done: {} steps, t = {:.4e}, {} cells, grind {:.1} ns/cell/PDE/RHS",
+        s.steps, s.time, s.cells, s.grind_ns
+    );
+    if !s.resilience.is_empty() {
+        println!("resilience events:");
+        print!("{}", s.resilience);
     }
+    if let Some(p) = s.vtk_path {
+        println!("wrote {}", p.display());
+    }
+    if let Some(p) = &case.run.trace {
+        println!("wrote trace {}", p.display());
+    }
+}
+
+fn fail(e: &RunError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(e.exit_code())
 }
 
 fn die(msg: &str) -> ! {

@@ -1,12 +1,16 @@
-//! Contracts of the `mfc-run` / `mfc-post` *binaries*: exit codes on case
-//! files the shared validation path must reject and on I/O failures of
-//! the distributed driver's output layer, wave files combined with
-//! checkpointing, and the overlapped exchange's bitwise invisibility.
+//! Contracts of the `mfc-run` / `mfc-post` *binaries*: one refusal table
+//! for the admission rules (every entry point gives the same verdict),
+//! exit codes on I/O and numerical failures, wave files combined with
+//! checkpointing, the overlapped exchange's and the lane width's bitwise
+//! invisibility, and recovery from rank loss and corrupt checkpoints.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use mfc_cli::{CaseFile, ProbeConfig};
+use mfc_core::axisym::Geometry;
+use mfc_core::case::Region;
 use mfc_trace::{chrome, nesting, reconcile_trace};
 
 /// A well-formed 1-D case with `nf` identical fluids.
@@ -32,38 +36,59 @@ fn case_with_cells(n: usize) -> String {
     )
 }
 
-/// `bad` must be refused with exit 2 and `needle` on stderr by the plain
-/// run and by `--dry-run` alike; `good` (the bound itself) must validate.
-fn refused_with_and_without_dry_run(tag: &str, bad: &str, needle: &str, good: &str) {
-    let dir = std::env::temp_dir().join(format!("mfc_run_bin_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// `bad` must be refused with exit `exit` and `needle` on stderr by the
+/// plain run, `--dry-run`, `--validate` and `mfc-post --case` alike — the
+/// same first stderr line from all four, none past its deadline — and
+/// none of them may create the case's output directory.
+fn refused_at_every_entry_point(dir: &Path, bad: &str, exit: i32, needle: &str) {
     let path = dir.join("case.json");
     std::fs::write(&path, bad).unwrap();
-    for extra in [&[][..], &["--dry-run"][..]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_mfc-run"))
-            .arg(&path)
-            .args(extra)
-            .current_dir(&dir)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
-        assert!(stderr.contains(needle), "{extra:?}: {stderr}");
-    }
-    std::fs::write(&path, good).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_mfc-run"))
+    let run = |flags: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mfc-run"));
+        cmd.arg(&path).args(flags).current_dir(dir);
+        cmd
+    };
+    let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
+    post.arg("--case")
         .arg(&path)
-        .arg("--dry-run")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
+        .args(["0", "post.vtk"])
+        .current_dir(dir);
+    let mut first_lines = Vec::new();
+    for cmd in [run(&[]), run(&["--dry-run"]), run(&["--validate"]), post] {
+        let what = format!("{needle}: {cmd:?}");
+        let out = output_within(cmd, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(exit), "{what}: {stderr}");
+        assert!(stderr.contains(needle), "{what}: {stderr}");
+        first_lines.push(stderr.lines().next().unwrap().to_string());
+    }
+    assert!(
+        first_lines.iter().all(|l| l == &first_lines[0]),
+        "{needle}: entry points disagree: {first_lines:#?}"
+    );
+    assert!(
+        !dir.join("out").exists(),
+        "{needle}: a refusal wrote output"
+    );
+}
+
+/// `bad` must be refused everywhere with exit 2 and `needle`; `good` (the
+/// bound itself) must be admitted by `--dry-run`, which writes nothing.
+fn refused_with_and_without_dry_run(tag: &str, bad: &str, needle: &str, good: &str) {
+    let scratch = Scratch::new(tag);
+    refused_at_every_entry_point(&scratch.0, bad, 2, needle);
+    let path = scratch.0.join("case.json");
+    std::fs::write(&path, good).unwrap();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mfc-run"));
+    cmd.arg(&path).arg("--dry-run").current_dir(&scratch.0);
+    let out = output_within(cmd, Duration::from_secs(30));
     assert_eq!(
         out.status.code(),
         Some(0),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!scratch.0.join("out").exists(), "--dry-run wrote output");
 }
 
 /// Satellite regression: nine fluids used to pass `--dry-run` ("19 eqs",
@@ -104,21 +129,58 @@ impl Scratch {
     }
 
     /// Write the shipped Sod tube as a steps-based case on `ranks` ranks
-    /// with its output under `<scratch>/<out>`. (Spelled out rather than
-    /// re-serialised from `cases/sod.json`: `mfc-post --case` refuses a
-    /// case file that pins every numerics key.)
+    /// (0: `run.ranks` left out of the file) with its output under
+    /// `<scratch>/<out>`. (Spelled out rather than re-serialised from
+    /// `cases/sod.json`: `mfc-post --case` refuses a case file that pins
+    /// every numerics key.)
     fn sod_case(&self, out: &str, ranks: usize, steps: usize, wave_files: bool) -> PathBuf {
         let dir = serde_json::to_string(&self.0.join(out)).unwrap();
+        let ranks = match ranks {
+            0 => String::new(),
+            n => format!(r#","ranks":{n}"#),
+        };
         let text = format!(
             r#"{{"name":"sod","fluids":[{{"gamma":1.4,"pi_inf":0.0}}],"ndim":1,"cells":[200,1,1],
                "bc":"transmissive","patches":[
                  {{"region":"all","state":{{"alpha":[1.0],"rho":[0.125],"vel":[0.0,0.0,0.0],"p":0.1}}}},
                  {{"region":{{"half_space":{{"axis":0,"bound":0.5}}}},
                    "state":{{"alpha":[1.0],"rho":[1.0],"vel":[0.0,0.0,0.0],"p":1.0}}}}],
-               "run":{{"steps":{steps},"ranks":{ranks}}},"io":{{"wave_files":{wave_files}}},
+               "run":{{"steps":{steps}{ranks}}},"io":{{"wave_files":{wave_files}}},
                "output":{{"dir":{dir},"vtk":true}}}}"#
         );
         let path = self.0.join(format!("{out}.json"));
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    /// The shipped Sod tube, output under `<scratch>/out` (VTK off).
+    fn shipped_sod(&self) -> CaseFile {
+        let shipped = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../cases/sod.json");
+        let mut case = CaseFile::from_path(&shipped).unwrap();
+        case.output.dir = self.0.join("out");
+        case.output.vtk = false;
+        case
+    }
+
+    /// The shipped Sod tube cut to 32 cells and 12 steps, edited by
+    /// `edit`, written as `<name>.json` with its VTK under
+    /// `<scratch>/<name>` — the smoke scripts' case.
+    fn small_sod(&self, name: &str, edit: impl FnOnce(&mut CaseFile)) -> PathBuf {
+        let mut case = self.shipped_sod();
+        case.cells = [32, 1, 1];
+        case.run.steps = 12;
+        case.run.t_end = None;
+        case.output.dir = self.0.join(name);
+        case.output.vtk = true;
+        edit(&mut case);
+        self.write(
+            &format!("{name}.json"),
+            &serde_json::to_string(&case).unwrap(),
+        )
+    }
+
+    fn write(&self, name: &str, text: &str) -> PathBuf {
+        let path = self.0.join(name);
         std::fs::write(&path, text).unwrap();
         path
     }
@@ -196,37 +258,43 @@ fn unwritable_wave_file_is_exit_3_naming_the_path_not_a_hang() {
 /// `mfc-run` wrote from its in-memory gather.
 #[test]
 fn wave_files_combine_with_checkpointing_and_post_process_to_the_same_vtk() {
-    let scratch = Scratch::new("waveckpt");
-    let case = scratch.sod_case("out", 2, 6, true);
-    let out = mfc_run(&case, &["--checkpoint-every", "3"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let files = |sub: &str| {
-        std::fs::read_dir(scratch.0.join("out").join(sub))
-            .unwrap()
-            .count()
-    };
-    assert!(files("ckpt") > 0, "no checkpoint files");
-    assert_eq!(files("waves"), 2, "one wave file per rank");
+    // Two ranks, and `run.ranks` left out of the case file: one rank on
+    // the distributed driver, where `mfc-post` used to derive a 0-rank
+    // decomposition and panic.
+    for (out_dir, ranks) in [("two", 2usize), ("unset", 0)] {
+        let scratch = Scratch::new("waveckpt");
+        let case = scratch.sod_case(out_dir, ranks, 6, true);
+        let out = mfc_run(&case, &["--checkpoint-every", "3"]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let files = |sub: &str| {
+            std::fs::read_dir(scratch.0.join(out_dir).join(sub))
+                .unwrap()
+                .count()
+        };
+        assert!(files("ckpt") > 0, "no checkpoint files");
+        assert_eq!(files("waves"), ranks.max(1), "one wave file per rank");
 
-    let post_vtk = scratch.0.join("post.vtk");
-    let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
-    post.arg("--case").arg(&case).arg("6").arg(&post_vtk);
-    let post = output_within(post, Duration::from_secs(120));
-    assert_eq!(
-        post.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&post.stderr)
-    );
-    assert!(
-        std::fs::read(&post_vtk).unwrap() == std::fs::read(scratch.0.join("out/sod.vtk")).unwrap(),
-        "mfc-post's VTK differs from mfc-run's"
-    );
+        let post_vtk = scratch.0.join("post.vtk");
+        let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
+        post.arg("--case").arg(&case).arg("6").arg(&post_vtk);
+        let post = output_within(post, Duration::from_secs(120));
+        assert_eq!(
+            post.status.code(),
+            Some(0),
+            "{out_dir}: {}",
+            String::from_utf8_lossy(&post.stderr)
+        );
+        assert!(
+            std::fs::read(&post_vtk).unwrap()
+                == std::fs::read(scratch.0.join(out_dir).join("sod.vtk")).unwrap(),
+            "{out_dir}: mfc-post's VTK differs from mfc-run's"
+        );
+    }
 }
 
 /// The overlapped exchange at the binary level (§III-B), one row per
@@ -281,4 +349,459 @@ fn overlapped_two_rank_sod_is_bitwise_invisible_traced_and_validated() {
             );
         }
     }
+}
+
+/// One row per admission rule (`crates/cli/src/admit.rs`): an edit of the
+/// shipped Sod case that breaks exactly that rule, refused identically by
+/// every entry point. On the parent commit each row was a panic (exit
+/// 101), a run that never ended, or a `--dry-run` that disagreed with the
+/// run.
+#[test]
+fn every_admission_rule_refuses_identically_at_every_entry_point() {
+    let scratch = Scratch::new("rules");
+    scratch.write(
+        "rank7.json",
+        r#"{ "deaths": [ { "rank": 7, "step": 1 } ] }"#,
+    );
+    scratch.write("not_a_plan.json", "[");
+    scratch.write("not_a_ladder.json", r#"{ "ladder": ["pray"] }"#);
+    let distributed = |c: &mut CaseFile| {
+        c.run.t_end = None;
+        c.run.steps = 4;
+        c.run.ranks = 2;
+    };
+    type Row<'a> = (&'a str, i32, &'a dyn Fn(&mut CaseFile));
+    let rows: [Row; 26] = [
+        ("numerics.cfl must be in (0, 1]", 2, &|c| {
+            c.numerics.cfl = 0.0
+        }),
+        ("numerics.cfl must be in (0, 1]", 2, &|c| {
+            c.numerics.cfl = 1.5
+        }),
+        ("numerics.dt must be finite and positive", 2, &|c| {
+            c.numerics.dt = Some(0.0)
+        }),
+        ("run.t_end must be finite and positive", 2, &|c| {
+            c.run.t_end = Some(-1.0)
+        }),
+        ("numerics.workers = 100000 exceeds", 2, &|c| {
+            c.numerics.workers = 100_000
+        }),
+        ("unknown time scheme", 2, &|c| {
+            c.numerics.scheme = "rk9".into()
+        }),
+        ("vector_width must be a power of two", 2, &|c| {
+            c.numerics.vector_width = 5
+        }),
+        ("axis 0: lo = 1, hi = 1", 2, &|c| c.lo[0] = 1.0),
+        ("axis 0: lo = 2, hi = 1", 2, &|c| c.lo[0] = 2.0),
+        ("axis 1: lo = 0, hi = 0", 2, &|c| c.hi[1] = 0.0),
+        ("axis 0: lo = -1000000", 2, &|c| {
+            (c.lo[0], c.hi[0]) = (-1e308, 1e308)
+        }),
+        ("geometry \"cylindrical3_d\" needs ndim >= 3", 2, &|c| {
+            c.numerics.geometry = Geometry::Cylindrical3D
+        }),
+        ("geometry \"axisymmetric\" needs ndim >= 2", 2, &|c| {
+            c.numerics.geometry = Geometry::Axisymmetric
+        }),
+        ("the radial axis must start at r >= 0", 2, &|c| {
+            c.ndim = 2;
+            c.cells = [32, 32, 1];
+            c.lo[1] = -1.0;
+            c.numerics.geometry = Geometry::Axisymmetric;
+        }),
+        ("patches[0] must be the `all` background", 2, &|c| {
+            c.patches.remove(0);
+        }),
+        ("patch 1: half_space is not on an active axis", 2, &|c| {
+            if let Region::HalfSpace { axis, .. } = &mut c.patches[1].region {
+                *axis = 5;
+            }
+        }),
+        ("run.steps or run.t_end must be set", 2, &|c| {
+            c.run.t_end = None
+        }),
+        ("io.wave must be at least 1", 2, &|c| c.io.wave = 0),
+        // `t_end` with a checkpoint period on one rank: the parent's two
+        // validators disagreed on whether that run is distributed.
+        (
+            "run.t_end is not supported by the distributed driver",
+            2,
+            &|c| c.run.checkpoint_every = 5,
+        ),
+        ("probes are sampled by the serial solver only", 2, &|c| {
+            distributed(c);
+            c.probes = vec![ProbeConfig {
+                name: "mid".into(),
+                x: [0.5, 0.0, 0.0],
+            }];
+        }),
+        (
+            "probe 'far' at [7.0, 0.0, 0.0] lies outside the domain",
+            2,
+            &|c| {
+                c.probes = vec![ProbeConfig {
+                    name: "far".into(),
+                    x: [7.0, 0.0, 0.0],
+                }];
+            },
+        ),
+        (
+            "run.ranks = 1000000000000000 exceeds the grid's 200 cells",
+            2,
+            &|c| {
+                distributed(c);
+                c.run.ranks = 1_000_000_000_000_000;
+            },
+        ),
+        ("bad fault plan", 2, &|c| {
+            distributed(c);
+            c.run.faults = Some("rank7.json".into());
+        }),
+        ("bad fault plan", 2, &|c| {
+            distributed(c);
+            c.run.faults = Some("not_a_plan.json".into());
+        }),
+        ("bad recovery ladder", 2, &|c| {
+            c.run.recovery = Some("not_a_ladder.json".into())
+        }),
+        ("cannot read fault plan", 3, &|c| {
+            distributed(c);
+            c.run.faults = Some("no_such_plan.json".into());
+        }),
+    ];
+    for (needle, exit, edit) in rows {
+        let mut case = scratch.shipped_sod();
+        edit(&mut case);
+        let text = serde_json::to_string(&case).unwrap();
+        refused_at_every_entry_point(&scratch.0, &text, exit, needle);
+    }
+}
+
+/// Simulation time from the `done:` line (`t = 1.2000e-2`), as printed.
+fn done_time(out: &Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("done:"))
+        .unwrap_or_else(|| panic!("no done line in: {stdout}"));
+    let t = line.split("t = ").nth(1).unwrap();
+    t.split(',').next().unwrap().to_string()
+}
+
+/// Satellite regression: the distributed driver did not return the time
+/// its ranks track, so `mfc-run` printed `t = NaN` for every such run.
+#[test]
+fn distributed_runs_report_the_simulation_time() {
+    let scratch = Scratch::new("simtime");
+    let fixed = scratch.small_sod("fixed", |c| {
+        c.run.ranks = 2;
+        c.numerics.dt = Some(1.0e-3);
+    });
+    assert_eq!(done_time(&mfc_run(&fixed, &[])), "1.2000e-2");
+    let serial = scratch.small_sod("cfl1", |_| {});
+    let two = scratch.small_sod("cfl2", |c| c.run.ranks = 2);
+    let t = done_time(&mfc_run(&serial, &[]));
+    assert!(t.parse::<f64>().unwrap() > 0.0, "{t}");
+    assert_eq!(done_time(&mfc_run(&two, &[])), t);
+}
+
+/// The former `scripts/vector_smoke.sh` as rows: the lane width is bitwise
+/// invisible in every output artifact, an invalid width is a
+/// configuration error from the flag (the case-file key is a row of the
+/// refusal table), and `mfc-post --case` refuses a case that pins it.
+#[test]
+fn vector_width_is_bitwise_invisible_and_refused_when_invalid() {
+    let scratch = Scratch::new("lanes");
+    for w in ["1", "4", "8"] {
+        let case = scratch.small_sod(&format!("w{w}"), |_| {});
+        let out = mfc_run(&case, &["--vector-width", w]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "W={w}: {stderr}");
+    }
+    let scalar = tree(&scratch.0.join("w1"));
+    assert!(!scalar.is_empty(), "the scalar run wrote nothing");
+    for w in ["w4", "w8"] {
+        assert!(scalar == tree(&scratch.0.join(w)), "{w} differs from w1");
+    }
+    let case = scratch.0.join("w1.json");
+    for w in ["3", "16", "four"] {
+        let out = mfc_run(&case, &["--vector-width", w]);
+        assert_eq!(out.status.code(), Some(2), "--vector-width {w}");
+    }
+    // `small_sod` re-serialises the case, so the file pins the width.
+    let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
+    post.arg("--case").arg(&case).arg("12").arg("post.vtk");
+    let post = output_within(post, Duration::from_secs(30));
+    let stderr = String::from_utf8_lossy(&post.stderr);
+    assert_eq!(post.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("vector_width"), "{stderr}");
+}
+
+const DEEP_LADDER: &str = r#"{
+  "ladder": ["halve_dt", "halve_dt", "halve_dt", "halve_dt", "halve_dt", "halve_dt",
+             "zhang_shu", "weno3", "rusanov"],
+  "max_retries": 64, "restore_after": 1000 }"#;
+
+/// The former `scripts/resilience_smoke.sh` as rows, on one worker and four
+/// gangs: the exit-code contract (0 ok / laddered recovery, 2 usage or
+/// configuration, 3 I/O, 4 numerical), a transient rank death recovered
+/// by rollback, and a permanent one that is fatal under the default
+/// policy and survivable under `shrink`.
+#[test]
+fn exit_code_contract_and_rank_death_recovery_at_one_and_four_workers() {
+    let scratch = Scratch::new("contract");
+    let ladder = scratch.write("ladder.json", DEEP_LADDER);
+    let ladder = ladder.to_str().unwrap();
+    let death = scratch.write(
+        "death.json",
+        r#"{ "seed": 7, "deaths": [ { "rank": 1, "step": 10 } ] }"#,
+    );
+    let death = death.to_str().unwrap();
+    let perm = scratch.write(
+        "perm.json",
+        r#"{ "seed": 7, "deaths": [ { "rank": 2, "step": 7, "permanent": true } ] }"#,
+    );
+    let perm = perm.to_str().unwrap();
+    scratch.write("broken.json", r#"{ "name": "broken" }"#);
+
+    let clean = scratch.small_sod("clean", |_| {});
+    let broken = scratch.0.join("broken.json");
+    let missing = scratch.0.join("does_not_exist.json");
+    // dt = 0.2 is ~8x the stable step of the 32-cell tube: it must blow up.
+    let hot = scratch.small_sod("hot", |c| c.numerics.dt = Some(0.2));
+    let two = scratch.small_sod("two", |c| c.run.ranks = 2);
+    let four = scratch.small_sod("four", |c| c.run.ranks = 4);
+
+    let no_case = Command::new(env!("CARGO_BIN_EXE_mfc-run"));
+    let out = output_within(no_case, Duration::from_secs(30));
+    assert_eq!(out.status.code(), Some(2), "no case file is a usage error");
+
+    type Row<'a> = (&'a Path, &'a [&'a str], i32, &'a [&'a str]);
+    let rows: [Row; 10] = [
+        (&clean, &[], 0, &["done: 12 steps"]),
+        (&clean, &["--no-such-flag"], 2, &["unknown flag"]),
+        (&clean, &["--ckpt-keep", "0"], 2, &["--ckpt-keep needs"]),
+        (&broken, &[], 2, &["invalid configuration"]),
+        (&missing, &[], 3, &["i/o failure"]),
+        (&hot, &[], 4, &["numerical failure"]),
+        (&hot, &["--recovery", ladder], 0, &["health_fault", "retry"]),
+        (
+            &two,
+            &["--faults", death, "--checkpoint-every", "3"],
+            0,
+            &["rollback"],
+        ),
+        (
+            &four,
+            &["--faults", perm, "--checkpoint-every", "3"],
+            4,
+            &["Revive"],
+        ),
+        (
+            &four,
+            &[
+                "--faults",
+                perm,
+                "--checkpoint-every",
+                "3",
+                "--failure-policy",
+                "shrink",
+            ],
+            0,
+            &["shrink"],
+        ),
+    ];
+    for workers in ["1", "4"] {
+        for (case, flags, exit, needles) in rows {
+            let mut flags = flags.to_vec();
+            flags.extend(["--workers", workers]);
+            let out = mfc_run(case, &flags);
+            let said = format!(
+                "{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let what = format!("{} {flags:?}", case.display());
+            assert_eq!(out.status.code(), Some(exit), "{what}: {said}");
+            for needle in needles {
+                assert!(said.contains(needle), "{what} lacks '{needle}': {said}");
+            }
+        }
+        let ckpt = std::fs::read_dir(scratch.0.join("two/ckpt"))
+            .unwrap()
+            .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+            .next()
+            .expect("the death run committed a checkpoint");
+        assert!(ckpt.starts_with(b"MFCKPT01"), "checkpoint magic");
+    }
+}
+
+/// The former `scripts/shrink_smoke.sh` as rows: rank 2 of 4 dies for good
+/// one step after the wave-2 commit. Shrinking to the three survivors
+/// and promoting a hot spare both finish, each logging only its own
+/// recovery events, with a VTK byte-identical to the fault-free run's;
+/// the default policy cannot absorb the loss, and a plan that leaves no
+/// survivor quorum is refused before any rank is spawned.
+#[test]
+fn permanent_rank_loss_is_survived_by_shrink_and_by_spare_byte_identically() {
+    let scratch = Scratch::new("permloss");
+    let perm = scratch.write(
+        "perm.json",
+        r#"{ "seed": 11, "deaths": [ { "rank": 2, "step": 7, "permanent": true } ] }"#,
+    );
+    let wipeout = scratch.write(
+        "no_quorum.json",
+        r#"{ "seed": 11, "deaths": [
+             { "rank": 0, "step": 4, "permanent": true }, { "rank": 1, "step": 4, "permanent": true },
+             { "rank": 2, "step": 4, "permanent": true }, { "rank": 3, "step": 4, "permanent": true } ] }"#,
+    );
+    let (perm, wipeout) = (perm.to_str().unwrap(), wipeout.to_str().unwrap());
+    let ck = ["--checkpoint-every", "3"];
+    // (output dir, flags, exit, output must contain, must not contain)
+    type Row<'a> = (&'a str, Vec<&'a str>, i32, &'a [&'a str], &'a [&'a str]);
+    let rows: [Row; 6] = [
+        ("plain", vec![], 0, &[], &["rollback"]),
+        (
+            "shrink",
+            [&["--faults", perm, "--failure-policy", "shrink"], &ck[..]].concat(),
+            0,
+            &["shrink", "redistribute", "rollback"],
+            &["promote_spare"],
+        ),
+        (
+            "spare",
+            [
+                &[
+                    "--faults",
+                    perm,
+                    "--failure-policy",
+                    "spare",
+                    "--spares",
+                    "1",
+                ],
+                &ck[..],
+            ]
+            .concat(),
+            0,
+            &["promote_spare"],
+            &["shrink"],
+        ),
+        (
+            "revive",
+            [&["--faults", perm], &ck[..]].concat(),
+            4,
+            &["Revive"],
+            &[],
+        ),
+        (
+            "wipeout",
+            [
+                &["--faults", wipeout, "--failure-policy", "shrink"],
+                &ck[..],
+            ]
+            .concat(),
+            2,
+            &["quorum"],
+            &[],
+        ),
+        (
+            "immortal",
+            vec!["--failure-policy", "immortal"],
+            2,
+            &["--failure-policy needs"],
+            &[],
+        ),
+    ];
+    for (out_dir, flags, exit, needles, forbidden) in rows {
+        let case = scratch.small_sod(out_dir, |c| c.run.ranks = 4);
+        let out = mfc_run(&case, &flags);
+        let said = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(exit), "{out_dir}: {said}");
+        for needle in needles {
+            assert!(said.contains(needle), "{out_dir} lacks '{needle}': {said}");
+        }
+        for needle in forbidden {
+            assert!(!said.contains(needle), "{out_dir} has '{needle}': {said}");
+        }
+    }
+    let vtk = |dir: &str| std::fs::read(scratch.0.join(dir).join("sod.vtk")).unwrap();
+    assert!(
+        vtk("shrink") == vtk("plain"),
+        "shrink recovery changed the field"
+    );
+    assert!(
+        vtk("spare") == vtk("plain"),
+        "spare takeover changed the field"
+    );
+}
+
+/// The resilience smoke's checkpoint-corruption step at the binary
+/// level: rank 1 dies at step 10, so the rollback targets wave 3 (step
+/// 9); both ranks' wave-3 files are truncated as soon as they appear
+/// (rank 0's stall at step 10 holds the recovery open meanwhile), so the
+/// rollback must skip the unreadable wave, restart from wave 2 and still
+/// finish byte-identical to the fault-free run.
+#[test]
+fn corrupt_checkpoint_wave_is_skipped_and_the_run_stays_byte_identical() {
+    let scratch = Scratch::new("corrupt");
+    let plan = scratch.write(
+        "plan.json",
+        r#"{ "deaths": [ { "rank": 1, "step": 10 } ],
+             "stalls": [ { "rank": 0, "step": 10, "millis": 400 } ] }"#,
+    );
+    let plain = scratch.small_sod("plain", |c| c.run.ranks = 2);
+    let struck = scratch.small_sod("struck", |c| c.run.ranks = 2);
+    let ckpt = scratch.0.join("struck/ckpt");
+    let wave3 = [0, 1].map(|rank| mfc_core::restart::wave_path(&ckpt, rank, 3));
+    let watcher = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while Instant::now() < deadline {
+            if wave3.iter().all(|p| p.exists()) {
+                // Give the writes a moment to land, then truncate.
+                std::thread::sleep(Duration::from_millis(5));
+                for p in &wave3 {
+                    let len = std::fs::metadata(p).unwrap().len();
+                    let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+                    f.set_len(len / 2).unwrap();
+                }
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    });
+    let out = mfc_run(
+        &struck,
+        &[
+            "--faults",
+            plan.to_str().unwrap(),
+            "--checkpoint-every",
+            "3",
+        ],
+    );
+    assert!(
+        watcher.join().unwrap(),
+        "watcher never saw the wave-3 files"
+    );
+    let said = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.status.code(), Some(0), "{said}");
+    for needle in ["unreadable", "rolled back to wave 2"] {
+        assert!(said.contains(needle), "lacks '{needle}': {said}");
+    }
+    assert_eq!(mfc_run(&plain, &[]).status.code(), Some(0));
+    assert!(
+        std::fs::read(scratch.0.join("struck/sod.vtk")).unwrap()
+            == std::fs::read(scratch.0.join("plain/sod.vtk")).unwrap(),
+        "recovery through an earlier wave changed the field"
+    );
 }

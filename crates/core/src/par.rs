@@ -37,7 +37,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::bc::{apply_bcs, BcSpec};
 use crate::case::CaseBuilder;
-use crate::cfl;
 use crate::domain::Domain;
 use crate::fluid::Fluid;
 use crate::grid::{Grid, Grid1D};
@@ -47,7 +46,7 @@ use crate::rhs::{
     compute_rhs, rhs_overlap_begin, rhs_overlap_finish, rhs_overlap_interior_axis, OverlapPlan,
     RhsConfig, RhsWorkspace,
 };
-use crate::solver::{DtMode, SolverConfig};
+use crate::solver::{ghost_widths, select_dt, SolverConfig};
 use crate::state::StateField;
 use crate::time::{rk_step, RkWorkspace};
 
@@ -90,11 +89,13 @@ impl GlobalField {
     }
 }
 
-/// Per-rank communication statistics.
+/// Per-rank communication statistics and the simulation time reached.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     pub messages: u64,
     pub bytes: u64,
+    /// Simulation time the rank reached.
+    pub time: f64,
 }
 
 /// Run `steps` time steps of `case` on `n_ranks` simulated ranks; returns
@@ -494,11 +495,7 @@ pub fn run_distributed_resilient(
                     cart.neighbor(d, 1).is_some(),
                 );
             }
-            let widths = [
-                local_grid.x.widths_with_ghosts(dom.pad(0)),
-                local_grid.y.widths_with_ghosts(dom.pad(1)),
-                local_grid.z.widths_with_ghosts(dom.pad(2)),
-            ];
+            let widths = ghost_widths(&local_grid, &dom);
             (cart, dom, local_grid, off, skip, widths)
         };
 
@@ -903,21 +900,8 @@ pub fn run_distributed_resilient(
                 // min-reduction turns into a collective rejection. ----
                 let _dt_span = ctx.span("dt_reduce", Category::Phase);
                 let t_op = Instant::now();
-                let local_dt = match eff.dt {
-                    DtMode::Fixed(dt) => dt,
-                    DtMode::Cfl(c) => {
-                        crate::state::cons_to_prim_field(&ctx, &case.fluids, &q, &mut ws.prim);
-                        cfl::try_max_dt_geom(
-                            &ctx,
-                            &case.fluids,
-                            &ws.prim,
-                            [&widths[0], &widths[1], &widths[2]],
-                            c,
-                            None,
-                        )
-                        .unwrap_or(-1.0)
-                    }
-                };
+                let local_dt =
+                    select_dt(&ctx, &eff, &case.fluids, &q, &mut ws, &widths).unwrap_or(-1.0);
                 let dt = match comm.allreduce_policied(local_dt, f64::min) {
                     Ok(v) => v,
                     Err(fault) => {
@@ -1113,6 +1097,7 @@ pub fn run_distributed_resilient(
         // All scripted faults are behind us (peers past their last death
         // cannot re-die), so the final gather uses the plain path.
         let gathered = comm.gather(crate::output::block_to_vec(&q));
+        stats.time = t;
         Ok((gathered, stats))
     };
 

@@ -7,6 +7,8 @@
 
 use std::io::{self, Write};
 
+use serde::{Deserialize, Serialize};
+
 use crate::domain::{Domain, MAX_EQ};
 use crate::eos::cons_to_prim;
 use crate::fluid::{Fluid, FluidTable};
@@ -14,7 +16,7 @@ use crate::grid::Grid;
 use crate::state::StateField;
 
 /// One probe's identity and location.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Probe {
     pub name: String,
     pub x: [f64; 3],

@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 use mfc_acc::{Context, ResilienceEvent, ResilienceEventKind};
 use mfc_trace::Category;
 
+use crate::axisym::Geometry;
 use crate::bc::{apply_bcs, BcSpec};
 use crate::case::CaseBuilder;
 use crate::cfl;
@@ -81,6 +82,45 @@ impl Default for SolverConfig {
     }
 }
 
+/// Ghost-inclusive cell widths of `grid` along each axis of `dom`.
+pub(crate) fn ghost_widths(grid: &Grid, dom: &Domain) -> [Vec<f64>; 3] {
+    [
+        grid.x.widths_with_ghosts(dom.pad(0)),
+        grid.y.widths_with_ghosts(dom.pad(1)),
+        grid.z.widths_with_ghosts(dom.pad(2)),
+    ]
+}
+
+/// The time step one block takes under `cfg`: the fixed value, or the CFL
+/// bound of `q` — with the azimuthal metric `r dtheta` in 3-D cylindrical
+/// coordinates — leaving the primitives in `ws.prim`. The serial solver
+/// and every rank of the distributed driver call this, so the rank count
+/// cannot change the step.
+pub(crate) fn select_dt(
+    ctx: &Context,
+    cfg: &SolverConfig,
+    fluids: &[Fluid],
+    q: &StateField,
+    ws: &mut RhsWorkspace,
+    widths: &[Vec<f64>; 3],
+) -> Result<f64, StepFault> {
+    match cfg.dt {
+        DtMode::Fixed(dt) => Ok(dt),
+        DtMode::Cfl(c) => {
+            crate::state::cons_to_prim_field(ctx, fluids, q, &mut ws.prim);
+            let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
+            cfl::try_max_dt_geom(
+                ctx,
+                fluids,
+                &ws.prim,
+                [&widths[0], &widths[1], &widths[2]],
+                c,
+                metric,
+            )
+        }
+    }
+}
+
 /// A single-device (single-rank) simulation.
 pub struct Solver {
     ctx: Context,
@@ -93,6 +133,8 @@ pub struct Solver {
     /// Pre-step snapshot of `q` — the `q^n` a rejected step retries from.
     q_save: StateField,
     ws: RhsWorkspace,
+    /// Ghost-inclusive cell widths per axis (the CFL bound's metric).
+    widths: [Vec<f64>; 3],
     rk: RkWorkspace,
     ibm: Option<GhostCellIbm>,
     health: HealthConfig,
@@ -111,6 +153,7 @@ impl Solver {
         let grid = case.grid();
         let q = case.init_block(&ctx, &dom, &grid, [0, 0, 0]);
         let ws = RhsWorkspace::new(dom, &grid);
+        let widths = ghost_widths(&grid, &dom);
         let rk = RkWorkspace::new(&q);
         let q_save = q.clone();
         Solver {
@@ -123,6 +166,7 @@ impl Solver {
             q,
             q_save,
             ws,
+            widths,
             rk,
             ibm: None,
             health: HealthConfig::default(),
@@ -237,35 +281,14 @@ impl Solver {
     /// caller restores from [`Solver::q_save`].
     fn attempt_step(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
         let _dt_span = self.ctx.span("dt_select", Category::Phase);
-        let dt = match cfg.dt {
-            DtMode::Fixed(dt) => dt,
-            DtMode::Cfl(c) => {
-                crate::state::cons_to_prim_field(
-                    &self.ctx,
-                    &self.fluids,
-                    &self.q,
-                    &mut self.ws.prim,
-                );
-                let w = [
-                    self.grid.x.widths_with_ghosts(self.dom.pad(0)),
-                    self.grid.y.widths_with_ghosts(self.dom.pad(1)),
-                    self.grid.z.widths_with_ghosts(self.dom.pad(2)),
-                ];
-                let metric = if cfg.rhs.geometry == crate::axisym::Geometry::Cylindrical3D {
-                    Some(self.ws.radii())
-                } else {
-                    None
-                };
-                cfl::try_max_dt_geom(
-                    &self.ctx,
-                    &self.fluids,
-                    &self.ws.prim,
-                    [&w[0], &w[1], &w[2]],
-                    c,
-                    metric,
-                )?
-            }
-        };
+        let dt = select_dt(
+            &self.ctx,
+            cfg,
+            &self.fluids,
+            &self.q,
+            &mut self.ws,
+            &self.widths,
+        )?;
         drop(_dt_span);
         self.ctx.trace_counter("dt", dt);
 

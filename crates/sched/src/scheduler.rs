@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mfc_acc::Context;
-use mfc_cli::CaseFile;
+use mfc_cli::{Admitted, CaseFile};
 use mfc_core::restart::save_checkpoint;
 use mfc_core::solver::StepControl;
 use mfc_core::Solver;
@@ -77,7 +77,7 @@ pub(crate) struct ThreadOutcome {
 struct JobEntry {
     spec: JobSpec,
     name: String,
-    case: CaseFile,
+    case: Admitted,
     state: JobState,
     cancel: Arc<AtomicBool>,
     share: Arc<AtomicUsize>,
@@ -90,7 +90,10 @@ struct JobEntry {
 pub(crate) enum Command {
     Submit(Box<JobSpec>, mpsc::Sender<Result<u64, SchedError>>),
     Cancel(u64, mpsc::Sender<Result<(), SchedError>>),
-    Status(Option<u64>, mpsc::Sender<Result<Vec<StatusRow>, SchedError>>),
+    Status(
+        Option<u64>,
+        mpsc::Sender<Result<Vec<StatusRow>, SchedError>>,
+    ),
     Metrics(mpsc::Sender<MetricsSnapshot>),
     Drain(mpsc::Sender<MetricsSnapshot>),
     Shutdown(mpsc::Sender<MetricsSnapshot>),
@@ -225,7 +228,8 @@ impl Scheduler {
     }
 
     /// Admission control: load the case, apply the spec's overrides, and
-    /// run the same deep validation as `mfc-run --dry-run`. Invalid jobs
+    /// admit it exactly as `mfc-run` does ([`mfc_cli::admit`]); the job
+    /// then carries that [`Admitted`] to its worker thread. Invalid jobs
     /// are rejected here — at enqueue, not mid-ensemble — and a full
     /// queue pushes back with [`SchedError::QueueFull`].
     pub fn submit(&mut self, spec: JobSpec) -> Result<u64, SchedError> {
@@ -264,14 +268,14 @@ impl Scheduler {
         if let Some(steps) = spec.max_steps {
             case.run.steps = steps;
         }
-        mfc_cli::dry_run(&case).map_err(|e| reject(e.to_string()))?;
-        if case.run.ranks > 1 {
+        let case = mfc_cli::admit(&case).map_err(|e| reject(e.to_string()))?;
+        if case.ranks() > 1 {
             return Err(reject(format!(
                 "run.ranks = {} — the ensemble scheduler drives the serial-rank engine",
-                case.run.ranks
+                case.ranks()
             )));
         }
-        if case.run.checkpoint_every > 0 || case.run.faults.is_some() {
+        if case.distributed() {
             return Err(reject(
                 "fault-tolerant distributed features (run.faults / run.checkpoint_every) \
                  are not available inside the ensemble scheduler"
@@ -280,7 +284,7 @@ impl Scheduler {
         }
         let id = self.jobs.len() as u64;
         self.queue.push(id, spec.priority)?;
-        let name = spec.name.clone().unwrap_or_else(|| case.name.clone());
+        let name = spec.name.clone().unwrap_or_else(|| case.name().to_string());
         self.jobs.push(JobEntry {
             spec,
             name,
@@ -619,6 +623,7 @@ impl Scheduler {
         let args = JobArgs {
             case: e.case.clone(),
             name: e.name.clone(),
+            dispatched_share: e.share.load(Ordering::Relaxed),
             share: Arc::clone(&e.share),
             cancel: Arc::clone(&e.cancel),
             deadline: e.spec.deadline_ms.map(Duration::from_millis),
@@ -656,8 +661,12 @@ impl Scheduler {
 }
 
 struct JobArgs {
-    case: CaseFile,
+    case: Admitted,
     name: String,
+    /// The share the dispatcher reserved for the job: what it starts
+    /// with, however late its thread is scheduled. A target that moved
+    /// meanwhile is applied (and counted) at the first step boundary.
+    dispatched_share: usize,
     share: Arc<AtomicUsize>,
     cancel: Arc<AtomicBool>,
     deadline: Option<Duration>,
@@ -682,27 +691,8 @@ fn poison_state(solver: &mut Solver) {
 
 fn run_job(args: JobArgs) -> ThreadOutcome {
     let service_start = Instant::now();
-    let fail = |reason: String| ThreadOutcome {
-        state: JobState::Failed,
-        steps: 0,
-        sim_time: 0.0,
-        cpu_ms: service_start.elapsed().as_secs_f64() * 1e3,
-        worker_seconds: 0.0,
-        final_share: 0,
-        resizes: 0,
-        reason: Some(reason),
-        output: None,
-    };
-    // Already validated at admission; a failure here is still isolated.
-    let case = match args.case.to_case() {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
-    let cfg = match args.case.numerics.to_solver_config() {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
-    let mut share = args.share.load(Ordering::Relaxed).max(1);
+    let cfg = args.case.solver_config();
+    let mut share = args.dispatched_share.max(1);
     let mut ctx = Context::with_workers(share).with_vector_width(cfg.vector_width);
     if let Some(h) = &args.handle {
         ctx.set_tracer(Arc::clone(h));
@@ -711,13 +701,7 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
     if let Some(h) = &args.handle {
         h.instant("admit", Category::Phase);
     }
-    let mut solver = Solver::new(&case, cfg, ctx);
-    let t_end = args.case.run.t_end.unwrap_or(f64::INFINITY);
-    let budget_steps = if args.case.run.steps == 0 {
-        u64::MAX
-    } else {
-        args.case.run.steps as u64
-    };
+    let mut solver = Solver::new(args.case.case(), cfg, ctx);
 
     let mut resizes = 0u64;
     let mut worker_seconds = 0.0f64;
@@ -726,7 +710,7 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
     let mut fault_pending = args.fault_at_step;
     let mut err: Option<String> = None;
 
-    while solver.time() < t_end && solver.steps() < budget_steps {
+    while !args.case.finished(solver.steps(), solver.time()) {
         if fault_pending == Some(solver.steps()) {
             poison_state(&mut solver);
             fault_pending = None;

@@ -227,3 +227,60 @@ fn shared_file_and_wave_writer_agree() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Satellite regression: the rank body's copy of the CFL step left out
+/// the azimuthal metric `r dtheta`, so a `cylindrical3_d` run took a
+/// different dt — and produced a different field — on the distributed
+/// driver than on the serial solver. Both call one `select_dt` now.
+#[test]
+fn curvilinear_cfl_steps_do_not_depend_on_the_rank_count() {
+    use mfc::core::axisym::Geometry;
+    use mfc::core::bc::{BcKind, BcSpec};
+    use mfc::core::fluid::Fluid;
+    use mfc::core::solver::DtMode;
+    use mfc::{CaseBuilder, PatchState, Region};
+    use std::f64::consts::PI;
+
+    // (geometry, ndim, cells, theta range of the blob: a sector of the
+    // annulus in 3-D, the inactive coordinate 0 in 2-D)
+    for (geometry, ndim, n, theta) in [
+        (Geometry::Cylindrical3D, 3, [12, 12, 8], [2.0, 4.5]),
+        (Geometry::Axisymmetric, 2, [12, 12, 1], [-1.0, 1.0]),
+    ] {
+        // z in [0,1], r in [0.2, 1.2], theta in [0, 2 pi); an
+        // over-pressured blob so the fields move and the CFL bound varies.
+        let case = CaseBuilder::new(vec![Fluid::air()], ndim, n)
+            .extent([0.0, 0.2, 0.0], [1.0, 1.2, 2.0 * PI])
+            .bc(BcSpec {
+                lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Periodic],
+                hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Periodic],
+            })
+            .patch(Region::All, PatchState::single(1.2, [0.0; 3], 1.0e5))
+            .patch(
+                Region::Box {
+                    lo: [0.3, 0.5, theta[0]],
+                    hi: [0.7, 0.9, theta[1]],
+                },
+                PatchState::single(2.4, [0.0; 3], 4.0e5),
+            );
+        let cfg = SolverConfig {
+            rhs: RhsConfig {
+                geometry,
+                ..Default::default()
+            },
+            dt: DtMode::Cfl(0.5),
+            ..Default::default()
+        };
+        let serial = run_single(&case, cfg, 6);
+        for ranks in [1usize, 2, 4] {
+            let (dist, stats) =
+                run_distributed(&case, cfg, ranks, 6, Staging::DeviceDirect).unwrap();
+            assert_eq!(
+                dist.max_abs_diff(&serial),
+                0.0,
+                "{geometry:?} on {ranks} ranks"
+            );
+            assert!(stats.time > 0.0, "{geometry:?}: driver reports no time");
+        }
+    }
+}

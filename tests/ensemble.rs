@@ -138,17 +138,39 @@ fn shipped_case_ensemble_bitwise_across_budgets() {
     let _ = fs::remove_dir_all(&refs);
 }
 
+/// The shipped Sod case edited by `edit`, written as `<dir>/<name>.json`.
+fn edited_sod(dir: &Path, name: &str, edit: impl FnOnce(&mut CaseFile)) -> PathBuf {
+    let mut cf = CaseFile::from_path(&sod_path()).unwrap();
+    edit(&mut cf);
+    let path = dir.join(format!("{name}.json"));
+    fs::write(&path, serde_json::to_string(&cf).unwrap()).unwrap();
+    path
+}
+
 /// The pool really is elastic: when the short job departs, the long
 /// job's gang grows at a step boundary (observable in the ledger) — and
-/// its checkpoint still matches the standalone run bitwise.
+/// its checkpoint still matches the standalone run bitwise. Both halves
+/// of the ordering are structural: "long" starts on the share it was
+/// dispatched with (1) however late its thread is scheduled, and it is
+/// 80x the cells and 20x the steps of "quick" (1600x the work), so it is
+/// still stepping when the scheduler has processed quick's completion
+/// and repartitioned. (A 100-step run of the shipped case ends in ~2 ms
+/// and could finish first; a job thread that started late used to read
+/// the already-grown share and count no resize.)
 #[test]
 fn elastic_resize_is_applied_and_bitwise_invisible() {
     let refs = tmp_dir("elastic_ref");
-    standalone_ckpt(&sod_path(), 100, &refs.join("long.ckpt"));
+    let slow = edited_sod(&refs, "sod_slow", |cf| {
+        cf.cells = [16000, 1, 1];
+        cf.run.t_end = Some(1.0e9);
+    });
+    standalone_ckpt(&slow, 60, &refs.join("long.ckpt"));
     let out = tmp_dir("elastic");
     let mut s = sched(2, out.clone());
     s.submit(spec("quick", 3, 10)).unwrap();
-    s.submit(spec("long", 100, 0)).unwrap();
+    let mut long = spec("long", 60, 0);
+    long.case = slow;
+    s.submit(long).unwrap();
     let records = s.run();
     assert!(records.iter().all(|r| r.state == JobState::Done));
     let long = &records[1];
@@ -327,6 +349,27 @@ fn admission_control_is_typed() {
         s.submit(JobSpec::new(multirank)),
         Err(SchedError::Rejected { .. })
     ));
+
+    // Admission is `mfc_cli::admit`: what `mfc-run` refuses is refused
+    // here, for the same reason. These two were admitted by the old
+    // second validator and panicked their job threads mid-ensemble.
+    type Edit = fn(&mut CaseFile);
+    let refused: [(&str, &str, Edit); 2] = [
+        ("cfl0", "numerics.cfl must be in (0, 1]", |cf| {
+            cf.numerics.cfl = 0.0
+        }),
+        ("lo_ge_hi", "axis 0: lo = 1, hi = 1", |cf| {
+            cf.lo[0] = cf.hi[0]
+        }),
+    ];
+    for (name, rule, edit) in refused {
+        match s.submit(JobSpec::new(edited_sod(&out, name, edit))) {
+            Err(SchedError::Rejected { reason, .. }) => {
+                assert!(reason.contains(rule), "{name}: {reason}")
+            }
+            other => panic!("{name}: expected Rejected, got {other:?}"),
+        }
+    }
     let _ = fs::remove_dir_all(&out);
 }
 
