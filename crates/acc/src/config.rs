@@ -1,19 +1,5 @@
 //! Launch configuration — the directive clauses of §III-C.
 
-/// How loop iterations are distributed, mirroring OpenACC's hierarchy of
-/// gangs (CUDA blocks), workers (warps), and vectors (threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Bare `parallel loop`: iterations split across gangs only, each gang
-    /// using a single vector lane. The paper identifies this default as the
-    /// under-utilizing configuration.
-    GangOnly,
-    /// `parallel loop gang vector`: iterations split across gangs *and*
-    /// vector lanes with a fixed vector length — the configuration appended
-    /// to every parallel loop in MFC.
-    GangVector,
-}
-
 /// Whether `private` arrays inside the kernel have a compile-time size.
 ///
 /// §III-D: CCE on MI250X allocated runtime-sized private arrays on device
@@ -31,52 +17,27 @@ pub enum PrivateMode {
     RuntimeSized,
 }
 
-/// Everything the directives in Listing 1 express about one kernel.
+/// What a launch site says about its kernel. The paper's
+/// `gang vector collapse(n)` with a `seq` inner field loop is the one
+/// distribution every entry point of [`crate::Context`] implements —
+/// callers pass the already-collapsed iteration count — so only the
+/// label and the private-array mode vary per kernel.
 #[derive(Debug, Clone)]
 pub struct LaunchConfig {
     /// Kernel name; ledger entries aggregate by this label.
     pub label: &'static str,
-    /// Gang/vector distribution.
-    pub parallelism: Parallelism,
-    /// Number of collapsed loops (`collapse(n)`); purely descriptive here —
-    /// callers pass the already-collapsed iteration count — but recorded so
-    /// profiles can report the launch shape.
-    pub collapse: u8,
-    /// Whether the innermost O(1) field loop is serialized (`loop seq`).
-    pub seq_inner: bool,
     /// Private-array sizing mode.
     pub private: PrivateMode,
 }
 
 impl LaunchConfig {
     /// The configuration MFC converged on for its hot kernels:
-    /// `gang vector collapse(3)` with a `seq` inner field loop and
     /// compile-time-sized private arrays.
     pub fn tuned(label: &'static str) -> Self {
         LaunchConfig {
             label,
-            parallelism: Parallelism::GangVector,
-            collapse: 3,
-            seq_inner: true,
             private: PrivateMode::CompileTimeSized,
         }
-    }
-
-    /// The untuned default (`parallel loop` with no clauses) the paper
-    /// starts from.
-    pub fn untuned(label: &'static str) -> Self {
-        LaunchConfig {
-            label,
-            parallelism: Parallelism::GangOnly,
-            collapse: 1,
-            seq_inner: false,
-            private: PrivateMode::CompileTimeSized,
-        }
-    }
-
-    pub fn with_collapse(mut self, n: u8) -> Self {
-        self.collapse = n;
-        self
     }
 
     pub fn with_private(mut self, mode: PrivateMode) -> Self {
@@ -92,19 +53,13 @@ mod tests {
     #[test]
     fn tuned_matches_paper_directives() {
         let c = LaunchConfig::tuned("m_riemann_solve");
-        assert_eq!(c.parallelism, Parallelism::GangVector);
-        assert_eq!(c.collapse, 3);
-        assert!(c.seq_inner);
+        assert_eq!(c.label, "m_riemann_solve");
         assert_eq!(c.private, PrivateMode::CompileTimeSized);
     }
 
     #[test]
     fn builders_override_fields() {
-        let c = LaunchConfig::untuned("k")
-            .with_collapse(4)
-            .with_private(PrivateMode::RuntimeSized);
-        assert_eq!(c.collapse, 4);
+        let c = LaunchConfig::tuned("k").with_private(PrivateMode::RuntimeSized);
         assert_eq!(c.private, PrivateMode::RuntimeSized);
-        assert_eq!(c.parallelism, Parallelism::GangOnly);
     }
 }

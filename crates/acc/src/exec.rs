@@ -1,5 +1,22 @@
 //! Kernel execution — the `!$acc parallel loop` substitute.
+//!
+//! One fork/join primitive (`Context::fork_join`) splits a launch's units
+//! over the fixed [`Context::gang_blocks`] partition and runs one scoped
+//! thread per gang; every parallel entry point is a few lines over it:
+//!
+//! * [`Context::launch_par`] — units = items, `Fn(usize) + Sync` body;
+//! * [`Context::launch_vec`] / [`Context::launch_max_vec`] — units = rows
+//!   of a `rows × row_len` space, lane-tiled within each row;
+//! * [`Context::launch_gangs`] — units = items, the body sees its whole
+//!   gang range and returns a per-gang value;
+//! * [`Context::gang_vec_scope`] — lane-dispatched gang bodies with
+//!   per-gang scratch, recorded by the caller.
+//!
+//! [`Context::launch`] is the serial `FnMut` loop, and
+//! [`Context::record`] is the one way a launch reaches the ledger and the
+//! attached trace.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,12 +35,11 @@ pub const PAR_MIN_ITEMS: usize = 1024;
 
 /// An execution context: one "device" plus its profiling ledger.
 ///
-/// With more than one worker thread, the parallel entry points
-/// ([`Context::launch_par`], [`Context::launch_chunks`],
-/// [`Context::launch_max`]) split the collapsed iteration space into
-/// contiguous blocks, one per worker (gangs ≙ blocks, vector lanes ≙ the
-/// iterations inside a block); with a single worker every loop runs
-/// serially — the paper's "compiled without OpenACC" CPU path.
+/// With more than one worker thread, the parallel entry points split the
+/// collapsed iteration space into contiguous blocks, one per worker
+/// (gangs ≙ blocks, vector lanes ≙ the iterations inside a block); with a
+/// single worker every loop runs serially — the paper's "compiled without
+/// OpenACC" CPU path.
 #[derive(Clone)]
 pub struct Context {
     ledger: Arc<Ledger>,
@@ -166,9 +182,6 @@ impl Context {
         }
     }
 
-    /// Attach this context's ledger snapshot to the trace so exporters can
-    /// cross-check traced aggregates against the analytic totals. Call at
-    /// the end of a traced run.
     /// Account lane tiling of a vector-executed launch: `full_packets`
     /// whole packets plus `tail_elems` scalar-remainder elements. The
     /// vector entry points do this themselves; bodies that tile inside a
@@ -200,6 +213,9 @@ impl Context {
         (tail_fraction, effective)
     }
 
+    /// Attach this context's ledger snapshot to the trace so exporters can
+    /// cross-check traced aggregates against the analytic totals. Call at
+    /// the end of a traced run.
     pub fn flush_ledger_to_trace(&self) {
         if let Some(t) = &self.tracer {
             let (packets, tail) = self.lane_stats();
@@ -225,90 +241,23 @@ impl Context {
         }
     }
 
-    /// Ledger bookkeeping shared by every launch entry point, plus the
-    /// traced kernel event when a handle is attached. The float products
-    /// passed to the trace are exactly the terms `record_launch`
-    /// accumulates, so per-label sums of the event stream reconcile with
-    /// the ledger bitwise.
-    fn record(&self, cfg: &LaunchConfig, cost: KernelCost, items: u64, gangs: usize, t0: Instant) {
-        self.record_external_gangs(cfg.label, cost, items, gangs as u32, t0, t0.elapsed());
-    }
-
-    /// [`Context::record`] for the vector entry points: the traced event
-    /// additionally carries the configured lane width.
-    fn record_vec(
+    /// Record one launch: a ledger row plus, when a handle is attached,
+    /// the traced kernel event. Every launch entry point ends here, and so
+    /// do bodies that ran outside them (the layout library's reshapes, the
+    /// fused sweep's per-stage timings, which pass their own `start` and
+    /// summed `wall`). `gangs` and `lanes` only annotate the event — the
+    /// ledger keeps ONE row per launch and FLOP/byte counts are per item —
+    /// and the float products passed to the trace are exactly the terms
+    /// `record_launch` accumulates, so per-label sums of the event stream
+    /// reconcile with the ledger bitwise at every gang count and width.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record(
         &self,
-        cfg: &LaunchConfig,
+        label: &'static str,
         cost: KernelCost,
         items: u64,
         gangs: usize,
-        t0: Instant,
-    ) {
-        self.record_external_vec(
-            cfg.label,
-            cost,
-            items,
-            gangs as u32,
-            self.vector_width as u32,
-            t0,
-            t0.elapsed(),
-        );
-    }
-
-    /// Record a launch whose body ran outside the launch entry points
-    /// (e.g. the BLAS-style reshape transposes, which call a library
-    /// routine rather than a kernel body). Feeds the ledger and the
-    /// attached trace exactly like [`Context::launch`] does, so traced
-    /// aggregates still reconcile bitwise.
-    pub fn record_external(&self, label: &'static str, cost: KernelCost, items: u64, t0: Instant) {
-        self.record_external_timed(label, cost, items, t0, t0.elapsed());
-    }
-
-    /// Variant of [`Context::record_external`] taking an explicit
-    /// duration, for stage timings accumulated across inner batches (the
-    /// fused sweep records each stage once per axis with its summed
-    /// time). `start` places the event on the timeline.
-    pub fn record_external_timed(
-        &self,
-        label: &'static str,
-        cost: KernelCost,
-        items: u64,
-        start: Instant,
-        wall: Duration,
-    ) {
-        self.record_external_gangs(label, cost, items, 1, start, wall);
-    }
-
-    /// Variant of [`Context::record_external_timed`] that annotates the
-    /// traced kernel event with the gang count the launch actually used.
-    /// The ledger row is unchanged — ONE row per launch regardless of how
-    /// many gangs ran it — so ledger/trace reconciliation survives
-    /// threaded execution untouched.
-    pub fn record_external_gangs(
-        &self,
-        label: &'static str,
-        cost: KernelCost,
-        items: u64,
-        gangs: u32,
-        start: Instant,
-        wall: Duration,
-    ) {
-        self.record_external_vec(label, cost, items, gangs, 1, start, wall);
-    }
-
-    /// Variant of [`Context::record_external_gangs`] that also annotates
-    /// the traced kernel event with the lane width the launch executed at.
-    /// Like `gangs`, `lanes` is an annotation only: FLOP/byte counts are
-    /// per-element, so ledger/trace reconciliation stays exact at every
-    /// width.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_external_vec(
-        &self,
-        label: &'static str,
-        cost: KernelCost,
-        items: u64,
-        gangs: u32,
-        lanes: u32,
+        lanes: usize,
         start: Instant,
         wall: Duration,
     ) {
@@ -317,8 +266,8 @@ impl Context {
             t.kernel_vec(
                 label,
                 items,
-                gangs,
-                lanes,
+                gangs as u32,
+                lanes as u32,
                 cost.flops_per_item * items as f64,
                 cost.bytes_read_per_item * items as f64,
                 cost.bytes_written_per_item * items as f64,
@@ -346,6 +295,63 @@ impl Context {
         out
     }
 
+    /// The one fork/join. Splits `0..units` by [`Context::gang_blocks`]
+    /// and runs `body(gang, lo..hi, &mut state[gang])` on one scoped
+    /// thread per gang, handing each gang's return value to `each` **in
+    /// gang order** on the calling thread; returns the gang count. Runs as
+    /// one gang on the calling thread — no allocation, no spawn — when the
+    /// context has one worker, `units < 2`, or `work_items <
+    /// PAR_MIN_ITEMS` (callers pass the true collapsed item count, which
+    /// may exceed `units` by a large per-unit factor).
+    ///
+    /// The gang→range mapping is fixed and `each` folds in gang order, so
+    /// any reduction is bitwise-independent of scheduling. `state` must
+    /// hold at least `workers` elements; gang `g` gets exclusive use of
+    /// `state[g]`.
+    fn fork_join<S, R>(
+        &self,
+        units: usize,
+        work_items: u64,
+        state: &mut [S],
+        body: impl Fn(usize, Range<usize>, &mut S) -> R + Sync,
+        mut each: impl FnMut(R),
+    ) -> usize
+    where
+        S: Send,
+        R: Send,
+    {
+        if self.workers == 1 || units < 2 || work_items < PAR_MIN_ITEMS as u64 {
+            each(body(0, 0..units, &mut state[0]));
+            return 1;
+        }
+        let blocks = self.gang_blocks(units);
+        assert!(
+            state.len() >= blocks.len(),
+            "fork_join: {} state blocks for {} gangs",
+            state.len(),
+            blocks.len()
+        );
+        let body = &body;
+        std::thread::scope(|s| {
+            let gangs: Vec<_> = blocks
+                .iter()
+                .zip(state.iter_mut())
+                .enumerate()
+                .map(|(g, (&(lo, hi), st))| s.spawn(move || body(g, lo..hi, st)))
+                .collect();
+            for gang in gangs {
+                each(gang.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+        });
+        blocks.len()
+    }
+
+    /// Per-gang state of the entry points whose bodies carry none (a
+    /// `Vec` of zero-sized values never allocates).
+    fn stateless(&self) -> Vec<()> {
+        vec![(); self.workers]
+    }
+
     /// Launch a kernel over a collapsed iteration space of `n` items,
     /// running the body **sequentially on the calling thread** in index
     /// order, regardless of the worker count.
@@ -353,8 +359,7 @@ impl Context {
     /// This is the entry point for bodies that mutate captured state
     /// (`FnMut`), which cannot be split across threads. Use
     /// [`Context::launch_par`] for shared-read bodies (`Fn + Sync`) that
-    /// should scale with `workers()`, or [`Context::launch_chunks`] when
-    /// the output decomposes into disjoint slices.
+    /// should scale with `workers()`.
     pub fn launch<F>(&self, cfg: &LaunchConfig, cost: KernelCost, n: usize, mut body: F)
     where
         F: FnMut(usize),
@@ -363,7 +368,7 @@ impl Context {
         for i in 0..n {
             body(i);
         }
-        self.record(cfg, cost, n as u64, 1, t0);
+        self.record(cfg.label, cost, n as u64, 1, 1, t0, t0.elapsed());
     }
 
     /// Launch a side-effect kernel over `n` items, splitting the
@@ -379,126 +384,14 @@ impl Context {
         F: Fn(usize) + Sync,
     {
         let t0 = Instant::now();
-        let gangs = if self.workers > 1 && n >= PAR_MIN_ITEMS {
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                for (lo, hi) in blocks {
-                    s.spawn(move || {
-                        for i in lo..hi {
-                            body(i);
-                        }
-                    });
-                }
-            });
-            gangs
-        } else {
-            for i in 0..n {
-                body(i);
-            }
-            1
-        };
-        self.record(cfg, cost, n as u64, gangs, t0);
-    }
-
-    /// Launch a kernel whose output decomposes into disjoint `chunk_len`
-    /// slices of `out` — the shape of every sweep kernel in the solver
-    /// (one contiguous coalesced line per (j,k,field) tuple).
-    ///
-    /// The body receives `(chunk_index, chunk)` and may only write its own
-    /// chunk, which is what makes the parallel execution race-free by
-    /// construction. Iteration count recorded in the ledger is the number
-    /// of chunks.
-    pub fn launch_chunks<T, F>(
-        &self,
-        cfg: &LaunchConfig,
-        cost: KernelCost,
-        out: &mut [T],
-        chunk_len: usize,
-        body: F,
-    ) where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        assert_eq!(
-            out.len() % chunk_len,
-            0,
-            "output length {} is not a multiple of chunk length {}",
-            out.len(),
-            chunk_len
+        let gangs = self.fork_join(
+            n,
+            n as u64,
+            &mut self.stateless(),
+            |_, range, _| range.for_each(&body),
+            |()| {},
         );
-        let n = out.len() / chunk_len;
-        let t0 = Instant::now();
-        let gangs = if self.workers > 1 && out.len() >= PAR_MIN_ITEMS && n > 1 {
-            // One contiguous run of whole chunks per worker.
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                let mut rest = out;
-                let mut first = 0;
-                for (lo, hi) in blocks {
-                    let (mine, tail) = rest.split_at_mut((hi - lo) * chunk_len);
-                    rest = tail;
-                    s.spawn(move || {
-                        for (off, c) in mine.chunks_exact_mut(chunk_len).enumerate() {
-                            body(lo + off, c);
-                        }
-                    });
-                    first += hi - lo;
-                }
-                debug_assert_eq!(first, n);
-            });
-            gangs
-        } else {
-            for (i, c) in out.chunks_exact_mut(chunk_len).enumerate() {
-                body(i, c);
-            }
-            1
-        };
-        self.record(cfg, cost, n as u64, gangs, t0);
-    }
-
-    /// Launch a reduction kernel returning the maximum of the body over the
-    /// iteration space (used for the CFL time-step bound).
-    ///
-    /// The parallel path reduces each contiguous block on its own worker
-    /// and then folds the per-block maxima in block order; since `max` is
-    /// associative and commutative this is bitwise-identical to the serial
-    /// fold for any worker count.
-    pub fn launch_max<F>(&self, cfg: &LaunchConfig, cost: KernelCost, n: usize, body: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        let t0 = Instant::now();
-        let (result, gangs) = if self.workers > 1 && n >= PAR_MIN_ITEMS {
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let partials: Vec<AtomicU64> = blocks
-                .iter()
-                .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
-                .collect();
-            std::thread::scope(|s| {
-                for (b, &(lo, hi)) in blocks.iter().enumerate() {
-                    let slot = &partials[b];
-                    s.spawn(move || {
-                        let m = (lo..hi).map(body).fold(f64::NEG_INFINITY, f64::max);
-                        slot.store(m.to_bits(), Ordering::Relaxed);
-                    });
-                }
-            });
-            let m = partials
-                .iter()
-                .map(|a| f64::from_bits(a.load(Ordering::Relaxed)))
-                .fold(f64::NEG_INFINITY, f64::max);
-            (m, blocks.len())
-        } else {
-            ((0..n).map(&body).fold(f64::NEG_INFINITY, f64::max), 1)
-        };
-        self.record(cfg, cost, n as u64, gangs, t0);
-        result
+        self.record(cfg.label, cost, n as u64, gangs, 1, t0, t0.elapsed());
     }
 
     /// Launch a lane-vectorized kernel over a `rows × row_len` space —
@@ -523,41 +416,23 @@ impl Context {
         kernel: &K,
     ) {
         let t0 = Instant::now();
-        let w = self.vector_width;
-        let gangs = with_lane_width!(w, L => self.run_vec::<L, K>(rows, row_len, kernel));
-        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
-        self.record_vec(cfg, cost, (rows * row_len) as u64, gangs, t0);
-    }
-
-    fn run_vec<L: Lane, K: LaneKernel>(&self, rows: usize, row_len: usize, kernel: &K) -> usize {
-        let n = rows * row_len;
-        if self.workers > 1 && rows > 1 && n >= PAR_MIN_ITEMS {
-            let blocks = self.gang_blocks(rows);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                for (lo, hi) in blocks {
-                    s.spawn(move || {
-                        for row in lo..hi {
-                            vec_row::<L, K>(kernel, row, row_len);
-                        }
-                    });
-                }
-            });
-            gangs
-        } else {
-            for row in 0..rows {
-                vec_row::<L, K>(kernel, row, row_len);
-            }
-            1
-        }
+        let gangs = with_lane_width!(self.vector_width, L => self.fork_join(
+            rows,
+            (rows * row_len) as u64,
+            &mut self.stateless(),
+            |_, range, _| range.for_each(|row| vec_row::<L, K>(kernel, row, row_len)),
+            |()| {},
+        ));
+        self.finish_vec(cfg, cost, rows, row_len, gangs, t0);
     }
 
     /// Lane-vectorized max reduction over a `rows × row_len` space (the
     /// CFL bound). Each packet's lanes are extracted and folded in
     /// ascending lane order, so the fold visits items in exactly the
-    /// serial order within each gang; per-gang maxima fold in gang order
-    /// as in [`Context::launch_max`]. Bitwise identical to the scalar
-    /// reduction at every width and worker count.
+    /// serial order within each gang; each gang returns its maximum and
+    /// the maxima fold in gang order. Since `max` is associative and
+    /// commutative this is bitwise identical to the scalar reduction at
+    /// every width and worker count; an empty space gives `-inf`.
     pub fn launch_max_vec<K: LaneMaxKernel>(
         &self,
         cfg: &LaunchConfig,
@@ -567,149 +442,71 @@ impl Context {
         kernel: &K,
     ) -> f64 {
         let t0 = Instant::now();
-        let w = self.vector_width;
-        let (result, gangs) =
-            with_lane_width!(w, L => self.run_max_vec::<L, K>(rows, row_len, kernel));
-        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
-        self.record_vec(cfg, cost, (rows * row_len) as u64, gangs, t0);
+        let mut result = f64::NEG_INFINITY;
+        let gangs = with_lane_width!(self.vector_width, L => self.fork_join(
+            rows,
+            (rows * row_len) as u64,
+            &mut self.stateless(),
+            |_, range, _| {
+                range.fold(f64::NEG_INFINITY, |m, row| {
+                    max_vec_row::<L, K>(kernel, row, row_len, m)
+                })
+            },
+            |m| result = result.max(m),
+        ));
+        self.finish_vec(cfg, cost, rows, row_len, gangs, t0);
         result
     }
 
-    fn run_max_vec<L: Lane, K: LaneMaxKernel>(
+    /// Lane-tiling account and record of a `rows × row_len` vector launch.
+    fn finish_vec(
         &self,
+        cfg: &LaunchConfig,
+        cost: KernelCost,
         rows: usize,
         row_len: usize,
-        kernel: &K,
-    ) -> (f64, usize) {
-        let n = rows * row_len;
-        if self.workers > 1 && rows > 1 && n >= PAR_MIN_ITEMS {
-            let blocks = self.gang_blocks(rows);
-            let partials: Vec<AtomicU64> = blocks
-                .iter()
-                .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
-                .collect();
-            std::thread::scope(|s| {
-                for (b, &(lo, hi)) in blocks.iter().enumerate() {
-                    let slot = &partials[b];
-                    s.spawn(move || {
-                        let mut m = f64::NEG_INFINITY;
-                        for row in lo..hi {
-                            m = max_vec_row::<L, K>(kernel, row, row_len, m);
-                        }
-                        slot.store(m.to_bits(), Ordering::Relaxed);
-                    });
-                }
-            });
-            let m = partials
-                .iter()
-                .map(|a| f64::from_bits(a.load(Ordering::Relaxed)))
-                .fold(f64::NEG_INFINITY, f64::max);
-            (m, blocks.len())
-        } else {
-            let mut m = f64::NEG_INFINITY;
-            for row in 0..rows {
-                m = max_vec_row::<L, K>(kernel, row, row_len, m);
-            }
-            (m, 1)
-        }
+        gangs: usize,
+        t0: Instant,
+    ) {
+        let w = self.vector_width;
+        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
+        let items = (rows * row_len) as u64;
+        self.record(cfg.label, cost, items, gangs, w, t0, t0.elapsed());
     }
 
-    /// Lane-dispatching form of [`Context::gang_scope_with`]: the body is
-    /// written once against [`Lane`] (a [`LaneGangBody`]) and runs at the
-    /// context's vector width, handling its own packet/tail tiling inside
-    /// each gang range (the fused pencil engine's shape). Recording is the
-    /// caller's job, as with `gang_scope_with`.
+    /// Run a lane-dispatched gang body over `n` units: the body is written
+    /// once against [`Lane`] (a [`LaneGangBody`]), runs at the context's
+    /// vector width with exclusive use of `state[gang]` (the per-worker
+    /// scratch blocks of the fused sweep), and handles its own packet/tail
+    /// tiling inside each gang range. Per-gang return values reach `each`
+    /// in gang order; returns the gang count. Recording is the caller's
+    /// job ([`Context::record`]).
     pub fn gang_vec_scope<S, R, B>(
         &self,
         n: usize,
         work_items: u64,
         state: &mut [S],
         body: &B,
-    ) -> (Vec<R>, usize)
+        each: impl FnMut(R),
+    ) -> usize
     where
         S: Send,
         R: Send,
         B: LaneGangBody<S, R>,
     {
-        with_lane_width!(self.vector_width, L => self.gang_scope_with(
+        with_lane_width!(self.vector_width, L => self.fork_join(
             n,
             work_items,
             state,
             |g, range, st| body.run::<L>(g, range, st),
+            each,
         ))
     }
 
-    /// Split `0..n` into gang blocks and run `body(gang, lo..hi, state)`
-    /// on one scoped thread per gang, with per-gang mutable `state` (the
-    /// per-worker scratch blocks of the fused sweep) and per-gang return
-    /// values collected **in gang order**. Runs serially — same mapping,
-    /// one gang — when the context has one worker, `n < 2`, or
-    /// `work_items < PAR_MIN_ITEMS` (callers pass the true collapsed item
-    /// count, which may exceed `n` units by a large per-unit factor).
-    ///
-    /// Returns `(per-gang results, gang count)`. Because the gang→range
-    /// mapping is the fixed [`Context::gang_blocks`] partition and results
-    /// are folded by the caller in gang order, any reduction over the
-    /// returned vector is bitwise-independent of scheduling.
-    ///
-    /// `state` must hold at least `workers` elements; gang `g` gets
-    /// exclusive use of `state[g]`.
-    pub fn gang_scope_with<S, R, F>(
-        &self,
-        n: usize,
-        work_items: u64,
-        state: &mut [S],
-        body: F,
-    ) -> (Vec<R>, usize)
-    where
-        S: Send,
-        R: Send,
-        F: Fn(usize, std::ops::Range<usize>, &mut S) -> R + Sync,
-    {
-        if self.workers > 1 && n > 1 && work_items >= PAR_MIN_ITEMS as u64 {
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            assert!(
-                state.len() >= gangs,
-                "gang_scope_with: {} state blocks for {} gangs",
-                state.len(),
-                gangs
-            );
-            let body = &body;
-            let mut results: Vec<Option<R>> = Vec::with_capacity(gangs);
-            results.resize_with(gangs, || None);
-            std::thread::scope(|s| {
-                for ((g, (lo, hi)), (st, slot)) in blocks
-                    .into_iter()
-                    .enumerate()
-                    .zip(state.iter_mut().zip(results.iter_mut()))
-                {
-                    s.spawn(move || {
-                        *slot = Some(body(g, lo..hi, st));
-                    });
-                }
-            });
-            (results.into_iter().map(|r| r.unwrap()).collect(), gangs)
-        } else {
-            assert!(!state.is_empty(), "gang_scope_with: empty state");
-            (vec![body(0, 0..n, &mut state[0])], 1)
-        }
-    }
-
-    /// Stateless form of [`Context::gang_scope_with`].
-    pub fn gang_scope<R, F>(&self, n: usize, work_items: u64, body: F) -> (Vec<R>, usize)
-    where
-        R: Send,
-        F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-    {
-        let mut state = vec![(); self.workers.max(1)];
-        self.gang_scope_with(n, work_items, &mut state, |g, range, _| body(g, range))
-    }
-
-    /// Launch a gang-decomposed kernel over `n` units, recording ONE
-    /// ledger row (items = `n`) with the gang count annotated on the
-    /// traced event. Per-gang results come back in gang order for
-    /// deterministic folding by the caller.
+    /// Launch a gang-decomposed kernel over `n` items: the body sees its
+    /// whole gang range, ONE ledger row (items = `n`) is recorded with the
+    /// gang count annotated on the traced event, and the per-gang results
+    /// come back in gang order for deterministic folding by the caller.
     pub fn launch_gangs<R, F>(
         &self,
         cfg: &LaunchConfig,
@@ -719,11 +516,18 @@ impl Context {
     ) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
+        F: Fn(usize, Range<usize>) -> R + Sync,
     {
         let t0 = Instant::now();
-        let (results, gangs) = self.gang_scope(n, n as u64, body);
-        self.record(cfg, cost, n as u64, gangs, t0);
+        let mut results = Vec::with_capacity(self.workers);
+        let gangs = self.fork_join(
+            n,
+            n as u64,
+            &mut self.stateless(),
+            |g, range, _| body(g, range),
+            |r| results.push(r),
+        );
+        self.record(cfg.label, cost, n as u64, gangs, 1, t0, t0.elapsed());
         results
     }
 }
@@ -815,82 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn launch_chunks_gives_disjoint_chunks() {
-        let ctx = Context::new();
-        let mut out = vec![0.0f64; 64];
-        ctx.launch_chunks(&LaunchConfig::tuned("c"), cost(), &mut out, 8, |i, c| {
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = (i * 8 + j) as f64;
-            }
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as f64);
-        }
-        assert_eq!(ctx.ledger().kernel("c").unwrap().items, 8);
-    }
-
-    #[test]
-    fn launch_chunks_parallel_matches_serial() {
-        let chunk = 16;
-        let n = 8 * PAR_MIN_ITEMS;
-        let fill = |i: usize, c: &mut [f64]| {
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = ((i * 31 + j * 7) % 1013) as f64 * 0.5;
-            }
-        };
-        let mut serial = vec![0.0f64; n];
-        Context::serial().launch_chunks(
-            &LaunchConfig::tuned("c"),
-            cost(),
-            &mut serial,
-            chunk,
-            fill,
-        );
-        let mut par = vec![0.0f64; n];
-        Context::with_workers(5).launch_chunks(
-            &LaunchConfig::tuned("c"),
-            cost(),
-            &mut par,
-            chunk,
-            fill,
-        );
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    #[should_panic]
-    fn launch_chunks_rejects_non_multiple() {
-        let ctx = Context::serial();
-        let mut out = vec![0.0f64; 10];
-        ctx.launch_chunks(&LaunchConfig::tuned("c"), cost(), &mut out, 3, |_, _| {});
-    }
-
-    #[test]
-    fn launch_max_reduces_correctly() {
-        let ctx = Context::new();
-        let m = ctx.launch_max(&LaunchConfig::tuned("m"), cost(), 1000, |i| {
-            -((i as f64) - 500.5).abs()
-        });
-        assert_eq!(m, -0.5);
-    }
-
-    #[test]
-    fn launch_max_parallel_is_bitwise_deterministic() {
-        let n = 8 * PAR_MIN_ITEMS;
-        let body = |i: usize| ((i as f64) * 0.7315).sin() * 1.0e-3 + (i % 97) as f64;
-        let serial = Context::serial().launch_max(&LaunchConfig::tuned("m"), cost(), n, body);
-        for workers in [2, 3, 8] {
-            let par = Context::with_workers(workers).launch_max(
-                &LaunchConfig::tuned("m"),
-                cost(),
-                n,
-                body,
-            );
-            assert_eq!(serial.to_bits(), par.to_bits(), "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn traced_launches_reconcile_with_ledger_exactly() {
         let tracer = mfc_trace::Tracer::new();
         let mut ctx = Context::serial();
@@ -900,7 +628,7 @@ mod tests {
         for items in [100usize, 37, 1013] {
             ctx.launch(&LaunchConfig::tuned("k"), cost(), items, |_| {});
         }
-        ctx.launch_max(&LaunchConfig::tuned("m"), cost(), 513, |i| i as f64);
+        ctx.launch_max_vec(&LaunchConfig::tuned("m"), cost(), 27, 19, &MaxBody);
         ctx.flush_ledger_to_trace();
         let json = mfc_trace::chrome::export_to_string(&tracer.snapshot());
         let parsed = mfc_trace::chrome::parse_str(&json).unwrap();
@@ -915,13 +643,6 @@ mod tests {
         ctx.trace_instant("x", Category::Phase);
         ctx.trace_counter("dt", 1.0);
         ctx.flush_ledger_to_trace();
-    }
-
-    #[test]
-    fn launch_max_empty_space_is_neg_infinity() {
-        let ctx = Context::serial();
-        let m = ctx.launch_max(&LaunchConfig::tuned("m0"), cost(), 0, |_| 1.0);
-        assert_eq!(m, f64::NEG_INFINITY);
     }
 
     #[test]
@@ -950,51 +671,12 @@ mod tests {
         }
     }
 
-    /// Count distinct OS threads a launch body ran on.
-    fn distinct_threads(f: impl FnOnce(&(dyn Fn() + Sync))) -> usize {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let ids = Mutex::new(HashSet::new());
-        f(&|| {
-            ids.lock().unwrap().insert(std::thread::current().id());
-        });
-        let ids = ids.into_inner().unwrap();
-        ids.len()
-    }
-
-    #[test]
-    fn par_min_items_boundary_switches_paths() {
-        let ctx = Context::with_workers(4);
-        // One item below the threshold: serial path, calling thread only.
-        let below = distinct_threads(|mark| {
-            ctx.launch_par(&LaunchConfig::tuned("b"), cost(), PAR_MIN_ITEMS - 1, |_| {
-                mark()
-            });
-        });
-        assert_eq!(below, 1, "below-threshold launch must stay serial");
-        // At the threshold: forked path, more than one worker observed.
-        let at = distinct_threads(|mark| {
-            ctx.launch_par(&LaunchConfig::tuned("a"), cost(), PAR_MIN_ITEMS, |_| mark());
-        });
-        assert!(at > 1, "threshold launch must fork (saw {at} threads)");
-        // A single-worker context never forks, whatever the size.
-        let serial = distinct_threads(|mark| {
-            Context::serial().launch_par(
-                &LaunchConfig::tuned("s"),
-                cost(),
-                4 * PAR_MIN_ITEMS,
-                |_| mark(),
-            );
-        });
-        assert_eq!(serial, 1, "serial context must not fork");
-    }
-
     #[test]
     fn gang_scope_results_come_back_in_gang_order() {
         let ctx = Context::with_workers(4);
         let n = 4 * PAR_MIN_ITEMS + 7;
-        let (results, gangs) = ctx.gang_scope(n, n as u64, |g, range| (g, range.start, range.end));
-        assert_eq!(gangs, 4);
+        let cfg = LaunchConfig::tuned("g");
+        let results = ctx.launch_gangs(&cfg, cost(), n, |g, range| (g, range.start, range.end));
         assert_eq!(results.len(), 4);
         let mut next = 0;
         for (i, &(g, lo, hi)) in results.iter().enumerate() {
@@ -1004,8 +686,7 @@ mod tests {
         }
         assert_eq!(next, n);
         // Small spaces collapse to one gang covering everything.
-        let (results, gangs) = ctx.gang_scope(5, 5, |g, range| (g, range.start, range.end));
-        assert_eq!(gangs, 1);
+        let results = ctx.launch_gangs(&cfg, cost(), 5, |g, range| (g, range.start, range.end));
         assert_eq!(results, vec![(0, 0, 5)]);
     }
 
@@ -1014,16 +695,30 @@ mod tests {
         let ctx = Context::with_workers(3);
         let n = 3 * PAR_MIN_ITEMS;
         let mut scratch = vec![0u64; ctx.workers()];
-        let (sums, gangs) = ctx.gang_scope_with(n, n as u64, &mut scratch, |_, range, st| {
-            for i in range {
-                *st += i as u64;
-            }
-            *st
-        });
+        let mut sums = Vec::new();
+        let gangs = ctx.fork_join(
+            n,
+            n as u64,
+            &mut scratch,
+            |_, range, st| {
+                *st += range.map(|i| i as u64).sum::<u64>();
+                *st
+            },
+            |sum| sums.push(sum),
+        );
         assert_eq!(gangs, 3);
         let total: u64 = sums.iter().sum();
         assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
         assert_eq!(scratch, sums);
+    }
+
+    #[test]
+    #[should_panic(expected = "gang 1 failed")]
+    fn a_panicking_gang_propagates_to_the_launcher() {
+        let n = 2 * PAR_MIN_ITEMS;
+        Context::with_workers(2).launch_par(&LaunchConfig::tuned("p"), cost(), n, |i| {
+            assert!(i < n / 2, "gang 1 failed");
+        });
     }
 
     #[test]
@@ -1160,6 +855,176 @@ mod tests {
     }
 
     #[test]
+    fn launch_max_reduces_correctly() {
+        struct Tent;
+        impl LaneMaxKernel for Tent {
+            fn packet<L: Lane>(&self, row: usize, col: usize) -> L {
+                L::from_lanes(|i| -(((row * 40 + col + i) as f64) - 500.5).abs())
+            }
+        }
+        let m = Context::new().launch_max_vec(&LaunchConfig::tuned("m"), cost(), 25, 40, &Tent);
+        assert_eq!(m, -0.5);
+    }
+
+    #[test]
+    fn launch_max_parallel_is_bitwise_deterministic() {
+        let (rows, row_len) = (8 * PAR_MIN_ITEMS / 64, 64);
+        let cfg = LaunchConfig::tuned("m");
+        let serial = Context::serial().launch_max_vec(&cfg, cost(), rows, row_len, &MaxBody);
+        for workers in [2, 3, 8] {
+            let par = Context::with_workers(workers).launch_max_vec(
+                &cfg,
+                cost(),
+                rows,
+                row_len,
+                &MaxBody,
+            );
+            assert_eq!(serial.to_bits(), par.to_bits(), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn launch_max_empty_space_is_neg_infinity() {
+        for (rows, row_len) in [(0, 16), (16, 0)] {
+            let m = Context::with_workers(4).launch_max_vec(
+                &LaunchConfig::tuned("m0"),
+                cost(),
+                rows,
+                row_len,
+                &MaxBody,
+            );
+            assert_eq!(m, f64::NEG_INFINITY);
+        }
+    }
+
+    type Mark<'a> = &'a (dyn Fn() + Sync);
+
+    /// `out[row][col]` from an index hash, marking the executing thread.
+    struct Marked<'a> {
+        out: ParSlice<'a>,
+        row_len: usize,
+        mark: Mark<'a>,
+    }
+
+    fn hash(item: usize) -> f64 {
+        ((item as f64) * 0.7315).sin() * 1.0e-3 + (item % 97) as f64
+    }
+
+    impl LaneKernel for Marked<'_> {
+        fn packet<L: Lane>(&self, row: usize, col: usize) {
+            (self.mark)();
+            let item = row * self.row_len + col;
+            self.out.set_lanes(item, L::from_lanes(|i| hash(item + i)));
+        }
+    }
+
+    impl LaneMaxKernel for Marked<'_> {
+        fn packet<L: Lane>(&self, row: usize, col: usize) -> L {
+            (self.mark)();
+            L::from_lanes(|i| hash(row * self.row_len + col + i))
+        }
+    }
+
+    impl crate::vector::LaneGangBody<u64, u64> for Marked<'_> {
+        fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, st: &mut u64) -> u64 {
+            (self.mark)();
+            *st = range.map(|u| (u * u) as u64).sum();
+            *st
+        }
+    }
+
+    /// One row per surviving parallel entry point: run it over an `a × b`
+    /// space and return its result as bits. `units_are_items` says whether
+    /// the entry splits the `a·b` items (else the `a` rows / units).
+    type Entry = (
+        &'static str,
+        bool,
+        fn(&Context, usize, usize, Mark) -> Vec<u64>,
+    );
+
+    const ENTRIES: [Entry; 5] = [
+        ("launch_par", true, |ctx, a, b, mark| {
+            let mut out = vec![0.0f64; a * b];
+            let view = ParSlice::new(&mut out);
+            ctx.launch_par(&LaunchConfig::tuned("e"), cost(), a * b, |i| {
+                mark();
+                view.set(i, hash(i));
+            });
+            out.iter().map(|v| v.to_bits()).collect()
+        }),
+        ("launch_vec", false, |ctx, a, b, mark| {
+            let mut out = vec![0.0f64; a * b];
+            let k = Marked {
+                out: ParSlice::new(&mut out),
+                row_len: b,
+                mark,
+            };
+            ctx.launch_vec(&LaunchConfig::tuned("e"), cost(), a, b, &k);
+            out.iter().map(|v| v.to_bits()).collect()
+        }),
+        ("launch_max_vec", false, |ctx, a, b, mark| {
+            let k = Marked {
+                out: ParSlice::new(&mut []),
+                row_len: b,
+                mark,
+            };
+            vec![ctx
+                .launch_max_vec(&LaunchConfig::tuned("e"), cost(), a, b, &k)
+                .to_bits()]
+        }),
+        ("launch_gangs", true, |ctx, a, b, mark| {
+            let firsts = ctx.launch_gangs(&LaunchConfig::tuned("e"), cost(), a * b, |_, range| {
+                mark();
+                range.clone().find(|i| i % 89 == 88)
+            });
+            vec![firsts.into_iter().flatten().next().map_or(0, |i| i as u64)]
+        }),
+        ("gang_vec_scope", false, |ctx, a, b, mark| {
+            let k = Marked {
+                out: ParSlice::new(&mut []),
+                row_len: b,
+                mark,
+            };
+            let mut scratch = vec![0u64; ctx.workers()];
+            let mut total = 0u64;
+            ctx.gang_vec_scope(a, (a * b) as u64, &mut scratch, &k, |s: u64| total += s);
+            vec![total]
+        }),
+    ];
+
+    #[test]
+    fn par_min_items_boundary_switches_paths() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        // One item below the threshold, exactly at it (fewer units than
+        // the widest context has workers), and a single unit far above it.
+        let shapes = [(31, 33), (4, PAR_MIN_ITEMS / 4), (1, 4 * PAR_MIN_ITEMS)];
+        for (name, units_are_items, run) in ENTRIES {
+            for (a, b) in shapes {
+                let units = if units_are_items { a * b } else { a };
+                let mut reference = None;
+                for workers in [1, 2, 3, 7] {
+                    let ctx = Context::with_workers(workers);
+                    let ids = Mutex::new(HashSet::new());
+                    let bits = run(&ctx, a, b, &|| {
+                        ids.lock().unwrap().insert(std::thread::current().id());
+                    });
+                    let ids = ids.into_inner().unwrap();
+                    let at = format!("{name} {a}x{b} workers={workers}");
+                    if workers == 1 || units < 2 || a * b < PAR_MIN_ITEMS {
+                        let me = std::thread::current().id();
+                        assert_eq!(ids, HashSet::from([me]), "{at}: one gang, caller's thread");
+                    } else {
+                        assert_eq!(ids.len(), workers.min(units), "{at}: gang count");
+                    }
+                    let want = reference.get_or_insert_with(|| bits.clone());
+                    assert_eq!(*want, bits, "{at}: result bits");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn invalid_vector_width_is_rejected() {
         let _ = Context::serial().with_vector_width(3);
@@ -1180,9 +1045,10 @@ mod tests {
             let ctx = Context::with_workers(3).with_vector_width(width);
             let n = 3 * PAR_MIN_ITEMS;
             let mut scratch = vec![0u64; ctx.workers()];
-            let (sums, gangs) = ctx.gang_vec_scope(n, n as u64, &mut scratch, &Body);
+            let mut total = 0u64;
+            let gangs = ctx.gang_vec_scope(n, n as u64, &mut scratch, &Body, |s: u64| total += s);
             assert_eq!(gangs, 3);
-            assert_eq!(sums.iter().sum::<u64>(), (n as u64 - 1) * n as u64 / 2);
+            assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
         }
     }
 }

@@ -1,7 +1,6 @@
-//! Human-readable profile summaries — the `nsys stats` / `rocprof`
-//! analog, rendered from the ledger.
+//! Human-readable summary of the ledger's fault-tolerance event log.
 
-use crate::ledger::{Ledger, TransferDirection};
+use crate::ledger::Ledger;
 
 /// Render the fault-tolerance event log: one line per checkpoint,
 /// detection, rollback, and replay, with per-event wall timing — the
@@ -26,105 +25,10 @@ pub fn resilience_summary(ledger: &Ledger) -> String {
     out
 }
 
-/// Render a per-kernel profile table sorted by wall time, with share of
-/// total, launch counts, and arithmetic intensity.
-pub fn kernel_summary(ledger: &Ledger) -> String {
-    let stats = ledger.kernel_stats();
-    let total: f64 = stats.iter().map(|s| s.wall.as_secs_f64()).sum();
-    let mut out = String::from(
-        "kernel                        class     launches      items   time(ms)  share   AI(F/B)\n",
-    );
-    for s in &stats {
-        let ms = s.wall.as_secs_f64() * 1e3;
-        out.push_str(&format!(
-            "{:<29} {:<9} {:>8} {:>10} {:>10.3} {:>5.1}% {:>8.3}\n",
-            s.label,
-            s.class.map(|c| c.name()).unwrap_or("?"),
-            s.launches,
-            s.items,
-            ms,
-            100.0 * s.wall.as_secs_f64() / total.max(1e-300),
-            s.arithmetic_intensity(),
-        ));
-    }
-    out
-}
-
-/// Render the data-transfer summary (H2D/D2H counts and volumes).
-pub fn transfer_summary(ledger: &Ledger) -> String {
-    let h2d = ledger.transfers(TransferDirection::HostToDevice);
-    let d2h = ledger.transfers(TransferDirection::DeviceToHost);
-    format!(
-        "transfers: H2D {} ops / {:.3} MB, D2H {} ops / {:.3} MB\n",
-        h2d.count,
-        h2d.bytes as f64 / 1e6,
-        d2h.count,
-        d2h.bytes as f64 / 1e6
-    )
-}
-
-/// The paper's §IV-A observation, computed from a profile: the share of
-/// compute-kernel wall time spent in the two hottest kernel classes.
-pub fn hot_kernel_share(ledger: &Ledger) -> f64 {
-    use crate::cost::KernelClass;
-    let by = ledger.by_class();
-    let total: f64 = by.values().map(|s| s.wall.as_secs_f64()).sum();
-    let hot = by
-        .get(&KernelClass::Weno)
-        .map(|s| s.wall.as_secs_f64())
-        .unwrap_or(0.0)
-        + by.get(&KernelClass::Riemann)
-            .map(|s| s.wall.as_secs_f64())
-            .unwrap_or(0.0);
-    hot / total.max(1e-300)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{KernelClass, KernelCost};
     use std::time::Duration;
-
-    fn ledger_with_data() -> Ledger {
-        let l = Ledger::new();
-        l.record_launch(
-            "s_weno",
-            KernelCost::new(KernelClass::Weno, 100.0, 40.0, 8.0),
-            1000,
-            Duration::from_millis(30),
-        );
-        l.record_launch(
-            "s_riemann",
-            KernelCost::new(KernelClass::Riemann, 50.0, 80.0, 40.0),
-            500,
-            Duration::from_millis(20),
-        );
-        l.record_launch(
-            "s_other",
-            KernelCost::new(KernelClass::Other, 5.0, 16.0, 8.0),
-            2000,
-            Duration::from_millis(10),
-        );
-        l.record_transfer(TransferDirection::HostToDevice, 1_000_000);
-        l
-    }
-
-    #[test]
-    fn summary_lists_kernels_by_time() {
-        let text = kernel_summary(&ledger_with_data());
-        let weno_pos = text.find("s_weno").unwrap();
-        let riemann_pos = text.find("s_riemann").unwrap();
-        let other_pos = text.find("s_other").unwrap();
-        assert!(weno_pos < riemann_pos && riemann_pos < other_pos);
-        assert!(text.contains("50.0%")); // 30ms of 60ms
-    }
-
-    #[test]
-    fn transfer_summary_reports_megabytes() {
-        let text = transfer_summary(&ledger_with_data());
-        assert!(text.contains("H2D 1 ops / 1.000 MB"));
-        assert!(text.contains("D2H 0 ops"));
-    }
 
     #[test]
     fn resilience_summary_lists_events_in_order() {
@@ -153,12 +57,5 @@ mod tests {
         let rp = text.find("replay").unwrap();
         assert!(ck < fd && fd < rb && rb < rp);
         assert!(text.contains("2.000"));
-    }
-
-    #[test]
-    fn hot_share_matches_the_papers_structure() {
-        // 30+20 of 60 ms => 83%.
-        let share = hot_kernel_share(&ledger_with_data());
-        assert!((share - 50.0 / 60.0).abs() < 1e-12);
     }
 }

@@ -405,8 +405,8 @@ pub trait LaneMaxKernel: Sync {
 
 /// A gang-scope body executable at any lane width (see
 /// [`crate::exec::Context::gang_vec_scope`]): `run` receives the gang id,
-/// its contiguous unit range, and exclusive scratch, exactly like the
-/// closure of `gang_scope_with`, and handles its own packet/tail tiling.
+/// its contiguous unit range, and exclusive scratch, and handles its own
+/// packet/tail tiling.
 pub trait LaneGangBody<S, R>: Sync {
     fn run<L: Lane>(&self, gang: usize, range: std::ops::Range<usize>, state: &mut S) -> R;
 }

@@ -17,6 +17,8 @@
 //! - `numerics.cfl` in (0, 1] — assert in `cfl::try_max_dt_geom`
 //! - `numerics.dt`, `run.t_end` finite and > 0 — a run that never ends
 //! - `numerics.workers` ≤ [`MAX_WORKERS`] — thread exhaustion
+//! - `run.ranks` + `run.spares` ≤ [`MAX_RANKS`] — thread exhaustion in
+//!   `World::run` (exit 101 after `--dry-run` had said "admissible")
 //! - geometry fits `ndim` and has a radial `lo` ≥ 0 — `axisym.rs` asserts
 //! - `lo` < `hi`, finite, cells wider than rounding, on every axis (an
 //!   inactive axis still gets a one-cell grid) — `grid.rs` asserts
@@ -38,7 +40,7 @@ use mfc_core::par::ExchangeMode;
 use mfc_core::probes::Probe;
 use mfc_core::recovery::RecoveryPolicy;
 use mfc_core::solver::SolverConfig;
-use mfc_mpsim::{best_block_dims, validate_halo_extents, FailurePolicy, FaultPlan};
+use mfc_mpsim::{best_block_dims, validate_halo_extents, FailurePolicy, FaultPlan, MAX_RANKS};
 
 use crate::schema::{CaseFile, IoConfig, OutputConfig};
 use crate::RunError;
@@ -59,8 +61,9 @@ apply the same checks; a refused case is exit 2 and nothing is written):
   stopping     run.steps or run.t_end (finite, > 0); a distributed run
                (ranks > 1, checkpoint_every > 0 or a fault plan) needs
                run.steps and takes no probes
-  layout       ranks <= cells, blocks at least the halo depth wide on
-               every active axis, io.wave >= 1, probes inside the domain
+  layout       ranks <= cells, ranks + spares <= 4096, blocks at least
+               the halo depth wide on every active axis, io.wave >= 1,
+               probes inside the domain
   files        fault plan and recovery ladder parse and fit the rank
                count (unreadable: exit 3)
 ";
@@ -333,6 +336,11 @@ fn check_case(
     require!(
         ranks as f64 <= cells,
         "decomposition: run.ranks = {ranks} exceeds the grid's {cells} cells"
+    );
+    let threads = ranks.saturating_add(run.spares);
+    require!(
+        threads <= MAX_RANKS,
+        "run.ranks + run.spares = {threads} exceeds the limit of {MAX_RANKS} rank threads"
     );
     let dims = best_block_dims(ranks, case.cells);
     validate_halo_extents(dims, case.cells, ndim, ng).map_err(|e| e.to_string())?;

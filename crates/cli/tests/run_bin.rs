@@ -371,7 +371,7 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         c.run.ranks = 2;
     };
     type Row<'a> = (&'a str, i32, &'a dyn Fn(&mut CaseFile));
-    let rows: [Row; 26] = [
+    let rows: [Row; 27] = [
         ("numerics.cfl must be in (0, 1]", 2, &|c| {
             c.numerics.cfl = 0.0
         }),
@@ -455,6 +455,16 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
                 c.run.ranks = 1_000_000_000_000_000;
             },
         ),
+        // On the parent `--dry-run` said "admissible" and the run died in
+        // `thread::scope` (exit 101) with 60 002 rank threads to spawn.
+        (
+            "run.ranks + run.spares = 60002 exceeds the limit of 4096",
+            2,
+            &|c| {
+                distributed(c);
+                c.run.spares = 60_000;
+            },
+        ),
         ("bad fault plan", 2, &|c| {
             distributed(c);
             c.run.faults = Some("rank7.json".into());
@@ -477,6 +487,22 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         let text = serde_json::to_string(&case).unwrap();
         refused_at_every_entry_point(&scratch.0, &text, exit, needle);
     }
+    // Through `mfc-run`'s flags instead of the case file: a zero wave
+    // width stops at the flag parser (the former trace smoke's check), the
+    // spare count reaches the same admission rule.
+    let good = scratch.sod_case("flags", 2, 4, true);
+    for (flags, needle) in [
+        (["--io-wave", "0"], "--io-wave needs a value it accepts"),
+        (["--spares", "60000"], "run.ranks + run.spares = 60002"),
+    ] {
+        for dry in [&[][..], &["--dry-run"][..]] {
+            let out = mfc_run(&good, &[&flags[..], dry].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flags:?} {dry:?}: {stderr}");
+            assert!(stderr.contains(needle), "{flags:?} {dry:?}: {stderr}");
+        }
+    }
+    assert!(!scratch.0.join("flags").exists(), "a refusal wrote output");
 }
 
 /// Simulation time from the `done:` line (`t = 1.2000e-2`), as printed.

@@ -213,10 +213,13 @@ pub(crate) fn fused_sweep_axis_region(
 
     let table = FluidTable::new(fluids);
     let t_axis = Instant::now();
+    // Per-stage CPU time summed over gangs in fixed gang order (exceeds
+    // the axis wall clock when gangs overlap; the residual clamps at 0).
+    let mut stage = [Duration::ZERO; 4];
     // The one place the sweep looks at the layout's shape: the body below
     // is instantiated per layout, and every per-face loop inside it runs
     // on that instance's (for the shipped shapes, literal) counts.
-    let (stage_times, gangs) = with_eq_layout!(eq, eq => {
+    let gangs = with_eq_layout!(eq, eq => {
         let body = FusedBody {
             eq,
             fluids: &table,
@@ -249,22 +252,14 @@ pub(crate) fn fused_sweep_axis_region(
             oq,
             nbatches,
         };
-        ctx.gang_vec_scope(units, (nlines * s_n) as u64, &mut fused[..], &body)
+        let work = (nlines * s_n) as u64;
+        ctx.gang_vec_scope(units, work, &mut fused[..], &body, |t: [Duration; 4]| {
+            for (sum, gang) in stage.iter_mut().zip(t) {
+                *sum += gang;
+            }
+        })
     });
-    // Per-stage CPU time summed over gangs in fixed gang order (exceeds
-    // the axis wall clock when gangs overlap; the residual clamps at 0).
-    let (mut tg, mut tw, mut tr, mut tu) = (
-        Duration::ZERO,
-        Duration::ZERO,
-        Duration::ZERO,
-        Duration::ZERO,
-    );
-    for t in &stage_times {
-        tg += t[0];
-        tw += t[1];
-        tr += t[2];
-        tu += t[3];
-    }
+    let [mut tg, mut tw, mut tr, mut tu] = stage;
 
     // Per-axis ledger records: each stage under its own label with the
     // staged-equivalent per-item cost, plus the Fused-class marker
@@ -293,19 +288,18 @@ pub(crate) fn fused_sweep_axis_region(
         face_rows * (rnf / vw) as u64 + nlines as u64 * (s_n / vw) as u64,
         face_rows * (rnf % vw) as u64 + nlines as u64 * (s_n % vw) as u64,
     );
-    let gangs = gangs as u32;
-    let lanes = vw as u32;
     if axis != 0 {
-        ctx.record_external_gangs(
+        ctx.record(
             "f_sweep_gather",
             KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
             (nlines * neq * rext) as u64,
             gangs,
+            1,
             t_axis,
             tg,
         );
     }
-    ctx.record_external_vec(
+    ctx.record(
         "f_weno_reconstruct",
         KernelCost::new(
             KernelClass::Weno,
@@ -315,11 +309,11 @@ pub(crate) fn fused_sweep_axis_region(
         ),
         (nlines * neq * rnf) as u64,
         gangs,
-        lanes,
+        vw,
         t_axis + tg,
         tw,
     );
-    ctx.record_external_vec(
+    ctx.record(
         "f_riemann_solve",
         KernelCost::new(
             KernelClass::Riemann,
@@ -329,11 +323,11 @@ pub(crate) fn fused_sweep_axis_region(
         ),
         (nlines * rnf) as u64,
         gangs,
-        lanes,
+        vw,
         t_axis + tg + tw,
         tr,
     );
-    ctx.record_external_vec(
+    ctx.record(
         "f_flux_divergence",
         KernelCost::new(
             KernelClass::Update,
@@ -343,18 +337,19 @@ pub(crate) fn fused_sweep_axis_region(
         ),
         (nlines * s_n) as u64,
         gangs,
-        lanes,
+        vw,
         t_axis + tg + tw + tr,
         tu,
     );
     let residual = wall
         .checked_sub(tg + tw + tr + tu)
         .unwrap_or(Duration::ZERO);
-    ctx.record_external_gangs(
+    ctx.record(
         "s_fused_sweep",
         KernelCost::new(KernelClass::Fused, 0.0, 8.0, 8.0),
         nlines as u64,
         gangs,
+        1,
         t_axis + tg + tw + tr + tu,
         residual,
     );

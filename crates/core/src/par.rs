@@ -21,13 +21,13 @@
 //! primitive is its plain blocking counterpart and no per-step state is
 //! saved.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mfc_acc::{Context, Ledger, QueueSet, ResilienceEvent, ResilienceEventKind, TransferDirection};
+use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind, TransferDirection};
 use mfc_mpsim::{
     best_block_dims, validate_halo_extents, CartComm, Comm, CommFault, FailurePolicy, FaultCtx,
     SpareWake, Staging, WaveWriter, World,
@@ -536,13 +536,10 @@ pub fn run_distributed_resilient(
             dims,
             size: n_ranks,
         }];
-        // Numerical-recovery ladder state and the q^n retry snapshot. Only
-        // an armed ladder retries from the snapshot — without one a
-        // rejected step ends the run — so only then is it kept.
+        // Numerical-recovery ladder state.
         let policy = opts.recovery.clone();
         let mut rec = RecoveryState::default();
         let mut attempts: u32 = 0;
-        let mut q_save = policy.as_ref().map(|_| q.clone());
 
         'steps: loop {
             // ---- Recovery: rendezvous, reconfigure, roll back, resume
@@ -740,7 +737,6 @@ pub fn run_distributed_resilient(
                                 size: size_cur,
                             });
                             rk = RkWorkspace::new(&q);
-                            q_save = q_save.map(|_| q.clone());
                         }
                         // The replay is a fresh deterministic run from the
                         // wave: restart the ladder state with it.
@@ -880,14 +876,11 @@ pub fn run_distributed_resilient(
                 }
             }
 
-            // ---- One step, under the numerical-recovery ladder. The
-            // q^n snapshot is what a rejected attempt retries from; the
+            // ---- One step, under the numerical-recovery ladder. A
+            // rejected attempt retries from the q^n `rk_step` recorded; the
             // verdict allreduce mirrors the dt reduction, so every rank
             // accepts, retries, or aborts the same attempt in lockstep.
             let _step_span = ctx.span("step", Category::Phase);
-            if let Some(save) = &mut q_save {
-                save.as_mut_slice().copy_from_slice(q.as_slice());
-            }
             let dt = loop {
                 let eff = match &policy {
                     Some(p) => p.effective_config(&cfg, rec.rung),
@@ -999,8 +992,11 @@ pub fn run_distributed_resilient(
                         "degenerate wave-speed rate in the CFL reduction".into(),
                     );
                 }
-                if let Some(save) = &q_save {
-                    q.as_mut_slice().copy_from_slice(save.as_slice());
+                // Only an attempt that reached `rk_step` wrote q — and only
+                // then does `rk.q0` hold this step's q^n (a degenerate dt
+                // leaves q untouched and q0 at q^{n-1}).
+                if !degenerate {
+                    q.as_mut_slice().copy_from_slice(rk.q0.as_slice());
                 }
                 attempts += 1;
                 let exhausted = match &policy {
@@ -1257,9 +1253,10 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
 ///
 /// Per axis (x → y → z, preserving the corner-fill chain: axis *k*'s pack
 /// reads axis *k−1*'s unpacked ghosts), this posts the nonblocking
-/// receives and sends (`halo_post`), drains the interior sweep for that
-/// axis from its [`QueueSet`] queue while the messages are in flight
-/// (`interior_rhs`), then completes the receives and unpacks
+/// receives and sends (`halo_post`), runs the interior sweep of that axis
+/// while the messages are in flight (`interior_rhs`) — the interior sweep
+/// of axis *k* runs between axis *k*'s post and drain — then completes
+/// the receives and unpacks
 /// (`halo_drain` — the *exposed* communication time). Once every axis has
 /// exchanged, physical BCs are applied and [`rhs_overlap_finish`] runs
 /// the boundary shells plus the grid-global closures (`shell_rhs`).
@@ -1270,8 +1267,8 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
 /// axis contributions in the same x, y, z order either way.
 ///
 /// The drain waits go through the fault detector; a verdict abandons the
-/// exchange (after letting leftover interior queues run, so no queued
-/// work is dropped) and the caller rolls back.
+/// exchange — the later axes' interior sweeps never run — and the caller
+/// rolls back.
 #[allow(clippy::too_many_arguments)]
 fn overlapped_halo_rhs(
     ctx: &Context,
@@ -1291,66 +1288,35 @@ fn overlapped_halo_rhs(
     let dom = *q.domain();
     rhs_overlap_begin(ctx, rhs_cfg, fluids, q, ws, rhs);
 
-    let mut fault: Option<CommFault> = None;
-    {
-        // Interior sweeps live on per-axis async queues; the closures
-        // share the workspace through a RefCell because each runs at its
-        // queue's wait point, never concurrently.
-        let work = RefCell::new((&mut *ws, &mut *rhs));
-        let mut qs = QueueSet::new(ctx);
+    for axis in 0..dom.eq.ndim() {
+        let mut pending = Vec::new();
+        {
+            let _post = ctx.span("halo_post", Category::Phase);
+            for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
+                if let Some(src) = cart.neighbor(axis, -send_dir) {
+                    let tag = (axis as u64) << 8 | tag;
+                    pending.push((send_dir, comm.irecv(src, tag)));
+                }
+            }
+            for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
+                if let Some(dest) = cart.neighbor(axis, send_dir) {
+                    let tag = (axis as u64) << 8 | tag;
+                    let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
+                    comm.isend(dest, tag, buf);
+                }
+            }
+        }
         if let Some(interior) = &plan.interior {
-            for axis in 0..dom.eq.ndim() {
-                let work = &work;
-                qs.enqueue(axis as u32, move |ctx| {
-                    let mut guard = work.borrow_mut();
-                    let (ws, rhs) = &mut *guard;
-                    rhs_overlap_interior_axis(ctx, rhs_cfg, fluids, ws, rhs, interior, axis);
-                });
-            }
+            // The compute hidden behind this axis's messages.
+            let _interior = ctx.span("interior_rhs", Category::Phase);
+            rhs_overlap_interior_axis(ctx, rhs_cfg, fluids, ws, rhs, interior, axis);
         }
-        'axes: for axis in 0..dom.eq.ndim() {
-            let mut pending = Vec::new();
-            {
-                let _post = ctx.span("halo_post", Category::Phase);
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(src) = cart.neighbor(axis, -send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        pending.push((send_dir, comm.irecv(src, tag)));
-                    }
-                }
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(dest) = cart.neighbor(axis, send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
-                        comm.isend(dest, tag, buf);
-                    }
-                }
-            }
-            if plan.interior.is_some() {
-                // The compute hidden behind this axis's messages.
-                let _interior = ctx.span("interior_rhs", Category::Phase);
-                qs.wait(axis as u32);
-            }
-            // What remains after the hiding is the exposed comm time.
-            let _drain = ctx.span("halo_drain", Category::Phase);
-            for (send_dir, req) in pending {
-                let buf = match comm.wait_policied(req) {
-                    Ok(b) => b,
-                    Err(f) => {
-                        fault = Some(f);
-                        break 'axes;
-                    }
-                };
-                unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
-            }
+        // What remains after the hiding is the exposed comm time.
+        let _drain = ctx.span("halo_drain", Category::Phase);
+        for (send_dir, req) in pending {
+            let buf = comm.wait_policied(req)?;
+            unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
         }
-        // On a fault, later axes' interior queues are still populated;
-        // run them out (the state is rolled back anyway) rather than
-        // dropping enqueued work.
-        qs.wait_all();
-    }
-    if let Some(f) = fault {
-        return Err(f);
     }
 
     apply_bcs(ctx, q, bc, skip);

@@ -369,14 +369,13 @@ pub(crate) fn sweep_to_canonical(
 /// the launch API) in the ledger.
 fn record_pack(ctx: &Context, label: &'static str, elems: usize, t0: Instant) {
     let cost = KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0);
-    ctx.record_external(label, cost, elems as u64, t0);
+    ctx.record(label, cost, elems as u64, 1, 1, t0, t0.elapsed());
 }
 
-/// Evaluate `rhs = L(cons)`.
-///
-/// Ghost cells of `cons` must be valid (physical BCs and/or halo exchange
-/// already applied). Only interior entries of `rhs` are written.
-pub fn compute_rhs(
+/// Entry of every evaluation, whole-grid or overlapped: check the
+/// shapes, convert to primitives over the full padded grid (ghosts
+/// included) and zero the accumulators.
+fn prelude(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
@@ -395,21 +394,21 @@ pub fn compute_rhs(
         dom.ng,
         cfg.order.ghost_layers().max(1)
     );
-
-    // 1. Primitive variables everywhere (ghosts included).
     crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
-
     rhs.fill(0.0);
     ws.divu.fill(0.0);
+}
 
-    // 2–6. The per-direction sweeps: pack, WENO reconstruction, Riemann
-    // solve, flux-divergence update — as full-grid stages or as one fused
-    // cache-blocked pass, bitwise identically.
-    match cfg.mode {
-        RhsMode::Staged => staged_sweeps(ctx, cfg, fluids, ws, rhs),
-        RhsMode::Fused => crate::fused::fused_sweeps(ctx, cfg, fluids, ws, rhs),
-    }
-
+/// The grid-global closures that follow the directional sweeps of every
+/// evaluation (steps 7–9).
+fn closures(
+    ctx: &Context,
+    cfg: &RhsConfig,
+    fluids: &[Fluid],
+    ws: &RhsWorkspace,
+    rhs: &mut StateField,
+) {
+    let dom = ws.dom;
     // 7. Non-conservative volume-fraction source: rhs[alpha] += alpha div u.
     alpha_source(ctx, &dom, &ws.prim, &ws.divu, rhs);
 
@@ -428,6 +427,32 @@ pub fn compute_rhs(
     if crate::viscous::is_viscous(fluids) {
         crate::viscous::add_viscous_fluxes(ctx, &dom, fluids, &ws.prim, &ws.widths, rhs);
     }
+}
+
+/// Evaluate `rhs = L(cons)`.
+///
+/// Ghost cells of `cons` must be valid (physical BCs and/or halo exchange
+/// already applied). Only interior entries of `rhs` are written.
+pub fn compute_rhs(
+    ctx: &Context,
+    cfg: &RhsConfig,
+    fluids: &[Fluid],
+    cons: &StateField,
+    ws: &mut RhsWorkspace,
+    rhs: &mut StateField,
+) {
+    // 1. Primitive variables everywhere (ghosts included).
+    prelude(ctx, cfg, fluids, cons, ws, rhs);
+
+    // 2–6. The per-direction sweeps: pack, WENO reconstruction, Riemann
+    // solve, flux-divergence update — as full-grid stages or as one fused
+    // cache-blocked pass, bitwise identically.
+    match cfg.mode {
+        RhsMode::Staged => staged_sweeps(ctx, cfg, fluids, ws, rhs),
+        RhsMode::Fused => crate::fused::fused_sweeps(ctx, cfg, fluids, ws, rhs),
+    }
+
+    closures(ctx, cfg, fluids, ws, rhs);
 }
 
 /// The staged sweep pipeline: full-grid pack / WENO / Riemann / update
@@ -553,18 +578,7 @@ pub fn rhs_overlap_begin(
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
 ) {
-    let dom = ws.dom;
-    assert_eq!(cons.domain(), &dom);
-    assert_eq!(rhs.domain(), &dom);
-    assert!(
-        dom.ng >= cfg.order.ghost_layers().max(1),
-        "domain ghost width {} does not cover the reconstruction stencil ({})",
-        dom.ng,
-        cfg.order.ghost_layers().max(1)
-    );
-    crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
-    rhs.fill(0.0);
-    ws.divu.fill(0.0);
+    prelude(ctx, cfg, fluids, cons, ws, rhs);
     if cfg.mode == RhsMode::Staged {
         ws.ensure_staged();
     }
@@ -597,8 +611,8 @@ pub fn rhs_overlap_interior_axis(
 /// Phase 2 of an overlapped evaluation, after the exchange drained and
 /// physical BCs were applied: refresh the primitive ghosts, sweep the
 /// boundary shells (axis-major, so every cell still accumulates its x, y,
-/// z contributions in that order), then the grid-global closures exactly
-/// as [`compute_rhs`] steps 7–9.
+/// z contributions in that order), then the grid-global closures
+/// [`compute_rhs`] ends with.
 pub fn rhs_overlap_finish(
     ctx: &Context,
     cfg: &RhsConfig,
@@ -608,13 +622,12 @@ pub fn rhs_overlap_finish(
     rhs: &mut StateField,
     plan: &OverlapPlan,
 ) {
-    let dom = ws.dom;
     // Re-converting the full grid reproduces every interior primitive
     // bitwise (pointwise map of unchanged conservative cells) and makes
     // the ghost primitives valid for the shell stencils.
     crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
 
-    for axis in 0..dom.eq.ndim() {
+    for axis in 0..ws.dom.eq.ndim() {
         match cfg.mode {
             RhsMode::Staged => {
                 staged_reshape(ctx, cfg, ws, axis);
@@ -630,19 +643,7 @@ pub fn rhs_overlap_finish(
         }
     }
 
-    alpha_source(ctx, &dom, &ws.prim, &ws.divu, rhs);
-    match cfg.geometry {
-        Geometry::Cartesian => {}
-        Geometry::Axisymmetric => {
-            crate::axisym::axisym_source(ctx, &dom, fluids, &ws.prim, &ws.radii, rhs);
-        }
-        Geometry::Cylindrical3D => {
-            crate::axisym::cylindrical_source(ctx, &dom, fluids, &ws.prim, &ws.radii, rhs);
-        }
-    }
-    if crate::viscous::is_viscous(fluids) {
-        crate::viscous::add_viscous_fluxes(ctx, &dom, fluids, &ws.prim, &ws.widths, rhs);
-    }
+    closures(ctx, cfg, fluids, ws, rhs);
 }
 
 /// One region-restricted staged sweep along `axis`: WENO, Riemann, and

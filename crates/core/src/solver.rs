@@ -130,8 +130,6 @@ pub struct Solver {
     dom: Domain,
     grid: Grid,
     q: StateField,
-    /// Pre-step snapshot of `q` — the `q^n` a rejected step retries from.
-    q_save: StateField,
     ws: RhsWorkspace,
     /// Ghost-inclusive cell widths per axis (the CFL bound's metric).
     widths: [Vec<f64>; 3],
@@ -155,7 +153,6 @@ impl Solver {
         let ws = RhsWorkspace::new(dom, &grid);
         let widths = ghost_widths(&grid, &dom);
         let rk = RkWorkspace::new(&q);
-        let q_save = q.clone();
         Solver {
             ctx,
             cfg,
@@ -164,7 +161,6 @@ impl Solver {
             dom,
             grid,
             q,
-            q_save,
             ws,
             widths,
             rk,
@@ -277,8 +273,10 @@ impl Solver {
 
     /// Run one RK update of `q` under `cfg`, returning the dt taken or the
     /// first numerical fault (degenerate CFL reduction, or a post-step
-    /// health violation). On fault, `q` has already been mutated; the
-    /// caller restores from [`Solver::q_save`].
+    /// health violation). Either way `q` is `q^n` on return from a fault:
+    /// a dt fault never touched it, and a health fault restores it from
+    /// the copy `rk_step` took (`rk.q0` — which before this attempt's
+    /// `rk_step` still held `q^{n-1}`, so only this path may read it).
     fn attempt_step(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
         let _dt_span = self.ctx.span("dt_select", Category::Phase);
         let dt = select_dt(
@@ -325,7 +323,10 @@ impl Solver {
             &mut self.ws.prim,
         ) {
             None => Ok(dt),
-            Some(v) => Err(StepFault::Unphysical(v)),
+            Some(v) => {
+                self.q.as_mut_slice().copy_from_slice(self.rk.q0.as_slice());
+                Err(StepFault::Unphysical(v))
+            }
         }
     }
 
@@ -340,7 +341,8 @@ impl Solver {
         });
     }
 
-    /// Abort bookkeeping: best-effort crash-dump checkpoint + event.
+    /// Abort bookkeeping: best-effort crash-dump checkpoint + event. The
+    /// faulted attempt already left `q` on the last accepted state.
     fn give_up(&mut self, fault: StepFault, attempts: u32) -> SolverError {
         let crash_dump = self
             .recovery
@@ -349,7 +351,7 @@ impl Solver {
             .and_then(|dir| {
                 let path = dir.join(format!("crash_step{}.bin", self.steps));
                 std::fs::create_dir_all(&dir).ok()?;
-                crate::restart::save_checkpoint(&path, &self.q_save, self.t, self.steps).ok()?;
+                crate::restart::save_checkpoint(&path, &self.q, self.t, self.steps).ok()?;
                 Some(path)
             });
         if let Some(p) = &crash_dump {
@@ -358,12 +360,6 @@ impl Solver {
                 Duration::ZERO,
                 p.display().to_string(),
             );
-        }
-        // Leave the solver on the last accepted state, not the faulted
-        // one — straight from the persistent snapshot, no temporary copy.
-        {
-            let Solver { q, q_save, .. } = self;
-            q.as_mut_slice().copy_from_slice(q_save.as_slice());
         }
         SolverError {
             fault,
@@ -383,10 +379,6 @@ impl Solver {
     pub fn step(&mut self) -> Result<StepOutcome, SolverError> {
         let t0 = Instant::now();
         let _step_span = self.ctx.span("step", Category::Phase);
-        {
-            let Solver { q, q_save, .. } = self;
-            q_save.as_mut_slice().copy_from_slice(q.as_slice());
-        }
         let mut retries = 0u32;
         loop {
             let cfg = match &self.recovery {
@@ -420,10 +412,6 @@ impl Solver {
                         t0.elapsed(),
                         fault.to_string(),
                     );
-                    {
-                        let Solver { q, q_save, .. } = self;
-                        q.as_mut_slice().copy_from_slice(q_save.as_slice());
-                    }
                     retries += 1;
                     let policy = match self.recovery.clone() {
                         None => {
@@ -677,45 +665,95 @@ mod tests {
     #[test]
     fn ladder_recovers_overdriven_fixed_dt() {
         use crate::recovery::RecoveryAction;
-        // Measure a stable dt, then drive the same case at 16x: RK3 + WENO5
-        // blows up within a few steps without recovery.
+        // Measure a stable dt, then overdrive the same case: WENO5 blows
+        // up within a few steps without recovery. `Rk1` — whose retries
+        // rest on the q^n copy `rk_step` gained — gets 8x: forward Euler
+        // exhausts this ladder at 16x.
         let case = presets::sod(64);
         let mut probe = Solver::new(&case, SolverConfig::default(), Context::serial());
         let dt0 = probe.step().unwrap().dt;
 
-        let cfg = SolverConfig {
-            dt: DtMode::Fixed(dt0 * 16.0),
-            ..Default::default()
-        };
-        let mut plain = Solver::new(&case, cfg, Context::serial());
-        assert!(
-            plain.run_steps(40).is_err(),
-            "16x-overdriven fixed dt should fault without recovery"
-        );
+        for (scheme, over) in [(TimeScheme::Rk3, 16.0), (TimeScheme::Rk1, 8.0)] {
+            let cfg = SolverConfig {
+                scheme,
+                dt: DtMode::Fixed(dt0 * over),
+                ..Default::default()
+            };
+            let mut plain = Solver::new(&case, cfg, Context::serial());
+            assert!(
+                plain.run_steps(40).is_err(),
+                "{scheme:?}: {over}x-overdriven fixed dt should fault without recovery"
+            );
 
-        let policy = RecoveryPolicy {
-            ladder: vec![
-                RecoveryAction::HalveDt,
-                RecoveryAction::HalveDt,
-                RecoveryAction::HalveDt,
-                RecoveryAction::HalveDt,
-                RecoveryAction::ZhangShu,
-                RecoveryAction::Weno3,
-                RecoveryAction::Rusanov,
-            ],
-            max_retries: 16,
-            restore_after: 1_000, // stay degraded for this short run
-            crash_dump_dir: None,
-        };
-        let mut armed = Solver::new(&case, cfg, Context::serial()).with_recovery(policy);
-        armed.run_steps(40).expect("ladder should ride through");
-        assert!(armed.state().as_slice().iter().all(|v| v.is_finite()));
-        assert!(armed.recovery_state().total_retries > 0);
-        let ledger = armed.context().ledger();
-        assert!(!ledger
-            .events_of(ResilienceEventKind::HealthFault)
-            .is_empty());
-        assert!(!ledger.events_of(ResilienceEventKind::Degrade).is_empty());
+            let policy = RecoveryPolicy {
+                ladder: vec![
+                    RecoveryAction::HalveDt,
+                    RecoveryAction::HalveDt,
+                    RecoveryAction::HalveDt,
+                    RecoveryAction::HalveDt,
+                    RecoveryAction::ZhangShu,
+                    RecoveryAction::Weno3,
+                    RecoveryAction::Rusanov,
+                ],
+                max_retries: 16,
+                restore_after: 1_000, // stay degraded for this short run
+                crash_dump_dir: None,
+            };
+            let mut armed = Solver::new(&case, cfg, Context::serial()).with_recovery(policy);
+            armed.run_steps(40).expect("ladder should ride through");
+            assert!(armed.state().as_slice().iter().all(|v| v.is_finite()));
+            assert!(armed.recovery_state().total_retries > 0);
+            let ledger = armed.context().ledger();
+            assert!(!ledger
+                .events_of(ResilienceEventKind::HealthFault)
+                .is_empty());
+            assert!(!ledger.events_of(ResilienceEventKind::Degrade).is_empty());
+        }
+    }
+
+    /// A rejected step leaves `state()` bit-for-bit the `q^n` it started
+    /// from, whether the fault struck before `rk_step` (a degenerate CFL
+    /// reduction: `q` untouched, `rk.q0` still `q^{n-1}`, so restoring
+    /// from it would be wrong) or after it (the health scan: `rk.q0` is
+    /// the only copy of `q^n`, also under `Rk1`).
+    #[test]
+    fn rejected_step_leaves_the_injected_state_bitwise() {
+        let case = presets::sod(64);
+        let bits = |q: &StateField| q.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for scheme in [TimeScheme::Rk1, TimeScheme::Rk3] {
+            for dt in [DtMode::Cfl(0.5), DtMode::Fixed(1.0e-4)] {
+                for ladder in [false, true] {
+                    let cfg = SolverConfig {
+                        scheme,
+                        dt,
+                        ..Default::default()
+                    };
+                    let mut solver = Solver::new(&case, cfg, Context::serial());
+                    if ladder {
+                        solver.set_recovery(Some(RecoveryPolicy::default()));
+                    }
+                    solver.run_steps(2).unwrap();
+                    match dt {
+                        // Every rate NaN: the max-reduction comes back -inf.
+                        DtMode::Cfl(_) => solver.state_mut().fill(f64::NAN),
+                        DtMode::Fixed(_) => {
+                            let e = case.eq().energy();
+                            solver.state_mut().set(10, 0, 0, e, f64::NAN)
+                        }
+                    }
+                    let injected = bits(solver.state());
+                    let err = solver.step().unwrap_err();
+                    let at = format!("{scheme:?} {dt:?} ladder={ladder}");
+                    match (dt, &err.fault) {
+                        (DtMode::Cfl(_), StepFault::DegenerateWaveSpeed { .. })
+                        | (DtMode::Fixed(_), StepFault::Unphysical(_)) => {}
+                        (_, other) => panic!("{at}: unexpected fault {other:?}"),
+                    }
+                    assert_eq!(err.attempts > 1, ladder, "{at}");
+                    assert!(bits(solver.state()) == injected, "{at}: state differs");
+                }
+            }
+        }
     }
 
     #[test]

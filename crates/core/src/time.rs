@@ -30,9 +30,12 @@ impl TimeScheme {
     }
 }
 
-/// Scratch states for multi-stage schemes.
+/// Scratch states of one RK step.
 pub struct RkWorkspace {
-    /// Copy of `q^n` kept across stages.
+    /// Copy of `q^n`, written by [`rk_step`] before its first stage under
+    /// every scheme — the stage combinations read it, and it is the state
+    /// a rejected step restores from. Until a step reaches `rk_step` it
+    /// still holds the previous step's `q^{n-1}`.
     pub q0: StateField,
     /// Stage RHS.
     pub rhs: StateField,
@@ -50,7 +53,8 @@ impl RkWorkspace {
 /// Advance `q` by one step of `scheme` with step `dt`.
 ///
 /// `eval_rhs(q, rhs)` must fill ghost cells of `q` (BCs/halo) and then the
-/// interior of `rhs`; it is called once per stage.  The convex SSP
+/// interior of `rhs`; it is called once per stage. `ws.q0` records `q^n`
+/// first, whatever the scheme.  The convex SSP
 /// combinations act on the full ghost-inclusive arrays, which is harmless
 /// because ghosts are refilled before each use.
 pub fn rk_step(
@@ -60,13 +64,13 @@ pub fn rk_step(
     ws: &mut RkWorkspace,
     mut eval_rhs: impl FnMut(&mut StateField, &mut StateField),
 ) {
+    ws.q0.as_mut_slice().copy_from_slice(q.as_slice());
     match scheme {
         TimeScheme::Rk1 => {
             eval_rhs(q, &mut ws.rhs);
             q.axpy(dt, &ws.rhs);
         }
         TimeScheme::Rk2 => {
-            ws.q0.as_mut_slice().copy_from_slice(q.as_slice());
             // q1 = q0 + dt L(q0)
             eval_rhs(q, &mut ws.rhs);
             q.axpy(dt, &ws.rhs);
@@ -75,7 +79,6 @@ pub fn rk_step(
             q.ssp_combine(0.5, &ws.q0, 0.5, dt, &ws.rhs);
         }
         TimeScheme::Rk3 => {
-            ws.q0.as_mut_slice().copy_from_slice(q.as_slice());
             // Stage 1: q1 = q0 + dt L(q0)
             eval_rhs(q, &mut ws.rhs);
             q.axpy(dt, &ws.rhs);

@@ -406,72 +406,24 @@ pub fn reconstruct_sweep(
     left: &mut Flat4D,
     right: &mut Flat4D,
 ) {
-    let ng = order.ghost_layers();
+    // The full sweep is the region sweep over every face of the whole
+    // padded transverse window: row decode, item count and ordering
+    // coincide exactly, so the ledger and the outputs are unchanged.
     let pd = packed.dims();
-    // Derive the pad from the buffer so a wider-than-necessary buffer (a
-    // WENO5-sized domain temporarily degraded to WENO3 by the recovery
-    // ladder) reconstructs in place: the stencil just ignores the extra
-    // ghost layers.
-    assert!(
-        pd.n1 > n && (pd.n1 - n).is_multiple_of(2),
-        "packed extent {} incompatible with {n} interior cells",
-        pd.n1
-    );
-    let pad = (pd.n1 - n) / 2;
-    assert!(
-        pad >= ng,
-        "packed pad {pad} narrower than the {ng}-layer stencil"
-    );
-    let nlines = pd.n2 * pd.n3 * pd.n4;
-    let fd = left.dims();
-    assert_eq!((fd.n1, fd.n2, fd.n3, fd.n4), (n + 1, pd.n2, pd.n3, pd.n4));
-    assert_eq!(right.dims(), left.dims());
-
-    let cost = KernelCost::new(
-        KernelClass::Weno,
-        order.flops_per_face(),
-        8.0 * (2 * ng + 1) as f64, // stencil footprint per face
-        2.0 * 8.0,                 // left + right
-    );
-    let cfg = LaunchConfig::tuned("s_weno_reconstruct");
-    // Lane-tiled launch: one row per line, lanes packed along the face
-    // index (the unit-stride direction of the coalesced buffer), exactly
-    // the `vector`-level mapping of the paper's gang/vector kernels. Item
-    // count and ordering match the scalar launch, so the ledger is
-    // unchanged and the outputs are bitwise identical at every width.
-    let kernel = WenoSweepKernel {
+    reconstruct_sweep_region(
+        ctx,
         order,
-        src: packed.as_slice(),
-        lout: ParSlice::new(left.as_mut_slice()),
-        rout: ParSlice::new(right.as_mut_slice()),
-        ext: pd.n1,
-        nf1: fd.n1,
-        pad,
-    };
-    ctx.launch_vec(&cfg, cost, nlines, n + 1, &kernel);
-}
-
-/// Lane kernel of [`reconstruct_sweep`]: row = line, col = face index.
-struct WenoSweepKernel<'a> {
-    order: WenoOrder,
-    src: &'a [f64],
-    lout: ParSlice<'a>,
-    rout: ParSlice<'a>,
-    /// Padded line extent of `src`.
-    ext: usize,
-    /// Face-line extent of the outputs.
-    nf1: usize,
-    pad: usize,
-}
-
-impl LaneKernel for WenoSweepKernel<'_> {
-    #[inline(always)]
-    fn packet<L: Lane>(&self, line: usize, m: usize) {
-        let v = &self.src[line * self.ext..(line + 1) * self.ext];
-        let (lv, rv) = face_states::<L>(self.order, v, self.pad - 1 + m);
-        self.lout.set_lanes(line * self.nf1 + m, lv);
-        self.rout.set_lanes(line * self.nf1 + m, rv);
-    }
+        packed,
+        n,
+        0,
+        n + 1,
+        0,
+        pd.n2,
+        0,
+        pd.n3,
+        left,
+        right,
+    );
 }
 
 /// (left-face, right-face) values of cell `c` of a padded line — the
@@ -533,6 +485,10 @@ pub fn reconstruct_sweep_region(
 ) {
     let ng = order.ghost_layers();
     let pd = packed.dims();
+    // Derive the pad from the buffer so a wider-than-necessary buffer (a
+    // WENO5-sized domain temporarily degraded to WENO3 by the recovery
+    // ladder) reconstructs in place: the stencil just ignores the extra
+    // ghost layers.
     assert!(
         pd.n1 > n && (pd.n1 - n).is_multiple_of(2),
         "packed extent {} incompatible with {n} interior cells",
@@ -555,13 +511,16 @@ pub fn reconstruct_sweep_region(
     let cost = KernelCost::new(
         KernelClass::Weno,
         order.flops_per_face(),
-        8.0 * (2 * ng + 1) as f64,
-        2.0 * 8.0,
+        8.0 * (2 * ng + 1) as f64, // stencil footprint per face
+        2.0 * 8.0,                 // left + right
     );
     let cfg = LaunchConfig::tuned("s_weno_reconstruct");
     let rlines = t1_n * t2_n * pd.n4;
-    // Same lane mapping as the full sweep: rows are restricted lines,
-    // lanes pack along the face window, packets never leave it.
+    // Lane-tiled launch: one row per restricted line, lanes packed along
+    // the face window (the unit-stride direction of the coalesced buffer;
+    // packets never leave the window), exactly the `vector`-level mapping
+    // of the paper's gang/vector kernels. One ledger item = one face of
+    // one variable, and the outputs are bitwise identical at every width.
     let kernel = WenoRegionKernel {
         order,
         src: packed.as_slice(),

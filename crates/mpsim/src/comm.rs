@@ -691,6 +691,11 @@ impl Comm {
 /// ```
 pub struct World;
 
+/// Most ranks (active plus spare) one [`World`] may hold. Each rank is an
+/// OS thread, so the bound is a resource limit of the process, not a
+/// tuning setting.
+pub const MAX_RANKS: usize = 4096;
+
 impl World {
     pub fn run<T, F>(size: usize, body: F) -> Vec<T>
     where

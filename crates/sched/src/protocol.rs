@@ -146,8 +146,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             let job = obj
                 .get("job")
                 .ok_or_else(|| malformed("'submit' needs a 'job' object"))?;
-            let spec: JobSpec = serde_json::from_value(job)
-                .map_err(|e| malformed(format!("bad job spec: {e}")))?;
+            let spec: JobSpec =
+                serde_json::from_value(job).map_err(|e| malformed(format!("bad job spec: {e}")))?;
             Ok(Request::Submit(spec))
         }
         "status" => {

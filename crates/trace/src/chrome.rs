@@ -422,10 +422,7 @@ mod tests {
             let err = parse_str(&text).unwrap_err();
             assert!(err.contains("kernel event missing numeric arg"), "{err}");
             let errs = validate_schema(bad);
-            assert!(
-                errs.iter().any(|e| e.contains("numeric arg")),
-                "{errs:?}"
-            );
+            assert!(errs.iter().any(|e| e.contains("numeric arg")), "{errs:?}");
         }
         // The exporter's own output still parses, so strictness cannot
         // reject a healthy trace.

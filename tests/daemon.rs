@@ -223,8 +223,12 @@ fn assert_bitwise(job: &str, got: &Path, want: &Path) {
 /// every budget — the transport and arrival timing are invisible.
 #[test]
 fn streamed_submission_matches_manifest_and_standalone_bitwise() {
-    let jobs: [(&str, usize, i64); 4] =
-        [("alpha", 12, 1), ("beta", 8, 0), ("gamma", 5, 2), ("delta", 3, 0)];
+    let jobs: [(&str, usize, i64); 4] = [
+        ("alpha", 12, 1),
+        ("beta", 8, 0),
+        ("gamma", 5, 2),
+        ("delta", 3, 0),
+    ];
     let refs = tmp_dir("stream_refs");
     for (name, steps, _) in jobs {
         standalone_ckpt(steps, &refs.join(format!("{name}.ckpt")));
@@ -253,9 +257,17 @@ fn streamed_submission_matches_manifest_and_standalone_bitwise() {
 
         assert_eq!(records.len(), jobs.len(), "budget {budget}");
         for ((r, m), (name, steps, _)) in records.iter().zip(&manifest_records).zip(jobs) {
-            assert_eq!(r.state, JobState::Done, "budget {budget}: {name} {:?}", r.reason);
+            assert_eq!(
+                r.state,
+                JobState::Done,
+                "budget {budget}: {name} {:?}",
+                r.reason
+            );
             assert_eq!(r.steps, steps as u64, "budget {budget}: {name}");
-            assert!(r.final_share >= 1, "budget {budget}: {name} ran with no worker");
+            assert!(
+                r.final_share >= 1,
+                "budget {budget}: {name} ran with no worker"
+            );
             let got = r.output.as_ref().expect("done job writes a checkpoint");
             assert_bitwise(name, got, &refs.join(format!("{name}.ckpt")));
             assert_bitwise(name, got, m.output.as_ref().unwrap());
@@ -308,7 +320,12 @@ fn midrun_submit_cancel_drain() {
     assert_eq!(records.len(), 3);
     assert_eq!(records[long as usize].state, JobState::Done);
     assert_eq!(records[doomed as usize].state, JobState::Cancelled);
-    assert_eq!(records[late as usize].state, JobState::Done, "{:?}", records[late as usize].reason);
+    assert_eq!(
+        records[late as usize].state,
+        JobState::Done,
+        "{:?}",
+        records[late as usize].reason
+    );
     assert_eq!(records[late as usize].steps, 4);
     let _ = fs::remove_dir_all(&out);
 }
@@ -397,7 +414,11 @@ fn client_disconnect_midframe_is_contained() {
     let v = client.request(&Request::Ping);
     assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
     let m = client.metrics();
-    assert_eq!(m["submitted"].as_u64(), Some(0), "partial frame admitted a job");
+    assert_eq!(
+        m["submitted"].as_u64(),
+        Some(0),
+        "partial frame admitted a job"
+    );
 
     // The mid-frame disconnect is observable on the scheduler timeline.
     let mut seen = false;

@@ -227,6 +227,72 @@ fn collective_ladder_matches_serial_ladder_bitwise() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The distributed twin of `solver.rs`'s rejected-step test: when the
+/// ladder is exhausted, every rank's crash dump is the last accepted
+/// `q^n` — restored from the copy `rk_step` took, also under `Rk1` — and
+/// so bitwise the serial solver's dump of the same run.
+#[test]
+fn exhausted_ladder_leaves_every_rank_on_the_serial_q_n_bitwise() {
+    use mfc_core::par::ResilienceError;
+    use mfc_core::restart::load_checkpoint;
+    use mfc_core::time::TimeScheme;
+
+    let case = presets::sod(32);
+    for scheme in [TimeScheme::Rk1, TimeScheme::Rk3] {
+        let cfg = SolverConfig {
+            scheme,
+            ..overdriven_cfg()
+        };
+        let dir = tmp_dir(&format!("qn_{scheme:?}"));
+        // One halving cannot tame a 16x overdrive: the ladder exhausts.
+        let policy = RecoveryPolicy {
+            ladder: vec![RecoveryAction::HalveDt],
+            max_retries: 4,
+            restore_after: 1_000,
+            crash_dump_dir: Some(dir.clone()),
+        };
+        let mut serial = Solver::new(&case, cfg, Context::serial()).with_recovery(policy.clone());
+        let err = serial.run_steps(40).unwrap_err();
+        let (_, want) = load_checkpoint(&err.crash_dump.expect("serial dump")).unwrap();
+
+        let opts = ResilienceOpts {
+            recovery: Some(policy),
+            ..ResilienceOpts::fault_free(&dir, 0)
+        };
+        let ranks = 2;
+        let dist = run_distributed_resilient(
+            &case,
+            cfg,
+            ranks,
+            40,
+            mfc_mpsim::Staging::DeviceDirect,
+            &opts,
+        )
+        .expect_err("the same ladder exhausts on two ranks");
+        let ResilienceError::Numerical { step, .. } = dist else {
+            panic!("{scheme:?}: expected a numerical abort, got {dist:?}");
+        };
+        assert_eq!(step, err.step, "{scheme:?}: ranks reject the serial step");
+        for rank in 0..ranks {
+            let dump = dir.join(format!("crash_rank{rank}_step{step}.bin"));
+            let (header, got) = load_checkpoint(&dump).unwrap();
+            assert_eq!(header.steps, step);
+            let dom = *got.domain();
+            let off = rank * dom.n[0];
+            for e in 0..dom.eq.neq() {
+                for (i, j, k) in dom.interior() {
+                    assert_eq!(
+                        got.get(i, j, k, e).to_bits(),
+                        want.get(i + off, j, k, e).to_bits(),
+                        "{scheme:?} rank {rank} cell {i} eq {e}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn rejected_step_without_a_ladder_is_numerical_and_writes_no_wave_file() {
     // The output layer sits behind the same collective health verdict as
