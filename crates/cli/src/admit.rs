@@ -119,6 +119,12 @@ impl Admitted {
         self.dims
     }
 
+    /// The numerical-recovery ladder the case armed (`run.recovery`,
+    /// `run.max_retries`), for a caller that steps the solver itself.
+    pub fn recovery(&self) -> Option<&RecoveryPolicy> {
+        self.recovery.as_ref()
+    }
+
     /// Whether [`Admitted::run`] uses the distributed driver: more than
     /// one rank, a checkpoint period, or a fault plan. Everything else is
     /// the serial `Solver`.

@@ -13,13 +13,16 @@
 //! receive; both land in the transfer ledger, and their modelled cost is
 //! Fig. 4's gap.
 //!
-//! There is one distributed step loop: the rank body of
-//! [`run_distributed_resilient`]. Checkpointing, fault injection, the
-//! numerical-recovery ladder, span tracing and wave-file output are
-//! optional layers of [`ResilienceOpts`] around it; with all of them off
-//! ([`run_distributed`], [`run_distributed_with_mode`]) every fault-aware
-//! primitive is its plain blocking counterpart and no per-step state is
-//! saved.
+//! There is one time step — [`Solver::step_with`] — and a rank is a
+//! block plus a comm link: the rank body of [`run_distributed_resilient`]
+//! owns a [`Solver`] for its block and steps it through a `CommLink`
+//! (the policied allreduce and the halo exchange). What stays here is what
+//! only a decomposed run has: checkpoint waves, scripted deaths and
+//! stalls, the rendezvous / shrink / spare logic, rollback and replay,
+//! and wave-file output — optional layers of [`ResilienceOpts`]; with all
+//! of them off ([`run_distributed`], [`run_distributed_with_mode`]) every
+//! fault-aware primitive is its plain blocking counterpart and no
+//! per-step state is saved.
 
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -35,20 +38,16 @@ use mfc_mpsim::{
 use mfc_trace::{Category, Tracer};
 use serde::{Deserialize, Serialize};
 
-use crate::bc::{apply_bcs, BcSpec};
+use crate::bc::apply_bcs;
 use crate::case::CaseBuilder;
 use crate::domain::Domain;
-use crate::fluid::Fluid;
 use crate::grid::{Grid, Grid1D};
-use crate::health::{scan_and_convert, HealthConfig, Violation};
-use crate::recovery::{RecoveryPolicy, RecoveryState};
-use crate::rhs::{
-    compute_rhs, rhs_overlap_begin, rhs_overlap_finish, rhs_overlap_interior_axis, OverlapPlan,
-    RhsConfig, RhsWorkspace,
-};
-use crate::solver::{ghost_widths, select_dt, SolverConfig};
+use crate::health::HealthConfig;
+use crate::recovery::{RecoveryPolicy, StepFault};
+use crate::rhs::RhsConfig;
+use crate::rhs::{rhs_overlap_begin, rhs_overlap_finish, rhs_overlap_interior_axis, OverlapPlan};
+use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
 use crate::state::StateField;
-use crate::time::{rk_step, RkWorkspace};
 
 /// How halo buffers are exchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -268,13 +267,12 @@ pub enum ResilienceError {
     /// so there is nothing to roll back to.
     Unrecoverable { rank: usize, detail: String },
     /// The numerical-health watchdog rejected a step and the recovery
-    /// ladder (if any) was exhausted. `violation` carries the offending
-    /// cell on the rank that observed it locally.
+    /// ladder (if any) was exhausted. `fault` names the offending cell or
+    /// rate on the rank that observed it, [`StepFault::Peer`] elsewhere.
     Numerical {
         rank: usize,
         step: u64,
-        detail: String,
-        violation: Option<Violation>,
+        fault: StepFault,
     },
     /// The rank layout makes some block thinner than the halo depth along
     /// a split axis ([`mfc_mpsim::DecompositionError`]): its send slab
@@ -299,10 +297,8 @@ impl std::fmt::Display for ResilienceError {
             ResilienceError::Unrecoverable { rank, detail } => {
                 write!(f, "unrecoverable fault (rank {rank}): {detail}")
             }
-            ResilienceError::Numerical {
-                rank, step, detail, ..
-            } => {
-                write!(f, "numerical abort at step {step} (rank {rank}): {detail}")
+            ResilienceError::Numerical { rank, step, fault } => {
+                write!(f, "numerical abort at step {step} (rank {rank}): {fault}")
             }
             ResilienceError::Decomposition { detail } => {
                 write!(f, "invalid decomposition: {detail}")
@@ -430,7 +426,7 @@ pub fn run_distributed_resilient(
     let total_steps = steps as u64;
     let every = opts.checkpoint_every;
 
-    let rank_body = |mut comm: &mut Comm| -> RankOutcome {
+    let rank_body = |comm: &mut Comm| -> RankOutcome {
         let phys = comm.phys_rank();
         let mut ctx = Context::with_workers(cfg.workers).with_vector_width(cfg.vector_width);
         if let Some(tr) = &opts.trace {
@@ -471,22 +467,22 @@ pub fn run_distributed_resilient(
         let mut dims_cur = dims;
         let mut size_cur = n_ranks;
 
-        let build_layout = |logical: usize, dims_now: [usize; 3]| {
+        // A rank's block, its place in the decomposition and the overlap
+        // split of its domain; a shrink rebuilds all three.
+        let build_block = |logical: usize, dims_now: [usize; 3], ctx: Context| {
             let cart = CartComm::new(logical, dims_now, periodic);
             let (off, n) = block_extent(&cart, eq.ndim(), global_n);
-            let dom = Domain::new(n, ng, eq);
+            let axis = |d: usize, g: &Grid1D| {
+                if d < eq.ndim() {
+                    g.slice(off[d], n[d])
+                } else {
+                    Grid1D::collapsed()
+                }
+            };
             let local_grid = Grid {
-                x: global_grid.x.slice(off[0], n[0]),
-                y: if eq.ndim() >= 2 {
-                    global_grid.y.slice(off[1], n[1])
-                } else {
-                    Grid1D::collapsed()
-                },
-                z: if eq.ndim() >= 3 {
-                    global_grid.z.slice(off[2], n[2])
-                } else {
-                    Grid1D::collapsed()
-                },
+                x: axis(0, &global_grid.x),
+                y: axis(1, &global_grid.y),
+                z: axis(2, &global_grid.z),
             };
             let mut skip = [(false, false); 3];
             for (d, s) in skip.iter_mut().enumerate().take(eq.ndim()) {
@@ -495,16 +491,13 @@ pub fn run_distributed_resilient(
                     cart.neighbor(d, 1).is_some(),
                 );
             }
-            let widths = ghost_widths(&local_grid, &dom);
-            (cart, dom, local_grid, off, skip, widths)
+            let mut blk = Solver::block(case, cfg, ctx, local_grid, off, skip);
+            blk.set_health(opts.health);
+            blk.set_recovery(opts.recovery.clone());
+            let plan = OverlapPlan::new(blk.domain());
+            (cart, blk, plan)
         };
-
-        let (mut cart, mut dom, mut local_grid, mut off, mut skip, mut widths) =
-            build_layout(me.get(), dims_cur);
-        let mut q = case.init_block(&ctx, &dom, &global_grid, off);
-        let mut ws = RhsWorkspace::new(dom, &local_grid);
-        let mut rk = RkWorkspace::new(&q);
-        let mut plan = OverlapPlan::new(&dom);
+        let (mut cart, mut blk, mut plan) = build_block(me.get(), dims_cur, ctx);
 
         let note =
             |kind: ResilienceEventKind, step: u64, wave: u64, wall: Duration, detail: String| {
@@ -520,8 +513,6 @@ pub fn run_distributed_resilient(
                 }
             };
 
-        let mut t = 0.0f64;
-        let mut step: u64 = 0;
         let mut next_wave: u64 = 0;
         let mut deaths_done: HashSet<usize> = HashSet::new();
         // Set after a rollback: (pre-fault step to replay through, timer).
@@ -536,22 +527,17 @@ pub fn run_distributed_resilient(
             dims,
             size: n_ranks,
         }];
-        // Numerical-recovery ladder state.
-        let policy = opts.recovery.clone();
-        let mut rec = RecoveryState::default();
-        let mut attempts: u32 = 0;
-
-        'steps: loop {
+        loop {
             // ---- Recovery: rendezvous, reconfigure, roll back, resume
             // (or abort). ----
             if needs_recovery {
                 needs_recovery = false;
-                let _recovery_span = ctx.span("rollback", Category::Recovery);
+                let _recovery_span = blk.context().span("rollback", Category::Recovery);
                 let faults = comm
                     .fault_ctx()
                     .expect("recovery requires a fault ctx")
                     .clone();
-                let fault_step = step;
+                let fault_step = blk.steps();
                 let t0 = Instant::now();
                 // Everyone meets at the rendezvous. A transiently dead
                 // rank is revived in place (a restarted process); a
@@ -590,7 +576,7 @@ pub fn run_distributed_resilient(
                     // decomposition for the smaller world and rebuild
                     // every layout-derived structure. Deterministic on
                     // each survivor, so a rejection is collective.
-                    let _shrink_span = ctx.span("shrink", Category::Recovery);
+                    let _shrink_span = blk.context().span("shrink", Category::Recovery);
                     size_cur = comm.size();
                     dims_cur = best_block_dims(size_cur, global_n);
                     if let Err(e) = validate_halo_extents(dims_cur, global_n, eq.ndim(), ng) {
@@ -598,19 +584,11 @@ pub fn run_distributed_resilient(
                             detail: format!("after shrinking to {size_cur} ranks: {e}"),
                         });
                     }
-                    let built = build_layout(me.get(), dims_cur);
-                    cart = built.0;
-                    dom = built.1;
-                    local_grid = built.2;
-                    off = built.3;
-                    skip = built.4;
-                    widths = built.5;
-                    ws = RhsWorkspace::new(dom, &local_grid);
-                    plan = OverlapPlan::new(&dom);
+                    (cart, blk, plan) = build_block(me.get(), dims_cur, blk.context().clone());
                     if me.get() == 0 {
                         note(
                             ResilienceEventKind::Shrink,
-                            step,
+                            fault_step,
                             faults.board.committed_wave().unwrap_or(0),
                             t0.elapsed(),
                             format!(
@@ -621,10 +599,10 @@ pub fn run_distributed_resilient(
                     }
                 }
                 if let Some(slot) = promoted_into.take() {
-                    let _promote_span = ctx.span("promote_spare", Category::Recovery);
+                    let _promote_span = blk.context().span("promote_spare", Category::Recovery);
                     note(
                         ResilienceEventKind::PromoteSpare,
-                        step,
+                        fault_step,
                         faults.board.committed_wave().unwrap_or(0),
                         t0.elapsed(),
                         format!("physical rank {phys} promoted into logical slot {slot}"),
@@ -670,15 +648,16 @@ pub fn run_distributed_resilient(
                                     crate::restart::wave_path(&opts.ckpt_dir, me.get(), cand);
                                 crate::restart::load_checkpoint(&path)
                             } else {
-                                let _redist_span = ctx.span("redistribute", Category::Recovery);
+                                let _redist_span =
+                                    blk.context().span("redistribute", Category::Recovery);
                                 crate::restart::load_redistributed(
                                     &opts.ckpt_dir,
                                     cand,
                                     era.dims,
                                     era.size,
                                     global_n,
-                                    dom,
-                                    off,
+                                    *blk.domain(),
+                                    block_extent(&cart, eq.ndim(), global_n).0,
                                 )
                             };
                             // Post-rendezvous every roster slot is alive
@@ -696,7 +675,7 @@ pub fn run_distributed_resilient(
                                 };
                                 note(
                                     ResilienceEventKind::Rollback,
-                                    step,
+                                    fault_step,
                                     cand,
                                     t0.elapsed(),
                                     format!("wave {candidate} unreadable, skipping: {why}"),
@@ -704,10 +683,10 @@ pub fn run_distributed_resilient(
                             }
                             candidate -= 1;
                         };
-                        debug_assert_eq!(header.domain(), dom);
-                        q = restored;
-                        t = header.t;
-                        step = header.steps;
+                        // The replay is a fresh deterministic run from the
+                        // wave: the restore resets the ladder with it.
+                        blk.restore(restored, header.t, header.steps);
+                        let step = blk.steps();
                         next_wave = loaded_wave + 1;
                         if redistributed && me.get() == 0 {
                             let era = eras
@@ -736,12 +715,7 @@ pub fn run_distributed_resilient(
                                 dims: dims_cur,
                                 size: size_cur,
                             });
-                            rk = RkWorkspace::new(&q);
                         }
-                        // The replay is a fresh deterministic run from the
-                        // wave: restart the ladder state with it.
-                        rec = RecoveryState::default();
-                        attempts = 0;
                         let target =
                             replay_target.map_or(fault_step, |(old, _)| old.max(fault_step));
                         replay_target = Some((target, Instant::now()));
@@ -766,13 +740,15 @@ pub fn run_distributed_resilient(
             // throttled waves, and commit the per-rank outcomes like a
             // checkpoint wave; a comm fault here rolls back and replays
             // like any other. ----
+            let step = blk.steps();
             if step == total_steps {
                 let Some((out, writer)) = &output else {
                     break;
                 };
                 let t0 = Instant::now();
-                let block = crate::output::block_to_vec(&q);
-                ctx.ledger()
+                let block = crate::output::block_to_vec(blk.state());
+                blk.context()
+                    .ledger()
                     .record_transfer(TransferDirection::DeviceToHost, (block.len() * 8) as u64);
                 let saved = writer
                     .write(comm, &out.dir, out.step_id, &block)
@@ -807,7 +783,7 @@ pub fn run_distributed_resilient(
                             // (its own slot may still need a spare), so no
                             // shutdown — just flush and leave.
                             faults.board.mark_dead_permanent(phys);
-                            ctx.flush_ledger_to_trace();
+                            blk.context().flush_ledger_to_trace();
                             return Ok((None, stats));
                         }
                         faults.board.mark_dead(phys);
@@ -826,11 +802,11 @@ pub fn run_distributed_resilient(
 
             // ---- Checkpoint wave: save locally, commit collectively. ----
             if every > 0 && step == next_wave * every {
-                let _ckpt_span = ctx.span("checkpoint", Category::Io);
+                let _ckpt_span = blk.context().span("checkpoint", Category::Io);
                 let wave = next_wave;
                 let t0 = Instant::now();
                 let path = crate::restart::wave_path(&opts.ckpt_dir, me.get(), wave);
-                let saved = crate::restart::save_checkpoint(&path, &q, t, step);
+                let saved = crate::restart::save_checkpoint(&path, blk.state(), blk.time(), step);
                 // The commit is a policied collective: the wave only
                 // counts once every live rank has durably written its
                 // block, and a dead/silent rank fails the commit instead
@@ -876,202 +852,35 @@ pub fn run_distributed_resilient(
                 }
             }
 
-            // ---- One step, under the numerical-recovery ladder. A
-            // rejected attempt retries from the q^n `rk_step` recorded; the
-            // verdict allreduce mirrors the dt reduction, so every rank
-            // accepts, retries, or aborts the same attempt in lockstep.
-            let _step_span = ctx.span("step", Category::Phase);
-            let dt = loop {
-                let eff = match &policy {
-                    Some(p) => p.effective_config(&cfg, rec.rung),
-                    None => cfg,
-                };
-
-                // ---- Global dt; the policied allreduce doubles as the
-                // per-step heartbeat (rank 0 touches every rank). A
-                // degenerate local CFL state is encoded as -1.0, which the
-                // min-reduction turns into a collective rejection. ----
-                let _dt_span = ctx.span("dt_reduce", Category::Phase);
-                let t_op = Instant::now();
-                let local_dt =
-                    select_dt(&ctx, &eff, &case.fluids, &q, &mut ws, &widths).unwrap_or(-1.0);
-                let dt = match comm.allreduce_policied(local_dt, f64::min) {
-                    Ok(v) => v,
-                    Err(fault) => {
-                        detect_fault(comm, &fault, step, t_op.elapsed(), &note);
-                        needs_recovery = true;
-                        continue 'steps;
-                    }
-                };
-                drop(_dt_span);
-                ctx.trace_counter("dt", dt);
-
-                let mut local_viol: Option<Violation> = None;
-                let degenerate = dt <= 0.0;
-                if !degenerate {
-                    // ---- RK stages with the fault-aware halo exchange. A
-                    // halo failure abandons the remaining stages (the
-                    // state will be rolled back anyway). ----
-                    let mut halo_fault: Option<CommFault> = None;
-                    {
-                        let _rk_span = ctx.span("rk_stages", Category::Phase);
-                        let (comm_ref, stats_ref) = (&mut comm, &mut stats);
-                        let fault_ref = &mut halo_fault;
-                        let fluids = &case.fluids;
-                        let bc = &case.bc;
-                        let ws_ref = &mut ws;
-                        let ctx_ref = &ctx;
-                        let rhs_cfg = &eff.rhs;
-                        let exchange = opts.exchange;
-                        rk_step(eff.scheme, dt, &mut q, &mut rk, |q, rhs| {
-                            if fault_ref.is_some() {
-                                return;
-                            }
-                            if exchange == ExchangeMode::Overlapped {
-                                // A drain fault abandons the stage mid-
-                                // evaluation; q/rhs are rolled back anyway.
-                                if let Err(f) = overlapped_halo_rhs(
-                                    ctx_ref, comm_ref, &cart, q, staging, stats_ref, rhs_cfg,
-                                    fluids, bc, skip, &plan, ws_ref, rhs,
-                                ) {
-                                    *fault_ref = Some(f);
-                                }
-                            } else {
-                                if let Err(f) =
-                                    halo_exchange(ctx_ref, comm_ref, &cart, q, staging, stats_ref)
-                                {
-                                    *fault_ref = Some(f);
-                                    return;
-                                }
-                                apply_bcs(ctx_ref, q, bc, skip);
-                                compute_rhs(ctx_ref, rhs_cfg, fluids, q, ws_ref, rhs);
-                            }
-                        });
-                    }
-                    if let Some(fault) = halo_fault {
-                        detect_fault(comm, &fault, step, t_op.elapsed(), &note);
-                        needs_recovery = true;
-                        continue 'steps;
-                    }
-
-                    // ---- Health verdict: local scan, then an
-                    // allreduce-min over 1.0 (clean) / 0.0 (faulted), so
-                    // acceptance is a collective decision. ----
-                    let _health_span = ctx.span("health_verdict", Category::Phase);
-                    local_viol =
-                        scan_and_convert(&ctx, &case.fluids, &opts.health, &q, &mut ws.prim);
-                    let flag = if local_viol.is_some() { 0.0 } else { 1.0 };
-                    match comm.allreduce_policied(flag, f64::min) {
-                        Ok(v) if v >= 1.0 => break dt,
-                        Ok(_) => {}
-                        Err(fault) => {
-                            detect_fault(comm, &fault, step, t_op.elapsed(), &note);
-                            needs_recovery = true;
-                            continue 'steps;
-                        }
-                    }
+            // ---- The one time step, through this rank's link. ----
+            let t_op = Instant::now();
+            let mut link = CommLink {
+                comm: &mut *comm,
+                cart: &cart,
+                plan: &plan,
+                exchange: opts.exchange,
+                staging,
+                stats: &mut stats,
+                rank: me.get(),
+                wave: next_wave.saturating_sub(1),
+                note: &note,
+            };
+            match blk.step_with(&mut link) {
+                Ok(Ok(_)) => {}
+                Err(fault) => {
+                    detect_fault(comm, &fault, step, t_op.elapsed(), &note);
+                    needs_recovery = true;
+                    continue;
                 }
-
-                // ---- Rejected: restore q^n, then escalate or abort —
-                // deterministically, so every rank does the same. ----
-                let wave = next_wave.saturating_sub(1);
-                if let Some(v) = &local_viol {
-                    note(
-                        ResilienceEventKind::HealthFault,
-                        step,
-                        wave,
-                        t_op.elapsed(),
-                        v.to_string(),
-                    );
-                } else if degenerate && me.get() == 0 {
-                    note(
-                        ResilienceEventKind::HealthFault,
-                        step,
-                        wave,
-                        t_op.elapsed(),
-                        "degenerate wave-speed rate in the CFL reduction".into(),
-                    );
-                }
-                // Only an attempt that reached `rk_step` wrote q — and only
-                // then does `rk.q0` hold this step's q^n (a degenerate dt
-                // leaves q untouched and q0 at q^{n-1}).
-                if !degenerate {
-                    q.as_mut_slice().copy_from_slice(rk.q0.as_slice());
-                }
-                attempts += 1;
-                let exhausted = match &policy {
-                    None => true,
-                    Some(p) => attempts > p.max_retries || !rec.escalate(p),
-                };
-                if exhausted {
-                    let detail = local_viol.as_ref().map_or_else(
-                        || {
-                            if degenerate {
-                                "degenerate wave-speed rate in the CFL reduction".to_string()
-                            } else {
-                                "a peer rank reported a nonphysical state".to_string()
-                            }
-                        },
-                        |v| v.to_string(),
-                    );
-                    if let Some(dir) = policy.as_ref().and_then(|p| p.crash_dump_dir.as_ref()) {
-                        let _ = std::fs::create_dir_all(dir);
-                        let dump = dir.join(format!("crash_rank{}_step{step}.bin", me.get()));
-                        if crate::restart::save_checkpoint(&dump, &q, t, step).is_ok() {
-                            note(
-                                ResilienceEventKind::CrashDump,
-                                step,
-                                wave,
-                                t_op.elapsed(),
-                                format!("diagnostic checkpoint at {}", dump.display()),
-                            );
-                        }
-                    }
+                Ok(Err(e)) => {
                     return Err(ResilienceError::Numerical {
                         rank: me.get(),
-                        step,
-                        detail,
-                        violation: local_viol,
+                        step: e.step,
+                        fault: e.fault,
                     });
                 }
-                ctx.trace_instant("retry", Category::Recovery);
-                ctx.trace_instant("degrade", Category::Recovery);
-                if me.get() == 0 {
-                    let p = policy.as_ref().expect("exhausted is true when None");
-                    note(
-                        ResilienceEventKind::Retry,
-                        step,
-                        wave,
-                        t_op.elapsed(),
-                        format!("attempt {} from saved q^n", attempts + 1),
-                    );
-                    note(
-                        ResilienceEventKind::Degrade,
-                        step,
-                        wave,
-                        t_op.elapsed(),
-                        format!("rung {}: {}", rec.rung, p.ladder[rec.rung - 1].name()),
-                    );
-                }
-            };
-
-            t += dt;
-            step += 1;
-            attempts = 0;
-            if let Some(p) = &policy {
-                if rec.accept(p) && me.get() == 0 {
-                    note(
-                        ResilienceEventKind::Restore,
-                        step,
-                        next_wave.saturating_sub(1),
-                        Duration::ZERO,
-                        format!(
-                            "default policy restored after {} clean steps",
-                            p.restore_after
-                        ),
-                    );
-                }
             }
+            let step = blk.steps();
             if let Some((target, since)) = replay_target {
                 if step >= target {
                     if me.get() == 0 {
@@ -1088,12 +897,12 @@ pub fn run_distributed_resilient(
             }
         }
 
-        ctx.flush_ledger_to_trace();
+        blk.context().flush_ledger_to_trace();
 
         // All scripted faults are behind us (peers past their last death
         // cannot re-die), so the final gather uses the plain path.
-        let gathered = comm.gather(crate::output::block_to_vec(&q));
-        stats.time = t;
+        let gathered = comm.gather(crate::output::block_to_vec(blk.state()));
+        stats.time = blk.time();
         Ok((gathered, stats))
     };
 
@@ -1124,7 +933,7 @@ pub fn run_distributed_resilient(
     let mut errors = results.iter().filter_map(|r| r.as_ref().err());
     if let Some(first) = errors.next() {
         let observed = |e: &&ResilienceError| match e {
-            ResilienceError::Numerical { violation, .. } => violation.is_some(),
+            ResilienceError::Numerical { fault, .. } => *fault != StepFault::Peer,
             ResilienceError::Io { detail, .. } => detail != PEER_WRITE_FAILED,
             _ => false,
         };
@@ -1248,81 +1057,130 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
     }
 }
 
-/// One overlapped halo exchange + RHS evaluation: the async-queue analog
-/// of the paper's OpenACC `async(queue)` overlap (§III-B).
-///
-/// Per axis (x → y → z, preserving the corner-fill chain: axis *k*'s pack
-/// reads axis *k−1*'s unpacked ghosts), this posts the nonblocking
-/// receives and sends (`halo_post`), runs the interior sweep of that axis
-/// while the messages are in flight (`interior_rhs`) — the interior sweep
-/// of axis *k* runs between axis *k*'s post and drain — then completes
-/// the receives and unpacks
-/// (`halo_drain` — the *exposed* communication time). Once every axis has
-/// exchanged, physical BCs are applied and [`rhs_overlap_finish`] runs
-/// the boundary shells plus the grid-global closures (`shell_rhs`).
-///
-/// Bitwise identical to [`halo_exchange`] + `apply_bcs` + `compute_rhs`:
-/// the interior region is inset `dom.ng` cells from every exchanged face,
-/// so its stencils never read a ghost, and each cell accumulates its
-/// axis contributions in the same x, y, z order either way.
-///
-/// The drain waits go through the fault detector; a verdict abandons the
-/// exchange — the later axes' interior sweeps never run — and the caller
-/// rolls back.
-#[allow(clippy::too_many_arguments)]
-fn overlapped_halo_rhs(
-    ctx: &Context,
-    comm: &mut Comm,
-    cart: &CartComm,
-    q: &mut StateField,
+/// A rank's link to the run's other blocks: the policied allreduce, and
+/// ahead of each RHS evaluation the halo exchange — paired, or hidden
+/// behind the interior sweeps.
+struct CommLink<'a, N> {
+    comm: &'a mut Comm,
+    cart: &'a CartComm,
+    plan: &'a OverlapPlan,
+    exchange: ExchangeMode,
     staging: Staging,
-    stats: &mut CommStats,
-    rhs_cfg: &RhsConfig,
-    fluids: &[Fluid],
-    bc: &BcSpec,
-    skip: [(bool, bool); 3],
-    plan: &OverlapPlan,
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-) -> Result<(), CommFault> {
-    let dom = *q.domain();
-    rhs_overlap_begin(ctx, rhs_cfg, fluids, q, ws, rhs);
+    stats: &'a mut CommStats,
+    rank: usize,
+    /// The last checkpoint wave, stamped on the block's ladder events.
+    wave: u64,
+    note: &'a N,
+}
 
-    for axis in 0..dom.eq.ndim() {
-        let mut pending = Vec::new();
-        {
-            let _post = ctx.span("halo_post", Category::Phase);
-            for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                if let Some(src) = cart.neighbor(axis, -send_dir) {
-                    let tag = (axis as u64) << 8 | tag;
-                    pending.push((send_dir, comm.irecv(src, tag)));
-                }
-            }
-            for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                if let Some(dest) = cart.neighbor(axis, send_dir) {
-                    let tag = (axis as u64) << 8 | tag;
-                    let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
-                    comm.isend(dest, tag, buf);
-                }
-            }
-        }
-        if let Some(interior) = &plan.interior {
-            // The compute hidden behind this axis's messages.
-            let _interior = ctx.span("interior_rhs", Category::Phase);
-            rhs_overlap_interior_axis(ctx, rhs_cfg, fluids, ws, rhs, interior, axis);
-        }
-        // What remains after the hiding is the exposed comm time.
-        let _drain = ctx.span("halo_drain", Category::Phase);
-        for (send_dir, req) in pending {
-            let buf = comm.wait_policied(req)?;
-            unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
-        }
+impl<N: Fn(ResilienceEventKind, u64, u64, Duration, String)> Link for CommLink<'_, N> {
+    fn rank(&self) -> Option<usize> {
+        Some(self.rank)
     }
 
-    apply_bcs(ctx, q, bc, skip);
-    let _shell = ctx.span("shell_rhs", Category::Phase);
-    rhs_overlap_finish(ctx, rhs_cfg, fluids, q, ws, rhs, plan);
-    Ok(())
+    fn min(&mut self, v: f64) -> Result<f64, CommFault> {
+        self.comm.allreduce_policied(v, f64::min)
+    }
+
+    fn eval_rhs(
+        &mut self,
+        env: &mut RhsEnv,
+        cfg: &RhsConfig,
+        q: &mut StateField,
+        rhs: &mut StateField,
+    ) -> Result<(), CommFault> {
+        if self.exchange == ExchangeMode::Overlapped {
+            return self.overlapped_halo_rhs(env, cfg, q, rhs);
+        }
+        halo_exchange(&env.ctx, self.comm, self.cart, q, self.staging, self.stats)?;
+        env.local_rhs(cfg, q, rhs);
+        Ok(())
+    }
+
+    fn note(&self, kind: ResilienceEventKind, step: u64, wall: Duration, detail: String) {
+        (self.note)(kind, step, self.wave, wall, detail);
+    }
+}
+
+impl<N> CommLink<'_, N> {
+    /// One overlapped halo exchange + RHS evaluation: the async-queue analog
+    /// of the paper's OpenACC `async(queue)` overlap (§III-B).
+    ///
+    /// Per axis (x → y → z, preserving the corner-fill chain: axis *k*'s pack
+    /// reads axis *k−1*'s unpacked ghosts), this posts the nonblocking
+    /// receives and sends (`halo_post`), runs the interior sweep of that axis
+    /// while the messages are in flight (`interior_rhs`) — the interior sweep
+    /// of axis *k* runs between axis *k*'s post and drain — then completes
+    /// the receives and unpacks
+    /// (`halo_drain` — the *exposed* communication time). Once every axis has
+    /// exchanged, physical BCs are applied and [`rhs_overlap_finish`] runs
+    /// the boundary shells plus the grid-global closures (`shell_rhs`).
+    ///
+    /// Bitwise identical to [`halo_exchange`] + `apply_bcs` + `compute_rhs`:
+    /// the interior region is inset `dom.ng` cells from every exchanged face,
+    /// so its stencils never read a ghost, and each cell accumulates its
+    /// axis contributions in the same x, y, z order either way.
+    ///
+    /// The drain waits go through the fault detector; a verdict abandons the
+    /// exchange — the later axes' interior sweeps never run — and the caller
+    /// rolls back.
+    fn overlapped_halo_rhs(
+        &mut self,
+        env: &mut RhsEnv,
+        cfg: &RhsConfig,
+        q: &mut StateField,
+        rhs: &mut StateField,
+    ) -> Result<(), CommFault> {
+        let CommLink {
+            comm,
+            cart,
+            plan,
+            staging,
+            stats,
+            ..
+        } = self;
+        let RhsEnv {
+            ctx, fluids, ws, ..
+        } = env;
+        let dom = *q.domain();
+        rhs_overlap_begin(ctx, cfg, fluids, q, ws, rhs);
+
+        for axis in 0..dom.eq.ndim() {
+            let mut pending = Vec::new();
+            {
+                let _post = ctx.span("halo_post", Category::Phase);
+                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
+                    if let Some(src) = cart.neighbor(axis, -send_dir) {
+                        let tag = (axis as u64) << 8 | tag;
+                        pending.push((send_dir, comm.irecv(src, tag)));
+                    }
+                }
+                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
+                    if let Some(dest) = cart.neighbor(axis, send_dir) {
+                        let tag = (axis as u64) << 8 | tag;
+                        let buf = pack_send_slab(ctx, q, axis, send_dir, *staging, stats);
+                        comm.isend(dest, tag, buf);
+                    }
+                }
+            }
+            if let Some(interior) = &plan.interior {
+                // The compute hidden behind this axis's messages.
+                let _interior = ctx.span("interior_rhs", Category::Phase);
+                rhs_overlap_interior_axis(ctx, cfg, fluids, ws, rhs, interior, axis);
+            }
+            // What remains after the hiding is the exposed comm time.
+            let _drain = ctx.span("halo_drain", Category::Phase);
+            for (send_dir, req) in pending {
+                let buf = comm.wait_policied(req)?;
+                unpack_recv_slab(ctx, q, axis, send_dir, *staging, &buf);
+            }
+        }
+
+        apply_bcs(ctx, q, &env.bc, env.skip);
+        let _shell = ctx.span("shell_rhs", Category::Phase);
+        rhs_overlap_finish(ctx, cfg, fluids, q, ws, rhs, plan);
+        Ok(())
+    }
 }
 
 /// Pack the interior slab adjacent to the `send_dir` face of `axis`,

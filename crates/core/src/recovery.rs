@@ -29,6 +29,9 @@ pub enum StepFault {
     /// The CFL reduction produced a non-finite or non-positive wave-speed
     /// rate — the state was already unusable before the update.
     DegenerateWaveSpeed { rate: f64 },
+    /// Nothing on this block: a peer block of a decomposed run observed
+    /// the fault, and the collective verdict rejected the step everywhere.
+    Peer,
 }
 
 impl std::fmt::Display for StepFault {
@@ -38,6 +41,7 @@ impl std::fmt::Display for StepFault {
             StepFault::DegenerateWaveSpeed { rate } => {
                 write!(f, "degenerate wave-speed rate {rate:e} in CFL reduction")
             }
+            StepFault::Peer => f.write_str("a peer block reported the fault"),
         }
     }
 }

@@ -1,9 +1,19 @@
-//! The single-device solver driver.
+//! The time step.
+//!
+//! There is one time step: [`Solver`] is one block of the grid — its
+//! state, workspaces, clock and recovery ladder — and `Solver::step_with`
+//! is the only dt → RK stages → health verdict → retry sequence in the
+//! crate. A single-device run ([`Solver::step`]) is that function alone
+//! (`Lone`); a rank of the distributed driver ([`crate::par`]) is the
+//! same block plus a comm link, which supplies the two things that differ
+//! between one block and many: a min-reduction over the run's blocks and
+//! the ghost fill that precedes each RHS evaluation.
 
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-use mfc_acc::{Context, ResilienceEvent, ResilienceEventKind};
+use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind, ResilienceEventKind as Kind};
+use mfc_mpsim::CommFault;
 use mfc_trace::Category;
 
 use crate::axisym::Geometry;
@@ -17,6 +27,9 @@ use crate::grid::Grid;
 use crate::health::{scan_and_convert, HealthConfig};
 use crate::ibm::GhostCellIbm;
 use crate::recovery::{RecoveryPolicy, RecoveryState, SolverError, StepFault, StepOutcome};
+use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
+use crate::state::StateField;
+use crate::time::{rk_step, RkWorkspace, TimeScheme};
 
 /// Directive returned by a [`Solver::run_controlled`] controller at each
 /// step boundary.
@@ -30,9 +43,6 @@ pub enum StepControl {
     /// Stop before the next step (cooperative cancellation / deadline).
     Stop,
 }
-use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
-use crate::state::StateField;
-use crate::time::{rk_step, RkWorkspace, TimeScheme};
 
 /// Time-step selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,59 +92,101 @@ impl Default for SolverConfig {
     }
 }
 
-/// Ghost-inclusive cell widths of `grid` along each axis of `dom`.
-pub(crate) fn ghost_widths(grid: &Grid, dom: &Domain) -> [Vec<f64>; 3] {
-    [
-        grid.x.widths_with_ghosts(dom.pad(0)),
-        grid.y.widths_with_ghosts(dom.pad(1)),
-        grid.z.widths_with_ghosts(dom.pad(2)),
-    ]
+/// What a stage's RHS evaluation needs of its block besides the state:
+/// everything a [`Link`] may touch while `rk_step` holds `q`.
+pub(crate) struct RhsEnv {
+    pub ctx: Context,
+    pub fluids: Vec<Fluid>,
+    pub bc: BcSpec,
+    /// Faces with a neighbour block instead of a physical boundary.
+    pub skip: [(bool, bool); 3],
+    grid: Grid,
+    ibm: Option<GhostCellIbm>,
+    pub ws: RhsWorkspace,
 }
 
-/// The time step one block takes under `cfg`: the fixed value, or the CFL
-/// bound of `q` — with the azimuthal metric `r dtheta` in 3-D cylindrical
-/// coordinates — leaving the primitives in `ws.prim`. The serial solver
-/// and every rank of the distributed driver call this, so the rank count
-/// cannot change the step.
-pub(crate) fn select_dt(
-    ctx: &Context,
-    cfg: &SolverConfig,
-    fluids: &[Fluid],
-    q: &StateField,
-    ws: &mut RhsWorkspace,
-    widths: &[Vec<f64>; 3],
-) -> Result<f64, StepFault> {
-    match cfg.dt {
-        DtMode::Fixed(dt) => Ok(dt),
-        DtMode::Cfl(c) => {
-            crate::state::cons_to_prim_field(ctx, fluids, q, &mut ws.prim);
-            let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
-            cfl::try_max_dt_geom(
-                ctx,
-                fluids,
-                &ws.prim,
-                [&widths[0], &widths[1], &widths[2]],
-                c,
-                metric,
-            )
+impl RhsEnv {
+    /// Physical BCs, the immersed boundary if there is one, then the RHS:
+    /// what a block does once its exchanged ghosts are valid.
+    pub fn local_rhs(&mut self, cfg: &RhsConfig, q: &mut StateField, rhs: &mut StateField) {
+        apply_bcs(&self.ctx, q, &self.bc, self.skip);
+        if let Some(ibm) = &self.ibm {
+            ibm.apply(&self.ctx, &self.grid, &self.fluids, q);
         }
+        compute_rhs(&self.ctx, cfg, &self.fluids, q, &mut self.ws, rhs);
     }
 }
 
-/// A single-device (single-rank) simulation.
+/// What differs between a lone block and one block of many. Two impls:
+/// [`Lone`] here and the rank body's comm link in [`crate::par`].
+pub(crate) trait Link {
+    /// This block's rank in a decomposed run; `None` for a lone block.
+    fn rank(&self) -> Option<usize>;
+
+    /// Minimum of `v` over the run's blocks: the global dt, and the health
+    /// verdict (1.0 clean / 0.0 faulted) that makes acceptance collective.
+    fn min(&mut self, v: f64) -> Result<f64, CommFault>;
+
+    /// Make `q`'s ghosts valid and evaluate `rhs` under `cfg`, the RHS
+    /// configuration in force on the current ladder rung.
+    fn eval_rhs(
+        &mut self,
+        env: &mut RhsEnv,
+        cfg: &RhsConfig,
+        q: &mut StateField,
+        rhs: &mut StateField,
+    ) -> Result<(), CommFault>;
+
+    /// Record a ladder event of this block at `step`.
+    fn note(&self, kind: ResilienceEventKind, step: u64, wall: Duration, detail: String);
+}
+
+/// The link of a single-device run: nothing to reduce over, no neighbour
+/// to exchange with, events into the block's own ledger.
+struct Lone<'a>(&'a Ledger);
+
+impl Link for Lone<'_> {
+    fn rank(&self) -> Option<usize> {
+        None
+    }
+
+    fn min(&mut self, v: f64) -> Result<f64, CommFault> {
+        Ok(v)
+    }
+
+    fn eval_rhs(
+        &mut self,
+        env: &mut RhsEnv,
+        cfg: &RhsConfig,
+        q: &mut StateField,
+        rhs: &mut StateField,
+    ) -> Result<(), CommFault> {
+        env.local_rhs(cfg, q, rhs);
+        Ok(())
+    }
+
+    fn note(&self, kind: ResilienceEventKind, step: u64, wall: Duration, detail: String) {
+        self.0.record_event(ResilienceEvent {
+            kind,
+            rank: 0,
+            step,
+            wave: 0,
+            wall,
+            detail,
+        });
+    }
+}
+
+/// One block of the grid and everything needed to step it: the whole grid
+/// of a single-device run, or one rank's share of a decomposed one.
 pub struct Solver {
-    ctx: Context,
+    env: RhsEnv,
     cfg: SolverConfig,
-    fluids: Vec<Fluid>,
-    bc: BcSpec,
     dom: Domain,
-    grid: Grid,
     q: StateField,
-    ws: RhsWorkspace,
     /// Ghost-inclusive cell widths per axis (the CFL bound's metric).
     widths: [Vec<f64>; 3],
     rk: RkWorkspace,
-    ibm: Option<GhostCellIbm>,
     health: HealthConfig,
     recovery: Option<RecoveryPolicy>,
     rec: RecoveryState,
@@ -146,25 +198,45 @@ pub struct Solver {
 impl Solver {
     /// Build a solver from a case description.
     pub fn new(case: &CaseBuilder, cfg: SolverConfig, ctx: Context) -> Self {
+        Self::block(case, cfg, ctx, case.grid(), [0; 3], [(false, false); 3])
+    }
+
+    /// One block of a decomposed run: `grid` is the block's slice of the
+    /// global grid, starting `off` cells in; `skip` marks its faces that
+    /// border a neighbour block.
+    pub(crate) fn block(
+        case: &CaseBuilder,
+        cfg: SolverConfig,
+        ctx: Context,
+        grid: Grid,
+        off: [usize; 3],
+        skip: [(bool, bool); 3],
+    ) -> Self {
         let ng = cfg.rhs.order.ghost_layers().max(1);
-        let dom = case.domain(ng);
-        let grid = case.grid();
-        let q = case.init_block(&ctx, &dom, &grid, [0, 0, 0]);
+        let dom = Domain::new([grid.x.n(), grid.y.n(), grid.z.n()], ng, case.eq());
+        let q = case.init_block(&ctx, &dom, &grid, off);
         let ws = RhsWorkspace::new(dom, &grid);
-        let widths = ghost_widths(&grid, &dom);
+        let widths = [
+            grid.x.widths_with_ghosts(dom.pad(0)),
+            grid.y.widths_with_ghosts(dom.pad(1)),
+            grid.z.widths_with_ghosts(dom.pad(2)),
+        ];
         let rk = RkWorkspace::new(&q);
         Solver {
-            ctx,
+            env: RhsEnv {
+                ctx,
+                fluids: case.fluids.clone(),
+                bc: case.bc,
+                skip,
+                grid,
+                ibm: None,
+                ws,
+            },
             cfg,
-            fluids: case.fluids.clone(),
-            bc: case.bc,
             dom,
-            grid,
             q,
-            ws,
             widths,
             rk,
-            ibm: None,
             health: HealthConfig::default(),
             recovery: None,
             rec: RecoveryState::default(),
@@ -176,7 +248,7 @@ impl Solver {
 
     /// Attach a ghost-cell immersed boundary.
     pub fn with_body(mut self, ibm: GhostCellIbm) -> Self {
-        self.ibm = Some(ibm);
+        self.env.ibm = Some(ibm);
         self
     }
 
@@ -205,7 +277,7 @@ impl Solver {
     }
 
     pub fn context(&self) -> &Context {
-        &self.ctx
+        &self.env.ctx
     }
 
     /// Elastically resize the worker count mid-run (clamped to ≥ 1).
@@ -216,7 +288,7 @@ impl Solver {
     /// `cfg.workers` in sync so summaries report the final share.
     pub fn set_workers(&mut self, workers: usize) {
         let workers = workers.max(1);
-        self.ctx.set_workers(workers);
+        self.env.ctx.set_workers(workers);
         self.cfg.workers = workers;
     }
 
@@ -225,7 +297,7 @@ impl Solver {
     }
 
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        &self.env.grid
     }
 
     pub fn time(&self) -> f64 {
@@ -248,7 +320,9 @@ impl Solver {
     }
 
     /// Resume from a checkpointed state: replaces the conservative state
-    /// and the simulation clock (see [`crate::restart`]).
+    /// and the simulation clock (see [`crate::restart`]) and resets the
+    /// recovery ladder — what follows is a fresh deterministic run from
+    /// the checkpoint, whatever rung the solver was on.
     ///
     /// # Panics
     /// If the checkpoint's domain does not match this solver's.
@@ -261,105 +335,114 @@ impl Solver {
         self.q = q;
         self.t = t;
         self.steps = steps;
+        self.rec = RecoveryState::default();
         self.wall = Duration::ZERO;
     }
 
     /// Freshly converted primitive state (interior and ghosts).
     pub fn primitives(&self) -> StateField {
         let mut prim = StateField::zeros(self.dom);
-        crate::state::cons_to_prim_field(&self.ctx, &self.fluids, &self.q, &mut prim);
+        crate::state::cons_to_prim_field(&self.env.ctx, &self.env.fluids, &self.q, &mut prim);
         prim
     }
 
-    /// Run one RK update of `q` under `cfg`, returning the dt taken or the
-    /// first numerical fault (degenerate CFL reduction, or a post-step
-    /// health violation). Either way `q` is `q^n` on return from a fault:
-    /// a dt fault never touched it, and a health fault restores it from
-    /// the copy `rk_step` took (`rk.q0` — which before this attempt's
-    /// `rk_step` still held `q^{n-1}`, so only this path may read it).
-    fn attempt_step(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
-        let _dt_span = self.ctx.span("dt_select", Category::Phase);
-        let dt = select_dt(
-            &self.ctx,
-            cfg,
-            &self.fluids,
-            &self.q,
-            &mut self.ws,
-            &self.widths,
-        )?;
-        drop(_dt_span);
-        self.ctx.trace_counter("dt", dt);
-
-        let _rk_span = self.ctx.span("rk_stages", Category::Phase);
-        let Solver {
-            ctx,
-            fluids,
-            bc,
-            grid,
-            q,
-            ws,
-            rk,
-            ibm,
-            ..
-        } = self;
-        rk_step(cfg.scheme, dt, q, rk, |q, rhs| {
-            apply_bcs(ctx, q, bc, [(false, false); 3]);
-            if let Some(ibm) = ibm {
-                ibm.apply(ctx, grid, fluids, q);
-            }
-            compute_rhs(ctx, &cfg.rhs, fluids, q, ws, rhs);
-        });
-        drop(_rk_span);
-
-        // Post-step watchdog, fused with the primitive conversion the next
-        // step needs anyway. Read-only on q: a clean run is bitwise
-        // identical with or without the watchdog armed.
-        let _health_span = self.ctx.span("health_scan", Category::Phase);
-        match scan_and_convert(
-            &self.ctx,
-            &self.fluids,
-            &self.health,
-            &self.q,
-            &mut self.ws.prim,
-        ) {
-            None => Ok(dt),
-            Some(v) => {
-                self.q.as_mut_slice().copy_from_slice(self.rk.q0.as_slice());
-                Err(StepFault::Unphysical(v))
+    /// The time step this block would take under `cfg`: the fixed value,
+    /// or the CFL bound of `q` — with the azimuthal metric `r dtheta` in
+    /// 3-D cylindrical coordinates — leaving the primitives in `ws.prim`.
+    fn select_dt(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
+        let RhsEnv {
+            ctx, fluids, ws, ..
+        } = &mut self.env;
+        match cfg.dt {
+            DtMode::Fixed(dt) => Ok(dt),
+            DtMode::Cfl(c) => {
+                crate::state::cons_to_prim_field(ctx, fluids, &self.q, &mut ws.prim);
+                let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
+                let w = &self.widths;
+                cfl::try_max_dt_geom(ctx, fluids, &ws.prim, [&w[0], &w[1], &w[2]], c, metric)
             }
         }
     }
 
-    fn record_event(&self, kind: ResilienceEventKind, wall: Duration, detail: String) {
-        self.ctx.ledger().record_event(ResilienceEvent {
-            kind,
-            rank: 0,
-            step: self.steps,
-            wave: 0,
-            wall,
-            detail,
+    /// Run one RK update of `q` under `cfg`. `Ok(Ok(dt))` is an accepted
+    /// attempt; `Ok(Err(_))` the numerical fault that rejected it — a
+    /// degenerate CFL reduction or a post-step health violation, on this
+    /// block or (the reductions make both collective) on a peer — with `q`
+    /// back on `q^n`: a dt fault never touched it, and a health fault
+    /// restores it from the copy `rk_step` took (`rk.q0` — which before
+    /// this attempt's `rk_step` still held `q^{n-1}`, so only this path
+    /// may read it). `Err(_)` is a link failure: the state is mid-update
+    /// and the caller rolls back.
+    fn attempt<L: Link>(
+        &mut self,
+        cfg: &SolverConfig,
+        link: &mut L,
+    ) -> Result<Result<f64, StepFault>, CommFault> {
+        let dt_span = self.env.ctx.span("dt_reduce", Category::Phase);
+        let local = self.select_dt(cfg);
+        // A degenerate local rate travels the min-reduction as -1.0, so
+        // every block rejects the attempt. On a rank the reduction doubles
+        // as the per-step heartbeat.
+        let dt = link.min(local.unwrap_or(-1.0))?;
+        drop(dt_span);
+        self.env.ctx.trace_counter("dt", dt);
+        match local {
+            Err(fault) => return Ok(Err(fault)),
+            // Only a peer's sentinel undercuts this block's own dt at or
+            // below zero: a lone block never sees one, and a non-positive
+            // fixed dt (refused at admission) is stepped as asked.
+            Ok(own) if dt <= 0.0 && dt < own => return Ok(Err(StepFault::Peer)),
+            Ok(_) => {}
+        }
+
+        // A link failure abandons the remaining stages.
+        let rk_span = self.env.ctx.span("rk_stages", Category::Phase);
+        let mut failed = None;
+        rk_step(cfg.scheme, dt, &mut self.q, &mut self.rk, |q, rhs| {
+            if failed.is_none() {
+                failed = link.eval_rhs(&mut self.env, &cfg.rhs, q, rhs).err();
+            }
         });
+        drop(rk_span);
+        if let Some(fault) = failed {
+            return Err(fault);
+        }
+
+        // Post-step watchdog, fused with the primitive conversion the next
+        // step needs anyway. Read-only on q: a clean run is bitwise
+        // identical with or without the watchdog armed.
+        let _health_span = self.env.ctx.span("health_verdict", Category::Phase);
+        let RhsEnv {
+            ctx, fluids, ws, ..
+        } = &mut self.env;
+        let local = scan_and_convert(ctx, fluids, &self.health, &self.q, &mut ws.prim);
+        if link.min(if local.is_some() { 0.0 } else { 1.0 })? >= 1.0 {
+            return Ok(Ok(dt));
+        }
+        self.q.as_mut_slice().copy_from_slice(self.rk.q0.as_slice());
+        Ok(Err(local.map_or(StepFault::Peer, StepFault::Unphysical)))
     }
 
     /// Abort bookkeeping: best-effort crash-dump checkpoint + event. The
     /// faulted attempt already left `q` on the last accepted state.
-    fn give_up(&mut self, fault: StepFault, attempts: u32) -> SolverError {
-        let crash_dump = self
+    fn give_up<L: Link>(&self, fault: StepFault, attempts: u32, link: &L) -> SolverError {
+        let name = match link.rank() {
+            Some(r) => format!("crash_rank{r}_step{}.bin", self.steps),
+            None => format!("crash_step{}.bin", self.steps),
+        };
+        let dir = self
             .recovery
             .as_ref()
-            .and_then(|p| p.crash_dump_dir.clone())
-            .and_then(|dir| {
-                let path = dir.join(format!("crash_step{}.bin", self.steps));
-                std::fs::create_dir_all(&dir).ok()?;
-                crate::restart::save_checkpoint(&path, &self.q, self.t, self.steps).ok()?;
-                Some(path)
-            });
+            .and_then(|p| p.crash_dump_dir.as_ref());
+        let crash_dump = dir.and_then(|dir| {
+            let path = dir.join(name);
+            std::fs::create_dir_all(dir).ok()?;
+            crate::restart::save_checkpoint(&path, &self.q, self.t, self.steps).ok()?;
+            Some(path)
+        });
         if let Some(p) = &crash_dump {
-            self.record_event(
-                ResilienceEventKind::CrashDump,
-                Duration::ZERO,
-                p.display().to_string(),
-            );
+            let detail = p.display().to_string();
+            link.note(Kind::CrashDump, self.steps, Duration::ZERO, detail);
         }
         SolverError {
             fault,
@@ -370,6 +453,71 @@ impl Solver {
         }
     }
 
+    /// The one time step: attempt it under the current ladder rung; on a
+    /// numerical fault retry from `q^n` one rung up, until an attempt is
+    /// accepted or the ladder is exhausted (`Ok(Err(_))`). Every decision
+    /// rests on a reduced value, so all blocks of a run accept, retry or
+    /// give up the same attempt in lockstep. The block that observed a
+    /// fault records it (and its crash dump); block 0 records the
+    /// collective ladder moves. `Err(_)` is a link failure.
+    pub(crate) fn step_with<L: Link>(
+        &mut self,
+        link: &mut L,
+    ) -> Result<Result<StepOutcome, SolverError>, CommFault> {
+        let t0 = Instant::now();
+        let _step_span = self.env.ctx.span("step", Category::Phase);
+        let lead = link.rank().unwrap_or(0) == 0;
+        let mut retries = 0u32;
+        loop {
+            let cfg = match &self.recovery {
+                Some(p) => p.effective_config(&self.cfg, self.rec.rung),
+                None => self.cfg,
+            };
+            let fault = match self.attempt(&cfg, link)? {
+                Ok(dt) => {
+                    self.t += dt;
+                    self.steps += 1;
+                    self.wall += t0.elapsed();
+                    let rung = self.rec.rung;
+                    if let Some(p) = &self.recovery {
+                        if self.rec.accept(p) && lead {
+                            let detail = format!(
+                                "default policy restored after {} clean steps",
+                                p.restore_after
+                            );
+                            link.note(Kind::Restore, self.steps, t0.elapsed(), detail);
+                        }
+                    }
+                    return Ok(Ok(StepOutcome { dt, retries, rung }));
+                }
+                Err(fault) => fault,
+            };
+            let ctx = &self.env.ctx;
+            ctx.trace_instant("health_fault", Category::Recovery);
+            if fault != StepFault::Peer {
+                let detail = fault.to_string();
+                link.note(Kind::HealthFault, self.steps, t0.elapsed(), detail);
+            }
+            retries += 1;
+            let policy = match &self.recovery {
+                Some(p) if retries <= p.max_retries && self.rec.escalate(p) => p,
+                _ => {
+                    self.wall += t0.elapsed();
+                    return Ok(Err(self.give_up(fault, retries, link)));
+                }
+            };
+            ctx.trace_instant("retry", Category::Recovery);
+            ctx.trace_instant("degrade", Category::Recovery);
+            if lead {
+                let detail = format!("attempt {} from saved q^n", retries + 1);
+                link.note(Kind::Retry, self.steps, t0.elapsed(), detail);
+                let rung = self.rec.rung;
+                let detail = format!("rung {rung}: {}", policy.ladder[rung - 1].name());
+                link.note(Kind::Degrade, self.steps, t0.elapsed(), detail);
+            }
+        }
+    }
+
     /// Advance one time step.
     ///
     /// On success the outcome reports the dt taken plus any recovery-ladder
@@ -377,69 +525,9 @@ impl Solver {
     /// policy returns a typed [`SolverError`] instead of panicking; the
     /// state is left at the last accepted `q^n`.
     pub fn step(&mut self) -> Result<StepOutcome, SolverError> {
-        let t0 = Instant::now();
-        let _step_span = self.ctx.span("step", Category::Phase);
-        let mut retries = 0u32;
-        loop {
-            let cfg = match &self.recovery {
-                Some(p) => p.effective_config(&self.cfg, self.rec.rung),
-                None => self.cfg,
-            };
-            match self.attempt_step(&cfg) {
-                Ok(dt) => {
-                    self.t += dt;
-                    self.steps += 1;
-                    self.wall += t0.elapsed();
-                    let rung = self.rec.rung;
-                    if let Some(p) = self.recovery.clone() {
-                        if self.rec.accept(&p) {
-                            self.record_event(
-                                ResilienceEventKind::Restore,
-                                t0.elapsed(),
-                                format!(
-                                    "default policy restored after {} clean steps",
-                                    p.restore_after
-                                ),
-                            );
-                        }
-                    }
-                    return Ok(StepOutcome { dt, retries, rung });
-                }
-                Err(fault) => {
-                    self.ctx.trace_instant("health_fault", Category::Recovery);
-                    self.record_event(
-                        ResilienceEventKind::HealthFault,
-                        t0.elapsed(),
-                        fault.to_string(),
-                    );
-                    retries += 1;
-                    let policy = match self.recovery.clone() {
-                        None => {
-                            self.wall += t0.elapsed();
-                            return Err(self.give_up(fault, retries));
-                        }
-                        Some(p) => p,
-                    };
-                    if retries > policy.max_retries || !self.rec.escalate(&policy) {
-                        self.wall += t0.elapsed();
-                        return Err(self.give_up(fault, retries));
-                    }
-                    let engaged = policy.ladder[self.rec.rung - 1];
-                    self.ctx.trace_instant("retry", Category::Recovery);
-                    self.ctx.trace_instant("degrade", Category::Recovery);
-                    self.record_event(
-                        ResilienceEventKind::Retry,
-                        t0.elapsed(),
-                        format!("attempt {} from saved q^n", retries + 1),
-                    );
-                    self.record_event(
-                        ResilienceEventKind::Degrade,
-                        t0.elapsed(),
-                        format!("rung {}: {}", self.rec.rung, engaged.name()),
-                    );
-                }
-            }
-        }
+        let ledger = self.env.ctx.ledger_arc();
+        self.step_with(&mut Lone(&ledger))
+            .unwrap_or_else(|fault| unreachable!("a lone block has no link to fail: {fault}"))
     }
 
     /// Advance `n` steps.
@@ -511,7 +599,7 @@ impl Solver {
 
     /// Conserved-variable totals.
     pub fn conservation(&self) -> Vec<f64> {
-        crate::diag::conservation_totals(&self.q, &self.grid)
+        crate::diag::conservation_totals(&self.q, &self.env.grid)
     }
 
     /// Grind time over everything run so far (ns/cell/eq/RHS-eval).
@@ -754,6 +842,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A non-positive fixed dt is refused at admission; through the library
+    /// it is stepped as asked — alone and on ranks alike, bit for bit — and
+    /// never mistaken for a peer's degenerate-rate sentinel, which no lone
+    /// block can receive (`StepFault::Peer` needs a peer).
+    #[test]
+    fn non_positive_fixed_dt_is_stepped_as_asked_on_any_rank_count() {
+        use crate::par::{run_distributed, run_single};
+        let case = presets::sod(64);
+        for dt in [0.0, -1.0e-4] {
+            let cfg = SolverConfig {
+                dt: DtMode::Fixed(dt),
+                ..Default::default()
+            };
+            let mut solver = Solver::new(&case, cfg, Context::serial());
+            assert_eq!(solver.step().unwrap().dt, dt);
+            assert!(solver.context().ledger().events().is_empty());
+            let serial = run_single(&case, cfg, 2);
+            let (dist, _) =
+                run_distributed(&case, cfg, 2, 2, mfc_mpsim::Staging::DeviceDirect).unwrap();
+            assert_eq!(dist.max_abs_diff(&serial), 0.0, "dt = {dt}");
+        }
+    }
+
+    /// A restore is a fresh deterministic run from the checkpoint: a
+    /// solver restored while degraded starts again on rung 0, so it stays
+    /// bit-for-bit with a fresh armed solver restored from the same state
+    /// (it used to keep its rung and take the first steps on a smaller dt).
+    #[test]
+    fn restore_resets_the_ladder() {
+        use crate::recovery::RecoveryAction;
+        let case = presets::sod(64);
+        let mut probe = Solver::new(&case, SolverConfig::default(), Context::serial());
+        let dt0 = probe.step().unwrap().dt;
+        let cfg = SolverConfig {
+            dt: DtMode::Fixed(dt0 * 16.0),
+            ..Default::default()
+        };
+        let policy = RecoveryPolicy {
+            ladder: vec![RecoveryAction::HalveDt; 6],
+            max_retries: 16,
+            restore_after: 1_000,
+            crash_dump_dir: None,
+        };
+        let armed = || Solver::new(&case, cfg, Context::serial()).with_recovery(policy.clone());
+        let mut fresh = armed();
+        let checkpoint = fresh.state().clone();
+        let mut degraded = armed();
+        degraded.run_steps(10).unwrap();
+        assert!(degraded.recovery_state().rung >= 1);
+
+        for solver in [&mut fresh, &mut degraded] {
+            solver.restore(checkpoint.clone(), 0.0, 0);
+            assert_eq!(solver.recovery_state().rung, 0);
+            solver.run_steps(5).unwrap();
+        }
+        assert!(
+            fresh.state().as_slice() == degraded.state().as_slice(),
+            "a restored solver must not remember its rung"
+        );
     }
 
     #[test]

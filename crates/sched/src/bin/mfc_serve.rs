@@ -48,15 +48,16 @@ bound address is printed as `listening on HOST:PORT`.
 Each job is admitted by the checker `mfc-run` itself enters through (see
 `mfc-run --help`, \"admission\": what `mfc-run --dry-run` refuses is
 refused here, with the same message) and carries that verdict to its
-worker thread; the scheduler adds two refusals of its own — run.ranks > 1
-and checkpointed / fault-plan runs belong to `mfc-run`. A refused job
-rejects the manifest before anything runs, and a rejected TCP submission
-is a typed error response on the same connection. Running jobs share the worker budget elastically —
-shares are re-partitioned whenever a job arrives or finishes, applied
-only at step boundaries, and results stay bitwise identical to a
-standalone run at any share sequence. One job's failure (or injected
-fault, or panic) marks only that job Failed; siblings complete
-undisturbed.
+worker thread — the recovery keys included: run.recovery / run.max_retries
+arm the job's solver as they do under `mfc-run`. The scheduler adds two
+refusals of its own — run.ranks > 1 and checkpointed / fault-plan runs
+belong to `mfc-run`. A refused job rejects the manifest before anything
+runs, and a rejected TCP submission is a typed error response on the same
+connection. Running jobs share the worker budget elastically — shares are
+re-partitioned whenever a job arrives or finishes, applied only at step
+boundaries, and results stay bitwise identical to a standalone run at any
+share sequence. One job's failure (or injected fault, or panic) marks only
+that job Failed; siblings complete undisturbed.
 
 flags:
   --help           print this help and exit

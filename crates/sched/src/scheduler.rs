@@ -702,6 +702,7 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
         h.instant("admit", Category::Phase);
     }
     let mut solver = Solver::new(args.case.case(), cfg, ctx);
+    solver.set_recovery(args.case.recovery().cloned());
 
     let mut resizes = 0u64;
     let mut worker_seconds = 0.0f64;

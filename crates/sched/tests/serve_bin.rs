@@ -1,6 +1,7 @@
-//! End-to-end tests of the `mfc-serve` *binary*: startup validation
-//! exit codes and the full daemon lifecycle over a real socket, exactly
-//! as an operator would drive it.
+//! End-to-end tests of the `mfc-serve` *binary*: manifest mode (was
+//! `scripts/serve_smoke.sh`), startup validation exit codes and the full
+//! daemon lifecycle over a real socket, exactly as an operator would
+//! drive it.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -9,6 +10,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+use mfc_acc::Context;
+use mfc_cli::CaseFile;
+use mfc_core::restart::save_checkpoint;
+use mfc_core::Solver;
 
 fn serve_bin() -> &'static str {
     env!("CARGO_BIN_EXE_mfc-serve")
@@ -28,6 +34,210 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&d);
     fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// The 64-cell Sod tube every manifest job but `hot` runs.
+const SMOKE_CASE: &str = r#"{
+  "name": "smoke",
+  "fluids": [{ "gamma": 1.4, "pi_inf": 0.0 }],
+  "ndim": 1,
+  "cells": [64, 1, 1],
+  "bc": "transmissive",
+  "patches": [
+    { "region": "all",
+      "state": { "alpha": [1.0], "rho": [0.125], "vel": [0, 0, 0], "p": 0.1 } },
+    { "region": { "half_space": { "axis": 0, "bound": 0.5 } },
+      "state": { "alpha": [1.0], "rho": [1.0], "vel": [0, 0, 0], "p": 1.0 } }
+  ],
+  "numerics": { "order": "weno5", "solver": "hllc", "cfl": 0.5 },
+  "run": { "steps": 30 },
+  "output": { "vtk": false }
+}"#;
+
+/// The smoke case on 32 cells, its fixed `dt` overdriven 4x past the
+/// stable step, with `run.max_retries` arming the default ladder (whose
+/// two halvings tame exactly that): `failed` without the ladder, `done`
+/// with it.
+fn hot_case() -> CaseFile {
+    let mut cf = CaseFile::from_json(SMOKE_CASE).unwrap();
+    cf.name = "hot".into();
+    cf.cells = [32, 1, 1];
+    cf.run.steps = 40;
+    let cfg = cf.numerics.to_solver_config().unwrap();
+    let mut probe = Solver::new(&cf.to_case().unwrap(), cfg, Context::serial());
+    cf.numerics.dt = Some(probe.step().unwrap().dt * 4.0);
+    cf.run.max_retries = Some(16);
+    cf
+}
+
+/// Run `mfc-serve` with `args`; returns (exit code, stdout + stderr).
+fn serve(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(serve_bin()).args(args).output().unwrap();
+    let text = [out.stdout, out.stderr].concat();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&text).into_owned(),
+    )
+}
+
+/// The mixed manifest (two priorities, one operator cancellation, one
+/// injected fault, one job riding its recovery ladder) into `out_dir`.
+fn mixed_manifest(dir: &Path, out_dir: &Path) -> PathBuf {
+    let q = |p: PathBuf| serde_json::to_string(&p).unwrap();
+    let (case, hot) = (q(dir.join("case.json")), q(dir.join("hot.json")));
+    let manifest = format!(
+        r#"{{ "budget": 2, "out_dir": {}, "jobs": [
+            {{ "case": {case}, "name": "long", "priority": 0, "max_steps": 30 }},
+            {{ "case": {case}, "name": "urgent", "priority": 5, "max_steps": 10 }},
+            {{ "case": {case}, "name": "cancelme", "priority": 1, "max_steps": 30,
+               "cancel_at_step": 4 }},
+            {{ "case": {case}, "name": "faulty", "priority": 1, "max_steps": 30,
+               "fault_at_step": 3 }},
+            {{ "case": {hot}, "name": "hot", "priority": 1 }} ] }}"#,
+        q(out_dir.to_path_buf())
+    );
+    let path = dir.join(format!(
+        "jobs_{}.json",
+        out_dir.file_name().unwrap().to_str().unwrap()
+    ));
+    fs::write(&path, manifest).unwrap();
+    path
+}
+
+/// Manifest mode end to end: per-job outcomes in the JSONL ledger, the
+/// scheduler view in the trace report, checkpoints byte-identical at
+/// budgets 1 / 2 / 4, and the job whose case arms a recovery ladder
+/// finishing on the bits of a standalone armed `Solver` (pre-fix the
+/// scheduler dropped `run.recovery` / `run.max_retries` and it `failed`).
+#[test]
+fn mixed_manifest_outcomes_trace_and_budget_invariance() {
+    let dir = tmp_dir("manifest");
+    fs::write(dir.join("case.json"), SMOKE_CASE).unwrap();
+    let hot = hot_case();
+    fs::write(dir.join("hot.json"), serde_json::to_string(&hot).unwrap()).unwrap();
+
+    let out = dir.join("b2");
+    let ledger = dir.join("ledger.jsonl");
+    let trace = dir.join("trace.json");
+    let (code, text) = serve(&[
+        "--jobs",
+        mixed_manifest(&dir, &out).to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("3/5 done"), "{text}");
+
+    let rows: Vec<serde_json::Value> = fs::read_to_string(&ledger)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(rows.len(), 5, "one JSONL row per job: {rows:?}");
+    let row = |job: &str| {
+        rows.iter()
+            .find(|r| r["job"] == job)
+            .unwrap_or_else(|| panic!("no ledger row for {job}: {rows:?}"))
+    };
+    for job in ["long", "urgent", "hot"] {
+        assert_eq!(row(job)["state"], "done", "{}", row(job));
+    }
+    assert_eq!(row("cancelme")["state"], "cancelled");
+    assert_eq!(
+        row("cancelme")["steps"].as_u64(),
+        Some(4),
+        "its exact boundary"
+    );
+    assert_eq!(row("faulty")["state"], "failed");
+    let reason = row("faulty")["reason"].as_str().unwrap();
+    assert!(reason.contains("not_finite"), "health watchdog: {reason}");
+
+    let ckpt = fs::read(out.join("00_long/final.ckpt")).unwrap();
+    assert_eq!(&ckpt[..8], b"MFCKPT01");
+
+    // What `mfc-trace-report` prints for the ensemble trace.
+    let parsed = mfc_trace::chrome::parse_str(&fs::read_to_string(&trace).unwrap()).unwrap();
+    let report = mfc_trace::report::render(&parsed);
+    for needle in ["scheduler view", "queue depth max"] {
+        assert!(
+            report.contains(needle),
+            "report lacks {needle:?}:\n{report}"
+        );
+    }
+
+    // Elastic shares and queueing are numerically invisible.
+    let done = ["00_long", "01_urgent", "02_cancelme", "04_hot"];
+    for budget in ["1", "4"] {
+        let other = dir.join(format!("b{budget}"));
+        let manifest = mixed_manifest(&dir, &other);
+        let (code, text) = serve(&["--jobs", manifest.to_str().unwrap(), "--budget", budget]);
+        assert_eq!(code, Some(0), "--budget {budget}: {text}");
+        for job in done {
+            assert!(
+                fs::read(out.join(job).join("final.ckpt")).unwrap()
+                    == fs::read(other.join(job).join("final.ckpt")).unwrap(),
+                "{job}: checkpoint differs between --budget 2 and {budget}"
+            );
+        }
+    }
+
+    // The ladder the job rode is the one a standalone armed solver rides.
+    let admitted = mfc_cli::admit(&hot).unwrap();
+    let policy = admitted.recovery().expect("run.max_retries arms a ladder");
+    let mut alone = Solver::new(admitted.case(), admitted.solver_config(), Context::serial())
+        .with_recovery(policy.clone());
+    alone.run_steps(40).unwrap();
+    assert!(alone.recovery_state().total_retries > 0, "the case is hot");
+    let want = dir.join("alone.ckpt");
+    save_checkpoint(&want, alone.state(), alone.time(), alone.steps()).unwrap();
+    assert!(
+        fs::read(out.join("04_hot/final.ckpt")).unwrap() == fs::read(&want).unwrap(),
+        "hot: scheduler checkpoint differs from the standalone armed run"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Typed admission control: a bad invocation, a malformed manifest and a
+/// job the scheduler refuses all exit 2 before anything runs.
+#[test]
+fn bad_invocations_manifests_and_jobs_exit_2() {
+    let dir = tmp_dir("exit2");
+    let bad = dir.join("bad.json");
+    fs::write(&bad, r#"{ "jobs": "nope" }"#).unwrap();
+    let multirank = dir.join("multirank.json");
+    fs::write(
+        &multirank,
+        SMOKE_CASE.replace(r#""steps": 30"#, r#""steps": 30, "ranks": 2"#),
+    )
+    .unwrap();
+    let reject = dir.join("reject.json");
+    fs::write(
+        &reject,
+        format!(
+            r#"{{ "jobs": [ {{ "case": {} }} ] }}"#,
+            serde_json::to_string(&multirank).unwrap()
+        ),
+    )
+    .unwrap();
+    let rows: [(&str, &[&str], &str); 3] = [
+        ("no --jobs", &[], "usage"),
+        ("malformed manifest", &["--jobs", bad.to_str().unwrap()], ""),
+        (
+            "multi-rank job",
+            &["--jobs", reject.to_str().unwrap()],
+            "rejected at admission",
+        ),
+    ];
+    // The startup probe of the artifact directory runs before admission.
+    let out_dir = dir.join("out");
+    for (what, args, needle) in rows {
+        let (code, text) = serve(&[args, &["--out-dir", out_dir.to_str().unwrap()]].concat());
+        assert_eq!(code, Some(2), "{what}: {text}");
+        assert!(text.contains(needle), "{what}: {text}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Satellite regression: an unwritable --out-dir must be a typed

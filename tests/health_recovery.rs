@@ -176,55 +176,154 @@ fn crash_dump_is_written_when_the_ladder_is_exhausted() {
 // 3. Lockstep: collective verdicts keep ranks bitwise identical.
 // ---------------------------------------------------------------------
 
+type Story = Vec<(ResilienceEventKind, u64, String)>;
+
+/// The ladder events block `rank` of a run recorded, as `(kind, step,
+/// detail)`. A HealthFault names its cell in block-local coordinates;
+/// `shift` (the block's x offset) puts it in the serial block's.
+fn ladder_story(ledger: &Ledger, rank: usize, shift: usize) -> Story {
+    use ResilienceEventKind::{Degrade, HealthFault, Restore, Retry};
+    let global = |detail: String| match detail.split_once("cell (") {
+        Some((head, rest)) => {
+            let (i, tail) = rest.split_once(',').unwrap();
+            format!("{head}cell ({},{tail}", i.parse::<usize>().unwrap() + shift)
+        }
+        None => detail,
+    };
+    ledger
+        .events()
+        .into_iter()
+        .filter(|e| e.rank == rank && [HealthFault, Retry, Degrade, Restore].contains(&e.kind))
+        .map(|e| (e.kind, e.step, global(e.detail)))
+        .collect()
+}
+
+/// `story` split into its HealthFault events and its ladder moves.
+fn faults_and_moves(story: &Story) -> (Story, Story) {
+    story
+        .iter()
+        .cloned()
+        .partition(|e| e.0 == ResilienceEventKind::HealthFault)
+}
+
+/// There is one time step, so a laddered run is the same run on any
+/// number of ranks and under either exchange: the final field is bitwise
+/// the serial `Solver`'s, and the ranks' ledger tells the serial ledger's
+/// story — the same faults, retries and rungs at the same steps, in the
+/// same words. Block 0 records the collective ladder moves; a fault is
+/// recorded by the block(s) that observed it, and the serial scan's first
+/// offending cell is the leftmost observer's. Two tubes: `seam` is
+/// `presets::sod(32)`, whose diaphragm sits on the 2-rank seam, so a
+/// non-lead block observes faults block 0 only hears of (`StepFault::Peer`
+/// — retried, not recorded); `left` has its diaphragm at x = 0.125, so
+/// every fault strikes in block 0 and its story is the serial one whole.
 #[test]
 fn collective_ladder_matches_serial_ladder_bitwise() {
-    let case = presets::sod(32);
-    let cfg = overdriven_cfg();
+    use mfc_core::bc::BcSpec;
+    use mfc_core::case::{PatchState, Region};
+    use mfc_core::time::TimeScheme;
+
+    let left = CaseBuilder::new(vec![mfc_core::Fluid::air()], 1, [32, 1, 1])
+        .bc(BcSpec::transmissive())
+        .patch(Region::All, PatchState::single(0.125, [0.0; 3], 0.1))
+        .patch(
+            Region::HalfSpace {
+                axis: 0,
+                bound: 0.125,
+            },
+            PatchState::single(1.0, [0.0; 3], 1.0),
+        );
     let steps = 30usize;
+    for (tube, case) in [("seam", presets::sod(32)), ("left", left)] {
+        let mut probe = Solver::new(&case, SolverConfig::default(), Context::serial());
+        let dt0 = probe.step().unwrap().dt;
+        // Forward Euler exhausts this ladder at 16x; it gets 8x, and faults
+        // at CFL 1 as well. SSP-RK3 has no CFL row: it runs these tubes
+        // clean at every admissible CFL number (<= 1). `Rk3` at 16x on
+        // `seam` is `overdriven_cfg()`.
+        for (scheme, dts) in [
+            (
+                TimeScheme::Rk1,
+                vec![DtMode::Fixed(dt0 * 8.0), DtMode::Cfl(1.0)],
+            ),
+            (TimeScheme::Rk3, vec![DtMode::Fixed(dt0 * 16.0)]),
+        ] {
+            for dt in dts {
+                let cfg = SolverConfig {
+                    scheme,
+                    dt,
+                    ..SolverConfig::default()
+                };
+                let mut plain = Solver::new(&case, cfg, Context::serial());
+                assert!(
+                    plain.run_steps(steps).is_err(),
+                    "{tube} {scheme:?} {dt:?} should fault without the ladder"
+                );
+                let mut serial =
+                    Solver::new(&case, cfg, Context::serial()).with_recovery(deep_ladder());
+                serial
+                    .run_steps(steps)
+                    .expect("serial ladder rides through");
+                assert!(serial.recovery_state().total_retries > 0);
+                let reference = snapshot(&serial, &case);
+                let story = ladder_story(serial.context().ledger(), 0, 0);
+                let (faults, moves) = faults_and_moves(&story);
+                assert!(!faults.is_empty() && !moves.is_empty());
 
-    let mut serial = Solver::new(&case, cfg, Context::serial()).with_recovery(deep_ladder());
-    serial
-        .run_steps(steps)
-        .expect("serial ladder rides through");
-    assert!(serial.recovery_state().total_retries > 0);
-    let reference = snapshot(&serial, &case);
-
-    let dir = tmp_dir("lockstep");
-    let events = Arc::new(Ledger::default());
-    let opts = ResilienceOpts {
-        checkpoint_every: 0,
-        ckpt_dir: dir.clone(),
-        faults: None,
-        events: Some(Arc::clone(&events)),
-        recovery: Some(deep_ladder()),
-        health: HealthConfig::default(),
-        trace: None,
-        exchange: ExchangeMode::Sendrecv,
-        failure_policy: FailurePolicy::Revive,
-        spares: 0,
-        ckpt_keep: 2,
-        output: None,
-    };
-    let (field, _) = run_distributed_resilient(
-        &case,
-        cfg,
-        2,
-        steps,
-        mfc_mpsim::Staging::DeviceDirect,
-        &opts,
-    )
-    .expect("collective ladder rides through");
-    assert_eq!(
-        field.max_abs_diff(&reference),
-        0.0,
-        "ranks must retry/degrade in lockstep with the serial ladder"
-    );
-    // The same fault/retry story was recorded collectively.
-    assert!(!events
-        .events_of(ResilienceEventKind::HealthFault)
-        .is_empty());
-    assert!(!events.events_of(ResilienceEventKind::Retry).is_empty());
-    std::fs::remove_dir_all(&dir).ok();
+                for ranks in [1usize, 2] {
+                    for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
+                        let at = format!("{tube} {scheme:?} {dt:?} ranks={ranks} {exchange:?}");
+                        let events = Arc::new(Ledger::default());
+                        let opts = ResilienceOpts {
+                            events: Some(Arc::clone(&events)),
+                            recovery: Some(deep_ladder()),
+                            exchange,
+                            ..ResilienceOpts::fault_free("", 0)
+                        };
+                        let (field, _) = run_distributed_resilient(
+                            &case,
+                            cfg,
+                            ranks,
+                            steps,
+                            mfc_mpsim::Staging::DeviceDirect,
+                            &opts,
+                        )
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                        assert_eq!(
+                            field.max_abs_diff(&reference),
+                            0.0,
+                            "{at}: ranks must retry/degrade in lockstep with the serial ladder"
+                        );
+                        let blocks: Vec<Story> = (0..ranks)
+                            .map(|r| ladder_story(&events, r, r * 32 / ranks))
+                            .collect();
+                        let (seen, moved) = faults_and_moves(&blocks[0]);
+                        assert_eq!(moved, moves, "{at}: block 0's ladder moves");
+                        for block in &blocks[1..] {
+                            assert!(faults_and_moves(block).1.is_empty(), "{at}");
+                        }
+                        // Every serial fault is on record, and block 0
+                        // records nothing the serial block did not see.
+                        for fault in &faults {
+                            assert!(blocks.iter().any(|b| b.contains(fault)), "{at}: {fault:?}");
+                        }
+                        let mut serial_faults = faults.iter();
+                        for fault in &seen {
+                            assert!(serial_faults.any(|f| f == fault), "{at}: {fault:?}");
+                        }
+                        if ranks == 1 || tube == "left" {
+                            assert_eq!(blocks[0], story, "{at}: block 0's whole story");
+                        } else {
+                            assert!(
+                                seen.len() < faults.len(),
+                                "{at}: the seam tube must fault where only block 1 sees it"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The distributed twin of `solver.rs`'s rejected-step test: when the

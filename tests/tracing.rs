@@ -147,6 +147,37 @@ fn tracer_attachment_is_bitwise_transparent() {
     assert!(!tracer.snapshot().is_empty());
 }
 
+/// There is one time step, so it has one spelling in a trace: the phase
+/// spans of a serial `Solver` are, name for name and in order, those of a
+/// 1-rank distributed run once the rank's halo exchange is set aside.
+#[test]
+fn serial_and_one_rank_steps_trace_the_same_phase_spans() {
+    let case = presets::sod(64);
+    let cfg = cfg_for(RhsMode::Fused);
+    let steps = 3;
+
+    let serial = Arc::new(Tracer::new());
+    let ctx = mfc::Context::serial().with_tracer(serial.handle(0));
+    mfc::Solver::new(&case, cfg, ctx).run_steps(steps).unwrap();
+    let ranked = Arc::new(Tracer::new());
+    run_traced(&case, cfg, 1, steps, ExchangeMode::Sendrecv, &ranked);
+
+    let phases = |tracer: &Tracer| -> Vec<String> {
+        let parsed = chrome::parse_str(&chrome::export_to_string(&tracer.snapshot())).unwrap();
+        parsed.ranks[&0]
+            .iter()
+            .filter(|e| e.ph == 'B' && e.cat == "phase" && e.name != "halo_exchange")
+            .map(|e| e.name.clone())
+            .collect()
+    };
+    let want: Vec<String> = (0..steps)
+        .flat_map(|_| ["step", "dt_reduce", "rk_stages", "health_verdict"])
+        .map(String::from)
+        .collect();
+    assert_eq!(phases(&serial), want);
+    assert_eq!(phases(&ranked), want);
+}
+
 #[test]
 fn overlapped_run_traces_hidden_and_exposed_comm() {
     // The overlap phases appear as spans on every rank — halo_post
