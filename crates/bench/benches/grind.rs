@@ -26,11 +26,7 @@ fn bench_grind(c: &mut Criterion) {
     g.throughput(Throughput::Elements((cells * 7 * 3) as u64));
     g.sample_size(10);
 
-    for pack in [
-        PackStrategy::CollapsedLoops,
-        PackStrategy::Tiled,
-        PackStrategy::Geam,
-    ] {
+    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
         g.bench_with_input(
             BenchmarkId::new("two_phase_3d_step", format!("{pack:?}")),
             &pack,

@@ -51,7 +51,8 @@ fn job_from_case(args: &[String]) -> PostJob {
         eprintln!("error: cannot read {}: {e}", path.display());
         std::process::exit(3);
     });
-    let case = CaseFile::from_json(&text).unwrap_or_else(|e| die(&e));
+    let case =
+        CaseFile::from_json(&text).unwrap_or_else(|e| die(&format!("invalid configuration: {e}")));
     let admitted = admit(&case).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());

@@ -25,9 +25,10 @@ flags:
                          spellings are one code path
   --rhs-mode MODE        sweep engine: 'staged' grid-sized buffers or the
                          'fused' pencil engine (default; bitwise identical)
-  --overlap              distributed runs: overlap the halo exchange with
-                         the interior RHS sweeps on async queues (the
-                         paper's OpenACC overlap; bitwise identical to the
+  --overlap              distributed runs: pipeline the halo exchange
+                         behind the RHS sweeps — each axis's messages fly
+                         while the previous axis is swept (the paper's
+                         OpenACC async overlap; bitwise identical to the
                          default exchange). numerics.overlap case key
   --workers N            worker threads per rank for the gang-parallel
                          kernels (numerics.workers case key; default 1).

@@ -52,8 +52,8 @@ pub struct NumericsConfig {
     pub cfl: f64,
     /// Fixed dt overrides the CFL bound when set.
     pub dt: Option<f64>,
-    /// Distributed runs: overlap the halo exchange with the interior RHS
-    /// sweeps (async-queue analog of the paper's OpenACC overlap).
+    /// Distributed runs: pipeline the halo exchange behind the RHS sweeps
+    /// (async-queue analog of the paper's OpenACC overlap).
     /// Bitwise identical to the default exchange. Settable from the
     /// command line as `--overlap`.
     pub overlap: bool,

@@ -114,11 +114,7 @@ fn mutate(cf: &mut CaseFile, field: usize, v: usize) {
         25 => cf.numerics.scheme = ["rk1", "rk2", "rk3", "rk9"][v % 4].into(),
         26 => {
             cf.numerics.mode = [RhsMode::Staged, RhsMode::Fused][v % 2];
-            cf.numerics.pack = [
-                PackStrategy::CollapsedLoops,
-                PackStrategy::Tiled,
-                PackStrategy::Geam,
-            ][v % 3];
+            cf.numerics.pack = [PackStrategy::Tiled, PackStrategy::Geam][v % 2];
         }
         _ => cf.probes.push(ProbeConfig {
             name: "fuzz".into(),

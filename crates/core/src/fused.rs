@@ -62,7 +62,7 @@ use crate::domain::Domain;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
-use crate::rhs::{region_transverse, sweep_to_canonical, Region, RhsConfig, RhsWorkspace};
+use crate::rhs::{sweep_to_canonical, transverse_interior, RhsConfig, RhsWorkspace};
 use crate::riemann::RiemannSolver;
 use crate::state::StateField;
 use crate::weno::{reconstruct_line_padded, WenoOrder};
@@ -113,40 +113,16 @@ impl FusedScratch {
     }
 }
 
-/// Run the three directional sweeps (steps 2–6 of [`crate::rhs::compute_rhs`])
-/// through the fused pencil engine. Bitwise identical to the staged path.
-pub(crate) fn fused_sweeps(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-) {
-    let full = Region::full(&ws.dom);
-    for axis in 0..ws.dom.eq.ndim() {
-        fused_sweep_axis_region(ctx, cfg, fluids, ws, rhs, axis, &full);
-    }
-}
-
-/// One fused directional sweep restricted to `region` — the full-region
-/// call is the ordinary fused sweep (every index below reduces to the
-/// unrestricted value), and the overlapped stepping mode runs the same
-/// code over its interior core and boundary shells. Each pencil gathers
-/// the region's sweep window (`s_lo .. s_lo + s_n` plus `pad` cells each
-/// side), so the per-line slices feed the reconstruction the identical
-/// stencil values at every produced face.
-pub(crate) fn fused_sweep_axis_region(
+/// One fused directional sweep (steps 2–6 of [`crate::rhs::compute_rhs`]
+/// along `axis`). Bitwise identical to the staged path.
+pub(crate) fn fused_sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
     axis: usize,
-    region: &Region,
 ) {
-    if region.is_empty() {
-        return;
-    }
     let RhsWorkspace {
         dom,
         prim,
@@ -176,11 +152,10 @@ pub(crate) fn fused_sweep_axis_region(
     let gh = cfg.order.ghost_layers();
 
     let pad = dom.pad(axis);
-    // The region's window along the sweep axis: cells `s_lo..s_lo + s_n`
-    // (interior coordinates), faces `s_lo..=s_lo + s_n`, and a gathered
-    // line extent of `s_n + 2*pad` covering every stencil read.
-    let (s_lo, s_n) = region.span(axis);
-    let rext = s_n + 2 * pad;
+    // Along the sweep axis: `s_n` interior cells, `s_n + 1` faces, and a
+    // gathered line of the full padded extent.
+    let s_n = dom.n[axis];
+    let rext = dom.ext(axis);
     let rnf = s_n + 1;
     let w = &widths[axis][..];
     let radial = if axis == 2 && cfg.geometry == Geometry::Cylindrical3D {
@@ -188,9 +163,9 @@ pub(crate) fn fused_sweep_axis_region(
     } else {
         None
     };
-    // The region's transverse bounds in sweep coordinates (t1, t2) — the
-    // exact cell set this region's update stage consumes.
-    let (p1, n1i, p2, n2i) = region_transverse(&dom, axis, region);
+    // Interior transverse bounds in sweep coordinates (t1, t2): ghost
+    // transverse lines are skipped.
+    let (p1, n1i, p2, n2i) = transverse_interior(&dom, axis);
     // Pencils batch over whichever transverse coordinate is canonical
     // x (t1 for the x/y sweeps, t2 for z), so the strided gathers of a
     // pencil read consecutive memory.
@@ -242,7 +217,6 @@ pub(crate) fn fused_sweep_axis_region(
                 _ => n1 * n2,
             },
             pad,
-            s_lo,
             s_n,
             rext,
             rnf,
@@ -382,7 +356,7 @@ struct FusedBody<'a, E> {
     /// Canonical flat stride of one step along the sweep axis.
     sweep_stride: usize,
     pad: usize,
-    s_lo: usize,
+    /// Interior cells along the sweep axis.
     s_n: usize,
     /// Gathered line extent (`s_n + 2*pad`).
     rext: usize,
@@ -415,12 +389,12 @@ impl<E: EqLayout> FusedBody<'_, E> {
         i + self.n1 * (j + self.n2 * (k + self.n3 * e))
     }
 
-    /// Cell value at window position `s` of line (b, e), for the
+    /// Cell value at padded position `s` of line (b, e), for the
     /// positivity-fallback means.
     #[inline(always)]
     fn cell_val(&self, v: &[f64], t1: usize, t2: usize, b: usize, e: usize, s: usize) -> f64 {
         if self.axis == 0 {
-            self.psl[self.line_base(t1, t2, e) + self.s_lo + s]
+            self.psl[self.line_base(t1, t2, e) + s]
         } else {
             v[(b * self.eq.neq() + e) * self.rext + s]
         }
@@ -507,7 +481,7 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                 let sweep_stride = self.sweep_stride;
                 let (t1, t2) = self.line_t(oc, b0, 0);
                 for e in 0..neq {
-                    let base = self.line_base(t1, t2, e) + self.s_lo * sweep_stride;
+                    let base = self.line_base(t1, t2, e);
                     for s in 0..rext {
                         let src = base + s * sweep_stride;
                         let dst = e * rext + s;
@@ -533,7 +507,7 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                     for e in 0..neq {
                         let fo = (b * neq + e) * rnf;
                         let line = if axis == 0 {
-                            let base = self.line_base(t1, t2, e) + self.s_lo;
+                            let base = self.line_base(t1, t2, e);
                             &self.psl[base..base + rext]
                         } else {
                             let lo = (b * neq + e) * rext;
@@ -617,10 +591,9 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                     let cs = self.sweep_stride;
                     let mut s = 0;
                     while s + L::WIDTH <= s_n {
-                        let sa = self.s_lo + s;
                         let inv_dx =
-                            L::splat(1.0) / (L::load(&self.w[pad + sa..]) * L::splat(metric));
-                        let (i, j, k) = sweep_to_canonical(axis, pad + sa, t1, t2);
+                            L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
+                        let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
                         let cell = i + self.n1 * (j + self.n2 * k);
                         for e in 0..neq {
                             let fb = (b * neq + e) * rnf + s;
@@ -634,9 +607,8 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                         s += L::WIDTH;
                     }
                     while s < s_n {
-                        let sa = self.s_lo + s;
-                        let inv_dx = 1.0 / (self.w[pad + sa] * metric);
-                        let (i, j, k) = sweep_to_canonical(axis, pad + sa, t1, t2);
+                        let inv_dx = 1.0 / (self.w[pad + s] * metric);
+                        let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
                         let cell = i + self.n1 * (j + self.n2 * k);
                         for e in 0..neq {
                             let fb = (b * neq + e) * rnf + s;

@@ -44,10 +44,9 @@ use crate::domain::Domain;
 use crate::grid::{Grid, Grid1D};
 use crate::health::HealthConfig;
 use crate::recovery::{RecoveryPolicy, StepFault};
-use crate::rhs::RhsConfig;
-use crate::rhs::{rhs_overlap_begin, rhs_overlap_finish, rhs_overlap_interior_axis, OverlapPlan};
+use crate::rhs::{closures, prelude, sweep_axis, RhsConfig};
 use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
-use crate::state::StateField;
+use crate::state::{cons_to_prim_ghost_slabs, StateField};
 
 /// How halo buffers are exchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,11 +54,12 @@ use crate::state::StateField;
 pub enum ExchangeMode {
     /// Paired `MPI_Sendrecv`, the paper's default path.
     Sendrecv,
-    /// Per axis, post the nonblocking exchange and run the interior RHS
-    /// sweep on an async queue while the messages are in flight; after
-    /// the drain, finish the boundary shells. The OpenACC `async(queue)`
-    /// overlap of the paper's §III-B, bitwise identical to `Sendrecv`
-    /// (the same per-face arithmetic runs in the same order).
+    /// The exchange pipelined behind the RHS evaluation: axis *k+1*'s
+    /// messages fly while the ordinary whole-line sweep of axis *k* runs
+    /// (the x messages behind the primitive conversion). The queue-
+    /// pipelined form of the paper's §III-B `async(queue)` overlap,
+    /// bitwise identical to `Sendrecv` (the same sweeps on the same
+    /// ghosts).
     Overlapped,
 }
 
@@ -135,6 +135,51 @@ fn block_extent(cart: &CartComm, ndim: usize, global_n: [usize; 3]) -> ([usize; 
         (off[d], n[d]) = cart.local_extent(d, global_n[d]);
     }
     (off, n)
+}
+
+/// Which axes of `case` wrap (then the rank topology wraps too).
+fn periodic_axes(case: &CaseBuilder) -> [bool; 3] {
+    [0, 1, 2].map(|d| case.bc.axis_periodic(d))
+}
+
+/// Logical rank `logical`'s place in the decomposition `dims` of `case` and
+/// its block: its slice of the grid, its faces that border a neighbour
+/// instead of a physical boundary, and `opts`' watchdog and ladder.
+fn rank_block(
+    case: &CaseBuilder,
+    cfg: SolverConfig,
+    opts: &ResilienceOpts,
+    dims: [usize; 3],
+    logical: usize,
+    ctx: Context,
+) -> (CartComm, Solver) {
+    let ndim = case.eq().ndim();
+    let cart = CartComm::new(logical, dims, periodic_axes(case));
+    let (off, n) = block_extent(&cart, ndim, case.cells);
+    let global = case.grid();
+    let axis = |d: usize, g: &Grid1D| {
+        if d < ndim {
+            g.slice(off[d], n[d])
+        } else {
+            Grid1D::collapsed()
+        }
+    };
+    let local_grid = Grid {
+        x: axis(0, &global.x),
+        y: axis(1, &global.y),
+        z: axis(2, &global.z),
+    };
+    let mut skip = [(false, false); 3];
+    for (d, s) in skip.iter_mut().enumerate().take(ndim) {
+        *s = (
+            cart.neighbor(d, -1).is_some(),
+            cart.neighbor(d, 1).is_some(),
+        );
+    }
+    let mut blk = Solver::block(case, cfg, ctx, local_grid, off, skip);
+    blk.set_health(opts.health);
+    blk.set_recovery(opts.recovery.clone());
+    (cart, blk)
 }
 
 /// Scatter per-rank interior blocks (in gather order) into one global
@@ -319,15 +364,6 @@ impl std::error::Error for ResilienceError {}
 /// per-rank blocks on rank 0 (`None` elsewhere) plus its comm counters.
 type RankOutcome = Result<(Option<Vec<Vec<f64>>>, CommStats), ResilienceError>;
 
-/// What a rank does after a policied operation fails or it executes a
-/// scripted death: roll back, or give up because nothing was committed.
-enum RecoveryOutcome {
-    /// Rolled back to this wave; resume stepping from its header.
-    RolledBack { wave: u64 },
-    /// No committed wave exists — the run is unrecoverable.
-    Abort,
-}
-
 /// One decomposition epoch in a resilient run: checkpoint waves from
 /// `first_wave` onward were written by `size` ranks laid out as `dims`.
 /// A shrink appends a new entry, so a rollback can tell whether a wave's
@@ -379,12 +415,7 @@ pub fn run_distributed_resilient(
             detail: e.to_string(),
         }
     })?;
-    let periodic = [
-        case.bc.axis_periodic(0),
-        case.bc.axis_periodic(1),
-        case.bc.axis_periodic(2),
-    ];
-    let global_grid = case.grid();
+    let periodic = periodic_axes(case);
     if let Some(faults) = &opts.faults {
         // Reject plans that cannot end well before any rank is spawned: a
         // death outside the world would never fire (the run would hang
@@ -467,37 +498,8 @@ pub fn run_distributed_resilient(
         let mut dims_cur = dims;
         let mut size_cur = n_ranks;
 
-        // A rank's block, its place in the decomposition and the overlap
-        // split of its domain; a shrink rebuilds all three.
-        let build_block = |logical: usize, dims_now: [usize; 3], ctx: Context| {
-            let cart = CartComm::new(logical, dims_now, periodic);
-            let (off, n) = block_extent(&cart, eq.ndim(), global_n);
-            let axis = |d: usize, g: &Grid1D| {
-                if d < eq.ndim() {
-                    g.slice(off[d], n[d])
-                } else {
-                    Grid1D::collapsed()
-                }
-            };
-            let local_grid = Grid {
-                x: axis(0, &global_grid.x),
-                y: axis(1, &global_grid.y),
-                z: axis(2, &global_grid.z),
-            };
-            let mut skip = [(false, false); 3];
-            for (d, s) in skip.iter_mut().enumerate().take(eq.ndim()) {
-                *s = (
-                    cart.neighbor(d, -1).is_some(),
-                    cart.neighbor(d, 1).is_some(),
-                );
-            }
-            let mut blk = Solver::block(case, cfg, ctx, local_grid, off, skip);
-            blk.set_health(opts.health);
-            blk.set_recovery(opts.recovery.clone());
-            let plan = OverlapPlan::new(blk.domain());
-            (cart, blk, plan)
-        };
-        let (mut cart, mut blk, mut plan) = build_block(me.get(), dims_cur, ctx);
+        // A shrink rebuilds both.
+        let (mut cart, mut blk) = rank_block(case, cfg, opts, dims_cur, me.get(), ctx);
 
         let note =
             |kind: ResilienceEventKind, step: u64, wave: u64, wall: Duration, detail: String| {
@@ -584,7 +586,8 @@ pub fn run_distributed_resilient(
                             detail: format!("after shrinking to {size_cur} ranks: {e}"),
                         });
                     }
-                    (cart, blk, plan) = build_block(me.get(), dims_cur, blk.context().clone());
+                    (cart, blk) =
+                        rank_block(case, cfg, opts, dims_cur, me.get(), blk.context().clone());
                     if me.get() == 0 {
                         note(
                             ResilienceEventKind::Shrink,
@@ -608,129 +611,113 @@ pub fn run_distributed_resilient(
                         format!("physical rank {phys} promoted into logical slot {slot}"),
                     );
                 }
-                let outcome = match faults.board.committed_wave() {
-                    None => RecoveryOutcome::Abort,
-                    Some(wave) => RecoveryOutcome::RolledBack { wave },
+                let Some(wave) = faults.board.committed_wave() else {
+                    return Err(ResilienceError::Unrecoverable {
+                        rank: me.get(),
+                        detail: "fault before any committed checkpoint wave".into(),
+                    });
                 };
-                match outcome {
-                    RecoveryOutcome::Abort => {
+                // Walk back from the committed wave until one loads on *every*
+                // rank: a truncated or bit-flipped file fails its CRC locally,
+                // and the collective min makes all ranks skip that wave
+                // together. A wave written by an older (pre-shrink)
+                // decomposition is reassembled cross-shard: each new owner
+                // loads exactly the cells it now owns from the old layout's
+                // files.
+                let mut candidate = wave as i64;
+                let (header, restored, loaded_wave, redistributed) = loop {
+                    if candidate < 0 {
                         return Err(ResilienceError::Unrecoverable {
                             rank: me.get(),
-                            detail: "fault before any committed checkpoint wave".into(),
+                            detail: "no loadable checkpoint wave (all corrupt)".into(),
                         });
                     }
-                    RecoveryOutcome::RolledBack { wave } => {
-                        // Walk back from the committed wave until one loads
-                        // on *every* rank: a truncated or bit-flipped file
-                        // fails its CRC locally, and the collective min
-                        // makes all ranks skip that wave together. A wave
-                        // written by an older (pre-shrink) decomposition is
-                        // reassembled cross-shard: each new owner loads
-                        // exactly the cells it now owns from the old
-                        // layout's files.
-                        let mut candidate = wave as i64;
-                        let (header, restored, loaded_wave, redistributed) = loop {
-                            if candidate < 0 {
-                                return Err(ResilienceError::Unrecoverable {
-                                    rank: me.get(),
-                                    detail: "no loadable checkpoint wave (all corrupt)".into(),
-                                });
-                            }
-                            let cand = candidate as u64;
-                            let era = *eras
-                                .iter()
-                                .rev()
-                                .find(|e| e.first_wave <= cand)
-                                .expect("era list covers wave 0");
-                            let same_layout = era.dims == dims_cur && era.size == size_cur;
-                            let local = if same_layout {
-                                let path =
-                                    crate::restart::wave_path(&opts.ckpt_dir, me.get(), cand);
-                                crate::restart::load_checkpoint(&path)
-                            } else {
-                                let _redist_span =
-                                    blk.context().span("redistribute", Category::Recovery);
-                                crate::restart::load_redistributed(
-                                    &opts.ckpt_dir,
-                                    cand,
-                                    era.dims,
-                                    era.size,
-                                    global_n,
-                                    *blk.domain(),
-                                    block_extent(&cart, eq.ndim(), global_n).0,
-                                )
-                            };
-                            // Post-rendezvous every roster slot is alive
-                            // again, so the plain (non-policied)
-                            // collective is safe.
-                            let ok = comm.allreduce_min(if local.is_ok() { 1.0 } else { 0.0 });
-                            if ok >= 1.0 {
-                                let (h, r) = local.expect("agreed loadable");
-                                break (h, r, cand, !same_layout);
-                            }
-                            if me.get() == 0 {
-                                let why = match local {
-                                    Ok(_) => "a peer rank's block failed".to_string(),
-                                    Err(e) => e.to_string(),
-                                };
-                                note(
-                                    ResilienceEventKind::Rollback,
-                                    fault_step,
-                                    cand,
-                                    t0.elapsed(),
-                                    format!("wave {candidate} unreadable, skipping: {why}"),
-                                );
-                            }
-                            candidate -= 1;
-                        };
-                        // The replay is a fresh deterministic run from the
-                        // wave: the restore resets the ladder with it.
-                        blk.restore(restored, header.t, header.steps);
-                        let step = blk.steps();
-                        next_wave = loaded_wave + 1;
-                        if redistributed && me.get() == 0 {
-                            let era = eras
-                                .iter()
-                                .rev()
-                                .find(|e| e.first_wave <= loaded_wave)
-                                .expect("era list covers wave 0");
-                            note(
-                                ResilienceEventKind::Redistribute,
-                                step,
-                                loaded_wave,
-                                t0.elapsed(),
-                                format!(
-                                    "wave {loaded_wave} re-sharded from {} ranks {:?} onto \
-                                     {size_cur} ranks {dims_cur:?}",
-                                    era.size, era.dims
-                                ),
-                            );
-                        }
-                        if shrunk {
-                            // Checkpoints from here on belong to the new
-                            // decomposition; their wave numbers strictly
-                            // exceed every pre-shrink wave.
-                            eras.push(Era {
-                                first_wave: next_wave,
-                                dims: dims_cur,
-                                size: size_cur,
-                            });
-                        }
-                        let target =
-                            replay_target.map_or(fault_step, |(old, _)| old.max(fault_step));
-                        replay_target = Some((target, Instant::now()));
-                        if me.get() == 0 {
-                            note(
-                                ResilienceEventKind::Rollback,
-                                step,
-                                loaded_wave,
-                                t0.elapsed(),
-                                format!(
-                                    "all ranks rolled back to wave {loaded_wave} (step {step})"
-                                ),
-                            );
-                        }
+                    let cand = candidate as u64;
+                    let era = *eras
+                        .iter()
+                        .rev()
+                        .find(|e| e.first_wave <= cand)
+                        .expect("era list covers wave 0");
+                    let same_layout = era.dims == dims_cur && era.size == size_cur;
+                    let local = if same_layout {
+                        let path = crate::restart::wave_path(&opts.ckpt_dir, me.get(), cand);
+                        crate::restart::load_checkpoint(&path)
+                    } else {
+                        let _redist_span = blk.context().span("redistribute", Category::Recovery);
+                        crate::restart::load_redistributed(
+                            &opts.ckpt_dir,
+                            cand,
+                            era.dims,
+                            era.size,
+                            global_n,
+                            *blk.domain(),
+                            block_extent(&cart, eq.ndim(), global_n).0,
+                        )
+                    };
+                    // Post-rendezvous every roster slot is alive again, so
+                    // the plain (non-policied) collective is safe.
+                    let ok = comm.allreduce_min(if local.is_ok() { 1.0 } else { 0.0 });
+                    if ok >= 1.0 {
+                        let (h, r) = local.expect("agreed loadable");
+                        break (h, r, cand, !same_layout);
                     }
+                    if me.get() == 0 {
+                        let why = match local {
+                            Ok(_) => "a peer rank's block failed".to_string(),
+                            Err(e) => e.to_string(),
+                        };
+                        note(
+                            ResilienceEventKind::Rollback,
+                            fault_step,
+                            cand,
+                            t0.elapsed(),
+                            format!("wave {candidate} unreadable, skipping: {why}"),
+                        );
+                    }
+                    candidate -= 1;
+                };
+                // The replay is a fresh deterministic run from the wave: the
+                // restore resets the ladder with it.
+                blk.restore(restored, header.t, header.steps);
+                let step = blk.steps();
+                next_wave = loaded_wave + 1;
+                if redistributed && me.get() == 0 {
+                    let era = eras
+                        .iter()
+                        .rev()
+                        .find(|e| e.first_wave <= loaded_wave)
+                        .expect("era list covers wave 0");
+                    note(
+                        ResilienceEventKind::Redistribute,
+                        step,
+                        loaded_wave,
+                        t0.elapsed(),
+                        format!(
+                            "wave {loaded_wave} re-sharded from {} ranks {:?} onto \
+                             {size_cur} ranks {dims_cur:?}",
+                            era.size, era.dims
+                        ),
+                    );
+                }
+                if shrunk {
+                    // Checkpoints from here on belong to the new decomposition;
+                    // their wave numbers strictly exceed every pre-shrink wave.
+                    eras.push(Era {
+                        first_wave: next_wave,
+                        dims: dims_cur,
+                        size: size_cur,
+                    });
+                }
+                let target = replay_target.map_or(fault_step, |(old, _)| old.max(fault_step));
+                replay_target = Some((target, Instant::now()));
+                if me.get() == 0 {
+                    note(
+                        ResilienceEventKind::Rollback,
+                        step,
+                        loaded_wave,
+                        t0.elapsed(),
+                        format!("all ranks rolled back to wave {loaded_wave} (step {step})"),
+                    );
                 }
                 continue;
             }
@@ -753,19 +740,12 @@ pub fn run_distributed_resilient(
                 let saved = writer
                     .write(comm, &out.dir, out.step_id, &block)
                     .map(|_wave| ());
-                let flag = if saved.is_ok() { 1.0 } else { 0.0 };
-                match comm.allreduce_policied(flag, f64::min) {
-                    Ok(v) if v >= 1.0 => break,
-                    Ok(_) => {
-                        let path = WaveWriter::rank_path(&out.dir, out.step_id, me.get());
-                        return Err(write_failed(me.get(), &path, saved));
-                    }
-                    Err(fault) => {
-                        detect_fault(comm, &fault, step, t0.elapsed(), &note);
-                        needs_recovery = true;
-                        continue;
-                    }
+                let path = WaveWriter::rank_path(&out.dir, out.step_id, me.get());
+                if commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
+                    break;
                 }
+                needs_recovery = true;
+                continue;
             }
 
             if let Some(faults) = comm.fault_ctx().cloned() {
@@ -807,48 +787,35 @@ pub fn run_distributed_resilient(
                 let t0 = Instant::now();
                 let path = crate::restart::wave_path(&opts.ckpt_dir, me.get(), wave);
                 let saved = crate::restart::save_checkpoint(&path, blk.state(), blk.time(), step);
-                // The commit is a policied collective: the wave only
-                // counts once every live rank has durably written its
-                // block, and a dead/silent rank fails the commit instead
-                // of hanging it. A *failed write* travels the same min-
-                // reduction, so every rank aborts with the same typed
-                // error instead of one rank panicking mid-collective.
-                let flag = if saved.is_ok() { 1.0 } else { 0.0 };
-                match comm.allreduce_policied(flag, f64::min) {
-                    Ok(v) if v >= 1.0 => {
-                        if let Some(faults) = comm.fault_ctx() {
-                            faults.board.commit_wave(wave);
-                        }
-                        // Retention: drop the oldest wave outside the keep
-                        // window. Exactly one candidate per commit, always
-                        // strictly older than the newest committed wave,
-                        // and GC only ever runs here — between commits —
-                        // so it cannot race a rollback's candidate scan.
-                        let keep = opts.ckpt_keep.max(1) as u64;
-                        if let Some(old) = wave.checked_sub(keep) {
-                            let _ = std::fs::remove_file(crate::restart::wave_path(
-                                &opts.ckpt_dir,
-                                me.get(),
-                                old,
-                            ));
-                        }
-                        next_wave += 1;
-                        if me.get() == 0 {
-                            note(
-                                ResilienceEventKind::Checkpoint,
-                                step,
-                                wave,
-                                t0.elapsed(),
-                                format!("wave {wave} committed by {} ranks", comm.size()),
-                            );
-                        }
-                    }
-                    Ok(_) => return Err(write_failed(me.get(), &path, saved)),
-                    Err(fault) => {
-                        detect_fault(comm, &fault, step, t0.elapsed(), &note);
-                        needs_recovery = true;
-                        continue;
-                    }
+                if !commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
+                    needs_recovery = true;
+                    continue;
+                }
+                if let Some(faults) = comm.fault_ctx() {
+                    faults.board.commit_wave(wave);
+                }
+                // Retention: drop the oldest wave outside the keep window.
+                // Exactly one candidate per commit, always strictly older
+                // than the newest committed wave, and GC only ever runs here
+                // — between commits — so it cannot race a rollback's
+                // candidate scan.
+                let keep = opts.ckpt_keep.max(1) as u64;
+                if let Some(old) = wave.checked_sub(keep) {
+                    let _ = std::fs::remove_file(crate::restart::wave_path(
+                        &opts.ckpt_dir,
+                        me.get(),
+                        old,
+                    ));
+                }
+                next_wave += 1;
+                if me.get() == 0 {
+                    note(
+                        ResilienceEventKind::Checkpoint,
+                        step,
+                        wave,
+                        t0.elapsed(),
+                        format!("wave {wave} committed by {} ranks", comm.size()),
+                    );
                 }
             }
 
@@ -857,7 +824,6 @@ pub fn run_distributed_resilient(
             let mut link = CommLink {
                 comm: &mut *comm,
                 cart: &cart,
-                plan: &plan,
                 exchange: opts.exchange,
                 staging,
                 stats: &mut stats,
@@ -990,28 +956,94 @@ fn detect_fault(
     }
 }
 
-/// The collective error for a committed write (checkpoint wave or wave
-/// file) that failed somewhere: the rank whose own write failed names its
-/// path and cause, its peers say they were told.
-fn write_failed<E: std::fmt::Display>(
+/// Commit a per-rank write (checkpoint wave or wave file) collectively.
+/// The commit is a policied min-reduction over the per-rank outcomes: the
+/// write only counts once every live rank has durably written its block,
+/// and a dead or silent rank fails the commit instead of hanging it.
+/// `Ok(true)`: committed. `Ok(false)`: a comm fault, already classified by
+/// [`detect_fault`] — the caller joins the recovery. `Err`: a write failed
+/// somewhere; it travelled the same reduction, so every rank returns this
+/// error in lockstep — the rank whose own write failed names its path and
+/// cause, its peers say they were told.
+fn commit_write<E: std::fmt::Display>(
+    comm: &mut Comm,
     rank: usize,
     path: &Path,
     saved: Result<(), E>,
-) -> ResilienceError {
-    let detail = match saved {
-        Err(e) => format!("writing {}: {e}", path.display()),
-        Ok(()) => PEER_WRITE_FAILED.into(),
-    };
-    ResilienceError::Io { rank, detail }
+    step: u64,
+    t0: Instant,
+    note: &impl Fn(ResilienceEventKind, u64, u64, Duration, String),
+) -> Result<bool, ResilienceError> {
+    let flag = if saved.is_ok() { 1.0 } else { 0.0 };
+    match comm.allreduce_policied(flag, f64::min) {
+        Ok(v) if v >= 1.0 => Ok(true),
+        Ok(_) => {
+            let detail = match saved {
+                Err(e) => format!("writing {}: {e}", path.display()),
+                Ok(()) => PEER_WRITE_FAILED.into(),
+            };
+            Err(ResilienceError::Io { rank, detail })
+        }
+        Err(fault) => {
+            detect_fault(comm, &fault, step, t0.elapsed(), note);
+            Ok(false)
+        }
+    }
 }
 
 /// [`ResilienceError::Io`] detail on the ranks whose own write succeeded.
 const PEER_WRITE_FAILED: &str = "a peer rank failed its write";
 
-/// One full halo exchange: per axis, both directions, ship `ng` layers —
-/// paired send + policied receive (send my high interior slab to the +1
-/// neighbour, receive my low ghost slab from the -1 neighbour; then the
-/// reverse). Any detector verdict aborts the exchange.
+/// Both directions of one axis's exchange: `(send direction, message
+/// tag)`. Direction +1 ships my high interior slab to the +1 neighbour,
+/// which unpacks it into its low ghosts; −1 the reverse.
+fn halo_dirs(axis: usize) -> [(i32, u64); 2] {
+    let tag = (axis as u64) << 8;
+    [(1, tag), (-1, tag | 1)]
+}
+
+/// Pack and send both boundary slabs (`ng` layers, full ghost-inclusive
+/// transverse extents) of `axis` to whichever neighbours exist. Sends are
+/// buffered, so this never blocks.
+fn halo_post(
+    ctx: &Context,
+    comm: &Comm,
+    cart: &CartComm,
+    q: &StateField,
+    axis: usize,
+    staging: Staging,
+    stats: &mut CommStats,
+) {
+    for (send_dir, tag) in halo_dirs(axis) {
+        if let Some(dest) = cart.neighbor(axis, send_dir) {
+            let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
+            comm.send(dest, tag, buf);
+        }
+    }
+}
+
+/// Receive what the neighbours' [`halo_post`] of `axis` sent and unpack it
+/// into this block's ghost slabs. The receives go through the fault
+/// detector; any verdict abandons the exchange.
+fn halo_drain(
+    ctx: &Context,
+    comm: &mut Comm,
+    cart: &CartComm,
+    q: &mut StateField,
+    axis: usize,
+    staging: Staging,
+) -> Result<(), CommFault> {
+    for (send_dir, tag) in halo_dirs(axis) {
+        if let Some(src) = cart.neighbor(axis, -send_dir) {
+            let buf = comm.recv_policied(src, tag)?;
+            unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
+        }
+    }
+    Ok(())
+}
+
+/// One full halo exchange: per axis (x → y → z, so axis *k*'s slabs carry
+/// axis *k−1*'s unpacked ghosts and corners fill), post then drain.
 fn halo_exchange(
     ctx: &Context,
     comm: &mut Comm,
@@ -1021,21 +1053,9 @@ fn halo_exchange(
     stats: &mut CommStats,
 ) -> Result<(), CommFault> {
     let _span = ctx.span("halo_exchange", Category::Phase);
-    let dom = *q.domain();
-    for axis in 0..dom.eq.ndim() {
-        for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-            let send_to = cart.neighbor(axis, send_dir);
-            let recv_from = cart.neighbor(axis, -send_dir);
-            let tag = (axis as u64) << 8 | tag;
-            if let Some(dest) = send_to {
-                let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
-                comm.send(dest, tag, buf);
-            }
-            if let Some(src) = recv_from {
-                let buf = comm.recv_policied(src, tag)?;
-                unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
-            }
-        }
+    for axis in 0..q.domain().eq.ndim() {
+        halo_post(ctx, comm, cart, q, axis, staging, stats);
+        halo_drain(ctx, comm, cart, q, axis, staging)?;
     }
     Ok(())
 }
@@ -1058,12 +1078,11 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
 }
 
 /// A rank's link to the run's other blocks: the policied allreduce, and
-/// ahead of each RHS evaluation the halo exchange — paired, or hidden
-/// behind the interior sweeps.
+/// ahead of each RHS evaluation the halo exchange — paired, or pipelined
+/// behind the evaluation's own sweeps.
 struct CommLink<'a, N> {
     comm: &'a mut Comm,
     cart: &'a CartComm,
-    plan: &'a OverlapPlan,
     exchange: ExchangeMode,
     staging: Staging,
     stats: &'a mut CommStats,
@@ -1090,7 +1109,7 @@ impl<N: Fn(ResilienceEventKind, u64, u64, Duration, String)> Link for CommLink<'
         rhs: &mut StateField,
     ) -> Result<(), CommFault> {
         if self.exchange == ExchangeMode::Overlapped {
-            return self.overlapped_halo_rhs(env, cfg, q, rhs);
+            return self.pipelined_halo_rhs(env, cfg, q, rhs);
         }
         halo_exchange(&env.ctx, self.comm, self.cart, q, self.staging, self.stats)?;
         env.local_rhs(cfg, q, rhs);
@@ -1103,28 +1122,37 @@ impl<N: Fn(ResilienceEventKind, u64, u64, Duration, String)> Link for CommLink<'
 }
 
 impl<N> CommLink<'_, N> {
-    /// One overlapped halo exchange + RHS evaluation: the async-queue analog
-    /// of the paper's OpenACC `async(queue)` overlap (§III-B).
+    /// Halo exchange + RHS evaluation as one pipeline: the queue-pipelined
+    /// form of the paper's OpenACC `async(queue)` overlap (§III-B), built
+    /// from the three pieces [`crate::rhs::compute_rhs`] is.
     ///
-    /// Per axis (x → y → z, preserving the corner-fill chain: axis *k*'s pack
-    /// reads axis *k−1*'s unpacked ghosts), this posts the nonblocking
-    /// receives and sends (`halo_post`), runs the interior sweep of that axis
-    /// while the messages are in flight (`interior_rhs`) — the interior sweep
-    /// of axis *k* runs between axis *k*'s post and drain — then completes
-    /// the receives and unpacks
-    /// (`halo_drain` — the *exposed* communication time). Once every axis has
-    /// exchanged, physical BCs are applied and [`rhs_overlap_finish`] runs
-    /// the boundary shells plus the grid-global closures (`shell_rhs`).
+    /// A sweep along axis *k* reads ghosts along axis *k* only, on interior
+    /// transverse lines. So axis *k+1*'s messages fly behind the ordinary
+    /// whole-line sweep of axis *k*, and the x messages behind the
+    /// whole-grid primitive conversion:
     ///
-    /// Bitwise identical to [`halo_exchange`] + `apply_bcs` + `compute_rhs`:
-    /// the interior region is inset `dom.ng` cells from every exchanged face,
-    /// so its stencils never read a ghost, and each cell accumulates its
-    /// axis contributions in the same x, y, z order either way.
+    /// ```text
+    /// post(x); prelude;
+    /// per axis k:  drain(k); physical BCs of k; cons→prim of k's two ghost
+    ///              slabs; post(k+1); sweep(k)
+    /// closures
+    /// ```
     ///
-    /// The drain waits go through the fault detector; a verdict abandons the
-    /// exchange — the later axes' interior sweeps never run — and the caller
-    /// rolls back.
-    fn overlapped_halo_rhs(
+    /// `halo_post` / `halo_drain` spans time the two halves of each
+    /// exchange (the drain is the *exposed* communication time);
+    /// `overlap_sweep` is the compute between a post and its drain.
+    ///
+    /// Bitwise identical to [`halo_exchange`] + `apply_bcs` + `compute_rhs`.
+    /// Every ghost fill of axis *k* — exchange or BC — runs over full
+    /// transverse extents after every fill of the axes below it, so a ghost
+    /// cell's final value is the same composition of per-axis index maps
+    /// and sign flips on either path (they commute), faces, edges and
+    /// corners alike; its last conversion follows its last fill; and each
+    /// cell accumulates its x, y, z contributions in that order.
+    ///
+    /// The drains go through the fault detector; a verdict abandons the
+    /// evaluation and the caller rolls back.
+    fn pipelined_halo_rhs(
         &mut self,
         env: &mut RhsEnv,
         cfg: &RhsConfig,
@@ -1134,51 +1162,48 @@ impl<N> CommLink<'_, N> {
         let CommLink {
             comm,
             cart,
-            plan,
             staging,
             stats,
             ..
         } = self;
         let RhsEnv {
-            ctx, fluids, ws, ..
+            ctx,
+            fluids,
+            ws,
+            bc,
+            skip,
+            ..
         } = env;
-        let dom = *q.domain();
-        rhs_overlap_begin(ctx, cfg, fluids, q, ws, rhs);
+        let ndim = q.domain().eq.ndim();
+        let post = |comm: &Comm, q: &StateField, stats: &mut CommStats, axis: usize| {
+            let _post = ctx.span("halo_post", Category::Phase);
+            halo_post(ctx, comm, cart, q, axis, *staging, stats);
+        };
 
-        for axis in 0..dom.eq.ndim() {
-            let mut pending = Vec::new();
-            {
-                let _post = ctx.span("halo_post", Category::Phase);
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(src) = cart.neighbor(axis, -send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        pending.push((send_dir, comm.irecv(src, tag)));
-                    }
-                }
-                for &(send_dir, tag) in &[(1i32, 0u64), (-1i32, 1u64)] {
-                    if let Some(dest) = cart.neighbor(axis, send_dir) {
-                        let tag = (axis as u64) << 8 | tag;
-                        let buf = pack_send_slab(ctx, q, axis, send_dir, *staging, stats);
-                        comm.isend(dest, tag, buf);
-                    }
-                }
-            }
-            if let Some(interior) = &plan.interior {
-                // The compute hidden behind this axis's messages.
-                let _interior = ctx.span("interior_rhs", Category::Phase);
-                rhs_overlap_interior_axis(ctx, cfg, fluids, ws, rhs, interior, axis);
-            }
-            // What remains after the hiding is the exposed comm time.
-            let _drain = ctx.span("halo_drain", Category::Phase);
-            for (send_dir, req) in pending {
-                let buf = comm.wait_policied(req)?;
-                unpack_recv_slab(ctx, q, axis, send_dir, *staging, &buf);
-            }
+        post(comm, q, stats, 0);
+        {
+            let _hidden = ctx.span("overlap_sweep", Category::Phase);
+            prelude(ctx, cfg, fluids, q, ws, rhs);
         }
+        for axis in 0..ndim {
+            {
+                let _drain = ctx.span("halo_drain", Category::Phase);
+                halo_drain(ctx, comm, cart, q, axis, *staging)?;
+            }
+            let mut this_axis = [(true, true); 3];
+            this_axis[axis] = skip[axis];
+            apply_bcs(ctx, q, bc, this_axis);
+            cons_to_prim_ghost_slabs(ctx, fluids, q, &mut ws.prim, axis);
 
-        apply_bcs(ctx, q, &env.bc, env.skip);
-        let _shell = ctx.span("shell_rhs", Category::Phase);
-        rhs_overlap_finish(ctx, cfg, fluids, q, ws, rhs, plan);
+            let _hidden = if axis + 1 < ndim {
+                post(comm, q, stats, axis + 1);
+                ctx.span("overlap_sweep", Category::Phase)
+            } else {
+                None
+            };
+            sweep_axis(ctx, cfg, fluids, ws, rhs, axis);
+        }
+        closures(ctx, cfg, fluids, ws, rhs);
         Ok(())
     }
 }
@@ -1545,6 +1570,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dist.max_abs_diff(&serial), 0.0);
+    }
+
+    /// The argument the pipelined exchange rests on: once it returns, the
+    /// whole padded `q` and `prim` — faces, edges and corners — and the RHS
+    /// are the paired exchange's (`halo_exchange` + `apply_bcs` +
+    /// `cons_to_prim_field`) to the bit, also when the evaluation starts
+    /// from a previous evaluation's stale ghosts.
+    #[test]
+    fn pipelined_exchange_fills_every_ghost_like_the_paired_exchange() {
+        use crate::bc::{BcKind, BcSpec};
+        use crate::case::{PatchState, Region};
+        use crate::fluid::Fluid;
+        use crate::rhs::RhsMode;
+
+        let air = Fluid::air().with_viscosity(0.05);
+        let mixed = CaseBuilder::new(vec![air], 2, [16, 14, 1])
+            .bc(BcSpec {
+                lo: [BcKind::Reflective, BcKind::Periodic, BcKind::Transmissive],
+                hi: [BcKind::Transmissive, BcKind::Periodic, BcKind::Transmissive],
+            })
+            .patch(
+                Region::All,
+                PatchState::single(1.2, [30.0, 15.0, 0.0], 1.0e5),
+            )
+            .patch(
+                Region::Sphere {
+                    center: [0.4, 0.6, 0.0],
+                    radius: 0.3,
+                },
+                PatchState::single(1.5, [30.0, -20.0, 0.0], 1.2e5),
+            );
+        let cases = [mixed, presets::two_phase_benchmark(3, [8, 8, 6])];
+        let bits =
+            |f: &StateField| -> Vec<u64> { f.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (case, mode) in cases
+            .iter()
+            .flat_map(|c| [RhsMode::Staged, RhsMode::Fused].map(|m| (c, m)))
+        {
+            let mut cfg = SolverConfig::default();
+            cfg.rhs.mode = mode;
+            let dims = [2, 2, 1];
+            let opts = ResilienceOpts::fault_free("", 0);
+            World::run(4, |mut comm| {
+                let rank = comm.rank();
+                let note = |_: ResilienceEventKind, _: u64, _: u64, _: Duration, _: String| {};
+                let mut eval_twice = |exchange: ExchangeMode| {
+                    let (cart, mut blk) =
+                        rank_block(case, cfg, &opts, dims, rank, Context::serial());
+                    let (env, q) = blk.rhs_parts();
+                    let mut rhs = StateField::zeros(*q.domain());
+                    let mut link = CommLink {
+                        comm: &mut comm,
+                        cart: &cart,
+                        exchange,
+                        staging: Staging::DeviceDirect,
+                        stats: &mut CommStats::default(),
+                        rank,
+                        wave: 0,
+                        note: &note,
+                    };
+                    link.eval_rhs(env, &cfg.rhs, q, &mut rhs).unwrap();
+                    q.axpy(1.0e-6, &rhs);
+                    link.eval_rhs(env, &cfg.rhs, q, &mut rhs).unwrap();
+                    [bits(q), bits(&env.ws.prim), bits(&rhs)]
+                };
+                let paired = eval_twice(ExchangeMode::Sendrecv);
+                let piped = eval_twice(ExchangeMode::Overlapped);
+                for (what, (a, b)) in ["q", "prim", "rhs"].iter().zip(paired.iter().zip(&piped)) {
+                    let differing = a.iter().zip(b).filter(|(x, y)| x != y).count();
+                    assert_eq!(
+                        differing, 0,
+                        "{mode:?} {:?} rank {rank}: {differing} padded {what} values differ",
+                        case.cells
+                    );
+                }
+            });
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@ use std::time::Instant;
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
 use mfc_layout::{
-    transpose_2134_geam, transpose_2134_naive, transpose_3214_geam, transpose_3214_naive,
-    transpose_3214_tiled, Dims3, Dims4, Flat4D,
+    transpose_2134_geam, transpose_3214_geam, transpose_3214_tiled, Dims3, Dims4, Flat4D,
 };
 
 use crate::axisym::Geometry;
@@ -37,14 +36,12 @@ use crate::grid::Grid;
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
 use crate::riemann::RiemannSolver;
 use crate::state::StateField;
-use crate::weno::{reconstruct_sweep, reconstruct_sweep_region, WenoOrder};
+use crate::weno::{reconstruct_sweep, WenoOrder};
 
 /// How the y/z coalescing reshapes are executed (§III-D ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum PackStrategy {
-    /// Fully collapsed scalar loops (slow path on MI250X).
-    CollapsedLoops,
     /// Cache-tiled transposes (the cuTENSOR-like path).
     Tiled,
     /// Two-step batched GEAM decomposition (the hipBLAS path).
@@ -170,13 +167,7 @@ impl RhsWorkspace {
             divu: vec![0.0; d3.len()],
             widths,
             radii,
-            // Preallocated so the first 3-D GEAM z-reshape never grows a
-            // buffer inside the time loop.
-            scratch: if dom.eq.ndim() == 3 {
-                vec![0.0; dom.dims4().len()]
-            } else {
-                Vec::new()
-            },
+            scratch: Vec::new(),
             fused: Vec::new(),
         }
     }
@@ -202,6 +193,11 @@ impl RhsWorkspace {
             self.right.push(Flat4D::zeros(Dims4::new(nf, t1, t2, neq)));
             self.flux.push(Flat4D::zeros(Dims4::new(nf, t1, t2, neq)));
             self.ustar.push(Flat4D::zeros(Dims4::new(nf, t1, t2, 1)));
+        }
+        // Sized here so the 3-D GEAM z-reshape never grows a buffer inside
+        // the time loop.
+        if dom.eq.ndim() == 3 {
+            self.scratch = vec![0.0; dom.dims4().len()];
         }
     }
 
@@ -229,125 +225,17 @@ fn sweep_extents(dom: &Domain, axis: usize) -> (usize, usize, usize) {
     }
 }
 
-/// An axis-aligned box of interior cells (0-based interior coordinates,
-/// half-open on every axis) — the unit of the overlapped-stepping
-/// interior/shell decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
-    pub lo: [usize; 3],
-    pub hi: [usize; 3],
-}
-
-impl Region {
-    /// The whole interior.
-    pub fn full(dom: &Domain) -> Self {
-        Region {
-            lo: [0; 3],
-            hi: dom.n,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        (0..3).any(|d| self.hi[d] <= self.lo[d])
-    }
-
-    pub fn cells(&self) -> usize {
-        (0..3)
-            .map(|d| self.hi[d].saturating_sub(self.lo[d]))
-            .product()
-    }
-
-    /// `(start, length)` along `axis`.
-    #[inline]
-    pub(crate) fn span(&self, axis: usize) -> (usize, usize) {
-        (self.lo[axis], self.hi[axis] - self.lo[axis])
-    }
-}
-
-/// A region's transverse extent in sweep coordinates for `axis`:
-/// `(t1_start, t1_len, t2_start, t2_len)`, padded — the same mapping the
-/// staged update stage uses for its interior bounds.
+/// Interior transverse bounds of a sweep along `axis`, in sweep
+/// coordinates: `(t1 start, t1 count, t2 start, t2 count)` — the lines
+/// whose faces the update stage consumes.
 #[inline]
-pub(crate) fn region_transverse(
-    dom: &Domain,
-    axis: usize,
-    r: &Region,
-) -> (usize, usize, usize, usize) {
+pub(crate) fn transverse_interior(dom: &Domain, axis: usize) -> (usize, usize, usize, usize) {
     let (a1, a2) = match axis {
         0 => (1, 2),
         1 => (0, 2),
         _ => (1, 0),
     };
-    (
-        dom.pad(a1) + r.lo[a1],
-        r.hi[a1] - r.lo[a1],
-        dom.pad(a2) + r.lo[a2],
-        r.hi[a2] - r.lo[a2],
-    )
-}
-
-/// Interior/shell split for overlapped stepping.
-///
-/// `interior` holds the cells whose reconstruction stencils never read a
-/// ghost layer — their RHS contribution can be computed while halo
-/// messages are still in flight. `shells` are disjoint boxes tiling the
-/// rest of the interior exactly; they run after the exchange completes.
-/// On a block too thin to have any stencil-safe core (`n[d] <= 2*ng` on
-/// some padded axis) `interior` is `None` and the single shell is the
-/// full block: the overlapped driver degenerates to exchange-then-compute.
-#[derive(Debug, Clone)]
-pub struct OverlapPlan {
-    pub interior: Option<Region>,
-    pub shells: Vec<Region>,
-}
-
-impl OverlapPlan {
-    pub fn new(dom: &Domain) -> Self {
-        // Inset by the *domain* ghost width on every padded axis (not the
-        // active stencil's, which the recovery ladder may narrow): the
-        // split must not depend on the ladder rung, or a mid-replay
-        // degrade would change summation grouping.
-        let mut lo = [0usize; 3];
-        let mut hi = dom.n;
-        for d in 0..3 {
-            if dom.pad(d) > 0 {
-                lo[d] = dom.ng.min(dom.n[d]);
-                hi[d] = dom.n[d].saturating_sub(dom.ng).max(lo[d]);
-            }
-        }
-        let interior = Region { lo, hi };
-        let full = Region::full(dom);
-        if interior.is_empty() {
-            return OverlapPlan {
-                interior: None,
-                shells: vec![full],
-            };
-        }
-        // Peel shells off the full box axis by axis — low slab, high slab,
-        // shrink — leaving disjoint boxes that cover everything outside
-        // the interior core.
-        let mut shells = Vec::new();
-        let mut core = full;
-        for d in 0..3 {
-            if interior.lo[d] > core.lo[d] {
-                let mut s = core;
-                s.hi[d] = interior.lo[d];
-                shells.push(s);
-                core.lo[d] = interior.lo[d];
-            }
-            if interior.hi[d] < core.hi[d] {
-                let mut s = core;
-                s.lo[d] = interior.hi[d];
-                shells.push(s);
-                core.hi[d] = interior.hi[d];
-            }
-        }
-        debug_assert_eq!(core, interior);
-        OverlapPlan {
-            interior: Some(interior),
-            shells,
-        }
-    }
+    (dom.pad(a1), dom.n[a1], dom.pad(a2), dom.n[a2])
 }
 
 /// Map sweep-layout coordinates `(s, t1, t2)` back to canonical `(i, j, k)`.
@@ -372,10 +260,14 @@ fn record_pack(ctx: &Context, label: &'static str, elems: usize, t0: Instant) {
     ctx.record(label, cost, elems as u64, 1, 1, t0, t0.elapsed());
 }
 
-/// Entry of every evaluation, whole-grid or overlapped: check the
-/// shapes, convert to primitives over the full padded grid (ghosts
-/// included) and zero the accumulators.
-fn prelude(
+/// Entry of every evaluation: check the shapes, convert to primitives
+/// over the full padded grid (ghosts included) and zero the accumulators.
+///
+/// The pipelined exchange ([`crate::par`]) runs this while the x halo is
+/// still in flight: the conversion is pointwise, so interior primitives
+/// never depend on a ghost, and each axis's ghost slabs are re-converted
+/// ([`crate::state::cons_to_prim_ghost_slabs`]) once they are filled.
+pub(crate) fn prelude(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
@@ -401,7 +293,7 @@ fn prelude(
 
 /// The grid-global closures that follow the directional sweeps of every
 /// evaluation (steps 7–9).
-fn closures(
+pub(crate) fn closures(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
@@ -443,252 +335,71 @@ pub fn compute_rhs(
 ) {
     // 1. Primitive variables everywhere (ghosts included).
     prelude(ctx, cfg, fluids, cons, ws, rhs);
-
-    // 2–6. The per-direction sweeps: pack, WENO reconstruction, Riemann
-    // solve, flux-divergence update — as full-grid stages or as one fused
-    // cache-blocked pass, bitwise identically.
-    match cfg.mode {
-        RhsMode::Staged => staged_sweeps(ctx, cfg, fluids, ws, rhs),
-        RhsMode::Fused => crate::fused::fused_sweeps(ctx, cfg, fluids, ws, rhs),
+    // 2–6. One sweep per direction.
+    for axis in 0..ws.dom.eq.ndim() {
+        sweep_axis(ctx, cfg, fluids, ws, rhs, axis);
     }
-
     closures(ctx, cfg, fluids, ws, rhs);
 }
 
-/// The staged sweep pipeline: full-grid pack / WENO / Riemann / update
-/// stages with grid-sized intermediates (the unfused GPU-pipeline analog,
-/// kept as the fusion-ablation baseline).
-fn staged_sweeps(
+/// The sweep along `axis` (steps 2–6): pack, WENO reconstruction, Riemann
+/// solve, flux-divergence update — as full-grid stages or as one fused
+/// cache-blocked pass, bitwise identically. Reads `ws.prim` ghosts along
+/// `axis` only on the lines it consumes (interior transverse coordinates),
+/// which is what lets the pipelined exchange run it while the next axis's
+/// halo is in flight.
+pub(crate) fn sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
+    axis: usize,
+) {
+    match cfg.mode {
+        RhsMode::Staged => staged_sweep_axis(ctx, cfg, fluids, ws, rhs, axis),
+        RhsMode::Fused => crate::fused::fused_sweep_axis(ctx, cfg, fluids, ws, rhs, axis),
+    }
+}
+
+/// One staged sweep: full-grid pack / WENO / Riemann / update stages with
+/// grid-sized intermediates (the unfused GPU-pipeline analog, kept as the
+/// fusion-ablation baseline).
+fn staged_sweep_axis(
+    ctx: &Context,
+    cfg: &RhsConfig,
+    fluids: &[Fluid],
+    ws: &mut RhsWorkspace,
+    rhs: &mut StateField,
+    axis: usize,
 ) {
     let dom = ws.dom;
     let eq = dom.eq;
     ws.ensure_staged();
 
-    for axis in 0..eq.ndim() {
-        // 3. Direction-coalesced buffer: the x sweep reads the canonical
-        //    primitive buffer directly (its lines are already unit-stride);
-        //    y/z reshape into the transpose target.
-        staged_reshape(ctx, cfg, ws, axis);
+    // 3. Direction-coalesced buffer: the x sweep reads the canonical
+    //    primitive buffer directly (its lines are already unit-stride);
+    //    y/z reshape into the transpose target.
+    staged_reshape(ctx, cfg, ws, axis);
 
-        // 4. WENO reconstruction along the coalesced index.
-        let n = dom.n[axis];
-        let packed = if axis == 0 {
-            ws.prim.flat()
-        } else {
-            &ws.packed[axis]
-        };
-        reconstruct_sweep(
-            ctx,
-            cfg.order,
-            packed,
-            n,
-            &mut ws.left[axis],
-            &mut ws.right[axis],
-        );
-
-        // 5. Riemann solve per face.
-        riemann_sweep(
-            ctx,
-            cfg,
-            fluids,
-            &eq,
-            axis,
-            packed,
-            &ws.left[axis],
-            &ws.right[axis],
-            &mut ws.flux[axis],
-            &mut ws.ustar[axis],
-        );
-
-        // 6. Flux divergence into the canonical RHS + S* differences into
-        //    div(u). In 3-D cylindrical coordinates the azimuthal cell
-        //    width is r * dtheta.
-        let radial_metric = if axis == 2 && cfg.geometry == Geometry::Cylindrical3D {
-            Some(&ws.radii[..])
-        } else {
-            None
-        };
-        accumulate_divergence(
-            ctx,
-            &dom,
-            axis,
-            &ws.flux[axis],
-            &ws.ustar[axis],
-            &ws.widths[axis],
-            radial_metric,
-            rhs,
-            &mut ws.divu,
-        );
-    }
-}
-
-/// Reshape the canonical primitive buffer into the direction-coalesced
-/// sweep buffer for `axis` (no-op for x, whose lines are already
-/// unit-stride).
-fn staged_reshape(ctx: &Context, cfg: &RhsConfig, ws: &mut RhsWorkspace, axis: usize) {
-    match axis {
-        0 => {}
-        1 => {
-            let t0 = Instant::now();
-            match cfg.pack {
-                PackStrategy::CollapsedLoops => {
-                    transpose_2134_naive(ws.prim.flat(), &mut ws.packed[1])
-                }
-                PackStrategy::Tiled | PackStrategy::Geam => {
-                    transpose_2134_geam(ws.prim.flat(), &mut ws.packed[1])
-                }
-            }
-            record_pack(ctx, "s_reshape_sweep_y", ws.packed[1].dims().len(), t0);
-        }
-        _ => {
-            let t0 = Instant::now();
-            match cfg.pack {
-                PackStrategy::CollapsedLoops => {
-                    transpose_3214_naive(ws.prim.flat(), &mut ws.packed[2])
-                }
-                PackStrategy::Tiled => transpose_3214_tiled(ws.prim.flat(), &mut ws.packed[2]),
-                PackStrategy::Geam => {
-                    transpose_3214_geam(ws.prim.flat(), &mut ws.scratch, &mut ws.packed[2])
-                }
-            }
-            record_pack(ctx, "s_reshape_sweep_z", ws.packed[2].dims().len(), t0);
-        }
-    }
-}
-
-/// Phase 1 of an overlapped evaluation: convert to primitives over the
-/// full padded grid and zero the accumulators.
-///
-/// Ghost primitives are *stale* at this point (the halo exchange has only
-/// been posted), which is safe because the conversion is pointwise —
-/// interior primitive values depend only on interior conservative values,
-/// which no exchange or BC ever writes — and the interior regions the
-/// phase-1 sweeps consume never read a ghost cell. Phase 2
-/// ([`rhs_overlap_finish`]) re-runs the conversion once ghosts are valid.
-pub fn rhs_overlap_begin(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    cons: &StateField,
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-) {
-    prelude(ctx, cfg, fluids, cons, ws, rhs);
-    if cfg.mode == RhsMode::Staged {
-        ws.ensure_staged();
-    }
-}
-
-/// Interior contribution of one directional sweep, restricted to the
-/// stencil-safe `region` — enqueued on the async queue of `axis` by the
-/// overlapped driver and run while that axis's halo messages are in
-/// flight. Identical per-face arithmetic to the full sweep.
-pub fn rhs_overlap_interior_axis(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-    region: &Region,
-    axis: usize,
-) {
-    match cfg.mode {
-        RhsMode::Staged => {
-            staged_reshape(ctx, cfg, ws, axis);
-            staged_region_sweep(ctx, cfg, fluids, ws, rhs, axis, region);
-        }
-        RhsMode::Fused => {
-            crate::fused::fused_sweep_axis_region(ctx, cfg, fluids, ws, rhs, axis, region)
-        }
-    }
-}
-
-/// Phase 2 of an overlapped evaluation, after the exchange drained and
-/// physical BCs were applied: refresh the primitive ghosts, sweep the
-/// boundary shells (axis-major, so every cell still accumulates its x, y,
-/// z contributions in that order), then the grid-global closures
-/// [`compute_rhs`] ends with.
-pub fn rhs_overlap_finish(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    cons: &StateField,
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-    plan: &OverlapPlan,
-) {
-    // Re-converting the full grid reproduces every interior primitive
-    // bitwise (pointwise map of unchanged conservative cells) and makes
-    // the ghost primitives valid for the shell stencils.
-    crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
-
-    for axis in 0..ws.dom.eq.ndim() {
-        match cfg.mode {
-            RhsMode::Staged => {
-                staged_reshape(ctx, cfg, ws, axis);
-                for r in &plan.shells {
-                    staged_region_sweep(ctx, cfg, fluids, ws, rhs, axis, r);
-                }
-            }
-            RhsMode::Fused => {
-                for r in &plan.shells {
-                    crate::fused::fused_sweep_axis_region(ctx, cfg, fluids, ws, rhs, axis, r);
-                }
-            }
-        }
-    }
-
-    closures(ctx, cfg, fluids, ws, rhs);
-}
-
-/// One region-restricted staged sweep along `axis`: WENO, Riemann, and
-/// update over exactly the faces and transverse lines the region's cells
-/// consume. The reshape is hoisted to the caller (one transpose per axis
-/// per phase, shared by all shell regions). Unlike the full staged sweep
-/// this computes no dead ghost-line work — which cannot change a consumed
-/// bit, since the update stage of a region only reads its own faces.
-fn staged_region_sweep(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-    axis: usize,
-    region: &Region,
-) {
-    if region.is_empty() {
-        return;
-    }
-    let dom = ws.dom;
-    let eq = dom.eq;
+    // 4. WENO reconstruction along the coalesced index.
     let n = dom.n[axis];
-    let (f_lo, s_n) = region.span(axis);
-    let (t1_lo, t1_n, t2_lo, t2_n) = region_transverse(&dom, axis, region);
     let packed = if axis == 0 {
         ws.prim.flat()
     } else {
         &ws.packed[axis]
     };
-    reconstruct_sweep_region(
+    reconstruct_sweep(
         ctx,
         cfg.order,
         packed,
         n,
-        f_lo,
-        s_n + 1,
-        t1_lo,
-        t1_n,
-        t2_lo,
-        t2_n,
         &mut ws.left[axis],
         &mut ws.right[axis],
     );
-    riemann_sweep_region(
+
+    // 5. Riemann solve per face.
+    riemann_sweep(
         ctx,
         cfg,
         fluids,
@@ -699,14 +410,17 @@ fn staged_region_sweep(
         &ws.right[axis],
         &mut ws.flux[axis],
         &mut ws.ustar[axis],
-        (f_lo, s_n + 1, t1_lo, t1_n, t2_lo, t2_n),
     );
+
+    // 6. Flux divergence into the canonical RHS + S* differences into
+    //    div(u). In 3-D cylindrical coordinates the azimuthal cell
+    //    width is r * dtheta.
     let radial_metric = if axis == 2 && cfg.geometry == Geometry::Cylindrical3D {
         Some(&ws.radii[..])
     } else {
         None
     };
-    accumulate_divergence_region(
+    accumulate_divergence(
         ctx,
         &dom,
         axis,
@@ -716,8 +430,31 @@ fn staged_region_sweep(
         radial_metric,
         rhs,
         &mut ws.divu,
-        region,
     );
+}
+
+/// Reshape the canonical primitive buffer into the direction-coalesced
+/// sweep buffer for `axis` (no-op for x, whose lines are already
+/// unit-stride).
+fn staged_reshape(ctx: &Context, cfg: &RhsConfig, ws: &mut RhsWorkspace, axis: usize) {
+    match axis {
+        0 => {}
+        1 => {
+            let t0 = Instant::now();
+            transpose_2134_geam(ws.prim.flat(), &mut ws.packed[1]);
+            record_pack(ctx, "s_reshape_sweep_y", ws.packed[1].dims().len(), t0);
+        }
+        _ => {
+            let t0 = Instant::now();
+            match cfg.pack {
+                PackStrategy::Tiled => transpose_3214_tiled(ws.prim.flat(), &mut ws.packed[2]),
+                PackStrategy::Geam => {
+                    transpose_3214_geam(ws.prim.flat(), &mut ws.scratch, &mut ws.packed[2])
+                }
+            }
+            record_pack(ctx, "s_reshape_sweep_z", ws.packed[2].dims().len(), t0);
+        }
+    }
 }
 
 /// Solve a Riemann problem on every face of the sweep, with a first-order
@@ -735,34 +472,6 @@ fn riemann_sweep(
     flux: &mut Flat4D,
     ustar: &mut Flat4D,
 ) {
-    // The full sweep is the region sweep over the whole face grid: item
-    // decode, ordering and per-face arithmetic coincide exactly.
-    let fd = left.dims();
-    let window = (0, fd.n1, 0, fd.n2, 0, fd.n3);
-    riemann_sweep_region(
-        ctx, cfg, fluids, eq, axis, packed, left, right, flux, ustar, window,
-    );
-}
-
-/// Region-restricted [`riemann_sweep`]: the same gather / positivity
-/// limit / flux arithmetic on the face window `(f_lo, f_count)` ×
-/// transverse lines `(t1_lo, t1_n) × (t2_lo, t2_n)` only, writing each
-/// face at its absolute index.
-#[allow(clippy::too_many_arguments)]
-fn riemann_sweep_region(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    eq: &EqIdx,
-    axis: usize,
-    packed: &Flat4D,
-    left: &Flat4D,
-    right: &Flat4D,
-    flux: &mut Flat4D,
-    ustar: &mut Flat4D,
-    window: (usize, usize, usize, usize, usize, usize),
-) {
-    let (f_lo, f_count, t1_lo, t1_n, t2_lo, t2_n) = window;
     let fd = left.dims();
     let (nf1, t1, t2) = (fd.n1, fd.n2, fd.n3);
     let neq = eq.neq();
@@ -770,10 +479,6 @@ fn riemann_sweep_region(
     let cell_stride = packed.dims().n1 * t1 * t2;
     let ext1 = packed.dims().n1;
     let pad = (ext1 + 1 - nf1) / 2;
-    assert!(f_lo + f_count <= nf1 && t1_lo + t1_n <= t1 && t2_lo + t2_n <= t2);
-    if f_count == 0 || t1_n == 0 || t2_n == 0 {
-        return;
-    }
 
     let cost = KernelCost::new(
         KernelClass::Riemann,
@@ -782,11 +487,11 @@ fn riemann_sweep_region(
         8.0 * (neq + 1) as f64,
     );
     let cfgl = LaunchConfig::tuned("s_riemann_solve");
-    // Lane-tiled: rows are transverse lines of the window, lanes pack
-    // along the face index (unit stride in every per-variable plane). The
-    // generic select-form solvers make each lane bitwise the scalar solve
-    // of its own face; a packet containing any inadmissible state replays
-    // through the scalar path so the positivity limiter stays the scalar
+    // Lane-tiled: rows are transverse lines, lanes pack along the face
+    // index (unit stride in every per-variable plane). The generic
+    // select-form solvers make each lane bitwise the scalar solve of its
+    // own face; a packet containing any inadmissible state replays through
+    // the scalar path so the positivity limiter stays the scalar
     // arithmetic.
     let table = FluidTable::new(fluids);
     with_eq_layout!(*eq, eq => {
@@ -802,22 +507,16 @@ fn riemann_sweep_region(
             fsl: ParSlice::new(flux.as_mut_slice()),
             usl: ParSlice::new(ustar.as_mut_slice()),
             nf1,
-            f_lo,
-            t1_lo,
-            t1_n,
-            t2_lo,
-            t1,
             face_stride,
             cell_stride,
             ext1,
             pad,
         };
-        ctx.launch_vec(&cfgl, cost, t1_n * t2_n, f_count, &kernel)
+        ctx.launch_vec(&cfgl, cost, t1 * t2, nf1, &kernel)
     });
 }
 
-/// Lane kernel of the Riemann sweeps: row = transverse line of the
-/// window, col = offset into the face window.
+/// Lane kernel of the Riemann sweep: row = transverse line, col = face.
 struct RiemannKernel<'a, E> {
     eq: E,
     fluids: &'a FluidTable,
@@ -830,12 +529,6 @@ struct RiemannKernel<'a, E> {
     fsl: ParSlice<'a>,
     usl: ParSlice<'a>,
     nf1: usize,
-    f_lo: usize,
-    t1_lo: usize,
-    t1_n: usize,
-    t2_lo: usize,
-    /// Full first transverse extent of the face buffers.
-    t1: usize,
     face_stride: usize,
     cell_stride: usize,
     ext1: usize,
@@ -843,15 +536,6 @@ struct RiemannKernel<'a, E> {
 }
 
 impl<E: EqLayout> RiemannKernel<'_, E> {
-    /// `(m, line)` of one window item.
-    #[inline(always)]
-    fn decode(&self, lr: usize, col: usize) -> (usize, usize) {
-        let m = self.f_lo + col;
-        let t1i = self.t1_lo + lr % self.t1_n;
-        let t2i = self.t2_lo + lr / self.t1_n;
-        (m, t1i + self.t1 * t2i)
-    }
-
     /// One face through the scalar path — gather, positivity enforcement
     /// (limit reconstructed states toward the adjacent cell averages when
     /// inadmissible: first-order fallback or Zhang-Shu scaling, per the
@@ -892,8 +576,7 @@ impl<E: EqLayout> RiemannKernel<'_, E> {
 
 impl<E: EqLayout> LaneKernel for RiemannKernel<'_, E> {
     #[inline(always)]
-    fn packet<L: Lane>(&self, lr: usize, col: usize) {
-        let (m, line) = self.decode(lr, col);
+    fn packet<L: Lane>(&self, line: usize, m: usize) {
         let eq = &self.eq;
         let neq = eq.neq();
         let face = m + self.nf1 * line;
@@ -943,39 +626,6 @@ fn accumulate_divergence(
     rhs: &mut StateField,
     divu: &mut [f64],
 ) {
-    // The full update is the region update over the whole interior: the
-    // transverse bounds of `Region::full` reduce to the interior pads and
-    // extents, and item decode/ordering coincide exactly.
-    debug_assert_eq!(flux.dims().n1, dom.n[axis] + 1);
-    accumulate_divergence_region(
-        ctx,
-        dom,
-        axis,
-        flux,
-        ustar,
-        widths,
-        radial_metric,
-        rhs,
-        divu,
-        &Region::full(dom),
-    );
-}
-
-/// Region-restricted [`accumulate_divergence`]: identical per-cell
-/// arithmetic, iterating only the region's cells.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_divergence_region(
-    ctx: &Context,
-    dom: &Domain,
-    axis: usize,
-    flux: &Flat4D,
-    ustar: &Flat4D,
-    widths: &[f64],
-    radial_metric: Option<&[f64]>,
-    rhs: &mut StateField,
-    divu: &mut [f64],
-    region: &Region,
-) {
     let eq = dom.eq;
     let neq = eq.neq();
     let fd = flux.dims();
@@ -984,9 +634,9 @@ fn accumulate_divergence_region(
     let ng = dom.pad(axis);
     let d3 = dom.dims3();
 
-    let (s_lo, s_n) = region.span(axis);
-    let (p1, n1i, p2, n2i) = region_transverse(dom, axis, region);
-    debug_assert!(s_lo + s_n < nf1);
+    let s_n = dom.n[axis];
+    let (p1, n1i, p2, n2i) = transverse_interior(dom, axis);
+    debug_assert_eq!(nf1, s_n + 1);
 
     let cost = KernelCost::new(
         KernelClass::Update,
@@ -995,10 +645,6 @@ fn accumulate_divergence_region(
         8.0 * (neq + 1) as f64,
     );
     let cfg = LaunchConfig::tuned("s_flux_divergence");
-    let cells = s_n * n1i * n2i;
-    if cells == 0 {
-        return;
-    }
     // Lane-tiled: lanes pack along the sweep coordinate, so face reads
     // are unit-stride while the canonical-cell accumulations use the
     // sweep axis's cell stride (1 / ext1 / ext1*ext2). Each cell is
@@ -1007,7 +653,6 @@ fn accumulate_divergence_region(
     let kernel = UpdateKernel {
         neq,
         axis,
-        s_lo,
         ng,
         nf1,
         t1,
@@ -1033,11 +678,10 @@ fn accumulate_divergence_region(
 }
 
 /// Lane kernel of the flux-divergence update: row = transverse cell pair,
-/// col = offset along the sweep axis within the region.
+/// col = interior offset along the sweep axis.
 struct UpdateKernel<'a> {
     neq: usize,
     axis: usize,
-    s_lo: usize,
     ng: usize,
     nf1: usize,
     t1: usize,
@@ -1059,8 +703,7 @@ struct UpdateKernel<'a> {
 
 impl LaneKernel for UpdateKernel<'_> {
     #[inline(always)]
-    fn packet<L: Lane>(&self, r: usize, col: usize) {
-        let s = self.s_lo + col;
+    fn packet<L: Lane>(&self, r: usize, s: usize) {
         let (a, b) = (r % self.n1i + self.p1, r / self.n1i + self.p2);
         let metric = self.radial_metric.map(|rm| rm[a]).unwrap_or(1.0);
         let inv_dx = L::splat(1.0) / (L::load(&self.widths[self.ng + s..]) * L::splat(metric));
@@ -1197,11 +840,7 @@ mod tests {
             let mut ws = RhsWorkspace::new(dom, &grid);
             let mut rhs = StateField::zeros(dom);
             for mode in [RhsMode::Staged, RhsMode::Fused] {
-                for pack in [
-                    PackStrategy::CollapsedLoops,
-                    PackStrategy::Tiled,
-                    PackStrategy::Geam,
-                ] {
+                for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
                     let cfg = RhsConfig {
                         pack,
                         mode,
@@ -1283,11 +922,7 @@ mod tests {
         apply_bcs(&ctx, &mut cons, &BcSpec::periodic(), [(false, false); 3]);
 
         let mut results = Vec::new();
-        for pack in [
-            PackStrategy::CollapsedLoops,
-            PackStrategy::Tiled,
-            PackStrategy::Geam,
-        ] {
+        for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
             let mut ws = RhsWorkspace::new(dom, &grid);
             let mut rhs = StateField::zeros(dom);
             let cfg = RhsConfig {
@@ -1312,7 +947,6 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
-        assert_eq!(results[2], results[3]);
     }
 
     /// Kernel classes show up in the ledger with the paper's structure:

@@ -191,6 +191,9 @@ pub struct Solver {
     recovery: Option<RecoveryPolicy>,
     rec: RecoveryState,
     t: f64,
+    /// Time no step may pass: [`Solver::run_until`]'s target while it
+    /// runs, infinite otherwise.
+    t_stop: f64,
     steps: u64,
     wall: Duration,
 }
@@ -241,6 +244,7 @@ impl Solver {
             recovery: None,
             rec: RecoveryState::default(),
             t: 0.0,
+            t_stop: f64::INFINITY,
             steps: 0,
             wall: Duration::ZERO,
         }
@@ -339,6 +343,13 @@ impl Solver {
         self.wall = Duration::ZERO;
     }
 
+    /// What a [`Link`] is handed for one RHS evaluation, for tests that
+    /// drive a link directly.
+    #[cfg(test)]
+    pub(crate) fn rhs_parts(&mut self) -> (&mut RhsEnv, &mut StateField) {
+        (&mut self.env, &mut self.q)
+    }
+
     /// Freshly converted primitive state (interior and ghosts).
     pub fn primitives(&self) -> StateField {
         let mut prim = StateField::zeros(self.dom);
@@ -348,20 +359,22 @@ impl Solver {
 
     /// The time step this block would take under `cfg`: the fixed value,
     /// or the CFL bound of `q` — with the azimuthal metric `r dtheta` in
-    /// 3-D cylindrical coordinates — leaving the primitives in `ws.prim`.
+    /// 3-D cylindrical coordinates — leaving the primitives in `ws.prim`;
+    /// either way clipped to land on the stop time.
     fn select_dt(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
         let RhsEnv {
             ctx, fluids, ws, ..
         } = &mut self.env;
-        match cfg.dt {
-            DtMode::Fixed(dt) => Ok(dt),
+        let dt = match cfg.dt {
+            DtMode::Fixed(dt) => dt,
             DtMode::Cfl(c) => {
                 crate::state::cons_to_prim_field(ctx, fluids, &self.q, &mut ws.prim);
                 let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
                 let w = &self.widths;
-                cfl::try_max_dt_geom(ctx, fluids, &ws.prim, [&w[0], &w[1], &w[2]], c, metric)
+                cfl::try_max_dt_geom(ctx, fluids, &ws.prim, [&w[0], &w[1], &w[2]], c, metric)?
             }
-        }
+        };
+        Ok(dt.min(self.t_stop - self.t))
     }
 
     /// Run one RK update of `q` under `cfg`. `Ok(Ok(dt))` is an accepted
@@ -566,35 +579,22 @@ impl Solver {
         Ok(taken)
     }
 
-    /// Advance until `t_end` (clipping the final step), bounded by
-    /// `max_steps`.
+    /// Advance until `t_end` (clipping the final step to land on it, under
+    /// either dt mode), bounded by `max_steps`.
     pub fn run_until(&mut self, t_end: f64, max_steps: usize) -> Result<(), SolverError> {
+        self.t_stop = t_end;
+        let mut outcome = Ok(());
         for _ in 0..max_steps {
             if self.t >= t_end {
                 break;
             }
-            // Peek the dt and clip to land exactly on t_end.
-            let remaining = t_end - self.t;
-            let saved = self.cfg.dt;
-            if let DtMode::Fixed(dt) = saved {
-                if dt > remaining {
-                    self.cfg.dt = DtMode::Fixed(remaining);
-                }
-            }
-            let outcome = self.step();
-            self.cfg.dt = saved;
-            let dt = outcome?.dt;
-            if let DtMode::Cfl(_) = saved {
-                if dt > remaining {
-                    // Walk back the overshoot: acceptable error O(dt) at
-                    // the final instant; callers needing exact t_end use
-                    // DtMode::Fixed.
-                    self.t = t_end;
-                    break;
-                }
+            if let Err(e) = self.step() {
+                outcome = Err(e);
+                break;
             }
         }
-        Ok(())
+        self.t_stop = f64::INFINITY;
+        outcome
     }
 
     /// Conserved-variable totals.
@@ -931,5 +931,27 @@ mod tests {
         let mut solver = Solver::new(&case, cfg, Context::serial());
         solver.run_until(0.0105, 100).unwrap();
         assert!((solver.time() - 0.0105).abs() < 1e-12);
+    }
+
+    /// The CFL twin: the last step is clipped, so the clock and the state
+    /// both sit at `t_end` — the parent overshot with the state and then
+    /// wrote `t_end` into the clock.
+    #[test]
+    fn cfl_run_until_lands_exactly() {
+        let case = presets::sod(64);
+        let mut solver = Solver::new(&case, SolverConfig::default(), Context::serial());
+        solver.run_until(0.0105, 100).unwrap();
+        assert!((solver.time() - 0.0105).abs() < 1e-12);
+        // Stepping to the same instant by hand — free CFL steps, then one
+        // fixed step over what is left — reaches the same state.
+        let mut by_hand = Solver::new(&case, SolverConfig::default(), Context::serial());
+        by_hand.run_steps(solver.steps() as usize - 1).unwrap();
+        let rest = 0.0105 - by_hand.time();
+        assert!(rest > 0.0);
+        by_hand.cfg.dt = DtMode::Fixed(rest);
+        by_hand.step().unwrap();
+        assert_eq!(by_hand.state(), solver.state());
+        // And the stop time does not outlive the call.
+        assert!(solver.step().unwrap().dt > rest);
     }
 }

@@ -406,24 +406,48 @@ pub fn reconstruct_sweep(
     left: &mut Flat4D,
     right: &mut Flat4D,
 ) {
-    // The full sweep is the region sweep over every face of the whole
-    // padded transverse window: row decode, item count and ordering
-    // coincide exactly, so the ledger and the outputs are unchanged.
+    let ng = order.ghost_layers();
     let pd = packed.dims();
-    reconstruct_sweep_region(
-        ctx,
-        order,
-        packed,
-        n,
-        0,
-        n + 1,
-        0,
-        pd.n2,
-        0,
-        pd.n3,
-        left,
-        right,
+    // Derive the pad from the buffer so a wider-than-necessary buffer (a
+    // WENO5-sized domain temporarily degraded to WENO3 by the recovery
+    // ladder) reconstructs in place: the stencil just ignores the extra
+    // ghost layers.
+    assert!(
+        pd.n1 > n && (pd.n1 - n).is_multiple_of(2),
+        "packed extent {} incompatible with {n} interior cells",
+        pd.n1
     );
+    let pad = (pd.n1 - n) / 2;
+    assert!(
+        pad >= ng,
+        "packed pad {pad} narrower than the {ng}-layer stencil"
+    );
+    let fd = left.dims();
+    assert_eq!((fd.n1, fd.n2, fd.n3, fd.n4), (n + 1, pd.n2, pd.n3, pd.n4));
+    assert_eq!(right.dims(), left.dims());
+
+    let cost = KernelCost::new(
+        KernelClass::Weno,
+        order.flops_per_face(),
+        8.0 * (2 * ng + 1) as f64, // stencil footprint per face
+        2.0 * 8.0,                 // left + right
+    );
+    let cfg = LaunchConfig::tuned("s_weno_reconstruct");
+    // Lane-tiled launch: one row per line, lanes packed along the face
+    // index (the unit-stride direction of the coalesced buffer), exactly
+    // the `vector`-level mapping of the paper's gang/vector kernels. One
+    // ledger item = one face of one variable, and the outputs are bitwise
+    // identical at every width.
+    let kernel = WenoSweepKernel {
+        order,
+        src: packed.as_slice(),
+        lout: ParSlice::new(left.as_mut_slice()),
+        rout: ParSlice::new(right.as_mut_slice()),
+        ext: pd.n1,
+        nf1: fd.n1,
+        pad,
+    };
+    ctx.launch_vec(&cfg, cost, pd.n2 * pd.n3 * pd.n4, n + 1, &kernel);
 }
 
 /// (left-face, right-face) values of cell `c` of a padded line — the
@@ -460,89 +484,8 @@ fn face_states<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
     )
 }
 
-/// Region-restricted [`reconstruct_sweep`]: reconstruct only faces
-/// `f_lo..f_lo + f_count` along the sweep axis, on the transverse line
-/// window `t1_lo..t1_lo + t1_n` × `t2_lo..t2_lo + t2_n` (padded sweep
-/// coordinates), for every variable. Face values land at their absolute
-/// indices in `left`/`right` through the identical per-cell arithmetic,
-/// so the restricted faces are bitwise identical to a full sweep — the
-/// overlapped stepping mode builds its interior and shell passes from
-/// this.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_sweep_region(
-    ctx: &Context,
-    order: WenoOrder,
-    packed: &Flat4D,
-    n: usize,
-    f_lo: usize,
-    f_count: usize,
-    t1_lo: usize,
-    t1_n: usize,
-    t2_lo: usize,
-    t2_n: usize,
-    left: &mut Flat4D,
-    right: &mut Flat4D,
-) {
-    let ng = order.ghost_layers();
-    let pd = packed.dims();
-    // Derive the pad from the buffer so a wider-than-necessary buffer (a
-    // WENO5-sized domain temporarily degraded to WENO3 by the recovery
-    // ladder) reconstructs in place: the stencil just ignores the extra
-    // ghost layers.
-    assert!(
-        pd.n1 > n && (pd.n1 - n).is_multiple_of(2),
-        "packed extent {} incompatible with {n} interior cells",
-        pd.n1
-    );
-    let pad = (pd.n1 - n) / 2;
-    assert!(
-        pad >= ng,
-        "packed pad {pad} narrower than the {ng}-layer stencil"
-    );
-    assert!(f_lo + f_count <= n + 1, "face window outside the sweep");
-    assert!(t1_lo + t1_n <= pd.n2 && t2_lo + t2_n <= pd.n3);
-    let fd = left.dims();
-    assert_eq!((fd.n1, fd.n2, fd.n3, fd.n4), (n + 1, pd.n2, pd.n3, pd.n4));
-    assert_eq!(right.dims(), left.dims());
-    if f_count == 0 || t1_n == 0 || t2_n == 0 {
-        return;
-    }
-
-    let cost = KernelCost::new(
-        KernelClass::Weno,
-        order.flops_per_face(),
-        8.0 * (2 * ng + 1) as f64, // stencil footprint per face
-        2.0 * 8.0,                 // left + right
-    );
-    let cfg = LaunchConfig::tuned("s_weno_reconstruct");
-    let rlines = t1_n * t2_n * pd.n4;
-    // Lane-tiled launch: one row per restricted line, lanes packed along
-    // the face window (the unit-stride direction of the coalesced buffer;
-    // packets never leave the window), exactly the `vector`-level mapping
-    // of the paper's gang/vector kernels. One ledger item = one face of
-    // one variable, and the outputs are bitwise identical at every width.
-    let kernel = WenoRegionKernel {
-        order,
-        src: packed.as_slice(),
-        lout: ParSlice::new(left.as_mut_slice()),
-        rout: ParSlice::new(right.as_mut_slice()),
-        ext: pd.n1,
-        nf1: fd.n1,
-        pad,
-        f_lo,
-        t1_lo,
-        t1_n,
-        t2_lo,
-        t2_n,
-        n2: pd.n2,
-        n3: pd.n3,
-    };
-    ctx.launch_vec(&cfg, cost, rlines, f_count, &kernel);
-}
-
-/// Lane kernel of [`reconstruct_sweep_region`]: row = restricted line
-/// index, col = offset into the face window.
-struct WenoRegionKernel<'a> {
+/// Lane kernel of [`reconstruct_sweep`]: row = line, col = face.
+struct WenoSweepKernel<'a> {
     order: WenoOrder,
     src: &'a [f64],
     lout: ParSlice<'a>,
@@ -550,24 +493,11 @@ struct WenoRegionKernel<'a> {
     ext: usize,
     nf1: usize,
     pad: usize,
-    f_lo: usize,
-    t1_lo: usize,
-    t1_n: usize,
-    t2_lo: usize,
-    t2_n: usize,
-    n2: usize,
-    n3: usize,
 }
 
-impl LaneKernel for WenoRegionKernel<'_> {
+impl LaneKernel for WenoSweepKernel<'_> {
     #[inline(always)]
-    fn packet<L: Lane>(&self, lr: usize, col: usize) {
-        let m = self.f_lo + col;
-        let t1i = self.t1_lo + lr % self.t1_n;
-        let rest = lr / self.t1_n;
-        let t2i = self.t2_lo + rest % self.t2_n;
-        let e = rest / self.t2_n;
-        let line = t1i + self.n2 * (t2i + self.n3 * e);
+    fn packet<L: Lane>(&self, line: usize, m: usize) {
         let v = &self.src[line * self.ext..(line + 1) * self.ext];
         let (lv, rv) = face_states::<L>(self.order, v, self.pad - 1 + m);
         self.lout.set_lanes(line * self.nf1 + m, lv);
@@ -899,11 +829,10 @@ mod tests {
         (0.37 * x).sin() + if i % 23 < 11 { 2.0 } else { -0.5 } + noise
     }
 
-    /// The staged lane kernels (full and region-restricted sweep) tile
-    /// faces, the fused engine's line kernel walks cells; at every lane
-    /// width, order and pad — including the recovery ladder's degraded
-    /// line, WENO3 or first order on a pad-3 buffer — they must agree to
-    /// the bit.
+    /// The staged lane kernel tiles faces, the fused engine's line kernel
+    /// walks cells; at every lane width, order and pad — including the
+    /// recovery ladder's degraded line, WENO3 or first order on a pad-3
+    /// buffer — they must agree to the bit.
     #[test]
     fn line_kernel_matches_the_lane_kernels_at_every_width() {
         let (n, m2, m3, nv, pad) = (13, 3, 2, 2, 3);
@@ -940,39 +869,11 @@ mod tests {
                 reconstruct_sweep(&ctx, order, &packed, n, &mut left, &mut right);
                 assert!(
                     bits(&left) == bits(&lref) && bits(&right) == bits(&rref),
-                    "{order:?} W={width}: full sweep differs from the line kernel"
+                    "{order:?} W={width}: sweep differs from the line kernel"
                 );
                 // The ledger saw one item per face per line.
                 let stats = ctx.ledger().kernel("s_weno_reconstruct").unwrap();
                 assert_eq!(stats.items as usize, (n + 1) * m2 * m3 * nv);
-
-                // Faces 2..12 on transverse lines (1..3, 1..2): exactly
-                // those match, everything else stays untouched.
-                let (f_lo, f_count) = (2, 10);
-                let mut left = Flat4D::zeros(fdims);
-                let mut right = Flat4D::zeros(fdims);
-                reconstruct_sweep_region(
-                    &ctx, order, &packed, n, f_lo, f_count, 1, 2, 1, 1, &mut left, &mut right,
-                );
-                for i4 in 0..nv {
-                    for i3 in 0..m3 {
-                        for i2 in 0..m2 {
-                            for m in 0..=n {
-                                let inside = (f_lo..f_lo + f_count).contains(&m)
-                                    && (1..3).contains(&i2)
-                                    && i3 == 1;
-                                let want =
-                                    |r: &Flat4D| if inside { r.get(m, i2, i3, i4) } else { 0.0 };
-                                assert!(
-                                    left.get(m, i2, i3, i4).to_bits() == want(&lref).to_bits()
-                                        && right.get(m, i2, i3, i4).to_bits()
-                                            == want(&rref).to_bits(),
-                                    "{order:?} W={width}: region face {m} line ({i2},{i3},{i4})"
-                                );
-                            }
-                        }
-                    }
-                }
             }
         }
     }

@@ -145,8 +145,9 @@ pub fn fig4_gpu_aware() -> Vec<ScalingRow> {
 
 /// Overlap analogs of Figs. 2–4: the same machines and series, each run
 /// twice — with the halo exchange exposed (as the paper measured) and
-/// hidden behind the interior sweeps (`t = max(t_comm, t_interior) +
-/// t_shell`). The gap between paired series is the hidden comm time.
+/// pipelined behind the sweeps (`max(t_comm/3, t_phase)` per axis, see
+/// [`crate::scaling::MachineModel::step_time_overlapped`]). The gap
+/// between paired series is the hidden comm time.
 pub fn fig2_weak_scaling_overlap() -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for (machine, model, series, counts) in [
@@ -490,7 +491,7 @@ mod tests {
     fn overlap_recovers_strong_scaling_at_the_thin_end() {
         // At 16x strong scaling the per-device blocks are thin and the
         // exchange is a visible fraction of the step; hiding it behind the
-        // interior sweeps must claw back measurable efficiency.
+        // sweeps must claw back measurable efficiency.
         let rows = fig3_strong_scaling_overlap();
         let last = |series: &str| {
             rows.iter()

@@ -81,69 +81,76 @@ impl MachineModel {
 
     /// Modelled wall time of one time step.
     pub fn step_time(&self, devices: usize, cells_per_device: f64) -> f64 {
-        let compute =
-            self.grind_ns * 1e-9 * cells_per_device * self.neq as f64 * self.rhs_per_step as f64;
+        self.compute_time(cells_per_device)
+            + self.comm_time(devices, cells_per_device)
+            + self.collective_time(devices)
+    }
+
+    /// Kernel time of one step: every RHS evaluation at the device's grind.
+    fn compute_time(&self, cells_per_device: f64) -> f64 {
+        self.grind_ns * 1e-9 * cells_per_device * self.neq as f64 * self.rhs_per_step as f64
+    }
+
+    /// Jitter/contention beyond the 128-device base scale.
+    fn collective_time(&self, devices: usize) -> f64 {
+        self.collective_coeff_s * (devices.max(128) as f64 / 128.0).log2().max(0.0)
+    }
+
+    /// Total halo time of one step (bandwidth + latency + per-message
+    /// orchestration), before any of it hides behind compute.
+    pub fn comm_time(&self, devices: usize, cells_per_device: f64) -> f64 {
         // Near-cubic block: the decomposition the paper uses.
         let edge = cells_per_device.cbrt();
         let face_bytes = edge * edge * self.ng as f64 * self.neq as f64 * 8.0;
         // Six faces exchanged per RHS evaluation (both directions of the
         // three split axes); none when running on a single device.
         let faces = if devices > 1 { 6 } else { 0 };
-        let halo = self.rhs_per_step as f64
-            * faces as f64
-            * (self.comm.message_time(face_bytes) + self.per_msg_overhead_s);
-        let collective =
-            self.collective_coeff_s * (devices.max(128) as f64 / 128.0).log2().max(0.0);
-        compute + halo + collective
-    }
-
-    /// Split a near-cubic block into (interior, shell) cell counts: the
-    /// interior is inset `ng` cells from every face (the cells whose
-    /// stencils never touch a ghost layer), the shell is the rest.
-    pub fn interior_shell_split(&self, devices: usize, cells_per_device: f64) -> (f64, f64) {
-        if devices <= 1 {
-            // Nothing is exchanged, so nothing needs to hide.
-            return (cells_per_device, 0.0);
-        }
-        let edge = cells_per_device.cbrt();
-        let inner = (edge - 2.0 * self.ng as f64).max(0.0);
-        let interior = inner * inner * inner;
-        (interior, cells_per_device - interior)
-    }
-
-    /// Total halo time of one step (bandwidth + latency + per-message
-    /// orchestration), before any of it hides behind compute.
-    pub fn comm_time(&self, devices: usize, cells_per_device: f64) -> f64 {
-        let edge = cells_per_device.cbrt();
-        let face_bytes = edge * edge * self.ng as f64 * self.neq as f64 * 8.0;
-        let faces = if devices > 1 { 6 } else { 0 };
         self.rhs_per_step as f64
             * faces as f64
             * (self.comm.message_time(face_bytes) + self.per_msg_overhead_s)
     }
 
-    /// Modelled wall time of one step with the overlapped exchange: the
-    /// halo messages hide behind the interior sweeps, so the step pays
-    /// `max(t_comm, t_interior) + t_shell` instead of `t_comm + t_compute`.
-    pub fn step_time_overlapped(&self, devices: usize, cells_per_device: f64) -> f64 {
-        let per_cell = self.grind_ns * 1e-9 * self.neq as f64 * self.rhs_per_step as f64;
-        let (interior, shell) = self.interior_shell_split(devices, cells_per_device);
-        let t_interior = per_cell * interior;
-        let t_shell = per_cell * shell;
-        let t_comm = self.comm_time(devices, cells_per_device);
-        let collective =
-            self.collective_coeff_s * (devices.max(128) as f64 / 128.0).log2().max(0.0);
-        t_comm.max(t_interior) + t_shell + collective
+    /// The four compute phases of one step under the pipelined exchange
+    /// and the communication each one hides: `(t_phase, t_comm_behind)` for
+    /// the prelude (x messages), the x sweep (y messages), the y sweep (z
+    /// messages) and the z sweep (nothing in flight).
+    fn pipeline(&self, devices: usize, cells_per_device: f64) -> [(f64, f64); 4] {
+        let compute = self.compute_time(cells_per_device);
+        let t_prelude = PRELUDE_SHARE * compute;
+        let t_sweep = (compute - t_prelude) / 3.0;
+        let t_axis = self.comm_time(devices, cells_per_device) / 3.0;
+        [
+            (t_prelude, t_axis),
+            (t_sweep, t_axis),
+            (t_sweep, t_axis),
+            (t_sweep, 0.0),
+        ]
     }
 
-    /// Communication time still exposed (not hidden behind the interior
-    /// sweeps) per step under the overlapped exchange.
+    /// Modelled wall time of one step with the overlapped exchange, as the
+    /// solver schedules it: each axis's third of the halo time flies
+    /// behind one whole-grid phase — x behind the primitive conversion, y
+    /// behind the x sweep, z behind the y sweep — so the step pays
+    /// `max(t_comm/3, t_phase)` per axis plus the z sweep, instead of
+    /// `t_comm + t_compute`.
+    pub fn step_time_overlapped(&self, devices: usize, cells_per_device: f64) -> f64 {
+        let phases = self.pipeline(devices, cells_per_device);
+        phases.iter().map(|&(t, c)| t.max(c)).sum::<f64>() + self.collective_time(devices)
+    }
+
+    /// Communication time still exposed (not hidden behind the phase it
+    /// flies behind) per step under the overlapped exchange.
     pub fn exposed_comm_s(&self, devices: usize, cells_per_device: f64) -> f64 {
-        let per_cell = self.grind_ns * 1e-9 * self.neq as f64 * self.rhs_per_step as f64;
-        let (interior, _) = self.interior_shell_split(devices, cells_per_device);
-        (self.comm_time(devices, cells_per_device) - per_cell * interior).max(0.0)
+        let phases = self.pipeline(devices, cells_per_device);
+        phases.iter().map(|&(t, c)| (c - t).max(0.0)).sum()
     }
 }
+
+/// Share of an RHS evaluation spent before the first sweep (the
+/// whole-grid conservative→primitive conversion): 157 of 2 400 kernel ms
+/// on this solver's 96³ two-phase profile (EXPERIMENTS.md). It is what the
+/// x messages have to hide behind.
+const PRELUDE_SHARE: f64 = 0.065;
 
 /// One point of a scaling study.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -321,8 +328,8 @@ mod tests {
 
     #[test]
     fn overlap_never_slows_a_step() {
-        // t = max(t_comm, t_interior) + t_shell <= t_comm + t_compute,
-        // since t_interior + t_shell = t_compute.
+        // Each max(t_comm/3, t_phase) <= t_comm/3 + t_phase, and the
+        // phases sum to t_compute.
         for m in [
             MachineModel::summit(),
             MachineModel::frontier(Staging::HostStaged),
@@ -340,9 +347,9 @@ mod tests {
 
     #[test]
     fn overlap_hides_comm_when_interior_dominates() {
-        // 32M cells/GCD: the interior sweep is far longer than the halo
-        // messages, so almost all the comm time hides and the exposed
-        // remainder is zero.
+        // 32M cells/GCD: every phase — even the primitive conversion — is
+        // far longer than an axis's halo messages, so all the comm time
+        // hides and the exposed remainder is zero.
         let m = MachineModel::frontier(Staging::HostStaged);
         let exposed = m.exposed_comm_s(128, 32.0e6);
         assert_eq!(exposed, 0.0, "exposed = {exposed}");
@@ -353,10 +360,11 @@ mod tests {
 
     #[test]
     fn overlap_cannot_hide_comm_on_tiny_blocks() {
-        // A deeply strong-scaled block has almost no interior left, so
-        // the messages stay mostly exposed.
+        // A deeply strong-scaled block sweeps an axis faster than that
+        // axis's messages (mostly fixed per-message cost) arrive, so they
+        // stay mostly exposed.
         let m = MachineModel::frontier(Staging::HostStaged);
-        let cells = 5.0e4; // ~37^3: interior (37-6)^3 is ~60% of cells
+        let cells = 5.0e4; // ~37^3
         let exposed = m.exposed_comm_s(2048, cells);
         let comm = m.comm_time(2048, cells);
         assert!(exposed > 0.5 * comm, "exposed {exposed} of {comm}");

@@ -26,9 +26,9 @@ fn main() {
     let steps = 10;
 
     println!("running {ranks} simulated ranks for {steps} steps (overlapped exchange)...");
-    // The overlapped exchange hides the halo messages behind the interior
-    // sweeps; the cross-check below proves it is bitwise identical to the
-    // plain sendrecv gather path.
+    // The overlapped exchange pipelines each axis's halo messages behind
+    // the previous axis's sweep; the cross-check below proves it is bitwise
+    // identical to the plain sendrecv gather path.
     let opts = ResilienceOpts {
         exchange: ExchangeMode::Overlapped,
         output: Some(WaveOutput {

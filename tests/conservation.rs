@@ -70,11 +70,7 @@ fn conserved_for_every_solver() {
 
 #[test]
 fn conserved_for_every_pack_strategy() {
-    for pack in [
-        PackStrategy::CollapsedLoops,
-        PackStrategy::Tiled,
-        PackStrategy::Geam,
-    ] {
+    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
         let cfg = SolverConfig {
             rhs: RhsConfig {
                 pack,

@@ -211,7 +211,7 @@ fn every_time_scheme_solves_sod() {
 fn pack_strategies_identical_in_distributed_runs() {
     let case = presets::two_phase_benchmark(3, [8, 8, 8]);
     let mut fields = Vec::new();
-    for pack in [PackStrategy::CollapsedLoops, PackStrategy::Geam] {
+    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
         let cfg = SolverConfig {
             rhs: RhsConfig {
                 pack,

@@ -181,10 +181,10 @@ fn serial_and_one_rank_steps_trace_the_same_phase_spans() {
 #[test]
 fn overlapped_run_traces_hidden_and_exposed_comm() {
     // The overlap phases appear as spans on every rank — halo_post
-    // (posting sends/receives), interior_rhs (the compute hiding the
-    // messages), halo_drain (the *exposed* remainder of the exchange),
-    // shell_rhs (the boundary finish) — the stream stays well-nested,
-    // and the kernel ledger still reconciles exactly.
+    // (packing and sending), overlap_sweep (the compute hiding the
+    // messages), halo_drain (the *exposed* remainder of the exchange) —
+    // the stream stays well-nested, and the kernel ledger still
+    // reconciles exactly.
     let case = presets::sod(64);
     let cfg = cfg_for(RhsMode::Fused);
     let tracer = Arc::new(Tracer::new());
@@ -199,7 +199,7 @@ fn overlapped_run_traces_hidden_and_exposed_comm() {
     nesting::check_trace(&parsed).expect("overlap spans must stay well-nested");
     reconcile_trace(&parsed).expect("overlap must not break ledger reconciliation");
     for (rank, events) in &parsed.ranks {
-        for phase in ["halo_post", "interior_rhs", "halo_drain", "shell_rhs"] {
+        for phase in ["halo_post", "overlap_sweep", "halo_drain"] {
             assert!(
                 events.iter().any(|e| e.name == phase),
                 "rank {rank} lacks the {phase} span"
@@ -207,7 +207,7 @@ fn overlapped_run_traces_hidden_and_exposed_comm() {
         }
         // The hidden/exposed accounting is measurable from the trace:
         // spans are B/E pairs, so the per-phase total is the sum of the
-        // E−B gaps; the hidden-comm window (interior_rhs) must have
+        // E−B gaps; the hidden-comm window (overlap_sweep) must have
         // accumulated real time on every rank.
         let total = |name: &str| -> f64 {
             let mut sum = 0.0;
@@ -225,7 +225,7 @@ fn overlapped_run_traces_hidden_and_exposed_comm() {
             sum
         };
         assert!(
-            total("interior_rhs") > 0.0,
+            total("overlap_sweep") > 0.0,
             "rank {rank}: no hidden-comm window"
         );
         let _ = total("halo_drain");
