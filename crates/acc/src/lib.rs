@@ -44,6 +44,6 @@ pub use ledger::{
 pub use report::resilience_summary;
 pub use shared::ParSlice;
 pub use vector::{
-    hw_lane_width, validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64,
-    DEFAULT_WIDTH, MAX_WIDTH, MAX_WORKERS,
+    validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64, DEFAULT_WIDTH,
+    MAX_WIDTH, MAX_WORKERS,
 };

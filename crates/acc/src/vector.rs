@@ -49,24 +49,6 @@ pub fn validate_width(w: usize) -> Result<(), String> {
 /// process, not a tuning setting.
 pub const MAX_WORKERS: usize = 256;
 
-/// Lane width the host's SIMD units can actually retire per FP
-/// instruction, from the compile-time target features (8 under AVX-512, 4
-/// under AVX/AVX2, 2 under baseline x86-64 SSE2 or NEON, else 1). The
-/// roofline vector-efficiency model caps its predicted speedup here: lanes
-/// beyond the hardware width still execute, they just round-robin the same
-/// units.
-pub fn hw_lane_width() -> usize {
-    if cfg!(target_feature = "avx512f") {
-        8
-    } else if cfg!(target_feature = "avx") {
-        4
-    } else if cfg!(any(target_feature = "sse2", target_feature = "neon")) {
-        2
-    } else {
-        1
-    }
-}
-
 /// A packet of lanes of `f64`, all ops elementwise and bit-exact.
 ///
 /// Implemented by `f64` itself (width 1 — the scalar build) and by
@@ -567,11 +549,5 @@ mod tests {
             let width = with_lane_width!(w, L => L::WIDTH);
             assert_eq!(width, w);
         }
-    }
-
-    #[test]
-    fn hw_lane_width_is_a_valid_width() {
-        let w = hw_lane_width();
-        assert!(validate_width(w).is_ok());
     }
 }

@@ -72,8 +72,8 @@ fn bench_grind(c: &mut Criterion) {
     }
 
     // Tracing axis on the fused engine: "disabled" is the no-tracer fast
-    // path (must be free — bench_snapshot gates it at 2%), "enabled" has a
-    // live span/kernel event stream attached.
+    // path (must be free — the repo benchmark's `trace.overhead_frac`
+    // tracks it), "enabled" has a live span/kernel event stream attached.
     for traced in [false, true] {
         g.bench_with_input(
             BenchmarkId::new("tracing", if traced { "enabled" } else { "disabled" }),

@@ -1,6 +1,8 @@
-//! Kernel-level benchmarks: the WENO reconstruction and approximate
-//! Riemann solve that dominate Figs. 1, 6, and 7, plus the conversion and
-//! packing stages, measured on the host CPU.
+//! Kernel-level benchmarks: the WENO reconstruction (whole sweeps, and the
+//! fused engine's line kernel through each of its entries) and approximate
+//! Riemann solve that dominate Figs. 1, 6, and 7, measured on the host CPU.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -9,7 +11,7 @@ use mfc_bench::{packed_buffer, BENCH_N, BENCH_NF};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::fluid::{Fluid, FluidTable};
 use mfc_core::riemann::RiemannSolver;
-use mfc_core::weno::{reconstruct_sweep, WenoOrder};
+use mfc_core::weno::{self, reconstruct_sweep, WenoOrder};
 use mfc_layout::{Dims4, Flat4D};
 
 fn bench_weno(c: &mut Criterion) {
@@ -34,6 +36,54 @@ fn bench_weno(c: &mut Criterion) {
             b.iter(|| {
                 reconstruct_sweep(&ctx, order, &packed, n, &mut left, &mut right);
                 std::hint::black_box(left.as_slice()[0])
+            })
+        });
+    }
+    g.finish();
+}
+
+/// One entry point of the WENO line kernel.
+type WenoLineFn = fn(WenoOrder, &[f64], usize, usize, &mut [f64], &mut [f64]);
+
+/// The WENO5 line kernel alone, outside the solver: the entry the fused
+/// engine dispatches to (AVX2 where the CPU has it) against the
+/// baseline-target entry, on a cache-resident batch of 96-cell lines (the
+/// `grind3d` line length).
+fn bench_weno_line(c: &mut Criterion) {
+    const LINES: usize = 56;
+    const CELLS: usize = 96;
+    const PAD: usize = 3;
+    const SWEEPS: usize = 200;
+    let ext = CELLS + 2 * PAD;
+    let v: Vec<f64> = (0..LINES * ext)
+        .map(|i| 1.0 + 0.3 * (i as f64 * 0.07).sin() + 1e-3 * ((i * 7919) % 1013) as f64)
+        .collect();
+    let mut left = vec![0.0; LINES * (CELLS + 1)];
+    let mut right = vec![0.0; LINES * (CELLS + 1)];
+
+    let mut g = c.benchmark_group("weno_line");
+    g.throughput(Throughput::Elements((SWEEPS * LINES * (CELLS + 1)) as u64));
+    g.sample_size(10);
+    let entries: [(String, WenoLineFn); 2] = [
+        (
+            format!("dispatched_{}", weno::line_isa()),
+            weno::reconstruct_line_padded,
+        ),
+        ("baseline".into(), weno::reconstruct_line_padded_baseline),
+    ];
+    for (name, entry) in entries {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..SWEEPS {
+                    for ((line, l), r) in v
+                        .chunks_exact(ext)
+                        .zip(left.chunks_exact_mut(CELLS + 1))
+                        .zip(right.chunks_exact_mut(CELLS + 1))
+                    {
+                        entry(WenoOrder::Weno5, black_box(line), PAD, CELLS, l, r);
+                    }
+                }
+                black_box(left[0] + right[0])
             })
         });
     }
@@ -87,5 +137,5 @@ fn bench_riemann(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_weno, bench_riemann);
+criterion_group!(benches, bench_weno, bench_weno_line, bench_riemann);
 criterion_main!(benches);

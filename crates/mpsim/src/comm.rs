@@ -373,8 +373,8 @@ impl Comm {
         payload
     }
 
-    /// The untraced blocking-receive core shared by [`Comm::recv`],
-    /// [`Comm::wait`] and the policied path.
+    /// The untraced blocking-receive core shared by [`Comm::recv`] and
+    /// the policied path.
     fn recv_blocking(&mut self, source: usize, tag: u64) -> Vec<f64> {
         if let Some(p) = self.take_pending(source, tag) {
             return p;
@@ -480,29 +480,10 @@ impl Comm {
         self.recv(source, recv_tag)
     }
 
-    /// Fault-aware [`Comm::sendrecv`].
-    pub fn sendrecv_policied(
-        &mut self,
-        dest: usize,
-        send_tag: u64,
-        payload: Vec<f64>,
-        source: usize,
-        recv_tag: u64,
-    ) -> Result<Vec<f64>, CommFault> {
-        self.send(dest, send_tag, payload);
-        self.recv_policied(source, recv_tag)
-    }
-
     /// Synchronize the current epoch's roster (`MPI_Barrier`).
     pub fn barrier(&self) {
         let _span = self.trace_collective("barrier", 0);
         self.barrier.wait(self.size());
-    }
-
-    /// Fault-aware barrier: message-based (star), so a dead or silent
-    /// rank surfaces as an error instead of a hang.
-    pub fn barrier_policied(&mut self) -> Result<(), CommFault> {
-        self.allreduce_policied(0.0, |a, b| a + b).map(|_| ())
     }
 
     /// All-reduce of one scalar (`MPI_Allreduce`): every rank receives
@@ -554,19 +535,9 @@ impl Comm {
         }
     }
 
-    /// Sum-reduce a scalar across ranks.
-    pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        self.allreduce(value, |a, b| a + b)
-    }
-
     /// Min-reduce a scalar across ranks (the CFL Δt reduction).
     pub fn allreduce_min(&mut self, value: f64) -> f64 {
         self.allreduce(value, f64::min)
-    }
-
-    /// Max-reduce a scalar across ranks.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        self.allreduce(value, f64::max)
     }
 
     /// Gather every rank's buffer to rank 0 (`MPI_Gatherv`).
@@ -587,44 +558,6 @@ impl Comm {
         }
     }
 
-    /// Broadcast rank 0's buffer to everyone (`MPI_Bcast`). Non-root
-    /// callers pass their (ignored) placeholder and receive the root's.
-    pub fn bcast(&mut self, payload: Vec<f64>) -> Vec<f64> {
-        let _span = self.trace_collective("bcast", (payload.len() * 8) as u64);
-        const BCAST_TAG: u64 = u64::MAX - 4;
-        if self.logical == 0 {
-            for dst in 1..self.size() {
-                self.send(dst, BCAST_TAG, payload.clone());
-            }
-            payload
-        } else {
-            self.recv(0, BCAST_TAG)
-        }
-    }
-
-    /// Scatter rank 0's per-rank chunks (`MPI_Scatterv`): rank 0 passes
-    /// `Some(chunks)` with one entry per rank, everyone else `None`; each
-    /// rank receives its chunk.
-    pub fn scatter(&mut self, chunks: Option<Vec<Vec<f64>>>) -> Vec<f64> {
-        let bytes = chunks
-            .as_ref()
-            .map(|c| c.iter().map(|v| v.len() * 8).sum::<usize>() as u64)
-            .unwrap_or(0);
-        let _span = self.trace_collective("scatter", bytes);
-        const SCATTER_TAG: u64 = u64::MAX - 5;
-        if self.logical == 0 {
-            let mut chunks = chunks.expect("root must supply the chunks");
-            assert_eq!(chunks.len(), self.size(), "need one chunk per rank");
-            for (dst, chunk) in chunks.iter().enumerate().skip(1) {
-                self.send(dst, SCATTER_TAG, chunk.clone());
-            }
-            std::mem::take(&mut chunks[0])
-        } else {
-            assert!(chunks.is_none(), "non-root ranks pass None");
-            self.recv(0, SCATTER_TAG)
-        }
-    }
-
     /// Complete this rank's side of a recovery: discard every buffered
     /// message from the old generation and enter the board's current one.
     /// Call after [`crate::fault::FaultBoard::rendezvous`] returns.
@@ -634,60 +567,13 @@ impl Comm {
     }
 }
 
-/// A pending non-blocking receive (`MPI_Request` from `MPI_Irecv`).
-///
-/// Sends are buffered in this simulator, so `isend` completes
-/// immediately; only receives need request objects.
-#[derive(Debug)]
-pub struct RecvRequest {
-    source: usize,
-    tag: u64,
-}
-
-impl Comm {
-    /// Non-blocking send (`MPI_Isend`) — identical to [`Comm::send`]
-    /// because sends are buffered, but kept as a named operation so
-    /// communication code reads like its MPI original.
-    pub fn isend(&self, dest: usize, tag: u64, payload: Vec<f64>) {
-        self.send(dest, tag, payload);
-    }
-
-    /// Post a non-blocking receive (`MPI_Irecv`): returns a request to be
-    /// completed with [`Comm::wait`] or [`Comm::waitall`].
-    pub fn irecv(&self, source: usize, tag: u64) -> RecvRequest {
-        RecvRequest { source, tag }
-    }
-
-    /// Complete one receive request (`MPI_Wait`).
-    pub fn wait(&mut self, req: RecvRequest) -> Vec<f64> {
-        let t0 = Instant::now();
-        let payload = self.recv_blocking(req.source, req.tag);
-        if let Some(t) = &self.tracer {
-            t.comm(CommOp::Wait, req.source, (payload.len() * 8) as u64, t0);
-        }
-        payload
-    }
-
-    /// Fault-aware [`Comm::wait`].
-    pub fn wait_policied(&mut self, req: RecvRequest) -> Result<Vec<f64>, CommFault> {
-        self.recv_policied(req.source, req.tag)
-    }
-
-    /// Complete a batch of receive requests (`MPI_Waitall`); results are
-    /// returned in the order the requests were posted.
-    pub fn waitall(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f64>> {
-        let _span = self.trace_collective("waitall", 0);
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-}
-
 /// Spawns `size` ranks and runs `body` on each; returns the per-rank
 /// results ordered by rank (`mpirun` + collect).
 ///
 /// ```
 /// use mfc_mpsim::World;
-/// let sums = World::run(4, |mut comm| comm.allreduce_sum(comm.rank() as f64));
-/// assert_eq!(sums, vec![6.0; 4]);
+/// let mins = World::run(4, |mut comm| comm.allreduce_min(comm.rank() as f64 + 1.0));
+/// assert_eq!(mins, vec![1.0; 4]);
 /// ```
 pub struct World;
 
@@ -833,12 +719,8 @@ mod tests {
 
     #[test]
     fn allreduce_ops() {
-        let sums = World::run(4, |mut c| c.allreduce_sum(c.rank() as f64 + 1.0));
-        assert!(sums.iter().all(|&s| s == 10.0));
         let mins = World::run(4, |mut c| c.allreduce_min(c.rank() as f64));
         assert!(mins.iter().all(|&m| m == 0.0));
-        let maxs = World::run(4, |mut c| c.allreduce_max(c.rank() as f64));
-        assert!(maxs.iter().all(|&m| m == 3.0));
     }
 
     #[test]
@@ -852,36 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_delivers_roots_buffer() {
-        let got = World::run(4, |mut c| {
-            let local = if c.rank() == 0 {
-                vec![7.0, 8.0]
-            } else {
-                vec![]
-            };
-            c.bcast(local)
-        });
-        for v in got {
-            assert_eq!(v, vec![7.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_chunks() {
-        let got = World::run(3, |mut c| {
-            let chunks = if c.rank() == 0 {
-                Some(vec![vec![0.0], vec![1.0, 1.0], vec![2.0, 2.0, 2.0]])
-            } else {
-                None
-            };
-            c.scatter(chunks)
-        });
-        assert_eq!(got[0], vec![0.0]);
-        assert_eq!(got[1], vec![1.0, 1.0]);
-        assert_eq!(got[2], vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
     fn barrier_does_not_deadlock() {
         let got = World::run(4, |c| {
             for _ in 0..10 {
@@ -892,36 +744,47 @@ mod tests {
         assert_eq!(got.iter().sum::<i32>(), 4);
     }
 
+    /// What `halo_drain` relies on: receives match across sources in any
+    /// arrival order (the MPI_Irecv + MPI_Waitall pattern over `recv`).
     #[test]
     fn irecv_waitall_completes_out_of_order_arrivals() {
         let got = World::run(3, |mut c| {
             if c.rank() == 0 {
-                // Post receives from both peers before anything arrives.
-                let r2 = c.irecv(2, 9);
-                let r1 = c.irecv(1, 9);
-                let results = c.waitall(vec![r1, r2]);
-                results[0][0] * 10.0 + results[1][0]
+                // Rank 1 sends before the barrier, rank 2 after it: the
+                // rank-2 receive must buffer rank 1's earlier arrival.
+                c.barrier();
+                let b = c.recv(2, 9);
+                let a = c.recv(1, 9);
+                a[0] * 10.0 + b[0]
             } else {
-                c.isend(0, 9, vec![c.rank() as f64]);
+                if c.rank() == 1 {
+                    c.send(0, 9, vec![1.0]);
+                }
+                c.barrier();
+                if c.rank() == 2 {
+                    c.send(0, 9, vec![2.0]);
+                }
                 0.0
             }
         });
         assert_eq!(got[0], 12.0);
     }
 
+    /// What `halo_post` relies on: sends complete before the peer posts
+    /// any receive (the MPI_Isend pattern over the buffered `send`).
     #[test]
     fn isend_does_not_block_without_matching_recv_yet() {
         let got = World::run(2, |mut c| {
             if c.rank() == 0 {
                 // Two sends complete before the peer posts any receive.
-                c.isend(1, 1, vec![1.0]);
-                c.isend(1, 2, vec![2.0]);
+                c.send(1, 1, vec![1.0]);
+                c.send(1, 2, vec![2.0]);
                 c.barrier();
                 0.0
             } else {
                 c.barrier();
-                let a = c.wait(c.irecv(0, 2));
-                let b = c.wait(c.irecv(0, 1));
+                let a = c.recv(0, 2);
+                let b = c.recv(0, 1);
                 a[0] * 10.0 + b[0]
             }
         });
@@ -930,7 +793,7 @@ mod tests {
 
     #[test]
     fn single_rank_world_works() {
-        let got = World::run(1, |mut c| c.allreduce_sum(5.0));
+        let got = World::run(1, |mut c| c.allreduce_min(5.0));
         assert_eq!(got, vec![5.0]);
     }
 
@@ -1214,7 +1077,7 @@ mod tests {
                 };
             }
             assert_eq!(c.size(), 2, "spares sit outside the communicator");
-            let s = c.allreduce_sum(1.0);
+            let s = c.allreduce(1.0, |a, b| a + b);
             bctx.board.shutdown();
             s
         });

@@ -34,7 +34,7 @@ pub mod io;
 pub use cart::{
     best_block_dims, block_extents, validate_halo_extents, CartComm, DecompositionError,
 };
-pub use comm::{Comm, RecvRequest, World, MAX_RANKS};
+pub use comm::{Comm, World, MAX_RANKS};
 pub use costmodel::{CommParams, Staging};
 pub use fault::{
     CommFault, DetectorConfig, FailurePolicy, FaultBoard, FaultCtx, FaultPlan, MsgDelay, MsgFault,

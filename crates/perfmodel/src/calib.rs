@@ -136,17 +136,6 @@ pub const GRIND_TABLE: [DeviceGrind; 9] = [
     },
 ];
 
-/// SIMD issue efficiency of the lane packets on the CI container host:
-/// the fraction of each *additional* hardware lane that survives into
-/// measured throughput (1.0 = perfect vector issue, 0.0 = lanes are
-/// free-of-charge scalar replays). Calibrated once against the perf
-/// snapshot's measured fused W=4 / W=1 grind ratio on the container's
-/// SSE2 pipe (`hw_lane_width() == 2`, so predicted speedup is
-/// `1 + eff`); `bench_snapshot --check` re-validates the prediction
-/// against every future measurement within the 25% envelope, same
-/// policy as [`GRIND_TABLE`].
-pub const HOST_SIMD_ISSUE_EFFICIENCY: f64 = 0.25;
-
 /// Look up a device's calibrated grind decomposition by catalog name.
 pub fn grind_for(name: &str) -> Option<DeviceGrind> {
     GRIND_TABLE.iter().copied().find(|g| g.device == name)

@@ -117,21 +117,6 @@ pub const POWER10: DeviceSpec = DeviceSpec {
     llc_mib: 120.0,
 };
 
-/// One core of a generic container-class x86-64 host — what the perf
-/// snapshot and CI runners execute on. Nominal numbers: ~2 FP64
-/// ops/cycle/lane at ~2 GHz through a 2-wide SSE2 pipe (8 GFLOP/s vector
-/// peak, 4 scalar), and ~15 GB/s of per-core DRAM bandwidth. The vector-
-/// efficiency gate only uses the *ratio* `scalar_peak / bandwidth` (the
-/// scalar-issue ridge at 0.27 FLOP/byte), and the sweep kernels sit well
-/// above it, so modest spec errors cannot flip the headroom verdict.
-pub const CONTAINER_HOST_CORE: DeviceSpec = DeviceSpec {
-    name: "container x86-64 core",
-    kind: DeviceKind::Cpu,
-    peak_fp64_gflops: 8.0,
-    mem_bw_gbs: 15.0,
-    llc_mib: 8.0,
-};
-
 /// The five GPUs of Figs. 5–7, in the paper's column order.
 pub const GPUS: [DeviceSpec; 5] = [GH200, H100_SXM, A100_PCIE, V100_PCIE, MI250X_GCD];
 

@@ -16,7 +16,6 @@
 //! check (who wins, by what factor, where crossovers fall).
 
 pub mod calib;
-pub mod ensemble;
 pub mod figures;
 pub mod fusionmodel;
 pub mod hw;
@@ -26,13 +25,9 @@ pub mod roofline;
 pub mod scaling;
 pub mod workload;
 
-pub use calib::{DeviceGrind, GRIND_TABLE, HOST_SIMD_ISSUE_EFFICIENCY};
-pub use ensemble::{elastic_lower_bound, lpt_makespan, EnsembleModel, JobCost};
-pub use hw::{DeviceKind, DeviceSpec, CONTAINER_HOST_CORE};
+pub use calib::{DeviceGrind, GRIND_TABLE};
+pub use hw::{DeviceKind, DeviceSpec};
 pub use projection::{projection_report, ProjectionRow};
-pub use roofline::{
-    attainable_gflops, predicted_vector_speedup, vector_roofline_cap, RooflinePoint,
-    VectorEfficiency,
-};
+pub use roofline::{attainable_gflops, RooflinePoint};
 pub use scaling::{ScalingModel, ScalingPoint};
 pub use workload::WorkloadProfile;

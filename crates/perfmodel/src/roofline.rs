@@ -46,80 +46,6 @@ impl RooflinePoint {
     }
 }
 
-/// Lane-tiling summary of a vector-executed run — the accounting behind
-/// the OpenACC `vector` analog's efficiency model. The execution context
-/// counts whole lane packets and scalar-remainder tail elements
-/// (`mfc_acc::Context::lane_stats`); this wraps them into the effective
-/// width the roofline projection uses.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct VectorEfficiency {
-    /// Configured lane width `W`.
-    pub width: usize,
-    /// Whole `W`-wide packets executed.
-    pub full_packets: u64,
-    /// Elements that fell into scalar remainder tails.
-    pub tail_elems: u64,
-}
-
-impl VectorEfficiency {
-    pub fn new(width: usize, (full_packets, tail_elems): (u64, u64)) -> Self {
-        VectorEfficiency {
-            width,
-            full_packets,
-            tail_elems,
-        }
-    }
-
-    /// Effective lane width `W * full / (full + tail)`: each tail element
-    /// costs a full scalar issue slot, so a tiling that degenerates into
-    /// tails converges to width 1 worth of throughput per issue. `W` when
-    /// no vector launch ran.
-    pub fn effective_width(&self) -> f64 {
-        let issues = self.full_packets + self.tail_elems;
-        if issues == 0 {
-            return self.width as f64;
-        }
-        self.width as f64 * self.full_packets as f64 / issues as f64
-    }
-
-    /// Fraction of elements processed in scalar tails (0 when none ran).
-    pub fn tail_fraction(&self) -> f64 {
-        let elems = self.width as u64 * self.full_packets + self.tail_elems;
-        if elems == 0 {
-            return 0.0;
-        }
-        self.tail_elems as f64 / elems as f64
-    }
-}
-
-/// Memory-roofline cap on the speedup vector lanes can deliver at
-/// arithmetic intensity `ai` on `spec`, whose spec-sheet peak counts
-/// `hw_width`-wide vector issue. Scalar issue runs at `peak / hw_width`;
-/// lanes multiply compute throughput but can never push the kernel past
-/// `ai * bandwidth`, so the speedup saturates at
-/// `ai * bw / scalar_peak` — 1.0 exactly when the kernel is
-/// bandwidth-bound already at scalar issue (no headroom).
-pub fn vector_roofline_cap(spec: &DeviceSpec, hw_width: usize, ai: f64) -> f64 {
-    let scalar_peak = spec.peak_fp64_gflops / hw_width.max(1) as f64;
-    (ai * spec.mem_bw_gbs / scalar_peak).max(1.0)
-}
-
-/// Predicted speedup of running at effective lane width `effective_width`
-/// over scalar issue: the packet stream retires `min(e, hw_width)` lanes
-/// per issue at SIMD issue efficiency `issue_efficiency` (calibrated per
-/// host, [`crate::calib::HOST_SIMD_ISSUE_EFFICIENCY`] for CI containers),
-/// bounded above by the memory roofline via [`vector_roofline_cap`].
-pub fn predicted_vector_speedup(
-    effective_width: f64,
-    hw_width: usize,
-    issue_efficiency: f64,
-    roofline_cap: f64,
-) -> f64 {
-    let lanes = effective_width.clamp(1.0, hw_width.max(1) as f64);
-    let compute = 1.0 + (lanes - 1.0) * issue_efficiency;
-    compute.min(roofline_cap).max(1.0)
-}
-
 /// Effective (cache-aware) arithmetic intensity per kernel class.
 ///
 /// The ledger's byte counts assume every stencil operand comes from DRAM;
@@ -183,39 +109,6 @@ mod tests {
                 p.attainable_gflops
             );
         }
-    }
-
-    #[test]
-    fn effective_width_degrades_with_tails() {
-        // Pure packets: full width. Pure tails: width-1 throughput.
-        let clean = VectorEfficiency::new(4, (1000, 0));
-        assert!((clean.effective_width() - 4.0).abs() < 1e-12);
-        assert_eq!(clean.tail_fraction(), 0.0);
-        let dirty = VectorEfficiency::new(4, (0, 1000));
-        assert!((dirty.effective_width() - 0.0).abs() < 1e-12);
-        assert!((dirty.tail_fraction() - 1.0).abs() < 1e-12);
-        // A 24-wide row at W=4: 6 packets, no tail; 25-wide: 6 + 1 tail.
-        let row25 = VectorEfficiency::new(4, (6, 1));
-        assert!(row25.effective_width() < 4.0 && row25.effective_width() > 3.0);
-        // No vector launches: neutral.
-        assert_eq!(VectorEfficiency::new(4, (0, 0)).effective_width(), 4.0);
-    }
-
-    #[test]
-    fn memory_bound_kernels_get_no_vector_headroom() {
-        // At AI below the scalar-issue ridge the cap collapses to 1 and
-        // the prediction refuses any speedup regardless of lane width.
-        let spec = V100_PCIE; // ridge at 7000/900 ≈ 7.8; scalar ridge ≈ 0.24 at hw=32
-        let cap = vector_roofline_cap(&spec, 32, 0.1);
-        assert_eq!(cap, 1.0);
-        assert_eq!(predicted_vector_speedup(8.0, 8, 1.0, cap), 1.0);
-        // Compute-bound: full lanes at perfect issue efficiency.
-        let cap = vector_roofline_cap(&spec, 32, 100.0);
-        assert!((predicted_vector_speedup(4.0, 8, 1.0, cap) - 4.0).abs() < 1e-12);
-        // Effective width is clamped to what the hardware can retire.
-        assert!((predicted_vector_speedup(8.0, 2, 1.0, cap) - 2.0).abs() < 1e-12);
-        // Issue efficiency scales the win linearly below the cap.
-        assert!((predicted_vector_speedup(2.0, 2, 0.5, cap) - 1.5).abs() < 1e-12);
     }
 
     #[test]

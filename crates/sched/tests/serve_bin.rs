@@ -1,7 +1,7 @@
 //! End-to-end tests of the `mfc-serve` *binary*: manifest mode (was
 //! `scripts/serve_smoke.sh`), startup validation exit codes and the full
-//! daemon lifecycle over a real socket, exactly as an operator would
-//! drive it.
+//! daemon lifecycle over a real socket (was `scripts/serve_daemon_smoke.sh`),
+//! exactly as an operator would drive it.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -400,21 +400,33 @@ fn is_ok(v: &serde_json::Value) -> bool {
 }
 
 /// Full daemon lifecycle against the real binary: bind on an ephemeral
-/// port, submit a job over TCP, drain, exit 0, complete ledger on disk.
+/// port, survive a malformed frame, submit a job over TCP, count it in
+/// `metrics`, drain, exit 0, complete ledger on disk — and the streamed
+/// job's checkpoint is the bytes the same job writes in manifest mode.
 #[test]
 fn daemon_end_to_end_over_tcp() {
     let mut d = Daemon::spawn("e2e");
+    let case = serde_json::to_string(&Path::new(sod_case())).unwrap();
 
     let v = d.roundtrip(r#"{"cmd":"ping"}"#);
     assert!(is_ok(&v), "{v:?}");
 
-    let submit = format!(
-        r#"{{"cmd":"submit","job":{{"case":{},"name":"wire","max_steps":6}}}}"#,
-        serde_json::to_string(&Path::new(sod_case())).unwrap()
+    // A non-JSON frame gets a typed error; the connection survives it.
+    let v = d.roundtrip("this is not json");
+    assert_eq!(
+        v["error"]["kind"].as_str(),
+        Some("malformed_frame"),
+        "{v:?}"
     );
+
+    let submit =
+        format!(r#"{{"cmd":"submit","job":{{"case":{case},"name":"wire","max_steps":6}}}}"#);
     let v = d.roundtrip(&submit);
     assert!(is_ok(&v), "{v:?}");
     let id = v.get("id").and_then(|i| i.as_u64()).unwrap();
+
+    let v = d.roundtrip(r#"{"cmd":"metrics"}"#);
+    assert_eq!(v["metrics"]["submitted"].as_u64(), Some(1), "{v:?}");
 
     let v = d.roundtrip(r#"{"cmd":"drain"}"#);
     assert!(is_ok(&v), "{v:?}");
@@ -439,6 +451,24 @@ fn daemon_end_to_end_over_tcp() {
         .and_then(|o| o.as_str())
         .expect("done job records its checkpoint path");
     assert!(Path::new(ckpt).is_file(), "missing checkpoint {ckpt}");
+
+    // The transport is numerically invisible: the same job through
+    // `--jobs` writes the same checkpoint bytes.
+    let dir = tmp_dir("e2e_manifest");
+    let manifest = dir.join("jobs.json");
+    let out = serde_json::to_string(&dir.join("out")).unwrap();
+    let jobs = format!(
+        r#"{{ "out_dir": {out},
+              "jobs": [ {{ "case": {case}, "name": "wire", "max_steps": 6 }} ] }}"#
+    );
+    fs::write(&manifest, jobs).unwrap();
+    let (code, text) = serve(&["--jobs", manifest.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(
+        fs::read(ckpt).unwrap() == fs::read(dir.join("out/00_wire/final.ckpt")).unwrap(),
+        "streamed checkpoint differs from manifest mode"
+    );
+    let _ = fs::remove_dir_all(&dir);
     d.finish();
 }
 

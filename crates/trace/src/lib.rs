@@ -10,7 +10,8 @@
 //!   ring-buffered event stream per simulated rank, deterministic
 //!   per-rank span ids, RAII [`SpanGuard`]s, counters and instants. The
 //!   disabled path is a single `Option` check at each instrumented site
-//!   (gated by `bench_snapshot`'s grind-regression check).
+//!   (the repo benchmark's `trace.overhead_frac` measures traced vs
+//!   untraced steps on every PR).
 //! * [`chrome`] — chrome://tracing JSON export (per-rank timelines, one
 //!   `tid` lane per rank, loadable in Perfetto) with each rank's
 //!   analytic-ledger snapshot embedded in the file metadata, plus a

@@ -19,6 +19,15 @@ fn fmt_bytes(b: f64) -> String {
     }
 }
 
+/// Wall ns per item of a kernel's iteration space — the per-stage cost
+/// (e.g. WENO ns per face-variable); `-` for a kernel that ran no items.
+fn ns_per_item(a: &KernelAgg) -> String {
+    if a.items == 0 {
+        return "-".into();
+    }
+    format!("{:.2}", a.wall_us * 1e3 / a.items as f64)
+}
+
 /// Merge per-rank kernel aggregates into job-wide totals per label.
 fn job_totals(trace: &ParsedTrace) -> BTreeMap<String, KernelAgg> {
     let mut out: BTreeMap<String, KernelAgg> = BTreeMap::new();
@@ -212,13 +221,13 @@ pub fn render(trace: &ParsedTrace) -> String {
     let _ = writeln!(out, "\nper-kernel aggregate (all ranks):");
     let _ = writeln!(
         out,
-        "  {:<26} {:>9} {:>14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>7}",
-        "kernel", "launches", "items", "gangs", "lanes", "flops", "read", "written", "wall%"
+        "  {:<26} {:>9} {:>14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>9}   wall%",
+        "kernel", "launches", "items", "gangs", "lanes", "flops", "read", "written", "ns/item"
     );
     for (label, a) in &rows {
         let _ = writeln!(
             out,
-            "  {:<26} {:>9} {:>14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>6.1}%",
+            "  {:<26} {:>9} {:>14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>9} {:>6.1}%",
             label,
             a.launches,
             a.items,
@@ -227,6 +236,7 @@ pub fn render(trace: &ParsedTrace) -> String {
             format!("{:.3e}", a.flops),
             fmt_bytes(a.bytes_read),
             fmt_bytes(a.bytes_written),
+            ns_per_item(a),
             if total_wall > 0.0 {
                 100.0 * a.wall_us / total_wall
             } else {
@@ -324,6 +334,31 @@ mod tests {
         assert!(text.contains("OK — traced per-kernel totals match"));
         assert!(text.contains("comm/compute split"));
         assert!(text.contains("rank"));
+    }
+
+    #[test]
+    fn ns_per_item_is_wall_over_items_and_dashes_empty_kernels() {
+        let tracer = Tracer::new();
+        let h = tracer.handle(0);
+        let us = Duration::from_micros;
+        h.kernel("weno", 50, 1.0, 8.0, 8.0, Instant::now(), us(10));
+        h.kernel("weno", 50, 1.0, 8.0, 8.0, Instant::now(), us(10));
+        h.kernel("empty", 0, 0.0, 0.0, 0.0, Instant::now(), us(3));
+        let parsed = parse_str(&export_to_string(&tracer.snapshot())).unwrap();
+        let text = render(&parsed);
+        // ns/item is the second-to-last column of a kernel row.
+        let column = |label: &str| {
+            let row = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(label))
+                .unwrap_or_else(|| panic!("no {label} row:\n{text}"));
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            cells[cells.len() - 2].to_string()
+        };
+        let weno = &job_totals(&parsed)["weno"];
+        assert_eq!((weno.items, weno.wall_us), (100, 20.0));
+        assert_eq!(column("weno"), "200.00", "20 us / 100 items:\n{text}");
+        assert_eq!(column("empty"), "-", "{text}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Overhead discipline: instrumented call sites hold an
 //! `Option<Arc<TraceHandle>>` and the disabled path is a single `None`
-//! check (bench-gated by `bench_snapshot`). The enabled path appends one
-//! fixed-size [`Event`] to a bounded `VecDeque`; when the ring is full the
-//! oldest event is dropped and counted, never blocking the solver.
+//! check (measured by the repo benchmark's `trace.overhead_frac`). The
+//! enabled path appends one fixed-size [`Event`] to a bounded `VecDeque`;
+//! when the ring is full the oldest event is dropped and counted, never
+//! blocking the solver.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
