@@ -100,6 +100,7 @@ impl Admitted {
         // One span tracer for the whole run; every rank registers its own
         // timeline against it. `None` keeps the per-launch fast path.
         let tracer: Option<Arc<Tracer>> = self.trace.as_ref().map(|_| Arc::new(Tracer::new()));
+        let cells = case.cells.iter().product::<usize>();
 
         let (global, steps_done, t_done, grind_ns, resilience) = if self.distributed {
             let steps = self.steps;
@@ -146,13 +147,12 @@ impl Admitted {
             )
             .map_err(map_resilience_err)?;
             let wall = t0.elapsed();
-            let cells = gf.n.iter().product::<usize>();
             let grind = wall.as_nanos() as f64
                 / (cells as f64
                     * gf.neq as f64
                     * (steps as f64 * cfg.scheme.stages() as f64).max(1.0));
             (
-                gf,
+                Some(gf),
                 steps as u64,
                 stats.time,
                 grind,
@@ -194,8 +194,10 @@ impl Admitted {
             // lands in the solver's own ledger.
             let resilience = resilience_summary(solver.context().ledger());
             solver.context().flush_ledger_to_trace();
+            // The snapshot copies the whole state; only the VTK writer
+            // reads it.
             (
-                run_single_snapshot(&solver, case),
+                self.output.vtk.then(|| run_single_snapshot(&solver, case)),
                 solver.steps(),
                 solver.time(),
                 solver.grind().ns_per_cell_eq_rhs(),
@@ -208,22 +210,24 @@ impl Admitted {
                 .map_err(|e| RunError::Io(format!("trace write failed: {e}")))?;
         }
 
-        let vtk_path = if self.output.vtk {
-            let path = out_dir.join(format!("{}.vtk", self.name));
-            let fields = vtk_fields(&case.eq());
-            let refs: Vec<(&str, usize)> = fields.iter().map(|(n, s)| (n.as_str(), *s)).collect();
-            write_vtk_rectilinear(&path, &case.grid(), &global, &refs)
-                .map_err(|e| RunError::Io(format!("vtk write failed: {e}")))?;
-            Some(path)
-        } else {
-            None
+        let vtk_path = match global.filter(|_| self.output.vtk) {
+            Some(global) => {
+                let path = out_dir.join(format!("{}.vtk", self.name));
+                let fields = vtk_fields(&case.eq());
+                let refs: Vec<(&str, usize)> =
+                    fields.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+                write_vtk_rectilinear(&path, &case.grid(), &global, &refs)
+                    .map_err(|e| RunError::Io(format!("vtk write failed: {e}")))?;
+                Some(path)
+            }
+            None => None,
         };
 
         Ok(RunSummary {
             name: self.name,
             steps: steps_done,
             time: t_done,
-            cells: global.n.iter().product(),
+            cells,
             grind_ns,
             vtk_path,
             resilience,

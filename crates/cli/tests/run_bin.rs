@@ -544,6 +544,34 @@ fn distributed_runs_report_the_simulation_time() {
     assert_eq!(done_time(&mfc_run(&two, &[])), t);
 }
 
+/// A serial run with VTK off takes no end-of-run copy of its state: it
+/// writes its probes, reports the grid's cell count, and writes no `.vtk`.
+#[test]
+fn vtk_off_serial_run_writes_probes_and_cells_but_no_vtk() {
+    let scratch = Scratch::new("novtk");
+    let case = scratch.small_sod("novtk", |c| {
+        c.output.vtk = false;
+        c.probes = vec![ProbeConfig {
+            name: "mid".into(),
+            x: [0.5, 0.0, 0.0],
+        }];
+    });
+    let out = mfc_run(&case, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("done:") && l.contains(" 32 cells,")),
+        "{stdout}"
+    );
+    let files = tree(&scratch.0.join("novtk"));
+    let names: Vec<_> = files.iter().map(|(path, _)| path.clone()).collect();
+    assert_eq!(names, [PathBuf::from("mid_probe.csv")]);
+    let rows = String::from_utf8_lossy(&files[0].1).lines().count();
+    assert_eq!(rows, 12, "one probe row per step");
+}
+
 /// The former `scripts/vector_smoke.sh` as rows: the lane width is bitwise
 /// invisible in every output artifact, an invalid width is a
 /// configuration error from the flag (the case-file key is a row of the

@@ -17,10 +17,11 @@ use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, 
 use serde::{Deserialize, Serialize};
 
 use crate::domain::{Domain, MAX_EQ};
+use crate::eos::cons_to_prim;
 use crate::eqidx::EqIdx;
 use crate::fluid::{Fluid, FluidTable};
 use crate::riemann::face_state;
-use crate::state::StateField;
+use crate::state::{convert_flops, StateField};
 
 /// Coordinate system of the governing equations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,7 +44,28 @@ impl Geometry {
     }
 }
 
-/// Add the axisymmetric geometric source to `rhs` over interior cells.
+/// The cells at flat index `cell..` of the conservative field `src`,
+/// converted to primitives in registers.
+#[inline(always)]
+fn load_prim<L: Lane>(
+    eq: &EqIdx,
+    fluids: &FluidTable,
+    src: &[f64],
+    cell: usize,
+    block: usize,
+) -> [L; MAX_EQ] {
+    let neq = eq.neq();
+    let (mut c, mut p) = ([L::splat(0.0); MAX_EQ], [L::splat(0.0); MAX_EQ]);
+    for (e, v) in c.iter_mut().enumerate().take(neq) {
+        *v = L::load(&src[cell + e * block..]);
+    }
+    cons_to_prim(eq, fluids, &c[..neq], &mut p[..neq]);
+    p
+}
+
+/// Add the axisymmetric geometric source of the conservative state `cons`
+/// to `rhs` over interior cells (each cell is converted to primitives
+/// in-kernel, by the same per-cell conversion as every primitive field).
 ///
 /// `radii` holds the ghost-inclusive radial (y) cell-center coordinates;
 /// they must be positive over the interior.
@@ -51,7 +73,7 @@ pub fn axisym_source(
     ctx: &Context,
     dom: &Domain,
     fluids: &[Fluid],
-    prim: &StateField,
+    cons: &StateField,
     radii: &[f64],
     rhs: &mut StateField,
 ) {
@@ -60,7 +82,7 @@ pub fn axisym_source(
     let neq = eq.neq();
     let cost = KernelCost::new(
         KernelClass::Other,
-        (3 * neq + 10) as f64,
+        (3 * neq + 10) as f64 + convert_flops(dom),
         8.0 * neq as f64,
         8.0 * neq as f64,
     );
@@ -69,7 +91,7 @@ pub fn axisym_source(
     let kernel = AxisymKernel {
         eq,
         fluids: &FluidTable::new(fluids),
-        src: prim.as_slice(),
+        src: cons.as_slice(),
         radii,
         ny: dom.n[1],
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
@@ -111,10 +133,7 @@ impl LaneKernel for AxisymKernel<'_> {
         let r = self.radii[j];
         debug_assert!(r > 0.0, "non-positive radius {r} at j={j}");
         let cell = i + self.ext1 * (j + self.ext2 * k);
-        let mut p = [L::splat(0.0); MAX_EQ];
-        for (e, v) in p.iter_mut().enumerate().take(neq) {
-            *v = L::load(&self.src[cell + e * self.block..]);
-        }
+        let p = load_prim::<L>(eq, self.fluids, self.src, cell, self.block);
         let fs = face_state(eq, self.fluids, &p[..neq], 1);
         let ur = p[eq.mom(1)];
         let factor = -ur / L::splat(r);
@@ -143,12 +162,13 @@ impl LaneKernel for AxisymKernel<'_> {
 /// ```
 ///
 /// (With `u_theta = 0` this reduces to [`axisym_source`]; the volume-
-/// fraction rows need no source for the same cancellation reason.)
+/// fraction rows need no source for the same cancellation reason.) Like
+/// [`axisym_source`], it reads the conservative state `cons`.
 pub fn cylindrical_source(
     ctx: &Context,
     dom: &Domain,
     fluids: &[Fluid],
-    prim: &StateField,
+    cons: &StateField,
     radii: &[f64],
     rhs: &mut StateField,
 ) {
@@ -157,7 +177,7 @@ pub fn cylindrical_source(
     let neq = eq.neq();
     let cost = KernelCost::new(
         KernelClass::Other,
-        (3 * neq + 16) as f64,
+        (3 * neq + 16) as f64 + convert_flops(dom),
         8.0 * neq as f64,
         8.0 * neq as f64,
     );
@@ -166,7 +186,7 @@ pub fn cylindrical_source(
     let kernel = CylindricalKernel {
         eq,
         fluids: &FluidTable::new(fluids),
-        src: prim.as_slice(),
+        src: cons.as_slice(),
         radii,
         ny: dom.n[1],
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
@@ -206,10 +226,7 @@ impl LaneKernel for CylindricalKernel<'_> {
         let r = self.radii[j];
         debug_assert!(r > 0.0, "non-positive radius {r} at j={j}");
         let cell = i + self.ext1 * (j + self.ext2 * k);
-        let mut p = [L::splat(0.0); MAX_EQ];
-        for (e, v) in p.iter_mut().enumerate().take(neq) {
-            *v = L::load(&self.src[cell + e * self.block..]);
-        }
+        let p = load_prim::<L>(eq, self.fluids, self.src, cell, self.block);
         let fs = face_state(eq, self.fluids, &p[..neq], 1);
         let (uz, ur, ut) = (p[eq.mom(0)], p[eq.mom(1)], p[eq.mom(2)]);
         let inv_r = L::splat(1.0 / r);
@@ -239,25 +256,35 @@ impl LaneKernel for CylindricalKernel<'_> {
 mod tests {
     use super::*;
     use crate::eqidx::EqIdx;
+    use crate::state::prim_to_cons_field;
 
-    #[test]
-    fn zero_radial_velocity_gives_zero_source() {
-        let eq = EqIdx::new(1, 2);
-        let dom = Domain::new([4, 4, 1], 2, eq);
-        let ctx = Context::serial();
+    /// A uniform single-fluid state with velocity `u`, as conservatives.
+    fn uniform(dom: Domain, rho: f64, u: [f64; 2]) -> StateField {
+        let eq = dom.eq;
         let mut prim = StateField::zeros(dom);
         for k in 0..dom.ext(2) {
             for j in 0..dom.ext(1) {
                 for i in 0..dom.ext(0) {
-                    prim.set(i, j, k, eq.cont(0), 1.2);
-                    prim.set(i, j, k, eq.mom(0), 100.0); // axial only
+                    prim.set(i, j, k, eq.cont(0), rho);
+                    prim.set(i, j, k, eq.mom(0), u[0]);
+                    prim.set(i, j, k, eq.mom(1), u[1]);
                     prim.set(i, j, k, eq.energy(), 1.0e5);
                 }
             }
         }
+        let mut cons = StateField::zeros(dom);
+        prim_to_cons_field(&Context::serial(), &[Fluid::air()], &prim, &mut cons);
+        cons
+    }
+
+    #[test]
+    fn zero_radial_velocity_gives_zero_source() {
+        let dom = Domain::new([4, 4, 1], 2, EqIdx::new(1, 2));
+        let ctx = Context::serial();
+        let cons = uniform(dom, 1.2, [100.0, 0.0]); // axial only
         let radii: Vec<f64> = (0..dom.ext(1)).map(|j| 0.5 + j as f64).collect();
         let mut rhs = StateField::zeros(dom);
-        axisym_source(&ctx, &dom, &[Fluid::air()], &prim, &radii, &mut rhs);
+        axisym_source(&ctx, &dom, &[Fluid::air()], &cons, &radii, &mut rhs);
         assert!(rhs.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -266,19 +293,10 @@ mod tests {
         let eq = EqIdx::new(1, 2);
         let dom = Domain::new([4, 4, 1], 2, eq);
         let ctx = Context::serial();
-        let mut prim = StateField::zeros(dom);
-        for k in 0..dom.ext(2) {
-            for j in 0..dom.ext(1) {
-                for i in 0..dom.ext(0) {
-                    prim.set(i, j, k, eq.cont(0), 1.0);
-                    prim.set(i, j, k, eq.mom(1), 2.0); // radial outflow
-                    prim.set(i, j, k, eq.energy(), 1.0e5);
-                }
-            }
-        }
+        let cons = uniform(dom, 1.0, [0.0, 2.0]); // radial outflow
         let radii: Vec<f64> = (0..dom.ext(1)).map(|j| 1.0 + j as f64).collect();
         let mut rhs = StateField::zeros(dom);
-        axisym_source(&ctx, &dom, &[Fluid::air()], &prim, &radii, &mut rhs);
+        axisym_source(&ctx, &dom, &[Fluid::air()], &cons, &radii, &mut rhs);
         // Mass source = -rho u_r / r; at j=2 (r=3), j=3 (r=4).
         let a = rhs.get(2, 2, 0, eq.cont(0));
         let b = rhs.get(2, 3, 0, eq.cont(0));

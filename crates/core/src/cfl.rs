@@ -1,8 +1,14 @@
 //! CFL-based time-step selection.
+//!
+//! The dt rule is one per-cell wave-speed rate ([`RateMetric::rate`]),
+//! maximised over the interior and turned into a step by
+//! [`dt_from_rate`]. The solver folds the rate into the post-step health
+//! scan ([`crate::health`]), so a step's dt normally costs no pass of its
+//! own; [`try_max_dt_geom`] is the same rule as a standalone reduction.
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneMaxKernel, LaunchConfig};
 
-use crate::eos::sound_speed;
+use crate::eos::{cons_to_prim, sound_speed};
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
 use crate::recovery::StepFault;
@@ -28,14 +34,45 @@ pub fn try_max_dt_geom(
     cfl: f64,
     radial_metric: Option<&[f64]>,
 ) -> Result<f64, StepFault> {
+    let metric = RateMetric::new(fluids, widths, radial_metric);
+    dt_from_rate(cfl, max_rate(ctx, fluids, prim, false, &metric))
+}
+
+/// `cfl / rate`: the one place a maximum wave-speed rate becomes a step.
+/// A non-finite or non-positive rate is [`StepFault::DegenerateWaveSpeed`].
+pub(crate) fn dt_from_rate(cfl: f64, rate: f64) -> Result<f64, StepFault> {
     assert!(cfl > 0.0 && cfl <= 1.0, "cfl must be in (0, 1], got {cfl}");
-    let dom = *prim.domain();
+    if rate.is_finite() && rate > 0.0 {
+        Ok(cfl / rate)
+    } else {
+        Err(StepFault::DegenerateWaveSpeed { rate })
+    }
+}
+
+/// Approximate FLOPs of one cell's rate (ledger accounting only).
+pub(crate) fn rate_flops(ndim: usize) -> f64 {
+    (20 + 6 * ndim) as f64
+}
+
+/// The maximum of [`RateMetric::rate`] over the interior of `state`, as
+/// one `s_compute_dt` reduction. `conservative` says `state` holds
+/// conservative variables, converted per cell in registers with the
+/// same [`cons_to_prim`] every primitive field is built with; otherwise
+/// it holds primitives. `-inf` when no cell has a finite rate.
+pub(crate) fn max_rate(
+    ctx: &Context,
+    fluids: &[Fluid],
+    state: &StateField,
+    conservative: bool,
+    metric: &RateMetric,
+) -> f64 {
+    let dom = *state.domain();
     let eq = dom.eq;
     let neq = eq.neq();
     let (nx, ny) = (dom.n[0], dom.n[1]);
     let cost = KernelCost::new(
         KernelClass::Other,
-        (20 + 6 * eq.ndim()) as f64,
+        rate_flops(eq.ndim()),
         8.0 * neq as f64,
         8.0,
     );
@@ -46,15 +83,13 @@ pub fn try_max_dt_geom(
     // item order.
     let table = FluidTable::new(fluids);
     let nz = dom.n[2];
-    let rate = with_eq_layout!(eq, eq => {
+    with_eq_layout!(eq, eq => {
         let kernel = DtKernel {
             eq,
-            fluids,
             table: &table,
-            src: prim.as_slice(),
-            widths,
-            radial_metric,
-            viscous: crate::viscous::is_viscous(fluids),
+            src: state.as_slice(),
+            conservative,
+            metric,
             ny,
             pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
             ext1: dom.ext(0),
@@ -62,11 +97,76 @@ pub fn try_max_dt_geom(
             block: dom.ext(0) * dom.ext(1) * dom.ext(2),
         };
         ctx.launch_max_vec(&cfg, cost, ny * nz, nx, &kernel)
-    });
-    if rate.is_finite() && rate > 0.0 {
-        Ok(cfl / rate)
-    } else {
-        Err(StepFault::DegenerateWaveSpeed { rate })
+    })
+}
+
+/// What the CFL rate of a cell depends on besides its primitives: the
+/// ghost-inclusive cell widths per axis, the azimuthal `r` of 3-D
+/// cylindrical runs, and the viscosities of the diffusive bound.
+pub(crate) struct RateMetric<'a> {
+    widths: [&'a [f64]; 3],
+    /// Ghost-inclusive radial centers: the azimuthal width is `r dtheta`.
+    radial: Option<&'a [f64]>,
+    /// Per-fluid viscosities; `None` when no fluid is viscous.
+    viscous: Option<&'a [Fluid]>,
+}
+
+impl<'a> RateMetric<'a> {
+    pub(crate) fn new(
+        fluids: &'a [Fluid],
+        widths: [&'a [f64]; 3],
+        radial: Option<&'a [f64]>,
+    ) -> Self {
+        RateMetric {
+            widths,
+            radial,
+            viscous: crate::viscous::is_viscous(fluids).then_some(fluids),
+        }
+    }
+
+    /// `sum_d (|u_d| + c) / h_d + 2 nu / h_d^2` of the primitive cells `p`
+    /// at ghost-inclusive `(i.., j, k)`: lanes run along x from `i`, and
+    /// each lane is bitwise the scalar rate of its own cell.
+    #[inline(always)]
+    pub(crate) fn rate<E: EqLayout, L: Lane>(
+        &self,
+        eq: &E,
+        table: &FluidTable,
+        p: &[L],
+        i: usize,
+        j: usize,
+        k: usize,
+    ) -> L {
+        let (rho, _, c) = sound_speed(eq, table, p);
+        // Mixture kinematic viscosity for the diffusive stability bound.
+        let nu = match self.viscous {
+            Some(fluids) => {
+                let mut alphas = [L::splat(0.0); crate::eos::MAX_FLUIDS];
+                eq.alphas(p, &mut alphas[..eq.nf()]);
+                let mut s = L::splat(0.0);
+                for (f, a) in fluids.iter().zip(&alphas[..eq.nf()]) {
+                    s = s + *a * L::splat(f.viscosity);
+                }
+                s / rho.max(L::splat(1e-300))
+            }
+            None => L::splat(0.0),
+        };
+        let mut rate = L::splat(0.0);
+        for d in 0..eq.ndim() {
+            let h = match d {
+                0 => L::load(&self.widths[0][i..]),
+                1 => L::splat(self.widths[1][j]),
+                _ => {
+                    let mut h = L::splat(self.widths[2][k]);
+                    if let Some(r) = self.radial {
+                        h = h * L::splat(r[j]);
+                    }
+                    h
+                }
+            };
+            rate = rate + ((p[eq.mom(d)].abs() + c) / h + L::splat(2.0) * nu / (h * h));
+        }
+        rate
     }
 }
 
@@ -76,13 +176,11 @@ pub fn try_max_dt_geom(
 /// per row and enter as splats.
 struct DtKernel<'a, E> {
     eq: E,
-    /// Per-fluid viscosities (the diffusive bound).
-    fluids: &'a [Fluid],
     table: &'a FluidTable,
     src: &'a [f64],
-    widths: [&'a [f64]; 3],
-    radial_metric: Option<&'a [f64]>,
-    viscous: bool,
+    /// `src` is conservative: convert each cell before its rate.
+    conservative: bool,
+    metric: &'a RateMetric<'a>,
     /// Interior cells along y.
     ny: usize,
     pad: [usize; 3],
@@ -101,40 +199,17 @@ impl<E: EqLayout> LaneMaxKernel for DtKernel<'_, E> {
         let k = row / self.ny + self.pad[2];
         let base = i + self.ext1 * (j + self.ext2 * k);
         let neq = eq.neq();
-        let mut p = eq.vars::<L>();
-        let p = &mut p.as_mut()[..neq];
-        for (e, v) in p.iter_mut().enumerate() {
+        let (mut s, mut p) = (eq.vars::<L>(), eq.vars::<L>());
+        let (s, p) = (&mut s.as_mut()[..neq], &mut p.as_mut()[..neq]);
+        for (e, v) in s.iter_mut().enumerate() {
             *v = L::load(&self.src[base + e * self.block..]);
         }
-        let (rho, _, c) = sound_speed(eq, self.table, p);
-        // Mixture kinematic viscosity for the diffusive stability bound.
-        let nu = if self.viscous {
-            let mut alphas = [L::splat(0.0); crate::eos::MAX_FLUIDS];
-            eq.alphas(p, &mut alphas[..eq.nf()]);
-            let mut s = L::splat(0.0);
-            for (f, a) in self.fluids.iter().zip(&alphas[..eq.nf()]) {
-                s = s + *a * L::splat(f.viscosity);
-            }
-            s / rho.max(L::splat(1e-300))
+        if self.conservative {
+            cons_to_prim(eq, self.table, s, p);
+            self.metric.rate(eq, self.table, p, i, j, k)
         } else {
-            L::splat(0.0)
-        };
-        let mut rate = L::splat(0.0);
-        for d in 0..eq.ndim() {
-            let h = match d {
-                0 => L::load(&self.widths[0][i..]),
-                1 => L::splat(self.widths[1][j]),
-                _ => {
-                    let mut h = L::splat(self.widths[2][k]);
-                    if let Some(r) = self.radial_metric {
-                        h = h * L::splat(r[j]);
-                    }
-                    h
-                }
-            };
-            rate = rate + ((p[eq.mom(d)].abs() + c) / h + L::splat(2.0) * nu / (h * h));
+            self.metric.rate(eq, self.table, s, i, j, k)
         }
-        rate
     }
 }
 

@@ -379,17 +379,17 @@ mod tests {
     mod specialisation {
         use super::super::FORCE_RUNTIME_LAYOUT;
         use crate::bc::{apply_bcs, BcSpec};
-        use crate::cfl::try_max_dt_geom;
+        use crate::cfl::{try_max_dt_geom, RateMetric};
         use crate::domain::Domain;
         use crate::eos::prim_to_cons;
         use crate::eqidx::EqIdx;
         use crate::fluid::{Fluid, FluidTable};
         use crate::grid::Grid;
-        use crate::health::{scan_and_convert, HealthConfig};
+        use crate::health::{scan, scan_and_convert, HealthConfig};
         use crate::limiter::Limiter;
         use crate::rhs::{compute_rhs, RhsConfig, RhsMode, RhsWorkspace};
         use crate::riemann::RiemannSolver;
-        use crate::state::StateField;
+        use crate::state::{cons_to_prim_field, StateField};
         use mfc_acc::Context;
         use proptest::prelude::*;
 
@@ -463,7 +463,8 @@ mod tests {
         }
 
         /// Everything one step derives from a state — RHS, div(u),
-        /// primitives (full-field and scan), health verdict, dt — as bits.
+        /// primitives (full-field and scan), health verdict, dt and the
+        /// scan's CFL rate — as bits.
         fn evaluate(
             q: &StateField,
             fl: &[Fluid],
@@ -484,21 +485,27 @@ mod tests {
                 grid.y.widths_with_ghosts(dom.pad(1)),
                 grid.z.widths_with_ghosts(dom.pad(2)),
             ];
-            let dt = try_max_dt_geom(&ctx, fl, &ws.prim, [&w[0], &w[1], &w[2]], 0.4, None);
+            let mut prim = StateField::zeros(dom);
+            cons_to_prim_field(&ctx, fl, q, &mut prim);
+            let widths = [&w[0][..], &w[1], &w[2]];
+            let dt = try_max_dt_geom(&ctx, fl, &prim, widths, 0.4, None);
             let mut scanned = StateField::zeros(dom);
-            let verdict = scan_and_convert(&ctx, fl, &HealthConfig::default(), q, &mut scanned);
+            let health = HealthConfig::default();
+            let verdict = scan_and_convert(&ctx, fl, &health, q, &mut scanned);
+            let metric = RateMetric::new(fl, widths, None);
+            let rate = scan(&ctx, fl, &health, q, None, Some(&metric));
             FORCE_RUNTIME_LAYOUT.set(false);
             let bits = [
                 rhs.as_slice(),
                 ws.divu(),
-                ws.prim.as_slice(),
+                prim.as_slice(),
                 scanned.as_slice(),
             ]
             .concat()
             .iter()
             .map(|v| v.to_bits())
             .collect();
-            (bits, format!("{dt:?} {verdict:?}"))
+            (bits, format!("{dt:?} {verdict:?} {rate:?}"))
         }
 
         proptest! {

@@ -9,20 +9,22 @@
 //! analog is loop fusion with cache blocking.
 //!
 //! This engine processes *pencils* — batches of [`PENCIL_B`] transverse
-//! lines along the sweep axis — through pack → WENO → Riemann → update in
-//! a single pass. All intermediates live in a few KB of per-pencil scratch
-//! ([`FusedScratch`]) that stays resident in L1/L2, and the per-face
-//! variable vectors are the layout's [`EqLayout::Vars`] — sized exactly
-//! `neq` for the shipped shapes, whose sweep body is instantiated over a
-//! [`crate::eqidx::ConstEq`] picked once per sweep (the compile-time-sized
-//! "private arrays" of §III-D). Two further sources of traffic disappear
-//! structurally:
+//! lines along the sweep axis — through gather → convert → WENO → Riemann
+//! → update in a single pass. All intermediates live in a few KB of
+//! per-pencil scratch ([`FusedScratch`]) that stays resident in L1/L2, and
+//! the per-face variable vectors are the layout's [`EqLayout::Vars`] —
+//! sized exactly `neq` for the shipped shapes, whose sweep body is
+//! instantiated over a [`crate::eqidx::ConstEq`] picked once per sweep
+//! (the compile-time-sized "private arrays" of §III-D). Two further
+//! sources of traffic disappear structurally:
 //!
-//! * no grid-sized packed buffer is materialized for any direction — the
-//!   gather stage copies each pencil's lines straight out of the canonical
-//!   primitive buffer (the x sweep needs no gather at all), batched along
-//!   the canonical-x coordinate so even the strided y/z gathers consume
-//!   whole cache lines;
+//! * no grid-sized buffer is materialized for any direction, primitives
+//!   included — the gather stage copies each pencil's lines straight out
+//!   of the conservative state (x lines too), batched along the
+//!   canonical-x coordinate so even the strided y/z gathers consume whole
+//!   cache lines, and converts them to primitives in scratch with the
+//!   same per-cell [`crate::eos::cons_to_prim`] every primitive field is
+//!   built with;
 //! * ghost *transverse* lines are skipped. The staged kernels reconstruct
 //!   and solve along every line of the padded buffer, but the update stage
 //!   only ever reads faces on interior transverse coordinates, so roughly
@@ -43,15 +45,16 @@
 //! to the scalar engine. The WENO stage runs the scalar per-cell line
 //! kernel at every width (its plain cell loop is what the compiler's loop
 //! vectoriser packs best, at the width of the entry the running CPU
-//! selects), and the gather stage stays scalar (it is a pure byte shuffle
-//! with no arithmetic to vectorize).
+//! selects). The gather's copy is a scalar byte shuffle; its conversion
+//! runs in lane packets along each gathered line.
 //!
 //! Every stage still lands in the `mfc-acc` ledger under its own label
-//! (`f_sweep_gather`/`f_weno_reconstruct`/`f_riemann_solve`/
-//! `f_flux_divergence`) with the staged-equivalent per-item costs, so
-//! roofline and breakdown figures keep decomposing; an `s_fused_sweep`
-//! marker of class [`KernelClass::Fused`] carries the orchestration
-//! residual so total ledger wall time stays honest.
+//! (`f_sweep_gather`/`f_sweep_convert`/`f_weno_reconstruct`/
+//! `f_riemann_solve`/`f_flux_divergence`) with the staged-equivalent
+//! per-item costs — the conversion carries the arithmetic, the gather the
+//! traffic — so roofline and breakdown figures keep decomposing; an
+//! `s_fused_sweep` marker of class [`KernelClass::Fused`] carries the
+//! orchestration residual so total ledger wall time stays honest.
 
 use std::time::{Duration, Instant};
 
@@ -59,12 +62,13 @@ use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneGangBody, ParSlice};
 
 use crate::axisym::Geometry;
 use crate::domain::Domain;
+use crate::eos::cons_to_prim;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
 use crate::rhs::{sweep_to_canonical, transverse_interior, RhsConfig, RhsWorkspace};
 use crate::riemann::RiemannSolver;
-use crate::state::StateField;
+use crate::state::{convert_flops, StateField};
 use crate::weno::{reconstruct_line_padded, WenoOrder};
 
 /// Transverse lines per pencil. Eight 8-byte values span one 64-byte cache
@@ -75,13 +79,12 @@ pub(crate) const PENCIL_B: usize = 8;
 /// the sweep stages, sized `PENCIL_B * neq * max_line` — a few KB total,
 /// resident in cache for the lifetime of the evaluation.
 pub(crate) struct FusedScratch {
-    /// Gathered pencil lines, `[b][e][s]`, line-contiguous.
+    /// Gathered pencil lines as primitives, `[b][e][s]`, line-contiguous.
     v: Vec<f64>,
-    /// Reconstructed face states, `[b][e][m]`.
+    /// Reconstructed face states, `[b][e][m]`. The Riemann stage
+    /// overwrites each face's left state, once read, with its flux.
     left: Vec<f64>,
     right: Vec<f64>,
-    /// Face fluxes, `[b][e][m]`.
-    flux: Vec<f64>,
     /// Contact speeds, `[b][m]`.
     ustar: Vec<f64>,
 }
@@ -107,25 +110,25 @@ impl FusedScratch {
             v: vec![0.0; vmax],
             left: vec![0.0; fmax],
             right: vec![0.0; fmax],
-            flux: vec![0.0; fmax],
             ustar: vec![0.0; umax],
         }
     }
 }
 
-/// One fused directional sweep (steps 2–6 of [`crate::rhs::compute_rhs`]
-/// along `axis`). Bitwise identical to the staged path.
+/// One fused directional sweep (steps 1–6 of [`crate::rhs::compute_rhs`]
+/// along `axis`), reading `cons` only on the lines it consumes. Bitwise
+/// identical to the staged path.
 pub(crate) fn fused_sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
+    cons: &StateField,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
     axis: usize,
 ) {
     let RhsWorkspace {
         dom,
-        prim,
         divu,
         widths,
         radii,
@@ -146,7 +149,7 @@ pub(crate) fn fused_sweep_axis(
     let d3 = dom.dims3();
     let (n1, n2, n3) = (d3.n1, d3.n2, d3.n3);
     let cell_stride = n1 * n2 * n3;
-    let psl = prim.as_slice();
+    let qsl = cons.as_slice();
     let rsl = ParSlice::new(rhs.as_mut_slice());
     let dsl = ParSlice::new(divu);
     let gh = cfg.order.ghost_layers();
@@ -190,7 +193,7 @@ pub(crate) fn fused_sweep_axis(
     let t_axis = Instant::now();
     // Per-stage CPU time summed over gangs in fixed gang order (exceeds
     // the axis wall clock when gangs overlap; the residual clamps at 0).
-    let mut stage = [Duration::ZERO; 4];
+    let mut stage = [Duration::ZERO; 5];
     // The one place the sweep looks at the layout's shape: the body below
     // is instantiated per layout, and every per-face loop inside it runs
     // on that instance's (for the shipped shapes, literal) counts.
@@ -202,7 +205,7 @@ pub(crate) fn fused_sweep_axis(
             solver: cfg.solver,
             limiter: cfg.limiter,
             axis,
-            psl,
+            qsl,
             rsl,
             dsl,
             w,
@@ -227,13 +230,12 @@ pub(crate) fn fused_sweep_axis(
             nbatches,
         };
         let work = (nlines * s_n) as u64;
-        ctx.gang_vec_scope(units, work, &mut fused[..], &body, |t: [Duration; 4]| {
+        ctx.gang_vec_scope(units, work, &mut fused[..], &body, |t: [Duration; 5]| {
             for (sum, gang) in stage.iter_mut().zip(t) {
                 *sum += gang;
             }
         })
     });
-    let [mut tg, mut tw, mut tr, mut tu] = stage;
 
     // Per-axis ledger records: each stage under its own label with the
     // staged-equivalent per-item cost, plus the Fused-class marker
@@ -242,37 +244,47 @@ pub(crate) fn fused_sweep_axis(
     // with >1 gang the timers sum CPU time across workers and can
     // exceed the wall interval, so scale them down to fit it.
     let wall = t_axis.elapsed();
-    let total = tg + tw + tr + tu;
+    let total: Duration = stage.iter().sum();
     if total > wall && total > Duration::ZERO {
         let scale = wall.as_secs_f64() / total.as_secs_f64();
-        tg = tg.mul_f64(scale);
-        tw = tw.mul_f64(scale);
-        tr = tr.mul_f64(scale);
-        tu = tu.mul_f64(scale);
+        stage = stage.map(|t| t.mul_f64(scale));
     }
+    let [tg, tc, tw, tr, tu] = stage;
     // Analytic lane tiling of the vector stages (the same convention as
-    // `launch_vec`): WENO tiles `neq` face lines and Riemann one face
-    // line of `rnf` faces per pencil line; the update tiles `s_n` cells
-    // per line. The scalar gather contributes no vector elements. (The
-    // WENO stage is accounted as tiled although its packing is left to
-    // the compiler: the count is of elements that run as lanes.)
+    // `launch_vec`): the conversion tiles `rext` cells, WENO `neq` face
+    // lines and Riemann one face line of `rnf` faces per pencil line; the
+    // update tiles `s_n` cells per line. The scalar gather contributes no
+    // vector elements. (The WENO stage is accounted as tiled although its
+    // packing is left to the compiler: the count is of elements that run
+    // as lanes.)
     let vw = ctx.vector_width();
     let face_rows = (nlines * (neq + 1)) as u64;
+    let cell_rows = |n: usize| nlines as u64 * (n / vw) as u64;
+    let cell_tail = |n: usize| nlines as u64 * (n % vw) as u64;
     ctx.note_lane_tiling(
-        face_rows * (rnf / vw) as u64 + nlines as u64 * (s_n / vw) as u64,
-        face_rows * (rnf % vw) as u64 + nlines as u64 * (s_n % vw) as u64,
+        face_rows * (rnf / vw) as u64 + cell_rows(s_n) + cell_rows(rext),
+        face_rows * (rnf % vw) as u64 + cell_tail(s_n) + cell_tail(rext),
     );
-    if axis != 0 {
-        ctx.record(
-            "f_sweep_gather",
-            KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
-            (nlines * neq * rext) as u64,
-            gangs,
-            1,
-            t_axis,
-            tg,
-        );
-    }
+    ctx.record(
+        "f_sweep_gather",
+        KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
+        (nlines * neq * rext) as u64,
+        gangs,
+        1,
+        t_axis,
+        tg,
+    );
+    // The conversion works in registers on the scratch the gather just
+    // filled: its arithmetic is new, its traffic is the gather's.
+    ctx.record(
+        "f_sweep_convert",
+        KernelCost::new(KernelClass::Other, convert_flops(&dom), 0.0, 0.0),
+        (nlines * rext) as u64,
+        gangs,
+        vw,
+        t_axis + tg,
+        tc,
+    );
     ctx.record(
         "f_weno_reconstruct",
         KernelCost::new(
@@ -284,7 +296,7 @@ pub(crate) fn fused_sweep_axis(
         (nlines * neq * rnf) as u64,
         gangs,
         vw,
-        t_axis + tg,
+        t_axis + tg + tc,
         tw,
     );
     ctx.record(
@@ -298,7 +310,7 @@ pub(crate) fn fused_sweep_axis(
         (nlines * rnf) as u64,
         gangs,
         vw,
-        t_axis + tg + tw,
+        t_axis + tg + tc + tw,
         tr,
     );
     ctx.record(
@@ -312,26 +324,25 @@ pub(crate) fn fused_sweep_axis(
         (nlines * s_n) as u64,
         gangs,
         vw,
-        t_axis + tg + tw + tr,
+        t_axis + tg + tc + tw + tr,
         tu,
     );
-    let residual = wall
-        .checked_sub(tg + tw + tr + tu)
-        .unwrap_or(Duration::ZERO);
+    let total: Duration = stage.iter().sum();
+    let residual = wall.checked_sub(total).unwrap_or(Duration::ZERO);
     ctx.record(
         "s_fused_sweep",
         KernelCost::new(KernelClass::Fused, 0.0, 8.0, 8.0),
         nlines as u64,
         gangs,
         1,
-        t_axis + tg + tw + tr + tu,
+        t_axis + total,
         residual,
     );
 }
 
 /// Shared environment of one fused directional sweep, executable at any
 /// lane width ([`LaneGangBody`]): each gang streams its pencil range
-/// through the four stages with its own [`FusedScratch`], tiling lane
+/// through the five stages with its own [`FusedScratch`], tiling lane
 /// packets along the unit-stride face index within every pencil line.
 struct FusedBody<'a, E> {
     eq: E,
@@ -340,8 +351,8 @@ struct FusedBody<'a, E> {
     solver: RiemannSolver,
     limiter: Limiter,
     axis: usize,
-    /// Canonical primitive buffer.
-    psl: &'a [f64],
+    /// Canonical conservative state.
+    qsl: &'a [f64],
     rsl: ParSlice<'a>,
     dsl: ParSlice<'a>,
     /// Ghost-inclusive cell widths along the sweep axis.
@@ -389,31 +400,34 @@ impl<E: EqLayout> FusedBody<'_, E> {
         i + self.n1 * (j + self.n2 * (k + self.n3 * e))
     }
 
-    /// Cell value at padded position `s` of line (b, e), for the
-    /// positivity-fallback means.
+    /// Convert the gathered cells at `s..s + L::WIDTH` of one pencil line
+    /// (`lines` = its `neq` variable lines) to primitives in place.
     #[inline(always)]
-    fn cell_val(&self, v: &[f64], t1: usize, t2: usize, b: usize, e: usize, s: usize) -> f64 {
-        if self.axis == 0 {
-            self.psl[self.line_base(t1, t2, e) + s]
-        } else {
-            v[(b * self.eq.neq() + e) * self.rext + s]
+    fn convert_cells<L: Lane>(&self, lines: &mut [f64], s: usize) {
+        let eq = &self.eq;
+        let neq = eq.neq();
+        let (mut c, mut p) = (eq.vars::<L>(), eq.vars::<L>());
+        let (c, p) = (&mut c.as_mut()[..neq], &mut p.as_mut()[..neq]);
+        for (e, ce) in c.iter_mut().enumerate() {
+            *ce = L::load(&lines[e * self.rext + s..]);
+        }
+        cons_to_prim(eq, self.fluids, c, p);
+        for (e, pe) in p.iter().enumerate() {
+            pe.store(&mut lines[e * self.rext + s..]);
         }
     }
 
     /// One face through the scalar Riemann path (the exact staged
     /// semantics): gather face states, positivity-limit toward the cell
-    /// means where inadmissible, solve, store flux and contact speed.
-    #[allow(clippy::too_many_arguments)]
+    /// means where inadmissible, solve, store the flux over the face's
+    /// left state and the contact speed.
     #[inline(always)]
     fn solve_face_scalar(
         &self,
         v: &[f64],
-        left: &[f64],
+        left: &mut [f64],
         right: &[f64],
-        flux: &mut [f64],
         ustar: &mut [f64],
-        t1: usize,
-        t2: usize,
         b: usize,
         m: usize,
     ) {
@@ -428,45 +442,46 @@ impl<E: EqLayout> FusedBody<'_, E> {
             pl[e] = left[(b * neq + e) * rnf + m];
             pr[e] = right[(b * neq + e) * rnf + m];
         }
-        let cl = self.pad - 1 + m;
+        // The positivity fallback's cell means: the gathered primitives of
+        // the two cells beside the face.
+        let cl = (b * neq) * self.rext + self.pad - 1 + m;
         if !admissible(eq, self.fluids, pl) {
             for (e, mv) in mean.iter_mut().enumerate() {
-                *mv = self.cell_val(v, t1, t2, b, e, cl);
+                *mv = v[cl + e * self.rext];
             }
             limit_state(self.limiter, eq, self.fluids, mean, pl);
         }
         if !admissible(eq, self.fluids, pr) {
             for (e, mv) in mean.iter_mut().enumerate() {
-                *mv = self.cell_val(v, t1, t2, b, e, cl + 1);
+                *mv = v[cl + e * self.rext + 1];
             }
             limit_state(self.limiter, eq, self.fluids, mean, pr);
         }
         let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
         for e in 0..neq {
-            flux[(b * neq + e) * rnf + m] = f[e];
+            left[(b * neq + e) * rnf + m] = f[e];
         }
         ustar[b * rnf + m] = s;
     }
 }
 
-impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E> {
+impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 5]> for FusedBody<'_, E> {
     fn run<L: Lane>(
         &self,
         _gang: usize,
         range: std::ops::Range<usize>,
         fs: &mut FusedScratch,
-    ) -> [Duration; 4] {
+    ) -> [Duration; 5] {
         let FusedScratch {
             v,
             left,
             right,
-            flux,
             ustar,
         } = fs;
         let eq = &self.eq;
         let neq = eq.neq();
         let (rext, rnf, s_n, pad, axis) = (self.rext, self.rnf, self.s_n, self.pad, self.axis);
-        let mut times = [Duration::ZERO; 4];
+        let mut times = [Duration::ZERO; 5];
 
         for unit in range {
             let o = unit / self.nbatches;
@@ -474,27 +489,59 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
             let oc = self.oq + o;
             let bw = PENCIL_B.min(self.bcount - b0);
 
-            // --- stage 1: gather (scalar pack; skipped for x: canonical
-            //     lines are already unit-stride in `prim`) ---
-            if axis != 0 {
+            // --- stage 1: gather the pencil's conservative lines (a
+            //     scalar pack: x lines are contiguous in `q`, y/z lines
+            //     are read across the batch, which is consecutive in
+            //     canonical x) ---
+            {
                 let t0 = Instant::now();
-                let sweep_stride = self.sweep_stride;
-                let (t1, t2) = self.line_t(oc, b0, 0);
-                for e in 0..neq {
-                    let base = self.line_base(t1, t2, e);
-                    for s in 0..rext {
-                        let src = base + s * sweep_stride;
-                        let dst = e * rext + s;
-                        for (b, vb) in v[dst..].iter_mut().step_by(neq * rext).take(bw).enumerate()
-                        {
-                            *vb = self.psl[src + b];
+                if axis == 0 {
+                    for b in 0..bw {
+                        let (t1, t2) = self.line_t(oc, b0, b);
+                        for e in 0..neq {
+                            let base = self.line_base(t1, t2, e);
+                            let lo = (b * neq + e) * rext;
+                            v[lo..lo + rext].copy_from_slice(&self.qsl[base..base + rext]);
+                        }
+                    }
+                } else {
+                    let sweep_stride = self.sweep_stride;
+                    let (t1, t2) = self.line_t(oc, b0, 0);
+                    for e in 0..neq {
+                        let base = self.line_base(t1, t2, e);
+                        for s in 0..rext {
+                            let src = base + s * sweep_stride;
+                            let dst = e * rext + s;
+                            for (b, vb) in
+                                v[dst..].iter_mut().step_by(neq * rext).take(bw).enumerate()
+                            {
+                                *vb = self.qsl[src + b];
+                            }
                         }
                     }
                 }
                 times[0] += t0.elapsed();
             }
 
-            // --- stage 2: WENO reconstruction per line per variable,
+            // --- stage 2: convert the gathered lines to primitives in
+            //     place, lane packets along each line ---
+            {
+                let t0 = Instant::now();
+                for lines in v.chunks_exact_mut(neq * rext).take(bw) {
+                    let mut s = 0;
+                    while s + L::WIDTH <= rext {
+                        self.convert_cells::<L>(lines, s);
+                        s += L::WIDTH;
+                    }
+                    while s < rext {
+                        self.convert_cells::<f64>(lines, s);
+                        s += 1;
+                    }
+                }
+                times[1] += t0.elapsed();
+            }
+
+            // --- stage 3: WENO reconstruction per line per variable,
             //     through the scalar per-cell line kernel at every lane
             //     width: its plain cell loop is what LLVM's loop
             //     vectoriser turns into the host's packed arithmetic,
@@ -503,19 +550,12 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
             {
                 let t0 = Instant::now();
                 for b in 0..bw {
-                    let (t1, t2) = self.line_t(oc, b0, b);
                     for e in 0..neq {
                         let fo = (b * neq + e) * rnf;
-                        let line = if axis == 0 {
-                            let base = self.line_base(t1, t2, e);
-                            &self.psl[base..base + rext]
-                        } else {
-                            let lo = (b * neq + e) * rext;
-                            &v[lo..lo + rext]
-                        };
+                        let lo = (b * neq + e) * rext;
                         reconstruct_line_padded(
                             self.order,
-                            line,
+                            &v[lo..lo + rext],
                             pad,
                             s_n,
                             &mut left[fo..fo + rnf],
@@ -523,17 +563,16 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                         );
                     }
                 }
-                times[1] += t0.elapsed();
+                times[2] += t0.elapsed();
             }
 
-            // --- stage 3: Riemann solve per face (same positivity
+            // --- stage 4: Riemann solve per face (same positivity
             //     limiting and flux arithmetic as the staged kernel):
             //     all-admissible packets solve lane-wide, any flagged
             //     lane replays the whole packet through the scalar path ---
             {
                 let t0 = Instant::now();
                 for b in 0..bw {
-                    let (t1, t2) = self.line_t(oc, b0, b);
                     let mut m = 0;
                     while m + L::WIDTH <= rnf {
                         let (mut pl, mut pr) = (eq.vars::<L>(), eq.vars::<L>());
@@ -551,39 +590,30 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                             let f = &mut f.as_mut()[..neq];
                             let s = self.solver.flux(eq, self.fluids, axis, pl, pr, f);
                             for e in 0..neq {
-                                f[e].store(&mut flux[(b * neq + e) * rnf + m..]);
+                                f[e].store(&mut left[(b * neq + e) * rnf + m..]);
                             }
                             s.store(&mut ustar[b * rnf + m..]);
                         } else {
                             for lane in 0..L::WIDTH {
-                                self.solve_face_scalar(
-                                    v,
-                                    left,
-                                    right,
-                                    flux,
-                                    ustar,
-                                    t1,
-                                    t2,
-                                    b,
-                                    m + lane,
-                                );
+                                self.solve_face_scalar(v, left, right, ustar, b, m + lane);
                             }
                         }
                         m += L::WIDTH;
                     }
                     while m < rnf {
-                        self.solve_face_scalar(v, left, right, flux, ustar, t1, t2, b, m);
+                        self.solve_face_scalar(v, left, right, ustar, b, m);
                         m += 1;
                     }
                 }
-                times[2] += t0.elapsed();
+                times[3] += t0.elapsed();
             }
 
-            // --- stage 4: flux divergence into the canonical RHS and
+            // --- stage 5: flux divergence into the canonical RHS and
             //     S* differences into div(u), lane packets along the
             //     sweep index with the canonical per-axis cell stride ---
             {
                 let t0 = Instant::now();
+                let flux = &left[..];
                 for b in 0..bw {
                     let (t1, t2) = self.line_t(oc, b0, b);
                     let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
@@ -622,7 +652,7 @@ impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 4]> for FusedBody<'_, E>
                         s += 1;
                     }
                 }
-                times[3] += t0.elapsed();
+                times[4] += t0.elapsed();
             }
         }
         times

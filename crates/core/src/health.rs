@@ -1,15 +1,17 @@
-//! Numerical-health watchdog: a cheap per-step scan fused into the
-//! conservative→primitive pass.
+//! Numerical-health watchdog: one cheap pass over the freshly stepped
+//! conservative field that also yields the next step's CFL rate.
 //!
 //! Diffuse-interface multiphase states go nonphysical mid-run — NaN from an
 //! over-aggressive time step, negative partial densities at a vanishing
 //! phase, vacuum pressure below the stiffened-gas floor `p = -Π`. MFC
 //! answers with the Zhang–Shu positivity limiter and low-dissipation
 //! fallbacks; this module supplies the *detection* half: scan the freshly
-//! updated conservative field, convert each interior cell to primitives
-//! (the work the next step needs anyway), and report the first offending
-//! cell so the recovery ladder in [`crate::recovery`] can react instead of
-//! the process aborting.
+//! updated conservative field, convert each interior cell to primitives in
+//! registers, and report the first offending cell so the recovery ladder
+//! in [`crate::recovery`] can react instead of the process aborting. The
+//! same converted cells give the maximum CFL wave-speed rate
+//! ([`crate::cfl::RateMetric`]), so the next step's dt needs no pass of
+//! its own.
 //!
 //! The scan is instrumented as an `mfc-acc` kernel (`s_health_scan`) with
 //! FLOP/byte counts like every other sweep, and is read-only with respect
@@ -20,6 +22,7 @@
 use mfc_acc::{with_lane_width, Context, KernelClass, KernelCost, Lane, LaunchConfig, ParSlice};
 use serde::{Deserialize, Serialize};
 
+use crate::cfl::{rate_flops, RateMetric};
 use crate::eos::cons_to_prim;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
@@ -101,10 +104,8 @@ impl std::fmt::Display for Violation {
 /// Scan the interior of a conservative field, writing primitives as a side
 /// product, and return the first violation (in x-fastest cell order).
 ///
-/// The fused kernel does the conservative→primitive conversion the next
-/// step needs anyway, so the marginal cost of the watchdog is a handful of
-/// comparisons per cell. `prim` interior cells are overwritten; ghosts are
-/// left untouched (callers refill them before any sweep).
+/// This is [`scan`] with the primitive store switched on and no CFL rate.
+/// `prim` interior cells are overwritten; ghosts are left untouched.
 pub fn scan_and_convert(
     ctx: &Context,
     fluids: &[Fluid],
@@ -112,8 +113,26 @@ pub fn scan_and_convert(
     cons: &StateField,
     prim: &mut StateField,
 ) -> Option<Violation> {
+    scan(ctx, fluids, health, cons, Some(prim), None).err()
+}
+
+/// The health scan: the first violation in the interior of `cons` (in
+/// x-fastest cell order), or — when the field is healthy — the maximum
+/// CFL rate of its cells under `metric` (`-inf` without one). Each
+/// healthy cell is converted once, in registers; `prim`, when given,
+/// receives the interior primitives.
+pub(crate) fn scan(
+    ctx: &Context,
+    fluids: &[Fluid],
+    health: &HealthConfig,
+    cons: &StateField,
+    prim: Option<&mut StateField>,
+    metric: Option<&RateMetric>,
+) -> Result<f64, Violation> {
     let dom = *cons.domain();
-    assert_eq!(prim.domain(), &dom);
+    if let Some(prim) = &prim {
+        assert_eq!(prim.domain(), &dom);
+    }
     let eq = dom.eq;
     let neq = eq.neq();
     let (nx, ny, _nz) = (dom.n[0], dom.n[1], dom.n[2]);
@@ -121,12 +140,15 @@ pub fn scan_and_convert(
     let slack = health.alpha_slack;
 
     // Conversion FLOPs plus the watchdog comparisons (~3 per equation)
-    // and the per-cell mixture-floor evaluation (~4 per fluid).
+    // and the per-cell mixture-floor evaluation (~4 per fluid), plus the
+    // CFL rate when one is folded.
+    let rate = metric.map_or(0.0, |_| rate_flops(eq.ndim()));
+    let stored = prim.as_ref().map_or(0.0, |_| 8.0 * neq as f64);
     let cost = KernelCost::new(
         KernelClass::Other,
-        (8 * eq.nf() + 7 * eq.ndim() + 13 + 3 * neq) as f64,
+        (8 * eq.nf() + 7 * eq.ndim() + 13 + 3 * neq) as f64 + rate,
         8.0 * neq as f64,
-        8.0 * neq as f64,
+        stored,
     );
     let cfg = LaunchConfig::tuned("s_health_scan");
 
@@ -136,14 +158,15 @@ pub fn scan_and_convert(
     // violation" exactly (gangs partition the space in ascending order).
     // On a faulted step later gangs may convert cells the serial scan
     // would have skipped, but faulted steps are discarded and retried, so
-    // the extra primitive stores never reach a sweep.
+    // the extra primitive stores never reach a sweep. The rate is a max,
+    // exact in any order, so folding it per gang changes no bit.
     //
     // Within a gang the walk is lane-tiled: a full packet that passes
-    // every check lane-wide converts and stores `WIDTH` cells at once;
+    // every check lane-wide converts (and stores) `WIDTH` cells at once;
     // any flagged lane drops the packet back to the scalar walk, which
     // preserves the exact "first violation in x-fastest order" semantics
-    // (and bitwise-identical primitive stores, since the lane conversion
-    // is the generic scalar op sequence per lane).
+    // (and bitwise-identical primitives and rates, since the lane
+    // arithmetic is the generic scalar op sequence per lane).
     let d3 = dom.dims3();
     let table = FluidTable::new(fluids);
     let vw = ctx.vector_width();
@@ -153,7 +176,8 @@ pub fn scan_and_convert(
             fluids: &table,
             slack,
             src: cons.as_slice(),
-            out: ParSlice::new(prim.as_mut_slice()),
+            out: prim.map(|p| ParSlice::new(p.as_mut_slice())),
+            metric,
             nx,
             ny,
             pad: [px, py, pz],
@@ -168,7 +192,9 @@ pub fn scan_and_convert(
             |_gang, range| with_lane_width!(vw, L => scanner.scan_range::<L>(range)),
         )
     });
-    results.into_iter().flatten().next()
+    results
+        .into_iter()
+        .try_fold(f64::NEG_INFINITY, |max, gang| gang.map(|r| max.max(r)))
 }
 
 /// State of the fused health scan, shared by the lane fast path and the
@@ -178,7 +204,10 @@ struct HealthScanner<'a, E> {
     fluids: &'a FluidTable,
     slack: f64,
     src: &'a [f64],
-    out: ParSlice<'a>,
+    /// Where healthy cells' primitives go, if anywhere.
+    out: Option<ParSlice<'a>>,
+    /// The CFL rate to fold over healthy cells, if any.
+    metric: Option<&'a RateMetric<'a>>,
     nx: usize,
     ny: usize,
     pad: [usize; 3],
@@ -189,31 +218,50 @@ struct HealthScanner<'a, E> {
 }
 
 impl<E: EqLayout> HealthScanner<'_, E> {
-    /// Walk a contiguous interior item range, lane packets first, and
-    /// return the first violation.
-    fn scan_range<L: Lane>(&self, range: std::ops::Range<usize>) -> Option<Violation> {
+    /// Walk a contiguous interior item range, lane packets first: the
+    /// first violation, or the maximum rate of the range.
+    fn scan_range<L: Lane>(&self, range: std::ops::Range<usize>) -> Result<f64, Violation> {
+        let mut max = f64::NEG_INFINITY;
         let mut item = range.start;
         while item < range.end {
             // Packets never cross an x row (loads are unit-stride in x).
             let avail = (range.end - item).min(self.nx - item % self.nx);
-            if L::WIDTH > 1 && avail >= L::WIDTH && self.packet_healthy::<L>(item) {
-                item += L::WIDTH;
-                continue;
+            if L::WIDTH > 1 && avail >= L::WIDTH {
+                if let Some(rate) = self.packet_healthy::<L>(item) {
+                    for lane in 0..L::WIDTH {
+                        max = max.max(rate.lane(lane));
+                    }
+                    item += L::WIDTH;
+                    continue;
+                }
             }
-            if let Some(v) = self.scan_cell(item) {
-                return Some(v);
-            }
+            max = max.max(self.scan_cell(item)?);
             item += 1;
         }
-        None
+        Ok(max)
+    }
+
+    /// The cell's primitives are healthy: store them if asked, and return
+    /// their rate (`-inf` without a metric).
+    #[inline(always)]
+    fn accept<L: Lane>(&self, p: &[L], cell: usize, [i, j, k]: [usize; 3]) -> L {
+        if let Some(out) = &self.out {
+            for (e, v) in p.iter().enumerate() {
+                out.set_lanes(cell + e * self.block, *v);
+            }
+        }
+        match self.metric {
+            Some(m) => m.rate(&self.eq, self.fluids, p, i, j, k),
+            None => L::splat(f64::NEG_INFINITY),
+        }
     }
 
     /// Check one full packet lane-wide; on an all-healthy verdict the
-    /// converted primitives are stored and `true` returned. `false` means
-    /// "at least one lane needs the ordered scalar walk" — it is always
-    /// safe, never a verdict by itself.
+    /// packet is accepted and its rates returned. `None` means "at least
+    /// one lane needs the ordered scalar walk" — it is always safe, never
+    /// a verdict by itself.
     #[inline(always)]
-    fn packet_healthy<L: Lane>(&self, item: usize) -> bool {
+    fn packet_healthy<L: Lane>(&self, item: usize) -> Option<L> {
         let eq = &self.eq;
         let neq = eq.neq();
         let i = item % self.nx + self.pad[0];
@@ -240,7 +288,7 @@ impl<E: EqLayout> HealthScanner<'_, E> {
             ok = L::mask_and(ok, alpha.le(L::splat(1.0 + self.slack)));
         }
         if !L::mask_all(ok) {
-            return false;
+            return None;
         }
         cons_to_prim(eq, self.fluids, c, p);
         let mix = self.fluids.mixture(eq, c);
@@ -250,17 +298,14 @@ impl<E: EqLayout> HealthScanner<'_, E> {
         // of the scalar flag, so a NaN floor stays healthy on both paths.
         ok = L::mask_and(pres.finite(), L::mask_not(floor.le(L::splat(0.0))));
         if !L::mask_all(ok) {
-            return false;
+            return None;
         }
-        for (e, v) in p.iter().enumerate() {
-            self.out.set_lanes(cell + e * self.block, *v);
-        }
-        true
+        Some(self.accept(p, cell, [i, j, k]))
     }
 
-    /// The scalar per-cell scan: flag the first violation or store the
-    /// converted primitives.
-    fn scan_cell(&self, item: usize) -> Option<Violation> {
+    /// The scalar per-cell scan: flag the violation, or accept the cell
+    /// and return its rate.
+    fn scan_cell(&self, item: usize) -> Result<f64, Violation> {
         let eq = &self.eq;
         let neq = eq.neq();
         let i = item % self.nx + self.pad[0];
@@ -273,14 +318,17 @@ impl<E: EqLayout> HealthScanner<'_, E> {
             *v = self.src[cell + e * self.block];
         }
 
+        let violation = |kind, eq, value| {
+            Err(Violation {
+                kind,
+                cell: [i, j, k],
+                eq,
+                value,
+            })
+        };
         for (e, &v) in c.iter().enumerate() {
             if !v.is_finite() {
-                return Some(Violation {
-                    kind: ViolationKind::NotFinite,
-                    cell: [i, j, k],
-                    eq: e,
-                    value: v,
-                });
+                return violation(ViolationKind::NotFinite, e, v);
             }
         }
         // Unfloored mixture density: the EOS floors each partial density
@@ -290,22 +338,12 @@ impl<E: EqLayout> HealthScanner<'_, E> {
             rho += c[eq.cont(f)];
         }
         if rho <= 0.0 {
-            return Some(Violation {
-                kind: ViolationKind::NonPositiveDensity,
-                cell: [i, j, k],
-                eq: eq.cont(0),
-                value: rho,
-            });
+            return violation(ViolationKind::NonPositiveDensity, eq.cont(0), rho);
         }
         for a in 0..eq.n_adv() {
             let alpha = c[eq.adv(a)];
             if !(-self.slack..=1.0 + self.slack).contains(&alpha) {
-                return Some(Violation {
-                    kind: ViolationKind::AlphaOutOfRange,
-                    cell: [i, j, k],
-                    eq: eq.adv(a),
-                    value: alpha,
-                });
+                return violation(ViolationKind::AlphaOutOfRange, eq.adv(a), alpha);
             }
         }
         cons_to_prim(eq, self.fluids, c, p);
@@ -316,17 +354,9 @@ impl<E: EqLayout> HealthScanner<'_, E> {
         let mix = self.fluids.mixture(eq, c);
         let pres = p[eq.energy()];
         if !pres.is_finite() || pres * (1.0 + mix.big_gamma) + mix.big_pi <= 0.0 {
-            return Some(Violation {
-                kind: ViolationKind::VacuumPressure,
-                cell: [i, j, k],
-                eq: eq.energy(),
-                value: pres,
-            });
+            return violation(ViolationKind::VacuumPressure, eq.energy(), pres);
         }
-        for (e, &v) in p.iter().enumerate() {
-            self.out.set(cell + e * self.block, v);
-        }
-        None
+        Ok(self.accept(p, cell, [i, j, k]))
     }
 }
 

@@ -46,7 +46,7 @@ use crate::health::HealthConfig;
 use crate::recovery::{RecoveryPolicy, StepFault};
 use crate::rhs::{closures, prelude, sweep_axis, RhsConfig};
 use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
-use crate::state::{cons_to_prim_ghost_slabs, StateField};
+use crate::state::StateField;
 
 /// How halo buffers are exchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,8 +55,8 @@ pub enum ExchangeMode {
     /// Paired `MPI_Sendrecv`, the paper's default path.
     Sendrecv,
     /// The exchange pipelined behind the RHS evaluation: axis *k+1*'s
-    /// messages fly while the ordinary whole-line sweep of axis *k* runs
-    /// (the x messages behind the primitive conversion). The queue-
+    /// messages fly while the ordinary whole-line sweep of axis *k* runs.
+    /// The queue-
     /// pipelined form of the paper's §III-B `async(queue)` overlap,
     /// bitwise identical to `Sendrecv` (the same sweeps on the same
     /// ghosts).
@@ -1126,15 +1126,13 @@ impl<N> CommLink<'_, N> {
     /// form of the paper's OpenACC `async(queue)` overlap (§III-B), built
     /// from the three pieces [`crate::rhs::compute_rhs`] is.
     ///
-    /// A sweep along axis *k* reads ghosts along axis *k* only, on interior
-    /// transverse lines. So axis *k+1*'s messages fly behind the ordinary
-    /// whole-line sweep of axis *k*, and the x messages behind the
-    /// whole-grid primitive conversion:
+    /// A sweep along axis *k* consumes ghosts along axis *k* only, on
+    /// interior transverse lines. So axis *k+1*'s messages fly behind the
+    /// ordinary whole-line sweep of axis *k*:
     ///
     /// ```text
     /// post(x); prelude;
-    /// per axis k:  drain(k); physical BCs of k; cons→prim of k's two ghost
-    ///              slabs; post(k+1); sweep(k)
+    /// per axis k:  drain(k); physical BCs of k; post(k+1); sweep(k)
     /// closures
     /// ```
     ///
@@ -1147,8 +1145,9 @@ impl<N> CommLink<'_, N> {
     /// transverse extents after every fill of the axes below it, so a ghost
     /// cell's final value is the same composition of per-axis index maps
     /// and sign flips on either path (they commute), faces, edges and
-    /// corners alike; its last conversion follows its last fill; and each
-    /// cell accumulates its x, y, z contributions in that order.
+    /// corners alike; every primitive a sweep or closure reads is converted
+    /// from `q` after the last fill it depends on; and each cell
+    /// accumulates its x, y, z contributions in that order.
     ///
     /// The drains go through the fault detector; a verdict abandons the
     /// evaluation and the caller rolls back.
@@ -1183,7 +1182,7 @@ impl<N> CommLink<'_, N> {
         post(comm, q, stats, 0);
         {
             let _hidden = ctx.span("overlap_sweep", Category::Phase);
-            prelude(ctx, cfg, fluids, q, ws, rhs);
+            prelude(cfg, q, ws, rhs);
         }
         for axis in 0..ndim {
             {
@@ -1193,7 +1192,6 @@ impl<N> CommLink<'_, N> {
             let mut this_axis = [(true, true); 3];
             this_axis[axis] = skip[axis];
             apply_bcs(ctx, q, bc, this_axis);
-            cons_to_prim_ghost_slabs(ctx, fluids, q, &mut ws.prim, axis);
 
             let _hidden = if axis + 1 < ndim {
                 post(comm, q, stats, axis + 1);
@@ -1201,9 +1199,9 @@ impl<N> CommLink<'_, N> {
             } else {
                 None
             };
-            sweep_axis(ctx, cfg, fluids, ws, rhs, axis);
+            sweep_axis(ctx, cfg, fluids, q, ws, rhs, axis);
         }
-        closures(ctx, cfg, fluids, ws, rhs);
+        closures(ctx, cfg, fluids, q, ws, rhs);
         Ok(())
     }
 }
@@ -1317,6 +1315,47 @@ fn axis_coord(axis: usize, s: usize, a: usize, b: usize) -> (usize, usize, usize
         1 => (a, s, b),
         _ => (a, b, s),
     }
+}
+
+/// Every rank's block of `case` on `n_ranks` ranks after `steps` steps
+/// through its comm link, with the dt of each step — for tests that look
+/// inside the blocks.
+#[cfg(test)]
+pub(crate) fn stepped_rank_blocks(
+    case: &CaseBuilder,
+    cfg: SolverConfig,
+    n_ranks: usize,
+    steps: usize,
+    exchange: ExchangeMode,
+) -> Vec<(Solver, Vec<f64>)> {
+    let dims = best_block_dims(n_ranks, case.cells);
+    let opts = ResilienceOpts {
+        exchange,
+        ..ResilienceOpts::fault_free("", 0)
+    };
+    World::run(n_ranks, |mut comm| {
+        let rank = comm.rank();
+        let (cart, mut blk) = rank_block(case, cfg, &opts, dims, rank, Context::serial());
+        let note = |_: ResilienceEventKind, _: u64, _: u64, _: Duration, _: String| {};
+        let mut stats = CommStats::default();
+        let dts = (0..steps)
+            .map(|_| {
+                let mut link = CommLink {
+                    comm: &mut comm,
+                    cart: &cart,
+                    exchange,
+                    staging: Staging::DeviceDirect,
+                    stats: &mut stats,
+                    rank,
+                    wave: 0,
+                    note: &note,
+                };
+                let outcome = blk.step_with(&mut link).expect("fault-free link");
+                outcome.expect("a clean step").dt
+            })
+            .collect();
+        (blk, dts)
+    })
 }
 
 #[cfg(test)]
@@ -1573,10 +1612,11 @@ mod tests {
     }
 
     /// The argument the pipelined exchange rests on: once it returns, the
-    /// whole padded `q` and `prim` — faces, edges and corners — and the RHS
-    /// are the paired exchange's (`halo_exchange` + `apply_bcs` +
-    /// `cons_to_prim_field`) to the bit, also when the evaluation starts
-    /// from a previous evaluation's stale ghosts.
+    /// whole padded `q` — faces, edges and corners —, the `prim` field the
+    /// staged sweeps and the viscous closure convert into, and the RHS are
+    /// the paired exchange's (`halo_exchange` + `apply_bcs` +
+    /// `compute_rhs`) to the bit, also when the evaluation starts from a
+    /// previous evaluation's stale ghosts.
     #[test]
     fn pipelined_exchange_fills_every_ghost_like_the_paired_exchange() {
         use crate::bc::{BcKind, BcSpec};

@@ -2,9 +2,12 @@
 //!
 //! One RHS evaluation per direction does exactly what MFC does on the GPU:
 //!
-//! 1. pack the primitive state into a direction-coalesced flat buffer
-//!    (the canonical primitive buffer *is* the x-coalesced `v_temp`; it is
-//!    *reshaped* for y/z — Listings 3–4; kernel class `Pack`),
+//! 1. bring the state into a direction-coalesced buffer (MFC's `v_temp`,
+//!    Listings 3–4; kernel class `Pack`) as primitives: the fused engine
+//!    gathers each pencil's conservative lines — x lines included — into
+//!    cache-resident scratch and converts them there; the staged
+//!    reference converts the whole grid into `RhsWorkspace::prim` and
+//!    *reshapes* it for y/z,
 //! 2. WENO-reconstruct left/right face states along the now-unit-stride
 //!    lines (class `Weno`),
 //! 3. solve an approximate Riemann problem per face (class `Riemann`),
@@ -18,7 +21,8 @@
 //! Steps 1–4 run either as full-grid *staged* passes (each stage streams
 //! the whole grid through memory) or through the cache-blocked *fused*
 //! pencil engine ([`crate::fused`]) — selected by [`RhsMode`], bitwise
-//! identically.
+//! identically: every primitive either engine reads comes from the same
+//! per-cell [`crate::eos::cons_to_prim`].
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -112,7 +116,11 @@ impl Default for RhsConfig {
 /// them at all.
 pub struct RhsWorkspace {
     pub(crate) dom: Domain,
-    /// Primitive state, canonical (x-coalesced) layout.
+    /// Whole-grid primitive state, canonical (x-coalesced) layout. Only
+    /// the staged sweeps and the viscous closure write it; the fused
+    /// engine converts per pencil and never touches it. It is a zeroed
+    /// allocation, so in a fused inviscid run its pages never become
+    /// resident.
     pub prim: StateField,
     /// Direction-coalesced buffer for the current sweep (y/z reshape
     /// target; the x sweep reads the canonical `prim` buffer directly).
@@ -260,17 +268,11 @@ fn record_pack(ctx: &Context, label: &'static str, elems: usize, t0: Instant) {
     ctx.record(label, cost, elems as u64, 1, 1, t0, t0.elapsed());
 }
 
-/// Entry of every evaluation: check the shapes, convert to primitives
-/// over the full padded grid (ghosts included) and zero the accumulators.
-///
-/// The pipelined exchange ([`crate::par`]) runs this while the x halo is
-/// still in flight: the conversion is pointwise, so interior primitives
-/// never depend on a ghost, and each axis's ghost slabs are re-converted
-/// ([`crate::state::cons_to_prim_ghost_slabs`]) once they are filled.
+/// Entry of every evaluation: check the shapes and zero the accumulators.
+/// It reads no cell of `cons`, so the pipelined exchange ([`crate::par`])
+/// runs it while the x halo is still in flight.
 pub(crate) fn prelude(
-    ctx: &Context,
     cfg: &RhsConfig,
-    fluids: &[Fluid],
     cons: &StateField,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
@@ -286,37 +288,41 @@ pub(crate) fn prelude(
         dom.ng,
         cfg.order.ghost_layers().max(1)
     );
-    crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
     rhs.fill(0.0);
     ws.divu.fill(0.0);
 }
 
 /// The grid-global closures that follow the directional sweeps of every
-/// evaluation (steps 7–9).
+/// evaluation (steps 7–9). Every ghost of `cons` must be valid by now.
 pub(crate) fn closures(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
-    ws: &RhsWorkspace,
+    cons: &StateField,
+    ws: &mut RhsWorkspace,
     rhs: &mut StateField,
 ) {
     let dom = ws.dom;
-    // 7. Non-conservative volume-fraction source: rhs[alpha] += alpha div u.
-    alpha_source(ctx, &dom, &ws.prim, &ws.divu, rhs);
+    // 7. Non-conservative volume-fraction source: rhs[alpha] += alpha div u
+    //    (the conversion copies alpha bit for bit, so it is read from cons).
+    alpha_source(ctx, &dom, cons, &ws.divu, rhs);
 
-    // 8. Geometric sources (axisymmetric / cylindrical).
+    // 8. Geometric sources (axisymmetric / cylindrical), pointwise: each
+    //    interior cell is converted in-kernel.
     match cfg.geometry {
         Geometry::Cartesian => {}
         Geometry::Axisymmetric => {
-            crate::axisym::axisym_source(ctx, &dom, fluids, &ws.prim, &ws.radii, rhs);
+            crate::axisym::axisym_source(ctx, &dom, fluids, cons, &ws.radii, rhs);
         }
         Geometry::Cylindrical3D => {
-            crate::axisym::cylindrical_source(ctx, &dom, fluids, &ws.prim, &ws.radii, rhs);
+            crate::axisym::cylindrical_source(ctx, &dom, fluids, cons, &ws.radii, rhs);
         }
     }
 
-    // 9. Viscous fluxes (Navier-Stokes terms), when any fluid is viscous.
+    // 9. Viscous fluxes (Navier-Stokes terms), when any fluid is viscous:
+    //    a stencil over primitives, ghosts included.
     if crate::viscous::is_viscous(fluids) {
+        crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
         crate::viscous::add_viscous_fluxes(ctx, &dom, fluids, &ws.prim, &ws.widths, rhs);
     }
 }
@@ -333,42 +339,43 @@ pub fn compute_rhs(
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
 ) {
-    // 1. Primitive variables everywhere (ghosts included).
-    prelude(ctx, cfg, fluids, cons, ws, rhs);
-    // 2–6. One sweep per direction.
+    prelude(cfg, cons, ws, rhs);
+    // 1–6. One sweep per direction.
     for axis in 0..ws.dom.eq.ndim() {
-        sweep_axis(ctx, cfg, fluids, ws, rhs, axis);
+        sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis);
     }
-    closures(ctx, cfg, fluids, ws, rhs);
+    closures(ctx, cfg, fluids, cons, ws, rhs);
 }
 
-/// The sweep along `axis` (steps 2–6): pack, WENO reconstruction, Riemann
-/// solve, flux-divergence update — as full-grid stages or as one fused
-/// cache-blocked pass, bitwise identically. Reads `ws.prim` ghosts along
-/// `axis` only on the lines it consumes (interior transverse coordinates),
-/// which is what lets the pipelined exchange run it while the next axis's
-/// halo is in flight.
+/// The sweep along `axis` (steps 1–6): gather and convert, WENO
+/// reconstruction, Riemann solve, flux-divergence update — as full-grid
+/// stages or as one fused cache-blocked pass, bitwise identically.
+/// Consumes `cons` ghosts along `axis` only, on the lines whose faces it
+/// uses (interior transverse coordinates), which is what lets the
+/// pipelined exchange run it while the next axis's halo is in flight.
 pub(crate) fn sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
+    cons: &StateField,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
     axis: usize,
 ) {
     match cfg.mode {
-        RhsMode::Staged => staged_sweep_axis(ctx, cfg, fluids, ws, rhs, axis),
-        RhsMode::Fused => crate::fused::fused_sweep_axis(ctx, cfg, fluids, ws, rhs, axis),
+        RhsMode::Staged => staged_sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis),
+        RhsMode::Fused => crate::fused::fused_sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis),
     }
 }
 
-/// One staged sweep: full-grid pack / WENO / Riemann / update stages with
-/// grid-sized intermediates (the unfused GPU-pipeline analog, kept as the
-/// fusion-ablation baseline).
+/// One staged sweep: full-grid convert / pack / WENO / Riemann / update
+/// stages with grid-sized intermediates (the unfused GPU-pipeline analog,
+/// kept as the fusion-ablation baseline).
 fn staged_sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
+    cons: &StateField,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
     axis: usize,
@@ -376,6 +383,11 @@ fn staged_sweep_axis(
     let dom = ws.dom;
     let eq = dom.eq;
     ws.ensure_staged();
+
+    // 1. Primitives over the whole padded grid. Ghosts of the axes not yet
+    //    exchanged may be stale here, but they sit on transverse ghost
+    //    lines, whose faces the update stage never consumes.
+    crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
 
     // 3. Direction-coalesced buffer: the x sweep reads the canonical
     //    primitive buffer directly (its lines are already unit-stride);
@@ -725,11 +737,12 @@ impl LaneKernel for UpdateKernel<'_> {
     }
 }
 
-/// `rhs[alpha_i] += alpha_i * div(u)` over interior cells.
+/// `rhs[alpha_i] += alpha_i * div(u)` over interior cells; `alpha_i` is
+/// read from the state's advected slots, conservative or primitive alike.
 fn alpha_source(
     ctx: &Context,
     dom: &Domain,
-    prim: &StateField,
+    state: &StateField,
     divu: &[f64],
     rhs: &mut StateField,
 ) {
@@ -753,7 +766,7 @@ fn alpha_source(
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
         d3,
         block: d3.len(),
-        prim: prim.as_slice(),
+        state: state.as_slice(),
         divu,
         rsl: ParSlice::new(rhs.as_mut_slice()),
     };
@@ -768,7 +781,7 @@ struct AlphaSourceKernel<'a> {
     pad: [usize; 3],
     d3: Dims3,
     block: usize,
-    prim: &'a [f64],
+    state: &'a [f64],
     divu: &'a [f64],
     rsl: ParSlice<'a>,
 }
@@ -783,7 +796,7 @@ impl LaneKernel for AlphaSourceKernel<'_> {
         let dv = L::load(&self.divu[cell..]);
         for a in 0..self.eq.n_adv() {
             let e = self.eq.adv(a);
-            let alpha = L::load(&self.prim[cell + e * self.block..]);
+            let alpha = L::load(&self.state[cell + e * self.block..]);
             self.rsl.add_lanes(cell + e * self.block, alpha * dv);
         }
     }

@@ -19,12 +19,12 @@ use mfc_trace::Category;
 use crate::axisym::Geometry;
 use crate::bc::{apply_bcs, BcSpec};
 use crate::case::CaseBuilder;
-use crate::cfl;
+use crate::cfl::{self, RateMetric};
 use crate::diag::{grind_time, GrindTime};
 use crate::domain::Domain;
 use crate::fluid::Fluid;
 use crate::grid::Grid;
-use crate::health::{scan_and_convert, HealthConfig};
+use crate::health::{self, HealthConfig};
 use crate::ibm::GhostCellIbm;
 use crate::recovery::{RecoveryPolicy, RecoveryState, SolverError, StepFault, StepOutcome};
 use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
@@ -184,8 +184,10 @@ pub struct Solver {
     cfg: SolverConfig,
     dom: Domain,
     q: StateField,
-    /// Ghost-inclusive cell widths per axis (the CFL bound's metric).
-    widths: [Vec<f64>; 3],
+    /// The maximum CFL rate of `q` as the last accepted step's health scan
+    /// found it; `None` once `q` may have changed since (a restore, a
+    /// mutable borrow, a rejected attempt) or before any step.
+    rate: Option<f64>,
     rk: RkWorkspace,
     health: HealthConfig,
     recovery: Option<RecoveryPolicy>,
@@ -219,11 +221,6 @@ impl Solver {
         let dom = Domain::new([grid.x.n(), grid.y.n(), grid.z.n()], ng, case.eq());
         let q = case.init_block(&ctx, &dom, &grid, off);
         let ws = RhsWorkspace::new(dom, &grid);
-        let widths = [
-            grid.x.widths_with_ghosts(dom.pad(0)),
-            grid.y.widths_with_ghosts(dom.pad(1)),
-            grid.z.widths_with_ghosts(dom.pad(2)),
-        ];
         let rk = RkWorkspace::new(&q);
         Solver {
             env: RhsEnv {
@@ -238,7 +235,7 @@ impl Solver {
             cfg,
             dom,
             q,
-            widths,
+            rate: None,
             rk,
             health: HealthConfig::default(),
             recovery: None,
@@ -320,6 +317,7 @@ impl Solver {
     /// Mutable access to the conservative state (custom initial
     /// conditions, injected perturbations, filter application).
     pub fn state_mut(&mut self) -> &mut StateField {
+        self.rate = None;
         &mut self.q
     }
 
@@ -337,6 +335,7 @@ impl Solver {
             "checkpoint domain does not match the case"
         );
         self.q = q;
+        self.rate = None;
         self.t = t;
         self.steps = steps;
         self.rec = RecoveryState::default();
@@ -347,6 +346,7 @@ impl Solver {
     /// drive a link directly.
     #[cfg(test)]
     pub(crate) fn rhs_parts(&mut self) -> (&mut RhsEnv, &mut StateField) {
+        self.rate = None;
         (&mut self.env, &mut self.q)
     }
 
@@ -357,21 +357,28 @@ impl Solver {
         prim
     }
 
+    /// The CFL metric of this block: its cell widths, and the azimuthal
+    /// `r dtheta` in 3-D cylindrical coordinates.
+    fn rate_metric(&self, cfg: &SolverConfig) -> RateMetric<'_> {
+        let ws = &self.env.ws;
+        let w = &ws.widths;
+        let radial = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
+        RateMetric::new(&self.env.fluids, [&w[0], &w[1], &w[2]], radial)
+    }
+
     /// The time step this block would take under `cfg`: the fixed value,
-    /// or the CFL bound of `q` — with the azimuthal metric `r dtheta` in
-    /// 3-D cylindrical coordinates — leaving the primitives in `ws.prim`;
+    /// or `cfl / rate` with the maximum CFL rate of `q` — `cached` from
+    /// the last accepted step's health scan, else one pass over `q` —
     /// either way clipped to land on the stop time.
-    fn select_dt(&mut self, cfg: &SolverConfig) -> Result<f64, StepFault> {
-        let RhsEnv {
-            ctx, fluids, ws, ..
-        } = &mut self.env;
+    fn select_dt(&self, cfg: &SolverConfig, cached: Option<f64>) -> Result<f64, StepFault> {
         let dt = match cfg.dt {
             DtMode::Fixed(dt) => dt,
             DtMode::Cfl(c) => {
-                crate::state::cons_to_prim_field(ctx, fluids, &self.q, &mut ws.prim);
-                let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
-                let w = &self.widths;
-                cfl::try_max_dt_geom(ctx, fluids, &ws.prim, [&w[0], &w[1], &w[2]], c, metric)?
+                let rate = cached.unwrap_or_else(|| {
+                    let metric = self.rate_metric(cfg);
+                    cfl::max_rate(&self.env.ctx, &self.env.fluids, &self.q, true, &metric)
+                });
+                cfl::dt_from_rate(c, rate)?
             }
         };
         Ok(dt.min(self.t_stop - self.t))
@@ -392,7 +399,10 @@ impl Solver {
         link: &mut L,
     ) -> Result<Result<f64, StepFault>, CommFault> {
         let dt_span = self.env.ctx.span("dt_reduce", Category::Phase);
-        let local = self.select_dt(cfg);
+        // A cached rate serves this attempt only: whatever follows, `q`
+        // changes.
+        let cached = self.rate.take();
+        let local = self.select_dt(cfg, cached);
         // A degenerate local rate travels the min-reduction as -1.0, so
         // every block rejects the attempt. On a rank the reduction doubles
         // as the per-step heartbeat.
@@ -421,19 +431,27 @@ impl Solver {
             return Err(fault);
         }
 
-        // Post-step watchdog, fused with the primitive conversion the next
-        // step needs anyway. Read-only on q: a clean run is bitwise
-        // identical with or without the watchdog armed.
+        // Post-step watchdog: one pass over q^{n+1} gives the verdict and,
+        // under a CFL dt, the next step's rate. Read-only on q: a clean run
+        // is bitwise identical with or without the watchdog armed.
         let _health_span = self.env.ctx.span("health_verdict", Category::Phase);
-        let RhsEnv {
-            ctx, fluids, ws, ..
-        } = &mut self.env;
-        let local = scan_and_convert(ctx, fluids, &self.health, &self.q, &mut ws.prim);
-        if link.min(if local.is_some() { 0.0 } else { 1.0 })? >= 1.0 {
+        let metric = matches!(cfg.dt, DtMode::Cfl(_)).then(|| self.rate_metric(cfg));
+        let local = health::scan(
+            &self.env.ctx,
+            &self.env.fluids,
+            &self.health,
+            &self.q,
+            None,
+            metric.as_ref(),
+        );
+        if link.min(if local.is_err() { 0.0 } else { 1.0 })? >= 1.0 {
+            self.rate = metric.and(local.ok());
             return Ok(Ok(dt));
         }
         self.q.as_mut_slice().copy_from_slice(self.rk.q0.as_slice());
-        Ok(Err(local.map_or(StepFault::Peer, StepFault::Unphysical)))
+        Ok(Err(local
+            .err()
+            .map_or(StepFault::Peer, StepFault::Unphysical)))
     }
 
     /// Abort bookkeeping: best-effort crash-dump checkpoint + event. The
@@ -919,6 +937,229 @@ mod tests {
             "recovery arming must not perturb a clean run"
         );
         assert!(armed.context().ledger().events().is_empty());
+    }
+
+    /// A swirling 3-D cylindrical case: the azimuthal `r dtheta` metric is
+    /// live in its CFL bound.
+    fn swirl() -> (CaseBuilder, SolverConfig) {
+        use crate::bc::{BcKind::*, BcSpec};
+        use crate::case::{PatchState, Region};
+        let case = CaseBuilder::new(vec![Fluid::air()], 3, [8, 8, 8])
+            .extent([0.0, 0.2, 0.0], [1.0, 1.2, 2.0 * std::f64::consts::PI])
+            .bc(BcSpec {
+                lo: [Periodic, Reflective, Periodic],
+                hi: [Periodic, Reflective, Periodic],
+            })
+            .patch(
+                Region::All,
+                PatchState::single(1.2, [10.0, 0.0, 60.0], 1.0e5),
+            )
+            .patch(
+                Region::Sphere {
+                    center: [0.5, 0.7, 3.0],
+                    radius: 0.3,
+                },
+                PatchState::single(1.5, [10.0, 5.0, 60.0], 1.4e5),
+            );
+        let mut cfg = SolverConfig::default();
+        cfg.rhs.geometry = Geometry::Cylindrical3D;
+        (case, cfg)
+    }
+
+    /// An axisymmetric air bubble on the axis of a water column.
+    fn axisymmetric() -> (CaseBuilder, SolverConfig) {
+        use crate::bc::{BcKind::*, BcSpec};
+        use crate::case::{PatchState, Region};
+        let case = CaseBuilder::new(vec![Fluid::air(), Fluid::water()], 2, [16, 8, 1])
+            .extent([-1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+            .bc(BcSpec {
+                lo: [Transmissive, Reflective, Transmissive],
+                hi: [Transmissive; 3],
+            })
+            .smear(1.0)
+            .patch(
+                Region::All,
+                PatchState::two_fluid(1e-6, [1.2, 1000.0], [0.0; 3], 2.0e5),
+            )
+            .patch(
+                Region::Sphere {
+                    center: [0.0; 3],
+                    radius: 0.4,
+                },
+                PatchState::two_fluid(1.0 - 1e-6, [1.2, 1000.0], [0.0; 3], 1.0e5),
+            );
+        let mut cfg = SolverConfig::default();
+        cfg.rhs.geometry = Geometry::Axisymmetric;
+        (case, cfg)
+    }
+
+    /// A viscous periodic shear layer: the `2 nu / h^2` term is live in its
+    /// CFL bound.
+    fn shear() -> (CaseBuilder, SolverConfig) {
+        use crate::bc::BcSpec;
+        use crate::case::{PatchState, Region};
+        let case = CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [12, 12, 1])
+            .bc(BcSpec::periodic())
+            .patch(
+                Region::All,
+                PatchState::single(1.2, [30.0, 0.0, 0.0], 1.0e5),
+            )
+            .patch(
+                Region::Box {
+                    lo: [-1.0, 0.5, -1.0],
+                    hi: [2.0, 2.0, 2.0],
+                },
+                PatchState::single(1.0, [-30.0, 5.0, 0.0], 1.1e5),
+            );
+        (case, SolverConfig::default())
+    }
+
+    /// The fused Cartesian inviscid path never writes
+    /// `RhsWorkspace::prim`: after three steps — of a lone block, and of
+    /// every rank's block under both exchange modes — it is still the
+    /// zeroed allocation, whose pages never become resident. The paths
+    /// that still convert whole grids (the staged reference, the viscous
+    /// closure) and the in-kernel conversion of the axisymmetric source
+    /// step to the bits they stepped to when every evaluation converted
+    /// the whole grid first.
+    #[test]
+    fn fused_inviscid_steps_never_write_the_primitive_field() {
+        use crate::par::{stepped_rank_blocks, ExchangeMode};
+        use crate::restart::Crc32;
+        use crate::rhs::RhsMode;
+        let untouched = |s: &Solver| s.env.ws.prim.as_slice().iter().all(|v| v.to_bits() == 0);
+        let case = presets::two_phase_benchmark(3, [8, 8, 8]);
+        let cfg = SolverConfig::default();
+        let mut lone = Solver::new(&case, cfg, Context::serial());
+        lone.run_steps(3).unwrap();
+        assert!(untouched(&lone), "lone block");
+        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
+            for (rank, (blk, _)) in stepped_rank_blocks(&case, cfg, 2, 3, exchange)
+                .iter()
+                .enumerate()
+            {
+                assert!(untouched(blk), "{exchange:?} rank {rank}");
+            }
+        }
+
+        let digest = |(case, cfg): (CaseBuilder, SolverConfig)| {
+            let mut solver = Solver::new(&case, cfg, Context::serial());
+            solver.run_steps(3).unwrap();
+            let mut crc = Crc32::new();
+            for v in solver.state().as_slice() {
+                crc.update(&v.to_le_bytes());
+            }
+            crc.finish()
+        };
+        let mut staged = SolverConfig::default();
+        staged.rhs.mode = RhsMode::Staged;
+        let got = [
+            digest((case, staged)),
+            digest(shear()),
+            digest(axisymmetric()),
+            digest(swirl()),
+        ];
+        assert_eq!(got, WHOLE_GRID_DIGESTS, "{got:08x?}");
+    }
+
+    /// [`fused_inviscid_steps_never_write_the_primitive_field`]'s state
+    /// digests as they were when every evaluation converted the whole grid
+    /// to primitives first.
+    const WHOLE_GRID_DIGESTS: [u32; 4] = [0x96e4a4d2, 0xa62e048c, 0x69de5767, 0x224bee44];
+
+    /// The dt of every CFL step is bitwise the standalone rule applied to
+    /// the step's `q` — a whole-grid conversion, then `try_max_dt_geom` —
+    /// although the solver reads it from the previous step's health scan:
+    /// in 1-D and 3-D, with the azimuthal metric and the viscous bound,
+    /// alone and on two ranks. A fixed dt caches no rate.
+    #[test]
+    fn cached_rate_gives_the_reference_dt_sequence() {
+        use crate::par::{stepped_rank_blocks, ExchangeMode};
+        let cases = [
+            (presets::sod(64), SolverConfig::default()),
+            (
+                presets::two_phase_benchmark(3, [8, 8, 8]),
+                SolverConfig::default(),
+            ),
+            swirl(),
+            shear(),
+        ];
+        for (case, cfg) in cases {
+            let DtMode::Cfl(cfl) = cfg.dt else {
+                unreachable!("CFL cases")
+            };
+            let mut solver = Solver::new(&case, cfg, Context::serial());
+            let reference: Vec<f64> = (0..5)
+                .map(|_| {
+                    let ws = &solver.env.ws;
+                    let w = &ws.widths;
+                    let metric = (cfg.rhs.geometry == Geometry::Cylindrical3D).then(|| ws.radii());
+                    let prim = solver.primitives();
+                    let want = cfl::try_max_dt_geom(
+                        &solver.env.ctx,
+                        &solver.env.fluids,
+                        &prim,
+                        [&w[0], &w[1], &w[2]],
+                        cfl,
+                        metric,
+                    )
+                    .unwrap();
+                    let got = solver.step().unwrap().dt;
+                    assert_eq!(got.to_bits(), want.to_bits(), "{:?}", case.cells);
+                    got
+                })
+                .collect();
+            for (rank, (_, dts)) in stepped_rank_blocks(&case, cfg, 2, 5, ExchangeMode::Sendrecv)
+                .iter()
+                .enumerate()
+            {
+                assert!(dts == &reference, "{:?} rank {rank}", case.cells);
+            }
+        }
+
+        let fixed = SolverConfig {
+            dt: DtMode::Fixed(1.0e-4),
+            ..Default::default()
+        };
+        let mut solver = Solver::new(&presets::sod(64), fixed, Context::serial());
+        solver.run_steps(2).unwrap();
+        assert_eq!(solver.rate, None);
+    }
+
+    /// A cached rate belongs to the `q` the last accepted step left: a
+    /// mutable borrow of the state or a restore drops it, so the next
+    /// steps are a fresh solver's on the same state, bit for bit.
+    #[test]
+    fn cached_rate_never_outlives_its_state() {
+        let case = presets::sod(64);
+        let cfg = SolverConfig::default();
+        let mut early = Solver::new(&case, cfg, Context::serial());
+        early.run_steps(3).unwrap();
+        let checkpoint = (early.state().clone(), early.time());
+        let scale_momentum = |s: &mut Solver| {
+            let mom = s.dom.eq.mom(0);
+            for v in s.state_mut().eq_slice_mut(mom) {
+                *v *= 2.0;
+            }
+        };
+        let restore = |s: &mut Solver| s.restore(checkpoint.0.clone(), checkpoint.1, 3);
+        let mutations: [&dyn Fn(&mut Solver); 2] = [&scale_momentum, &restore];
+        for (m, mutate) in mutations.iter().enumerate() {
+            let mut stepped = Solver::new(&case, cfg, Context::serial());
+            stepped.run_steps(8).unwrap();
+            let stale = stepped.rate.expect("an accepted CFL step caches its rate");
+            mutate(&mut stepped);
+            let mut fresh = Solver::new(&case, cfg, Context::serial());
+            fresh.restore(stepped.state().clone(), stepped.time(), stepped.steps());
+            for n in 0..3 {
+                let dt = fresh.step().unwrap().dt;
+                if n == 0 {
+                    assert_ne!(dt, 0.5 / stale, "mutation {m} must move the rate");
+                }
+                assert_eq!(stepped.step().unwrap().dt.to_bits(), dt.to_bits());
+            }
+            assert_eq!(stepped.state(), fresh.state(), "mutation {m}");
+        }
     }
 
     #[test]

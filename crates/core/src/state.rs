@@ -135,7 +135,7 @@ impl StateField {
 /// Approximate FLOPs of one cell's conservative→primitive conversion
 /// (divisions counted as 4): nf adds + ndim (div + mul-adds) + mixture
 /// evaluation + pressure. Used for ledger accounting only.
-fn convert_flops(dom: &Domain) -> f64 {
+pub(crate) fn convert_flops(dom: &Domain) -> f64 {
     (4 * dom.eq.nf() + 7 * dom.eq.ndim() + 10) as f64
 }
 
@@ -147,45 +147,7 @@ pub fn cons_to_prim_field(
     cons: &StateField,
     prim: &mut StateField,
 ) {
-    let d3 = cons.domain().dims3();
-    convert_cells(
-        ctx,
-        fluids,
-        cons,
-        prim,
-        true,
-        0,
-        d3.n1,
-        d3.n2 * d3.n3,
-        d3.n1,
-    );
-}
-
-/// Re-convert only the two ghost slabs of `axis` (full ghost-inclusive
-/// transverse extents): what the pipelined exchange runs once that axis's
-/// ghosts are filled, instead of a second whole-grid conversion. The
-/// conversion is pointwise, so every cell it touches is bitwise what
-/// [`cons_to_prim_field`] would write there.
-pub(crate) fn cons_to_prim_ghost_slabs(
-    ctx: &Context,
-    fluids: &[Fluid],
-    cons: &StateField,
-    prim: &mut StateField,
-    axis: usize,
-) {
-    let dom = *cons.domain();
-    let d3 = dom.dims3();
-    let pad = dom.pad(axis);
-    for lo in [0, pad + dom.n[axis]] {
-        // Each slab as rows of contiguous cells: `pad` cells of every x
-        // line, `pad` whole lines of every z plane, or `pad` whole planes.
-        let (base, row_stride, rows, cols) = match axis {
-            0 => (lo, d3.n1, d3.n2 * d3.n3, pad),
-            1 => (lo * d3.n1, d3.n1 * d3.n2, d3.n3, pad * d3.n1),
-            _ => (lo * d3.n1 * d3.n2, d3.n1 * d3.n2, pad, d3.n1 * d3.n2),
-        };
-        convert_cells(ctx, fluids, cons, prim, true, base, row_stride, rows, cols);
-    }
+    convert_cells(ctx, fluids, cons, prim, true);
 }
 
 /// Convert a whole field primitive→conservative.
@@ -195,37 +157,21 @@ pub fn prim_to_cons_field(
     prim: &StateField,
     cons: &mut StateField,
 ) {
-    let d3 = prim.domain().dims3();
-    convert_cells(
-        ctx,
-        fluids,
-        prim,
-        cons,
-        false,
-        0,
-        d3.n1,
-        d3.n2 * d3.n3,
-        d3.n1,
-    );
+    convert_cells(ctx, fluids, prim, cons, false);
 }
 
-/// Convert `rows` runs of `cols` consecutive cells, run `r` starting at
-/// flat cell index `base + r * row_stride`.
-#[allow(clippy::too_many_arguments)]
+/// Convert every cell of `src` into `out`, one x row per launch row.
 fn convert_cells(
     ctx: &Context,
     fluids: &[Fluid],
     src: &StateField,
     out: &mut StateField,
     to_prim: bool,
-    base: usize,
-    row_stride: usize,
-    rows: usize,
-    cols: usize,
 ) {
     let dom = *src.domain();
     assert_eq!(out.domain(), &dom);
     let neq = dom.eq.neq();
+    let d3 = dom.dims3();
     let cost = KernelCost::new(
         KernelClass::Other,
         convert_flops(&dom),
@@ -247,17 +193,16 @@ fn convert_cells(
             fluids: &table,
             src: src.as_slice(),
             out: ParSlice::new(out.as_mut_slice()),
-            base,
-            row_stride,
-            block: dom.dims3().len(),
+            row_len: d3.n1,
+            block: d3.len(),
             to_prim,
         };
-        ctx.launch_vec(&cfg, cost, rows, cols, &kernel)
+        ctx.launch_vec(&cfg, cost, d3.n2 * d3.n3, d3.n1, &kernel)
     });
 }
 
-/// Lane kernel of the conversions: row = run of consecutive cells (an x
-/// line for the whole field), col = offset within it.
+/// Lane kernel of the conversions: row = ghost-inclusive x line, col =
+/// offset within it.
 /// The per-cell EOS arithmetic is the generic [`cons_to_prim`] /
 /// [`prim_to_cons`], so each lane is bitwise the scalar conversion of its
 /// own cell; `to_prim` selects the direction uniformly per launch.
@@ -266,9 +211,8 @@ struct ConvertKernel<'a, E> {
     fluids: &'a FluidTable,
     src: &'a [f64],
     out: ParSlice<'a>,
-    /// Flat cell index of run 0 and the distance between runs.
-    base: usize,
-    row_stride: usize,
+    /// Cells per x line.
+    row_len: usize,
     /// Cells per equation block.
     block: usize,
     to_prim: bool,
@@ -277,7 +221,7 @@ struct ConvertKernel<'a, E> {
 impl<E: EqLayout> LaneKernel for ConvertKernel<'_, E> {
     #[inline(always)]
     fn packet<L: Lane>(&self, row: usize, col: usize) {
-        let idx = self.base + row * self.row_stride + col;
+        let idx = row * self.row_len + col;
         let eq = &self.eq;
         let neq = eq.neq();
         let (mut a, mut b) = (eq.vars::<L>(), eq.vars::<L>());

@@ -4,10 +4,11 @@
 //! for two structural reasons, both of which this model counts exactly
 //! from the per-item byte declarations at the launch sites:
 //!
-//! 1. **No grid-sized packed buffers.** The staged pipeline reshapes the
-//!    full primitive state once per y/z sweep (16 B per element: one read,
-//!    one write); the fused engine gathers only the *interior* transverse
-//!    lines into per-pencil scratch and the x sweep needs no copy at all.
+//! 1. **No grid-sized packed buffers.** Each staged sweep converts the
+//!    full state to primitives and, along y/z, reshapes it (16 B per
+//!    element each: one read, one write); the fused engine gathers only
+//!    the *interior* transverse lines of the conservative state into
+//!    per-pencil scratch, on every axis, and converts them there.
 //! 2. **No dead ghost-line work.** The staged WENO/Riemann kernels process
 //!    every transverse line of the padded buffer, but the update stage
 //!    only ever reads faces on interior transverse coordinates — a
@@ -25,7 +26,8 @@ use serde::{Deserialize, Serialize};
 use mfc_acc::KernelStats;
 
 /// Sweep-stage labels of the staged pipeline.
-pub const STAGED_LABELS: [&str; 5] = [
+pub const STAGED_LABELS: [&str; 6] = [
+    "s_convert_to_primitive",
     "s_reshape_sweep_y",
     "s_reshape_sweep_z",
     "s_weno_reconstruct",
@@ -33,8 +35,9 @@ pub const STAGED_LABELS: [&str; 5] = [
     "s_flux_divergence",
 ];
 
-/// Sweep-stage labels of the fused pencil engine (the `s_fused_sweep`
-/// marker carries no stage traffic and is excluded on purpose).
+/// Sweep-stage labels of the fused pencil engine (the `f_sweep_convert`
+/// stage and the `s_fused_sweep` marker carry no stage traffic and are
+/// excluded on purpose).
 pub const FUSED_LABELS: [&str; 4] = [
     "f_sweep_gather",
     "f_weno_reconstruct",
@@ -95,6 +98,9 @@ impl SweepShape {
 pub struct SweepTraffic {
     /// Pack/reshape (staged) or pencil gather (fused) bytes.
     pub pack: f64,
+    /// Whole-grid conversion to primitives (staged; the fused engine
+    /// converts its gathered lines in scratch).
+    pub convert: f64,
     pub weno: f64,
     pub riemann: f64,
     pub update: f64,
@@ -102,7 +108,7 @@ pub struct SweepTraffic {
 
 impl SweepTraffic {
     pub fn total(&self) -> f64 {
-        self.pack + self.weno + self.riemann + self.update
+        self.pack + self.convert + self.weno + self.riemann + self.update
     }
 }
 
@@ -125,8 +131,10 @@ pub fn staged_traffic(s: &SweepShape) -> SweepTraffic {
     let mut t = SweepTraffic::default();
     let grid4 = (s.ext(0) * s.ext(1) * s.ext(2) * s.neq) as f64;
     for axis in 0..s.ndim {
+        // Full-grid conversion to primitives, then the y/z reshape into
+        // the coalesced buffer.
+        t.convert += grid4 * pack_bytes();
         if axis > 0 {
-            // Full-grid y/z reshape into the coalesced buffer.
             t.pack += grid4 * pack_bytes();
         }
         let nf = (s.n[axis] + 1) as f64;
@@ -143,11 +151,8 @@ pub fn fused_traffic(s: &SweepShape) -> SweepTraffic {
     let mut t = SweepTraffic::default();
     for axis in 0..s.ndim {
         let ti = s.t_int(axis) as f64;
-        if axis > 0 {
-            // Interior pencil lines gathered into cache-resident scratch;
-            // the x sweep reads the canonical buffer in place.
-            t.pack += ti * (s.ext(axis) * s.neq) as f64 * pack_bytes();
-        }
+        // Interior pencil lines gathered into cache-resident scratch.
+        t.pack += ti * (s.ext(axis) * s.neq) as f64 * pack_bytes();
         let nf = (s.n[axis] + 1) as f64;
         t.weno += nf * ti * s.neq as f64 * weno_bytes(s.stencil);
         t.riemann += nf * ti * riemann_bytes(s.neq);

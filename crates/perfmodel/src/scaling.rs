@@ -129,7 +129,7 @@ impl MachineModel {
 
     /// Modelled wall time of one step with the overlapped exchange, as the
     /// solver schedules it: each axis's third of the halo time flies
-    /// behind one whole-grid phase — x behind the primitive conversion, y
+    /// behind one whole-grid phase — x behind the prelude's zeroing, y
     /// behind the x sweep, z behind the y sweep — so the step pays
     /// `max(t_comm/3, t_phase)` per axis plus the z sweep, instead of
     /// `t_comm + t_compute`.
@@ -146,11 +146,12 @@ impl MachineModel {
     }
 }
 
-/// Share of an RHS evaluation spent before the first sweep (the
-/// whole-grid conservative→primitive conversion): 157 of 2 400 kernel ms
-/// on this solver's 96³ two-phase profile (EXPERIMENTS.md). It is what the
-/// x messages have to hide behind.
-const PRELUDE_SHARE: f64 = 0.065;
+/// Share of an RHS evaluation spent before the first sweep (zeroing the
+/// RHS and div(u) accumulators; the sweeps convert to primitives per
+/// pencil): 6.7 of 252 ms per evaluation of this solver's 96³ two-phase
+/// case on a 2-vCPU host (EXPERIMENTS.md, "Primitives per pencil"). It
+/// is what the x messages have to hide behind.
+const PRELUDE_SHARE: f64 = 0.026;
 
 /// One point of a scaling study.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -347,7 +348,7 @@ mod tests {
 
     #[test]
     fn overlap_hides_comm_when_interior_dominates() {
-        // 32M cells/GCD: every phase — even the primitive conversion — is
+        // 32M cells/GCD: every phase — even the accumulator zeroing — is
         // far longer than an axis's halo messages, so all the comm time
         // hides and the exposed remainder is zero.
         let m = MachineModel::frontier(Staging::HostStaged);
