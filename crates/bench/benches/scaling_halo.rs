@@ -73,8 +73,11 @@ fn bench_wave_io(c: &mut Criterion) {
                 let dirref = &dir;
                 b.iter(|| {
                     World::run(8, |comm| {
-                        let data = vec![comm.rank() as f64; 4096];
-                        WaveWriter::new(w).write(&comm, dirref, 0, &data).unwrap();
+                        let data = vec![comm.rank() as u8; 4096 * 8];
+                        let path = WaveWriter::rank_path(dirref, 0, comm.rank());
+                        WaveWriter::new(w)
+                            .write(&comm, data.len() as u64, || std::fs::write(path, &data))
+                            .unwrap();
                     });
                 })
             },

@@ -114,11 +114,6 @@ impl Admitted {
         self.ranks
     }
 
-    /// Rank decomposition of the grid.
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
     /// The numerical-recovery ladder the case armed (`run.recovery`,
     /// `run.max_retries`), for a caller that steps the solver itself.
     pub fn recovery(&self) -> Option<&RecoveryPolicy> {

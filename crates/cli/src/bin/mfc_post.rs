@@ -2,28 +2,35 @@
 //! the MPI I/O binary files and creates SILO files" step (§III-A).
 //!
 //! Reassembles per-rank wave files into the global field and writes a
-//! legacy-VTK database.
+//! legacy-VTK database. Each wave file's header names the grid, the
+//! fluids and the decomposition that wrote it, so any wave set
+//! reassembles — including one written after the roster shrank.
 //!
 //! Usage:
 //! ```text
-//! mfc-post <dir> <step> <nx> <ny> <nz> <nfluids> <ndim> <px> <py> <pz> <out.vtk>
+//! mfc-post <dir> <step> <out.vtk>
 //! mfc-post --case <case.json> <step> <out.vtk>
 //! ```
 //!
 //! The `--case` form admits the case file that produced the run exactly
-//! as `mfc-run` did and takes the wave directory, global extents and
-//! rank decomposition from that admission. Because
-//! post-processing is a pure byte reshuffle — no kernels run — a case
-//! file that explicitly pins `numerics.vector_width` is rejected here as
-//! a config error: the key cannot affect this tool's output and its
+//! as `mfc-run` did and takes the wave directory from that admission.
+//! Because post-processing is a pure byte reshuffle — no kernels run — a
+//! case file that explicitly pins `numerics.vector_width` is rejected here
+//! as a config error: the key cannot affect this tool's output and its
 //! presence usually means the wrong file was passed.
+//!
+//! Exit codes: 0 ok, 2 usage or configuration, 3 I/O — a missing,
+//! truncated or corrupt wave file (named on stderr), or an unwritable VTK.
+
+use std::path::PathBuf;
 
 use mfc_cli::{admit, vtk_fields, CaseFile};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::grid::Grid;
 use mfc_core::output::{postprocess_wave_files, write_vtk_rectilinear};
 
-const USAGE: &str = "usage: mfc-post <dir> <step> <nx> <ny> <nz> <nfluids> <ndim> <px> <py> <pz> <out.vtk>\n       mfc-post --case <case.json> <step> <out.vtk>";
+const USAGE: &str =
+    "usage: mfc-post <dir> <step> <out.vtk>\n       mfc-post --case <case.json> <step> <out.vtk>";
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -31,26 +38,16 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-struct PostJob {
-    dir: std::path::PathBuf,
-    step: usize,
-    n: [usize; 3],
-    eq: EqIdx,
-    dims: [usize; 3],
-    out: std::path::PathBuf,
+fn fail_io(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(3);
 }
 
-/// The `--case` form: everything about the run geometry comes from
-/// admitting the case file, exactly as `mfc-run` did.
-fn job_from_case(args: &[String]) -> PostJob {
-    if args.len() != 3 {
-        die("--case needs <case.json> <step> <out.vtk>");
-    }
-    let path = std::path::PathBuf::from(&args[0]);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {}: {e}", path.display());
-        std::process::exit(3);
-    });
+/// The `--case` form's wave directory, from admitting the case file
+/// exactly as `mfc-run` did.
+fn wave_dir_of_case(path: &str) -> PathBuf {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail_io(&format!("cannot read {path}: {e}")));
     let case =
         CaseFile::from_json(&text).unwrap_or_else(|e| die(&format!("invalid configuration: {e}")));
     let admitted = admit(&case).unwrap_or_else(|e| {
@@ -70,83 +67,44 @@ fn job_from_case(args: &[String]) -> PostJob {
              (no kernels run); remove it from the case file or use \
              `mfc-run --vector-width`");
     }
-    let step = args[1].parse::<usize>().unwrap_or_else(|_| {
-        die(&format!("'{}' is not a non-negative integer", args[1]));
-    });
-    PostJob {
-        dir: admitted.wave_dir(),
-        step,
-        n: admitted.case().cells,
-        eq: admitted.case().eq(),
-        dims: admitted.dims(),
-        out: std::path::PathBuf::from(&args[2]),
-    }
-}
-
-/// The positional form: geometry spelled out on the command line.
-fn job_from_args(args: &[String]) -> PostJob {
-    if args.len() != 11 {
-        die("expected 11 positional arguments");
-    }
-    let parse = |s: &String| -> usize {
-        s.parse()
-            .unwrap_or_else(|_| die(&format!("'{s}' is not a non-negative integer")))
-    };
-    let nfluids = parse(&args[5]);
-    let ndim = parse(&args[6]);
-    PostJob {
-        dir: std::path::PathBuf::from(&args[0]),
-        step: parse(&args[1]),
-        n: [parse(&args[2]), parse(&args[3]), parse(&args[4])],
-        eq: EqIdx::new(nfluids, ndim),
-        dims: [parse(&args[7]), parse(&args[8]), parse(&args[9])],
-        out: std::path::PathBuf::from(&args[10]),
-    }
+    admitted.wave_dir()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let job = match args.first().map(|s| s.as_str()) {
-        Some("--case") => job_from_case(&args[1..]),
+    let (dir, rest) = match args.first().map(|s| s.as_str()) {
         Some("--help") | Some("-h") => {
             println!("{USAGE}");
             return;
         }
-        _ => job_from_args(&args),
+        Some("--case") if args.len() == 4 => (wave_dir_of_case(&args[1]), &args[2..]),
+        Some("--case") => die("--case needs <case.json> <step> <out.vtk>"),
+        _ if args.len() == 3 => (PathBuf::from(&args[0]), &args[1..]),
+        _ => die("expected <dir> <step> <out.vtk>"),
     };
-    let PostJob {
-        dir,
-        step,
-        n,
-        eq,
-        dims,
-        out,
-    } = job;
+    let step = rest[0]
+        .parse::<usize>()
+        .unwrap_or_else(|_| die(&format!("'{}' is not a non-negative integer", rest[0])));
+    let out = PathBuf::from(&rest[1]);
 
-    let gf = match postprocess_wave_files(&dir, step, n, eq, dims) {
-        Ok(gf) => gf,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (h, gf) = postprocess_wave_files(&dir, step).unwrap_or_else(|e| fail_io(&e.to_string()));
+    let n = gf.n;
     println!(
         "reassembled {}x{}x{} cells x {} equations from {} rank files",
         n[0],
         n[1],
         n[2],
         gf.neq,
-        dims.iter().product::<usize>()
+        h.dims.iter().product::<usize>()
     );
 
     // Unit-box grid: cell extents are what visualization needs; physical
     // extents can be rescaled in the viewer.
     let grid = Grid::uniform(n, [0.0; 3], [1.0, 1.0, 1.0]);
-    let fields = vtk_fields(&eq);
+    let fields = vtk_fields(&EqIdx::new(h.nf, h.ndim));
     let refs: Vec<(&str, usize)> = fields.iter().map(|(s, i)| (s.as_str(), *i)).collect();
     if let Err(e) = write_vtk_rectilinear(&out, &grid, &gf, &refs) {
-        eprintln!("error writing {}: {e}", out.display());
-        std::process::exit(1);
+        fail_io(&format!("writing {}: {e}", out.display()));
     }
     println!("wrote {}", out.display());
 }

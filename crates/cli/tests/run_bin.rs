@@ -297,6 +297,91 @@ fn wave_files_combine_with_checkpointing_and_post_process_to_the_same_vtk() {
     }
 }
 
+/// `mfc-post` reads the decomposition from the wave files' headers: after
+/// rank 2 of 4 is lost for good and the roster shrinks, the three
+/// survivors' files reassemble — through `--case` and through the
+/// positional form alike — into `mfc-run`'s own VTK, byte for byte.
+#[test]
+fn wave_files_of_a_shrunk_run_post_process_to_the_same_vtk_in_both_forms() {
+    let scratch = Scratch::new("postshrink");
+    let perm = scratch.write(
+        "perm.json",
+        r#"{ "seed": 11, "deaths": [ { "rank": 2, "step": 7, "permanent": true } ] }"#,
+    );
+    let case = scratch.sod_case("shrink", 4, 12, true);
+    let flags = [
+        "--faults",
+        perm.to_str().unwrap(),
+        "--failure-policy",
+        "shrink",
+    ];
+    let out = mfc_run(&case, &[&flags[..], &["--checkpoint-every", "3"]].concat());
+    let said = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{said}");
+    assert!(said.contains("shrink"), "{said}");
+    let waves = scratch.0.join("shrink/waves");
+    assert_eq!(
+        std::fs::read_dir(&waves).unwrap().count(),
+        3,
+        "one file per survivor"
+    );
+    let want = std::fs::read(scratch.0.join("shrink/sod.vtk")).unwrap();
+    let forms: [&[&std::ffi::OsStr]; 2] =
+        [&["--case".as_ref(), case.as_os_str()], &[waves.as_os_str()]];
+    for (i, form) in forms.into_iter().enumerate() {
+        let vtk = scratch.0.join(format!("post{i}.vtk"));
+        let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
+        post.args(form).arg("12").arg(&vtk);
+        let post = output_within(post, Duration::from_secs(120));
+        let stdout = String::from_utf8_lossy(&post.stdout);
+        assert_eq!(
+            post.status.code(),
+            Some(0),
+            "{form:?}: {stdout}{}",
+            String::from_utf8_lossy(&post.stderr)
+        );
+        assert!(stdout.contains("from 3 rank files"), "{form:?}: {stdout}");
+        assert!(
+            std::fs::read(&vtk).unwrap() == want,
+            "{form:?}: VTK differs from mfc-run's"
+        );
+    }
+}
+
+/// A missing, truncated or corrupt wave file is an I/O failure: exit 3,
+/// with the file named on stderr.
+#[test]
+fn a_missing_truncated_or_corrupt_wave_file_is_exit_3_naming_it() {
+    let scratch = Scratch::new("postdamage");
+    let case = scratch.sod_case("out", 2, 6, true);
+    assert_eq!(mfc_run(&case, &[]).status.code(), Some(0));
+    let waves = scratch.0.join("out/waves");
+    let file = |rank: usize| waves.join(format!("step000006_rank{rank:06}.bin"));
+    let pristine = std::fs::read(file(1)).unwrap();
+    let mut flipped = pristine.clone();
+    flipped[pristine.len() / 2] ^= 0x01;
+    let damage: [(&str, Option<&[u8]>); 3] = [
+        ("missing", None),
+        ("truncated", Some(&pristine[..pristine.len() - 3])),
+        ("corrupt", Some(&flipped)),
+    ];
+    for (what, bytes) in damage {
+        match bytes {
+            None => std::fs::remove_file(file(1)).unwrap(),
+            Some(b) => std::fs::write(file(1), b).unwrap(),
+        }
+        let mut post = Command::new(env!("CARGO_BIN_EXE_mfc-post"));
+        post.arg(&waves).arg("6").arg(scratch.0.join("post.vtk"));
+        let post = output_within(post, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&post.stderr);
+        assert_eq!(post.status.code(), Some(3), "{what}: {stderr}");
+        assert!(
+            stderr.contains(file(1).to_str().unwrap()),
+            "{what}: {stderr}"
+        );
+    }
+}
+
 /// The overlapped exchange at the binary level (§III-B), one row per
 /// run: hiding the halo exchange behind the interior sweeps is bitwise
 /// invisible in every output artifact; its trace stays schema-valid,
@@ -699,7 +784,10 @@ fn exit_code_contract_and_rank_death_recovery_at_one_and_four_workers() {
             .map(|e| std::fs::read(e.unwrap().path()).unwrap())
             .next()
             .expect("the death run committed a checkpoint");
-        assert!(ckpt.starts_with(b"MFCKPT01"), "checkpoint magic");
+        assert!(
+            ckpt.starts_with(mfc_core::restart::CHECKPOINT_MAGIC),
+            "checkpoint magic"
+        );
     }
 }
 

@@ -4,24 +4,26 @@
 //! them back and produces SILO databases for Paraview/VisIt.  The
 //! reproduction's pipeline:
 //!
-//! * each rank writes its interior block with the wave-throttled
+//! * each rank writes its interior block as a block file
+//!   ([`crate::restart::save_interior`]) under the wave-throttled
 //!   [`mfc_mpsim::WaveWriter`] (file-per-process; MFC's production wave
 //!   width is [`mfc_mpsim::DEFAULT_WAVE_SIZE`] = 128 writers, overridable
 //!   per run via `mfc-run --io-wave` / the `io.wave` case key),
 //! * [`postprocess_wave_files`] plays the host role: it reassembles the
-//!   global field from the per-rank files using the same decomposition
-//!   arithmetic the ranks used,
+//!   global field from the per-rank files, taking the grid and the
+//!   decomposition from the files' headers,
 //! * [`write_vtk_rectilinear`] emits a legacy-VTK rectilinear dataset —
 //!   the open substitute for SILO — loadable by Paraview/VisIt.
 
 use std::io::{self, Write};
 use std::path::Path;
 
-use mfc_mpsim::{CartComm, WaveWriter};
+use mfc_mpsim::WaveWriter;
 
-use crate::eqidx::EqIdx;
+use crate::domain::Domain;
 use crate::grid::Grid;
 use crate::par::GlobalField;
+use crate::restart::{load_block, load_shard, BlockLayout, CheckpointError, CheckpointHeader};
 use crate::state::StateField;
 
 /// Serialize one rank's interior block in the canonical order
@@ -37,59 +39,24 @@ pub fn block_to_vec(q: &StateField) -> Vec<f64> {
     out
 }
 
-/// Reassemble the global field of one output step from per-rank wave
-/// files, recomputing each rank's block extents from the topology.
+/// Reassemble the global field of output step `step` from the per-rank
+/// wave files under `dir`, whichever roster wrote them: rank 0's header
+/// names the grid, and [`load_block`] reads the set onto it. The returned
+/// header describes the field (`dims` names the writers).
 pub fn postprocess_wave_files(
     dir: &Path,
     step: usize,
-    global_n: [usize; 3],
-    eq: EqIdx,
-    dims: [usize; 3],
-) -> io::Result<GlobalField> {
-    let n_ranks: usize = dims.iter().product();
-    let neq = eq.neq();
-    let mut data = vec![0.0; global_n[0] * global_n[1] * global_n[2] * neq];
-    for rank in 0..n_ranks {
-        let cart = CartComm::new(rank, dims, [false; 3]);
-        let mut off = [0usize; 3];
-        let mut n = [1usize; 3];
-        for d in 0..eq.ndim() {
-            let (o, l) = cart.local_extent(d, global_n[d]);
-            off[d] = o;
-            n[d] = l;
-        }
-        let block = WaveWriter::read(dir, step, rank)?;
-        if block.len() != n[0] * n[1] * n[2] * neq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "rank {rank} block has {} values, expected {}",
-                    block.len(),
-                    n[0] * n[1] * n[2] * neq
-                ),
-            ));
-        }
-        let mut idx = 0usize;
-        for e in 0..neq {
-            for k in 0..n[2] {
-                for j in 0..n[1] {
-                    for i in 0..n[0] {
-                        let gi = off[0] + i;
-                        let gj = off[1] + j;
-                        let gk = off[2] + k;
-                        data[gi + global_n[0] * (gj + global_n[1] * (gk + global_n[2] * e))] =
-                            block[idx];
-                        idx += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok(GlobalField {
-        n: global_n,
-        neq,
-        data,
-    })
+) -> Result<(CheckpointHeader, GlobalField), CheckpointError> {
+    let shard = |rank| WaveWriter::rank_path(dir, step, rank);
+    let (first, _) = load_shard(shard(0))?;
+    let dom = Domain::new(first.global, 0, first.domain().eq);
+    let (h, q) = load_block(shard, 0, dom, BlockLayout::lone(first.global))?;
+    let field = GlobalField {
+        n: h.n,
+        neq: dom.eq.neq(),
+        data: q.as_slice().to_vec(),
+    };
+    Ok((h, field))
 }
 
 /// Write a legacy-VTK (ASCII) rectilinear dataset with one cell-data
@@ -153,14 +120,41 @@ pub fn write_vtk_rectilinear(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use mfc_mpsim::World;
+    use crate::eqidx::EqIdx;
+    use crate::restart::save_interior;
+    use mfc_mpsim::{block_extents, Comm, World};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("mfc_output_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// Write `c`'s `n`-cell block, value f(e, gi, gj), as its wave file for
+    /// step 0, declaring `layout`.
+    fn write_rank(c: &Comm, dir: &Path, eq: EqIdx, layout: BlockLayout, n: [usize; 3]) {
+        let dom = Domain::new(n, 1, eq);
+        let mut q = StateField::zeros(dom);
+        for e in 0..eq.neq() {
+            for j in 0..n[1] {
+                for i in 0..n[0] {
+                    let (gi, gj) = (layout.off[0] + i, layout.off[1] + j);
+                    let (pi, pj, pk) = dom.to_padded([i, j, 0]);
+                    q.set(pi, pj, pk, e, (e * 1000 + gj * 100 + gi) as f64);
+                }
+            }
+        }
+        let path = WaveWriter::rank_path(dir, 0, c.rank());
+        WaveWriter::paper_default()
+            .write(c, 0, || save_interior(&path, &q, layout, 0.5, 3))
+            .unwrap();
+    }
+
+    /// [`write_rank`] with the layout `dims` implies.
+    fn write_block(c: &Comm, dir: &Path, eq: EqIdx, global: [usize; 3], dims: [usize; 3]) {
+        let (off, n) = block_extents(c.rank(), dims, global, eq.ndim());
+        write_rank(c, dir, eq, BlockLayout { global, dims, off }, n);
     }
 
     #[test]
@@ -181,27 +175,11 @@ mod tests {
     fn wave_files_reassemble_into_the_global_field() {
         let dir = tmpdir("reassemble");
         let eq = EqIdx::new(1, 2);
-        let global_n = [8usize, 6, 1];
-        let dims = [2usize, 2, 1];
-        // Each rank writes f(e, gi, gj) over its block.
-        let dirref = &dir;
-        World::run(4, |c| {
-            let cart = CartComm::new(c.rank(), dims, [false; 3]);
-            let (ox, lx) = cart.local_extent(0, global_n[0]);
-            let (oy, ly) = cart.local_extent(1, global_n[1]);
-            let mut block = Vec::new();
-            for e in 0..eq.neq() {
-                for j in 0..ly {
-                    for i in 0..lx {
-                        block.push((e * 1000 + (oy + j) * 100 + (ox + i)) as f64);
-                    }
-                }
-            }
-            WaveWriter::paper_default()
-                .write(&c, dirref, 0, &block)
-                .unwrap();
-        });
-        let gf = postprocess_wave_files(&dir, 0, global_n, eq, dims).unwrap();
+        // Each rank writes f(e, gi, gj) over its block; the headers alone
+        // tell the reader the grid and the 2 x 2 decomposition.
+        World::run(4, |c| write_block(&c, &dir, eq, [8, 6, 1], [2, 2, 1]));
+        let (h, gf) = postprocess_wave_files(&dir, 0).unwrap();
+        assert_eq!((gf.n, gf.neq, h.dims), ([8, 6, 1], eq.neq(), [2, 2, 1]));
         for e in 0..eq.neq() {
             for j in 0..6 {
                 for i in 0..8 {
@@ -238,19 +216,21 @@ mod tests {
 
     #[test]
     fn postprocess_reports_missing_rank_file() {
-        // A 2-rank decomposition with only rank 0's file on disk: the
-        // reassembly must surface the missing file as an I/O error, not
-        // silently zero-fill the absent block.
+        // Rank 0's file declares a 2-rank decomposition but only it is on
+        // disk: the reassembly must name the missing file, not silently
+        // zero-fill the absent block.
         let dir = tmpdir("missing");
-        let dirref = &dir;
         World::run(1, |c| {
-            WaveWriter::paper_default()
-                .write(&c, dirref, 0, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-                .unwrap();
+            write_block(&c, &dir, EqIdx::new(1, 1), [8, 1, 1], [2, 1, 1])
         });
-        let err = postprocess_wave_files(&dir, 0, [4, 1, 1], EqIdx::new(1, 1), [2, 1, 1])
-            .expect_err("rank 1's file is missing");
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        let err = postprocess_wave_files(&dir, 0).expect_err("rank 1's file is missing");
+        match &err {
+            CheckpointError::Shard(path, cause) => {
+                assert_eq!(*path, WaveWriter::rank_path(&dir, 0, 1));
+                assert!(matches!(**cause, CheckpointError::Io(_)), "{err}");
+            }
+            other => panic!("expected a missing shard, got {other}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -259,32 +239,30 @@ mod tests {
         // Truncate a rank file mid-payload (a crashed writer): the block
         // comes back short and the reassembly must refuse it.
         let dir = tmpdir("truncated");
-        let dirref = &dir;
         World::run(1, |c| {
-            WaveWriter::paper_default()
-                .write(&c, dirref, 0, &[1.0, 2.0, 3.0, 4.0])
-                .unwrap();
+            write_block(&c, &dir, EqIdx::new(1, 1), [4, 1, 1], [1, 1, 1])
         });
         let path = WaveWriter::rank_path(&dir, 0, 0);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = postprocess_wave_files(&dir, 0, [4, 1, 1], EqIdx::new(1, 1), [1, 1, 1])
-            .expect_err("truncated payload must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = postprocess_wave_files(&dir, 0).expect_err("truncated payload must be rejected");
+        assert!(
+            matches!(&err, CheckpointError::Shard(_, cause)
+                if matches!(**cause, CheckpointError::Truncated { .. })),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn postprocess_rejects_wrong_block_size() {
+        // A file whose extent is not the block its decomposition implies.
         let dir = tmpdir("badblock");
-        let dirref = &dir;
+        let eq = EqIdx::new(1, 1);
         World::run(1, |c| {
-            WaveWriter::paper_default()
-                .write(&c, dirref, 0, &[1.0, 2.0])
-                .unwrap();
+            write_rank(&c, &dir, eq, BlockLayout::lone([4, 1, 1]), [2, 1, 1])
         });
-        let r = postprocess_wave_files(&dir, 0, [4, 1, 1], EqIdx::new(1, 1), [1, 1, 1]);
-        assert!(r.is_err());
+        assert!(postprocess_wave_files(&dir, 0).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

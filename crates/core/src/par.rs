@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind, TransferDirection};
 use mfc_mpsim::{
-    best_block_dims, validate_halo_extents, CartComm, Comm, CommFault, FailurePolicy, FaultCtx,
-    SpareWake, Staging, WaveWriter, World,
+    best_block_dims, block_extents, validate_halo_extents, CartComm, Comm, CommFault,
+    FailurePolicy, FaultCtx, SpareWake, Staging, WaveWriter, World,
 };
 use mfc_trace::{Category, Tracer};
 use serde::{Deserialize, Serialize};
@@ -44,6 +44,7 @@ use crate::domain::Domain;
 use crate::grid::{Grid, Grid1D};
 use crate::health::HealthConfig;
 use crate::recovery::{RecoveryPolicy, StepFault};
+use crate::restart::{load_block, save_block, save_interior, wave_path, BlockLayout};
 use crate::rhs::{closures, prelude, sweep_axis, RhsConfig};
 use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
 use crate::state::StateField;
@@ -126,22 +127,6 @@ pub fn run_distributed_with_mode(
     run_distributed_resilient(case, cfg, n_ranks, steps, staging, &opts)
 }
 
-/// Offset and interior size of `cart`'s block of the global grid — the
-/// one place the decomposition arithmetic is applied.
-fn block_extent(cart: &CartComm, ndim: usize, global_n: [usize; 3]) -> ([usize; 3], [usize; 3]) {
-    let mut off = [0usize; 3];
-    let mut n = [1usize; 3];
-    for d in 0..ndim {
-        (off[d], n[d]) = cart.local_extent(d, global_n[d]);
-    }
-    (off, n)
-}
-
-/// Which axes of `case` wrap (then the rank topology wraps too).
-fn periodic_axes(case: &CaseBuilder) -> [bool; 3] {
-    [0, 1, 2].map(|d| case.bc.axis_periodic(d))
-}
-
 /// Logical rank `logical`'s place in the decomposition `dims` of `case` and
 /// its block: its slice of the grid, its faces that border a neighbour
 /// instead of a physical boundary, and `opts`' watchdog and ladder.
@@ -154,8 +139,9 @@ fn rank_block(
     ctx: Context,
 ) -> (CartComm, Solver) {
     let ndim = case.eq().ndim();
-    let cart = CartComm::new(logical, dims, periodic_axes(case));
-    let (off, n) = block_extent(&cart, ndim, case.cells);
+    // Axes of `case` that wrap make the rank topology wrap too.
+    let cart = CartComm::new(logical, dims, [0, 1, 2].map(|d| case.bc.axis_periodic(d)));
+    let (off, n) = block_extents(logical, dims, case.cells, ndim);
     let global = case.grid();
     let axis = |d: usize, g: &Grid1D| {
         if d < ndim {
@@ -176,7 +162,12 @@ fn rank_block(
             cart.neighbor(d, 1).is_some(),
         );
     }
-    let mut blk = Solver::block(case, cfg, ctx, local_grid, off, skip);
+    let layout = BlockLayout {
+        global: case.cells,
+        dims,
+        off,
+    };
+    let mut blk = Solver::block(case, cfg, ctx, local_grid, layout, skip);
     blk.set_health(opts.health);
     blk.set_recovery(opts.recovery.clone());
     (cart, blk)
@@ -188,14 +179,12 @@ fn assemble_global(
     eq: crate::eqidx::EqIdx,
     global_n: [usize; 3],
     dims: [usize; 3],
-    periodic: [bool; 3],
     blocks: &[Vec<f64>],
 ) -> GlobalField {
     let neq = eq.neq();
     let mut data = vec![0.0; global_n[0] * global_n[1] * global_n[2] * neq];
     for (rank, block) in blocks.iter().enumerate() {
-        let cart = CartComm::new(rank, dims, periodic);
-        let (off, n) = block_extent(&cart, eq.ndim(), global_n);
+        let (off, n) = block_extents(rank, dims, global_n, eq.ndim());
         let mut it = block.iter();
         for e in 0..neq {
             for k in 0..n[2] {
@@ -219,9 +208,11 @@ fn assemble_global(
 }
 
 /// Wave-throttled file-per-process output of the final state (§III-A):
-/// every rank writes its interior block as
+/// every rank writes its interior block as a block file
+/// ([`crate::restart::save_interior`]) at
 /// [`mfc_mpsim::WaveWriter::rank_path`]`(dir, step_id, rank)`, to be
-/// reassembled by [`crate::output::postprocess_wave_files`] (`mfc-post`).
+/// reassembled from the files' headers by
+/// [`crate::output::postprocess_wave_files`] (`mfc-post`).
 #[derive(Debug, Clone)]
 pub struct WaveOutput {
     /// Directory receiving the per-rank files; created if missing.
@@ -364,17 +355,6 @@ impl std::error::Error for ResilienceError {}
 /// per-rank blocks on rank 0 (`None` elsewhere) plus its comm counters.
 type RankOutcome = Result<(Option<Vec<Vec<f64>>>, CommStats), ResilienceError>;
 
-/// One decomposition epoch in a resilient run: checkpoint waves from
-/// `first_wave` onward were written by `size` ranks laid out as `dims`.
-/// A shrink appends a new entry, so a rollback can tell whether a wave's
-/// shards match the current layout or need cross-shard redistribution.
-#[derive(Debug, Clone, Copy)]
-struct Era {
-    first_wave: u64,
-    dims: [usize; 3],
-    size: usize,
-}
-
 /// The distributed driver. Every step's collectives and halo exchanges go
 /// through the fault-aware ("policied") path — which *is* the plain
 /// blocking path when `opts.faults` is `None` — the conservative state is
@@ -415,7 +395,6 @@ pub fn run_distributed_resilient(
             detail: e.to_string(),
         }
     })?;
-    let periodic = periodic_axes(case);
     if let Some(faults) = &opts.faults {
         // Reject plans that cannot end well before any rank is spawned: a
         // death outside the world would never fire (the run would hang
@@ -444,16 +423,12 @@ pub fn run_distributed_resilient(
             detail: format!("creating checkpoint dir {}: {e}", opts.ckpt_dir.display()),
         })?;
     }
-    let output = match &opts.output {
-        Some(out) => {
-            std::fs::create_dir_all(&out.dir).map_err(|e| ResilienceError::Io {
-                rank: 0,
-                detail: format!("creating wave dir {}: {e}", out.dir.display()),
-            })?;
-            Some((out, WaveWriter::new(out.wave_size)))
-        }
-        None => None,
-    };
+    if let Some(out) = &opts.output {
+        std::fs::create_dir_all(&out.dir).map_err(|e| ResilienceError::Io {
+            rank: 0,
+            detail: format!("creating wave dir {}: {e}", out.dir.display()),
+        })?;
+    }
     let total_steps = steps as u64;
     let every = opts.checkpoint_every;
 
@@ -494,12 +469,8 @@ pub fn run_distributed_resilient(
         // when the communicator shrinks or a spare is promoted, so every
         // use goes through the cell.
         let me = Cell::new(promoted_into.unwrap_or_else(|| comm.rank()));
-        // Current decomposition epoch; a shrink recomputes both.
-        let mut dims_cur = dims;
-        let mut size_cur = n_ranks;
-
-        // A shrink rebuilds both.
-        let (mut cart, mut blk) = rank_block(case, cfg, opts, dims_cur, me.get(), ctx);
+        // A shrink rebuilds both; the block carries the current layout.
+        let (mut cart, mut blk) = rank_block(case, cfg, opts, dims, me.get(), ctx);
 
         let note =
             |kind: ResilienceEventKind, step: u64, wave: u64, wall: Duration, detail: String| {
@@ -519,16 +490,6 @@ pub fn run_distributed_resilient(
         let mut deaths_done: HashSet<usize> = HashSet::new();
         // Set after a rollback: (pre-fault step to replay through, timer).
         let mut replay_target: Option<(u64, Instant)> = None;
-        // Which decomposition wrote each checkpoint wave: waves at or past
-        // `first_wave` of the last entry belong to the current epoch, so a
-        // rollback knows whether a wave loads directly or must be
-        // redistributed from the old layout's shards. Deterministic and
-        // identical on every survivor.
-        let mut eras: Vec<Era> = vec![Era {
-            first_wave: 0,
-            dims,
-            size: n_ranks,
-        }];
         loop {
             // ---- Recovery: rendezvous, reconfigure, roll back, resume
             // (or abort). ----
@@ -579,15 +540,15 @@ pub fn run_distributed_resilient(
                     // every layout-derived structure. Deterministic on
                     // each survivor, so a rejection is collective.
                     let _shrink_span = blk.context().span("shrink", Category::Recovery);
-                    size_cur = comm.size();
-                    dims_cur = best_block_dims(size_cur, global_n);
-                    if let Err(e) = validate_halo_extents(dims_cur, global_n, eq.ndim(), ng) {
+                    let size = comm.size();
+                    let dims = best_block_dims(size, global_n);
+                    if let Err(e) = validate_halo_extents(dims, global_n, eq.ndim(), ng) {
                         return Err(ResilienceError::Decomposition {
-                            detail: format!("after shrinking to {size_cur} ranks: {e}"),
+                            detail: format!("after shrinking to {size} ranks: {e}"),
                         });
                     }
                     (cart, blk) =
-                        rank_block(case, cfg, opts, dims_cur, me.get(), blk.context().clone());
+                        rank_block(case, cfg, opts, dims, me.get(), blk.context().clone());
                     if me.get() == 0 {
                         note(
                             ResilienceEventKind::Shrink,
@@ -595,8 +556,7 @@ pub fn run_distributed_resilient(
                             faults.board.committed_wave().unwrap_or(0),
                             t0.elapsed(),
                             format!(
-                                "survivor consensus: {prev_size} -> {size_cur} ranks, \
-                                 dims {dims_cur:?}"
+                                "survivor consensus: {prev_size} -> {size} ranks, dims {dims:?}"
                             ),
                         );
                     }
@@ -618,95 +578,69 @@ pub fn run_distributed_resilient(
                     });
                 };
                 // Walk back from the committed wave until one loads on *every*
-                // rank: a truncated or bit-flipped file fails its CRC locally,
-                // and the collective min makes all ranks skip that wave
-                // together. A wave written by an older (pre-shrink)
-                // decomposition is reassembled cross-shard: each new owner
-                // loads exactly the cells it now owns from the old layout's
+                // rank: a truncated, bit-flipped or inconsistent file fails
+                // locally, and the collective min makes all ranks skip that
+                // wave together. The wave's own headers say which
+                // decomposition wrote it: the current one is a direct read,
+                // an older (pre-shrink) one is re-sharded — each new owner
+                // loads exactly the cells it now owns from that layout's
                 // files.
-                let mut candidate = wave as i64;
-                let (header, restored, loaded_wave, redistributed) = loop {
-                    if candidate < 0 {
-                        return Err(ResilienceError::Unrecoverable {
-                            rank: me.get(),
-                            detail: "no loadable checkpoint wave (all corrupt)".into(),
-                        });
-                    }
-                    let cand = candidate as u64;
-                    let era = *eras
-                        .iter()
-                        .rev()
-                        .find(|e| e.first_wave <= cand)
-                        .expect("era list covers wave 0");
-                    let same_layout = era.dims == dims_cur && era.size == size_cur;
-                    let local = if same_layout {
-                        let path = crate::restart::wave_path(&opts.ckpt_dir, me.get(), cand);
-                        crate::restart::load_checkpoint(&path)
-                    } else {
-                        let _redist_span = blk.context().span("redistribute", Category::Recovery);
-                        crate::restart::load_redistributed(
-                            &opts.ckpt_dir,
-                            cand,
-                            era.dims,
-                            era.size,
-                            global_n,
-                            *blk.domain(),
-                            block_extent(&cart, eq.ndim(), global_n).0,
-                        )
-                    };
+                let loaded = (0..=wave).rev().find_map(|cand| {
+                    let shard = |r| wave_path(&opts.ckpt_dir, r, cand);
+                    let local = load_block(shard, me.get(), *blk.domain(), blk.layout());
                     // Post-rendezvous every roster slot is alive again, so
                     // the plain (non-policied) collective is safe.
-                    let ok = comm.allreduce_min(if local.is_ok() { 1.0 } else { 0.0 });
-                    if ok >= 1.0 {
-                        let (h, r) = local.expect("agreed loadable");
-                        break (h, r, cand, !same_layout);
+                    if comm.allreduce_min(if local.is_ok() { 1.0 } else { 0.0 }) >= 1.0 {
+                        let (h, q) = local.expect("agreed loadable");
+                        return Some((h, q, cand));
                     }
                     if me.get() == 0 {
-                        let why = match local {
-                            Ok(_) => "a peer rank's block failed".to_string(),
-                            Err(e) => e.to_string(),
-                        };
+                        let why = local.map_or_else(
+                            |e| e.to_string(),
+                            |_| "a peer rank's block failed".into(),
+                        );
+                        let detail = format!("wave {cand} unreadable, skipping: {why}");
                         note(
                             ResilienceEventKind::Rollback,
                             fault_step,
                             cand,
                             t0.elapsed(),
-                            format!("wave {candidate} unreadable, skipping: {why}"),
+                            detail,
                         );
                     }
-                    candidate -= 1;
+                    None
+                });
+                let Some((header, restored, loaded_wave)) = loaded else {
+                    return Err(ResilienceError::Unrecoverable {
+                        rank: me.get(),
+                        detail: "no loadable checkpoint wave (all corrupt)".into(),
+                    });
                 };
+                let dims_now = blk.layout().dims;
+                let resharded = header.dims != dims_now;
+                let _redist_span = resharded
+                    .then(|| blk.context().span("redistribute", Category::Recovery))
+                    .flatten();
                 // The replay is a fresh deterministic run from the wave: the
                 // restore resets the ladder with it.
                 blk.restore(restored, header.t, header.steps);
                 let step = blk.steps();
                 next_wave = loaded_wave + 1;
-                if redistributed && me.get() == 0 {
-                    let era = eras
-                        .iter()
-                        .rev()
-                        .find(|e| e.first_wave <= loaded_wave)
-                        .expect("era list covers wave 0");
+                if resharded && me.get() == 0 {
+                    let detail = format!(
+                        "wave {loaded_wave} re-sharded from {} ranks {:?} onto {} ranks \
+                         {dims_now:?}",
+                        header.dims.iter().product::<usize>(),
+                        header.dims,
+                        comm.size()
+                    );
                     note(
                         ResilienceEventKind::Redistribute,
                         step,
                         loaded_wave,
                         t0.elapsed(),
-                        format!(
-                            "wave {loaded_wave} re-sharded from {} ranks {:?} onto \
-                             {size_cur} ranks {dims_cur:?}",
-                            era.size, era.dims
-                        ),
+                        detail,
                     );
-                }
-                if shrunk {
-                    // Checkpoints from here on belong to the new decomposition;
-                    // their wave numbers strictly exceed every pre-shrink wave.
-                    eras.push(Era {
-                        first_wave: next_wave,
-                        dims: dims_cur,
-                        size: size_cur,
-                    });
                 }
                 let target = replay_target.map_or(fault_step, |(old, _)| old.max(fault_step));
                 replay_target = Some((target, Instant::now()));
@@ -729,18 +663,21 @@ pub fn run_distributed_resilient(
             // like any other. ----
             let step = blk.steps();
             if step == total_steps {
-                let Some((out, writer)) = &output else {
+                let Some(out) = &opts.output else {
                     break;
                 };
                 let t0 = Instant::now();
-                let block = crate::output::block_to_vec(blk.state());
+                let dom = blk.domain();
+                let bytes = (dom.interior_cells() * dom.eq.neq() * 8) as u64;
                 blk.context()
                     .ledger()
-                    .record_transfer(TransferDirection::DeviceToHost, (block.len() * 8) as u64);
-                let saved = writer
-                    .write(comm, &out.dir, out.step_id, &block)
-                    .map(|_wave| ());
+                    .record_transfer(TransferDirection::DeviceToHost, bytes);
                 let path = WaveWriter::rank_path(&out.dir, out.step_id, me.get());
+                let saved = WaveWriter::new(out.wave_size)
+                    .write(comm, bytes, || {
+                        save_interior(&path, blk.state(), blk.layout(), blk.time(), step)
+                    })
+                    .map(|_wave| ());
                 if commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
                     break;
                 }
@@ -785,8 +722,8 @@ pub fn run_distributed_resilient(
                 let _ckpt_span = blk.context().span("checkpoint", Category::Io);
                 let wave = next_wave;
                 let t0 = Instant::now();
-                let path = crate::restart::wave_path(&opts.ckpt_dir, me.get(), wave);
-                let saved = crate::restart::save_checkpoint(&path, blk.state(), blk.time(), step);
+                let path = wave_path(&opts.ckpt_dir, me.get(), wave);
+                let saved = save_block(&path, blk.state(), blk.layout(), blk.time(), step);
                 if !commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
                     needs_recovery = true;
                     continue;
@@ -801,11 +738,7 @@ pub fn run_distributed_resilient(
                 // candidate scan.
                 let keep = opts.ckpt_keep.max(1) as u64;
                 if let Some(old) = wave.checked_sub(keep) {
-                    let _ = std::fs::remove_file(crate::restart::wave_path(
-                        &opts.ckpt_dir,
-                        me.get(),
-                        old,
-                    ));
+                    let _ = std::fs::remove_file(wave_path(&opts.ckpt_dir, me.get(), old));
                 }
                 next_wave += 1;
                 if me.get() == 0 {
@@ -923,10 +856,7 @@ pub fn run_distributed_resilient(
     // `blocks.len()` is the world size at exit; after a shrink it is
     // smaller than `n_ranks` and the layout is the reconfigured one.
     let dims_final = best_block_dims(blocks.len(), global_n);
-    Ok((
-        assemble_global(eq, global_n, dims_final, periodic, &blocks),
-        stats0,
-    ))
+    Ok((assemble_global(eq, global_n, dims_final, &blocks), stats0))
 }
 
 /// Classify a policied-operation failure: the first rank to see a

@@ -2,34 +2,57 @@
 //! subsystem (§III-A) writes: the conservative state at an output step,
 //! from which a later job resumes.
 //!
-//! Format (v1, magic `MFCKPT01`):
+//! Every per-rank file the solver writes is one **block file** (v2, magic
+//! `MFCKPT02`):
 //!
 //! ```text
-//! [ 8 bytes magic "MFCKPT01" ]
+//! [ 8 bytes magic "MFCKPT02" ]
 //! [ u64 LE header length     ]
 //! [ u32 LE CRC-32/IEEE of header JSON ++ payload ]
-//! [ JSON header: domain extents, ghost width, fluid count, time, step ]
-//! [ raw little-endian f64 state, ghost cells included ]
+//! [ JSON header: block extents n, ghost width ng, fluids nf, ndim, time t,
+//!   step, global interior cells, the writers' decomposition dims, and
+//!   this block's offset off ]
+//! [ raw little-endian f64 block: equation-major, x fastest, ghosts included ]
 //! ```
 //!
+//! The header names which block of which decomposition the file holds, so
+//! a file set is read without knowing who wrote it:
+//!
+//! * a checkpoint wave (`ckpt_r{r}_w{w}.bin`, [`wave_path`]): each rank's
+//!   padded block ([`save_block`]);
+//! * a wave file (`step{s}_rank{r}.bin`, the end-of-run output): each
+//!   rank's interior as an `ng = 0` block ([`save_interior`]);
+//! * a crash dump: the block of the solver that gave up;
+//! * a [`save_checkpoint`] file: the lone layout (the whole grid,
+//!   `dims = [1, 1, 1]`).
+//!
 //! Checkpoints are the durable state every rollback depends on, so the
-//! writer is crash-safe (temp file + atomic rename: a torn write never
-//! replaces a good checkpoint) and the reader verifies the CRC, rejecting
-//! truncated or bit-flipped files with a typed [`CheckpointError`] instead
-//! of producing silent garbage. A restarted run continues **bitwise**
-//! identically — which the integration test asserts.
+//! writer is crash-safe (temp file + fsync + atomic rename: a torn write
+//! never replaces a good file) and the reader verifies length and CRC
+//! *before* it trusts a header value, rejecting truncated, bit-flipped or
+//! lying files with a typed [`CheckpointError`] instead of producing
+//! silent garbage, panicking or allocating what the file does not hold.
+//! [`load_block`] is the one reader of a file set: a rank's rollback (same
+//! layout or re-shard) and `mfc-post`'s reassembly are both calls of it. A
+//! restarted run continues **bitwise** identically — which the
+//! integration tests assert.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use mfc_mpsim::{block_extents, MAX_RANKS};
 use serde::{Deserialize, Serialize};
 
 use crate::domain::Domain;
+use crate::eos::MAX_FLUIDS;
 use crate::eqidx::EqIdx;
 use crate::state::StateField;
 
 /// File magic: 8 bytes, versioned.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MFCKPT01";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MFCKPT02";
+
+/// Magic, header length and CRC.
+const PREAMBLE: usize = 20;
 
 /// Why a checkpoint failed to save or load.
 #[derive(Debug)]
@@ -38,12 +61,15 @@ pub enum CheckpointError {
     Io(io::Error),
     /// The file does not start with the checkpoint magic.
     NotACheckpoint,
-    /// The file ends before the declared header + payload.
+    /// The file ends before (or runs past) the declared header + payload.
     Truncated { found: usize, expected: usize },
     /// Header/payload bytes do not match the stored CRC-32.
     CrcMismatch { stored: u32, computed: u32 },
-    /// The header is not valid JSON (or declares an implausible size).
+    /// The header is not valid JSON, declares an impossible block, or
+    /// disagrees with the rest of its file set.
     BadHeader(String),
+    /// One file of a set failed to load.
+    Shard(PathBuf, Box<CheckpointError>),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -67,6 +93,7 @@ impl std::fmt::Display for CheckpointError {
                 "checkpoint CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
             ),
             CheckpointError::BadHeader(e) => write!(f, "bad checkpoint header: {e}"),
+            CheckpointError::Shard(path, e) => write!(f, "{}: {e}", path.display()),
         }
     }
 }
@@ -127,7 +154,29 @@ impl Default for Crc32 {
     }
 }
 
-/// Header of a checkpoint file.
+/// Which block of which decomposition a block file holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockLayout {
+    /// Global interior cells.
+    pub global: [usize; 3],
+    /// Decomposition of the writing roster; its product is the roster size.
+    pub dims: [usize; 3],
+    /// This block's offset in the global grid.
+    pub off: [usize; 3],
+}
+
+impl BlockLayout {
+    /// The whole grid of `n` cells as one block.
+    pub fn lone(n: [usize; 3]) -> Self {
+        BlockLayout {
+            global: n,
+            dims: [1; 3],
+            off: [0; 3],
+        }
+    }
+}
+
+/// Header of a block file.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct CheckpointHeader {
     pub n: [usize; 3],
@@ -136,11 +185,75 @@ pub struct CheckpointHeader {
     pub ndim: usize,
     pub t: f64,
     pub steps: u64,
+    /// Global interior cells.
+    pub global: [usize; 3],
+    /// Decomposition of the roster that wrote the file set.
+    pub dims: [usize; 3],
+    /// This block's offset in the global grid.
+    pub off: [usize; 3],
 }
 
 impl CheckpointHeader {
+    fn new(dom: &Domain, layout: BlockLayout, t: f64, steps: u64) -> Self {
+        CheckpointHeader {
+            n: dom.n,
+            ng: dom.ng,
+            nf: dom.eq.nf(),
+            ndim: dom.eq.ndim(),
+            t,
+            steps,
+            global: layout.global,
+            dims: layout.dims,
+            off: layout.off,
+        }
+    }
+
     pub fn domain(&self) -> Domain {
         Domain::new(self.n, self.ng, EqIdx::new(self.nf, self.ndim))
+    }
+
+    pub fn layout(&self) -> BlockLayout {
+        BlockLayout {
+            global: self.global,
+            dims: self.dims,
+            off: self.off,
+        }
+    }
+
+    /// Payload bytes the header declares, `None` if that overflows. Reads
+    /// unvalidated values, so every step is checked.
+    fn payload_len(&self) -> Option<usize> {
+        let neq = self.nf.checked_mul(2)?.checked_add(self.ndim)?;
+        (0..3).try_fold(neq.checked_mul(8)?, |len, d| {
+            let pad = self.ng.checked_mul(2)? * usize::from(d < self.ndim);
+            len.checked_mul(self.n[d].checked_add(pad)?)
+        })
+    }
+
+    /// Every range [`CheckpointHeader::domain`] and a reader rely on.
+    fn validate(&self) -> Result<(), CheckpointError> {
+        let roster = self.dims.iter().try_fold(1usize, |p, &d| p.checked_mul(d));
+        // An active axis holds a block at least as wide as its halo; an
+        // inactive one is a single unsplit cell.
+        let fits = |d: usize| {
+            let hi = self.off[d].checked_add(self.n[d]);
+            let flat = self.n[d] == 1 && self.global[d] == 1 && self.dims[d] == 1;
+            let shape = (d < self.ndim && self.n[d] >= self.ng.max(1)) || (d >= self.ndim && flat);
+            shape && hi.is_some_and(|hi| hi <= self.global[d])
+        };
+        let checks = [
+            ((1..=MAX_FLUIDS).contains(&self.nf), "nf out of range"),
+            ((1..=3).contains(&self.ndim), "ndim out of range"),
+            (
+                roster.is_some_and(|p| (1..=MAX_RANKS).contains(&p)),
+                "dims not a roster",
+            ),
+            ((0..3).all(fits), "block outside its grid"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, what)) => Err(CheckpointError::BadHeader(format!("{what}: {self:?}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -153,13 +266,8 @@ pub fn wave_path(dir: &Path, rank: usize, wave: u64) -> PathBuf {
     dir.join(format!("ckpt_r{rank}_w{wave}.bin"))
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// Write a checkpoint of `q` at simulation time `t` / step `steps`.
+/// Write a checkpoint of `q` at simulation time `t` / step `steps`, as
+/// the lone layout: the whole grid, written by one rank.
 ///
 /// Crash-safe: the bytes land in `<path>.tmp` first and only an atomic
 /// rename publishes them, so a crash mid-write leaves any previous
@@ -170,31 +278,61 @@ pub fn save_checkpoint(
     t: f64,
     steps: u64,
 ) -> Result<(), CheckpointError> {
-    let dom = *q.domain();
-    let header = CheckpointHeader {
-        n: dom.n,
-        ng: dom.ng,
-        nf: dom.eq.nf(),
-        ndim: dom.eq.ndim(),
-        t,
-        steps,
-    };
+    save_block(path, q, BlockLayout::lone(q.domain().n), t, steps)
+}
+
+/// Write `q`, ghost cells included, as the block `layout` places in its
+/// decomposition: a rank's checkpoint-wave shard or crash dump.
+pub fn save_block(
+    path: &Path,
+    q: &StateField,
+    layout: BlockLayout,
+    t: f64,
+    steps: u64,
+) -> Result<(), CheckpointError> {
+    let header = CheckpointHeader::new(q.domain(), layout, t, steps);
+    write_file(path, &header, q.as_slice())
+}
+
+/// Write `q`'s interior as an `ng = 0` block at `layout`: a rank's wave
+/// file, in [`crate::output::block_to_vec`]'s order.
+pub fn save_interior(
+    path: &Path,
+    q: &StateField,
+    layout: BlockLayout,
+    t: f64,
+    steps: u64,
+) -> Result<(), CheckpointError> {
+    let mut dom = *q.domain();
+    dom.ng = 0;
+    let header = CheckpointHeader::new(&dom, layout, t, steps);
+    write_file(path, &header, &crate::output::block_to_vec(q))
+}
+
+/// The one writer of block files: magic, length, CRC, header, payload,
+/// through `<path>.tmp` + fsync + rename.
+fn write_file(
+    path: &Path,
+    header: &CheckpointHeader,
+    payload: &[f64],
+) -> Result<(), CheckpointError> {
     let hjson =
-        serde_json::to_string(&header).map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
+        serde_json::to_string(header).map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
     let mut crc = Crc32::new();
     crc.update(hjson.as_bytes());
-    for v in q.as_slice() {
+    for v in payload {
         crc.update(&v.to_le_bytes());
     }
 
-    let tmp = tmp_path(path);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
     let write = || -> io::Result<()> {
         let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
         w.write_all(CHECKPOINT_MAGIC)?;
         w.write_all(&(hjson.len() as u64).to_le_bytes())?;
         w.write_all(&crc.finish().to_le_bytes())?;
         w.write_all(hjson.as_bytes())?;
-        for v in q.as_slice() {
+        for v in payload {
             w.write_all(&v.to_le_bytes())?;
         }
         w.flush()?;
@@ -207,169 +345,159 @@ pub fn save_checkpoint(
     })
 }
 
-/// Read a checkpoint back: returns the header and the state.
+/// Read one block file back: returns the header and the state.
 ///
 /// Rejects files without the magic, with a truncated header or payload,
-/// or whose CRC-32 does not match — the resilient driver treats any of
-/// these as "this wave is gone" and rolls back further.
+/// whose CRC-32 does not match, or whose header declares an impossible
+/// block — the resilient driver treats any of these as "this wave is
+/// gone" and rolls back further. Nothing is allocated beyond the file's
+/// own size: the payload length is checked against the header before the
+/// CRC, and the header's ranges after it, before any state is built.
 pub fn load_checkpoint(path: &Path) -> Result<(CheckpointHeader, StateField), CheckpointError> {
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 8];
-    read_or_truncated(&mut r, &mut magic, 8)?;
-    if &magic != CHECKPOINT_MAGIC {
+    let bytes = std::fs::read(path)?;
+    let truncated = |expected| CheckpointError::Truncated {
+        found: bytes.len(),
+        expected,
+    };
+    let magic = bytes.get(..8).ok_or_else(|| truncated(8))?;
+    if magic != CHECKPOINT_MAGIC {
         return Err(CheckpointError::NotACheckpoint);
     }
-    let mut len8 = [0u8; 8];
-    read_or_truncated(&mut r, &mut len8, 16)?;
-    let hlen = u64::from_le_bytes(len8) as usize;
-    if hlen > 1 << 20 {
-        return Err(CheckpointError::BadHeader(format!(
-            "implausible header length {hlen}"
-        )));
+    let (pre, body) = bytes
+        .split_at_checked(PREAMBLE)
+        .ok_or_else(|| truncated(PREAMBLE))?;
+    let hlen = u64::from_le_bytes(pre[8..16].try_into().expect("an 8-byte slice"));
+    let hlen = usize::try_from(hlen).unwrap_or(usize::MAX);
+    let stored = u32::from_le_bytes(pre[16..].try_into().expect("a 4-byte slice"));
+    if hlen > body.len() {
+        return Err(truncated(PREAMBLE.saturating_add(hlen)));
     }
-    let mut crc4 = [0u8; 4];
-    read_or_truncated(&mut r, &mut crc4, 20)?;
-    let stored = u32::from_le_bytes(crc4);
-
-    let mut hbuf = vec![0u8; hlen];
-    read_or_truncated(&mut r, &mut hbuf, 20 + hlen)?;
+    let (hjson, payload) = body.split_at(hlen);
     let header: CheckpointHeader =
-        serde_json::from_slice(&hbuf).map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
-    let dom = header.domain();
-    let mut q = StateField::zeros(dom);
-    let expect = q.as_slice().len() * 8;
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() != expect {
-        return Err(CheckpointError::Truncated {
-            found: 20 + hlen + bytes.len(),
-            expected: 20 + hlen + expect,
-        });
+        serde_json::from_slice(hjson).map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
+    let expect = header
+        .payload_len()
+        .ok_or_else(|| CheckpointError::BadHeader(format!("block size overflows: {header:?}")))?;
+    if payload.len() != expect {
+        return Err(truncated((PREAMBLE + hlen).saturating_add(expect)));
     }
     let mut crc = Crc32::new();
-    crc.update(&hbuf);
-    crc.update(&bytes);
+    crc.update(hjson);
+    crc.update(payload);
     let computed = crc.finish();
     if computed != stored {
         return Err(CheckpointError::CrcMismatch { stored, computed });
     }
-    for (slot, chunk) in q.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(chunk);
-        *slot = f64::from_le_bytes(le);
+    header.validate()?;
+    let mut q = StateField::zeros(header.domain());
+    for (slot, chunk) in q.as_mut_slice().iter_mut().zip(payload.chunks_exact(8)) {
+        *slot = f64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
     }
     Ok((header, q))
 }
 
-/// Rebuild one rank's state for a **new** decomposition from the wave
-/// shards of an **old** one — the state-redistribution step of
-/// shrink-and-continue recovery.
+/// [`load_checkpoint`] of one file of a set, naming the file on failure.
+pub(crate) fn load_shard(path: PathBuf) -> Result<(CheckpointHeader, StateField), CheckpointError> {
+    load_checkpoint(&path).map_err(|e| CheckpointError::Shard(path, Box::new(e)))
+}
+
+/// Fill the block `dom` at `at` from one file set, whose rank-`r` file is
+/// `shard(r)`: a rollback onto the current or a shrunk decomposition, or
+/// `mfc-post` onto the whole grid.
 ///
-/// The caller owns global interior cells `off .. off + dom.n` under the
-/// new layout; each old rank's block under `(old_dims, old_size)` is
-/// located with [`mfc_mpsim::block_extents`], every shard that intersects
-/// is loaded (CRC-verified like any checkpoint), and exactly the owned
-/// cells are copied across. Ghost layers are left zeroed: every consumer
-/// of post-rollback state refreshes ghosts via halo exchange + boundary
-/// conditions before reading them, which is what makes the redistributed
-/// trajectory bitwise identical to a fresh run from this wave at the new
-/// rank count.
+/// If the caller's own file `shard(me)` declares exactly this block (same
+/// `global`, `dims`, `off`, extents and ghost width) it is returned whole,
+/// ghost cells included: one file read. Otherwise the writers'
+/// decomposition comes from that file's header — from shard 0's if the
+/// caller's own file does not load — and exactly the owned cells are
+/// copied from every shard that intersects the block. Ghost layers are
+/// then left zeroed: every consumer of post-rollback state refreshes
+/// ghosts via halo exchange + boundary conditions before reading them,
+/// which is what makes a re-sharded trajectory bitwise identical to a
+/// fresh run from this wave at the new rank count.
 ///
-/// All intersecting shards must agree on `(t, steps)` bitwise and carry
-/// the layout the old decomposition implies; anything else is a
-/// [`CheckpointError::BadHeader`], which the collective rollback treats
-/// as "this wave is gone" and walks back further.
-pub fn load_redistributed(
-    dir: &Path,
-    wave: u64,
-    old_dims: [usize; 3],
-    old_size: usize,
-    global_n: [usize; 3],
+/// Each shard read must declare the block its decomposition implies, and
+/// all must agree on `global`, `dims`, `t` (bitwise) and `steps`; together
+/// they must hold at least the block's bytes before it is allocated.
+/// Anything else is a typed error, which the collective rollback treats
+/// as "this wave is gone". The returned header describes the filled
+/// block, except `dims`, which names the decomposition that wrote it.
+pub fn load_block(
+    shard: impl Fn(usize) -> PathBuf,
+    me: usize,
     dom: Domain,
-    off: [usize; 3],
+    at: BlockLayout,
 ) -> Result<(CheckpointHeader, StateField), CheckpointError> {
-    let eq = dom.eq;
-    let ndim = eq.ndim();
+    let writers = match load_shard(shard(me)) {
+        Ok((h, q)) if h.layout() == at && *q.domain() == dom => return Ok((h, q)),
+        Ok((h, _)) => h,
+        Err(_) => load_shard(shard(0))?.0,
+    };
+    let (eq, dims) = (dom.eq, writers.dims);
+    let top = [0, 1, 2].map(|d| at.off[d] + dom.n[d]);
+    let mut parts = Vec::new();
+    let mut held = 0u64;
+    for r in 0..dims.iter().product() {
+        let (woff, wn) = block_extents(r, dims, at.global, eq.ndim());
+        let lo = [0, 1, 2].map(|d| at.off[d].max(woff[d]));
+        let hi = [0, 1, 2].map(|d| top[d].min(woff[d] + wn[d]));
+        if (0..3).all(|d| lo[d] < hi[d]) {
+            let path = shard(r);
+            let meta = std::fs::metadata(&path);
+            held += meta
+                .map_err(|e| CheckpointError::Shard(path, Box::new(e.into())))?
+                .len();
+            parts.push((r, woff, wn, lo, hi));
+        }
+    }
+    // However the headers lie, the block is not allocated before the set
+    // is known to hold its bytes.
+    let need = dom
+        .n
+        .iter()
+        .try_fold(eq.neq() * 8, |b, &n| b.checked_mul(n));
+    if need.is_none_or(|need| held < need as u64) {
+        let why = format!(
+            "the {dims:?} set holds {held} bytes, too few for {:?}",
+            dom.n
+        );
+        return Err(CheckpointError::BadHeader(why));
+    }
     let mut q = StateField::zeros(dom);
-    let mut meta: Option<(f64, u64)> = None;
-    let my_hi = [off[0] + dom.n[0], off[1] + dom.n[1], off[2] + dom.n[2]];
-    for old in 0..old_size {
-        let (ooff, on) = mfc_mpsim::block_extents(old, old_dims, global_n, ndim);
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        let mut empty = false;
-        for d in 0..3 {
-            lo[d] = off[d].max(ooff[d]);
-            hi[d] = my_hi[d].min(ooff[d] + on[d]);
-            empty |= lo[d] >= hi[d];
-        }
-        if empty {
-            continue;
-        }
-        let (h, oldq) = load_checkpoint(&wave_path(dir, old, wave))?;
-        if h.n != on || h.ng != dom.ng || h.nf != eq.nf() || h.ndim != ndim {
+    for (r, woff, wn, lo, hi) in parts {
+        let (h, src) = load_shard(shard(r))?;
+        let layout = (h.global, h.dims, h.off, h.n, h.nf, h.ndim);
+        let snapshot = (h.t.to_bits(), h.steps) == (writers.t.to_bits(), writers.steps);
+        if layout != (at.global, dims, woff, wn, eq.nf(), eq.ndim()) || !snapshot {
             return Err(CheckpointError::BadHeader(format!(
-                "shard r{old} w{wave}: layout n={:?} ng={} nf={} ndim={} does not match \
-                 the {:?}-block the old {old_dims:?} decomposition implies",
-                h.n, h.ng, h.nf, h.ndim, on
+                "{}: {h:?} is not the {wn:?}-cell block at {woff:?} of {:?} the set implies",
+                shard(r).display(),
+                at.global
             )));
         }
-        match meta {
-            None => meta = Some((h.t, h.steps)),
-            Some((t, s)) if t.to_bits() == h.t.to_bits() && s == h.steps => {}
-            Some((t, s)) => {
-                return Err(CheckpointError::BadHeader(format!(
-                    "shard r{old} w{wave} is at (t={}, step={}) but earlier shards are at \
-                     (t={t}, step={s}); the wave is not a consistent snapshot",
-                    h.t, h.steps
-                )))
-            }
-        }
-        let odom = *oldq.domain();
+        let sdom = *src.domain();
         for e in 0..eq.neq() {
             for gz in lo[2]..hi[2] {
                 for gy in lo[1]..hi[1] {
                     for gx in lo[0]..hi[0] {
-                        let (oi, oj, ok) =
-                            odom.to_padded([gx - ooff[0], gy - ooff[1], gz - ooff[2]]);
-                        let (ni, nj, nk) = dom.to_padded([gx - off[0], gy - off[1], gz - off[2]]);
-                        q.set(ni, nj, nk, e, oldq.get(oi, oj, ok, e));
+                        let (si, sj, sk) =
+                            sdom.to_padded([gx - woff[0], gy - woff[1], gz - woff[2]]);
+                        let (ni, nj, nk) =
+                            dom.to_padded([gx - at.off[0], gy - at.off[1], gz - at.off[2]]);
+                        q.set(ni, nj, nk, e, src.get(si, sj, sk, e));
                     }
                 }
             }
         }
     }
-    let (t, steps) = meta.ok_or_else(|| {
-        CheckpointError::BadHeader(format!(
-            "no shard of the old {old_dims:?} decomposition intersects block at {off:?}"
-        ))
-    })?;
     let header = CheckpointHeader {
         n: dom.n,
         ng: dom.ng,
-        nf: eq.nf(),
-        ndim,
-        t,
-        steps,
+        global: at.global,
+        off: at.off,
+        ..writers
     };
     Ok((header, q))
-}
-
-fn read_or_truncated(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    expected_so_far: usize,
-) -> Result<(), CheckpointError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            CheckpointError::Truncated {
-                found: 0,
-                expected: expected_so_far,
-            }
-        } else {
-            CheckpointError::Io(e)
-        }
-    })
 }
 
 #[cfg(test)]
@@ -378,9 +506,41 @@ mod tests {
     use crate::case::presets;
     use crate::solver::{Solver, SolverConfig};
     use mfc_acc::Context;
+    use mfc_mpsim::{best_block_dims, WaveWriter};
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mfc_ckpt_{name}_{}.bin", std::process::id()))
+    }
+
+    fn tmpdir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mfc_ckpt_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Rank `r`'s block of `dims` over `global`: value = equation*1000 +
+    /// global linear index (row length 12), ghosts poisoned with NaN.
+    fn analytic_block(
+        eq: EqIdx,
+        global: [usize; 3],
+        dims: [usize; 3],
+        r: usize,
+    ) -> (StateField, BlockLayout) {
+        let (off, n) = block_extents(r, dims, global, eq.ndim());
+        let dom = Domain::new(n, 3, eq);
+        let mut q = StateField::zeros(dom);
+        q.fill(f64::NAN);
+        for e in 0..eq.neq() {
+            for gy in off[1]..off[1] + n[1] {
+                for gx in off[0]..off[0] + n[0] {
+                    let (i, j, k) = dom.to_padded([gx - off[0], gy - off[1], 0]);
+                    q.set(i, j, k, e, (e * 1000 + gy * 12 + gx) as f64);
+                }
+            }
+        }
+        (q, BlockLayout { global, dims, off })
     }
 
     #[test]
@@ -401,50 +561,50 @@ mod tests {
         let (h, q) = load_checkpoint(&path).unwrap();
         assert_eq!(h.t, solver.time());
         assert_eq!(h.steps, 3);
+        assert_eq!(h.layout(), BlockLayout::lone([12, 12, 1]));
         assert_eq!(q.as_slice(), solver.state().as_slice());
         // No temp file left behind.
-        assert!(!tmp_path(&path).exists());
+        assert!(!Path::new(&format!("{}.tmp", path.display())).exists());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn redistribution_reassembles_interiors_across_layouts() {
-        use mfc_mpsim::{best_block_dims, block_extents};
         let eq = EqIdx::new(1, 2);
         let global = [12, 10, 1];
-        let ng = 3;
-        let dir = std::env::temp_dir().join(format!("mfc_redist_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Write 4-rank shards of an analytic field (value = equation*1000
-        // + global linear index), ghosts poisoned with NaN to prove the
-        // redistribution never copies a ghost cell.
+        let dir = tmpdir("redist");
+        let shard = |r: usize| wave_path(&dir, r, 5);
+        // 4-rank shards of an analytic field, ghosts poisoned with NaN to
+        // prove a re-shard never copies a ghost cell.
         let old_dims = best_block_dims(4, global);
+        let mut written = Vec::new();
         for r in 0..4 {
-            let (off, n) = block_extents(r, old_dims, global, 2);
-            let dom = Domain::new(n, ng, eq);
-            let mut q = StateField::zeros(dom);
-            q.fill(f64::NAN);
-            for e in 0..eq.neq() {
-                for gy in off[1]..off[1] + n[1] {
-                    for gx in off[0]..off[0] + n[0] {
-                        let (i, j, k) = dom.to_padded([gx - off[0], gy - off[1], 0]);
-                        q.set(i, j, k, e, (e * 1000 + gy * 12 + gx) as f64);
-                    }
-                }
-            }
-            save_checkpoint(&wave_path(&dir, r, 5), &q, 0.25, 7).unwrap();
+            let (q, layout) = analytic_block(eq, global, old_dims, r);
+            save_block(&shard(r), &q, layout, 0.25, 7).unwrap();
+            written.push((q, layout));
         }
-        // Redistribute onto every smaller rank count.
+        // The writers' own layout is a direct read, ghosts included.
+        for (r, (q, layout)) in written.iter().enumerate() {
+            let (h, back) = load_block(shard, r, *q.domain(), *layout).unwrap();
+            assert_eq!(h.layout(), *layout);
+            let bits =
+                |f: &StateField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(q), "rank {r}: direct read");
+        }
+        // Re-shard onto every smaller rank count.
         for new_ranks in [1usize, 2, 3] {
             let new_dims = best_block_dims(new_ranks, global);
             for r in 0..new_ranks {
                 let (off, n) = block_extents(r, new_dims, global, 2);
-                let dom = Domain::new(n, ng, eq);
-                let (h, q) = load_redistributed(&dir, 5, old_dims, 4, global, dom, off).unwrap();
-                assert_eq!(h.t, 0.25);
-                assert_eq!(h.steps, 7);
-                assert_eq!(h.n, n);
+                let dom = Domain::new(n, 3, eq);
+                let at = BlockLayout {
+                    global,
+                    dims: new_dims,
+                    off,
+                };
+                let (h, q) = load_block(shard, r, dom, at).unwrap();
+                assert_eq!((h.t, h.steps, h.n, h.off), (0.25, 7, n, off));
+                assert_eq!(h.dims, old_dims, "the header names the writers");
                 for e in 0..eq.neq() {
                     for gy in off[1]..off[1] + n[1] {
                         for gx in off[0]..off[0] + n[0] {
@@ -459,12 +619,16 @@ mod tests {
                 }
             }
         }
-        // A missing shard surfaces as a typed error, not garbage.
-        std::fs::remove_file(wave_path(&dir, 0, 5)).unwrap();
+        // A missing shard surfaces as a typed error naming the file.
+        std::fs::remove_file(shard(0)).unwrap();
         let (off, n) = block_extents(0, best_block_dims(2, global), global, 2);
-        assert!(
-            load_redistributed(&dir, 5, old_dims, 4, global, Domain::new(n, ng, eq), off).is_err()
-        );
+        let at = BlockLayout {
+            global,
+            dims: best_block_dims(2, global),
+            off,
+        };
+        let err = load_block(shard, 1, Domain::new(n, 3, eq), at).unwrap_err();
+        assert!(err.to_string().contains("ckpt_r0_w5.bin"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -487,6 +651,27 @@ mod tests {
         save_checkpoint(&path, solver.state(), 0.0, 0).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
+        assert!(matches!(
+            load_checkpoint(&path),
+            Err(CheckpointError::Truncated { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_wave_file_is_a_typed_error_not_a_panic_or_silent_drop() {
+        // A wave file cut mid-value must surface as `Truncated` — neither
+        // panic nor silently decode the prefix and drop the tail.
+        let case = presets::sod(16);
+        let solver = Solver::new(&case, SolverConfig::default(), Context::serial());
+        let path = tmp("wavetrunc");
+        let layout = BlockLayout::lone([16, 1, 1]);
+        save_interior(&path, solver.state(), layout, 0.0, 0).unwrap();
+        let (h, q) = load_checkpoint(&path).unwrap();
+        assert_eq!(h.ng, 0);
+        assert_eq!(q.as_slice(), crate::output::block_to_vec(solver.state()));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         assert!(matches!(
             load_checkpoint(&path),
             Err(CheckpointError::Truncated { .. })
@@ -527,5 +712,210 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_checkpoint(&path).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn header_bit_flips_are_typed_errors_not_panics() {
+        // Regression: `"ndim":1` -> `5` and `"nf":1` -> `0` are one bit each.
+        // The header used to build its `Domain` before the length and CRC
+        // were checked, and `EqIdx::new` panicked on the impossible value.
+        // Now the flipped header declares a block the file does not hold.
+        let case = presets::sod(16);
+        let solver = Solver::new(&case, SolverConfig::default(), Context::serial());
+        let path = tmp("ndimflip");
+        for (key, bit) in [(&b"\"ndim\":1"[..], 0x04), (&b"\"nf\":1"[..], 0x01)] {
+            save_checkpoint(&path, solver.state(), 0.0, 0).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = bytes.windows(key.len()).position(|w| w == key).unwrap() + key.len() - 1;
+            bytes[at] ^= bit;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                load_checkpoint(&path),
+                Err(CheckpointError::Truncated { .. })
+            ));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The largest single allocation this thread asked for since the
+        /// last reset.
+        static BIGGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// System allocator that records [`BIGGEST`], so the fuzz below can
+    /// bound what a hostile file makes the reader allocate.
+    struct Watch;
+
+    fn watch(size: usize) {
+        let _ = BIGGEST.try_with(|b| b.set(b.get().max(size)));
+    }
+
+    // SAFETY: every method passes its arguments unchanged to `System`, so
+    // the caller's guarantees are the ones `System` requires, and its
+    // results are returned as they are; the tracking only writes a
+    // thread-local `Cell` that needs no allocation.
+    unsafe impl GlobalAlloc for Watch {
+        unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+            watch(l.size());
+            System.alloc(l)
+        }
+        unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+            watch(l.size());
+            System.alloc_zeroed(l)
+        }
+        unsafe fn realloc(&self, p: *mut u8, l: Layout, size: usize) -> *mut u8 {
+            watch(size);
+            System.realloc(p, l, size)
+        }
+        unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+            System.dealloc(p, l)
+        }
+    }
+
+    #[global_allocator]
+    static WATCH: Watch = Watch;
+
+    /// Header fields rewritten with a lie: impossible, overflowing,
+    /// terabyte-sized, or merely inconsistent with the rest of the set.
+    const LIES: [(&str, &str); 26] = [
+        ("ndim", "5"),
+        ("ndim", "0"),
+        ("ndim", "1"),
+        ("ndim", "3"),
+        ("nf", "0"),
+        ("nf", "9"),
+        ("nf", "1"),
+        ("ng", "1"),
+        ("ng", "1000000000000"),
+        ("n", "[1000000000000,10,1]"),
+        ("n", "[0,10,1]"),
+        ("n", "[6,10,2]"),
+        ("global", "[1000000000000,10,1]"),
+        ("global", "[12,1000000000000,1]"),
+        ("global", "[6,10,1]"),
+        ("global", "[12,10,2]"),
+        ("dims", "[0,1,1]"),
+        ("dims", "[1,1,1]"),
+        ("dims", "[4096,2,1]"),
+        ("dims", "[2,2,1]"),
+        ("dims", "[18446744073709551615,2,1]"),
+        ("off", "[6,0,0]"),
+        ("off", "[18446744073709551615,0,0]"),
+        ("off", "[0,5,0]"),
+        ("t", "99.0"),
+        ("steps", "8"),
+    ];
+
+    /// `file` with its header's `field` set to `value` and the CRC
+    /// recomputed, so the lie reaches validation.
+    fn lie(file: &[u8], field: &str, value: &str) -> Vec<u8> {
+        let hlen = u64::from_le_bytes(file[8..16].try_into().unwrap()) as usize;
+        let (hjson, payload) = file[PREAMBLE..].split_at(hlen);
+        let mut header: serde_json::Value = serde_json::from_slice(hjson).unwrap();
+        if let serde_json::Value::Object(fields) = &mut header {
+            fields.insert(field, serde_json::from_str(value).unwrap());
+        }
+        let hjson = serde_json::to_string(&header).unwrap().into_bytes();
+        let mut crc = Crc32::new();
+        crc.update(&hjson);
+        crc.update(payload);
+        let mut out = CHECKPOINT_MAGIC.to_vec();
+        out.extend((hjson.len() as u64).to_le_bytes());
+        out.extend(crc.finish().to_le_bytes());
+        out.extend(hjson);
+        out.extend(payload);
+        out
+    }
+
+    /// Files as (path, pristine bytes).
+    type Files = Vec<(PathBuf, Vec<u8>)>;
+
+    /// A 2-rank checkpoint wave (files 0, 1) and wave-file set (files 2,
+    /// 3) of one analytic two-fluid field.
+    fn fuzz_sets(dir: &Path) -> Files {
+        let eq = EqIdx::new(2, 2);
+        let (global, dims) = ([12, 10, 1], [2, 1, 1]);
+        let mut files = vec![Default::default(); 4];
+        for r in 0..2 {
+            let (q, layout) = analytic_block(eq, global, dims, r);
+            let ckpt = wave_path(dir, r, 0);
+            save_block(&ckpt, &q, layout, 0.25, 7).unwrap();
+            let wave = WaveWriter::rank_path(dir, 4, r);
+            save_interior(&wave, &q, layout, 0.25, 7).unwrap();
+            for (slot, path) in [(r, ckpt), (2 + r, wave)] {
+                files[slot] = (path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+        files
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mutation fuzz of the block-file reader: truncations, bit flips
+        /// anywhere, and headers that lie under a recomputed CRC. Every
+        /// read of the whole mutated set is a typed error, no read panics,
+        /// and none allocates more than the set's files hold.
+        #[test]
+        fn hostile_block_files_are_typed_errors_within_the_sets_size(
+            file in 0usize..4,
+            kind in 0usize..3,
+            pos in 0usize..1 << 20,
+            which in 0usize..LIES.len() * 8,
+        ) {
+            static DIR: std::sync::OnceLock<(PathBuf, Files)> =
+                std::sync::OnceLock::new();
+            let (dir, files) = DIR.get_or_init(|| {
+                let dir = tmpdir("fuzz");
+                let files = fuzz_sets(&dir);
+                (dir, files)
+            });
+            let (path, pristine) = &files[file];
+            let mutant = match kind {
+                0 => pristine[..pos % pristine.len()].to_vec(),
+                1 => {
+                    let mut m = pristine.clone();
+                    m[pos % pristine.len()] ^= 1 << (which % 8);
+                    m
+                }
+                _ => {
+                    let (field, value) = LIES[which % LIES.len()];
+                    lie(pristine, field, value)
+                }
+            };
+            if mutant == *pristine {
+                // The "lie" was this file's truth.
+                return Ok(());
+            }
+            std::fs::write(path, &mutant).unwrap();
+            let set = &files[file / 2 * 2..file / 2 * 2 + 2];
+            let bound: usize = set.iter().map(|(_, b)| b.len()).sum();
+            BIGGEST.with(|b| b.set(0));
+            let eq = EqIdx::new(2, 2);
+            let global = [12, 10, 1];
+            let whole = if file < 2 {
+                let shard = |r: usize| wave_path(dir, r, 0);
+                for me in 0..2 {
+                    let (q, at) = analytic_block(eq, global, [2, 1, 1], me);
+                    let _ = load_block(shard, me, *q.domain(), at);
+                }
+                let dom = Domain::new(global, 3, eq);
+                load_block(shard, 0, dom, BlockLayout::lone(global)).map(|_| ())
+            } else {
+                crate::output::postprocess_wave_files(dir, 4).map(|_| ())
+            };
+            let biggest = BIGGEST.with(|b| b.get());
+            std::fs::write(path, pristine).unwrap();
+            prop_assert!(whole.is_err(), "file {} kind {} pos {} which {}: read Ok", file, kind, pos, which);
+            prop_assert!(
+                biggest <= bound,
+                "file {} kind {} pos {} which {}: allocated {} bytes, the set holds {}",
+                file, kind, pos, which, biggest, bound
+            );
+        }
     }
 }

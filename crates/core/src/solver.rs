@@ -27,6 +27,7 @@ use crate::grid::Grid;
 use crate::health::{self, HealthConfig};
 use crate::ibm::GhostCellIbm;
 use crate::recovery::{RecoveryPolicy, RecoveryState, SolverError, StepFault, StepOutcome};
+use crate::restart::{save_block, BlockLayout};
 use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
 use crate::state::StateField;
 use crate::time::{rk_step, RkWorkspace, TimeScheme};
@@ -183,6 +184,8 @@ pub struct Solver {
     env: RhsEnv,
     cfg: SolverConfig,
     dom: Domain,
+    /// Which block of which decomposition this is.
+    layout: BlockLayout,
     q: StateField,
     /// The maximum CFL rate of `q` as the last accepted step's health scan
     /// found it; `None` once `q` may have changed since (a restore, a
@@ -203,23 +206,24 @@ pub struct Solver {
 impl Solver {
     /// Build a solver from a case description.
     pub fn new(case: &CaseBuilder, cfg: SolverConfig, ctx: Context) -> Self {
-        Self::block(case, cfg, ctx, case.grid(), [0; 3], [(false, false); 3])
+        let layout = BlockLayout::lone(case.cells);
+        Self::block(case, cfg, ctx, case.grid(), layout, [(false, false); 3])
     }
 
     /// One block of a decomposed run: `grid` is the block's slice of the
-    /// global grid, starting `off` cells in; `skip` marks its faces that
+    /// global grid, the one `layout` places; `skip` marks its faces that
     /// border a neighbour block.
     pub(crate) fn block(
         case: &CaseBuilder,
         cfg: SolverConfig,
         ctx: Context,
         grid: Grid,
-        off: [usize; 3],
+        layout: BlockLayout,
         skip: [(bool, bool); 3],
     ) -> Self {
         let ng = cfg.rhs.order.ghost_layers().max(1);
         let dom = Domain::new([grid.x.n(), grid.y.n(), grid.z.n()], ng, case.eq());
-        let q = case.init_block(&ctx, &dom, &grid, off);
+        let q = case.init_block(&ctx, &dom, &grid, layout.off);
         let ws = RhsWorkspace::new(dom, &grid);
         let rk = RkWorkspace::new(&q);
         Solver {
@@ -234,6 +238,7 @@ impl Solver {
             },
             cfg,
             dom,
+            layout,
             q,
             rate: None,
             rk,
@@ -295,6 +300,11 @@ impl Solver {
 
     pub fn domain(&self) -> &Domain {
         &self.dom
+    }
+
+    /// Which block of which decomposition this solver steps.
+    pub fn layout(&self) -> BlockLayout {
+        self.layout
     }
 
     pub fn grid(&self) -> &Grid {
@@ -468,7 +478,7 @@ impl Solver {
         let crash_dump = dir.and_then(|dir| {
             let path = dir.join(name);
             std::fs::create_dir_all(dir).ok()?;
-            crate::restart::save_checkpoint(&path, &self.q, self.t, self.steps).ok()?;
+            save_block(&path, &self.q, self.layout, self.t, self.steps).ok()?;
             Some(path)
         });
         if let Some(p) = &crash_dump {

@@ -1,14 +1,13 @@
-//! Parallel output strategies (§III-A).
+//! File-per-process output with wave throttling (§III-A).
 //!
 //! Before Frontier MFC wrote one shared binary file via collective MPI I/O.
 //! At 65,536 GCDs the metadata storm of creating shared files made a
 //! file-per-process approach faster — *if* file creation is throttled:
-//! "write access is allowed in waves of 128 processes".  Both writers are
-//! implemented here; the wave throttling is real (ranks outside the active
-//! wave block on barriers), the parallel-filesystem contention is not.
+//! "write access is allowed in waves of 128 processes".  The throttle is
+//! real here (ranks outside the active wave block on barriers), the
+//! parallel-filesystem contention is not. What each rank writes is the
+//! caller's: the solver writes self-describing block files.
 
-use std::fs::File;
-use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -69,129 +68,40 @@ impl WaveWriter {
         dir.join(format!("step{step:06}_rank{rank:06}.bin"))
     }
 
-    /// Write this rank's `data` to its own file, in waves.
+    /// Run this rank's `write` of its own file (`bytes` long) in its wave.
     ///
     /// Every rank must call this (it synchronizes on barriers). Returns the
     /// wave index this rank wrote in. A rank whose own write fails still
     /// reaches every barrier and reports the error afterwards — returning
     /// early would strand its peers at the barrier.
-    pub fn write(&self, comm: &Comm, dir: &Path, step: usize, data: &[f64]) -> io::Result<usize> {
+    pub fn write<E>(
+        &self,
+        comm: &Comm,
+        bytes: u64,
+        write: impl FnOnce() -> Result<(), E>,
+    ) -> Result<usize, E> {
         let _span = comm
             .tracer()
-            .map(|t| t.span_bytes("io_wave_write", Category::Io, (data.len() * 8) as u64));
+            .map(|t| t.span_bytes("io_wave_write", Category::Io, bytes));
         let my_wave = comm.rank() / self.wave_size;
         let n_waves = comm.size().div_ceil(self.wave_size);
-        let mut written = Ok(());
-        for wave in 0..n_waves {
-            if wave == my_wave {
-                let t0 = Instant::now();
-                written = File::create(Self::rank_path(dir, step, comm.rank()))
-                    .and_then(|mut f| write_doubles(&mut f, data));
-                if let (Ok(()), Some(t)) = (&written, comm.tracer()) {
-                    t.io("wave_file", (data.len() * 8) as u64, t0);
-                }
-            } else if wave < my_wave {
-                // Ranks in later waves burn the configured multiplication
-                // budget so waves stay offset in time.
-                self.wave_offset();
-            }
-            // The offset between waves: everyone waits for the wave to finish
-            // before the next begins.
+        for _ in 0..my_wave {
+            // Ranks in later waves burn the configured multiplication
+            // budget so waves stay offset in time, and everyone waits for
+            // each wave to finish before the next begins.
+            self.wave_offset();
+            comm.barrier();
+        }
+        let t0 = Instant::now();
+        let written = write();
+        if let (Ok(()), Some(t)) = (&written, comm.tracer()) {
+            t.io("wave_file", bytes, t0);
+        }
+        for _ in my_wave..n_waves {
             comm.barrier();
         }
         written.map(|()| my_wave)
     }
-
-    /// Read one rank's file back.
-    pub fn read(dir: &Path, step: usize, rank: usize) -> io::Result<Vec<f64>> {
-        let mut f = File::open(Self::rank_path(dir, step, rank))?;
-        read_doubles(&mut f)
-    }
-}
-
-/// Shared-file writer: every rank's block lands in one file at its rank
-/// offset, in rank order (stand-in for collective MPI I/O into one binary).
-///
-/// Implemented by gathering to rank 0, which performs the single write —
-/// the serialization point is exactly why this approach stopped scaling.
-#[derive(Debug, Clone, Default)]
-pub struct SharedFileWriter;
-
-impl SharedFileWriter {
-    pub fn shared_path(dir: &Path, step: usize) -> PathBuf {
-        dir.join(format!("step{step:06}_shared.bin"))
-    }
-
-    /// Every rank contributes `data`; rank 0 writes the concatenation in
-    /// rank order. All blocks must have equal length (uniform blocks).
-    pub fn write(&self, comm: &mut Comm, dir: &Path, step: usize, data: &[f64]) -> io::Result<()> {
-        let blocks = comm.gather(data.to_vec());
-        if let Some(blocks) = blocks {
-            let len0 = blocks[0].len();
-            assert!(
-                blocks.iter().all(|b| b.len() == len0),
-                "shared-file writer requires uniform block sizes"
-            );
-            let mut f = File::create(Self::shared_path(dir, step))?;
-            for b in &blocks {
-                write_doubles(&mut f, b)?;
-            }
-        }
-        comm.barrier();
-        Ok(())
-    }
-
-    /// Read rank `rank`'s block of `block_len` doubles back from the shared
-    /// file.
-    pub fn read_block(
-        dir: &Path,
-        step: usize,
-        rank: usize,
-        block_len: usize,
-    ) -> io::Result<Vec<f64>> {
-        let bytes = std::fs::read(Self::shared_path(dir, step))?;
-        let start = rank * block_len * 8;
-        let end = start + block_len * 8;
-        if end > bytes.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "block extends past end of shared file",
-            ));
-        }
-        Ok(bytes[start..end]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-fn write_doubles(w: &mut impl Write, data: &[f64]) -> io::Result<()> {
-    let mut buf = io::BufWriter::new(w);
-    for v in data {
-        buf.write_all(&v.to_le_bytes())?;
-    }
-    buf.flush()
-}
-
-fn read_doubles(r: &mut impl Read) -> io::Result<Vec<f64>> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() % 8 != 0 {
-        // A payload that is not a whole number of doubles is a truncated
-        // or corrupt wave file; decoding the prefix would silently lose
-        // the tail.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "wave file payload of {} bytes is not a multiple of 8",
-                bytes.len()
-            ),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
 }
 
 #[cfg(test)]
@@ -206,19 +116,34 @@ mod tests {
         d
     }
 
+    /// The throttled write of `data` as raw bytes to `c`'s file for `step`.
+    fn write_raw(
+        w: &WaveWriter,
+        c: &Comm,
+        dir: &Path,
+        step: usize,
+        data: &[u8],
+    ) -> std::io::Result<usize> {
+        let path = WaveWriter::rank_path(dir, step, c.rank());
+        w.write(c, data.len() as u64, || std::fs::write(path, data))
+    }
+
+    fn read_raw(dir: &Path, step: usize, rank: usize) -> Vec<u8> {
+        std::fs::read(WaveWriter::rank_path(dir, step, rank)).unwrap()
+    }
+
     #[test]
     fn wave_writer_round_trips_per_rank_data() {
         let dir = tmpdir("wave");
         let n = 6;
         World::run(n, |c| {
-            let data: Vec<f64> = (0..4).map(|i| (c.rank() * 10 + i) as f64).collect();
-            WaveWriter::new(2).write(&c, &dir, 3, &data).unwrap();
+            let data: Vec<u8> = (0..4).map(|i| (c.rank() * 10 + i) as u8).collect();
+            write_raw(&WaveWriter::new(2), &c, &dir, 3, &data).unwrap();
         });
         for rank in 0..n {
-            let back = WaveWriter::read(&dir, 3, rank).unwrap();
             assert_eq!(
-                back,
-                (0..4).map(|i| (rank * 10 + i) as f64).collect::<Vec<_>>()
+                read_raw(&dir, 3, rank),
+                (0..4).map(|i| (rank * 10 + i) as u8).collect::<Vec<_>>()
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -228,9 +153,7 @@ mod tests {
     fn wave_indices_partition_ranks() {
         let dir = tmpdir("waveidx");
         let waves = World::run(5, |c| {
-            WaveWriter::new(2)
-                .write(&c, &dir, 0, &[c.rank() as f64])
-                .unwrap()
+            write_raw(&WaveWriter::new(2), &c, &dir, 0, &[c.rank() as u8]).unwrap()
         });
         assert_eq!(waves, vec![0, 0, 1, 1, 2]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -245,9 +168,7 @@ mod tests {
         let dir = tmpdir("wavefail");
         std::fs::create_dir(WaveWriter::rank_path(&dir, 5, 1)).unwrap();
         let outcomes = World::run(3, |c| {
-            WaveWriter::new(1)
-                .write(&c, &dir, 5, &[c.rank() as f64])
-                .is_ok()
+            write_raw(&WaveWriter::new(1), &c, &dir, 5, &[c.rank() as u8]).is_ok()
         });
         assert_eq!(outcomes, vec![true, false, true]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -266,13 +187,11 @@ mod tests {
                 faults.board.spare_wait(c.phys_rank());
                 return;
             }
-            WaveWriter::new(1)
-                .write(&c, &dir, 0, &[c.rank() as f64])
-                .unwrap();
+            write_raw(&WaveWriter::new(1), &c, &dir, 0, &[c.rank() as u8]).unwrap();
             faults.board.shutdown();
         });
         for rank in 0..2 {
-            assert_eq!(WaveWriter::read(&dir, 0, rank).unwrap(), vec![rank as f64]);
+            assert_eq!(read_raw(&dir, 0, rank), vec![rank as u8]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -281,62 +200,12 @@ mod tests {
     fn offset_flops_do_not_change_results() {
         let dir = tmpdir("waveoffset");
         World::run(4, |c| {
-            WaveWriter::new(1)
-                .with_offset_flops(10_000)
-                .write(&c, &dir, 2, &[c.rank() as f64])
-                .unwrap();
+            let writer = WaveWriter::new(1).with_offset_flops(10_000);
+            write_raw(&writer, &c, &dir, 2, &[c.rank() as u8]).unwrap();
         });
         for rank in 0..4 {
-            assert_eq!(WaveWriter::read(&dir, 2, rank).unwrap(), vec![rank as f64]);
+            assert_eq!(read_raw(&dir, 2, rank), vec![rank as u8]);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shared_file_blocks_land_at_rank_offsets() {
-        let dir = tmpdir("shared");
-        let n = 4;
-        World::run(n, |mut c| {
-            let data = vec![c.rank() as f64; 3];
-            SharedFileWriter.write(&mut c, &dir, 1, &data).unwrap();
-        });
-        for rank in 0..n {
-            let back = SharedFileWriter::read_block(&dir, 1, rank, 3).unwrap();
-            assert_eq!(back, vec![rank as f64; 3]);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shared_file_read_past_end_errors() {
-        let dir = tmpdir("sharederr");
-        World::run(2, |mut c| {
-            SharedFileWriter.write(&mut c, &dir, 0, &[1.0]).unwrap();
-        });
-        assert!(SharedFileWriter::read_block(&dir, 0, 2, 1).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_wave_file_is_a_typed_error_not_a_panic_or_silent_drop() {
-        // Regression: a wave file whose byte length is not a multiple of
-        // 8 must surface as InvalidData — neither panic nor silently
-        // decode the prefix and drop the tail.
-        let dir = tmpdir("wavetrunc");
-        World::run(1, |c| {
-            WaveWriter::new(1).write(&c, &dir, 0, &[1.0, 2.0]).unwrap();
-        });
-        let path = WaveWriter::rank_path(&dir, 0, 0);
-        let full = std::fs::read(&path).unwrap();
-        assert_eq!(full.len(), 16);
-        std::fs::write(&path, &full[..11]).unwrap();
-
-        let err = WaveWriter::read(&dir, 0, 0).expect_err("truncated payload must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("multiple of 8"),
-            "unexpected error: {err}"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

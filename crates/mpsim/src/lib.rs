@@ -17,8 +17,8 @@
 //! * [`costmodel`]: an analytic latency/bandwidth model of the Summit and
 //!   Frontier interconnects, with an explicit host-staging term that models
 //!   running *without* GPU-aware MPI (Fig. 4 is exactly this term).
-//! * [`io`]: the file-per-process writer with wave throttling, plus the
-//!   shared-file writer it replaced when scaling to 65,536 GCDs.
+//! * [`io`]: the wave throttle of the file-per-process writer that
+//!   replaced a shared file when scaling to 65,536 GCDs.
 //!
 //! Functional correctness (does the halo exchange deliver the right cells?)
 //! is tested by running the real code on simulated ranks; *performance* at
@@ -40,4 +40,4 @@ pub use fault::{
     CommFault, DetectorConfig, FailurePolicy, FaultBoard, FaultCtx, FaultPlan, MsgDelay, MsgFault,
     RankDeath, RankStall, Reconfig, SpareWake,
 };
-pub use io::{SharedFileWriter, WaveWriter, DEFAULT_WAVE_SIZE};
+pub use io::{WaveWriter, DEFAULT_WAVE_SIZE};

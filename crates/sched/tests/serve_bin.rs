@@ -155,7 +155,7 @@ fn mixed_manifest_outcomes_trace_and_budget_invariance() {
     assert!(reason.contains("not_finite"), "health watchdog: {reason}");
 
     let ckpt = fs::read(out.join("00_long/final.ckpt")).unwrap();
-    assert_eq!(&ckpt[..8], b"MFCKPT01");
+    assert_eq!(&ckpt[..8], mfc_core::restart::CHECKPOINT_MAGIC);
 
     // What `mfc-trace-report` prints for the ensemble trace.
     let parsed = mfc_trace::chrome::parse_str(&fs::read_to_string(&trace).unwrap()).unwrap();

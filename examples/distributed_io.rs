@@ -12,7 +12,7 @@ use mfc::core::output::{postprocess_wave_files, write_vtk_rectilinear};
 use mfc::core::par::{
     run_distributed, run_distributed_resilient, ExchangeMode, ResilienceOpts, WaveOutput,
 };
-use mfc::mpsim::{best_block_dims, Staging};
+use mfc::mpsim::Staging;
 use mfc::{presets, SolverConfig};
 
 fn main() {
@@ -39,18 +39,15 @@ fn main() {
         ..ResilienceOpts::fault_free("", 0)
     };
     run_distributed_resilient(&case, cfg, ranks, steps, Staging::DeviceDirect, &opts).unwrap();
-    let dims = best_block_dims(ranks, case.cells);
-    println!(
-        "rank files written under {} (decomposition {dims:?})",
-        dir.display()
-    );
+    println!("rank files written under {}", dir.display());
 
-    // Host-side post-processing (the paper's SILO-creation role).
+    // Host-side post-processing (the paper's SILO-creation role): the
+    // files' headers name the grid and the decomposition that wrote them.
     let eq = case.eq();
-    let gf = postprocess_wave_files(&dir, 0, case.cells, eq, dims).unwrap();
+    let (header, gf) = postprocess_wave_files(&dir, 0).unwrap();
     println!(
-        "reassembled global field: {:?} cells x {} equations",
-        gf.n, gf.neq
+        "reassembled global field: {:?} cells x {} equations from decomposition {:?}",
+        gf.n, gf.neq, header.dims
     );
 
     // Cross-check against the in-memory gather path.

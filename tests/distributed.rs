@@ -4,7 +4,7 @@
 use mfc::core::par::{run_distributed, run_single};
 use mfc::core::rhs::RhsConfig;
 use mfc::core::weno::WenoOrder;
-use mfc::mpsim::{SharedFileWriter, Staging, WaveWriter, World};
+use mfc::mpsim::{Staging, WaveWriter, World};
 use mfc::{presets, SolverConfig};
 
 #[test]
@@ -198,32 +198,22 @@ fn wave_writer_round_trips_solver_output() {
     let dref = &data_per_rank;
     let dirref = &dir;
     World::run(6, |c| {
+        let path = WaveWriter::rank_path(dirref, 7, c.rank());
+        let bytes: Vec<u8> = dref[c.rank()]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         WaveWriter::new(2)
-            .write(&c, dirref, 7, &dref[c.rank()])
+            .write(&c, bytes.len() as u64, || std::fs::write(path, &bytes))
             .unwrap();
     });
     for (r, want) in data_per_rank.iter().enumerate() {
-        let got = WaveWriter::read(&dir, 7, r).unwrap();
+        let bytes = std::fs::read(WaveWriter::rank_path(&dir, 7, r)).unwrap();
+        let got: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
         assert_eq!(&got, want);
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn shared_file_and_wave_writer_agree() {
-    let dir = std::env::temp_dir().join(format!("mfc_dist_io2_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let dirref = &dir;
-    World::run(4, |mut c| {
-        let data = vec![c.rank() as f64 + 0.5; 8];
-        WaveWriter::new(128).write(&c, dirref, 0, &data).unwrap();
-        SharedFileWriter.write(&mut c, dirref, 0, &data).unwrap();
-    });
-    for r in 0..4 {
-        let a = WaveWriter::read(&dir, 0, r).unwrap();
-        let b = SharedFileWriter::read_block(&dir, 0, r, 8).unwrap();
-        assert_eq!(a, b);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

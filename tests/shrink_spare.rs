@@ -11,10 +11,14 @@
 //! trace spans with exact ledger reconciliation, checkpoint retention,
 //! and the typed errors for unrecoverable configurations.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use mfc_acc::{Ledger, ResilienceEventKind};
 use mfc_core::case::presets;
+use mfc_core::par::GlobalField;
 use mfc_core::par::{
     run_distributed_resilient, run_single, ExchangeMode, ResilienceError, ResilienceOpts,
 };
@@ -22,7 +26,9 @@ use mfc_core::restart::wave_path;
 use mfc_core::rhs::RhsMode;
 use mfc_core::solver::SolverConfig;
 use mfc_core::HealthConfig;
-use mfc_mpsim::{DetectorConfig, FailurePolicy, FaultCtx, FaultPlan, RankDeath, Staging};
+use mfc_mpsim::{
+    DetectorConfig, FailurePolicy, FaultCtx, FaultPlan, RankDeath, RankStall, Staging,
+};
 use mfc_trace::{chrome, nesting, reconcile_trace, Tracer};
 use proptest::prelude::*;
 
@@ -89,7 +95,6 @@ fn wave_files_follow_the_post_recovery_roster_under_both_policies() {
     // files reassemble to the serial field.
     use mfc_core::output::postprocess_wave_files;
     use mfc_core::par::WaveOutput;
-    use mfc_mpsim::best_block_dims;
 
     let case = presets::sod(64);
     let cfg = SolverConfig::default();
@@ -117,9 +122,9 @@ fn wave_files_follow_the_post_recovery_roster_under_both_policies() {
         };
         run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-        let dims = best_block_dims(writers, case.cells);
-        let field = postprocess_wave_files(&dir.join("waves"), STEPS, case.cells, case.eq(), dims)
+        let (header, field) = postprocess_wave_files(&dir.join("waves"), STEPS)
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(header.dims.iter().product::<usize>(), writers, "{policy:?}");
         assert_eq!(field.max_abs_diff(&serial), 0.0, "{policy:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -540,6 +545,144 @@ proptest! {
             fields[0].max_abs_diff(&fields[1]),
             0.0,
             "{} vs {} ranks diverged", r_a, r_b
+        );
+    }
+}
+
+/// Run `plan` on 4 ranks of the 64-cell Sod tube under `policy`,
+/// truncating each of the checkpoint files `corrupt` names (rank, wave)
+/// once, as soon as the run publishes it — after its write, before any
+/// rollback can read it. Retention keeps every wave. Returns the field and
+/// how many of the files were struck.
+fn run_striking_waves(
+    name: &str,
+    plan: FaultPlan,
+    policy: FailurePolicy,
+    corrupt: &[(usize, u64)],
+) -> (GlobalField, usize) {
+    let case = presets::sod(64);
+    let dir = tmp_dir(name);
+    let spares = usize::from(policy == FailurePolicy::Spare);
+    let faults = Arc::new(FaultCtx::new_with_spares(plan, 4, spares).with_detector(detector()));
+    let events = Arc::new(Ledger::default());
+    let mut opts = opts_for(
+        &dir,
+        faults,
+        &events,
+        policy,
+        spares,
+        ExchangeMode::Sendrecv,
+    );
+    opts.ckpt_keep = 64;
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut pending: Vec<PathBuf> = corrupt
+        .iter()
+        .map(|&(r, w)| wave_path(&dir, r, w))
+        .collect();
+    let watcher = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut struck = 0;
+            while !pending.is_empty() && !stop.load(Ordering::Relaxed) {
+                // A published file is whole: it appears by atomic rename.
+                pending.retain(|p| {
+                    let Ok(meta) = std::fs::metadata(p) else {
+                        return true;
+                    };
+                    let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+                    f.set_len(meta.len() / 2).unwrap();
+                    struck += 1;
+                    false
+                });
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            struck
+        })
+    };
+    let run = run_distributed_resilient(
+        &case,
+        SolverConfig::default(),
+        4,
+        STEPS,
+        Staging::DeviceDirect,
+        &opts,
+    );
+    stop.store(true, Ordering::Relaxed);
+    let struck = watcher.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let (field, _) = run.unwrap_or_else(|e| panic!("{name}: {e}"));
+    (field, struck)
+}
+
+fn death(rank: usize, step: u64, permanent: bool) -> RankDeath {
+    RankDeath {
+        rank,
+        step,
+        permanent,
+    }
+}
+
+/// Stale shards next to a rewritten wave: rank 2 of 4 dies for good at
+/// step 7, and rank 3's shard of wave 2 is struck after its commit. The
+/// shrinking rollback cannot re-shard wave 2 and re-shards wave 1 instead;
+/// the 3-rank roster then rewrites wave 2 beside the 4-rank layout's
+/// struck rank-3 file and writes wave 3, whose rank-0 shard is struck
+/// too. Rank 0's transient death at step 10 rolls back past wave 3 onto
+/// the rewritten wave 2, which its headers say is the current layout's.
+/// Rank 1 stalls 100 ms (well inside the detector's patience) at both
+/// death steps, holding each rollback open until the watcher has struck.
+#[test]
+fn shrink_rollback_past_struck_shards_and_a_later_death_stays_bitwise() {
+    let serial = run_single(&presets::sod(64), SolverConfig::default(), STEPS);
+    let stall = |step| RankStall {
+        rank: 1,
+        step,
+        millis: 100,
+    };
+    let plan = FaultPlan {
+        deaths: vec![death(2, 7, true), death(0, 10, false)],
+        stalls: vec![stall(7), stall(10)],
+        ..FaultPlan::none()
+    };
+    let struck = [(3, 2), (0, 3)];
+    let (field, hit) = run_striking_waves("stale", plan, FailurePolicy::Shrink, &struck);
+    assert_eq!(hit, 2, "the watcher struck both shards");
+    assert_eq!(field.max_abs_diff(&serial), 0.0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Rollback from self-describing waves: a permanent loss at a random
+    /// step under shrink or spare, a random set of committed checkpoint
+    /// files struck after their commit, and an optional later transient
+    /// death. Wave 0 is never struck and every wave is kept, so some wave
+    /// always loads; every run ends bitwise on the fault-free field.
+    #[test]
+    fn rollback_through_struck_waves_after_a_permanent_loss_is_bitwise(
+        spare in proptest::bool::ANY,
+        lost in 0usize..4,
+        lost_at in 1u64..12,
+        mask in 0u32..1 << 12,
+        later in 0u64..8,
+    ) {
+        let serial = run_single(&presets::sod(64), SolverConfig::default(), STEPS);
+        let mut deaths = vec![death(lost, lost_at, true)];
+        if later > 0 && lost_at + later < STEPS as u64 {
+            deaths.push(death((lost + 1) % 4, lost_at + later, false));
+        }
+        let corrupt: Vec<(usize, u64)> = (0..12)
+            .filter(|bit| mask & (1 << bit) != 0)
+            .map(|bit| (bit % 4, 1 + bit as u64 / 4))
+            .collect();
+        let policy = if spare { FailurePolicy::Spare } else { FailurePolicy::Shrink };
+        let name = format!("prop_{spare}_{lost}_{lost_at}_{mask}_{later}");
+        let plan = FaultPlan { deaths: deaths.clone(), ..FaultPlan::none() };
+        let (field, _) = run_striking_waves(&name, plan, policy, &corrupt);
+        prop_assert_eq!(
+            field.max_abs_diff(&serial),
+            0.0,
+            "{:?} deaths {:?} struck {:?}", policy, deaths, corrupt
         );
     }
 }
