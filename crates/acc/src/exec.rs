@@ -10,7 +10,9 @@
 //! * [`Context::launch_gangs`] — units = items, the body sees its whole
 //!   gang range and returns a per-gang value;
 //! * [`Context::gang_vec_scope`] — lane-dispatched gang bodies with
-//!   per-gang scratch, recorded by the caller.
+//!   per-gang scratch, recorded by the caller;
+//! * [`Context::gang_vec_units`] — the same with per-unit state, each gang
+//!   handed the states of its own range.
 //!
 //! [`Context::launch`] is the serial `FnMut` loop, and
 //! [`Context::record`] is the one way a launch reaches the ledger and the
@@ -185,7 +187,7 @@ impl Context {
     /// Account lane tiling of a vector-executed launch: `full_packets`
     /// whole packets plus `tail_elems` scalar-remainder elements. The
     /// vector entry points do this themselves; bodies that tile inside a
-    /// gang scope (the fused pencil engine, the health scan) report here.
+    /// gang scope (the sweep stages, the health scan) report here.
     pub fn note_lane_tiling(&self, full_packets: u64, tail_elems: u64) {
         self.lane_packets.fetch_add(full_packets, Ordering::Relaxed);
         self.lane_tail.fetch_add(tail_elems, Ordering::Relaxed);
@@ -243,11 +245,11 @@ impl Context {
 
     /// Record one launch: a ledger row plus, when a handle is attached,
     /// the traced kernel event. Every launch entry point ends here, and so
-    /// do bodies that ran outside them (the layout library's reshapes, the
-    /// fused sweep's per-stage timings, which pass their own `start` and
-    /// summed `wall`). `gangs` and `lanes` only annotate the event — the
-    /// ledger keeps ONE row per launch and FLOP/byte counts are per item —
-    /// and the float products passed to the trace are exactly the terms
+    /// do bodies that ran outside them (the sweep stages, which pass their
+    /// own `start` and — pencil-major — summed `wall`). `gangs` and
+    /// `lanes` only annotate the event — the ledger keeps ONE row per
+    /// launch and FLOP/byte counts are per item — and the float products
+    /// passed to the trace are exactly the terms
     /// `record_launch` accumulates, so per-label sums of the event stream
     /// reconcile with the ledger bitwise at every gang count and width.
     #[allow(clippy::too_many_arguments)]
@@ -320,7 +322,7 @@ impl Context {
         S: Send,
         R: Send,
     {
-        if self.workers == 1 || units < 2 || work_items < PAR_MIN_ITEMS as u64 {
+        if self.one_gang(units, work_items) {
             each(body(0, 0..units, &mut state[0]));
             return 1;
         }
@@ -344,6 +346,12 @@ impl Context {
             }
         });
         blocks.len()
+    }
+
+    /// Whether [`Context::fork_join`] runs `units` as one gang on the
+    /// calling thread.
+    fn one_gang(&self, units: usize, work_items: u64) -> bool {
+        self.workers == 1 || units < 2 || work_items < PAR_MIN_ITEMS as u64
     }
 
     /// Per-gang state of the entry points whose bodies carry none (a
@@ -498,6 +506,47 @@ impl Context {
             n,
             work_items,
             state,
+            |g, range, st| body.run::<L>(g, range, st),
+            each,
+        ))
+    }
+
+    /// [`Context::gang_vec_scope`] over per-*unit* state: unit `u` owns
+    /// `units[u]`, and each gang's body gets the states of its own range
+    /// (`state[i]` belongs to unit `range.start + i`) — scratch that
+    /// outlives one gang's pass, such as a stage-major sweep's pencil
+    /// blocks, which every stage revisits under the same split.
+    pub fn gang_vec_units<S, R, B>(
+        &self,
+        work_items: u64,
+        units: &mut [S],
+        body: &B,
+        each: impl FnMut(R),
+    ) -> usize
+    where
+        S: Send,
+        R: Send,
+        B: LaneGangBody<[S], R>,
+    {
+        let n = units.len();
+        let blocks = if self.one_gang(n, work_items) {
+            vec![(0, n)]
+        } else {
+            self.gang_blocks(n)
+        };
+        let mut rest = units;
+        let mut chunks: Vec<&mut [S]> = blocks
+            .iter()
+            .map(|&(lo, hi)| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                chunk
+            })
+            .collect();
+        with_lane_width!(self.vector_width, L => self.fork_join(
+            n,
+            work_items,
+            &mut chunks,
             |g, range, st| body.run::<L>(g, range, st),
             each,
         ))
@@ -933,6 +982,17 @@ mod tests {
         }
     }
 
+    impl crate::vector::LaneGangBody<[u64], u64> for Marked<'_> {
+        fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, st: &mut [u64]) -> u64 {
+            (self.mark)();
+            assert_eq!(range.len(), st.len(), "one state per unit of the range");
+            for (u, s) in range.zip(st.iter_mut()) {
+                *s = (u * u) as u64;
+            }
+            st.iter().sum()
+        }
+    }
+
     /// One row per surviving parallel entry point: run it over an `a × b`
     /// space and return its result as bits. `units_are_items` says whether
     /// the entry splits the `a·b` items (else the `a` rows / units).
@@ -942,7 +1002,7 @@ mod tests {
         fn(&Context, usize, usize, Mark) -> Vec<u64>,
     );
 
-    const ENTRIES: [Entry; 5] = [
+    const ENTRIES: [Entry; 6] = [
         ("launch_par", true, |ctx, a, b, mark| {
             let mut out = vec![0.0f64; a * b];
             let view = ParSlice::new(&mut out);
@@ -989,6 +1049,18 @@ mod tests {
             let mut total = 0u64;
             ctx.gang_vec_scope(a, (a * b) as u64, &mut scratch, &k, |s: u64| total += s);
             vec![total]
+        }),
+        ("gang_vec_units", false, |ctx, a, b, mark| {
+            let k = Marked {
+                out: ParSlice::new(&mut []),
+                row_len: b,
+                mark,
+            };
+            let mut units = vec![0u64; a];
+            let mut total = 0u64;
+            ctx.gang_vec_units((a * b) as u64, &mut units, &k, |s: u64| total += s);
+            units.push(total);
+            units
         }),
     ];
 

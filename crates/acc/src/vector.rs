@@ -386,10 +386,11 @@ pub trait LaneMaxKernel: Sync {
 }
 
 /// A gang-scope body executable at any lane width (see
-/// [`crate::exec::Context::gang_vec_scope`]): `run` receives the gang id,
+/// [`crate::exec::Context::gang_vec_scope`] and
+/// [`crate::exec::Context::gang_vec_units`]): `run` receives the gang id,
 /// its contiguous unit range, and exclusive scratch, and handles its own
 /// packet/tail tiling.
-pub trait LaneGangBody<S, R>: Sync {
+pub trait LaneGangBody<S: ?Sized, R>: Sync {
     fn run<L: Lane>(&self, gang: usize, range: std::ops::Range<usize>, state: &mut S) -> R;
 }
 

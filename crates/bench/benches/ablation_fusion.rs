@@ -1,13 +1,8 @@
-//! Fusion ablation: staged grid-sized sweep buffers vs the fused pencil
-//! engine (`RhsMode::Staged` vs `RhsMode::Fused`).
-//!
-//! The fused engine skips the ghost transverse lines the staged pipeline
-//! reconstructs and then discards, and replaces grid-sized intermediates
-//! with cache-resident per-pencil scratch. `mfc_perfmodel::fusionmodel`
-//! predicts the resulting bytes-moved ratio; before timing, this bench
-//! replays one step per mode against the ledger and prints the
-//! modeled-vs-measured ratio so a drift between the launch-site cost
-//! declarations and the model shows up next to the timings it explains.
+//! Fusion ablation: the same five sweep stages run stage-major
+//! (`RhsMode::Staged`, each stage one pass over every pencil through
+//! grid-sized scratch) vs pencil-major (`RhsMode::Fused`, all five stages
+//! per cache-resident pencil). Both declare the same ledger traffic, so
+//! the timing difference is what loop order alone costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -15,7 +10,6 @@ use mfc_acc::Context;
 use mfc_core::case::presets;
 use mfc_core::rhs::RhsMode;
 use mfc_core::solver::{DtMode, Solver, SolverConfig};
-use mfc_perfmodel::fusionmodel;
 
 const N: usize = 24;
 
@@ -29,27 +23,7 @@ fn solver_for(mode: RhsMode) -> Solver {
     Solver::new(&case, cfg, Context::serial())
 }
 
-fn measured_bytes(mode: RhsMode) -> f64 {
-    let mut solver = solver_for(mode);
-    solver.run_steps(1).unwrap();
-    let stats = solver.context().ledger().kernel_stats();
-    fusionmodel::measured_sweep_bytes(&stats, mode == RhsMode::Fused)
-}
-
 fn bench_fusion(c: &mut Criterion) {
-    let shape = fusionmodel::SweepShape {
-        n: [N, N, N],
-        ndim: 3,
-        ng: 3,
-        neq: 7,
-        stencil: 3,
-    };
-    let modeled = fusionmodel::traffic_ratio(&shape);
-    let measured = measured_bytes(RhsMode::Staged) / measured_bytes(RhsMode::Fused);
-    println!(
-        "staged/fused sweep traffic ratio: modeled {modeled:.3}, ledger-measured {measured:.3}"
-    );
-
     let cells = N * N * N;
     let mut g = c.benchmark_group("ablation_fusion");
     g.throughput(Throughput::Elements((cells * 7 * 3) as u64));

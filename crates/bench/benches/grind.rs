@@ -1,7 +1,7 @@
 //! End-to-end grind time of the full solver (the CPU column of Fig. 5).
 //!
 //! Measures ns / cell / PDE / RHS evaluation on this host for the
-//! representative two-phase problem, across pack strategies and
+//! representative two-phase problem, across sweep loop orders and
 //! reconstruction orders — the numbers EXPERIMENTS.md reports next to the
 //! paper's per-socket CPU grind times.
 
@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use mfc_acc::Context;
 use mfc_core::case::presets;
-use mfc_core::rhs::{PackStrategy, RhsConfig, RhsMode};
+use mfc_core::rhs::{RhsConfig, RhsMode};
 use mfc_core::solver::{DtMode, Solver, SolverConfig};
 use mfc_core::weno::WenoOrder;
 use mfc_trace::Tracer;
@@ -25,32 +25,6 @@ fn bench_grind(c: &mut Criterion) {
     // directly comparable to the paper's grind metric.
     g.throughput(Throughput::Elements((cells * 7 * 3) as u64));
     g.sample_size(10);
-
-    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
-        g.bench_with_input(
-            BenchmarkId::new("two_phase_3d_step", format!("{pack:?}")),
-            &pack,
-            |b, &pack| {
-                let case = presets::two_phase_benchmark(3, n);
-                let cfg = SolverConfig {
-                    rhs: RhsConfig {
-                        pack,
-                        // Pack strategies only matter for the staged
-                        // pipeline's y/z reshapes.
-                        mode: RhsMode::Staged,
-                        ..Default::default()
-                    },
-                    dt: DtMode::Cfl(0.4),
-                    ..Default::default()
-                };
-                let mut solver = Solver::new(&case, cfg, Context::serial());
-                b.iter(|| {
-                    solver.step().unwrap();
-                    std::hint::black_box(solver.time())
-                })
-            },
-        );
-    }
 
     for mode in [RhsMode::Staged, RhsMode::Fused] {
         g.bench_with_input(BenchmarkId::new("mode", mode.name()), &mode, |b, &mode| {

@@ -1,23 +1,22 @@
-//! Kernel-level benchmarks: the WENO reconstruction (whole sweeps, and the
-//! fused engine's line kernel through each of its entries) and approximate
+//! Kernel-level benchmarks: the WENO reconstruction (a whole sweep's
+//! lines, and the line kernel through each of its entries) and approximate
 //! Riemann solve that dominate Figs. 1, 6, and 7, measured on the host CPU.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use mfc_acc::Context;
 use mfc_bench::{packed_buffer, BENCH_N, BENCH_NF};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::fluid::{Fluid, FluidTable};
 use mfc_core::riemann::RiemannSolver;
-use mfc_core::weno::{self, reconstruct_sweep, WenoOrder};
+use mfc_core::weno::{self, WenoOrder};
 use mfc_layout::{Dims4, Flat4D};
 
+/// The sweep stage's WENO work: the line kernel over every line of a
+/// direction-coalesced buffer, one line per variable per transverse line.
 fn bench_weno(c: &mut Criterion) {
     let n = BENCH_N;
-    let ctx = Context::serial();
-
     let mut g = c.benchmark_group("weno_kernel");
     let fdims = Dims4::new(n + 1, n / 8, 8, BENCH_NF);
     g.throughput(Throughput::Elements(fdims.len() as u64));
@@ -34,7 +33,14 @@ fn bench_weno(c: &mut Criterion) {
         let mut right = Flat4D::zeros(fdims);
         g.bench_function(name, |b| {
             b.iter(|| {
-                reconstruct_sweep(&ctx, order, &packed, n, &mut left, &mut right);
+                for ((line, l), r) in packed
+                    .as_slice()
+                    .chunks_exact(n + 2 * ng)
+                    .zip(left.as_mut_slice().chunks_exact_mut(n + 1))
+                    .zip(right.as_mut_slice().chunks_exact_mut(n + 1))
+                {
+                    weno::reconstruct_line_padded(order, line, ng, n, l, r);
+                }
                 std::hint::black_box(left.as_slice()[0])
             })
         });

@@ -4,7 +4,7 @@ use mfc_cli::{admit, CaseFile, RunError, ADMISSION_RULES};
 use mfc_mpsim::FailurePolicy;
 
 const USAGE: &str = "usage: mfc-run <case.json> [--validate] [--dry-run] \
-[--rhs-mode staged|fused] [--overlap] [--workers N] [--vector-width N] \
+[--overlap] [--workers N] [--vector-width N] \
 [--faults plan.json] \
 [--checkpoint-every N] [--ckpt-keep N] [--failure-policy revive|shrink|spare] \
 [--spares N] [--recovery ladder.json] [--max-retries N] \
@@ -23,8 +23,6 @@ flags:
                          anything: exit 0 (admissible), 2 (refused) or 3
                          (a named plan/ladder file is unreadable). The two
                          spellings are one code path
-  --rhs-mode MODE        sweep engine: 'staged' grid-sized buffers or the
-                         'fused' pencil engine (default; bitwise identical)
   --overlap              distributed runs: pipeline the halo exchange
                          behind the RHS sweeps — each axis's messages fly
                          while the previous axis is swept (the paper's
@@ -93,8 +91,6 @@ fn positive(v: &str) -> Option<usize> {
 /// rules are admission's, not the flag's.
 fn apply(c: &mut CaseFile, name: &str, v: Option<&str>) -> Option<()> {
     match name {
-        // The case file's own spelling of `numerics.mode`: staged | fused.
-        "--rhs-mode" => c.numerics.mode = serde_json::from_str(&format!("\"{}\"", v?)).ok()?,
         "--workers" => c.numerics.workers = positive(v?)?,
         "--vector-width" => c.numerics.vector_width = v?.parse().ok()?,
         "--faults" => c.run.faults = Some(v?.into()),

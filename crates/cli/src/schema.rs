@@ -13,7 +13,7 @@ use mfc_core::eos::MAX_FLUIDS;
 use mfc_core::fluid::Fluid;
 use mfc_core::par::ExchangeMode;
 use mfc_core::probes::Probe;
-use mfc_core::rhs::{PackStrategy, RhsConfig, RhsMode};
+use mfc_core::rhs::RhsConfig;
 use mfc_core::riemann::RiemannSolver;
 use mfc_core::solver::{DtMode, SolverConfig};
 use mfc_core::time::TimeScheme;
@@ -43,9 +43,6 @@ impl BcConfig {
 pub struct NumericsConfig {
     pub order: WenoOrder,
     pub solver: RiemannSolver,
-    pub pack: PackStrategy,
-    /// Sweep engine: staged grid-sized buffers or the fused pencil engine.
-    pub mode: RhsMode,
     /// Coordinate system: cartesian / axisymmetric / cylindrical3_d.
     pub geometry: Geometry,
     pub scheme: String,
@@ -72,8 +69,6 @@ impl Default for NumericsConfig {
         NumericsConfig {
             order: WenoOrder::Weno5,
             solver: RiemannSolver::Hllc,
-            pack: PackStrategy::Tiled,
-            mode: RhsMode::default(),
             geometry: Geometry::Cartesian,
             scheme: "rk3".to_string(),
             cfl: 0.5,
@@ -110,8 +105,6 @@ impl NumericsConfig {
             rhs: RhsConfig {
                 order: self.order,
                 solver: self.solver,
-                pack: self.pack,
-                mode: self.mode,
                 geometry: self.geometry,
                 ..Default::default()
             },

@@ -225,7 +225,7 @@ fn two_fluid_case_with_sphere_patch_parses() {
               "state": { "alpha": [0.999999, 1e-6], "rho": [1.2, 1000.0],
                           "vel": [0.0, 0.0, 0.0], "p": 1.0e5 } }
         ],
-        "numerics": { "order": "weno3", "solver": "hllc", "pack": "geam",
+        "numerics": { "order": "weno3", "solver": "hllc",
                        "scheme": "rk2", "cfl": 0.4, "dt": null },
         "run": { "steps": 2 }
     }"#;

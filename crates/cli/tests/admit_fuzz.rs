@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use mfc_cli::{admit, BcConfig, CaseFile, ProbeConfig, RunError};
 use mfc_core::axisym::Geometry;
 use mfc_core::bc::BcKind;
-use mfc_core::rhs::{PackStrategy, RhsMode};
 use mfc_core::riemann::RiemannSolver;
 use mfc_core::weno::WenoOrder;
 
@@ -112,10 +111,6 @@ fn mutate(cf: &mut CaseFile, field: usize, v: usize) {
         23 => cf.io.wave = n,
         24 => cf.run.checkpoint_every = (n % 4) as u64,
         25 => cf.numerics.scheme = ["rk1", "rk2", "rk3", "rk9"][v % 4].into(),
-        26 => {
-            cf.numerics.mode = [RhsMode::Staged, RhsMode::Fused][v % 2];
-            cf.numerics.pack = [PackStrategy::Tiled, PackStrategy::Geam][v % 2];
-        }
         _ => cf.probes.push(ProbeConfig {
             name: "fuzz".into(),
             x: [x, 0.5, 0.0],
@@ -123,7 +118,7 @@ fn mutate(cf: &mut CaseFile, field: usize, v: usize) {
     }
 }
 
-const FIELDS: usize = 28;
+const FIELDS: usize = 27;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]

@@ -572,17 +572,6 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         let text = serde_json::to_string(&case).unwrap();
         refused_at_every_entry_point(&scratch.0, &text, exit, needle);
     }
-    // A retired pack strategy stops at the parser, which names the two
-    // that remain.
-    let text = serde_json::to_string(&scratch.shipped_sod()).unwrap();
-    let retired = text.replace(r#""pack":"tiled""#, r#""pack":"collapsed_loops""#);
-    assert_ne!(retired, text);
-    refused_at_every_entry_point(
-        &scratch.0,
-        &retired,
-        2,
-        "unknown variant `collapsed_loops` of PackStrategy, expected one of `tiled`, `geam`",
-    );
     // Through `mfc-run`'s flags instead of the case file: a zero wave
     // width stops at the flag parser (the former trace smoke's check), the
     // spare count reaches the same admission rule.

@@ -1,61 +1,68 @@
-//! Fused, cache-blocked RHS sweep engine.
+//! The RHS sweep kernels: one implementation of each stage, run in two
+//! loop orders.
 //!
-//! The staged pipeline in [`crate::rhs`] streams the full grid through
-//! memory once per stage: reshape into a coalesced buffer, reconstruct
-//! every face, solve every Riemann problem, then accumulate the flux
-//! divergence — with grid-sized `left`/`right`/`flux`/`ustar`
-//! intermediates in between. That is exactly the traffic the paper's GPU
-//! kernel-fusion work eliminates; on a memory-bound CPU core the canonical
-//! analog is loop fusion with cache blocking.
+//! A directional sweep works on *pencils* — batches of [`PENCIL_B`]
+//! interior transverse lines along the sweep axis — and passes each
+//! through five stages:
 //!
-//! This engine processes *pencils* — batches of [`PENCIL_B`] transverse
-//! lines along the sweep axis — through gather → convert → WENO → Riemann
-//! → update in a single pass. All intermediates live in a few KB of
-//! per-pencil scratch ([`FusedScratch`]) that stays resident in L1/L2, and
-//! the per-face variable vectors are the layout's [`EqLayout::Vars`] —
-//! sized exactly `neq` for the shipped shapes, whose sweep body is
-//! instantiated over a [`crate::eqidx::ConstEq`] picked once per sweep
-//! (the compile-time-sized "private arrays" of §III-D). Two further
-//! sources of traffic disappear structurally:
+//! 1. *gather*: copy the pencil's conservative lines (x lines too) out of
+//!    the state, batched along the canonical-x coordinate so even the
+//!    strided y/z gathers consume whole cache lines — the paper's
+//!    coalescing pack;
+//! 2. *convert* the gathered cells to primitives in place, with the same
+//!    per-cell [`crate::eos::cons_to_prim`] every primitive field is built
+//!    with;
+//! 3. *WENO*: reconstruct left/right face states along every line and
+//!    variable ([`crate::weno::reconstruct_line_padded`]);
+//! 4. *Riemann*: solve every face ([`RiemannSolver::flux`]), limiting an
+//!    inadmissible reconstructed state toward its cell mean first
+//!    ([`crate::limiter::limit_state`]); the flux overwrites the face's
+//!    left state and the contact speed `S*` is kept;
+//! 5. *update*: accumulate the flux divergence into the canonical RHS and
+//!    the `S*` differences into div(u).
 //!
-//! * no grid-sized buffer is materialized for any direction, primitives
-//!   included — the gather stage copies each pencil's lines straight out
-//!   of the conservative state (x lines too), batched along the
-//!   canonical-x coordinate so even the strided y/z gathers consume whole
-//!   cache lines, and converts them to primitives in scratch with the
-//!   same per-cell [`crate::eos::cons_to_prim`] every primitive field is
-//!   built with;
-//! * ghost *transverse* lines are skipped. The staged kernels reconstruct
-//!   and solve along every line of the padded buffer, but the update stage
-//!   only ever reads faces on interior transverse coordinates, so roughly
-//!   `1 - (n/(n+2*ng))^2` of the staged WENO/Riemann work is dead. Skipping
-//!   it cannot change a single consumed bit.
+//! Ghost *transverse* lines are never swept: the update only ever reads
+//! faces on interior transverse coordinates, so their WENO/Riemann work
+//! would be dead.
 //!
-//! Per-line arithmetic is delegated to the *same* cell and face kernels
-//! the staged path uses ([`crate::weno::reconstruct_line_padded`],
-//! [`crate::limiter::limit_state`], [`RiemannSolver::flux`]) in the same
-//! order, so the fused engine is bitwise identical to the staged one —
-//! `tests/rhs_fusion.rs` asserts this on every shipped case.
+//! [`RhsMode`] picks only the loop order:
 //!
-//! Unlike the staged stages, which tile lanes across whole grid rows, the
-//! fused Riemann/update stages tile lane packets along the *unit-stride
-//! face index within each pencil line* (OpenACC's `vector` level nested
-//! inside the pencil `gang`s). Each lane still performs the exact scalar
-//! op sequence on its own face, so every width remains bitwise identical
-//! to the scalar engine. The WENO stage runs the scalar per-cell line
-//! kernel at every width (its plain cell loop is what the compiler's loop
-//! vectoriser packs best, at the width of the entry the running CPU
-//! selects). The gather's copy is a scalar byte shuffle; its conversion
-//! runs in lane packets along each gathered line.
+//! * `Fused` runs all five stages on one pencil before the next
+//!   (pencil-major) in a few KB of per-gang [`PencilScratch`] that stays
+//!   resident in L1/L2 — the paper's kernel fusion, whose analog on a
+//!   memory-bound CPU core is loop fusion with cache blocking;
+//! * `Staged` runs each stage as one gang-parallel pass over every pencil
+//!   of the sweep before the next stage starts (stage-major), the unfused
+//!   GPU pipeline: its intermediates live in one grid-sized scratch, a
+//!   slot per pencil, allocated on the first staged evaluation and reused
+//!   across axes. It is the fusion-ablation baseline.
 //!
-//! Every stage still lands in the `mfc-acc` ledger under its own label
-//! (`f_sweep_gather`/`f_sweep_convert`/`f_weno_reconstruct`/
-//! `f_riemann_solve`/`f_flux_divergence`) with the staged-equivalent
-//! per-item costs — the conversion carries the arithmetic, the gather the
-//! traffic — so roofline and breakdown figures keep decomposing; an
-//! `s_fused_sweep` marker of class [`KernelClass::Fused`] carries the
-//! orchestration residual so total ledger wall time stays honest.
+//! Every arithmetic op is shared, so the two engines agree bitwise by
+//! construction (`tests/rhs_fusion.rs` checks it across the feature
+//! axes). The per-face variable vectors are the layout's
+//! [`EqLayout::Vars`], sized exactly `neq` for the shipped shapes, whose
+//! sweep is instantiated over a [`crate::eqidx::ConstEq`] picked once per
+//! sweep (the compile-time-sized "private arrays" of §III-D).
+//!
+//! The Riemann and update stages tile lane packets along the unit-stride
+//! face index within each pencil line (OpenACC's `vector` level nested
+//! inside the pencil `gang`s); each lane performs the exact scalar op
+//! sequence on its own face, so every width is bitwise the scalar engine.
+//! The WENO stage runs the scalar per-cell line kernel at every width (its
+//! plain cell loop is what the compiler's loop vectoriser packs best, at
+//! the width of the entry the running CPU selects). The gather's copy is a
+//! scalar byte shuffle; the conversion runs lane packets along each line.
+//!
+//! Each stage lands in the `mfc-acc` ledger under its own label with the
+//! same per-item cost in both engines — `f_*` pencil-major, `s_*`
+//! stage-major (`*_sweep_gather`, `*_sweep_convert`, `*_weno_reconstruct`,
+//! `*_riemann_solve`, `*_flux_divergence`); the conversion carries the
+//! arithmetic, the gather the traffic. The fused engine times its stages
+//! inside the pencil loop and adds an `s_fused_sweep` marker of class
+//! [`KernelClass::Fused`] carrying the orchestration residual, so total
+//! ledger wall time stays honest.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneGangBody, ParSlice};
@@ -66,7 +73,7 @@ use crate::eos::cons_to_prim;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
-use crate::rhs::{sweep_to_canonical, transverse_interior, RhsConfig, RhsWorkspace};
+use crate::rhs::{RhsConfig, RhsMode, RhsWorkspace};
 use crate::riemann::RiemannSolver;
 use crate::state::{convert_flops, StateField};
 use crate::weno::{reconstruct_line_padded, WenoOrder};
@@ -75,10 +82,20 @@ use crate::weno::{reconstruct_line_padded, WenoOrder};
 /// line, so the strided y/z gathers read (and fully consume) whole lines.
 pub(crate) const PENCIL_B: usize = 8;
 
-/// Per-pencil scratch of the fused engine: the only intermediates between
-/// the sweep stages, sized `PENCIL_B * neq * max_line` — a few KB total,
-/// resident in cache for the lifetime of the evaluation.
-pub(crate) struct FusedScratch {
+/// Ledger labels of the five stages: pencil-major, stage-major.
+const LABELS: [[&str; 2]; 5] = [
+    ["f_sweep_gather", "s_sweep_gather"],
+    ["f_sweep_convert", "s_sweep_convert"],
+    ["f_weno_reconstruct", "s_weno_reconstruct"],
+    ["f_riemann_solve", "s_riemann_solve"],
+    ["f_flux_divergence", "s_flux_divergence"],
+];
+
+/// Scratch slots of `PENCIL_B * neq * line` values, one per pencil in
+/// flight, sized for the longest line of any axis: one slot per worker
+/// gang for the fused engine, one per pencil of the largest sweep for the
+/// staged engine.
+pub(crate) struct PencilScratch {
     /// Gathered pencil lines as primitives, `[b][e][s]`, line-contiguous.
     v: Vec<f64>,
     /// Reconstructed face states, `[b][e][m]`. The Riemann stage
@@ -87,38 +104,92 @@ pub(crate) struct FusedScratch {
     right: Vec<f64>,
     /// Contact speeds, `[b][m]`.
     ustar: Vec<f64>,
+    /// Slot lengths of `v`, `left`/`right` and `ustar`.
+    slot: [usize; 3],
 }
 
-impl FusedScratch {
-    /// Allocate scratch for `dom` at lane width `vector_width`: per-line
-    /// extents are rounded up to a lane multiple so a bounds-checked
-    /// full-packet load anchored at any in-line index stays inside the
-    /// allocation even on the buffer's final line.
-    pub(crate) fn new(dom: &Domain, vector_width: usize) -> Self {
-        let vw = vector_width.max(1);
-        let round = |n: usize| n.div_ceil(vw) * vw;
-        let neq = dom.eq.neq();
-        let (mut vmax, mut fmax, mut umax) = (0, 0, 0);
+/// One pencil's slot of a [`PencilScratch`].
+struct Pencil<'s> {
+    v: &'s mut [f64],
+    left: &'s mut [f64],
+    right: &'s mut [f64],
+    ustar: &'s mut [f64],
+}
+
+impl PencilScratch {
+    pub(crate) fn new(dom: &Domain, slots: usize) -> Self {
+        let (mut ext, mut nf) = (0, 0);
         for axis in 0..dom.eq.ndim() {
-            let ext = dom.ext(axis);
-            let nf = dom.n[axis] + 1;
-            vmax = vmax.max(PENCIL_B * neq * round(ext));
-            fmax = fmax.max(PENCIL_B * neq * round(nf));
-            umax = umax.max(PENCIL_B * round(nf));
+            ext = ext.max(dom.ext(axis));
+            nf = nf.max(dom.n[axis] + 1);
         }
-        FusedScratch {
-            v: vec![0.0; vmax],
-            left: vec![0.0; fmax],
-            right: vec![0.0; fmax],
-            ustar: vec![0.0; umax],
+        let lines = PENCIL_B * dom.eq.neq();
+        let slot = [lines * ext, lines * nf, PENCIL_B * nf];
+        PencilScratch {
+            v: vec![0.0; slots * slot[0]],
+            left: vec![0.0; slots * slot[1]],
+            right: vec![0.0; slots * slot[1]],
+            ustar: vec![0.0; slots * slot[2]],
+            slot,
         }
+    }
+
+    /// The slots, in order.
+    fn pencils(&mut self) -> impl Iterator<Item = Pencil<'_>> {
+        let [vs, fs, us] = self.slot;
+        self.v
+            .chunks_exact_mut(vs)
+            .zip(self.left.chunks_exact_mut(fs))
+            .zip(self.right.chunks_exact_mut(fs))
+            .zip(self.ustar.chunks_exact_mut(us))
+            .map(|(((v, left), right), ustar)| Pencil {
+                v,
+                left,
+                right,
+                ustar,
+            })
     }
 }
 
-/// One fused directional sweep (steps 1–6 of [`crate::rhs::compute_rhs`]
-/// along `axis`), reading `cons` only on the lines it consumes. Bitwise
-/// identical to the staged path.
-pub(crate) fn fused_sweep_axis(
+/// How the sweep along `axis` cuts its interior transverse lines into
+/// pencils: `(bq, bcount, oq, ocount)`, the first coordinate and count of
+/// the batched transverse coordinate, then of the outer one. Pencils batch
+/// over whichever transverse coordinate is canonical x (t1 for the x/y
+/// sweeps, t2 for z), so the strided gathers of a pencil read consecutive
+/// memory.
+fn batching(dom: &Domain, axis: usize) -> (usize, usize, usize, usize) {
+    let (a1, a2) = match axis {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (1, 0),
+    };
+    let (t1, t2) = ((dom.pad(a1), dom.n[a1]), (dom.pad(a2), dom.n[a2]));
+    let ((bq, bcount), (oq, ocount)) = if axis < 2 { (t1, t2) } else { (t2, t1) };
+    (bq, bcount, oq, ocount)
+}
+
+/// Pencils of the sweep along `axis`.
+fn pencil_count(dom: &Domain, axis: usize) -> usize {
+    let (_, bcount, _, ocount) = batching(dom, axis);
+    ocount * bcount.div_ceil(PENCIL_B)
+}
+
+/// Map sweep-layout coordinates `(s, t1, t2)` back to canonical `(i, j, k)`.
+#[inline(always)]
+fn sweep_to_canonical(axis: usize, s: usize, t1: usize, t2: usize) -> (usize, usize, usize) {
+    match axis {
+        0 => (s, t1, t2),
+        1 => (t1, s, t2),
+        _ => (t2, t1, s),
+    }
+}
+
+/// The sweep along `axis` (steps 1–6 of [`crate::rhs::compute_rhs`]): the
+/// five stages over every pencil, in the loop order `cfg.mode` picks.
+/// Reads `cons` along `axis` only, on the lines whose faces it uses, which
+/// is what lets the pipelined exchange run it while the next axis's halo
+/// is in flight.
+pub(crate) fn sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,
     fluids: &[Fluid],
@@ -133,123 +204,30 @@ pub(crate) fn fused_sweep_axis(
         widths,
         radii,
         fused,
+        staged,
         ..
     } = ws;
     let dom = *dom;
     let eq = dom.eq;
     let neq = eq.neq();
-    // One scratch block per worker gang: each gang's pencils stream
-    // through its own buffers, so the decomposition never changes a
-    // single value any pencil reads (scratch is fully rewritten before
-    // every read within a unit of work).
-    let workers = ctx.workers().max(1);
-    if fused.len() < workers {
-        fused.resize_with(workers, || FusedScratch::new(&dom, ctx.vector_width()));
-    }
     let d3 = dom.dims3();
     let (n1, n2, n3) = (d3.n1, d3.n2, d3.n3);
-    let cell_stride = n1 * n2 * n3;
-    let qsl = cons.as_slice();
-    let rsl = ParSlice::new(rhs.as_mut_slice());
-    let dsl = ParSlice::new(divu);
-    let gh = cfg.order.ghost_layers();
-
-    let pad = dom.pad(axis);
     // Along the sweep axis: `s_n` interior cells, `s_n + 1` faces, and a
     // gathered line of the full padded extent.
     let s_n = dom.n[axis];
     let rext = dom.ext(axis);
     let rnf = s_n + 1;
-    let w = &widths[axis][..];
-    let radial = if axis == 2 && cfg.geometry == Geometry::Cylindrical3D {
-        Some(&radii[..])
-    } else {
-        None
-    };
-    // Interior transverse bounds in sweep coordinates (t1, t2): ghost
-    // transverse lines are skipped.
-    let (p1, n1i, p2, n2i) = transverse_interior(&dom, axis);
-    // Pencils batch over whichever transverse coordinate is canonical
-    // x (t1 for the x/y sweeps, t2 for z), so the strided gathers of a
-    // pencil read consecutive memory.
-    let batch_t1 = axis < 2;
-    let (bq, bcount, oq, ocount) = if batch_t1 {
-        (p1, n1i, p2, n2i)
-    } else {
-        (p2, n2i, p1, n1i)
-    };
-    let nlines = n1i * n2i;
-
-    // Gang decomposition: the sweep's unit of work is one pencil — an
-    // (outer transverse coordinate, batch of PENCIL_B lines) pair. Units
-    // are flattened with the batch index fastest, so the serial unit
-    // order reproduces the original (outer, batch) loop nest exactly;
-    // distinct units update disjoint cells, so the per-index writes
+    let (bq, bcount, oq, ocount) = batching(&dom, axis);
+    let nlines = bcount * ocount;
+    // The sweep's unit of work is one pencil — an (outer transverse
+    // coordinate, batch of PENCIL_B lines) pair — flattened with the batch
+    // index fastest, so the serial unit order is the (outer, batch) loop
+    // nest. Distinct units update disjoint cells, so the per-index writes
     // commute and any gang count produces bitwise-identical fields.
     let nbatches = bcount.div_ceil(PENCIL_B);
     let units = ocount * nbatches;
+    let work = (nlines * s_n) as u64;
 
-    let table = FluidTable::new(fluids);
-    let t_axis = Instant::now();
-    // Per-stage CPU time summed over gangs in fixed gang order (exceeds
-    // the axis wall clock when gangs overlap; the residual clamps at 0).
-    let mut stage = [Duration::ZERO; 5];
-    // The one place the sweep looks at the layout's shape: the body below
-    // is instantiated per layout, and every per-face loop inside it runs
-    // on that instance's (for the shipped shapes, literal) counts.
-    let gangs = with_eq_layout!(eq, eq => {
-        let body = FusedBody {
-            eq,
-            fluids: &table,
-            order: cfg.order,
-            solver: cfg.solver,
-            limiter: cfg.limiter,
-            axis,
-            qsl,
-            rsl,
-            dsl,
-            w,
-            radial,
-            n1,
-            n2,
-            n3,
-            cell_stride,
-            sweep_stride: match axis {
-                0 => 1,
-                1 => n1,
-                _ => n1 * n2,
-            },
-            pad,
-            s_n,
-            rext,
-            rnf,
-            batch_t1,
-            bq,
-            bcount,
-            oq,
-            nbatches,
-        };
-        let work = (nlines * s_n) as u64;
-        ctx.gang_vec_scope(units, work, &mut fused[..], &body, |t: [Duration; 5]| {
-            for (sum, gang) in stage.iter_mut().zip(t) {
-                *sum += gang;
-            }
-        })
-    });
-
-    // Per-axis ledger records: each stage under its own label with the
-    // staged-equivalent per-item cost, plus the Fused-class marker
-    // carrying the orchestration residual. The stage events tile the
-    // axis interval back-to-back so traced timelines stay monotone;
-    // with >1 gang the timers sum CPU time across workers and can
-    // exceed the wall interval, so scale them down to fit it.
-    let wall = t_axis.elapsed();
-    let total: Duration = stage.iter().sum();
-    if total > wall && total > Duration::ZERO {
-        let scale = wall.as_secs_f64() / total.as_secs_f64();
-        stage = stage.map(|t| t.mul_f64(scale));
-    }
-    let [tg, tc, tw, tr, tu] = stage;
     // Analytic lane tiling of the vector stages (the same convention as
     // `launch_vec`): the conversion tiles `rext` cells, WENO `neq` face
     // lines and Riemann one face line of `rnf` faces per pencil line; the
@@ -265,86 +243,198 @@ pub(crate) fn fused_sweep_axis(
         face_rows * (rnf / vw) as u64 + cell_rows(s_n) + cell_rows(rext),
         face_rows * (rnf % vw) as u64 + cell_tail(s_n) + cell_tail(rext),
     );
-    ctx.record(
-        "f_sweep_gather",
-        KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
-        (nlines * neq * rext) as u64,
-        gangs,
-        1,
-        t_axis,
-        tg,
-    );
-    // The conversion works in registers on the scratch the gather just
-    // filled: its arithmetic is new, its traffic is the gather's.
-    ctx.record(
-        "f_sweep_convert",
-        KernelCost::new(KernelClass::Other, convert_flops(&dom), 0.0, 0.0),
-        (nlines * rext) as u64,
-        gangs,
-        vw,
-        t_axis + tg,
-        tc,
-    );
-    ctx.record(
-        "f_weno_reconstruct",
-        KernelCost::new(
-            KernelClass::Weno,
-            cfg.order.flops_per_face(),
-            8.0 * (2 * gh + 1) as f64,
-            2.0 * 8.0,
+    // Per stage: cost per item, items, lanes.
+    let gh = cfg.order.ghost_layers();
+    let lines = nlines as u64;
+    let rows = [
+        (
+            KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
+            lines * (neq * rext) as u64,
+            1,
         ),
-        (nlines * neq * rnf) as u64,
-        gangs,
-        vw,
-        t_axis + tg + tc,
-        tw,
-    );
-    ctx.record(
-        "f_riemann_solve",
-        KernelCost::new(
-            KernelClass::Riemann,
-            cfg.solver.flops_per_face(&eq),
-            2.0 * 8.0 * neq as f64,
-            8.0 * (neq + 1) as f64,
+        // The conversion works in registers on the scratch the gather just
+        // filled: its arithmetic is new, its traffic is the gather's.
+        (
+            KernelCost::new(KernelClass::Other, convert_flops(&dom), 0.0, 0.0),
+            lines * rext as u64,
+            vw,
         ),
-        (nlines * rnf) as u64,
-        gangs,
-        vw,
-        t_axis + tg + tc + tw,
-        tr,
-    );
-    ctx.record(
-        "f_flux_divergence",
-        KernelCost::new(
-            KernelClass::Update,
-            (2 * neq + 3) as f64,
-            8.0 * 2.0 * (neq + 1) as f64,
-            8.0 * (neq + 1) as f64,
+        (
+            KernelCost::new(
+                KernelClass::Weno,
+                cfg.order.flops_per_face(),
+                8.0 * (2 * gh + 1) as f64,
+                2.0 * 8.0,
+            ),
+            lines * (neq * rnf) as u64,
+            vw,
         ),
-        (nlines * s_n) as u64,
-        gangs,
-        vw,
-        t_axis + tg + tc + tw + tr,
-        tu,
-    );
+        (
+            KernelCost::new(
+                KernelClass::Riemann,
+                cfg.solver.flops_per_face(&eq),
+                2.0 * 8.0 * neq as f64,
+                8.0 * (neq + 1) as f64,
+            ),
+            lines * rnf as u64,
+            vw,
+        ),
+        (
+            KernelCost::new(
+                KernelClass::Update,
+                (2 * neq + 3) as f64,
+                8.0 * 2.0 * (neq + 1) as f64,
+                8.0 * (neq + 1) as f64,
+            ),
+            lines * s_n as u64,
+            vw,
+        ),
+    ];
+
+    let table = FluidTable::new(fluids);
+    // The one place the sweep looks at the layout's shape: the stages are
+    // instantiated per layout, and every per-face loop inside them runs on
+    // that instance's (for the shipped shapes, literal) counts.
+    with_eq_layout!(eq, eq => {
+        let sweep = Sweep {
+            eq,
+            fluids: &table,
+            order: cfg.order,
+            solver: cfg.solver,
+            limiter: cfg.limiter,
+            axis,
+            qsl: cons.as_slice(),
+            rsl: ParSlice::new(rhs.as_mut_slice()),
+            dsl: ParSlice::new(divu),
+            w: &widths[axis][..],
+            radial: (axis == 2 && cfg.geometry == Geometry::Cylindrical3D).then_some(&radii[..]),
+            n1,
+            n2,
+            n3,
+            cell_stride: n1 * n2 * n3,
+            sweep_stride: match axis {
+                0 => 1,
+                1 => n1,
+                _ => n1 * n2,
+            },
+            pad: dom.pad(axis),
+            s_n,
+            rext,
+            rnf,
+            batch_t1: axis < 2,
+            bq,
+            bcount,
+            oq,
+            nbatches,
+        };
+        match cfg.mode {
+            RhsMode::Fused => {
+                // One scratch block per worker gang: each gang's pencils
+                // stream through its own slot, which every stage rewrites
+                // before it is read.
+                let workers = ctx.workers().max(1);
+                if fused.len() < workers {
+                    fused.resize_with(workers, || PencilScratch::new(&dom, 1));
+                }
+                pencil_major(ctx, &sweep, units, work, fused, &rows, lines)
+            }
+            RhsMode::Staged => {
+                let scratch = staged.get_or_insert_with(|| {
+                    let slots = (0..eq.ndim()).map(|a| pencil_count(&dom, a)).max();
+                    PencilScratch::new(&dom, slots.unwrap_or(0))
+                });
+                stage_major(ctx, &sweep, units, work, scratch, &rows)
+            }
+        }
+    })
+}
+
+/// Per stage: cost per item, items, lane width.
+type Rows = [(KernelCost, u64, usize); 5];
+
+/// Pencil-major: every gang streams its pencils through all five stages in
+/// its own scratch slot, timing each stage.
+fn pencil_major<E: EqLayout>(
+    ctx: &Context,
+    sweep: &Sweep<'_, E>,
+    units: usize,
+    work: u64,
+    scratch: &mut [PencilScratch],
+    rows: &Rows,
+    lines: u64,
+) {
+    let t_axis = Instant::now();
+    // Per-stage CPU time summed over gangs in fixed gang order (exceeds
+    // the axis wall clock when gangs overlap; the residual clamps at 0).
+    let mut stage = [Duration::ZERO; 5];
+    let gangs = ctx.gang_vec_scope(units, work, scratch, sweep, |t: [Duration; 5]| {
+        for (sum, gang) in stage.iter_mut().zip(t) {
+            *sum += gang;
+        }
+    });
+    // The stage events tile the axis interval back-to-back so traced
+    // timelines stay monotone; with >1 gang the timers sum CPU time across
+    // workers and can exceed the wall interval, so scale them down to fit.
+    let wall = t_axis.elapsed();
     let total: Duration = stage.iter().sum();
-    let residual = wall.checked_sub(total).unwrap_or(Duration::ZERO);
+    if total > wall && total > Duration::ZERO {
+        let scale = wall.as_secs_f64() / total.as_secs_f64();
+        stage = stage.map(|t| t.mul_f64(scale));
+    }
+    let mut start = t_axis;
+    for ((label, &(cost, items, lanes)), t) in LABELS.iter().zip(rows).zip(stage) {
+        ctx.record(label[0], cost, items, gangs, lanes, start, t);
+        start += t;
+    }
+    let residual = wall.checked_sub(start - t_axis).unwrap_or(Duration::ZERO);
     ctx.record(
         "s_fused_sweep",
         KernelCost::new(KernelClass::Fused, 0.0, 8.0, 8.0),
-        nlines as u64,
+        lines,
         gangs,
         1,
-        t_axis + total,
+        start,
         residual,
     );
 }
 
-/// Shared environment of one fused directional sweep, executable at any
-/// lane width ([`LaneGangBody`]): each gang streams its pencil range
-/// through the five stages with its own [`FusedScratch`], tiling lane
-/// packets along the unit-stride face index within every pencil line.
-struct FusedBody<'a, E> {
+/// Stage-major: one gang-parallel pass per stage over every pencil, each
+/// pencil in its own slot of the grid-sized scratch, so the next stage
+/// finds it where the last one left it.
+fn stage_major<E: EqLayout>(
+    ctx: &Context,
+    sweep: &Sweep<'_, E>,
+    units: usize,
+    work: u64,
+    scratch: &mut PencilScratch,
+    rows: &Rows,
+) {
+    let mut pencils: Vec<Pencil> = scratch.pencils().take(units).collect();
+    assert_eq!(pencils.len(), units, "staged scratch holds every pencil");
+    for (stage, (label, &(cost, items, lanes))) in LABELS.iter().zip(rows).enumerate() {
+        let t0 = Instant::now();
+        let pass = Pass { sweep, stage };
+        let gangs = ctx.gang_vec_units(work, &mut pencils, &pass, |()| {});
+        ctx.record(label[1], cost, items, gangs, lanes, t0, t0.elapsed());
+    }
+}
+
+/// One pencil's place in the sweep: outer transverse coordinate, batch
+/// origin and line count.
+#[derive(Clone, Copy)]
+struct Unit {
+    oc: usize,
+    b0: usize,
+    bw: usize,
+}
+
+/// Shared environment of one directional sweep and its five stages,
+/// executable at any lane width. Each stage is an out-of-line function that
+/// either loop order calls once per pencil, so there is one copy of it per
+/// layout and lane width; inlined into both loop orders instead, the
+/// pencil-major conversion and Riemann stages ran 30 % and 15 % slower per
+/// item on `grind3d`.
+struct Sweep<'a, E> {
     eq: E,
     fluids: &'a FluidTable,
     order: WenoOrder,
@@ -380,15 +470,24 @@ struct FusedBody<'a, E> {
     nbatches: usize,
 }
 
-impl<E: EqLayout> FusedBody<'_, E> {
-    /// Sweep coordinates (t1, t2) of batch line `b` of the unit at outer
-    /// coordinate `oc`, batch origin `b0`.
+impl<E: EqLayout> Sweep<'_, E> {
     #[inline(always)]
-    fn line_t(&self, oc: usize, b0: usize, b: usize) -> (usize, usize) {
+    fn unit(&self, unit: usize) -> Unit {
+        let b0 = (unit % self.nbatches) * PENCIL_B;
+        Unit {
+            oc: self.oq + unit / self.nbatches,
+            b0,
+            bw: PENCIL_B.min(self.bcount - b0),
+        }
+    }
+
+    /// Sweep coordinates (t1, t2) of line `b` of pencil `u`.
+    #[inline(always)]
+    fn line_t(&self, u: Unit, b: usize) -> (usize, usize) {
         if self.batch_t1 {
-            (self.bq + b0 + b, oc)
+            (self.bq + u.b0 + b, u.oc)
         } else {
-            (oc, self.bq + b0 + b)
+            (u.oc, self.bq + u.b0 + b)
         }
     }
 
@@ -398,6 +497,42 @@ impl<E: EqLayout> FusedBody<'_, E> {
     fn line_base(&self, t1: usize, t2: usize, e: usize) -> usize {
         let (i, j, k) = sweep_to_canonical(self.axis, 0, t1, t2);
         i + self.n1 * (j + self.n2 * (k + self.n3 * e))
+    }
+
+    /// Stage 1: gather the pencil's conservative lines (a scalar pack: x
+    /// lines are contiguous in `q`, y/z lines are read across the batch,
+    /// which is consecutive in canonical x).
+    #[inline(never)]
+    fn gather(&self, u: Unit, v: &mut [f64]) {
+        let neq = self.eq.neq();
+        let rext = self.rext;
+        if self.axis == 0 {
+            for b in 0..u.bw {
+                let (t1, t2) = self.line_t(u, b);
+                for e in 0..neq {
+                    let base = self.line_base(t1, t2, e);
+                    let lo = (b * neq + e) * rext;
+                    v[lo..lo + rext].copy_from_slice(&self.qsl[base..base + rext]);
+                }
+            }
+        } else {
+            let (t1, t2) = self.line_t(u, 0);
+            for e in 0..neq {
+                let base = self.line_base(t1, t2, e);
+                for s in 0..rext {
+                    let src = base + s * self.sweep_stride;
+                    let dst = e * rext + s;
+                    for (b, vb) in v[dst..]
+                        .iter_mut()
+                        .step_by(neq * rext)
+                        .take(u.bw)
+                        .enumerate()
+                    {
+                        *vb = self.qsl[src + b];
+                    }
+                }
+            }
+        }
     }
 
     /// Convert the gathered cells at `s..s + L::WIDTH` of one pencil line
@@ -417,10 +552,52 @@ impl<E: EqLayout> FusedBody<'_, E> {
         }
     }
 
-    /// One face through the scalar Riemann path (the exact staged
-    /// semantics): gather face states, positivity-limit toward the cell
-    /// means where inadmissible, solve, store the flux over the face's
-    /// left state and the contact speed.
+    /// Stage 2: convert the gathered lines to primitives in place, lane
+    /// packets along each line.
+    #[inline(never)]
+    fn convert<L: Lane>(&self, u: Unit, v: &mut [f64]) {
+        let rext = self.rext;
+        for lines in v.chunks_exact_mut(self.eq.neq() * rext).take(u.bw) {
+            let mut s = 0;
+            while s + L::WIDTH <= rext {
+                self.convert_cells::<L>(lines, s);
+                s += L::WIDTH;
+            }
+            while s < rext {
+                self.convert_cells::<f64>(lines, s);
+                s += 1;
+            }
+        }
+    }
+
+    /// Stage 3: WENO reconstruction per line per variable, through the
+    /// scalar per-cell line kernel at every lane width: its plain cell loop
+    /// is what LLVM's loop vectoriser turns into the host's packed
+    /// arithmetic, faster than explicit packets ran it (lanes are bitwise
+    /// invisible, so the choice cannot change a value).
+    #[inline(never)]
+    fn weno(&self, u: Unit, v: &[f64], left: &mut [f64], right: &mut [f64]) {
+        let neq = self.eq.neq();
+        let (rext, rnf) = (self.rext, self.rnf);
+        for b in 0..u.bw {
+            for e in 0..neq {
+                let fo = (b * neq + e) * rnf;
+                let lo = (b * neq + e) * rext;
+                reconstruct_line_padded(
+                    self.order,
+                    &v[lo..lo + rext],
+                    self.pad,
+                    self.s_n,
+                    &mut left[fo..fo + rnf],
+                    &mut right[fo..fo + rnf],
+                );
+            }
+        }
+    }
+
+    /// One face through the scalar Riemann path: gather face states,
+    /// positivity-limit toward the cell means where inadmissible, solve,
+    /// store the flux over the face's left state and the contact speed.
     #[inline(always)]
     fn solve_face_scalar(
         &self,
@@ -463,198 +640,212 @@ impl<E: EqLayout> FusedBody<'_, E> {
         }
         ustar[b * rnf + m] = s;
     }
+
+    /// Stage 4: Riemann solve per face. All-admissible packets solve
+    /// lane-wide; a packet with any flagged lane replays face by face
+    /// through the scalar path, which is bitwise what a width-1 sweep does
+    /// — including for the admissible lanes.
+    #[inline(never)]
+    fn riemann<L: Lane>(
+        &self,
+        u: Unit,
+        v: &[f64],
+        left: &mut [f64],
+        right: &[f64],
+        ustar: &mut [f64],
+    ) {
+        let eq = &self.eq;
+        let neq = eq.neq();
+        let rnf = self.rnf;
+        for b in 0..u.bw {
+            let mut m = 0;
+            while m + L::WIDTH <= rnf {
+                let (mut pl, mut pr) = (eq.vars::<L>(), eq.vars::<L>());
+                let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
+                for e in 0..neq {
+                    pl[e] = L::load(&left[(b * neq + e) * rnf + m..]);
+                    pr[e] = L::load(&right[(b * neq + e) * rnf + m..]);
+                }
+                let ok = L::mask_and(
+                    admissible_mask(eq, self.fluids, pl),
+                    admissible_mask(eq, self.fluids, pr),
+                );
+                if L::mask_all(ok) {
+                    let mut f = eq.vars::<L>();
+                    let f = &mut f.as_mut()[..neq];
+                    let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
+                    for e in 0..neq {
+                        f[e].store(&mut left[(b * neq + e) * rnf + m..]);
+                    }
+                    s.store(&mut ustar[b * rnf + m..]);
+                } else {
+                    for lane in 0..L::WIDTH {
+                        self.solve_face_scalar(v, left, right, ustar, b, m + lane);
+                    }
+                }
+                m += L::WIDTH;
+            }
+            while m < rnf {
+                self.solve_face_scalar(v, left, right, ustar, b, m);
+                m += 1;
+            }
+        }
+    }
+
+    /// Stage 5: flux divergence into the canonical RHS and `S*` differences
+    /// into div(u), lane packets along the sweep index with the canonical
+    /// per-axis cell stride. In 3-D cylindrical coordinates the azimuthal
+    /// cell width is `r * dtheta`.
+    #[inline(never)]
+    fn update<L: Lane>(&self, u: Unit, flux: &[f64], ustar: &[f64]) {
+        let neq = self.eq.neq();
+        let (rnf, s_n, pad, axis) = (self.rnf, self.s_n, self.pad, self.axis);
+        let cs = self.sweep_stride;
+        for b in 0..u.bw {
+            let (t1, t2) = self.line_t(u, b);
+            let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
+            let ub = b * rnf;
+            let mut s = 0;
+            while s + L::WIDTH <= s_n {
+                let inv_dx = L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
+                let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
+                let cell = i + self.n1 * (j + self.n2 * k);
+                for e in 0..neq {
+                    let fb = (b * neq + e) * rnf + s;
+                    let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
+                    self.rsl
+                        .add_lanes_strided(cell + e * self.cell_stride, cs, d);
+                }
+                let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
+                self.dsl.add_lanes_strided(cell, cs, dv);
+                s += L::WIDTH;
+            }
+            while s < s_n {
+                let inv_dx = 1.0 / (self.w[pad + s] * metric);
+                let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
+                let cell = i + self.n1 * (j + self.n2 * k);
+                for e in 0..neq {
+                    let fb = (b * neq + e) * rnf + s;
+                    self.rsl.add(
+                        cell + e * self.cell_stride,
+                        (flux[fb] - flux[fb + 1]) * inv_dx,
+                    );
+                }
+                self.dsl
+                    .add(cell, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
+                s += 1;
+            }
+        }
+    }
 }
 
-impl<E: EqLayout> LaneGangBody<FusedScratch, [Duration; 5]> for FusedBody<'_, E> {
+/// Pencil-major: each gang streams its pencil range through all five
+/// stages in its one scratch slot, returning the per-stage times.
+impl<E: EqLayout> LaneGangBody<PencilScratch, [Duration; 5]> for Sweep<'_, E> {
     fn run<L: Lane>(
         &self,
         _gang: usize,
-        range: std::ops::Range<usize>,
-        fs: &mut FusedScratch,
+        range: Range<usize>,
+        scratch: &mut PencilScratch,
     ) -> [Duration; 5] {
-        let FusedScratch {
+        let Pencil {
             v,
             left,
             right,
             ustar,
-        } = fs;
-        let eq = &self.eq;
-        let neq = eq.neq();
-        let (rext, rnf, s_n, pad, axis) = (self.rext, self.rnf, self.s_n, self.pad, self.axis);
+        } = scratch.pencils().next().expect("one scratch slot per gang");
         let mut times = [Duration::ZERO; 5];
-
         for unit in range {
-            let o = unit / self.nbatches;
-            let b0 = (unit % self.nbatches) * PENCIL_B;
-            let oc = self.oq + o;
-            let bw = PENCIL_B.min(self.bcount - b0);
-
-            // --- stage 1: gather the pencil's conservative lines (a
-            //     scalar pack: x lines are contiguous in `q`, y/z lines
-            //     are read across the batch, which is consecutive in
-            //     canonical x) ---
-            {
-                let t0 = Instant::now();
-                if axis == 0 {
-                    for b in 0..bw {
-                        let (t1, t2) = self.line_t(oc, b0, b);
-                        for e in 0..neq {
-                            let base = self.line_base(t1, t2, e);
-                            let lo = (b * neq + e) * rext;
-                            v[lo..lo + rext].copy_from_slice(&self.qsl[base..base + rext]);
-                        }
-                    }
-                } else {
-                    let sweep_stride = self.sweep_stride;
-                    let (t1, t2) = self.line_t(oc, b0, 0);
-                    for e in 0..neq {
-                        let base = self.line_base(t1, t2, e);
-                        for s in 0..rext {
-                            let src = base + s * sweep_stride;
-                            let dst = e * rext + s;
-                            for (b, vb) in
-                                v[dst..].iter_mut().step_by(neq * rext).take(bw).enumerate()
-                            {
-                                *vb = self.qsl[src + b];
-                            }
-                        }
-                    }
-                }
-                times[0] += t0.elapsed();
-            }
-
-            // --- stage 2: convert the gathered lines to primitives in
-            //     place, lane packets along each line ---
-            {
-                let t0 = Instant::now();
-                for lines in v.chunks_exact_mut(neq * rext).take(bw) {
-                    let mut s = 0;
-                    while s + L::WIDTH <= rext {
-                        self.convert_cells::<L>(lines, s);
-                        s += L::WIDTH;
-                    }
-                    while s < rext {
-                        self.convert_cells::<f64>(lines, s);
-                        s += 1;
-                    }
-                }
-                times[1] += t0.elapsed();
-            }
-
-            // --- stage 3: WENO reconstruction per line per variable,
-            //     through the scalar per-cell line kernel at every lane
-            //     width: its plain cell loop is what LLVM's loop
-            //     vectoriser turns into the host's packed arithmetic,
-            //     faster than explicit packets ran it (lanes are bitwise
-            //     invisible, so the choice cannot change a value) ---
-            {
-                let t0 = Instant::now();
-                for b in 0..bw {
-                    for e in 0..neq {
-                        let fo = (b * neq + e) * rnf;
-                        let lo = (b * neq + e) * rext;
-                        reconstruct_line_padded(
-                            self.order,
-                            &v[lo..lo + rext],
-                            pad,
-                            s_n,
-                            &mut left[fo..fo + rnf],
-                            &mut right[fo..fo + rnf],
-                        );
-                    }
-                }
-                times[2] += t0.elapsed();
-            }
-
-            // --- stage 4: Riemann solve per face (same positivity
-            //     limiting and flux arithmetic as the staged kernel):
-            //     all-admissible packets solve lane-wide, any flagged
-            //     lane replays the whole packet through the scalar path ---
-            {
-                let t0 = Instant::now();
-                for b in 0..bw {
-                    let mut m = 0;
-                    while m + L::WIDTH <= rnf {
-                        let (mut pl, mut pr) = (eq.vars::<L>(), eq.vars::<L>());
-                        let (pl, pr) = (&mut pl.as_mut()[..neq], &mut pr.as_mut()[..neq]);
-                        for e in 0..neq {
-                            pl[e] = L::load(&left[(b * neq + e) * rnf + m..]);
-                            pr[e] = L::load(&right[(b * neq + e) * rnf + m..]);
-                        }
-                        let ok = L::mask_and(
-                            admissible_mask(eq, self.fluids, pl),
-                            admissible_mask(eq, self.fluids, pr),
-                        );
-                        if L::mask_all(ok) {
-                            let mut f = eq.vars::<L>();
-                            let f = &mut f.as_mut()[..neq];
-                            let s = self.solver.flux(eq, self.fluids, axis, pl, pr, f);
-                            for e in 0..neq {
-                                f[e].store(&mut left[(b * neq + e) * rnf + m..]);
-                            }
-                            s.store(&mut ustar[b * rnf + m..]);
-                        } else {
-                            for lane in 0..L::WIDTH {
-                                self.solve_face_scalar(v, left, right, ustar, b, m + lane);
-                            }
-                        }
-                        m += L::WIDTH;
-                    }
-                    while m < rnf {
-                        self.solve_face_scalar(v, left, right, ustar, b, m);
-                        m += 1;
-                    }
-                }
-                times[3] += t0.elapsed();
-            }
-
-            // --- stage 5: flux divergence into the canonical RHS and
-            //     S* differences into div(u), lane packets along the
-            //     sweep index with the canonical per-axis cell stride ---
-            {
-                let t0 = Instant::now();
-                let flux = &left[..];
-                for b in 0..bw {
-                    let (t1, t2) = self.line_t(oc, b0, b);
-                    let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
-                    let ub = b * rnf;
-                    let cs = self.sweep_stride;
-                    let mut s = 0;
-                    while s + L::WIDTH <= s_n {
-                        let inv_dx =
-                            L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
-                        let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
-                        let cell = i + self.n1 * (j + self.n2 * k);
-                        for e in 0..neq {
-                            let fb = (b * neq + e) * rnf + s;
-                            let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
-                            self.rsl
-                                .add_lanes_strided(cell + e * self.cell_stride, cs, d);
-                        }
-                        let dv =
-                            (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
-                        self.dsl.add_lanes_strided(cell, cs, dv);
-                        s += L::WIDTH;
-                    }
-                    while s < s_n {
-                        let inv_dx = 1.0 / (self.w[pad + s] * metric);
-                        let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
-                        let cell = i + self.n1 * (j + self.n2 * k);
-                        for e in 0..neq {
-                            let fb = (b * neq + e) * rnf + s;
-                            self.rsl.add(
-                                cell + e * self.cell_stride,
-                                (flux[fb] - flux[fb + 1]) * inv_dx,
-                            );
-                        }
-                        self.dsl
-                            .add(cell, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
-                        s += 1;
-                    }
-                }
-                times[4] += t0.elapsed();
-            }
+            let u = self.unit(unit);
+            let t0 = Instant::now();
+            self.gather(u, v);
+            times[0] += t0.elapsed();
+            let t0 = Instant::now();
+            self.convert::<L>(u, v);
+            times[1] += t0.elapsed();
+            let t0 = Instant::now();
+            self.weno(u, v, left, right);
+            times[2] += t0.elapsed();
+            let t0 = Instant::now();
+            self.riemann::<L>(u, v, left, right, ustar);
+            times[3] += t0.elapsed();
+            let t0 = Instant::now();
+            self.update::<L>(u, left, ustar);
+            times[4] += t0.elapsed();
         }
         times
+    }
+}
+
+/// One stage of a stage-major sweep.
+struct Pass<'s, 'a, E> {
+    sweep: &'s Sweep<'a, E>,
+    stage: usize,
+}
+
+/// Stage-major: each gang runs one stage over its pencils, each in its own
+/// slot.
+impl<'p, E: EqLayout> LaneGangBody<[Pencil<'p>], ()> for Pass<'_, '_, E> {
+    fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, pencils: &mut [Pencil<'p>]) {
+        let sweep = self.sweep;
+        for (unit, p) in range.zip(pencils) {
+            let u = sweep.unit(unit);
+            match self.stage {
+                0 => sweep.gather(u, p.v),
+                1 => sweep.convert::<L>(u, p.v),
+                2 => sweep.weno(u, p.v, p.left, p.right),
+                3 => sweep.riemann::<L>(u, p.v, p.left, p.right, p.ustar),
+                _ => sweep.update::<L>(u, p.left, p.ustar),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::case::presets;
+    use crate::solver::{Solver, SolverConfig};
+
+    /// Fused evaluations never allocate the staged engine's grid-sized
+    /// scratch; the first staged evaluation allocates it once, for every
+    /// axis, and later ones — fused or staged, at any worker count — reuse
+    /// it without growing it.
+    #[test]
+    fn staged_scratch_is_allocated_once_and_only_when_staged() {
+        let case = presets::two_phase_benchmark(3, [13, 10, 9]);
+        let fused_cfg = SolverConfig::default();
+        let mut staged_cfg = fused_cfg;
+        staged_cfg.rhs.mode = RhsMode::Staged;
+        let mut solver = Solver::new(&case, fused_cfg, Context::with_workers(3));
+        let (env, q) = solver.rhs_parts();
+        let mut rhs = q.clone();
+        let scratch = |ws: &RhsWorkspace| {
+            ws.staged
+                .as_ref()
+                .map(|s| (s.v.as_ptr(), s.v.len(), s.left.len(), s.ustar.len()))
+        };
+
+        env.local_rhs(&fused_cfg.rhs, q, &mut rhs);
+        assert!(scratch(&env.ws).is_none(), "a fused evaluation");
+        assert_eq!(env.ws.fused.len(), 3, "one fused slot per gang");
+
+        env.local_rhs(&staged_cfg.rhs, q, &mut rhs);
+        let first = scratch(&env.ws).expect("a staged evaluation");
+        let dom = env.ws.dom;
+        let slots = (0..3).map(|a| pencil_count(&dom, a)).max().unwrap();
+        assert_eq!(slots, 2 * 10, "z sweep: 10 y lines x 2 batches of x");
+        let neq = dom.eq.neq();
+        assert_eq!(first.1, slots * PENCIL_B * neq * (13 + 6));
+        assert_eq!(first.3, slots * PENCIL_B * 14);
+
+        env.local_rhs(&fused_cfg.rhs, q, &mut rhs);
+        env.ctx.set_workers(1);
+        env.local_rhs(&staged_cfg.rhs, q, &mut rhs);
+        assert_eq!(
+            scratch(&env.ws),
+            Some(first),
+            "the second staged evaluation"
+        );
     }
 }

@@ -41,11 +41,12 @@ use serde::{Deserialize, Serialize};
 use crate::bc::apply_bcs;
 use crate::case::CaseBuilder;
 use crate::domain::Domain;
+use crate::fused::sweep_axis;
 use crate::grid::{Grid, Grid1D};
 use crate::health::HealthConfig;
 use crate::recovery::{RecoveryPolicy, StepFault};
 use crate::restart::{load_block, save_block, save_interior, wave_path, BlockLayout};
-use crate::rhs::{closures, prelude, sweep_axis, RhsConfig};
+use crate::rhs::{closures, prelude, RhsConfig};
 use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
 use crate::state::StateField;
 
@@ -1543,7 +1544,7 @@ mod tests {
 
     /// The argument the pipelined exchange rests on: once it returns, the
     /// whole padded `q` — faces, edges and corners —, the `prim` field the
-    /// staged sweeps and the viscous closure convert into, and the RHS are
+    /// viscous closure converts into, and the RHS are
     /// the paired exchange's (`halo_exchange` + `apply_bcs` +
     /// `compute_rhs`) to the bit, also when the evaluation starts from a
     /// previous evaluation's stale ghosts.

@@ -1027,11 +1027,11 @@ mod tests {
     /// The fused Cartesian inviscid path never writes
     /// `RhsWorkspace::prim`: after three steps — of a lone block, and of
     /// every rank's block under both exchange modes — it is still the
-    /// zeroed allocation, whose pages never become resident. The paths
-    /// that still convert whole grids (the staged reference, the viscous
-    /// closure) and the in-kernel conversion of the axisymmetric source
-    /// step to the bits they stepped to when every evaluation converted
-    /// the whole grid first.
+    /// zeroed allocation, whose pages never become resident. The staged
+    /// loop order, the viscous closure (which still converts the whole
+    /// grid) and the in-kernel conversion of the axisymmetric source step
+    /// to the bits they stepped to when every evaluation converted the
+    /// whole grid first.
     #[test]
     fn fused_inviscid_steps_never_write_the_primitive_field() {
         use crate::par::{stepped_rank_blocks, ExchangeMode};

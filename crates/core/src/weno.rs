@@ -1,21 +1,19 @@
 //! WENO reconstruction (Jiang–Shu), the most expensive kernel family.
 //!
 //! Reconstruction is componentwise on primitive variables, line-by-line
-//! along the sweep direction, exactly like MFC.  The field-level kernel
-//! consumes a direction-coalesced [`Flat4D`] buffer so the stencil reads
-//! are unit-stride — the access pattern whose absence costs 10x (§III-C).
+//! along the sweep direction, exactly like MFC. The line kernel reads a
+//! gathered, unit-stride pencil line — the access pattern whose absence
+//! costs 10x (§III-C).
 //!
 //! The arithmetic is per *cell*, like MFC's `s_weno`: one function per
 //! order returns the centre cell's (left-face, right-face) values, with
 //! the smoothness indicators computed once and shared by both faces and
 //! the nonlinear weights carried in common-denominator form — the same
 //! weights as the textbook `d_k / (eps + beta_k)^2`, one division per face
-//! value instead of seven. The fused engine's line kernel walks the cells
-//! of a line, the staged lane kernels tile its faces; both call the same
-//! function, so they agree to the bit.
+//! value instead of seven. The line kernel walks the cells of a line; it
+//! is the WENO stage of both sweep loop orders ([`crate::fused`]).
 
-use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
-use mfc_layout::Flat4D;
+use mfc_acc::Lane;
 use serde::{Deserialize, Serialize};
 
 /// Reconstruction order.
@@ -270,9 +268,8 @@ pub fn reconstruct_line(
 /// [`reconstruct_line`] with an explicit pad width, which may exceed the
 /// stencil's ghost requirement (a WENO5-sized line temporarily degraded to
 /// WENO3 by the recovery ladder): the stencil just ignores the extra
-/// layers. This is the per-pencil entry point of the fused sweep engine at
-/// every lane width; it runs the exact same cell arithmetic as the staged
-/// field kernel.
+/// layers. This is the WENO stage of the sweep engine at every lane width
+/// and in both loop orders.
 ///
 /// The line body is compiled twice from one source — for the build's
 /// baseline target and, on x86-64, with AVX2 enabled — and the entry is
@@ -392,123 +389,9 @@ fn line_cells<const K: usize>(
     right[n] = stencil(&cells[n + 1..]).0;
 }
 
-/// Field-level WENO sweep: reconstruct every variable along every line of a
-/// direction-coalesced buffer.
-///
-/// `packed` has extents `(n + 2*ng, m2, m3, nv)`; `left`/`right` receive
-/// `(n + 1, m2, m3, nv)` face states.  One ledger item = one face of one
-/// variable (what a device thread computes).
-pub fn reconstruct_sweep(
-    ctx: &Context,
-    order: WenoOrder,
-    packed: &Flat4D,
-    n: usize,
-    left: &mut Flat4D,
-    right: &mut Flat4D,
-) {
-    let ng = order.ghost_layers();
-    let pd = packed.dims();
-    // Derive the pad from the buffer so a wider-than-necessary buffer (a
-    // WENO5-sized domain temporarily degraded to WENO3 by the recovery
-    // ladder) reconstructs in place: the stencil just ignores the extra
-    // ghost layers.
-    assert!(
-        pd.n1 > n && (pd.n1 - n).is_multiple_of(2),
-        "packed extent {} incompatible with {n} interior cells",
-        pd.n1
-    );
-    let pad = (pd.n1 - n) / 2;
-    assert!(
-        pad >= ng,
-        "packed pad {pad} narrower than the {ng}-layer stencil"
-    );
-    let fd = left.dims();
-    assert_eq!((fd.n1, fd.n2, fd.n3, fd.n4), (n + 1, pd.n2, pd.n3, pd.n4));
-    assert_eq!(right.dims(), left.dims());
-
-    let cost = KernelCost::new(
-        KernelClass::Weno,
-        order.flops_per_face(),
-        8.0 * (2 * ng + 1) as f64, // stencil footprint per face
-        2.0 * 8.0,                 // left + right
-    );
-    let cfg = LaunchConfig::tuned("s_weno_reconstruct");
-    // Lane-tiled launch: one row per line, lanes packed along the face
-    // index (the unit-stride direction of the coalesced buffer), exactly
-    // the `vector`-level mapping of the paper's gang/vector kernels. One
-    // ledger item = one face of one variable, and the outputs are bitwise
-    // identical at every width.
-    let kernel = WenoSweepKernel {
-        order,
-        src: packed.as_slice(),
-        lout: ParSlice::new(left.as_mut_slice()),
-        rout: ParSlice::new(right.as_mut_slice()),
-        ext: pd.n1,
-        nf1: fd.n1,
-        pad,
-    };
-    ctx.launch_vec(&cfg, cost, pd.n2 * pd.n3 * pd.n4, n + 1, &kernel);
-}
-
-/// (left-face, right-face) values of cell `c` of a padded line — the
-/// dispatch over [`WenoOrder`] the staged lane kernels share.
-///
-/// At a packed width each stencil slot becomes one unit-stride lane load
-/// at its offset from `c`, so lane `i` sees exactly the scalar stencil of
-/// cell `c + i`.
-#[inline(always)]
-fn cell_faces<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
-    let at = |d: isize| L::load(&v[(c as isize + d) as usize..]);
-    match order {
-        WenoOrder::First => (at(0), at(0)),
-        WenoOrder::Weno3 => weno3_cell(&[at(-1), at(0), at(1)]),
-        WenoOrder::Weno5 => weno5_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
-        WenoOrder::Weno5Z => weno5z_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
-        WenoOrder::Weno5M => weno5m_cell(&[at(-2), at(-1), at(0), at(1), at(2)]),
-    }
-}
-
-/// Left/right states at face `m` of a padded line for the staged
-/// kernels, which tile faces: the right-face value of the face's left
-/// cell `c = pad - 1 + m` and the left-face value of cell `c + 1`, each
-/// through the per-cell function the line kernel walks (the half of a
-/// cell that the face does not touch is dead code after inlining). The
-/// furthest slots are `c - 2` and `c + 3` (WENO5), which stay inside the
-/// `pad >= ghost_layers()` padding for every full packet the sweeps tile
-/// (`m + WIDTH - 1 <= n`).
-#[inline(always)]
-fn face_states<L: Lane>(order: WenoOrder, v: &[f64], c: usize) -> (L, L) {
-    (
-        cell_faces::<L>(order, v, c).1,
-        cell_faces::<L>(order, v, c + 1).0,
-    )
-}
-
-/// Lane kernel of [`reconstruct_sweep`]: row = line, col = face.
-struct WenoSweepKernel<'a> {
-    order: WenoOrder,
-    src: &'a [f64],
-    lout: ParSlice<'a>,
-    rout: ParSlice<'a>,
-    ext: usize,
-    nf1: usize,
-    pad: usize,
-}
-
-impl LaneKernel for WenoSweepKernel<'_> {
-    #[inline(always)]
-    fn packet<L: Lane>(&self, line: usize, m: usize) {
-        let v = &self.src[line * self.ext..(line + 1) * self.ext];
-        let (lv, rv) = face_states::<L>(self.order, v, self.pad - 1 + m);
-        self.lout.set_lanes(line * self.nf1 + m, lv);
-        self.rout.set_lanes(line * self.nf1 + m, rv);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_layout::Dims4;
     use proptest::prelude::*;
 
     /// Cell average of `f` over `[a, b]` via Simpson (plenty for tests).
@@ -685,9 +568,15 @@ mod tests {
     ];
 
     /// (left-face, right-face) values of the centre cell of a 5-cell
-    /// stencil through the production dispatch over `order`.
+    /// stencil through the per-cell function `order` runs.
     fn cell(order: WenoOrder, v: &[f64; 5]) -> (f64, f64) {
-        cell_faces::<f64>(order, v, 2)
+        match order {
+            WenoOrder::First => (v[2], v[2]),
+            WenoOrder::Weno3 => weno3_cell(&[v[1], v[2], v[3]]),
+            WenoOrder::Weno5 => weno5_cell(v),
+            WenoOrder::Weno5Z => weno5z_cell(v),
+            WenoOrder::Weno5M => weno5m_cell(v),
+        }
     }
 
     /// The textbook division form in plain `f64` (Jiang & Shu 1996, Borges
@@ -827,59 +716,6 @@ mod tests {
         let x = i as f64;
         let noise = (i.wrapping_mul(2654435761) % 1000) as f64 * 1e-4;
         (0.37 * x).sin() + if i % 23 < 11 { 2.0 } else { -0.5 } + noise
-    }
-
-    /// The staged lane kernel tiles faces, the fused engine's line kernel
-    /// walks cells; at every lane width, order and pad — including the
-    /// recovery ladder's degraded line, WENO3 or first order on a pad-3
-    /// buffer — they must agree to the bit.
-    #[test]
-    fn line_kernel_matches_the_lane_kernels_at_every_width() {
-        let (n, m2, m3, nv, pad) = (13, 3, 2, 2, 3);
-        let packed = Flat4D::from_fn(Dims4::new(n + 2 * pad, m2, m3, nv), |i1, i2, i3, i4| {
-            rough(i1 + 19 * (i2 + m2 * (i3 + m3 * i4)))
-        });
-        let fdims = Dims4::new(n + 1, m2, m3, nv);
-        for order in ORDERS {
-            let mut lref = Flat4D::zeros(fdims);
-            let mut rref = Flat4D::zeros(fdims);
-            for i4 in 0..nv {
-                for i3 in 0..m3 {
-                    for i2 in 0..m2 {
-                        let (mut l, mut r) = (vec![0.0; n + 1], vec![0.0; n + 1]);
-                        reconstruct_line_padded(
-                            order,
-                            packed.line(i2, i3, i4),
-                            pad,
-                            n,
-                            &mut l,
-                            &mut r,
-                        );
-                        for m in 0..=n {
-                            lref.set(m, i2, i3, i4, l[m]);
-                            rref.set(m, i2, i3, i4, r[m]);
-                        }
-                    }
-                }
-            }
-            for width in [1, 2, 4, 8] {
-                let ctx = Context::serial().with_vector_width(width);
-                let mut left = Flat4D::zeros(fdims);
-                let mut right = Flat4D::zeros(fdims);
-                reconstruct_sweep(&ctx, order, &packed, n, &mut left, &mut right);
-                assert!(
-                    bits(&left) == bits(&lref) && bits(&right) == bits(&rref),
-                    "{order:?} W={width}: sweep differs from the line kernel"
-                );
-                // The ledger saw one item per face per line.
-                let stats = ctx.ledger().kernel("s_weno_reconstruct").unwrap();
-                assert_eq!(stats.items as usize, (n + 1) * m2 * m3 * nv);
-            }
-        }
-    }
-
-    fn bits(f: &Flat4D) -> Vec<u64> {
-        f.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
     /// The AVX2 entry and the baseline entry of the line kernel are one

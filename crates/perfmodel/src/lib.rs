@@ -17,7 +17,6 @@
 
 pub mod calib;
 pub mod figures;
-pub mod fusionmodel;
 pub mod hw;
 pub mod packmodel;
 pub mod projection;

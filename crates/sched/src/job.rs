@@ -2,7 +2,6 @@
 
 use std::path::PathBuf;
 
-use mfc_core::rhs::RhsMode;
 use serde::{Deserialize, Serialize};
 
 /// One requested simulation in an ensemble manifest: a case file plus
@@ -28,13 +27,6 @@ pub struct JobSpec {
     /// Override `numerics.vector_width` (validated at admission).
     #[serde(default)]
     pub vector_width: Option<usize>,
-    /// Override the sweep engine (`numerics.mode`: staged | fused).
-    #[serde(default)]
-    pub rhs_mode: Option<RhsMode>,
-    /// Override `numerics.overlap` (halo-exchange mode; recorded for
-    /// parity with `mfc-run` — the in-process engine is serial-rank).
-    #[serde(default)]
-    pub overlap: Option<bool>,
     /// Step budget override (`run.steps`).
     #[serde(default)]
     pub max_steps: Option<usize>,
@@ -62,8 +54,6 @@ impl JobSpec {
             priority: 0,
             workers: None,
             vector_width: None,
-            rhs_mode: None,
-            overlap: None,
             max_steps: None,
             deadline_ms: None,
             cancel_at_step: None,

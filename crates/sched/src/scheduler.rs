@@ -259,12 +259,6 @@ impl Scheduler {
         if let Some(vw) = spec.vector_width {
             case.numerics.vector_width = vw;
         }
-        if let Some(mode) = spec.rhs_mode {
-            case.numerics.mode = mode;
-        }
-        if let Some(ov) = spec.overlap {
-            case.numerics.overlap = ov;
-        }
         if let Some(steps) = spec.max_steps {
             case.run.steps = steps;
         }

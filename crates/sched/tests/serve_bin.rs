@@ -199,8 +199,9 @@ fn mixed_manifest_outcomes_trace_and_budget_invariance() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Typed admission control: a bad invocation, a malformed manifest and a
-/// job the scheduler refuses all exit 2 before anything runs.
+/// Typed admission control: a bad invocation, a malformed manifest, a
+/// misspelled manifest key and a job the scheduler refuses all exit 2
+/// before anything runs.
 #[test]
 fn bad_invocations_manifests_and_jobs_exit_2() {
     let dir = tmp_dir("exit2");
@@ -221,9 +222,25 @@ fn bad_invocations_manifests_and_jobs_exit_2() {
         ),
     )
     .unwrap();
-    let rows: [(&str, &[&str], &str); 3] = [
+    // A misspelled scheduler knob is an error, not a run on the default
+    // budget.
+    let typo = dir.join("typo.json");
+    fs::write(
+        &typo,
+        format!(
+            r#"{{ "budegt": 4, "jobs": [ {{ "case": {} }} ] }}"#,
+            serde_json::to_string(sod_case()).unwrap()
+        ),
+    )
+    .unwrap();
+    let rows: [(&str, &[&str], &str); 4] = [
         ("no --jobs", &[], "usage"),
         ("malformed manifest", &["--jobs", bad.to_str().unwrap()], ""),
+        (
+            "misspelled manifest key",
+            &["--jobs", typo.to_str().unwrap()],
+            "unknown field `budegt`, expected one of `budget`",
+        ),
         (
             "multi-rank job",
             &["--jobs", reject.to_str().unwrap()],

@@ -2,7 +2,7 @@
 //! property of the finite-volume scheme, across dimensions, orders,
 //! solvers, and pack strategies.
 
-use mfc::core::rhs::{PackStrategy, RhsConfig};
+use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
 use mfc::core::weno::WenoOrder;
 use mfc::{presets, Context, Solver, SolverConfig};
@@ -69,17 +69,17 @@ fn conserved_for_every_solver() {
 }
 
 #[test]
-fn conserved_for_every_pack_strategy() {
-    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
+fn conserved_in_both_sweep_loop_orders() {
+    for mode in [RhsMode::Staged, RhsMode::Fused] {
         let cfg = SolverConfig {
             rhs: RhsConfig {
-                pack,
+                mode,
                 ..Default::default()
             },
             ..Default::default()
         };
         let d = drift(3, cfg, 3);
-        assert!(d < 1e-11, "{pack:?}: drift {d}");
+        assert!(d < 1e-11, "{mode:?}: drift {d}");
     }
 }
 

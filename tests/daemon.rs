@@ -106,7 +106,7 @@ fn slow_case(dir: &Path) -> PathBuf {
     { "region": { "half_space": { "axis": 0, "bound": 0.5 } },
       "state": { "alpha": [1.0], "rho": [1.0], "vel": [0.0, 0.0, 0.0], "p": 1.0 } }
   ],
-  "numerics": { "order": "weno5", "solver": "hllc", "pack": "tiled", "scheme": "rk3", "cfl": 0.5, "dt": null },
+  "numerics": { "order": "weno5", "solver": "hllc", "scheme": "rk3", "cfl": 0.5, "dt": null },
   "run": { "steps": 0, "t_end": 1.0e9, "ranks": 1 },
   "output": { "dir": "out/sod_slow", "vtk": false }
 }"#;

@@ -5,7 +5,7 @@
 use mfc::core::bc::{BcKind, BcSpec};
 use mfc::core::fluid::Fluid;
 use mfc::core::par::{run_distributed, run_single};
-use mfc::core::rhs::{PackStrategy, RhsConfig, RhsMode};
+use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::{ExactRiemann, PrimSide, RiemannSolver};
 use mfc::core::time::TimeScheme;
 use mfc::core::weno::WenoOrder;
@@ -205,24 +205,6 @@ fn every_time_scheme_solves_sod() {
             assert!(rho > 0.0 && rho < 1.2, "{scheme:?}: rho[{i}] = {rho}");
         }
     }
-}
-
-#[test]
-fn pack_strategies_identical_in_distributed_runs() {
-    let case = presets::two_phase_benchmark(3, [8, 8, 8]);
-    let mut fields = Vec::new();
-    for pack in [PackStrategy::Tiled, PackStrategy::Geam] {
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                pack,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (f, _) = run_distributed(&case, cfg, 2, 2, Staging::DeviceDirect).unwrap();
-        fields.push(f);
-    }
-    assert_eq!(fields[0].max_abs_diff(&fields[1]), 0.0);
 }
 
 #[test]
