@@ -69,36 +69,6 @@ fn main() {
         println!();
         dump("fig4", to_json("fig4", &rows));
     }
-    if all || which == "fig2o" || which == "overlap" {
-        let rows = fig2_weak_scaling_overlap();
-        print!(
-            "{}",
-            render_scaling("Fig 2 analog — weak scaling, overlap on/off", &rows)
-        );
-        println!();
-        dump("fig2_overlap", to_json("fig2_overlap", &rows));
-    }
-    if all || which == "fig3o" || which == "overlap" {
-        let rows = fig3_strong_scaling_overlap();
-        print!(
-            "{}",
-            render_scaling("Fig 3 analog — strong scaling, overlap on/off", &rows)
-        );
-        println!();
-        dump("fig3_overlap", to_json("fig3_overlap", &rows));
-    }
-    if all || which == "fig4o" || which == "overlap" {
-        let rows = fig4_gpu_aware_overlap();
-        print!(
-            "{}",
-            render_scaling(
-                "Fig 4 analog — GPU-aware vs host-staged MPI, overlap on/off",
-                &rows
-            )
-        );
-        println!();
-        dump("fig4_overlap", to_json("fig4_overlap", &rows));
-    }
     if all || which == "fig5" {
         let rows = fig5_speedup();
         print!("{}", render_fig5(&rows));

@@ -36,7 +36,6 @@ use std::path::{Path, PathBuf};
 use mfc_acc::MAX_WORKERS;
 use mfc_core::axisym::Geometry;
 use mfc_core::case::{CaseBuilder, Region};
-use mfc_core::par::ExchangeMode;
 use mfc_core::probes::Probe;
 use mfc_core::recovery::RecoveryPolicy;
 use mfc_core::solver::SolverConfig;
@@ -88,7 +87,6 @@ pub struct Admitted {
     ckpt_keep: usize,
     failure_policy: FailurePolicy,
     spares: usize,
-    exchange: ExchangeMode,
     trace: Option<PathBuf>,
     output: OutputConfig,
     io: IoConfig,
@@ -212,7 +210,6 @@ pub fn admit(case_file: &CaseFile) -> Result<Admitted, RunError> {
         ckpt_keep: run.ckpt_keep,
         failure_policy: run.failure_policy,
         spares: run.spares,
-        exchange: case_file.numerics.exchange(),
         trace: run.trace.clone(),
         output: case_file.output.clone(),
         io: case_file.io.clone(),

@@ -123,7 +123,6 @@ impl Admitted {
                 recovery: self.recovery.take(),
                 health: HealthConfig::default(),
                 trace: tracer.clone(),
-                exchange: self.exchange,
                 failure_policy: self.failure_policy,
                 spares: self.spares,
                 ckpt_keep: self.ckpt_keep,

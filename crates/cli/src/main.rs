@@ -4,7 +4,7 @@ use mfc_cli::{admit, CaseFile, RunError, ADMISSION_RULES};
 use mfc_mpsim::FailurePolicy;
 
 const USAGE: &str = "usage: mfc-run <case.json> [--validate] [--dry-run] \
-[--overlap] [--workers N] [--vector-width N] \
+[--workers N] [--vector-width N] \
 [--faults plan.json] \
 [--checkpoint-every N] [--ckpt-keep N] [--failure-policy revive|shrink|spare] \
 [--spares N] [--recovery ladder.json] [--max-retries N] \
@@ -23,11 +23,6 @@ flags:
                          anything: exit 0 (admissible), 2 (refused) or 3
                          (a named plan/ladder file is unreadable). The two
                          spellings are one code path
-  --overlap              distributed runs: pipeline the halo exchange
-                         behind the RHS sweeps — each axis's messages fly
-                         while the previous axis is swept (the paper's
-                         OpenACC async overlap; bitwise identical to the
-                         default exchange). numerics.overlap case key
   --workers N            worker threads per rank for the gang-parallel
                          kernels (numerics.workers case key; default 1).
                          Results are bitwise identical at every count
@@ -110,7 +105,7 @@ fn apply(c: &mut CaseFile, name: &str, v: Option<&str>) -> Option<()> {
 
 /// Flags that take no value; every other `--flag` consumes the next
 /// argument.
-const SWITCHES: [&str; 3] = ["--validate", "--dry-run", "--overlap"];
+const SWITCHES: [&str; 2] = ["--validate", "--dry-run"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -147,7 +142,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--validate" | "--dry-run" => admit_only = true,
-            "--overlap" => case.numerics.overlap = true,
             name => {
                 let value = it.next().map(String::as_str);
                 if apply(&mut case, name, value).is_none() {

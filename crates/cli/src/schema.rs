@@ -11,7 +11,6 @@ use mfc_core::bc::{BcKind, BcSpec};
 use mfc_core::case::{CaseBuilder, Patch};
 use mfc_core::eos::MAX_FLUIDS;
 use mfc_core::fluid::Fluid;
-use mfc_core::par::ExchangeMode;
 use mfc_core::probes::Probe;
 use mfc_core::rhs::RhsConfig;
 use mfc_core::riemann::RiemannSolver;
@@ -49,11 +48,6 @@ pub struct NumericsConfig {
     pub cfl: f64,
     /// Fixed dt overrides the CFL bound when set.
     pub dt: Option<f64>,
-    /// Distributed runs: pipeline the halo exchange behind the RHS sweeps
-    /// (async-queue analog of the paper's OpenACC overlap).
-    /// Bitwise identical to the default exchange. Settable from the
-    /// command line as `--overlap`.
-    pub overlap: bool,
     /// Worker threads per rank for the gang-parallel kernels. Results are
     /// bitwise identical at every count; default 1 keeps goldens and
     /// serial baselines untouched. Settable as `--workers N`.
@@ -73,7 +67,6 @@ impl Default for NumericsConfig {
             scheme: "rk3".to_string(),
             cfl: 0.5,
             dt: None,
-            overlap: false,
             workers: 1,
             vector_width: mfc_acc::DEFAULT_WIDTH,
         }
@@ -81,15 +74,6 @@ impl Default for NumericsConfig {
 }
 
 impl NumericsConfig {
-    /// The halo-exchange mode distributed drivers run with.
-    pub fn exchange(&self) -> ExchangeMode {
-        if self.overlap {
-            ExchangeMode::Overlapped
-        } else {
-            ExchangeMode::Sendrecv
-        }
-    }
-
     pub fn scheme(&self) -> Result<TimeScheme, String> {
         match self.scheme.as_str() {
             "rk1" | "euler" => Ok(TimeScheme::Rk1),

@@ -2,7 +2,7 @@
 //! verdicts and end-to-end runs through [`run_case`].
 
 use mfc_acc::Context;
-use mfc_core::par::{run_single, ExchangeMode};
+use mfc_core::par::run_single;
 use mfc_core::solver::Solver;
 use mfc_core::time::TimeScheme;
 
@@ -72,19 +72,6 @@ fn distributed_run_via_case_file() {
     cf.output.dir = std::env::temp_dir().join(format!("mfc_cli_par_{}", std::process::id()));
     let summary = run_case(&cf).unwrap();
     assert_eq!(summary.steps, 5);
-    let _ = std::fs::remove_dir_all(cf.output.dir);
-}
-
-#[test]
-fn overlapped_distributed_run_matches_default() {
-    let mut cf = CaseFile::from_json(&sod_json()).unwrap();
-    cf.run.ranks = 2;
-    cf.output.dir = std::env::temp_dir().join(format!("mfc_cli_ov_{}", std::process::id()));
-    let plain = run_case(&cf).unwrap();
-    cf.numerics.overlap = true;
-    assert_eq!(cf.numerics.exchange(), ExchangeMode::Overlapped);
-    let overlapped = run_case(&cf).unwrap();
-    assert_eq!(plain.steps, overlapped.steps);
     let _ = std::fs::remove_dir_all(cf.output.dir);
 }
 

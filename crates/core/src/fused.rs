@@ -186,9 +186,7 @@ fn sweep_to_canonical(axis: usize, s: usize, t1: usize, t2: usize) -> (usize, us
 
 /// The sweep along `axis` (steps 1–6 of [`crate::rhs::compute_rhs`]): the
 /// five stages over every pencil, in the loop order `cfg.mode` picks.
-/// Reads `cons` along `axis` only, on the lines whose faces it uses, which
-/// is what lets the pipelined exchange run it while the next axis's halo
-/// is in flight.
+/// Reads `cons` along `axis` only, on the lines whose faces it uses.
 pub(crate) fn sweep_axis(
     ctx: &Context,
     cfg: &RhsConfig,

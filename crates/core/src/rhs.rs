@@ -159,11 +159,15 @@ impl RhsWorkspace {
     }
 }
 
-/// Entry of every evaluation: check the shapes and zero the accumulators.
-/// It reads no cell of `cons`, so the pipelined exchange ([`crate::par`])
-/// runs it while the x halo is still in flight.
-pub(crate) fn prelude(
+/// Evaluate `rhs = L(cons)`: zero the accumulators, one sweep per axis,
+/// then the grid-global closures.
+///
+/// Ghost cells of `cons` must be valid (physical BCs and/or halo exchange
+/// already applied). Only interior entries of `rhs` are written.
+pub fn compute_rhs(
+    ctx: &Context,
     cfg: &RhsConfig,
+    fluids: &[Fluid],
     cons: &StateField,
     ws: &mut RhsWorkspace,
     rhs: &mut StateField,
@@ -181,19 +185,12 @@ pub(crate) fn prelude(
     );
     rhs.fill(0.0);
     ws.divu.fill(0.0);
-}
 
-/// The grid-global closures that follow the directional sweeps of every
-/// evaluation (steps 7–9). Every ghost of `cons` must be valid by now.
-pub(crate) fn closures(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    cons: &StateField,
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-) {
-    let dom = ws.dom;
+    // 1–6. One sweep per direction.
+    for axis in 0..dom.eq.ndim() {
+        sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis);
+    }
+
     // 7. Non-conservative volume-fraction source: rhs[alpha] += alpha div u
     //    (the conversion copies alpha bit for bit, so it is read from cons).
     alpha_source(ctx, &dom, cons, &ws.divu, rhs);
@@ -216,26 +213,6 @@ pub(crate) fn closures(
         crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
         crate::viscous::add_viscous_fluxes(ctx, &dom, fluids, &ws.prim, &ws.widths, rhs);
     }
-}
-
-/// Evaluate `rhs = L(cons)`.
-///
-/// Ghost cells of `cons` must be valid (physical BCs and/or halo exchange
-/// already applied). Only interior entries of `rhs` are written.
-pub fn compute_rhs(
-    ctx: &Context,
-    cfg: &RhsConfig,
-    fluids: &[Fluid],
-    cons: &StateField,
-    ws: &mut RhsWorkspace,
-    rhs: &mut StateField,
-) {
-    prelude(cfg, cons, ws, rhs);
-    // 1–6. One sweep per direction.
-    for axis in 0..ws.dom.eq.ndim() {
-        sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis);
-    }
-    closures(ctx, cfg, fluids, cons, ws, rhs);
 }
 
 /// `rhs[alpha_i] += alpha_i * div(u)` over interior cells; `alpha_i` is

@@ -97,10 +97,10 @@ impl Default for SolverConfig {
 /// everything a [`Link`] may touch while `rk_step` holds `q`.
 pub(crate) struct RhsEnv {
     pub ctx: Context,
-    pub fluids: Vec<Fluid>,
-    pub bc: BcSpec,
+    fluids: Vec<Fluid>,
+    bc: BcSpec,
     /// Faces with a neighbour block instead of a physical boundary.
-    pub skip: [(bool, bool); 3],
+    skip: [(bool, bool); 3],
     grid: Grid,
     ibm: Option<GhostCellIbm>,
     pub ws: RhsWorkspace,
@@ -1026,7 +1026,7 @@ mod tests {
 
     /// The fused Cartesian inviscid path never writes
     /// `RhsWorkspace::prim`: after three steps — of a lone block, and of
-    /// every rank's block under both exchange modes — it is still the
+    /// every rank's block — it is still the
     /// zeroed allocation, whose pages never become resident. The staged
     /// loop order, the viscous closure (which still converts the whole
     /// grid) and the in-kernel conversion of the axisymmetric source step
@@ -1034,7 +1034,7 @@ mod tests {
     /// whole grid first.
     #[test]
     fn fused_inviscid_steps_never_write_the_primitive_field() {
-        use crate::par::{stepped_rank_blocks, ExchangeMode};
+        use crate::par::stepped_rank_blocks;
         use crate::restart::Crc32;
         use crate::rhs::RhsMode;
         let untouched = |s: &Solver| s.env.ws.prim.as_slice().iter().all(|v| v.to_bits() == 0);
@@ -1043,13 +1043,8 @@ mod tests {
         let mut lone = Solver::new(&case, cfg, Context::serial());
         lone.run_steps(3).unwrap();
         assert!(untouched(&lone), "lone block");
-        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-            for (rank, (blk, _)) in stepped_rank_blocks(&case, cfg, 2, 3, exchange)
-                .iter()
-                .enumerate()
-            {
-                assert!(untouched(blk), "{exchange:?} rank {rank}");
-            }
+        for (rank, (blk, _)) in stepped_rank_blocks(&case, cfg, 2, 3).iter().enumerate() {
+            assert!(untouched(blk), "rank {rank}");
         }
 
         let digest = |(case, cfg): (CaseBuilder, SolverConfig)| {
@@ -1084,7 +1079,7 @@ mod tests {
     /// alone and on two ranks. A fixed dt caches no rate.
     #[test]
     fn cached_rate_gives_the_reference_dt_sequence() {
-        use crate::par::{stepped_rank_blocks, ExchangeMode};
+        use crate::par::stepped_rank_blocks;
         let cases = [
             (presets::sod(64), SolverConfig::default()),
             (
@@ -1119,10 +1114,7 @@ mod tests {
                     got
                 })
                 .collect();
-            for (rank, (_, dts)) in stepped_rank_blocks(&case, cfg, 2, 5, ExchangeMode::Sendrecv)
-                .iter()
-                .enumerate()
-            {
+            for (rank, (_, dts)) in stepped_rank_blocks(&case, cfg, 2, 5).iter().enumerate() {
                 assert!(dts == &reference, "{:?} rank {rank}", case.cells);
             }
         }

@@ -12,7 +12,7 @@ use mfc_mpsim::Staging;
 use crate::calib::{achieved_peak_fraction, grind_for};
 use crate::hw::{self, DeviceSpec};
 use crate::roofline::{effective_ai, RooflinePoint};
-use crate::scaling::{MachineModel, ScalingModel, ScalingPoint};
+use crate::scaling::{MachineModel, ScalingPoint};
 use crate::workload::WorkloadProfile;
 
 /// Figure 1: rooflines of the two hottest kernels on V100 and MI250X.
@@ -66,7 +66,7 @@ pub struct ScalingRow {
 /// 65536 GCDs), 8M cells per device.
 pub fn fig2_weak_scaling() -> Vec<ScalingRow> {
     let mut rows = Vec::new();
-    let summit = ScalingModel::new(MachineModel::summit());
+    let summit = MachineModel::summit();
     for p in summit.weak(8.0e6, &[128, 256, 512, 1024, 2048, 4096, 13824]) {
         rows.push(ScalingRow {
             machine: "Summit".into(),
@@ -74,7 +74,7 @@ pub fn fig2_weak_scaling() -> Vec<ScalingRow> {
             point: p,
         });
     }
-    let frontier = ScalingModel::new(MachineModel::frontier(Staging::HostStaged));
+    let frontier = MachineModel::frontier(Staging::HostStaged);
     for p in frontier.weak(8.0e6, &[128, 512, 2048, 8192, 32768, 65536]) {
         rows.push(ScalingRow {
             machine: "Frontier".into(),
@@ -89,7 +89,7 @@ pub fn fig2_weak_scaling() -> Vec<ScalingRow> {
 /// Frontier (32M & 16M cells/GCD bases, 16x devices).
 pub fn fig3_strong_scaling() -> Vec<ScalingRow> {
     let mut rows = Vec::new();
-    let summit = ScalingModel::new(MachineModel::summit());
+    let summit = MachineModel::summit();
     let base_p = 8;
     for p in summit.strong(
         8.0e6 * base_p as f64,
@@ -101,7 +101,7 @@ pub fn fig3_strong_scaling() -> Vec<ScalingRow> {
             point: p,
         });
     }
-    let frontier = ScalingModel::new(MachineModel::frontier(Staging::HostStaged));
+    let frontier = MachineModel::frontier(Staging::HostStaged);
     for (label, cells) in [
         ("32M cells/GCD base", 32.0e6),
         ("16M cells/GCD base", 16.0e6),
@@ -128,7 +128,7 @@ pub fn fig4_gpu_aware() -> Vec<ScalingRow> {
         ("host-staged MPI", Staging::HostStaged),
         ("GPU-aware MPI", Staging::DeviceDirect),
     ] {
-        let model = ScalingModel::new(MachineModel::frontier(staging));
+        let model = MachineModel::frontier(staging);
         for p in model.strong(
             32.0e6 * base_p as f64,
             &[base_p, 2 * base_p, 4 * base_p, 8 * base_p, 16 * base_p],
@@ -138,117 +138,6 @@ pub fn fig4_gpu_aware() -> Vec<ScalingRow> {
                 series: label.into(),
                 point: p,
             });
-        }
-    }
-    rows
-}
-
-/// Overlap analogs of Figs. 2–4: the same machines and series, each run
-/// twice — with the halo exchange exposed (as the paper measured) and
-/// pipelined behind the sweeps (`max(t_comm/3, t_phase)` per axis, see
-/// [`crate::scaling::MachineModel::step_time_overlapped`]). The gap
-/// between paired series is the hidden comm time.
-pub fn fig2_weak_scaling_overlap() -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for (machine, model, series, counts) in [
-        (
-            "Summit",
-            MachineModel::summit(),
-            "8M cells/GPU",
-            vec![128usize, 256, 512, 1024, 2048, 4096, 13824],
-        ),
-        (
-            "Frontier",
-            MachineModel::frontier(Staging::HostStaged),
-            "8M cells/GCD",
-            vec![128, 512, 2048, 8192, 32768, 65536],
-        ),
-    ] {
-        for (label, m) in [
-            (series.to_string(), ScalingModel::new(model)),
-            (
-                format!("{series} + overlap"),
-                ScalingModel::overlapped(model),
-            ),
-        ] {
-            for p in m.weak(8.0e6, &counts) {
-                rows.push(ScalingRow {
-                    machine: machine.into(),
-                    series: label.clone(),
-                    point: p,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Fig. 3 analog with overlap on/off (see [`fig2_weak_scaling_overlap`]).
-pub fn fig3_strong_scaling_overlap() -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    let base_p = 8;
-    let counts = [base_p, 2 * base_p, 4 * base_p, 8 * base_p, 16 * base_p];
-    for (machine, model, series, cells) in [
-        ("Summit", MachineModel::summit(), "8M cells/GPU base", 8.0e6),
-        (
-            "Frontier",
-            MachineModel::frontier(Staging::HostStaged),
-            "32M cells/GCD base",
-            32.0e6,
-        ),
-        (
-            "Frontier",
-            MachineModel::frontier(Staging::HostStaged),
-            "16M cells/GCD base",
-            16.0e6,
-        ),
-    ] {
-        for (label, m) in [
-            (series.to_string(), ScalingModel::new(model)),
-            (
-                format!("{series} + overlap"),
-                ScalingModel::overlapped(model),
-            ),
-        ] {
-            for p in m.strong(cells * base_p as f64, &counts) {
-                rows.push(ScalingRow {
-                    machine: machine.into(),
-                    series: label.clone(),
-                    point: p,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Fig. 4 analog with overlap on/off: the overlap narrows the GPU-aware
-/// vs host-staged gap, since the staged copies hide behind compute too.
-pub fn fig4_gpu_aware_overlap() -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    let base_p = 8;
-    let counts = [base_p, 2 * base_p, 4 * base_p, 8 * base_p, 16 * base_p];
-    for (series, staging) in [
-        ("host-staged MPI", Staging::HostStaged),
-        ("GPU-aware MPI", Staging::DeviceDirect),
-    ] {
-        for (label, m) in [
-            (
-                series.to_string(),
-                ScalingModel::new(MachineModel::frontier(staging)),
-            ),
-            (
-                format!("{series} + overlap"),
-                ScalingModel::overlapped(MachineModel::frontier(staging)),
-            ),
-        ] {
-            for p in m.strong(32.0e6 * base_p as f64, &counts) {
-                rows.push(ScalingRow {
-                    machine: "Frontier".into(),
-                    series: label.clone(),
-                    point: p,
-                });
-            }
         }
     }
     rows
@@ -456,53 +345,6 @@ mod tests {
         let staged = last("host-staged MPI");
         assert!((aware - 0.92).abs() < 0.025, "aware = {aware}");
         assert!((staged - 0.81).abs() < 0.025, "staged = {staged}");
-    }
-
-    #[test]
-    fn overlap_figures_pair_every_series_and_never_slow_a_point() {
-        // Efficiency is a *ratio* to the base point, so hiding the exchange
-        // can shift it either way (the collective term weighs more once the
-        // rest shrinks); the invariant is on absolute step time.
-        for rows in [
-            fig2_weak_scaling_overlap(),
-            fig3_strong_scaling_overlap(),
-            fig4_gpu_aware_overlap(),
-        ] {
-            for r in rows.iter().filter(|r| !r.series.ends_with("+ overlap")) {
-                let paired = rows
-                    .iter()
-                    .find(|o| {
-                        o.machine == r.machine
-                            && o.series == format!("{} + overlap", r.series)
-                            && o.point.devices == r.point.devices
-                    })
-                    .unwrap_or_else(|| panic!("no overlap twin for {}", r.series));
-                assert!(
-                    paired.point.step_time_s <= r.point.step_time_s + 1e-15,
-                    "overlap slowed {} @ {} devices",
-                    r.series,
-                    r.point.devices
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_recovers_strong_scaling_at_the_thin_end() {
-        // At 16x strong scaling the per-device blocks are thin and the
-        // exchange is a visible fraction of the step; hiding it behind the
-        // sweeps must claw back measurable efficiency.
-        let rows = fig3_strong_scaling_overlap();
-        let last = |series: &str| {
-            rows.iter()
-                .rfind(|r| r.series == series)
-                .unwrap()
-                .point
-                .efficiency
-        };
-        let plain = last("32M cells/GCD base");
-        let over = last("32M cells/GCD base + overlap");
-        assert!(over > plain + 0.005, "plain = {plain}, overlapped = {over}");
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub use calib::{DeviceGrind, GRIND_TABLE};
 pub use hw::{DeviceKind, DeviceSpec};
 pub use projection::{projection_report, ProjectionRow};
 pub use roofline::{attainable_gflops, RooflinePoint};
-pub use scaling::{ScalingModel, ScalingPoint};
+pub use scaling::{MachineModel, ScalingPoint};
 pub use workload::WorkloadProfile;

@@ -7,6 +7,10 @@
 //!
 //! * a malformed frame gets a typed `malformed_frame` error *response*
 //!   and the connection stays open;
+//! * a frame longer than [`MAX_FRAME_BYTES`] gets one `malformed_frame`
+//!   response naming the limit and the connection closes, so a client
+//!   that never sends a newline cannot make the daemon buffer without
+//!   bound;
 //! * a disconnect mid-frame (bytes without a final newline at EOF) is
 //!   detected and dropped — there is no peer left to answer;
 //! * a reader thread only ever touches its own connection and a cloned
@@ -26,7 +30,7 @@
 //! queue-depth and occupancy counters — `mfc-trace-report` counts them
 //! in the scheduler view.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,12 +40,16 @@ use std::time::Duration;
 use mfc_trace::{Category, TraceHandle};
 use serde_json::json;
 
-use crate::protocol::{self, Request};
+use crate::protocol::{self, ProtocolError, Request};
 use crate::scheduler::SchedClient;
 
 /// Longest a reply may take to enter the client's socket buffer; also
 /// what bounds the joins in [`Server::stop`].
 const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest frame a client may send, newline included. Frames carry a case
+/// path and a few overrides, never a case body.
+const MAX_FRAME_BYTES: usize = 64 * 1024;
 
 /// A listening daemon front end. Binding succeeds before any client
 /// traffic; [`Server::stop`] (also run on drop) unblocks the accept
@@ -150,29 +158,42 @@ fn serve_client(stream: TcpStream, sched: &SchedClient, tl: Option<&TraceHandle>
     if let Ok(read_half) = stream.try_clone() {
         let mut reader = BufReader::new(read_half);
         let mut out = stream;
-        let mut line = String::new();
+        let mut frame = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => break, // clean EOF
-                Ok(_) if !line.ends_with('\n') => {
+            frame.clear();
+            let read = (&mut reader)
+                .take(MAX_FRAME_BYTES as u64)
+                .read_until(b'\n', &mut frame);
+            let complete = frame.last() == Some(&b'\n');
+            let mut resp = match read {
+                Ok(0) | Err(_) => break, // clean EOF, or a failed read
+                Ok(_) if complete => {
+                    // Not UTF-8: drop the connection, as a failed read does.
+                    let Ok(line) = std::str::from_utf8(&frame) else {
+                        break;
+                    };
+                    if line.trim().is_empty() {
+                        continue; // blank keep-alive line
+                    }
+                    handle_line(line, sched)
+                }
+                Ok(n) if n < MAX_FRAME_BYTES => {
                     // Bytes but no newline before EOF: the client died
                     // mid-frame. Nothing is answerable — drop the
                     // partial frame, never feed it to the scheduler.
                     disconnect_kind = "client_disconnect_midframe";
                     break;
                 }
-                Ok(_) => {
-                    if line.trim().is_empty() {
-                        continue; // blank keep-alive line
-                    }
-                    let mut resp = handle_line(&line, sched);
-                    resp.push('\n');
-                    if out.write_all(resp.as_bytes()).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => break,
+                Ok(_) => protocol::error_response(&ProtocolError::MalformedFrame {
+                    detail: format!("frame exceeds {MAX_FRAME_BYTES} bytes without a newline"),
+                }),
+            };
+            resp.push('\n');
+            // An over-long frame is answered, then its connection closed
+            // (the accept loop still holds a handle on the socket).
+            if out.write_all(resp.as_bytes()).is_err() || !complete {
+                let _ = out.shutdown(Shutdown::Both);
+                break;
             }
         }
     }

@@ -579,3 +579,50 @@ fn loopback_ping_round_trip_is_sub_millisecond_scale() {
     assert!(is_ok(&d.roundtrip(r#"{"cmd":"shutdown"}"#)));
     assert_eq!(d.finish(), Some(0));
 }
+
+/// Satellite regression: a client that never sends a newline made its
+/// reader thread buffer everything it sent. A frame longer than the
+/// daemon's 64 KiB limit gets one `malformed_frame` reply naming the limit
+/// and the connection closes; a fresh connection is served as before.
+#[test]
+fn over_long_frame_is_refused_and_its_connection_closed() {
+    let mut d = Daemon::spawn("long_frame");
+    d.writer
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    d.writer.write_all(&vec![b'x'; 65 * 1024]).unwrap();
+    let mut resp = String::new();
+    d.reader
+        .read_line(&mut resp)
+        .expect("a reply to the over-long frame within 5 s");
+    let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+    assert_eq!(
+        v["error"]["kind"].as_str(),
+        Some("malformed_frame"),
+        "{v:?}"
+    );
+    let message = v["error"]["message"].as_str().unwrap_or_default();
+    assert!(message.contains("65536 bytes"), "{message}");
+    let mut rest = String::new();
+    match d.reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection left open: {other:?} {rest:?}"),
+    }
+
+    let fresh = TcpStream::connect(d.writer.peer_addr().unwrap()).unwrap();
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut fresh_reader = BufReader::new(fresh.try_clone().unwrap());
+    for cmd in ["ping", "shutdown"] {
+        (&fresh)
+            .write_all(format!("{{\"cmd\":\"{cmd}\"}}\n").as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        fresh_reader.read_line(&mut line).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert!(is_ok(&v), "{cmd}: {v:?}");
+    }
+    assert_eq!(d.finish(), Some(0));
+}

@@ -169,6 +169,10 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
+        // Without this, Nagle holding a frame's tail behind the daemon's
+        // delayed ACK adds ~40 ms per request, enough for a mid-run test's
+        // job to finish before its commands land.
+        stream.set_nodelay(true).unwrap();
         Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
@@ -177,8 +181,8 @@ impl Client {
 
     /// One raw line out, one response line back.
     fn roundtrip(&mut self, line: &str) -> Value {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // One write per frame, so the daemon never holds half of one.
+        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         self.writer.flush().unwrap();
         let mut resp = String::new();
         self.reader.read_line(&mut resp).unwrap();

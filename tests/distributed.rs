@@ -62,49 +62,15 @@ fn transmissive_case_distributes_correctly() {
 }
 
 #[test]
-fn overlapped_exchange_matches_serial_on_all_shipped_cases() {
-    // The tentpole guarantee: hiding the halo exchange behind the
-    // interior sweeps is bitwise invisible on every shipped case file.
-    use mfc::core::par::{run_distributed_with_mode, ExchangeMode};
-    use mfc_cli::CaseFile;
-    let cases_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../cases");
-    let mut found = 0;
-    for entry in std::fs::read_dir(&cases_dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        found += 1;
-        let cf = CaseFile::from_path(&path).unwrap();
-        let case = cf.to_case().unwrap();
-        let cfg = cf.numerics.to_solver_config().unwrap();
-        let steps = 3;
-        let serial = run_single(&case, cfg, steps);
-        let (dist, _) = run_distributed_with_mode(
-            &case,
-            cfg,
-            2,
-            steps,
-            Staging::DeviceDirect,
-            ExchangeMode::Overlapped,
-        )
-        .unwrap();
-        assert_eq!(dist.max_abs_diff(&serial), 0.0, "{path:?}");
-    }
-    assert!(found >= 4, "expected the shipped case files, found {found}");
-}
-
-#[test]
-fn exchange_modes_agree_bitwise_under_active_faults_4ranks() {
+fn message_faults_are_bitwise_invisible_at_4ranks() {
     // Satellite regression: with message faults in flight (delays that
     // reorder delivery *and* drops that force policied retransmits), the
-    // sendrecv and overlapped exchanges must both still produce the
-    // fault-free serial answer, bitwise, at 4 ranks.
+    // halo exchange must still produce the fault-free serial answer,
+    // bitwise, at 4 ranks.
     use std::sync::Arc;
 
-    use mfc::core::par::{run_distributed_resilient, ExchangeMode, ResilienceOpts};
-    use mfc::mpsim::{DetectorConfig, FailurePolicy, FaultCtx, FaultPlan, MsgDelay, MsgFault};
-    use mfc_core::HealthConfig;
+    use mfc::core::par::{run_distributed_resilient, ResilienceOpts};
+    use mfc::mpsim::{DetectorConfig, FaultCtx, FaultPlan, MsgDelay, MsgFault};
     let case = presets::two_phase_benchmark(2, [20, 20, 1]);
     let cfg = SolverConfig::default();
     let steps = 6;
@@ -131,37 +97,21 @@ fn exchange_modes_agree_bitwise_under_active_faults_4ranks() {
         }],
         ..FaultPlan::none()
     };
-    for mode in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-        let dir =
-            std::env::temp_dir().join(format!("mfc_fault_modes_{}_{mode:?}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let faults = Arc::new(
-            FaultCtx::new(plan.clone(), 4).with_detector(DetectorConfig {
-                slice_ms: 5,
-                retries: 8,
-                backoff: 1.5,
-            }),
-        );
-        let opts = ResilienceOpts {
-            checkpoint_every: 2,
-            ckpt_dir: dir.clone(),
-            faults: Some(faults),
-            events: None,
-            recovery: None,
-            health: HealthConfig::default(),
-            trace: None,
-            exchange: mode,
-            failure_policy: FailurePolicy::Revive,
-            spares: 0,
-            ckpt_keep: 2,
-            output: None,
-        };
-        let (dist, _) =
-            run_distributed_resilient(&case, cfg, 4, steps, Staging::DeviceDirect, &opts)
-                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-        assert_eq!(dist.max_abs_diff(&serial), 0.0, "{mode:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join(format!("mfc_fault_msgs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let faults = Arc::new(FaultCtx::new(plan, 4).with_detector(DetectorConfig {
+        slice_ms: 5,
+        retries: 8,
+        backoff: 1.5,
+    }));
+    let opts = ResilienceOpts {
+        faults: Some(faults),
+        ..ResilienceOpts::fault_free(&dir, 2)
+    };
+    let (dist, _) =
+        run_distributed_resilient(&case, cfg, 4, steps, Staging::DeviceDirect, &opts).unwrap();
+    assert_eq!(dist.max_abs_diff(&serial), 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

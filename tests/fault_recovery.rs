@@ -12,8 +12,7 @@ use std::sync::{Arc, OnceLock};
 use mfc_acc::{Ledger, ResilienceEventKind};
 use mfc_core::case::presets;
 use mfc_core::par::{
-    run_distributed_resilient, run_single, ExchangeMode, GlobalField, ResilienceError,
-    ResilienceOpts,
+    run_distributed_resilient, run_single, GlobalField, ResilienceError, ResilienceOpts,
 };
 use mfc_core::solver::SolverConfig;
 use mfc_mpsim::{
@@ -63,7 +62,6 @@ fn run_with_plan(
         recovery: None,
         health: mfc_core::HealthConfig::default(),
         trace: None,
-        exchange: ExchangeMode::Sendrecv,
         failure_policy: FailurePolicy::Revive,
         spares: 0,
         ckpt_keep: 2,

@@ -241,22 +241,7 @@ fn rhs_modes_identical_with_viscosity_and_mixed_bcs() {
     // Fused sweeps feed the same divu/rhs the shared viscous and source
     // stages consume; mixed physical BCs exercise the ghost layers the
     // fused gather must still read.
-    let case = CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [20, 12, 1])
-        .bc(BcSpec {
-            lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-            hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-        })
-        .patch(
-            Region::All,
-            PatchState::single(1.2, [30.0, 0.0, 0.0], 1.0e5),
-        )
-        .patch(
-            Region::Sphere {
-                center: [0.5, 0.5, 0.0],
-                radius: 0.2,
-            },
-            PatchState::single(1.5, [30.0, 0.0, 0.0], 1.2e5),
-        );
+    let case = viscous_mixed_bc();
     let mut fields = Vec::new();
     for mode in [RhsMode::Staged, RhsMode::Fused] {
         let cfg = SolverConfig {
@@ -271,40 +256,10 @@ fn rhs_modes_identical_with_viscosity_and_mixed_bcs() {
     assert_eq!(fields[0].max_abs_diff(&fields[1]), 0.0);
 }
 
-#[test]
-fn overlapped_exchange_composes_with_orders_staging_and_viscosity() {
-    // The overlap axis composes with the rest of the feature matrix: both
-    // RHS engines, both WENO-5 flavors, both staging modes, and a viscous
-    // mixed-BC case must all agree bitwise with the serial answer when
-    // the exchange hides behind the interior sweeps.
-    use mfc::core::par::{run_distributed_with_mode, ExchangeMode};
-    let case = presets::two_phase_benchmark(2, [20, 20, 1]);
-    for mode in [RhsMode::Staged, RhsMode::Fused] {
-        for order in [WenoOrder::Weno5, WenoOrder::Weno5Z] {
-            for staging in [Staging::DeviceDirect, Staging::HostStaged] {
-                let cfg = SolverConfig {
-                    rhs: RhsConfig {
-                        order,
-                        mode,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let serial = run_single(&case, cfg, 3);
-                let (dist, _) =
-                    run_distributed_with_mode(&case, cfg, 4, 3, staging, ExchangeMode::Overlapped)
-                        .unwrap();
-                assert_eq!(
-                    dist.max_abs_diff(&serial),
-                    0.0,
-                    "{mode:?} {order:?} {staging:?}"
-                );
-            }
-        }
-    }
-    // Viscous + mixed physical BCs: shells see reflective/transmissive
-    // ghosts, the interior never does.
-    let viscous = CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [20, 12, 1])
+/// Viscous + mixed physical BCs: shells see reflective/transmissive
+/// ghosts, the interior never does.
+fn viscous_mixed_bc() -> CaseBuilder {
+    CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [20, 12, 1])
         .bc(BcSpec {
             lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
             hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
@@ -319,19 +274,42 @@ fn overlapped_exchange_composes_with_orders_staging_and_viscosity() {
                 radius: 0.2,
             },
             PatchState::single(1.5, [30.0, 0.0, 0.0], 1.2e5),
-        );
+        )
+}
+
+#[test]
+fn distributed_exchange_composes_with_orders_staging_and_viscosity() {
+    // The exchange composes with the rest of the feature matrix: both RHS
+    // engines, both WENO-5 flavors, both staging modes, and a viscous
+    // mixed-BC case must all agree bitwise with the serial answer on 4
+    // ranks.
+    let case = presets::two_phase_benchmark(2, [20, 20, 1]);
+    for mode in [RhsMode::Staged, RhsMode::Fused] {
+        for order in [WenoOrder::Weno5, WenoOrder::Weno5Z] {
+            for staging in [Staging::DeviceDirect, Staging::HostStaged] {
+                let cfg = SolverConfig {
+                    rhs: RhsConfig {
+                        order,
+                        mode,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let serial = run_single(&case, cfg, 3);
+                let (dist, _) = run_distributed(&case, cfg, 4, 3, staging).unwrap();
+                assert_eq!(
+                    dist.max_abs_diff(&serial),
+                    0.0,
+                    "{mode:?} {order:?} {staging:?}"
+                );
+            }
+        }
+    }
+    let viscous = viscous_mixed_bc();
     let cfg = SolverConfig::default();
     let serial = run_single(&viscous, cfg, 4);
-    let (dist, _) = run_distributed_with_mode(
-        &viscous,
-        cfg,
-        4,
-        4,
-        Staging::DeviceDirect,
-        ExchangeMode::Overlapped,
-    )
-    .unwrap();
-    assert_eq!(dist.max_abs_diff(&serial), 0.0, "viscous mixed-BC overlap");
+    let (dist, _) = run_distributed(&viscous, cfg, 4, 4, Staging::DeviceDirect).unwrap();
+    assert_eq!(dist.max_abs_diff(&serial), 0.0, "viscous mixed-BC");
 }
 
 #[test]
@@ -366,43 +344,19 @@ fn worker_gangs_compose_with_orders_schemes_and_modes() {
 }
 
 #[test]
-fn worker_gangs_compose_with_viscous_overlapped_exchange() {
+fn worker_gangs_compose_with_viscous_distributed_exchange() {
     // The heaviest composition: viscous stresses + mixed physical BCs +
-    // 4 simulated ranks + overlapped halo exchange + 4 worker gangs per
-    // rank, against the 1-worker serial answer.
-    use mfc::core::par::{run_distributed_with_mode, ExchangeMode};
-    let case = CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [20, 12, 1])
-        .bc(BcSpec {
-            lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-            hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-        })
-        .patch(
-            Region::All,
-            PatchState::single(1.2, [30.0, 0.0, 0.0], 1.0e5),
-        )
-        .patch(
-            Region::Sphere {
-                center: [0.5, 0.5, 0.0],
-                radius: 0.2,
-            },
-            PatchState::single(1.5, [30.0, 0.0, 0.0], 1.2e5),
-        );
+    // 4 simulated ranks + 4 worker gangs per rank, against the 1-worker
+    // serial answer.
+    let case = viscous_mixed_bc();
     let mut cfg = SolverConfig::default();
     let serial = run_single(&case, cfg, 4);
     cfg.workers = 4;
-    let (dist, _) = run_distributed_with_mode(
-        &case,
-        cfg,
-        4,
-        4,
-        Staging::DeviceDirect,
-        ExchangeMode::Overlapped,
-    )
-    .unwrap();
+    let (dist, _) = run_distributed(&case, cfg, 4, 4, Staging::DeviceDirect).unwrap();
     assert_eq!(
         dist.max_abs_diff(&serial),
         0.0,
-        "viscous mixed-BC overlap at 4 ranks x 4 workers"
+        "viscous mixed-BC at 4 ranks x 4 workers"
     );
 }
 

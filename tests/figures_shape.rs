@@ -3,7 +3,10 @@
 
 use mfc::acc::KernelClass;
 use mfc::perfmodel::figures::*;
+use mfc::perfmodel::packmodel::pack_model_report;
+use mfc::perfmodel::projection::projection_report;
 use mfc::perfmodel::{hw, WorkloadProfile};
+use serde_json::Value;
 
 #[test]
 fn fig1_shape() {
@@ -204,4 +207,46 @@ fn json_export_round_trips() {
     let j = to_json("fig5", &rows);
     let v: serde_json::Value = serde_json::from_str(&j).unwrap();
     assert_eq!(v["rows"].as_array().unwrap().len(), rows.len());
+}
+
+/// JSON equality up to object key order.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Object(x), Value::Object(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .all(|(k, v)| y.get(k).is_some_and(|w| same_value(v, w)))
+        }
+        (Value::Array(x), Value::Array(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(v, w)| same_value(v, w))
+        }
+        _ => a == b,
+    }
+}
+
+/// Every committed `results/<name>.json` is what the `figures` binary
+/// writes for `<name>` today (the same generator calls), so no paper
+/// figure moves unnoticed.
+#[test]
+fn committed_results_match_the_regenerated_figures() {
+    let regenerated = [
+        (
+            "fig1",
+            to_json("fig1", &fig1_roofline(&WorkloadProfile::measure(20, 2))),
+        ),
+        ("fig2", to_json("fig2", &fig2_weak_scaling())),
+        ("fig3", to_json("fig3", &fig3_strong_scaling())),
+        ("fig4", to_json("fig4", &fig4_gpu_aware())),
+        ("fig5", to_json("fig5", &fig5_speedup())),
+        ("fig6_fig7", to_json("fig6_fig7", &fig6_fig7_breakdown())),
+        ("packmodel", to_json("packmodel", &pack_model_report())),
+        ("projection", to_json("projection", &projection_report())),
+    ];
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for (name, json) in regenerated {
+        let committed = std::fs::read_to_string(results.join(format!("{name}.json"))).unwrap();
+        let committed: Value = serde_json::from_str(&committed).unwrap();
+        let now: Value = serde_json::from_str(&json).unwrap();
+        assert!(same_value(&committed, &now), "results/{name}.json moved");
+    }
 }

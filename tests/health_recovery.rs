@@ -19,9 +19,7 @@ use std::sync::Arc;
 use mfc_acc::{Context, Ledger, ResilienceEventKind};
 use mfc_cli::{run_case, CaseFile, RunError};
 use mfc_core::case::{presets, CaseBuilder};
-use mfc_core::par::{
-    run_distributed_resilient, run_single, ExchangeMode, GlobalField, ResilienceOpts,
-};
+use mfc_core::par::{run_distributed_resilient, run_single, GlobalField, ResilienceOpts};
 use mfc_core::recovery::{RecoveryAction, RecoveryPolicy};
 use mfc_core::solver::{DtMode, Solver, SolverConfig};
 use mfc_core::HealthConfig;
@@ -207,7 +205,7 @@ fn faults_and_moves(story: &Story) -> (Story, Story) {
 }
 
 /// There is one time step, so a laddered run is the same run on any
-/// number of ranks and under either exchange: the final field is bitwise
+/// number of ranks: the final field is bitwise
 /// the serial `Solver`'s, and the ranks' ledger tells the serial ledger's
 /// story — the same faults, retries and rungs at the same steps, in the
 /// same words. Block 0 records the collective ladder moves; a fault is
@@ -271,54 +269,51 @@ fn collective_ladder_matches_serial_ladder_bitwise() {
                 assert!(!faults.is_empty() && !moves.is_empty());
 
                 for ranks in [1usize, 2] {
-                    for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-                        let at = format!("{tube} {scheme:?} {dt:?} ranks={ranks} {exchange:?}");
-                        let events = Arc::new(Ledger::default());
-                        let opts = ResilienceOpts {
-                            events: Some(Arc::clone(&events)),
-                            recovery: Some(deep_ladder()),
-                            exchange,
-                            ..ResilienceOpts::fault_free("", 0)
-                        };
-                        let (field, _) = run_distributed_resilient(
-                            &case,
-                            cfg,
-                            ranks,
-                            steps,
-                            mfc_mpsim::Staging::DeviceDirect,
-                            &opts,
-                        )
-                        .unwrap_or_else(|e| panic!("{at}: {e}"));
-                        assert_eq!(
-                            field.max_abs_diff(&reference),
-                            0.0,
-                            "{at}: ranks must retry/degrade in lockstep with the serial ladder"
+                    let at = format!("{tube} {scheme:?} {dt:?} ranks={ranks}");
+                    let events = Arc::new(Ledger::default());
+                    let opts = ResilienceOpts {
+                        events: Some(Arc::clone(&events)),
+                        recovery: Some(deep_ladder()),
+                        ..ResilienceOpts::fault_free("", 0)
+                    };
+                    let (field, _) = run_distributed_resilient(
+                        &case,
+                        cfg,
+                        ranks,
+                        steps,
+                        mfc_mpsim::Staging::DeviceDirect,
+                        &opts,
+                    )
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(
+                        field.max_abs_diff(&reference),
+                        0.0,
+                        "{at}: ranks must retry/degrade in lockstep with the serial ladder"
+                    );
+                    let blocks: Vec<Story> = (0..ranks)
+                        .map(|r| ladder_story(&events, r, r * 32 / ranks))
+                        .collect();
+                    let (seen, moved) = faults_and_moves(&blocks[0]);
+                    assert_eq!(moved, moves, "{at}: block 0's ladder moves");
+                    for block in &blocks[1..] {
+                        assert!(faults_and_moves(block).1.is_empty(), "{at}");
+                    }
+                    // Every serial fault is on record, and block 0
+                    // records nothing the serial block did not see.
+                    for fault in &faults {
+                        assert!(blocks.iter().any(|b| b.contains(fault)), "{at}: {fault:?}");
+                    }
+                    let mut serial_faults = faults.iter();
+                    for fault in &seen {
+                        assert!(serial_faults.any(|f| f == fault), "{at}: {fault:?}");
+                    }
+                    if ranks == 1 || tube == "left" {
+                        assert_eq!(blocks[0], story, "{at}: block 0's whole story");
+                    } else {
+                        assert!(
+                            seen.len() < faults.len(),
+                            "{at}: the seam tube must fault where only block 1 sees it"
                         );
-                        let blocks: Vec<Story> = (0..ranks)
-                            .map(|r| ladder_story(&events, r, r * 32 / ranks))
-                            .collect();
-                        let (seen, moved) = faults_and_moves(&blocks[0]);
-                        assert_eq!(moved, moves, "{at}: block 0's ladder moves");
-                        for block in &blocks[1..] {
-                            assert!(faults_and_moves(block).1.is_empty(), "{at}");
-                        }
-                        // Every serial fault is on record, and block 0
-                        // records nothing the serial block did not see.
-                        for fault in &faults {
-                            assert!(blocks.iter().any(|b| b.contains(fault)), "{at}: {fault:?}");
-                        }
-                        let mut serial_faults = faults.iter();
-                        for fault in &seen {
-                            assert!(serial_faults.any(|f| f == fault), "{at}: {fault:?}");
-                        }
-                        if ranks == 1 || tube == "left" {
-                            assert_eq!(blocks[0], story, "{at}: block 0's whole story");
-                        } else {
-                            assert!(
-                                seen.len() < faults.len(),
-                                "{at}: the seam tube must fault where only block 1 sees it"
-                            );
-                        }
                     }
                 }
             }
@@ -492,7 +487,6 @@ fn corrupt_checkpoint_wave_is_skipped_during_rollback() {
         recovery: None,
         health: HealthConfig::default(),
         trace: None,
-        exchange: ExchangeMode::Sendrecv,
         failure_policy: FailurePolicy::Revive,
         spares: 0,
         ckpt_keep: 2,

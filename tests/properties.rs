@@ -307,42 +307,6 @@ proptest! {
         prop_assert!(covered.iter().all(|&c| c == per_x));
     }
 
-    /// Overlapping the halo exchange with the interior sweeps is bitwise
-    /// invisible on random domains, rank counts, and both RHS engines.
-    #[test]
-    fn overlapped_exchange_is_bitwise_invisible(
-        gx in 12usize..28,
-        gy in 12usize..24,
-        ranks in 2usize..5,
-        fused in proptest::bool::ANY,
-    ) {
-        use mfc::core::par::{run_distributed_with_mode, ExchangeMode};
-        use mfc::core::rhs::{RhsConfig, RhsMode};
-        use mfc::core::solver::SolverConfig;
-        use mfc::mpsim::Staging;
-        let case = mfc::presets::two_phase_benchmark(2, [gx, gy, 1]);
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                mode: if fused { RhsMode::Fused } else { RhsMode::Staged },
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let run = |mode| run_distributed_with_mode(
-            &case, cfg, ranks, 2, Staging::DeviceDirect, mode,
-        );
-        match (run(ExchangeMode::Sendrecv), run(ExchangeMode::Overlapped)) {
-            (Ok((plain, _)), Ok((over, _))) => {
-                prop_assert_eq!(over.max_abs_diff(&plain), 0.0);
-            }
-            // Thin-rank layouts are rejected identically by both modes.
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(
-                false, "modes disagree on validity: {:?} vs {:?}", a.is_ok(), b.is_ok()
-            ),
-        }
-    }
-
     /// Cartesian neighbours are mutual: my +1 neighbour's -1 neighbour is me.
     #[test]
     fn cart_neighbors_are_mutual(

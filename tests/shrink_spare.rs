@@ -7,7 +7,7 @@
 //! vacant slot — and in both cases the post-recovery trajectory is
 //! **bitwise identical** to a fresh run from that checkpoint, which (by
 //! the repo's rank-count invariance) equals the serial run. Covers both
-//! sweep engines, the serial and overlapped exchanges, the recovery
+//! sweep engines, the recovery
 //! trace spans with exact ledger reconciliation, checkpoint retention,
 //! and the typed errors for unrecoverable configurations.
 
@@ -19,9 +19,7 @@ use std::time::Duration;
 use mfc_acc::{Ledger, ResilienceEventKind};
 use mfc_core::case::presets;
 use mfc_core::par::GlobalField;
-use mfc_core::par::{
-    run_distributed_resilient, run_single, ExchangeMode, ResilienceError, ResilienceOpts,
-};
+use mfc_core::par::{run_distributed_resilient, run_single, ResilienceError, ResilienceOpts};
 use mfc_core::restart::wave_path;
 use mfc_core::rhs::RhsMode;
 use mfc_core::solver::SolverConfig;
@@ -68,7 +66,6 @@ fn opts_for(
     events: &Arc<Ledger>,
     policy: FailurePolicy,
     spares: usize,
-    exchange: ExchangeMode,
 ) -> ResilienceOpts {
     ResilienceOpts {
         checkpoint_every: 3,
@@ -78,7 +75,6 @@ fn opts_for(
         recovery: None,
         health: HealthConfig::default(),
         trace: None,
-        exchange,
         failure_policy: policy,
         spares,
         ckpt_keep: 2,
@@ -111,14 +107,7 @@ fn wave_files_follow_the_post_recovery_roster_under_both_policies() {
                 wave_size: 2,
                 step_id: STEPS,
             }),
-            ..opts_for(
-                &dir,
-                faults,
-                &events,
-                policy,
-                spares,
-                ExchangeMode::Sendrecv,
-            )
+            ..opts_for(&dir, faults, &events, policy, spares)
         };
         run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
@@ -135,45 +124,42 @@ fn shrink_recovers_permanent_death_bitwise_all_modes() {
     // 4 ranks, rank 2 dies for good at step 7: the three survivors agree
     // on a 3-rank world, re-shard wave 2 (written by the 4-rank layout,
     // dead rank's block included), and replay. The final field must be
-    // bitwise the serial answer — under both sweep engines and both the
-    // paired and the overlapped halo exchange.
+    // bitwise the serial answer — under both sweep engines.
     let case = presets::sod(64);
     for rhs_mode in [RhsMode::Staged, RhsMode::Fused] {
-        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-            let mut cfg = SolverConfig::default();
-            cfg.rhs.mode = rhs_mode;
-            let serial = run_single(&case, cfg, STEPS);
-            let dir = tmp_dir(&format!("shrink_{rhs_mode:?}_{exchange:?}"));
-            let faults = Arc::new(FaultCtx::new(perm_death_plan(), 4).with_detector(detector()));
-            let events = Arc::new(Ledger::default());
-            let opts = opts_for(&dir, faults, &events, FailurePolicy::Shrink, 0, exchange);
-            let (field, _) =
-                run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
-                    .unwrap_or_else(|e| panic!("{rhs_mode:?}/{exchange:?}: {e}"));
-            assert_eq!(
-                field.max_abs_diff(&serial),
-                0.0,
-                "{rhs_mode:?}/{exchange:?}: shrunk run must stay bitwise serial"
-            );
-            use ResilienceEventKind as K;
-            assert_eq!(events.events_of(K::Shrink).len(), 1, "one shrink consensus");
-            assert_eq!(
-                events.events_of(K::Redistribute).len(),
-                1,
-                "the rolled-back wave is re-sharded exactly once"
-            );
-            assert!(events.events_of(K::PromoteSpare).is_empty());
-            assert_eq!(events.events_of(K::FaultDetected).len(), 1);
-            assert_eq!(events.events_of(K::Rollback).len(), 1);
-            assert_eq!(events.events_of(K::Replay).len(), 1);
-            let shrink = &events.events_of(K::Shrink)[0];
-            assert!(
-                shrink.detail.contains("4 -> 3"),
-                "shrink detail: {}",
-                shrink.detail
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let mut cfg = SolverConfig::default();
+        cfg.rhs.mode = rhs_mode;
+        let serial = run_single(&case, cfg, STEPS);
+        let dir = tmp_dir(&format!("shrink_{rhs_mode:?}"));
+        let faults = Arc::new(FaultCtx::new(perm_death_plan(), 4).with_detector(detector()));
+        let events = Arc::new(Ledger::default());
+        let opts = opts_for(&dir, faults, &events, FailurePolicy::Shrink, 0);
+        let (field, _) =
+            run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
+                .unwrap_or_else(|e| panic!("{rhs_mode:?}: {e}"));
+        assert_eq!(
+            field.max_abs_diff(&serial),
+            0.0,
+            "{rhs_mode:?}: shrunk run must stay bitwise serial"
+        );
+        use ResilienceEventKind as K;
+        assert_eq!(events.events_of(K::Shrink).len(), 1, "one shrink consensus");
+        assert_eq!(
+            events.events_of(K::Redistribute).len(),
+            1,
+            "the rolled-back wave is re-sharded exactly once"
+        );
+        assert!(events.events_of(K::PromoteSpare).is_empty());
+        assert_eq!(events.events_of(K::FaultDetected).len(), 1);
+        assert_eq!(events.events_of(K::Rollback).len(), 1);
+        assert_eq!(events.events_of(K::Replay).len(), 1);
+        let shrink = &events.events_of(K::Shrink)[0];
+        assert!(
+            shrink.detail.contains("4 -> 3"),
+            "shrink detail: {}",
+            shrink.detail
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -185,44 +171,41 @@ fn spare_takeover_recovers_permanent_death_bitwise_all_modes() {
     // stays 4 wide — still bitwise the serial answer.
     let case = presets::sod(64);
     for rhs_mode in [RhsMode::Staged, RhsMode::Fused] {
-        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-            let mut cfg = SolverConfig::default();
-            cfg.rhs.mode = rhs_mode;
-            let serial = run_single(&case, cfg, STEPS);
-            let dir = tmp_dir(&format!("spare_{rhs_mode:?}_{exchange:?}"));
-            let faults = Arc::new(
-                FaultCtx::new_with_spares(perm_death_plan(), 4, 1).with_detector(detector()),
-            );
-            let events = Arc::new(Ledger::default());
-            let opts = opts_for(&dir, faults, &events, FailurePolicy::Spare, 1, exchange);
-            let (field, _) =
-                run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
-                    .unwrap_or_else(|e| panic!("{rhs_mode:?}/{exchange:?}: {e}"));
-            assert_eq!(
-                field.max_abs_diff(&serial),
-                0.0,
-                "{rhs_mode:?}/{exchange:?}: spare takeover must stay bitwise serial"
-            );
-            use ResilienceEventKind as K;
-            assert_eq!(
-                events.events_of(K::PromoteSpare).len(),
-                1,
-                "exactly one promotion"
-            );
-            assert!(
-                events.events_of(K::Shrink).is_empty(),
-                "no re-decomposition"
-            );
-            assert!(events.events_of(K::Redistribute).is_empty());
-            assert_eq!(events.events_of(K::Rollback).len(), 1);
-            let promo = &events.events_of(K::PromoteSpare)[0];
-            assert!(
-                promo.detail.contains("physical rank 4") && promo.detail.contains("slot 2"),
-                "promotion detail: {}",
-                promo.detail
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let mut cfg = SolverConfig::default();
+        cfg.rhs.mode = rhs_mode;
+        let serial = run_single(&case, cfg, STEPS);
+        let dir = tmp_dir(&format!("spare_{rhs_mode:?}"));
+        let faults =
+            Arc::new(FaultCtx::new_with_spares(perm_death_plan(), 4, 1).with_detector(detector()));
+        let events = Arc::new(Ledger::default());
+        let opts = opts_for(&dir, faults, &events, FailurePolicy::Spare, 1);
+        let (field, _) =
+            run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
+                .unwrap_or_else(|e| panic!("{rhs_mode:?}: {e}"));
+        assert_eq!(
+            field.max_abs_diff(&serial),
+            0.0,
+            "{rhs_mode:?}: spare takeover must stay bitwise serial"
+        );
+        use ResilienceEventKind as K;
+        assert_eq!(
+            events.events_of(K::PromoteSpare).len(),
+            1,
+            "exactly one promotion"
+        );
+        assert!(
+            events.events_of(K::Shrink).is_empty(),
+            "no re-decomposition"
+        );
+        assert!(events.events_of(K::Redistribute).is_empty());
+        assert_eq!(events.events_of(K::Rollback).len(), 1);
+        let promo = &events.events_of(K::PromoteSpare)[0];
+        assert!(
+            promo.detail.contains("physical rank 4") && promo.detail.contains("slot 2"),
+            "promotion detail: {}",
+            promo.detail
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -247,14 +230,7 @@ fn recovery_spans_are_schema_valid_and_ledger_reconciles() {
         );
         let events = Arc::new(Ledger::default());
         let tracer = Arc::new(Tracer::new());
-        let mut opts = opts_for(
-            &dir,
-            faults,
-            &events,
-            policy,
-            spares,
-            ExchangeMode::Sendrecv,
-        );
+        let mut opts = opts_for(&dir, faults, &events, policy, spares);
         opts.trace = Some(Arc::clone(&tracer));
         let (field, _) =
             run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
@@ -297,14 +273,7 @@ fn permanent_death_under_revive_policy_is_unrecoverable() {
     let dir = tmp_dir("revive_perm");
     let faults = Arc::new(FaultCtx::new(perm_death_plan(), 4).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        FailurePolicy::Revive,
-        0,
-        ExchangeMode::Sendrecv,
-    );
+    let opts = opts_for(&dir, faults, &events, FailurePolicy::Revive, 0);
     let err = run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
         .expect_err("revive cannot resurrect a permanent loss");
     match err {
@@ -341,14 +310,7 @@ fn exhausted_spare_pool_is_a_typed_error() {
     };
     let faults = Arc::new(FaultCtx::new_with_spares(plan, 4, 1).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        FailurePolicy::Spare,
-        1,
-        ExchangeMode::Sendrecv,
-    );
+    let opts = opts_for(&dir, faults, &events, FailurePolicy::Spare, 1);
     let err = run_distributed_resilient(&case, cfg, 4, 16, Staging::DeviceDirect, &opts)
         .expect_err("second permanent death exhausts the single spare");
     match err {
@@ -381,14 +343,7 @@ fn plan_without_survivor_quorum_is_rejected_host_side() {
     };
     let faults = Arc::new(FaultCtx::new(plan, 2).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        FailurePolicy::Shrink,
-        0,
-        ExchangeMode::Sendrecv,
-    );
+    let opts = opts_for(&dir, faults, &events, FailurePolicy::Shrink, 0);
     let err = run_distributed_resilient(&case, cfg, 2, STEPS, Staging::DeviceDirect, &opts)
         .expect_err("a plan with no survivors must be rejected");
     match err {
@@ -409,14 +364,7 @@ fn mismatched_spare_pool_is_rejected_host_side() {
     let dir = tmp_dir("bad_board");
     let faults = Arc::new(FaultCtx::new(perm_death_plan(), 4).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        FailurePolicy::Spare,
-        1,
-        ExchangeMode::Sendrecv,
-    );
+    let opts = opts_for(&dir, faults, &events, FailurePolicy::Spare, 1);
     let err = run_distributed_resilient(&case, cfg, 4, STEPS, Staging::DeviceDirect, &opts)
         .expect_err("board without the spare pool must be rejected");
     assert!(matches!(err, ResilienceError::Plan { .. }), "got {err:?}");
@@ -473,14 +421,7 @@ fn gc_never_starves_a_rollback() {
     };
     let faults = Arc::new(FaultCtx::new(plan, 2).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let mut opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        FailurePolicy::Revive,
-        0,
-        ExchangeMode::Sendrecv,
-    );
+    let mut opts = opts_for(&dir, faults, &events, FailurePolicy::Revive, 0);
     opts.checkpoint_every = 3;
     opts.ckpt_keep = 1;
     let (field, _) =
@@ -515,7 +456,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Rank-count invariance of the resilient driver itself: on random
-    /// domains, under both sweep engines and the overlapped exchange,
+    /// domains, under both sweep engines,
     /// `run_distributed_resilient` at R ranks is bitwise identical to
     /// R' ranks (both fault-free, so this pins the driver's layout and
     /// checkpoint plumbing, not the fault machinery).
@@ -533,8 +474,7 @@ proptest! {
         let mut fields = Vec::new();
         for ranks in [r_a, r_b] {
             let dir = tmp_dir(&format!("prop_{nx}_{steps}_{fused}_{ranks}"));
-            let mut opts = ResilienceOpts::fault_free(&dir, 2);
-            opts.exchange = ExchangeMode::Overlapped;
+            let opts = ResilienceOpts::fault_free(&dir, 2);
             let (field, _) =
                 run_distributed_resilient(&case, cfg, ranks, steps, Staging::DeviceDirect, &opts)
                     .unwrap();
@@ -565,14 +505,7 @@ fn run_striking_waves(
     let spares = usize::from(policy == FailurePolicy::Spare);
     let faults = Arc::new(FaultCtx::new_with_spares(plan, 4, spares).with_detector(detector()));
     let events = Arc::new(Ledger::default());
-    let mut opts = opts_for(
-        &dir,
-        faults,
-        &events,
-        policy,
-        spares,
-        ExchangeMode::Sendrecv,
-    );
+    let mut opts = opts_for(&dir, faults, &events, policy, spares);
     opts.ckpt_keep = 64;
     let stop = Arc::new(AtomicBool::new(false));
     let mut pending: Vec<PathBuf> = corrupt

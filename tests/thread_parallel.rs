@@ -8,22 +8,22 @@
 //! oversubscribe the host, so this suite is meaningful on a 1-core CI
 //! runner too. These tests are the enforcement:
 //!
-//! 1. Property: random 3-D domains × both sweep engines × both halo
-//!    stagings × every Riemann solver × overlapped exchange, serial vs
-//!    2/3/4/8 workers.
+//! 1. Property: random 3-D domains × both sweep engines × every Riemann
+//!    solver, serial vs 2/3/4/8 workers; and 2-D domains on 2 ranks ×
+//!    both halo stagings.
 //! 2. Engagement: a deterministic case large enough that every gate
 //!    (`PAR_MIN_ITEMS`) opens, checked via the trace's per-launch gang
 //!    annotation — so the equivalence above is not vacuous.
 //! 3. Shipped cases: every `cases/*.json` at 4 workers reproduces the
 //!    1-worker state bitwise over the golden step counts, serially and
-//!    on 2 simulated ranks (default and overlapped exchange).
+//!    on 2 simulated ranks.
 //! 4. Recovery: the health watchdog + ladder walk the same rungs at
 //!    4 workers as serially, bitwise.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mfc::core::par::{run_distributed_with_mode, run_single, ExchangeMode};
+use mfc::core::par::{run_distributed, run_single};
 use mfc::core::recovery::{RecoveryAction, RecoveryPolicy};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
@@ -78,10 +78,10 @@ proptest! {
         }
     }
 
-    /// Distributed runs keep the bitwise guarantee when worker gangs,
-    /// halo staging, and the overlapped exchange all compose.
+    /// Distributed runs keep the bitwise guarantee when worker gangs and
+    /// halo staging compose.
     #[test]
-    fn distributed_overlap_bitwise_equal_with_worker_gangs(
+    fn distributed_bitwise_equal_with_worker_gangs(
         nx in 10usize..=14,
         ny in 10usize..=14,
         mode_fused in proptest::bool::ANY,
@@ -93,21 +93,13 @@ proptest! {
         let workers = WORKER_COUNTS[workers_idx];
         let case = presets::two_phase_benchmark(2, [nx, ny, 1]);
         let serial = run_single(&case, cfg_with(mode, RiemannSolver::Hllc, 1), 3);
-        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-            let (dist, _) = run_distributed_with_mode(
-                &case,
-                cfg_with(mode, RiemannSolver::Hllc, workers),
-                2,
-                3,
-                staging,
-                exchange,
-            )
-            .unwrap();
-            prop_assert_eq!(
-                dist.max_abs_diff(&serial), 0.0,
-                "{:?} {:?} {:?} workers={}", mode, staging, exchange, workers
-            );
-        }
+        let (dist, _) =
+            run_distributed(&case, cfg_with(mode, RiemannSolver::Hllc, workers), 2, 3, staging)
+                .unwrap();
+        prop_assert_eq!(
+            dist.max_abs_diff(&serial), 0.0,
+            "{:?} {:?} workers={}", mode, staging, workers
+        );
     }
 }
 
@@ -186,8 +178,8 @@ fn shipped_cases_bitwise_equal_at_four_workers() {
     }
 }
 
-/// Shipped cases on 2 simulated ranks with 4 worker gangs per rank,
-/// default and overlapped exchange, still match the serial state.
+/// Shipped cases on 2 simulated ranks with 4 worker gangs per rank still
+/// match the serial state.
 #[test]
 fn shipped_cases_distributed_bitwise_equal_at_four_workers() {
     for (name, steps) in [
@@ -201,16 +193,12 @@ fn shipped_cases_distributed_bitwise_equal_at_four_workers() {
         let mut cfg = cf.numerics.to_solver_config().unwrap();
         let serial = run_single(&case, cfg, steps);
         cfg.workers = 4;
-        for exchange in [ExchangeMode::Sendrecv, ExchangeMode::Overlapped] {
-            let (dist, _) =
-                run_distributed_with_mode(&case, cfg, 2, steps, Staging::DeviceDirect, exchange)
-                    .unwrap();
-            assert_eq!(
-                dist.max_abs_diff(&serial),
-                0.0,
-                "{name} {exchange:?}: 2 ranks x 4 workers diverged from serial"
-            );
-        }
+        let (dist, _) = run_distributed(&case, cfg, 2, steps, Staging::DeviceDirect).unwrap();
+        assert_eq!(
+            dist.max_abs_diff(&serial),
+            0.0,
+            "{name}: 2 ranks x 4 workers diverged from serial"
+        );
     }
 }
 

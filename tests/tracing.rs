@@ -1,7 +1,7 @@
 //! End-to-end tracing contract (the `mfc-trace` subsystem):
 //!
-//! * every traced run — any domain, rank count, sweep engine, exchange
-//!   mode — yields a well-nested span tree per rank (property-tested),
+//! * every traced run — any domain, rank count, sweep engine — yields a
+//!   well-nested span tree per rank (property-tested),
 //! * the chrome-trace export of a 2-rank run of the shipped Sod case is
 //!   schema-valid and its per-kernel aggregated bytes/FLOPs reconcile
 //!   **exactly** (bitwise) with the analytic kernel ledger,
@@ -14,9 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mfc::core::case::presets;
-use mfc::core::par::{
-    run_distributed, run_distributed_resilient, ExchangeMode, GlobalField, ResilienceOpts,
-};
+use mfc::core::par::{run_distributed, run_distributed_resilient, GlobalField, ResilienceOpts};
 use mfc::core::rhs::RhsMode;
 use mfc::core::solver::{DtMode, SolverConfig};
 use mfc::core::CaseBuilder;
@@ -39,12 +37,10 @@ fn run_traced(
     cfg: SolverConfig,
     ranks: usize,
     steps: usize,
-    exchange: ExchangeMode,
     tracer: &Arc<Tracer>,
 ) -> GlobalField {
     let opts = ResilienceOpts {
         trace: Some(Arc::clone(tracer)),
-        exchange,
         ..ResilienceOpts::fault_free("", 0)
     };
     let (field, _) =
@@ -138,7 +134,7 @@ fn tracer_attachment_is_bitwise_transparent() {
     let cfg = cfg_for(RhsMode::Fused);
     let (plain, _) = run_distributed(&case, cfg, 2, 6, Staging::DeviceDirect).unwrap();
     let tracer = Arc::new(Tracer::new());
-    let traced = run_traced(&case, cfg, 2, 6, ExchangeMode::Sendrecv, &tracer);
+    let traced = run_traced(&case, cfg, 2, 6, &tracer);
     assert_eq!(
         plain.max_abs_diff(&traced),
         0.0,
@@ -160,7 +156,7 @@ fn serial_and_one_rank_steps_trace_the_same_phase_spans() {
     let ctx = mfc::Context::serial().with_tracer(serial.handle(0));
     mfc::Solver::new(&case, cfg, ctx).run_steps(steps).unwrap();
     let ranked = Arc::new(Tracer::new());
-    run_traced(&case, cfg, 1, steps, ExchangeMode::Sendrecv, &ranked);
+    run_traced(&case, cfg, 1, steps, &ranked);
 
     let phases = |tracer: &Tracer| -> Vec<String> {
         let parsed = chrome::parse_str(&chrome::export_to_string(&tracer.snapshot())).unwrap();
@@ -178,66 +174,12 @@ fn serial_and_one_rank_steps_trace_the_same_phase_spans() {
     assert_eq!(phases(&ranked), want);
 }
 
-#[test]
-fn overlapped_run_traces_hidden_and_exposed_comm() {
-    // The overlap phases appear as spans on every rank — halo_post
-    // (packing and sending), overlap_sweep (the compute hiding the
-    // messages), halo_drain (the *exposed* remainder of the exchange) —
-    // the stream stays well-nested, and the kernel ledger still
-    // reconciles exactly.
-    let case = presets::sod(64);
-    let cfg = cfg_for(RhsMode::Fused);
-    let tracer = Arc::new(Tracer::new());
-    let traced = run_traced(&case, cfg, 2, 6, ExchangeMode::Overlapped, &tracer);
-    let (plain, _) = run_distributed(&case, cfg, 2, 6, Staging::DeviceDirect).unwrap();
-    assert_eq!(traced.max_abs_diff(&plain), 0.0);
-
-    let traces = tracer.snapshot();
-    assert_eq!(traces.len(), 2);
-    let text = chrome::export_to_string(&traces);
-    let parsed = chrome::parse_str(&text).unwrap();
-    nesting::check_trace(&parsed).expect("overlap spans must stay well-nested");
-    reconcile_trace(&parsed).expect("overlap must not break ledger reconciliation");
-    for (rank, events) in &parsed.ranks {
-        for phase in ["halo_post", "overlap_sweep", "halo_drain"] {
-            assert!(
-                events.iter().any(|e| e.name == phase),
-                "rank {rank} lacks the {phase} span"
-            );
-        }
-        // The hidden/exposed accounting is measurable from the trace:
-        // spans are B/E pairs, so the per-phase total is the sum of the
-        // E−B gaps; the hidden-comm window (overlap_sweep) must have
-        // accumulated real time on every rank.
-        let total = |name: &str| -> f64 {
-            let mut sum = 0.0;
-            let mut open: Option<f64> = None;
-            for e in events.iter().filter(|e| e.name == name) {
-                match e.ph {
-                    'B' => open = Some(e.ts_us),
-                    'E' => {
-                        sum += e.ts_us - open.take().expect("E without B");
-                    }
-                    _ => {}
-                }
-            }
-            assert!(open.is_none(), "unclosed {name} span on rank {rank}");
-            sum
-        };
-        assert!(
-            total("overlap_sweep") > 0.0,
-            "rank {rank}: no hidden-comm window"
-        );
-        let _ = total("halo_drain");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any traced run yields a well-nested, schema-valid, exactly
     /// reconciling span stream on every rank — across random domains,
-    /// rank counts, both sweep engines, and both exchange modes.
+    /// rank counts and both sweep engines.
     #[test]
     fn traced_runs_yield_well_nested_span_trees(
         nx in 16usize..32,
@@ -245,7 +187,6 @@ proptest! {
         ny_2d in 6usize..12,
         rank_sel in 0usize..3,
         fused in proptest::bool::ANY,
-        overlapped in proptest::bool::ANY,
         steps in 1usize..4,
     ) {
         let ny = if two_d { ny_2d } else { 1 };
@@ -253,13 +194,8 @@ proptest! {
         let ndim = if ny == 1 { 1 } else { 2 };
         let case = presets::two_phase_benchmark(ndim, [nx, ny, 1]);
         let mode = if fused { RhsMode::Fused } else { RhsMode::Staged };
-        let exchange = if overlapped {
-            ExchangeMode::Overlapped
-        } else {
-            ExchangeMode::Sendrecv
-        };
         let tracer = Arc::new(Tracer::new());
-        run_traced(&case, cfg_for(mode), ranks, steps, exchange, &tracer);
+        run_traced(&case, cfg_for(mode), ranks, steps, &tracer);
 
         let traces = tracer.snapshot();
         prop_assert_eq!(traces.len(), ranks);

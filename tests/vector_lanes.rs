@@ -11,7 +11,7 @@
 //!    both sweep engines × every Riemann solver, against the width-1 run.
 //! 2. Shipped cases: every `cases/*.json` at the default W=4 reproduces
 //!    the W=1 state bitwise over the golden step counts, serially and on
-//!    2 overlapped ranks. (The golden suite itself runs at the new W=4
+//!    2 ranks. (The golden suite itself runs at the new W=4
 //!    default, so goldens recorded under scalar execution already pin
 //!    this too.)
 //! 3. Engagement: on a 16^3 case the trace's per-launch lane annotation
@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mfc::core::par::{run_distributed_with_mode, run_single, ExchangeMode};
+use mfc::core::par::{run_distributed, run_single};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
 use mfc::mpsim::Staging;
@@ -114,11 +114,10 @@ fn shipped_cases_bitwise_equal_at_default_lane_width() {
     }
 }
 
-/// Shipped cases on 2 simulated ranks with the overlapped exchange at
-/// W=4 still match the scalar serial state — lane packets compose with
-/// halo regions and the comm/compute overlap.
+/// Shipped cases on 2 simulated ranks at W=4 still match the scalar
+/// serial state — lane packets compose with halo regions.
 #[test]
-fn shipped_cases_overlapped_two_rank_bitwise_equal_at_w4() {
+fn shipped_cases_two_rank_bitwise_equal_at_w4() {
     for (name, steps) in [
         ("sod", 6usize),
         ("taylor_green", 4),
@@ -131,19 +130,11 @@ fn shipped_cases_overlapped_two_rank_bitwise_equal_at_w4() {
         cfg.vector_width = 1;
         let scalar = run_single(&case, cfg, steps);
         cfg.vector_width = 4;
-        let (dist, _) = run_distributed_with_mode(
-            &case,
-            cfg,
-            2,
-            steps,
-            Staging::DeviceDirect,
-            ExchangeMode::Overlapped,
-        )
-        .unwrap();
+        let (dist, _) = run_distributed(&case, cfg, 2, steps, Staging::DeviceDirect).unwrap();
         assert_eq!(
             dist.max_abs_diff(&scalar),
             0.0,
-            "{name}: 2 overlapped ranks x W=4 diverged from scalar serial"
+            "{name}: 2 ranks x W=4 diverged from scalar serial"
         );
     }
 }
