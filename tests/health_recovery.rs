@@ -94,6 +94,7 @@ fn armed_recovery_is_bitwise_transparent_on_all_shipped_cases() {
         ("taylor_green", 6),
         ("shock_droplet_2d", 5),
         ("bubble_cloud_2d", 5),
+        ("shock_droplet_3d", 5),
     ] {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();

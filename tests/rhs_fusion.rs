@@ -4,7 +4,7 @@
 //! Riemann solves, same update order per cell; only the loop order and
 //! the scratch layout differ.
 //!
-//! Covered here: all four shipped case files (serial and 2-rank
+//! Covered here: all five shipped case files (serial and 2-rank
 //! distributed) plus a property sweep over domain shapes (extents that
 //! are not multiples of the 8-line pencil batch), orders, Riemann
 //! solvers, limiters, geometries, viscosity, worker counts, lane widths
@@ -42,11 +42,12 @@ fn with_mode(mut cfg: SolverConfig, mode: RhsMode) -> SolverConfig {
     cfg
 }
 
-const SHIPPED: [(&str, [usize; 3], usize); 4] = [
+const SHIPPED: [(&str, [usize; 3], usize); 5] = [
     ("sod.json", [200, 1, 1], 8),
     ("taylor_green.json", [32, 32, 1], 5),
     ("bubble_cloud_2d.json", [48, 48, 1], 4),
     ("shock_droplet_2d.json", [48, 48, 1], 4),
+    ("shock_droplet_3d.json", [13, 10, 9], 4),
 ];
 
 #[test]

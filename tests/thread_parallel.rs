@@ -154,6 +154,7 @@ fn shipped_cases_bitwise_equal_at_four_workers() {
         ("taylor_green", 6),
         ("shock_droplet_2d", 5),
         ("bubble_cloud_2d", 5),
+        ("shock_droplet_3d", 5),
     ] {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();
@@ -187,6 +188,7 @@ fn shipped_cases_distributed_bitwise_equal_at_four_workers() {
         ("taylor_green", 4),
         ("shock_droplet_2d", 3),
         ("bubble_cloud_2d", 3),
+        ("shock_droplet_3d", 3),
     ] {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();

@@ -89,6 +89,7 @@ fn shipped_cases_bitwise_equal_at_default_lane_width() {
         ("taylor_green", 6),
         ("shock_droplet_2d", 5),
         ("bubble_cloud_2d", 5),
+        ("shock_droplet_3d", 5),
     ] {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();
@@ -123,6 +124,7 @@ fn shipped_cases_two_rank_bitwise_equal_at_w4() {
         ("taylor_green", 4),
         ("shock_droplet_2d", 3),
         ("bubble_cloud_2d", 3),
+        ("shock_droplet_3d", 3),
     ] {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();
