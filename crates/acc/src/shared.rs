@@ -96,15 +96,6 @@ impl<'a> ParSlice<'a> {
             self.add(i + lane, v.lane(lane));
         }
     }
-
-    /// Lanewise `+=` into slots `i, i + stride, ..` — the cell stride of a
-    /// canonical-order divergence store when the sweep axis is not x.
-    #[inline(always)]
-    pub fn add_lanes_strided<L: Lane>(&self, i: usize, stride: usize, v: L) {
-        for lane in 0..L::WIDTH {
-            self.add(i + lane * stride, v.lane(lane));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,16 +22,17 @@
 //! packet starting at item `s` is item `s + i`, so the serial fold order
 //! is reproduced exactly.
 //!
-//! Widths are powers of two up to [`MAX_WIDTH`]; [`DEFAULT_WIDTH`] is 4,
-//! matching the four-double FP width (AVX2 / 2×NEON) of commodity hosts.
+//! Widths are powers of two up to [`MAX_WIDTH`]; [`DEFAULT_WIDTH`] is 8:
+//! two AVX2 registers per packet, which hides the latency of the Riemann
+//! stage's divisions and square roots behind independent work.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Largest supported lane width.
 pub const MAX_WIDTH: usize = 8;
 
-/// Default lane width (`--vector-width 4`).
-pub const DEFAULT_WIDTH: usize = 4;
+/// Default lane width (`--vector-width 8`).
+pub const DEFAULT_WIDTH: usize = 8;
 
 /// Validate a requested lane width: a power of two, at most [`MAX_WIDTH`].
 pub fn validate_width(w: usize) -> Result<(), String> {

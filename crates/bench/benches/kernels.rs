@@ -72,7 +72,7 @@ fn bench_weno_line(c: &mut Criterion) {
     g.sample_size(10);
     let entries: [(String, WenoLineFn); 2] = [
         (
-            format!("dispatched_{}", weno::line_isa()),
+            format!("dispatched_{}", mfc_core::isa::kernel_isa()),
             weno::reconstruct_line_padded,
         ),
         ("baseline".into(), weno::reconstruct_line_padded_baseline),

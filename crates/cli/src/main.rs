@@ -27,7 +27,7 @@ flags:
                          kernels (numerics.workers case key; default 1).
                          Results are bitwise identical at every count
   --vector-width N       SIMD lane width for the vectorized kernels
-                         (numerics.vector_width case key; default 4).
+                         (numerics.vector_width case key; default 8).
                          Must be a power of two in 1..=8; results are
                          bitwise identical at every width
   --faults plan.json     fault-injection plan (mfc_mpsim::FaultPlan)

@@ -44,14 +44,17 @@
 //! sweep is instantiated over a [`crate::eqidx::ConstEq`] picked once per
 //! sweep (the compile-time-sized "private arrays" of §III-D).
 //!
-//! The Riemann and update stages tile lane packets along the unit-stride
-//! face index within each pencil line (OpenACC's `vector` level nested
-//! inside the pencil `gang`s); each lane performs the exact scalar op
-//! sequence on its own face, so every width is bitwise the scalar engine.
-//! The WENO stage runs the scalar per-cell line kernel at every width (its
-//! plain cell loop is what the compiler's loop vectoriser packs best, at
-//! the width of the entry the running CPU selects). The gather's copy is a
-//! scalar byte shuffle; the conversion runs lane packets along each line.
+//! The Riemann stage tiles lane packets along the unit-stride face index
+//! within each pencil line (OpenACC's `vector` level nested inside the
+//! pencil `gang`s); each lane performs the exact scalar op sequence on its
+//! own face, so every width is bitwise the scalar engine. The WENO stage
+//! runs the scalar per-cell line kernel at every width (its plain cell loop
+//! is what the compiler's loop vectoriser packs best). WENO and Riemann are
+//! each compiled twice, for the baseline target and with AVX2, and run the
+//! entry the CPU selects ([`crate::isa`]). The gather's copy is a scalar
+//! byte shuffle; the conversion runs lane packets along each line; the
+//! update is a scalar loop whose innermost index runs across the pencil's
+//! lines, which are consecutive in canonical x on the y and z sweeps.
 //!
 //! Each stage lands in the `mfc-acc` ledger under its own label with the
 //! same per-item cost in both engines — `f_*` pencil-major, `s_*`
@@ -229,21 +232,21 @@ pub(crate) fn sweep_axis(
     // Analytic lane tiling of the vector stages (the same convention as
     // `launch_vec`): the conversion tiles `rext` cells, WENO `neq` face
     // lines and Riemann one face line of `rnf` faces per pencil line; the
-    // update tiles `s_n` cells per line. The scalar gather contributes no
-    // vector elements. (The WENO stage is accounted as tiled although its
-    // packing is left to the compiler: the count is of elements that run
-    // as lanes.)
+    // x update tiles `s_n` cells per line. The scalar gather and transverse
+    // update contribute no vector elements. (The WENO stage is accounted as
+    // tiled although its packing is left to the compiler: the count is of
+    // elements that run as lanes.)
     let vw = ctx.vector_width();
+    let update_lanes = if axis == 0 { vw } else { 1 };
     let face_rows = (nlines * (neq + 1)) as u64;
-    let cell_rows = |n: usize| nlines as u64 * (n / vw) as u64;
-    let cell_tail = |n: usize| nlines as u64 * (n % vw) as u64;
+    let lines = nlines as u64;
+    let x_cells = if axis == 0 { s_n } else { 0 };
     ctx.note_lane_tiling(
-        face_rows * (rnf / vw) as u64 + cell_rows(s_n) + cell_rows(rext),
-        face_rows * (rnf % vw) as u64 + cell_tail(s_n) + cell_tail(rext),
+        face_rows * (rnf / vw) as u64 + lines * (rext / vw + x_cells / vw) as u64,
+        face_rows * (rnf % vw) as u64 + lines * (rext % vw + x_cells % vw) as u64,
     );
     // Per stage: cost per item, items, lanes.
     let gh = cfg.order.ghost_layers();
-    let lines = nlines as u64;
     let rows = [
         (
             KernelCost::new(KernelClass::Pack, 0.0, 8.0, 8.0),
@@ -285,7 +288,7 @@ pub(crate) fn sweep_axis(
                 8.0 * (neq + 1) as f64,
             ),
             lines * s_n as u64,
-            vw,
+            update_lanes,
         ),
     ];
 
@@ -639,12 +642,49 @@ impl<E: EqLayout> Sweep<'_, E> {
         ustar[b * rnf + m] = s;
     }
 
-    /// Stage 4: Riemann solve per face. All-admissible packets solve
-    /// lane-wide; a packet with any flagged lane replays face by face
-    /// through the scalar path, which is bitwise what a width-1 sweep does
-    /// — including for the admissible lanes.
+    /// Stage 4: Riemann solve per face, through the entry the running CPU
+    /// selects ([`crate::isa`]): [`Sweep::riemann_body`] compiled for the
+    /// build's baseline target or with AVX2 enabled. The solvers' whole
+    /// call chain is `#[inline(always)]`, so the AVX2 copy is AVX2 code end
+    /// to end; with `RiemannSolver::flux` left at `#[inline]` the entry ran
+    /// no faster than the baseline one.
     #[inline(never)]
     fn riemann<L: Lane>(
+        &self,
+        u: Unit,
+        v: &[f64],
+        left: &mut [f64],
+        right: &[f64],
+        ustar: &mut [f64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::isa::avx2() {
+            // SAFETY: the running CPU was just seen to support AVX2, the
+            // only requirement of `riemann_avx2` beyond those of the body.
+            return unsafe { self.riemann_avx2::<L>(u, v, left, right, ustar) };
+        }
+        self.riemann_body::<L>(u, v, left, right, ustar);
+    }
+
+    /// [`Sweep::riemann_body`] compiled with AVX2 (and never FMA) enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn riemann_avx2<L: Lane>(
+        &self,
+        u: Unit,
+        v: &[f64],
+        left: &mut [f64],
+        right: &[f64],
+        ustar: &mut [f64],
+    ) {
+        self.riemann_body::<L>(u, v, left, right, ustar);
+    }
+
+    /// All-admissible packets solve lane-wide; a packet with any flagged
+    /// lane replays face by face through the scalar path, which is bitwise
+    /// what a width-1 sweep does — including for the admissible lanes.
+    #[inline(always)]
+    fn riemann_body<L: Lane>(
         &self,
         u: Unit,
         v: &[f64],
@@ -691,47 +731,68 @@ impl<E: EqLayout> Sweep<'_, E> {
     }
 
     /// Stage 5: flux divergence into the canonical RHS and `S*` differences
-    /// into div(u), lane packets along the sweep index with the canonical
-    /// per-axis cell stride. In 3-D cylindrical coordinates the azimuthal
-    /// cell width is `r * dtheta`.
+    /// into div(u). In 3-D cylindrical coordinates the azimuthal cell width
+    /// is `r * dtheta`, with `r` set by the pencil's outer coordinate.
+    ///
+    /// On the y and z sweeps the pencil's lines are consecutive in
+    /// canonical x, so the loop runs cell by cell along the sweep, then per
+    /// variable across the lines: each (cell, variable) row writes `bw`
+    /// consecutive values, a cache line at a time, instead of revisiting
+    /// every cache line of the RHS once per line. The x sweep keeps lane
+    /// packets along each line, whose cells are consecutive: every single
+    /// loop nest tried for all three axes ran the x update 1.5–2.6x slower
+    /// on `grind3d` (58 ms ±6 over 3 steps at 96³ against 92–164 ms;
+    /// EXPERIMENTS.md, "Riemann at eight lanes").
     #[inline(never)]
     fn update<L: Lane>(&self, u: Unit, flux: &[f64], ustar: &[f64]) {
         let neq = self.eq.neq();
-        let (rnf, s_n, pad, axis) = (self.rnf, self.s_n, self.pad, self.axis);
-        let cs = self.sweep_stride;
-        for b in 0..u.bw {
-            let (t1, t2) = self.line_t(u, b);
-            let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
-            let ub = b * rnf;
-            let mut s = 0;
-            while s + L::WIDTH <= s_n {
-                let inv_dx = L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
-                let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
-                let cell = i + self.n1 * (j + self.n2 * k);
-                for e in 0..neq {
-                    let fb = (b * neq + e) * rnf + s;
-                    let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
-                    self.rsl
-                        .add_lanes_strided(cell + e * self.cell_stride, cs, d);
+        let (rnf, pad) = (self.rnf, self.pad);
+        let (t1, t2) = self.line_t(u, 0);
+        let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
+        let (i, j, k) = sweep_to_canonical(self.axis, pad, t1, t2);
+        let cell0 = i + self.n1 * (j + self.n2 * k);
+        if self.axis == 0 {
+            for b in 0..u.bw {
+                let (line, ub) = (cell0 + b * self.n1, b * rnf);
+                let mut s = 0;
+                while s + L::WIDTH <= self.s_n {
+                    let inv_dx = L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
+                    for e in 0..neq {
+                        let fb = (b * neq + e) * rnf + s;
+                        let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
+                        self.rsl.add_lanes(line + s + e * self.cell_stride, d);
+                    }
+                    let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
+                    self.dsl.add_lanes(line + s, dv);
+                    s += L::WIDTH;
                 }
-                let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
-                self.dsl.add_lanes_strided(cell, cs, dv);
-                s += L::WIDTH;
+                while s < self.s_n {
+                    let inv_dx = 1.0 / (self.w[pad + s] * metric);
+                    for e in 0..neq {
+                        let fb = (b * neq + e) * rnf + s;
+                        let d = (flux[fb] - flux[fb + 1]) * inv_dx;
+                        self.rsl.add(line + s + e * self.cell_stride, d);
+                    }
+                    self.dsl
+                        .add(line + s, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
+                    s += 1;
+                }
             }
-            while s < s_n {
-                let inv_dx = 1.0 / (self.w[pad + s] * metric);
-                let (i, j, k) = sweep_to_canonical(axis, pad + s, t1, t2);
-                let cell = i + self.n1 * (j + self.n2 * k);
-                for e in 0..neq {
+            return;
+        }
+        for s in 0..self.s_n {
+            let inv_dx = 1.0 / (self.w[pad + s] * metric);
+            let cell = cell0 + s * self.sweep_stride;
+            for e in 0..neq {
+                let row = cell + e * self.cell_stride;
+                for b in 0..u.bw {
                     let fb = (b * neq + e) * rnf + s;
-                    self.rsl.add(
-                        cell + e * self.cell_stride,
-                        (flux[fb] - flux[fb + 1]) * inv_dx,
-                    );
+                    self.rsl.add(row + b, (flux[fb] - flux[fb + 1]) * inv_dx);
                 }
-                self.dsl
-                    .add(cell, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
-                s += 1;
+            }
+            for b in 0..u.bw {
+                let ub = b * rnf + s;
+                self.dsl.add(cell + b, (ustar[ub + 1] - ustar[ub]) * inv_dx);
             }
         }
     }
@@ -803,7 +864,128 @@ impl<'p, E: EqLayout> LaneGangBody<[Pencil<'p>], ()> for Pass<'_, '_, E> {
 mod tests {
     use super::*;
     use crate::case::presets;
+    use crate::eqidx::EqIdx;
     use crate::solver::{Solver, SolverConfig};
+    use mfc_acc::with_lane_width;
+
+    /// Lines, interior cells and pad of the Riemann entry test's pencil.
+    const BW: usize = 3;
+    const SN: usize = 21;
+    const PAD: usize = 3;
+
+    /// A sweep environment for the Riemann stage alone: it reads only the
+    /// pencil scratch, never the state or the RHS.
+    fn riemann_sweep<E: EqLayout>(
+        eq: E,
+        fluids: &FluidTable,
+        solver: RiemannSolver,
+    ) -> Sweep<'_, E> {
+        Sweep {
+            eq,
+            fluids,
+            order: WenoOrder::Weno5,
+            solver,
+            limiter: Limiter::default(),
+            axis: 1,
+            qsl: &[],
+            rsl: ParSlice::new(&mut []),
+            dsl: ParSlice::new(&mut []),
+            w: &[],
+            radial: None,
+            n1: 1,
+            n2: 1,
+            n3: 1,
+            cell_stride: 1,
+            sweep_stride: 1,
+            pad: PAD,
+            s_n: SN,
+            rext: SN + 2 * PAD,
+            rnf: SN + 1,
+            batch_t1: true,
+            bq: 0,
+            bcount: BW,
+            oq: 0,
+            nbatches: 1,
+        }
+    }
+
+    /// Two-phase primitive lines, `[b][e][i]` with `n` values per line: a
+    /// varied admissible state at every `i`.
+    fn prim_lines<E: EqLayout>(eq: &E, n: usize, seed: usize) -> Vec<f64> {
+        let neq = eq.neq();
+        let mut out = vec![0.0; BW * neq * n];
+        for b in 0..BW {
+            for i in 0..n {
+                let h =
+                    |k: usize| ((seed + 31 * b + 7 * i + 13 * k) * 2654435761 % 1000) as f64 * 1e-3;
+                let alpha = 0.05 + 0.9 * h(0);
+                let at = |e: usize| (b * neq + e) * n + i;
+                out[at(eq.cont(0))] = 1.2 * alpha;
+                out[at(eq.cont(1))] = 1000.0 * (1.0 - alpha);
+                for d in 0..eq.ndim() {
+                    out[at(eq.mom(d))] = 400.0 * (h(1 + d) - 0.5);
+                }
+                out[at(eq.energy())] = 1.0e5 * (0.5 + 4.0 * h(5));
+                out[at(eq.adv(0))] = alpha;
+            }
+        }
+        out
+    }
+
+    /// One pencil through the dispatched Riemann entry and through the
+    /// baseline body at lane width `L`: identical flux and `S*` bits.
+    fn riemann_entries_agree<E: EqLayout, L: Lane>(sweep: &Sweep<'_, E>, label: &str) {
+        let (eq, rnf) = (&sweep.eq, sweep.rnf);
+        let v = prim_lines(eq, sweep.rext, 1);
+        let mut left = prim_lines(eq, rnf, 2);
+        let right = prim_lines(eq, rnf, 3);
+        // A negative partial density on one face of the first packet: its
+        // packet replays through the scalar path and the limiter.
+        left[(eq.neq() + eq.cont(0)) * rnf + 1] = -1.0;
+        let u = Unit {
+            oc: 0,
+            b0: 0,
+            bw: BW,
+        };
+        let (mut flux, mut ustar) = (left.clone(), vec![0.0; BW * rnf]);
+        let (mut flux0, mut ustar0) = (left, vec![0.0; BW * rnf]);
+        sweep.riemann::<L>(u, &v, &mut flux, &right, &mut ustar);
+        sweep.riemann_body::<L>(u, &v, &mut flux0, &right, &mut ustar0);
+        for (what, got, want) in [("flux", &flux, &flux0), ("S*", &ustar, &ustar0)] {
+            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                assert!(g.is_finite(), "{label} W={}: {what}[{i}] = {g}", L::WIDTH);
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{label} W={}: {what}[{i}] avx2 {g:e} vs baseline {w:e}",
+                    L::WIDTH
+                );
+            }
+        }
+    }
+
+    /// The Riemann stage's AVX2 entry and its baseline body are one source
+    /// compiled twice without contraction: identical flux and `S*` bits for
+    /// every solver at every lane width, a replayed packet included. Where
+    /// the CPU lacks AVX2 the dispatched entry *is* the baseline one and
+    /// there is nothing to compare.
+    #[test]
+    fn riemann_avx2_entry_matches_the_baseline_entry_bitwise() {
+        if !crate::isa::avx2() {
+            eprintln!("skipped: this CPU runs the baseline entry only");
+            return;
+        }
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
+        with_eq_layout!(EqIdx::new(2, 3), eq => {
+            for solver in [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov] {
+                let sweep = riemann_sweep(eq, &fluids, solver);
+                let label = format!("{solver:?}");
+                for w in [1, 2, 4, 8] {
+                    with_lane_width!(w, L => riemann_entries_agree::<_, L>(&sweep, &label));
+                }
+            }
+        });
+    }
 
     /// Fused evaluations never allocate the staged engine's grid-sized
     /// scratch; the first staged evaluation allocates it once, for every

@@ -47,6 +47,7 @@ pub mod fused;
 pub mod grid;
 pub mod health;
 pub mod ibm;
+pub mod isa;
 pub mod limiter;
 pub mod output;
 pub mod par;

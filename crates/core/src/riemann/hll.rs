@@ -20,7 +20,7 @@ use super::{davis_speeds, face_side};
 /// patterns are fully evaluated and bit-selected in the scalar solver's
 /// priority order, so the `L = f64` instantiation is bitwise the branchy
 /// original and packed lanes match it per face.
-#[inline]
+#[inline(always)]
 pub fn hll_flux<E: EqLayout, L: Lane>(
     eq: &E,
     fluids: &FluidTable,

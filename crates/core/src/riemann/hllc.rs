@@ -23,7 +23,7 @@ use super::{davis_speeds, face_side};
 /// bitwise the branchy original, and a packed lane equals the scalar
 /// solve of its own face. IEEE arithmetic never traps, so evaluating the
 /// discarded alternatives (which may produce inf/NaN) is harmless.
-#[inline]
+#[inline(always)]
 pub fn hllc_flux<E: EqLayout, L: Lane>(
     eq: &E,
     fluids: &FluidTable,

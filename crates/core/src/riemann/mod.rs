@@ -51,7 +51,11 @@ impl RiemannSolver {
     /// packed width each lane solves its own face with the identical op
     /// sequence (wave-pattern branches become bit selects of fully
     /// evaluated alternatives), so the result is bitwise the scalar one.
-    #[inline]
+    ///
+    /// The whole chain is `#[inline(always)]`, so the solve is compiled
+    /// into the instruction set of the sweep's Riemann entry that calls it
+    /// ([`crate::isa`]).
+    #[inline(always)]
     pub fn flux<E: EqLayout, L: Lane>(
         self,
         eq: &E,

@@ -12,7 +12,7 @@ use super::face_side;
 ///
 /// Already branch-free, so the [`Lane`] version is a direct elementwise
 /// transcription: each packed lane performs the scalar op sequence.
-#[inline]
+#[inline(always)]
 pub fn rusanov_flux<E: EqLayout, L: Lane>(
     eq: &E,
     fluids: &FluidTable,

@@ -13,7 +13,6 @@
 //! value instead of seven. The line kernel walks the cells of a line; it
 //! is the WENO stage of both sweep loop orders ([`crate::fused`]).
 
-use mfc_acc::Lane;
 use serde::{Deserialize, Serialize};
 
 /// Reconstruction order.
@@ -80,7 +79,7 @@ const EPS_Z: f64 = 1e-40;
 const D5: [f64; 3] = [0.1, 0.6, 0.3];
 
 #[inline(always)]
-fn sq<L: Lane>(x: L) -> L {
+fn sq(x: f64) -> f64 {
     x * x
 }
 
@@ -88,7 +87,7 @@ fn sq<L: Lane>(x: L) -> L {
 /// `x0*x1*x2` turns them into `d_k * P_k` — the same weights once
 /// normalised, with no division.
 #[inline(always)]
-fn cross_products<L: Lane>(x: [L; 3]) -> [L; 3] {
+fn cross_products(x: [f64; 3]) -> [f64; 3] {
     [x[1] * x[2], x[0] * x[2], x[0] * x[1]]
 }
 
@@ -102,8 +101,8 @@ fn cross_products<L: Lane>(x: [L; 3]) -> [L; 3] {
 /// meet the data, so the offset keeps the magnitude of the data however
 /// small the `a_k` are.
 #[inline(always)]
-fn offset5<L: Lane>(lin6: L, far3: L, near6: L, a: [L; 3]) -> L {
-    let sixth = L::splat(1.0 / 6.0);
+fn offset5(lin6: f64, far3: f64, near6: f64, a: [f64; 3]) -> f64 {
+    let sixth = 1.0 / 6.0;
     let inv = sixth / (a[0] + a[1] + a[2]);
     lin6 * sixth + (a[0] * inv) * (far3 + far3) + (a[2] * inv) * near6
 }
@@ -127,33 +126,33 @@ fn offset5<L: Lane>(lin6: L, far3: L, near6: L, a: [L; 3]) -> L {
 /// reverses `b` and `g`, swaps `lo` and `hi` with a sign, and thereby
 /// turns each side's offset into the exact negative of the other's.
 #[inline(always)]
-fn cell5<L: Lane>(
-    v: &[L; 5],
-    factors: impl Fn([L; 3]) -> [L; 3],
-    weights: impl Fn([L; 3]) -> [L; 3],
-) -> (L, L) {
-    let (two, three, c) = (L::splat(2.0), L::splat(3.0), L::splat(13.0 / 3.0));
+fn cell5(
+    v: &[f64; 5],
+    factors: impl Fn([f64; 3]) -> [f64; 3],
+    weights: impl Fn([f64; 3]) -> [f64; 3],
+) -> (f64, f64) {
     let d = [v[1] - v[0], v[2] - v[1], v[3] - v[2], v[4] - v[3]];
     // Second differences about cells 1, 2 and (sign reversed) 3.
     let dd = [d[1] - d[0], d[2] - d[1], d[2] - d[3]];
+    let c = 13.0 / 3.0;
     let g = factors([
-        c * sq(dd[0]) + sq(three * d[1] - d[0]),
+        c * sq(dd[0]) + sq(3.0 * d[1] - d[0]),
         c * sq(dd[1]) + sq(d[2] + d[1]),
-        c * sq(dd[2]) + sq(three * d[2] - d[3]),
+        c * sq(dd[2]) + sq(3.0 * d[2] - d[3]),
     ]);
     // Candidate differences: right face `3 (c0 - c1)` and `6 (c2 - c1)`,
     // left face the same two with the roles swapped.
     let (lo, hi) = (dd[0] - dd[1], dd[1] + dd[2]);
-    let (far, near) = (L::splat(D5[0] / D5[1]), L::splat(D5[2] / D5[1]));
+    let (far, near) = (D5[0] / D5[1], D5[2] / D5[1]);
     (
         v[2] - offset5(
-            d[2] + two * d[1],
+            d[2] + 2.0 * d[1],
             hi,
             lo,
             weights([far * g[2], g[1], near * g[0]]),
         ),
         v[2] + offset5(
-            d[1] + two * d[2],
+            d[1] + 2.0 * d[2],
             lo,
             hi,
             weights([far * g[0], g[1], near * g[2]]),
@@ -164,19 +163,15 @@ fn cell5<L: Lane>(
 /// Jiang–Shu weight factors `1 / (eps + beta_k)^2` in common-denominator
 /// form, from four times the smoothness indicators.
 #[inline(always)]
-fn js_factors<L: Lane>(b4: [L; 3]) -> [L; 3] {
-    cross_products(b4.map(|b| sq(L::splat(4.0 * EPS) + b)))
+fn js_factors(b4: [f64; 3]) -> [f64; 3] {
+    cross_products(b4.map(|b| sq(4.0 * EPS + b)))
 }
 
 /// Fifth-order Jiang–Shu reconstruction of one cell from the five cell
-/// averages `v` (centre `v[2]`): its (left-face, right-face) values.
-///
-/// Generic over [`Lane`] — like every cell function here — with scalar
-/// literals broadcast via `splat` around the identical op sequence, so
-/// each packed lane computes bitwise the `f64` result for its cell. One
+/// averages `v` (centre `v[2]`): its (left-face, right-face) values. One
 /// division per face value.
 #[inline(always)]
-pub fn weno5_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+pub fn weno5_cell(v: &[f64; 5]) -> (f64, f64) {
     cell5(v, js_factors, |a| a)
 }
 
@@ -184,13 +179,13 @@ pub fn weno5_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
 /// `d_k (1 + tau5 / (beta_k + eps))` in common-denominator form,
 /// `d_k (t_k + tau5) P_k` with `t_k = beta_k + eps`.
 #[inline(always)]
-pub fn weno5z_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+pub fn weno5z_cell(v: &[f64; 5]) -> (f64, f64) {
     cell5(
         v,
         |b4| {
             // Global fifth-order smoothness indicator.
             let tau5 = (b4[0] - b4[2]).abs();
-            let t = b4.map(|b| b + L::splat(4.0 * EPS_Z));
+            let t = b4.map(|b| b + 4.0 * EPS_Z);
             let p = cross_products(t);
             [
                 (t[0] + tau5) * p[0],
@@ -205,21 +200,17 @@ pub fn weno5z_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
 /// Henrick's mapping: pulls a nonlinear weight toward its optimal value
 /// `g` at fifth order, `g_k(w) = w (g + g^2 - 3 g w + w^2) / (g^2 + w (1 - 2 g))`.
 #[inline(always)]
-fn henrick_map<L: Lane>(w: L, g: f64) -> L {
-    // The scalar-only subexpressions (`g + g*g`, `3g`, `g*g`, `1 - 2g`)
-    // are splat after evaluation: float ops on the scalar constant are
-    // deterministic, so this matches the inline scalar evaluation order.
-    w * (L::splat(g + g * g) - L::splat(3.0 * g) * w + w * w)
-        / (L::splat(g * g) + w * L::splat(1.0 - 2.0 * g))
+fn henrick_map(w: f64, g: f64) -> f64 {
+    w * ((g + g * g) - (3.0 * g) * w + w * w) / ((g * g) + w * (1.0 - 2.0 * g))
 }
 
 /// Fifth-order mapped WENO (WENO-M) reconstruction of one cell: the
 /// shared Jiang–Shu factors, normalised per side and pushed through the
 /// Henrick map (which keeps its own divisions).
 #[inline(always)]
-pub fn weno5m_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
+pub fn weno5m_cell(v: &[f64; 5]) -> (f64, f64) {
     cell5(v, js_factors, |a| {
-        let inv = L::splat(1.0) / (a[0] + a[1] + a[2]);
+        let inv = 1.0 / (a[0] + a[1] + a[2]);
         [
             henrick_map(a[0] * inv, D5[0]),
             henrick_map(a[1] * inv, D5[1]),
@@ -233,13 +224,13 @@ pub fn weno5m_cell<L: Lane>(v: &[L; 5]) -> (L, L) {
 /// smoothness indicators are shared by both faces; the candidates are
 /// `centre + d_k / 2`, the `1/2` riding in the division.
 #[inline(always)]
-pub fn weno3_cell<L: Lane>(v: &[L; 3]) -> (L, L) {
+pub fn weno3_cell(v: &[f64; 3]) -> (f64, f64) {
     let d = [v[1] - v[0], v[2] - v[1]];
-    let s = d.map(|dk| sq(L::splat(EPS) + sq(dk)));
-    let (w0, w1) = (L::splat(1.0 / 3.0), L::splat(2.0 / 3.0));
+    let s = d.map(|dk| sq(EPS + sq(dk)));
+    let (w0, w1) = (1.0 / 3.0, 2.0 / 3.0);
     // Offset toward the `e[1]` side from weights `a`, far stencil first.
-    let offset = |e: [L; 2], a: [L; 2]| {
-        let inv = L::splat(0.5) / (a[0] + a[1]);
+    let offset = |e: [f64; 2], a: [f64; 2]| {
+        let inv = 0.5 / (a[0] + a[1]);
         (a[0] * inv) * e[0] + (a[1] * inv) * e[1]
     };
     (
@@ -272,11 +263,8 @@ pub fn reconstruct_line(
 /// and in both loop orders.
 ///
 /// The line body is compiled twice from one source — for the build's
-/// baseline target and, on x86-64, with AVX2 enabled — and the entry is
-/// chosen from what the running CPU reports (std caches the detection, so
-/// the choice is made once per process). Neither entry may contract a
-/// multiply-add, and packing lanes cannot change an IEEE result, so the
-/// two are bitwise identical; [`line_isa`] names the one that runs.
+/// baseline target and, on x86-64, with AVX2 enabled — and runs the entry
+/// [`crate::isa::kernel_isa`] names; the two are bitwise identical.
 pub fn reconstruct_line_padded(
     order: WenoOrder,
     v: &[f64],
@@ -286,7 +274,7 @@ pub fn reconstruct_line_padded(
     right: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if crate::isa::avx2() {
         // SAFETY: the running CPU was just seen to support AVX2, the only
         // requirement of `line_avx2` beyond those of the safe line body.
         return unsafe { line_avx2(order, v, pad, n, left, right) };
@@ -306,16 +294,6 @@ pub fn reconstruct_line_padded_baseline(
     right: &mut [f64],
 ) {
     line_body(order, v, pad, n, left, right);
-}
-
-/// Instruction set of the line-kernel entry [`reconstruct_line_padded`]
-/// runs in this process: `"avx2"` or `"baseline"`.
-pub fn line_isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "baseline"
 }
 
 /// [`line_body`] compiled with AVX2 (and never FMA) enabled.
@@ -724,7 +702,7 @@ mod tests {
     /// entry *is* the baseline one and there is nothing to compare.
     #[test]
     fn avx2_entry_matches_the_baseline_entry_bitwise() {
-        if line_isa() != "avx2" {
+        if !crate::isa::avx2() {
             eprintln!("skipped: this CPU runs the baseline entry only");
             return;
         }

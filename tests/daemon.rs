@@ -182,7 +182,9 @@ impl Client {
     /// One raw line out, one response line back.
     fn roundtrip(&mut self, line: &str) -> Value {
         // One write per frame, so the daemon never holds half of one.
-        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         self.writer.flush().unwrap();
         let mut resp = String::new();
         self.reader.read_line(&mut resp).unwrap();

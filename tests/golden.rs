@@ -178,13 +178,13 @@ fn check(name: &str, steps: usize) {
         panic!("missing golden {path:?} ({e}); generate with MFC_BLESS=1 cargo test --test golden")
     });
     let golden: GoldenRecord = serde_json::from_str(&text).unwrap();
-    // The two entries of the WENO line kernel are bitwise identical by
+    // The two entries of the dispatched stages are bitwise identical by
     // construction; a drift report still says which one ran.
-    let isa = mfc_core::weno::line_isa();
-    eprintln!("{name}: WENO line kernel ran its {isa} entry");
+    let isa = mfc_core::isa::kernel_isa();
+    eprintln!("{name}: WENO and Riemann stages ran their {isa} entry");
     if let Err(diff) = compare(&golden, &actual) {
         panic!(
-            "{name} drifted from its golden record (WENO line kernel: {isa} entry):\n{diff}\
+            "{name} drifted from its golden record (WENO and Riemann stages: {isa} entry):\n{diff}\
              If the change is intentional, regenerate with \
              MFC_BLESS=1 cargo test --test golden"
         );

@@ -9,11 +9,11 @@
 //!
 //! 1. Property: random 3-D domains × widths {2, 4, 8} × workers {1, 4} ×
 //!    both sweep engines × every Riemann solver, against the width-1 run.
-//! 2. Shipped cases: every `cases/*.json` at the default W=4 reproduces
-//!    the W=1 state bitwise over the golden step counts, serially and on
-//!    2 ranks. (The golden suite itself runs at the new W=4
-//!    default, so goldens recorded under scalar execution already pin
-//!    this too.)
+//! 2. Shipped cases: every `cases/*.json` at the default width
+//!    (`mfc_acc::DEFAULT_WIDTH`) reproduces the W=1 state bitwise over the
+//!    golden step counts, serially and on 2 ranks. (The golden suite
+//!    itself runs at the default width, so goldens recorded under scalar
+//!    execution already pin this too.)
 //! 3. Engagement: on a 16^3 case the trace's per-launch lane annotation
 //!    shows the vector kernels really executing 4-wide packets — the
 //!    equivalence above is not vacuous — and the traced per-kernel
@@ -28,6 +28,7 @@ use mfc::core::riemann::RiemannSolver;
 use mfc::mpsim::Staging;
 use mfc::trace::{chrome, reconcile_trace, EventKind, Tracer};
 use mfc::{presets, Context, Solver, SolverConfig};
+use mfc_acc::DEFAULT_WIDTH;
 use mfc_cli::CaseFile;
 
 /// Lane widths exercised against the width-1 reference.
@@ -81,7 +82,7 @@ proptest! {
 }
 
 /// Every shipped case file reproduces its width-1 state bitwise at the
-/// default width 4 over the golden step counts.
+/// default width over the golden step counts.
 #[test]
 fn shipped_cases_bitwise_equal_at_default_lane_width() {
     for (name, steps) in [
@@ -94,18 +95,25 @@ fn shipped_cases_bitwise_equal_at_default_lane_width() {
         let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
         let case = cf.to_case().unwrap();
         let cfg = cf.numerics.to_solver_config().unwrap();
-        assert_eq!(cfg.vector_width, 4, "{name}: shipped default must be W=4");
+        assert_eq!(
+            cfg.vector_width, DEFAULT_WIDTH,
+            "{name}: shipped cases run at the default width"
+        );
 
         let mut scalar = Solver::new(&case, cfg, Context::serial().with_vector_width(1));
         scalar.run_steps(steps).unwrap();
 
-        let mut vec = Solver::new(&case, cfg, Context::serial().with_vector_width(4));
+        let mut vec = Solver::new(
+            &case,
+            cfg,
+            Context::serial().with_vector_width(DEFAULT_WIDTH),
+        );
         vec.run_steps(steps).unwrap();
 
         assert_eq!(
             scalar.state().as_slice(),
             vec.state().as_slice(),
-            "{name}: W=4 state diverged from scalar"
+            "{name}: W={DEFAULT_WIDTH} state diverged from scalar"
         );
         assert_eq!(
             scalar.time().to_bits(),
@@ -115,10 +123,10 @@ fn shipped_cases_bitwise_equal_at_default_lane_width() {
     }
 }
 
-/// Shipped cases on 2 simulated ranks at W=4 still match the scalar
-/// serial state — lane packets compose with halo regions.
+/// Shipped cases on 2 simulated ranks at the default width still match
+/// the scalar serial state — lane packets compose with halo regions.
 #[test]
-fn shipped_cases_two_rank_bitwise_equal_at_w4() {
+fn shipped_cases_two_rank_bitwise_equal_at_default_lane_width() {
     for (name, steps) in [
         ("sod", 6usize),
         ("taylor_green", 4),
@@ -131,12 +139,12 @@ fn shipped_cases_two_rank_bitwise_equal_at_w4() {
         let mut cfg = cf.numerics.to_solver_config().unwrap();
         cfg.vector_width = 1;
         let scalar = run_single(&case, cfg, steps);
-        cfg.vector_width = 4;
+        cfg.vector_width = DEFAULT_WIDTH;
         let (dist, _) = run_distributed(&case, cfg, 2, steps, Staging::DeviceDirect).unwrap();
         assert_eq!(
             dist.max_abs_diff(&scalar),
             0.0,
-            "{name}: 2 ranks x W=4 diverged from scalar serial"
+            "{name}: 2 ranks x W={DEFAULT_WIDTH} diverged from scalar serial"
         );
     }
 }
