@@ -52,9 +52,9 @@
 //! is what the compiler's loop vectoriser packs best). WENO and Riemann are
 //! each compiled twice, for the baseline target and with AVX2, and run the
 //! entry the CPU selects ([`crate::isa`]). The gather's copy is a scalar
-//! byte shuffle; the conversion runs lane packets along each line; the
-//! update is a scalar loop whose innermost index runs across the pencil's
-//! lines, which are consecutive in canonical x on the y and z sweeps.
+//! byte shuffle; the conversion runs lane packets along each line, and so
+//! does the x update; the y and z updates are a scalar loop whose innermost
+//! index runs across the pencil's lines, consecutive in canonical x.
 //!
 //! Each stage lands in the `mfc-acc` ledger under its own label with the
 //! same per-item cost in both engines — `f_*` pencil-major, `s_*`
@@ -743,10 +743,12 @@ impl<E: EqLayout> Sweep<'_, E> {
     /// variable across the lines: each (cell, variable) row writes `bw`
     /// consecutive values, a cache line at a time, instead of revisiting
     /// every cache line of the RHS once per line. The x sweep keeps lane
-    /// packets along each line, whose cells are consecutive: every single
-    /// loop nest tried for all three axes ran the x update 1.5–2.6x slower
-    /// on `grind3d` (58 ms ±6 over 3 steps at 96³ against 92–164 ms;
-    /// EXPERIMENTS.md, "Riemann at eight lanes").
+    /// packets along each line, whose cells are consecutive, with the
+    /// variables innermost. Every single loop nest tried for all three axes
+    /// lost on one side (`grind3d`, 3 steps at 96³): with the variable loop
+    /// outside the cells the x update took 92–164 ms against 58 ms ±6, and
+    /// with it innermost y and z took 150/203 ms against 104/156 ms for
+    /// this nest (EXPERIMENTS.md, "Riemann at eight lanes").
     #[inline(never)]
     fn update<L: Lane>(&self, u: Unit, flux: &[f64], ustar: &[f64]) {
         let neq = self.eq.neq();
