@@ -25,9 +25,9 @@
 //! - `run.steps` or `run.t_end` set; `io.wave` ≥ 1
 //! - ranks ≤ cells and blocks ≥ the halo depth on every active axis — an
 //!   unbounded `best_block_dims` search; `Domain::new` assert
-//! - a distributed run takes `run.steps`, not `run.t_end`, and no probes
-//!   (they were silently dropped); every probe lies inside the domain —
-//!   `ProbeSet::new` assert
+//! - every probe lies inside the domain — `ProbeSet::new` assert; probes
+//!   need `run.failure_policy` revive — a shrink or a spare promotion hands
+//!   a probe's cell to a block without its history
 //! - the fault plan parses and fits the rank count, the recovery ladder
 //!   parses (unreadable file: [`RunError::Io`], exit 3)
 
@@ -38,6 +38,7 @@ use mfc_core::axisym::Geometry;
 use mfc_core::case::{CaseBuilder, Region};
 use mfc_core::probes::Probe;
 use mfc_core::recovery::RecoveryPolicy;
+use mfc_core::run::Stop;
 use mfc_core::solver::SolverConfig;
 use mfc_mpsim::{best_block_dims, validate_halo_extents, FailurePolicy, FaultPlan, MAX_RANKS};
 
@@ -57,12 +58,12 @@ apply the same checks; a refused case is exit 2 and nothing is written):
                (0, 1], fixed dt finite and > 0, workers <= 256
   geometry     axisymmetric needs ndim >= 2, cylindrical3_d ndim = 3, both
                a radial lo >= 0; lo < hi and finite on every axis
-  stopping     run.steps or run.t_end (finite, > 0); a distributed run
-               (ranks > 1, checkpoint_every > 0 or a fault plan) needs
-               run.steps and takes no probes
+  stopping     run.steps or run.t_end (finite, > 0), whichever comes
+               first; the last step lands on t_end, on any rank count
   layout       ranks <= cells, ranks + spares <= 4096, blocks at least
                the halo depth wide on every active axis, io.wave >= 1,
-               probes inside the domain
+               probes inside the domain and, with probes,
+               failure_policy revive
   files        fault plan and recovery ladder parse and fit the rank
                count (unreadable: exit 3)
 ";
@@ -77,9 +78,7 @@ pub struct Admitted {
     ranks: usize,
     dims: [usize; 3],
     ghost_layers: usize,
-    /// Step budget (0 = none) and end time; see [`Admitted::finished`].
-    steps: usize,
-    t_end: Option<f64>,
+    stop: Stop,
     distributed: bool,
     plan: FaultPlan,
     recovery: Option<RecoveryPolicy>,
@@ -125,10 +124,9 @@ impl Admitted {
         self.distributed
     }
 
-    /// The stopping rule: whether a solver that has taken `steps` steps to
-    /// time `t` is done — the step budget or `t_end`, whichever is first.
-    pub fn finished(&self, steps: u64, t: f64) -> bool {
-        (self.steps != 0 && steps >= self.steps as u64) || self.t_end.is_some_and(|end| t >= end)
+    /// The stopping rule: the step budget or `t_end`, whichever is first.
+    pub fn stop(&self) -> Stop {
+        self.stop
     }
 
     /// Where a distributed run with `io.wave_files` puts its wave files.
@@ -149,9 +147,9 @@ impl Admitted {
             self.ghost_layers,
             self.cfg.workers,
             self.cfg.vector_width,
-            match self.t_end {
-                Some(t) => format!("until t = {t:.4e}"),
-                None => format!("{} steps", self.steps),
+            match self.stop.t_end {
+                t if t.is_finite() => format!("until t = {t:.4e}"),
+                _ => format!("{} steps", self.stop.steps),
             }
         )
     }
@@ -169,8 +167,7 @@ pub fn admit(case_file: &CaseFile) -> Result<Admitted, RunError> {
     let ranks = run.ranks.max(1);
     let distributed = ranks > 1 || run.checkpoint_every > 0 || run.faults.is_some();
     let ghost_layers = cfg.rhs.order.ghost_layers().max(1);
-    let dims =
-        check_case(case_file, &case, ranks, distributed, ghost_layers).map_err(RunError::Config)?;
+    let dims = check_case(case_file, &case, ranks, ghost_layers).map_err(RunError::Config)?;
 
     let plan = match &run.faults {
         Some(path) => FaultPlan::from_json(&read_named(path, "fault plan")?)
@@ -201,8 +198,14 @@ pub fn admit(case_file: &CaseFile) -> Result<Admitted, RunError> {
         ranks,
         dims,
         ghost_layers,
-        steps: run.steps,
-        t_end: run.t_end,
+        stop: Stop {
+            steps: if run.steps == 0 {
+                u64::MAX
+            } else {
+                run.steps as u64
+            },
+            t_end: run.t_end.unwrap_or(f64::INFINITY),
+        },
         distributed,
         plan,
         recovery,
@@ -245,7 +248,6 @@ fn check_case(
     cf: &CaseFile,
     case: &CaseBuilder,
     ranks: usize,
-    distributed: bool,
     ng: usize,
 ) -> Result<[usize; 3], String> {
     let (ndim, num, run) = (case.ndim, &cf.numerics, &cf.run);
@@ -311,15 +313,10 @@ fn check_case(
         "run.steps or run.t_end must be set"
     );
     require!(cf.io.wave != 0, "io.wave must be at least 1");
-    const DRIVER: &str =
-        "the distributed driver (run.ranks > 1, run.checkpoint_every or run.faults)";
     require!(
-        !distributed || run.t_end.is_none(),
-        "run.t_end is not supported by {DRIVER}; use run.steps"
-    );
-    require!(
-        !distributed || cf.probes.is_empty(),
-        "probes are sampled by the serial solver only, not by {DRIVER}"
+        cf.probes.is_empty() || run.failure_policy == FailurePolicy::Revive,
+        "probes need run.failure_policy revive: a shrink or a spare promotion hands a \
+         probe's cell to a block without its history"
     );
     for p in &cf.probes {
         require!(

@@ -1,5 +1,5 @@
-//! Executing an [`Admitted`] case: the distributed driver or the serial
-//! solver, then the trace, probe and VTK artifacts. Everything here takes
+//! Executing an [`Admitted`] case: its blocks through the run loop (one
+//! lone block, or one per rank), then the trace, probe and VTK artifacts. Everything here takes
 //! its inputs from admission; nothing is validated, re-read or re-derived.
 
 use std::path::{Path, PathBuf};
@@ -11,12 +11,10 @@ use mfc_acc::{resilience_summary, Context, Ledger};
 use mfc_core::case::CaseBuilder;
 use mfc_core::eqidx::EqIdx;
 use mfc_core::output::{block_to_vec, write_vtk_rectilinear};
-use mfc_core::par::{
-    run_distributed_resilient, GlobalField, ResilienceError, ResilienceOpts, WaveOutput,
-};
-use mfc_core::probes::ProbeSet;
+use mfc_core::par::{run_ranks, GlobalField, ResilienceError, ResilienceOpts, WaveOutput};
+use mfc_core::probes::{ProbeOutput, ProbeSet};
 use mfc_core::solver::Solver;
-use mfc_core::HealthConfig;
+use mfc_core::{HealthConfig, StepControl};
 use mfc_mpsim::{FaultCtx, Staging};
 use mfc_trace::Tracer;
 
@@ -101,9 +99,10 @@ impl Admitted {
         // timeline against it. `None` keeps the per-launch fast path.
         let tracer: Option<Arc<Tracer>> = self.trace.as_ref().map(|_| Arc::new(Tracer::new()));
         let cells = case.cells.iter().product::<usize>();
+        let stop = self.stop();
+        let probes = std::mem::take(&mut self.probes);
 
         let (global, steps_done, t_done, grind_ns, resilience) = if self.distributed {
-            let steps = self.steps;
             let faults = if self.plan.is_empty() && self.spares == 0 {
                 None
             } else {
@@ -132,27 +131,23 @@ impl Admitted {
                 output: self.io.wave_files.then(|| WaveOutput {
                     dir: self.wave_dir(),
                     wave_size: self.io.wave,
-                    step_id: steps,
                 }),
             };
+            let dir = out_dir.clone();
+            let probes = (!probes.is_empty()).then_some(ProbeOutput { dir, probes });
+            let staging = Staging::DeviceDirect;
             let t0 = std::time::Instant::now();
-            let (gf, stats) = run_distributed_resilient(
-                case,
-                cfg,
-                self.ranks,
-                steps,
-                Staging::DeviceDirect,
-                &opts,
-            )
-            .map_err(map_resilience_err)?;
+            let (gf, stats) =
+                run_ranks(case, cfg, self.ranks, stop, probes.as_ref(), staging, &opts)
+                    .map_err(map_resilience_err)?;
             let wall = t0.elapsed();
             let grind = wall.as_nanos() as f64
                 / (cells as f64
                     * gf.neq as f64
-                    * (steps as f64 * cfg.scheme.stages() as f64).max(1.0));
+                    * (stats.steps as f64 * cfg.scheme.stages() as f64).max(1.0));
             (
                 Some(gf),
-                steps as u64,
+                stats.steps,
                 stats.time,
                 grind,
                 resilience_summary(&events),
@@ -169,25 +164,14 @@ impl Admitted {
             if let Some(p) = self.recovery.take() {
                 solver = solver.with_recovery(p);
             }
-            let probes = std::mem::take(&mut self.probes);
             let mut probes =
                 (!probes.is_empty()).then(|| ProbeSet::new(probes, solver.domain(), solver.grid()));
-            while !self.finished(solver.steps(), solver.time()) {
-                solver
-                    .step()
-                    .map_err(|e| RunError::Numerical(e.to_string()))?;
-                if let Some(ps) = probes.as_mut() {
-                    ps.sample(solver.time(), &case.fluids, solver.state());
-                }
-            }
+            solver
+                .run(stop, probes.as_mut(), |_| StepControl::Continue)
+                .map_err(|e| RunError::Numerical(e.to_string()))?;
             if let Some(ps) = &probes {
-                for idx in 0..ps.len() {
-                    let path = out_dir.join(format!("{}_probe.csv", ps.probe(idx).name));
-                    let mut f = std::fs::File::create(&path)
-                        .map_err(|e| RunError::Io(format!("cannot create probe file: {e}")))?;
-                    ps.write_csv(idx, &mut f)
-                        .map_err(|e| RunError::Io(format!("probe write failed: {e}")))?;
-                }
+                ps.write_csvs(out_dir, &solver)
+                    .map_err(|e| RunError::Io(format!("probe write failed: {e}")))?;
             }
             // Serial ladder activity (health faults, retries, rung changes)
             // lands in the solver's own ledger.

@@ -32,9 +32,9 @@ flags:
                          bitwise identical at every width
   --faults plan.json     fault-injection plan (mfc_mpsim::FaultPlan)
   --checkpoint-every N   checkpoint wave period in steps. Multi-rank,
-                         checkpointed and fault-plan runs all use the one
-                         distributed driver; a non-zero N adds its
-                         checkpoint layer (and needs run.steps)
+                         checkpointed and fault-plan runs step every rank
+                         through the one run loop; a non-zero N adds its
+                         checkpoint layer
   --ckpt-keep N          checkpoint retention: keep the N newest committed
                          waves per rank (default 2; the newest committed
                          wave is never garbage-collected)

@@ -2,15 +2,22 @@
 //! for the admission rules (every entry point gives the same verdict),
 //! exit codes on I/O and numerical failures, wave files combined with
 //! checkpointing, the lane width's bitwise invisibility, the removed
-//! `--overlap` flag, and recovery from rank loss and corrupt checkpoints.
+//! `--overlap` flag, runs that stop exactly at `t_end` with probes on any
+//! rank count, and recovery from rank loss and corrupt checkpoints.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use mfc_cli::{CaseFile, ProbeConfig};
+use mfc_acc::Context;
+use mfc_cli::{vtk_fields, CaseFile, ProbeConfig};
 use mfc_core::axisym::Geometry;
 use mfc_core::case::Region;
+use mfc_core::output::{block_to_vec, write_vtk_rectilinear};
+use mfc_core::par::GlobalField;
+use mfc_core::probes::ProbeSet;
+use mfc_core::Solver;
+use mfc_mpsim::FailurePolicy;
 use mfc_trace::{chrome, nesting, reconcile_trace};
 
 /// A well-formed 1-D case with `nf` identical fluids.
@@ -450,7 +457,7 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         c.run.ranks = 2;
     };
     type Row<'a> = (&'a str, i32, &'a dyn Fn(&mut CaseFile));
-    let rows: [Row; 28] = [
+    let rows: [Row; 27] = [
         ("numerics.cfl must be in (0, 1]", 2, &|c| {
             c.numerics.cfl = 0.0
         }),
@@ -502,15 +509,8 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
             c.run.t_end = None
         }),
         ("io.wave must be at least 1", 2, &|c| c.io.wave = 0),
-        // `t_end` with a checkpoint period on one rank: the parent's two
-        // validators disagreed on whether that run is distributed.
-        (
-            "run.t_end is not supported by the distributed driver",
-            2,
-            &|c| c.run.checkpoint_every = 5,
-        ),
-        ("probes are sampled by the serial solver only", 2, &|c| {
-            distributed(c);
+        ("probes need run.failure_policy revive", 2, &|c| {
+            c.run.failure_policy = FailurePolicy::Shrink;
             c.probes = vec![ProbeConfig {
                 name: "mid".into(),
                 x: [0.5, 0.0, 0.0],
@@ -619,6 +619,107 @@ fn distributed_runs_report_the_simulation_time() {
     let t = done_time(&mfc_run(&serial, &[]));
     assert!(t.parse::<f64>().unwrap() > 0.0, "{t}");
     assert_eq!(done_time(&mfc_run(&two, &[])), t);
+}
+
+/// The shipped Sod tube and `Solver::run_until` on it: the final state, as
+/// a VTK file, and the probe set `probes` sampled on that state.
+fn sod_until_t_end(case: &CaseFile, vtk: &Path) -> (Solver, ProbeSet) {
+    let built = case.to_case().unwrap();
+    let cfg = case.numerics.to_solver_config().unwrap();
+    let mut solver = Solver::new(&built, cfg, Context::serial());
+    solver
+        .run_until(case.run.t_end.unwrap(), usize::MAX)
+        .unwrap();
+    let field = GlobalField {
+        n: built.cells,
+        neq: solver.domain().eq.neq(),
+        data: block_to_vec(solver.state()),
+    };
+    let fields = vtk_fields(&built.eq());
+    let refs: Vec<(&str, usize)> = fields.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+    write_vtk_rectilinear(vtk, &built.grid(), &field, &refs).unwrap();
+    let mut probes = ProbeSet::new(case.probes.clone(), solver.domain(), solver.grid());
+    probes.sample(solver.time(), &built.fluids, solver.state());
+    (solver, probes)
+}
+
+/// Regression: `mfc-run` stepped the shipped Sod tube (`t_end: 0.15`) past
+/// its end time, to t = 0.150216 in 131 steps. The last step now lands on
+/// `t_end` bit for bit, at the state `Solver::run_until` reaches.
+#[test]
+fn shipped_sod_stops_exactly_at_t_end() {
+    let scratch = Scratch::new("tend");
+    let mut case = scratch.shipped_sod();
+    case.probes = vec![ProbeConfig {
+        name: "right".into(),
+        x: [0.8, 0.0, 0.0],
+    }];
+    let path = scratch.write("sod.json", &serde_json::to_string(&case).unwrap());
+    let out = mfc_run(&path, &[]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(done_time(&out), "1.5000e-1");
+    let (solver, reference) = sod_until_t_end(&case, &scratch.0.join("reference.vtk"));
+    assert_eq!(solver.time().to_bits(), 0.15f64.to_bits());
+    let csv = std::fs::read_to_string(scratch.0.join("out/right_probe.csv")).unwrap();
+    assert_eq!(csv.lines().count() as u64, solver.steps());
+    let mut last = Vec::new();
+    reference.write_csv(0, &mut last).unwrap();
+    assert_eq!(
+        csv.lines().last().unwrap(),
+        String::from_utf8(last).unwrap().trim_end()
+    );
+    assert!(csv.lines().last().unwrap().starts_with("0.15,"));
+}
+
+/// What the refusal table used to turn away: `t_end` and probes on a
+/// distributed run. Two ranks write the serial run's probe CSVs and VTK
+/// byte for byte — one probe sits on the block face at x = 0.5 — and both
+/// are the state `Solver::run_until` reaches.
+#[test]
+fn t_end_and_probes_on_two_ranks_match_the_serial_run_byte_for_byte() {
+    let scratch = Scratch::new("tend_ranks");
+    let mut trees = Vec::new();
+    let mut case = scratch.shipped_sod();
+    for ranks in [1, 2] {
+        case.run.ranks = ranks;
+        case.output.dir = scratch.0.join(format!("r{ranks}"));
+        case.output.vtk = true;
+        case.probes = vec![
+            ProbeConfig {
+                name: "face".into(),
+                x: [0.5, 0.0, 0.0],
+            },
+            ProbeConfig {
+                name: "right".into(),
+                x: [0.8, 0.0, 0.0],
+            },
+        ];
+        let path = scratch.write(
+            &format!("r{ranks}.json"),
+            &serde_json::to_string(&case).unwrap(),
+        );
+        let out = mfc_run(&path, &[]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(done_time(&out), "1.5000e-1");
+        trees.push(tree(&case.output.dir));
+    }
+    let names: Vec<_> = trees[0].iter().map(|(path, _)| path.clone()).collect();
+    let expected = ["face_probe.csv", "right_probe.csv", "sod.vtk"].map(PathBuf::from);
+    assert_eq!(names, expected);
+    assert!(trees[0] == trees[1], "2 ranks differ from 1");
+    let reference = scratch.0.join("reference.vtk");
+    sod_until_t_end(&case, &reference);
+    assert!(std::fs::read(reference).unwrap() == trees[0][2].1);
 }
 
 /// A serial run with VTK off takes no end-of-run copy of its state: it

@@ -17,9 +17,9 @@
 //!   transmissive boundaries ([`bc`]), axisymmetric geometric sources
 //!   ([`axisym`]), the azimuthal low-pass filter for cylindrical grids
 //!   ([`filter`]), and a ghost-cell immersed boundary method ([`ibm`]),
-//! * a single-device driver ([`solver`]) and a distributed driver running
-//!   the real pack/`sendrecv`/unpack halo exchange on simulated ranks
-//!   ([`par`]),
+//! * one time step ([`solver`]) and one run loop ([`run`]) that steps a
+//!   single-device block, or each simulated rank of a decomposed run
+//!   with the real pack/`sendrecv`/unpack halo exchange ([`par`]),
 //! * a numerical-health watchdog fused into the primitive-conversion pass
 //!   and a graceful-degradation recovery ladder that retries faulted steps
 //!   under progressively more dissipative policies ([`health`],
@@ -56,6 +56,7 @@ pub mod recovery;
 pub mod restart;
 pub mod rhs;
 pub mod riemann;
+pub mod run;
 pub mod solver;
 pub mod state;
 pub mod time;
@@ -69,7 +70,8 @@ pub use fluid::{Fluid, FluidTable, MixtureRules};
 pub use grid::{Grid, Grid1D};
 pub use health::{HealthConfig, Violation, ViolationKind};
 pub use recovery::{RecoveryAction, RecoveryPolicy, SolverError, StepFault, StepOutcome};
-pub use solver::{Solver, SolverConfig, StepControl};
+pub use run::{StepControl, Stop};
+pub use solver::{Solver, SolverConfig};
 pub use state::StateField;
 pub use time::TimeScheme;
 pub use weno::WenoOrder;

@@ -13,23 +13,23 @@
 //! receive; both land in the transfer ledger, and their modelled cost is
 //! Fig. 4's gap.
 //!
-//! There is one time step — [`Solver::step_with`] — and a rank is a
-//! block plus a comm link: the rank body of [`run_distributed_resilient`]
-//! owns a [`Solver`] for its block and steps it through a `CommLink`
-//! (the policied allreduce and the halo exchange). What stays here is what
-//! only a decomposed run has: checkpoint waves, scripted deaths and
+//! There is one time step — [`Solver::step_with`] — and one run loop —
+//! [`crate::run`]; a rank is a block plus a comm link: the rank body of
+//! [`run_ranks`] owns a [`Solver`] for its block and drives it through a
+//! `Rank` (the policied allreduce and the halo exchange). What stays here
+//! is what only a decomposed run has, run by the `Rank` at the loop's step
+//! boundaries: checkpoint waves, scripted deaths and
 //! stalls, the rendezvous / shrink / spare logic, rollback and replay,
 //! and wave-file output — optional layers of [`ResilienceOpts`]; with all
 //! of them off ([`run_distributed`]) every fault-aware primitive is its
 //! plain blocking counterpart and no per-step state is saved.
 
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind, TransferDirection};
+use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind as Kind, TransferDirection};
 use mfc_mpsim::{
     best_block_dims, block_extents, validate_halo_extents, CartComm, Comm, CommFault,
     FailurePolicy, FaultCtx, SpareWake, Staging, WaveWriter, World,
@@ -40,9 +40,11 @@ use crate::case::CaseBuilder;
 use crate::domain::Domain;
 use crate::grid::{Grid, Grid1D};
 use crate::health::HealthConfig;
+use crate::probes::{ProbeOutput, ProbeSet};
 use crate::recovery::{RecoveryPolicy, StepFault};
 use crate::restart::{load_block, save_block, save_interior, wave_path, BlockLayout};
 use crate::rhs::RhsConfig;
+use crate::run::{drive, Attempt, Boundary, Layers, StepControl, Stop};
 use crate::solver::{Link, RhsEnv, Solver, SolverConfig};
 use crate::state::StateField;
 
@@ -90,6 +92,8 @@ pub struct CommStats {
     pub bytes: u64,
     /// Simulation time the rank reached.
     pub time: f64,
+    /// Steps the run took.
+    pub steps: u64,
 }
 
 /// Run `steps` time steps of `case` on `n_ranks` simulated ranks — the one
@@ -203,7 +207,8 @@ fn assemble_global(
 /// Wave-throttled file-per-process output of the final state (§III-A):
 /// every rank writes its interior block as a block file
 /// ([`crate::restart::save_interior`]) at
-/// [`mfc_mpsim::WaveWriter::rank_path`]`(dir, step_id, rank)`, to be
+/// [`mfc_mpsim::WaveWriter::rank_path`]`(dir, steps, rank)`, `steps` the
+/// steps the run took, to be
 /// reassembled from the files' headers by
 /// [`crate::output::postprocess_wave_files`] (`mfc-post`).
 #[derive(Debug, Clone)]
@@ -212,8 +217,6 @@ pub struct WaveOutput {
     pub dir: PathBuf,
     /// Writer-wave width: at most this many ranks hold open files at once.
     pub wave_size: usize,
-    /// Output step id in the file names.
-    pub step_id: usize,
 }
 
 /// Options for [`run_distributed_resilient`].
@@ -343,13 +346,29 @@ impl std::error::Error for ResilienceError {}
 /// per-rank blocks on rank 0 (`None` elsewhere) plus its comm counters.
 type RankOutcome = Result<(Option<Vec<Vec<f64>>>, CommStats), ResilienceError>;
 
-/// The distributed driver. Every step's collectives and halo exchanges go
-/// through the fault-aware ("policied") path — which *is* the plain
-/// blocking path when `opts.faults` is `None` — the conservative state is
-/// checkpointed every `opts.checkpoint_every` steps, and any detected
-/// failure — message loss beyond the retry budget, a silent rank, or a
-/// scripted rank death — triggers a global rollback to the last committed
-/// checkpoint wave and a replay.
+/// [`run_ranks`] for `steps` steps and no probes.
+pub fn run_distributed_resilient(
+    case: &CaseBuilder,
+    cfg: SolverConfig,
+    n_ranks: usize,
+    steps: usize,
+    staging: Staging,
+    opts: &ResilienceOpts,
+) -> Result<(GlobalField, CommStats), ResilienceError> {
+    let stop = Stop::steps(steps as u64);
+    run_ranks(case, cfg, n_ranks, stop, None, staging, opts)
+}
+
+/// The decomposed run: every rank drives its block through the run loop
+/// ([`crate::run`]) until `stop`, the block that owns each of the `probes`
+/// sampling it, with the layers of `Rank` at the step boundaries. Every
+/// step's collectives and halo exchanges go through the fault-aware
+/// ("policied") path — which *is* the plain blocking path when
+/// `opts.faults` is `None` — the conservative state is checkpointed every
+/// `opts.checkpoint_every` steps, and any detected failure — message loss
+/// beyond the retry budget, a silent rank, or a scripted rank death —
+/// triggers a global rollback to the last committed checkpoint wave and a
+/// replay.
 ///
 /// Step acceptance is a collective decision: each rank scans its block's
 /// health after the update and an allreduce-min over the per-rank verdicts
@@ -361,11 +380,15 @@ type RankOutcome = Result<(Option<Vec<Vec<f64>>>, CommStats), ResilienceError>;
 /// Because checkpoints are bitwise snapshots and the numerics are
 /// deterministic, a faulty run that recovers produces output **bitwise
 /// identical** to a fault-free run — the resilience tests assert this.
-pub fn run_distributed_resilient(
+/// Probe histories live with the block that owns them: a replay rewrites
+/// the samples it repeats, but a shrink or a spare promotion hands a probe
+/// to a block without its history.
+pub fn run_ranks(
     case: &CaseBuilder,
     cfg: SolverConfig,
     n_ranks: usize,
-    steps: usize,
+    stop: Stop,
+    probes: Option<&ProbeOutput>,
     staging: Staging,
     opts: &ResilienceOpts,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
@@ -417,379 +440,68 @@ pub fn run_distributed_resilient(
             detail: format!("creating wave dir {}: {e}", out.dir.display()),
         })?;
     }
-    let total_steps = steps as u64;
-    let every = opts.checkpoint_every;
 
     let rank_body = |comm: &mut Comm| -> RankOutcome {
-        let phys = comm.phys_rank();
         let mut ctx = Context::with_workers(cfg.workers).with_vector_width(cfg.vector_width);
         if let Some(tr) = &opts.trace {
-            let h = tr.handle(phys);
+            let h = tr.handle(comm.phys_rank());
             comm.set_tracer(Arc::clone(&h));
             ctx.set_tracer(h);
         }
-        let mut stats = CommStats::default();
-        let mut needs_recovery = false;
-        // Set once when a hot spare is woken into a vacant slot; consumed
-        // after the rendezvous to record the promotion exactly once.
-        let mut promoted_into: Option<usize> = None;
-
-        if comm.is_spare() {
-            // Hot spares idle outside the decomposition until the board
-            // either promotes one into a dead rank's slot or the run ends.
-            let faults = comm
-                .fault_ctx()
-                .expect("spare ranks require a fault ctx")
-                .clone();
-            match faults.board.spare_wait(phys) {
+        // Hot spares idle outside the decomposition until the board either
+        // promotes one into a dead rank's slot or the run ends.
+        let mut promoted_into = None;
+        if let Some(faults) = comm.fault_ctx().filter(|_| comm.is_spare()) {
+            match faults.board.spare_wait(comm.phys_rank()) {
                 SpareWake::Shutdown => {
                     ctx.flush_ledger_to_trace();
-                    return Ok((None, stats));
+                    return Ok((None, CommStats::default()));
                 }
-                SpareWake::Promote { slot } => {
-                    promoted_into = Some(slot);
-                    needs_recovery = true;
-                }
+                SpareWake::Promote { slot } => promoted_into = Some(slot),
             }
         }
-
-        // Logical rank: the slot in the current epoch's roster. It moves
-        // when the communicator shrinks or a spare is promoted, so every
-        // use goes through the cell.
-        let me = Cell::new(promoted_into.unwrap_or_else(|| comm.rank()));
-        // A shrink rebuilds both; the block carries the current layout.
-        let (mut cart, mut blk) = rank_block(case, cfg, opts, dims, me.get(), ctx);
-
-        let note =
-            |kind: ResilienceEventKind, step: u64, wave: u64, wall: Duration, detail: String| {
-                if let Some(ledger) = &opts.events {
-                    ledger.record_event(ResilienceEvent {
-                        kind,
-                        rank: me.get(),
-                        step,
-                        wave,
-                        wall,
-                        detail,
-                    });
-                }
-            };
-
-        let mut next_wave: u64 = 0;
-        let mut deaths_done: HashSet<usize> = HashSet::new();
-        // Set after a rollback: (pre-fault step to replay through, timer).
-        let mut replay_target: Option<(u64, Instant)> = None;
-        loop {
-            // ---- Recovery: rendezvous, reconfigure, roll back, resume
-            // (or abort). ----
-            if needs_recovery {
-                needs_recovery = false;
-                let _recovery_span = blk.context().span("rollback", Category::Recovery);
-                let faults = comm
-                    .fault_ctx()
-                    .expect("recovery requires a fault ctx")
-                    .clone();
-                let fault_step = blk.steps();
-                let t0 = Instant::now();
-                // Everyone meets at the rendezvous. A transiently dead
-                // rank is revived in place (a restarted process); a
-                // permanently dead one never arrives, and the survivors'
-                // consensus either shrinks the roster around the hole or
-                // waits for a promoted spare to fill it. The generation
-                // bump fences off every pre-fault message still in flight.
-                let reconf = faults.board.rendezvous();
-                comm.finish_recovery(reconf.gen);
-                if !reconf.lost.is_empty() {
-                    let detail = match faults.board.policy() {
-                        FailurePolicy::Revive => format!(
-                            "rank slot(s) {:?} lost permanently under FailurePolicy::Revive \
-                             (no shrink, no spares)",
-                            reconf.lost
-                        ),
-                        FailurePolicy::Spare => format!(
-                            "spare pool exhausted with rank slot(s) {:?} still vacant",
-                            reconf.lost
-                        ),
-                        FailurePolicy::Shrink => {
-                            format!("rank slot(s) {:?} unrecoverable", reconf.lost)
-                        }
-                    };
-                    return Err(ResilienceError::Unrecoverable {
-                        rank: me.get(),
-                        detail,
-                    });
-                }
-                let prev_size = comm.size();
-                comm.adopt_roster(reconf.roster);
-                me.set(comm.rank());
-                let shrunk = comm.size() < prev_size;
-                if shrunk {
-                    // Survivor consensus reached: recompute the Cartesian
-                    // decomposition for the smaller world and rebuild
-                    // every layout-derived structure. Deterministic on
-                    // each survivor, so a rejection is collective.
-                    let _shrink_span = blk.context().span("shrink", Category::Recovery);
-                    let size = comm.size();
-                    let dims = best_block_dims(size, global_n);
-                    if let Err(e) = validate_halo_extents(dims, global_n, eq.ndim(), ng) {
-                        return Err(ResilienceError::Decomposition {
-                            detail: format!("after shrinking to {size} ranks: {e}"),
-                        });
-                    }
-                    (cart, blk) =
-                        rank_block(case, cfg, opts, dims, me.get(), blk.context().clone());
-                    if me.get() == 0 {
-                        note(
-                            ResilienceEventKind::Shrink,
-                            fault_step,
-                            faults.board.committed_wave().unwrap_or(0),
-                            t0.elapsed(),
-                            format!(
-                                "survivor consensus: {prev_size} -> {size} ranks, dims {dims:?}"
-                            ),
-                        );
-                    }
-                }
-                if let Some(slot) = promoted_into.take() {
-                    let _promote_span = blk.context().span("promote_spare", Category::Recovery);
-                    note(
-                        ResilienceEventKind::PromoteSpare,
-                        fault_step,
-                        faults.board.committed_wave().unwrap_or(0),
-                        t0.elapsed(),
-                        format!("physical rank {phys} promoted into logical slot {slot}"),
-                    );
-                }
-                let Some(wave) = faults.board.committed_wave() else {
-                    return Err(ResilienceError::Unrecoverable {
-                        rank: me.get(),
-                        detail: "fault before any committed checkpoint wave".into(),
-                    });
-                };
-                // Walk back from the committed wave until one loads on *every*
-                // rank: a truncated, bit-flipped or inconsistent file fails
-                // locally, and the collective min makes all ranks skip that
-                // wave together. The wave's own headers say which
-                // decomposition wrote it: the current one is a direct read,
-                // an older (pre-shrink) one is re-sharded — each new owner
-                // loads exactly the cells it now owns from that layout's
-                // files.
-                let loaded = (0..=wave).rev().find_map(|cand| {
-                    let shard = |r| wave_path(&opts.ckpt_dir, r, cand);
-                    let local = load_block(shard, me.get(), *blk.domain(), blk.layout());
-                    // Post-rendezvous every roster slot is alive again, so
-                    // the plain (non-policied) collective is safe.
-                    if comm.allreduce_min(if local.is_ok() { 1.0 } else { 0.0 }) >= 1.0 {
-                        let (h, q) = local.expect("agreed loadable");
-                        return Some((h, q, cand));
-                    }
-                    if me.get() == 0 {
-                        let why = local.map_or_else(
-                            |e| e.to_string(),
-                            |_| "a peer rank's block failed".into(),
-                        );
-                        let detail = format!("wave {cand} unreadable, skipping: {why}");
-                        note(
-                            ResilienceEventKind::Rollback,
-                            fault_step,
-                            cand,
-                            t0.elapsed(),
-                            detail,
-                        );
-                    }
-                    None
-                });
-                let Some((header, restored, loaded_wave)) = loaded else {
-                    return Err(ResilienceError::Unrecoverable {
-                        rank: me.get(),
-                        detail: "no loadable checkpoint wave (all corrupt)".into(),
-                    });
-                };
-                let dims_now = blk.layout().dims;
-                let resharded = header.dims != dims_now;
-                let _redist_span = resharded
-                    .then(|| blk.context().span("redistribute", Category::Recovery))
-                    .flatten();
-                // The replay is a fresh deterministic run from the wave: the
-                // restore resets the ladder with it.
-                blk.restore(restored, header.t, header.steps);
-                let step = blk.steps();
-                next_wave = loaded_wave + 1;
-                if resharded && me.get() == 0 {
-                    let detail = format!(
-                        "wave {loaded_wave} re-sharded from {} ranks {:?} onto {} ranks \
-                         {dims_now:?}",
-                        header.dims.iter().product::<usize>(),
-                        header.dims,
-                        comm.size()
-                    );
-                    note(
-                        ResilienceEventKind::Redistribute,
-                        step,
-                        loaded_wave,
-                        t0.elapsed(),
-                        detail,
-                    );
-                }
-                let target = replay_target.map_or(fault_step, |(old, _)| old.max(fault_step));
-                replay_target = Some((target, Instant::now()));
-                if me.get() == 0 {
-                    note(
-                        ResilienceEventKind::Rollback,
-                        step,
-                        loaded_wave,
-                        t0.elapsed(),
-                        format!("all ranks rolled back to wave {loaded_wave} (step {step})"),
-                    );
-                }
-                continue;
-            }
-
-            // ---- Last step accepted: the output layer (§III-A). Bring
-            // the state back to the host (a ledger event), write in
-            // throttled waves, and commit the per-rank outcomes like a
-            // checkpoint wave; a comm fault here rolls back and replays
-            // like any other. ----
-            let step = blk.steps();
-            if step == total_steps {
-                let Some(out) = &opts.output else {
-                    break;
-                };
-                let t0 = Instant::now();
-                let dom = blk.domain();
-                let bytes = (dom.interior_cells() * dom.eq.neq() * 8) as u64;
-                blk.context()
-                    .ledger()
-                    .record_transfer(TransferDirection::DeviceToHost, bytes);
-                let path = WaveWriter::rank_path(&out.dir, out.step_id, me.get());
-                let saved = WaveWriter::new(out.wave_size)
-                    .write(comm, bytes, || {
-                        save_interior(&path, blk.state(), blk.layout(), blk.time(), step)
-                    })
-                    .map(|_wave| ());
-                if commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
-                    break;
-                }
-                needs_recovery = true;
-                continue;
-            }
-
-            if let Some(faults) = comm.fault_ctx().cloned() {
-                // Scripted death: drop all in-memory state and stop
-                // communicating; peers notice via the failure detector.
-                // Consumed by plan index so the death does not re-fire
-                // when the replay passes this step again. Deaths are
-                // scripted against *physical* ranks — the machine dies,
-                // whatever logical slot it currently holds.
-                if let Some(idx) = faults.plan.death_at(phys, step) {
-                    if deaths_done.insert(idx) {
-                        if faults.plan.deaths[idx].permanent {
-                            // Permanent loss: this simulated process never
-                            // restarts. It must not release the spare pool
-                            // (its own slot may still need a spare), so no
-                            // shutdown — just flush and leave.
-                            faults.board.mark_dead_permanent(phys);
-                            blk.context().flush_ledger_to_trace();
-                            return Ok((None, stats));
-                        }
-                        faults.board.mark_dead(phys);
-                        needs_recovery = true;
-                        continue;
-                    }
-                }
-                if let Some(hold) = faults.plan.stall_for(phys, step) {
-                    std::thread::sleep(hold);
-                }
-                if faults.board.recovery_pending() {
-                    needs_recovery = true;
-                    continue;
-                }
-            }
-
-            // ---- Checkpoint wave: save locally, commit collectively. ----
-            if every > 0 && step == next_wave * every {
-                let _ckpt_span = blk.context().span("checkpoint", Category::Io);
-                let wave = next_wave;
-                let t0 = Instant::now();
-                let path = wave_path(&opts.ckpt_dir, me.get(), wave);
-                let saved = save_block(&path, blk.state(), blk.layout(), blk.time(), step);
-                if !commit_write(comm, me.get(), &path, saved, step, t0, &note)? {
-                    needs_recovery = true;
-                    continue;
-                }
-                if let Some(faults) = comm.fault_ctx() {
-                    faults.board.commit_wave(wave);
-                }
-                // Retention: drop the oldest wave outside the keep window.
-                // Exactly one candidate per commit, always strictly older
-                // than the newest committed wave, and GC only ever runs here
-                // — between commits — so it cannot race a rollback's
-                // candidate scan.
-                let keep = opts.ckpt_keep.max(1) as u64;
-                if let Some(old) = wave.checked_sub(keep) {
-                    let _ = std::fs::remove_file(wave_path(&opts.ckpt_dir, me.get(), old));
-                }
-                next_wave += 1;
-                if me.get() == 0 {
-                    note(
-                        ResilienceEventKind::Checkpoint,
-                        step,
-                        wave,
-                        t0.elapsed(),
-                        format!("wave {wave} committed by {} ranks", comm.size()),
-                    );
-                }
-            }
-
-            // ---- The one time step, through this rank's link. ----
-            let t_op = Instant::now();
-            let mut link = CommLink {
-                comm: &mut *comm,
-                cart: &cart,
-                staging,
-                stats: &mut stats,
-                rank: me.get(),
-                wave: next_wave.saturating_sub(1),
-                note: &note,
-            };
-            match blk.step_with(&mut link) {
-                Ok(Ok(_)) => {}
-                Err(fault) => {
-                    detect_fault(comm, &fault, step, t_op.elapsed(), &note);
-                    needs_recovery = true;
-                    continue;
-                }
-                Ok(Err(e)) => {
-                    return Err(ResilienceError::Numerical {
-                        rank: me.get(),
-                        step: e.step,
-                        fault: e.fault,
-                    });
-                }
-            }
-            let step = blk.steps();
-            if let Some((target, since)) = replay_target {
-                if step >= target {
-                    if me.get() == 0 {
-                        note(
-                            ResilienceEventKind::Replay,
-                            step,
-                            next_wave.saturating_sub(1),
-                            since.elapsed(),
-                            format!("replayed through pre-fault step {target}"),
-                        );
-                    }
-                    replay_target = None;
-                }
-            }
-        }
-
+        let me = promoted_into.unwrap_or_else(|| comm.rank());
+        let (cart, mut blk) = rank_block(case, cfg, opts, dims, me, ctx);
+        let mut rank = Rank {
+            comm,
+            cart,
+            staging,
+            stats: CommStats::default(),
+            rank: me,
+            case,
+            cfg,
+            opts,
+            promoted_into,
+            next_wave: 0,
+            deaths_done: HashSet::new(),
+            replay_target: None,
+            t_op: Instant::now(),
+            left: false,
+        };
+        let mut probe_set =
+            probes.map(|p| ProbeSet::new(p.probes.clone(), blk.domain(), &case.grid()));
+        drive(&mut blk, &mut rank, stop, probe_set.as_mut())?;
         blk.context().flush_ledger_to_trace();
-
+        if rank.left {
+            return Ok((None, rank.stats));
+        }
         // All scripted faults are behind us (peers past their last death
         // cannot re-die), so the final gather uses the plain path.
-        let gathered = comm.gather(crate::output::block_to_vec(blk.state()));
-        stats.time = blk.time();
-        Ok((gathered, stats))
+        let gathered = rank.comm.gather(crate::output::block_to_vec(blk.state()));
+        if let (Some(ps), Some(out)) = (&probe_set, probes) {
+            let dir = out.dir.display();
+            ps.write_csvs(&out.dir, &blk)
+                .map_err(|e| rank.io(format!("probes in {dir}: {e}")))?;
+        }
+        let (time, steps) = (blk.time(), blk.steps());
+        Ok((
+            gathered,
+            CommStats {
+                time,
+                steps,
+                ..rank.stats
+            },
+        ))
     };
 
     let body = |mut comm: Comm| -> RankOutcome {
@@ -846,65 +558,388 @@ pub fn run_distributed_resilient(
     Ok((assemble_global(eq, global_n, dims_final, &blocks), stats0))
 }
 
-/// Classify a policied-operation failure: the first rank to see a
-/// *primary* fault (dead peer, timeout) raises the recovery alarm and
-/// records the detection event; ranks that merely observe the alarm
-/// (`RecoveryRequested`) just join the rendezvous.
-fn detect_fault(
-    comm: &Comm,
-    fault: &CommFault,
-    step: u64,
-    latency: Duration,
-    note: &impl Fn(ResilienceEventKind, u64, u64, Duration, String),
-) {
-    if matches!(fault, CommFault::RecoveryRequested) {
-        return;
+/// One rank of a decomposed run: its link to the run's other blocks — the
+/// policied allreduce, and ahead of each RHS evaluation the paired halo
+/// exchange — and the layers only a decomposed run has, run at the run
+/// loop's step boundaries: scripted deaths and stalls, checkpoint waves and
+/// their commit, the rendezvous / shrink / spare logic, rollback and
+/// replay, and wave-file output (§III-A). With every option of
+/// [`ResilienceOpts`] off, each layer is a no-op and no per-step state is
+/// saved.
+struct Rank<'a> {
+    comm: &'a mut Comm,
+    cart: CartComm,
+    staging: Staging,
+    stats: CommStats,
+    /// Logical rank: the slot in the current epoch's roster. It moves when
+    /// the communicator shrinks or a spare is promoted.
+    rank: usize,
+    case: &'a CaseBuilder,
+    cfg: SolverConfig,
+    opts: &'a ResilienceOpts,
+    /// The slot a hot spare was woken into, until the promotion is recorded.
+    promoted_into: Option<usize>,
+    next_wave: u64,
+    /// Scripted deaths already fired, by plan index: a replay passing the
+    /// step again must not re-fire them.
+    deaths_done: HashSet<usize>,
+    /// Set after a rollback: (pre-fault step to replay through, timer).
+    replay_target: Option<(u64, Instant)>,
+    /// When the step under way started, for a link failure's latency.
+    t_op: Instant,
+    /// This rank's machine died for good: it leaves without the gather.
+    left: bool,
+}
+
+impl Link for Rank<'_> {
+    fn rank(&self) -> Option<usize> {
+        Some(self.rank)
     }
-    let faults = comm.fault_ctx().expect("policied fault without fault ctx");
-    if faults.board.request_recovery() {
-        let wave = faults.board.committed_wave().unwrap_or(0);
-        note(
-            ResilienceEventKind::FaultDetected,
-            step,
-            wave,
-            latency,
-            fault.to_string(),
-        );
+
+    fn min(&mut self, v: f64) -> Result<f64, CommFault> {
+        self.comm.allreduce_policied(v, f64::min)
+    }
+
+    fn eval_rhs(
+        &mut self,
+        env: &mut RhsEnv,
+        cfg: &RhsConfig,
+        q: &mut StateField,
+        rhs: &mut StateField,
+    ) -> Result<(), CommFault> {
+        let stats = &mut self.stats;
+        halo_exchange(&env.ctx, self.comm, &self.cart, q, self.staging, stats)?;
+        env.local_rhs(cfg, q, rhs);
+        Ok(())
+    }
+
+    /// A ladder event of this block, stamped with the last checkpoint wave.
+    fn note(&self, kind: Kind, step: u64, wall: Duration, detail: String) {
+        self.record(kind, step, self.next_wave.saturating_sub(1), wall, detail);
     }
 }
 
-/// Commit a per-rank write (checkpoint wave or wave file) collectively.
-/// The commit is a policied min-reduction over the per-rank outcomes: the
-/// write only counts once every live rank has durably written its block,
-/// and a dead or silent rank fails the commit instead of hanging it.
-/// `Ok(true)`: committed. `Ok(false)`: a comm fault, already classified by
-/// [`detect_fault`] — the caller joins the recovery. `Err`: a write failed
-/// somewhere; it travelled the same reduction, so every rank returns this
-/// error in lockstep — the rank whose own write failed names its path and
-/// cause, its peers say they were told.
-fn commit_write<E: std::fmt::Display>(
-    comm: &mut Comm,
-    rank: usize,
-    path: &Path,
-    saved: Result<(), E>,
-    step: u64,
-    t0: Instant,
-    note: &impl Fn(ResilienceEventKind, u64, u64, Duration, String),
-) -> Result<bool, ResilienceError> {
-    let flag = if saved.is_ok() { 1.0 } else { 0.0 };
-    match comm.allreduce_policied(flag, f64::min) {
-        Ok(v) if v >= 1.0 => Ok(true),
-        Ok(_) => {
-            let detail = match saved {
+impl Layers for Rank<'_> {
+    type Error = ResilienceError;
+
+    fn boundary(&mut self, blk: &mut Solver, done: bool) -> Result<Boundary, ResilienceError> {
+        // A promoted spare's first act is the recovery it was woken for.
+        if self.promoted_into.is_some() {
+            return self.recover(blk);
+        }
+        let step = blk.steps();
+        if done {
+            // ---- Last step accepted: the output layer (§III-A). Bring the
+            // state back to the host (a ledger event), write in throttled
+            // waves, and commit the per-rank outcomes like a checkpoint
+            // wave; a comm fault here rolls back and replays like any
+            // other. ----
+            let Some(out) = &self.opts.output else {
+                return Ok(Boundary::Stop);
+            };
+            let t0 = Instant::now();
+            let dom = blk.domain();
+            let bytes = (dom.interior_cells() * dom.eq.neq() * 8) as u64;
+            let ledger = blk.context().ledger();
+            ledger.record_transfer(TransferDirection::DeviceToHost, bytes);
+            let path = WaveWriter::rank_path(&out.dir, step as usize, self.rank);
+            let save = || save_interior(&path, blk.state(), blk.layout(), blk.time(), step);
+            let saved = WaveWriter::new(out.wave_size).write(self.comm, bytes, save);
+            if self.commit_write(&path, saved.map(drop), step, t0)? {
+                return Ok(Boundary::Stop);
+            }
+            return self.recover(blk);
+        }
+
+        if let Some(faults) = self.comm.fault_ctx().cloned() {
+            // Scripted death: drop all in-memory state and stop
+            // communicating; peers notice via the failure detector. Deaths
+            // are scripted against *physical* ranks — the machine dies,
+            // whatever logical slot it currently holds.
+            let phys = self.comm.phys_rank();
+            if let Some(idx) = faults.plan.death_at(phys, step) {
+                if self.deaths_done.insert(idx) {
+                    if faults.plan.deaths[idx].permanent {
+                        // Permanent loss: this simulated process never
+                        // restarts. It must not release the spare pool (its
+                        // own slot may still need a spare), so no shutdown —
+                        // just leave.
+                        faults.board.mark_dead_permanent(phys);
+                        self.left = true;
+                        return Ok(Boundary::Stop);
+                    }
+                    faults.board.mark_dead(phys);
+                    return self.recover(blk);
+                }
+            }
+            if let Some(hold) = faults.plan.stall_for(phys, step) {
+                std::thread::sleep(hold);
+            }
+            if faults.board.recovery_pending() {
+                return self.recover(blk);
+            }
+        }
+
+        // ---- Checkpoint wave: save locally, commit collectively. ----
+        let every = self.opts.checkpoint_every;
+        if every > 0 && step == self.next_wave * every {
+            let _ckpt_span = blk.context().span("checkpoint", Category::Io);
+            let wave = self.next_wave;
+            let t0 = Instant::now();
+            let path = wave_path(&self.opts.ckpt_dir, self.rank, wave);
+            let saved = save_block(&path, blk.state(), blk.layout(), blk.time(), step);
+            if !self.commit_write(&path, saved, step, t0)? {
+                return self.recover(blk);
+            }
+            if let Some(faults) = self.comm.fault_ctx() {
+                faults.board.commit_wave(wave);
+            }
+            // Retention: drop the oldest wave outside the keep window.
+            // Exactly one candidate per commit, always strictly older than
+            // the newest committed wave, and GC only ever runs here —
+            // between commits — so it cannot race a rollback's candidate
+            // scan.
+            let keep = self.opts.ckpt_keep.max(1) as u64;
+            if let Some(old) = wave.checked_sub(keep) {
+                let _ = std::fs::remove_file(wave_path(&self.opts.ckpt_dir, self.rank, old));
+            }
+            self.next_wave += 1;
+            let detail = format!("wave {wave} committed by {} ranks", self.comm.size());
+            self.lead(Kind::Checkpoint, step, wave, t0.elapsed(), detail);
+        }
+        self.t_op = Instant::now();
+        Ok(Boundary::Step)
+    }
+
+    fn stepped(&mut self, blk: &mut Solver, attempt: Attempt) -> Result<(), ResilienceError> {
+        let step = blk.steps();
+        match attempt {
+            Err(fault) => {
+                self.detect_fault(&fault, step, self.t_op.elapsed());
+                self.recover(blk).map(drop)
+            }
+            Ok(Err(e)) => Err(ResilienceError::Numerical {
+                rank: self.rank,
+                step: e.step,
+                fault: e.fault,
+            }),
+            Ok(Ok(_)) => {
+                if let Some((target, since)) = self.replay_target.filter(|t| step >= t.0) {
+                    let detail = format!("replayed through pre-fault step {target}");
+                    let wave = self.next_wave.saturating_sub(1);
+                    self.lead(Kind::Replay, step, wave, since.elapsed(), detail);
+                    self.replay_target = None;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl Rank<'_> {
+    /// Record a resilience event of this rank.
+    fn record(&self, kind: Kind, step: u64, wave: u64, wall: Duration, detail: String) {
+        if let Some(ledger) = &self.opts.events {
+            ledger.record_event(ResilienceEvent {
+                kind,
+                rank: self.rank,
+                step,
+                wave,
+                wall,
+                detail,
+            });
+        }
+    }
+
+    /// Record a collective event: on block 0 only.
+    fn lead(&self, kind: Kind, step: u64, wave: u64, wall: Duration, detail: String) {
+        if self.rank == 0 {
+            self.record(kind, step, wave, wall, detail);
+        }
+    }
+
+    fn io(&self, detail: String) -> ResilienceError {
+        let rank = self.rank;
+        ResilienceError::Io { rank, detail }
+    }
+
+    /// Classify a policied-operation failure: the first rank to see a
+    /// *primary* fault (dead peer, timeout) raises the recovery alarm and
+    /// records the detection event; ranks that merely observe the alarm
+    /// (`RecoveryRequested`) just join the rendezvous.
+    fn detect_fault(&self, fault: &CommFault, step: u64, latency: Duration) {
+        if matches!(fault, CommFault::RecoveryRequested) {
+            return;
+        }
+        let faults = self
+            .comm
+            .fault_ctx()
+            .expect("policied fault without fault ctx");
+        if faults.board.request_recovery() {
+            let wave = faults.board.committed_wave().unwrap_or(0);
+            self.record(Kind::FaultDetected, step, wave, latency, fault.to_string());
+        }
+    }
+
+    /// Commit a per-rank write (checkpoint wave or wave file) collectively.
+    /// The commit is a policied min-reduction over the per-rank outcomes:
+    /// the write only counts once every live rank has durably written its
+    /// block, and a dead or silent rank fails the commit instead of hanging
+    /// it. `Ok(true)`: committed. `Ok(false)`: a comm fault, already
+    /// classified by [`Rank::detect_fault`] — the caller joins the
+    /// recovery. `Err`: a write failed somewhere; it travelled the same
+    /// reduction, so every rank returns this error in lockstep — the rank
+    /// whose own write failed names its path and cause, its peers say they
+    /// were told.
+    fn commit_write<E: std::fmt::Display>(
+        &mut self,
+        path: &Path,
+        saved: Result<(), E>,
+        step: u64,
+        t0: Instant,
+    ) -> Result<bool, ResilienceError> {
+        let flag = if saved.is_ok() { 1.0 } else { 0.0 };
+        match self.comm.allreduce_policied(flag, f64::min) {
+            Ok(v) if v >= 1.0 => Ok(true),
+            Ok(_) => Err(self.io(match saved {
                 Err(e) => format!("writing {}: {e}", path.display()),
                 Ok(()) => PEER_WRITE_FAILED.into(),
+            })),
+            Err(fault) => {
+                self.detect_fault(&fault, step, t0.elapsed());
+                Ok(false)
+            }
+        }
+    }
+
+    /// Rendezvous, reconfigure, roll back to the newest committed wave that
+    /// loads on every rank and arm the replay — or abort.
+    fn recover(&mut self, blk: &mut Solver) -> Result<Boundary, ResilienceError> {
+        let _recovery_span = blk.context().span("rollback", Category::Recovery);
+        let faults = self
+            .comm
+            .fault_ctx()
+            .expect("recovery requires a fault ctx")
+            .clone();
+        let fault_step = blk.steps();
+        let t0 = Instant::now();
+        // Everyone meets at the rendezvous. A transiently dead rank is
+        // revived in place (a restarted process); a permanently dead one
+        // never arrives, and the survivors' consensus either shrinks the
+        // roster around the hole or waits for a promoted spare to fill it.
+        // The generation bump fences off every pre-fault message still in
+        // flight.
+        let reconf = faults.board.rendezvous();
+        self.comm.finish_recovery(reconf.gen);
+        let unrecoverable = |rank, detail| ResilienceError::Unrecoverable { rank, detail };
+        if !reconf.lost.is_empty() {
+            let lost = &reconf.lost;
+            let detail = match faults.board.policy() {
+                FailurePolicy::Revive => format!(
+                    "rank slot(s) {lost:?} lost permanently under FailurePolicy::Revive \
+                     (no shrink, no spares)"
+                ),
+                FailurePolicy::Spare => {
+                    format!("spare pool exhausted with rank slot(s) {lost:?} still vacant")
+                }
+                FailurePolicy::Shrink => format!("rank slot(s) {lost:?} unrecoverable"),
             };
-            Err(ResilienceError::Io { rank, detail })
+            return Err(unrecoverable(self.rank, detail));
         }
-        Err(fault) => {
-            detect_fault(comm, &fault, step, t0.elapsed(), note);
-            Ok(false)
+        let prev_size = self.comm.size();
+        self.comm.adopt_roster(reconf.roster);
+        self.rank = self.comm.rank();
+        let committed = faults.board.committed_wave().unwrap_or(0);
+        let size = self.comm.size();
+        if size < prev_size {
+            // Survivor consensus reached: recompute the Cartesian
+            // decomposition for the smaller world and rebuild every
+            // layout-derived structure. Deterministic on each survivor, so
+            // a rejection is collective.
+            let _shrink_span = blk.context().span("shrink", Category::Recovery);
+            let (case, cfg) = (self.case, self.cfg);
+            let dims = best_block_dims(size, case.cells);
+            let ng = cfg.rhs.order.ghost_layers().max(1);
+            validate_halo_extents(dims, case.cells, case.eq().ndim(), ng).map_err(|e| {
+                let detail = format!("after shrinking to {size} ranks: {e}");
+                ResilienceError::Decomposition { detail }
+            })?;
+            let ctx = blk.context().clone();
+            (self.cart, *blk) = rank_block(case, cfg, self.opts, dims, self.rank, ctx);
+            let detail = format!("survivor consensus: {prev_size} -> {size} ranks, dims {dims:?}");
+            self.lead(Kind::Shrink, fault_step, committed, t0.elapsed(), detail);
         }
+        if let Some(slot) = self.promoted_into.take() {
+            let _promote_span = blk.context().span("promote_spare", Category::Recovery);
+            let phys = self.comm.phys_rank();
+            let detail = format!("physical rank {phys} promoted into logical slot {slot}");
+            self.record(
+                Kind::PromoteSpare,
+                fault_step,
+                committed,
+                t0.elapsed(),
+                detail,
+            );
+        }
+        let Some(wave) = faults.board.committed_wave() else {
+            let detail = "fault before any committed checkpoint wave".into();
+            return Err(unrecoverable(self.rank, detail));
+        };
+        // Walk back from the committed wave until one loads on *every*
+        // rank: a truncated, bit-flipped or inconsistent file fails
+        // locally, and the collective min makes all ranks skip that wave
+        // together. The wave's own headers say which decomposition wrote
+        // it: the current one is a direct read, an older (pre-shrink) one
+        // is re-sharded — each new owner loads exactly the cells it now
+        // owns from that layout's files.
+        let loaded = (0..=wave).rev().find_map(|cand| {
+            let shard = |r| wave_path(&self.opts.ckpt_dir, r, cand);
+            let local = load_block(shard, self.rank, *blk.domain(), blk.layout());
+            // Post-rendezvous every roster slot is alive again, so the
+            // plain (non-policied) collective is safe.
+            if self
+                .comm
+                .allreduce_min(if local.is_ok() { 1.0 } else { 0.0 })
+                >= 1.0
+            {
+                let (h, q) = local.expect("agreed loadable");
+                return Some((h, q, cand));
+            }
+            let why = local.map_or_else(|e| e.to_string(), |_| "a peer rank's block failed".into());
+            let detail = format!("wave {cand} unreadable, skipping: {why}");
+            self.lead(Kind::Rollback, fault_step, cand, t0.elapsed(), detail);
+            None
+        });
+        let Some((header, restored, loaded_wave)) = loaded else {
+            let detail = "no loadable checkpoint wave (all corrupt)".into();
+            return Err(unrecoverable(self.rank, detail));
+        };
+        let dims_now = blk.layout().dims;
+        let resharded = header.dims != dims_now;
+        let _redist_span = resharded
+            .then(|| blk.context().span("redistribute", Category::Recovery))
+            .flatten();
+        // The replay is a fresh deterministic run from the wave: the
+        // restore resets the ladder with it.
+        blk.restore(restored, header.t, header.steps);
+        let step = blk.steps();
+        self.next_wave = loaded_wave + 1;
+        if resharded {
+            let from = header.dims.iter().product::<usize>();
+            let detail = format!(
+                "wave {loaded_wave} re-sharded from {from} ranks {:?} onto {size} ranks \
+                 {dims_now:?}",
+                header.dims
+            );
+            self.lead(Kind::Redistribute, step, loaded_wave, t0.elapsed(), detail);
+        }
+        let target = self
+            .replay_target
+            .map_or(fault_step, |(old, _)| old.max(fault_step));
+        self.replay_target = Some((target, Instant::now()));
+        let detail = format!("all ranks rolled back to wave {loaded_wave} (step {step})");
+        self.lead(Kind::Rollback, step, loaded_wave, t0.elapsed(), detail);
+        Ok(Boundary::Again)
     }
 }
 
@@ -959,51 +994,12 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
         Context::with_workers(cfg.workers).with_vector_width(cfg.vector_width),
     );
     solver
-        .run_steps(steps)
+        .run(Stop::steps(steps as u64), None, |_| StepControl::Continue)
         .expect("serial reference run hit a numerical fault");
     GlobalField {
         n: case.cells,
         neq: solver.domain().eq.neq(),
         data: crate::output::block_to_vec(solver.state()),
-    }
-}
-
-/// A rank's link to the run's other blocks: the policied allreduce, and
-/// ahead of each RHS evaluation the paired halo exchange.
-struct CommLink<'a, N> {
-    comm: &'a mut Comm,
-    cart: &'a CartComm,
-    staging: Staging,
-    stats: &'a mut CommStats,
-    rank: usize,
-    /// The last checkpoint wave, stamped on the block's ladder events.
-    wave: u64,
-    note: &'a N,
-}
-
-impl<N: Fn(ResilienceEventKind, u64, u64, Duration, String)> Link for CommLink<'_, N> {
-    fn rank(&self) -> Option<usize> {
-        Some(self.rank)
-    }
-
-    fn min(&mut self, v: f64) -> Result<f64, CommFault> {
-        self.comm.allreduce_policied(v, f64::min)
-    }
-
-    fn eval_rhs(
-        &mut self,
-        env: &mut RhsEnv,
-        cfg: &RhsConfig,
-        q: &mut StateField,
-        rhs: &mut StateField,
-    ) -> Result<(), CommFault> {
-        halo_exchange(&env.ctx, self.comm, self.cart, q, self.staging, self.stats)?;
-        env.local_rhs(cfg, q, rhs);
-        Ok(())
-    }
-
-    fn note(&self, kind: ResilienceEventKind, step: u64, wall: Duration, detail: String) {
-        (self.note)(kind, step, self.wave, wall, detail);
     }
 }
 
@@ -1133,21 +1129,26 @@ pub(crate) fn stepped_rank_blocks(
     World::run(n_ranks, |mut comm| {
         let rank = comm.rank();
         let (cart, mut blk) = rank_block(case, cfg, &opts, dims, rank, Context::serial());
-        let note = |_: ResilienceEventKind, _: u64, _: u64, _: Duration, _: String| {};
-        let mut stats = CommStats::default();
+        let mut link = Rank {
+            comm: &mut comm,
+            cart,
+            staging: Staging::DeviceDirect,
+            stats: CommStats::default(),
+            rank,
+            case,
+            cfg,
+            opts: &opts,
+            promoted_into: None,
+            next_wave: 0,
+            deaths_done: HashSet::new(),
+            replay_target: None,
+            t_op: Instant::now(),
+            left: false,
+        };
         let dts = (0..steps)
             .map(|_| {
-                let mut link = CommLink {
-                    comm: &mut comm,
-                    cart: &cart,
-                    staging: Staging::DeviceDirect,
-                    stats: &mut stats,
-                    rank,
-                    wave: 0,
-                    note: &note,
-                };
-                let outcome = blk.step_with(&mut link).expect("fault-free link");
-                outcome.expect("a clean step").dt
+                let outcome = blk.step_with(&mut link, f64::INFINITY);
+                outcome.expect("fault-free link").expect("a clean step").dt
             })
             .collect();
         (blk, dts)
@@ -1420,7 +1421,6 @@ mod tests {
             output: Some(WaveOutput {
                 dir: dir.clone(),
                 wave_size: 4,
-                step_id: 0,
             }),
             ..opts
         };

@@ -4,8 +4,13 @@
 //! A [`ProbeSet`] holds fixed physical locations; on each call to
 //! [`ProbeSet::sample`] it records `(t, rho, u…, p, alpha…)` at the
 //! interior cell containing each point. Histories export as CSV.
+//!
+//! Each probe resolves to one cell of the global grid, so in a decomposed
+//! run exactly one block owns it — a probe on a block face included — and
+//! that block samples it ([`crate::run`]) and writes its CSV.
 
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +18,7 @@ use crate::domain::{Domain, MAX_EQ};
 use crate::eos::cons_to_prim;
 use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
+use crate::solver::Solver;
 use crate::state::StateField;
 
 /// One probe's identity and location.
@@ -20,6 +26,13 @@ use crate::state::StateField;
 pub struct Probe {
     pub name: String,
     pub x: [f64; 3],
+}
+
+/// Probes a run samples, and the directory their CSVs are written to.
+#[derive(Debug, Clone)]
+pub struct ProbeOutput {
+    pub dir: PathBuf,
+    pub probes: Vec<Probe>,
 }
 
 /// One recorded sample: time plus the full primitive vector.
@@ -33,13 +46,15 @@ pub struct Sample {
 #[derive(Debug, Clone)]
 pub struct ProbeSet {
     probes: Vec<Probe>,
-    /// Cell indices (ghost-inclusive), resolved once.
+    /// Cell indices (ghost-inclusive) on the global grid, resolved once; a
+    /// block at offset `off` holds cell `c` at `c - off`.
     cells: Vec<(usize, usize, usize)>,
     history: Vec<Vec<Sample>>,
 }
 
 impl ProbeSet {
-    /// Resolve probe locations to cells of this domain/grid.
+    /// Resolve probe locations to cells of the global `grid`, ghost-padded
+    /// like `dom` (any block of the run: they share the halo depth).
     ///
     /// # Panics
     /// If a probe lies outside the domain.
@@ -77,28 +92,48 @@ impl ProbeSet {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.probes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
+    /// Where probe `idx` lies in the block `dom` at global offset `off`,
+    /// if that block owns it.
+    fn local(&self, idx: usize, dom: &Domain, off: [usize; 3]) -> Option<(usize, usize, usize)> {
+        let (i, j, k) = self.cells[idx];
+        let mut c = [i, j, k];
+        for (d, c) in c.iter_mut().enumerate() {
+            let pad = dom.pad(d);
+            *c = c
+                .checked_sub(off[d])
+                .filter(|&c| c >= pad && c < pad + dom.n[d])?;
+        }
+        Some((c[0], c[1], c[2]))
     }
 
     /// Record the current state at every probe.
     pub fn sample(&mut self, t: f64, fluids: &[Fluid], q: &StateField) {
+        self.sample_block(t, fluids, q, [0; 3]);
+    }
+
+    /// Record the `n`-th sample of the run at every probe `blk` owns,
+    /// dropping any later ones a rollback took back.
+    pub(crate) fn record(&mut self, n: u64, blk: &Solver) {
+        for h in &mut self.history {
+            h.truncate(n as usize - 1);
+        }
+        self.sample_block(blk.time(), blk.fluids(), blk.state(), blk.layout().off);
+    }
+
+    fn sample_block(&mut self, t: f64, fluids: &[Fluid], q: &StateField, off: [usize; 3]) {
         let dom = *q.domain();
         let neq = dom.eq.neq();
         let fluids = FluidTable::new(fluids);
         let mut cons = [0.0; MAX_EQ];
         let mut prim = [0.0; MAX_EQ];
-        for (slot, &(i, j, k)) in self.cells.iter().enumerate() {
+        for slot in 0..self.cells.len() {
+            let Some((i, j, k)) = self.local(slot, &dom, off) else {
+                continue;
+            };
             q.load_cell(i, j, k, &mut cons[..neq]);
             cons_to_prim(&dom.eq, &fluids, &cons[..neq], &mut prim[..neq]);
-            self.history[slot].push(Sample {
-                t,
-                prim: prim[..neq].to_vec(),
-            });
+            let prim = prim[..neq].to_vec();
+            self.history[slot].push(Sample { t, prim });
         }
     }
 
@@ -126,6 +161,18 @@ impl ProbeSet {
             writeln!(buf)?;
         }
         buf.flush()
+    }
+
+    /// Write the history of every probe `blk` owns to
+    /// `<dir>/<name>_probe.csv`.
+    pub fn write_csvs(&self, dir: &Path, blk: &Solver) -> io::Result<()> {
+        for idx in 0..self.probes.len() {
+            if self.local(idx, blk.domain(), blk.layout().off).is_some() {
+                let path = dir.join(format!("{}_probe.csv", self.probes[idx].name));
+                self.write_csv(idx, &mut std::fs::File::create(path)?)?;
+            }
+        }
+        Ok(())
     }
 
     pub fn probe(&self, idx: usize) -> &Probe {

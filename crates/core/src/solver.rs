@@ -3,11 +3,12 @@
 //! There is one time step: [`Solver`] is one block of the grid — its
 //! state, workspaces, clock and recovery ladder — and `Solver::step_with`
 //! is the only dt → RK stages → health verdict → retry sequence in the
-//! crate. A single-device run ([`Solver::step`]) is that function alone
-//! (`Lone`); a rank of the distributed driver ([`crate::par`]) is the
-//! same block plus a comm link, which supplies the two things that differ
-//! between one block and many: a min-reduction over the run's blocks and
-//! the ghost fill that precedes each RHS evaluation.
+//! crate. A single-device block steps through `Lone`; a rank of a
+//! decomposed run ([`crate::par`]) is the same block plus a comm link,
+//! which supplies the two things that differ between one block and many:
+//! a min-reduction over the run's blocks and the ghost fill that precedes
+//! each RHS evaluation. [`crate::run`] is the loop that steps either to
+//! the end of a run.
 
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -31,19 +32,6 @@ use crate::restart::{save_block, BlockLayout};
 use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
 use crate::state::StateField;
 use crate::time::{rk_step, RkWorkspace, TimeScheme};
-
-/// Directive returned by a [`Solver::run_controlled`] controller at each
-/// step boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepControl {
-    /// Take the next step unchanged.
-    Continue,
-    /// Resize to this worker count, then take the next step. Bitwise-safe:
-    /// results are invariant to the worker count at every step boundary.
-    Resize(usize),
-    /// Stop before the next step (cooperative cancellation / deadline).
-    Stop,
-}
 
 /// Time-step selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -143,10 +131,11 @@ pub(crate) trait Link {
 }
 
 /// The link of a single-device run: nothing to reduce over, no neighbour
-/// to exchange with, events into the block's own ledger.
-struct Lone<'a>(&'a Ledger);
+/// to exchange with, events into the block's own ledger; the run loop
+/// asks its hook at every step boundary.
+pub(crate) struct Lone<'a, F>(pub(crate) &'a Ledger, pub(crate) F);
 
-impl Link for Lone<'_> {
+impl<F> Link for Lone<'_, F> {
     fn rank(&self) -> Option<usize> {
         None
     }
@@ -196,9 +185,6 @@ pub struct Solver {
     recovery: Option<RecoveryPolicy>,
     rec: RecoveryState,
     t: f64,
-    /// Time no step may pass: [`Solver::run_until`]'s target while it
-    /// runs, infinite otherwise.
-    t_stop: f64,
     steps: u64,
     wall: Duration,
 }
@@ -246,7 +232,6 @@ impl Solver {
             recovery: None,
             rec: RecoveryState::default(),
             t: 0.0,
-            t_stop: f64::INFINITY,
             steps: 0,
             wall: Duration::ZERO,
         }
@@ -284,6 +269,10 @@ impl Solver {
 
     pub fn context(&self) -> &Context {
         &self.env.ctx
+    }
+
+    pub(crate) fn fluids(&self) -> &[Fluid] {
+        &self.env.fluids
     }
 
     /// Elastically resize the worker count mid-run (clamped to ≥ 1).
@@ -379,8 +368,13 @@ impl Solver {
     /// The time step this block would take under `cfg`: the fixed value,
     /// or `cfl / rate` with the maximum CFL rate of `q` — `cached` from
     /// the last accepted step's health scan, else one pass over `q` —
-    /// either way clipped to land on the stop time.
-    fn select_dt(&self, cfg: &SolverConfig, cached: Option<f64>) -> Result<f64, StepFault> {
+    /// either way clipped to land on `t_stop`.
+    fn select_dt(
+        &self,
+        cfg: &SolverConfig,
+        cached: Option<f64>,
+        t_stop: f64,
+    ) -> Result<f64, StepFault> {
         let dt = match cfg.dt {
             DtMode::Fixed(dt) => dt,
             DtMode::Cfl(c) => {
@@ -391,7 +385,7 @@ impl Solver {
                 cfl::dt_from_rate(c, rate)?
             }
         };
-        Ok(dt.min(self.t_stop - self.t))
+        Ok(dt.min(t_stop - self.t))
     }
 
     /// Run one RK update of `q` under `cfg`. `Ok(Ok(dt))` is an accepted
@@ -407,12 +401,13 @@ impl Solver {
         &mut self,
         cfg: &SolverConfig,
         link: &mut L,
+        t_stop: f64,
     ) -> Result<Result<f64, StepFault>, CommFault> {
         let dt_span = self.env.ctx.span("dt_reduce", Category::Phase);
         // A cached rate serves this attempt only: whatever follows, `q`
         // changes.
         let cached = self.rate.take();
-        let local = self.select_dt(cfg, cached);
+        let local = self.select_dt(cfg, cached, t_stop);
         // A degenerate local rate travels the min-reduction as -1.0, so
         // every block rejects the attempt. On a rank the reduction doubles
         // as the per-step heartbeat.
@@ -494,16 +489,18 @@ impl Solver {
         }
     }
 
-    /// The one time step: attempt it under the current ladder rung; on a
-    /// numerical fault retry from `q^n` one rung up, until an attempt is
-    /// accepted or the ladder is exhausted (`Ok(Err(_))`). Every decision
-    /// rests on a reduced value, so all blocks of a run accept, retry or
-    /// give up the same attempt in lockstep. The block that observed a
-    /// fault records it (and its crash dump); block 0 records the
-    /// collective ladder moves. `Err(_)` is a link failure.
+    /// The one time step, clipped so it does not pass `t_stop`: attempt it
+    /// under the current ladder rung; on a numerical fault retry from `q^n`
+    /// one rung up, until an attempt is accepted or the ladder is exhausted
+    /// (`Ok(Err(_))`). Every decision rests on a reduced value, so all
+    /// blocks of a run accept, retry or give up the same attempt in
+    /// lockstep. The block that observed a fault records it (and its crash
+    /// dump); block 0 records the collective ladder moves. `Err(_)` is a
+    /// link failure.
     pub(crate) fn step_with<L: Link>(
         &mut self,
         link: &mut L,
+        t_stop: f64,
     ) -> Result<Result<StepOutcome, SolverError>, CommFault> {
         let t0 = Instant::now();
         let _step_span = self.env.ctx.span("step", Category::Phase);
@@ -514,7 +511,7 @@ impl Solver {
                 Some(p) => p.effective_config(&self.cfg, self.rec.rung),
                 None => self.cfg,
             };
-            let fault = match self.attempt(&cfg, link)? {
+            let fault = match self.attempt(&cfg, link, t_stop)? {
                 Ok(dt) => {
                     self.t += dt;
                     self.steps += 1;
@@ -567,62 +564,8 @@ impl Solver {
     /// state is left at the last accepted `q^n`.
     pub fn step(&mut self) -> Result<StepOutcome, SolverError> {
         let ledger = self.env.ctx.ledger_arc();
-        self.step_with(&mut Lone(&ledger))
+        self.step_with(&mut Lone(&ledger, ()), f64::INFINITY)
             .unwrap_or_else(|fault| unreachable!("a lone block has no link to fail: {fault}"))
-    }
-
-    /// Advance `n` steps.
-    pub fn run_steps(&mut self, n: usize) -> Result<(), SolverError> {
-        for _ in 0..n {
-            self.step()?;
-        }
-        Ok(())
-    }
-
-    /// Advance up to `max_steps` steps under an external controller that is
-    /// consulted at every step boundary — the cooperative yield point an
-    /// ensemble scheduler uses for cancellation, deadlines, and elastic
-    /// worker resizes (resizes between steps are bitwise-safe).
-    ///
-    /// The controller sees the number of steps taken *by this call* so far
-    /// and the solver's absolute step count; it returns a [`StepControl`]
-    /// directive. `Resize(n)` applies [`Solver::set_workers`] and then
-    /// steps; `Stop` returns early with the steps taken. A step error is
-    /// returned as-is (the caller isolates the fault).
-    pub fn run_controlled(
-        &mut self,
-        max_steps: usize,
-        ctrl: &mut dyn FnMut(u64, u64) -> StepControl,
-    ) -> Result<u64, SolverError> {
-        let mut taken = 0u64;
-        while taken < max_steps as u64 {
-            match ctrl(taken, self.steps) {
-                StepControl::Continue => {}
-                StepControl::Resize(n) => self.set_workers(n),
-                StepControl::Stop => break,
-            }
-            self.step()?;
-            taken += 1;
-        }
-        Ok(taken)
-    }
-
-    /// Advance until `t_end` (clipping the final step to land on it, under
-    /// either dt mode), bounded by `max_steps`.
-    pub fn run_until(&mut self, t_end: f64, max_steps: usize) -> Result<(), SolverError> {
-        self.t_stop = t_end;
-        let mut outcome = Ok(());
-        for _ in 0..max_steps {
-            if self.t >= t_end {
-                break;
-            }
-            if let Err(e) = self.step() {
-                outcome = Err(e);
-                break;
-            }
-        }
-        self.t_stop = f64::INFINITY;
-        outcome
     }
 
     /// Conserved-variable totals.

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use mfc_acc::{Context, KernelClass};
 use mfc_core::case::presets;
 use mfc_core::solver::{DtMode, Solver, SolverConfig};
+use mfc_core::{StepControl, Stop};
 
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +61,7 @@ impl WorkloadProfile {
         let mut solver = Solver::new(&case, cfg, Context::serial());
         solver.context().ledger().reset();
         solver
-            .run_steps(steps)
+            .run(Stop::steps(steps as u64), None, |_| StepControl::Continue)
             .expect("perf-model workload run hit a numerical fault");
 
         let rhs_evals = solver.steps() * 3; // RK3

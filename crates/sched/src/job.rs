@@ -64,10 +64,11 @@ impl JobSpec {
 
 /// The job lifecycle: `Queued → Admitted → Running` and exactly one of
 /// the four terminal states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum JobState {
     /// Validated and waiting in the admission queue.
+    #[default]
     Queued,
     /// Popped from the queue; a worker share is reserved.
     Admitted,
@@ -95,7 +96,7 @@ impl JobState {
 }
 
 /// One JSONL ledger row: the full accounting for one job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Submission-order id (stable across reruns of the same manifest).
     pub id: u64,

@@ -20,8 +20,7 @@ use std::time::{Duration, Instant};
 use mfc_acc::Context;
 use mfc_cli::{Admitted, CaseFile};
 use mfc_core::restart::save_checkpoint;
-use mfc_core::solver::StepControl;
-use mfc_core::Solver;
+use mfc_core::{Solver, StepControl};
 use mfc_trace::{Category, TraceHandle, Tracer};
 
 use crate::job::{JobRecord, JobSpec, JobState, SchedError, PRIORITY_LIMIT};
@@ -61,19 +60,6 @@ impl Default for SchedConfig {
     }
 }
 
-/// What the job thread reports back to the dispatcher.
-pub(crate) struct ThreadOutcome {
-    state: JobState,
-    steps: u64,
-    sim_time: f64,
-    cpu_ms: f64,
-    worker_seconds: f64,
-    final_share: usize,
-    resizes: u64,
-    reason: Option<String>,
-    output: Option<PathBuf>,
-}
-
 struct JobEntry {
     spec: JobSpec,
     name: String,
@@ -103,7 +89,9 @@ pub(crate) enum Command {
 /// job completions and client commands interleave in arrival order —
 /// no polling, no second wakeup path.
 pub(crate) enum Event {
-    Done(u64, ThreadOutcome),
+    /// The job thread's record: everything but the dispatcher's own
+    /// fields (id, name, case, priority, wall and wait times).
+    Done(u64, JobRecord),
     Cmd(Command),
 }
 
@@ -569,23 +557,14 @@ impl Scheduler {
                         case: e.spec.case.clone(),
                         priority: e.spec.priority,
                         state: e.state,
-                        steps: 0,
-                        sim_time: 0.0,
-                        wall_ms: 0.0,
-                        wait_ms: 0.0,
-                        cpu_ms: 0.0,
-                        worker_seconds: 0.0,
-                        final_share: 0,
-                        resizes: 0,
-                        reason: None,
-                        output: None,
+                        ..Default::default()
                     })
                 })
             })
             .collect()
     }
 
-    fn finalize_run(&mut self, idx: usize, o: ThreadOutcome) {
+    fn finalize_run(&mut self, idx: usize, o: JobRecord) {
         let e = &mut self.jobs[idx];
         e.state = o.state;
         let wall = e.submitted.elapsed().as_secs_f64() * 1e3;
@@ -598,17 +577,9 @@ impl Scheduler {
             job: e.name.clone(),
             case: e.spec.case.clone(),
             priority: e.spec.priority,
-            state: o.state,
-            steps: o.steps,
-            sim_time: o.sim_time,
             wall_ms: wall,
             wait_ms: wait,
-            cpu_ms: o.cpu_ms,
-            worker_seconds: o.worker_seconds,
-            final_share: o.final_share,
-            resizes: o.resizes,
-            reason: o.reason,
-            output: o.output,
+            ..o
         });
     }
 
@@ -637,16 +608,10 @@ impl Scheduler {
                         .map(|s| s.to_string())
                         .or_else(|| p.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "job thread panicked".into());
-                    ThreadOutcome {
+                    JobRecord {
                         state: JobState::Failed,
-                        steps: 0,
-                        sim_time: 0.0,
-                        cpu_ms: 0.0,
-                        worker_seconds: 0.0,
-                        final_share: 0,
-                        resizes: 0,
                         reason: Some(format!("panic: {msg}")),
-                        output: None,
+                        ..Default::default()
                     }
                 });
             let _ = tx.send(Event::Done(id, outcome));
@@ -683,7 +648,7 @@ fn poison_state(solver: &mut Solver) {
     }
 }
 
-fn run_job(args: JobArgs) -> ThreadOutcome {
+fn run_job(args: JobArgs) -> JobRecord {
     let service_start = Instant::now();
     let cfg = args.case.solver_config();
     let mut share = args.dispatched_share.max(1);
@@ -701,62 +666,45 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
     let mut resizes = 0u64;
     let mut worker_seconds = 0.0f64;
     let mut last = Instant::now();
-    let mut stop_as: Option<JobState> = None;
+    let mut stop_as = None;
     let mut fault_pending = args.fault_at_step;
-    let mut err: Option<String> = None;
 
-    while !args.case.finished(solver.steps(), solver.time()) {
+    // Every scheduler check (injected fault, cancel, deadline, elastic
+    // resize) sits on a step boundary of the run loop.
+    let ctrl = |solver: &mut Solver| {
         if fault_pending == Some(solver.steps()) {
-            poison_state(&mut solver);
+            poison_state(solver);
             fault_pending = None;
         }
-        // One step per call keeps every scheduler check (cancel,
-        // deadline, elastic resize) on the step boundary, via the
-        // solver's own cooperative control hook.
-        let mut ctrl = |_taken: u64, abs: u64| -> StepControl {
-            let now = Instant::now();
-            worker_seconds += share as f64 * (now - last).as_secs_f64();
-            last = now;
-            if args.cancel.load(Ordering::Relaxed) || args.cancel_at_step.is_some_and(|c| abs >= c)
-            {
-                stop_as = Some(JobState::Cancelled);
-                return StepControl::Stop;
-            }
-            if args.deadline.is_some_and(|d| service_start.elapsed() >= d) {
-                stop_as = Some(JobState::TimedOut);
-                return StepControl::Stop;
-            }
-            let target = args.share.load(Ordering::Relaxed).max(1);
-            if target != share {
-                share = target;
-                resizes += 1;
-                return StepControl::Resize(target);
-            }
-            StepControl::Continue
-        };
-        match solver.run_controlled(1, &mut ctrl) {
-            Ok(0) => break, // the controller said Stop
-            Ok(_) => {}
-            Err(e) => {
-                err = Some(e.to_string());
-                break;
-            }
+        let now = Instant::now();
+        worker_seconds += share as f64 * (now - last).as_secs_f64();
+        last = now;
+        if args.cancel.load(Ordering::Relaxed)
+            || args.cancel_at_step.is_some_and(|c| solver.steps() >= c)
+        {
+            stop_as = Some((JobState::Cancelled, "cancelled"));
+            return StepControl::Stop;
         }
-    }
+        if args.deadline.is_some_and(|d| service_start.elapsed() >= d) {
+            stop_as = Some((JobState::TimedOut, "deadline exceeded"));
+            return StepControl::Stop;
+        }
+        let target = args.share.load(Ordering::Relaxed).max(1);
+        if target != share {
+            share = target;
+            resizes += 1;
+            solver.set_workers(target);
+        }
+        StepControl::Continue
+    };
+    let run = solver.run(args.case.stop(), None, ctrl);
     worker_seconds += share as f64 * last.elapsed().as_secs_f64();
     solver.context().flush_ledger_to_trace();
 
-    let (state, reason) = match (err, stop_as) {
-        (Some(e), _) => (JobState::Failed, Some(e)),
-        (None, Some(JobState::Cancelled)) => (
-            JobState::Cancelled,
-            Some(format!("cancelled at step {}", solver.steps())),
-        ),
-        (None, Some(JobState::TimedOut)) => (
-            JobState::TimedOut,
-            Some(format!("deadline exceeded at step {}", solver.steps())),
-        ),
-        _ => (JobState::Done, None),
+    let (mut state, mut reason) = match (run, stop_as) {
+        (Err(e), _) => (JobState::Failed, Some(e.to_string())),
+        (Ok(()), Some((state, why))) => (state, Some(format!("{why} at step {}", solver.steps()))),
+        (Ok(()), None) => (JobState::Done, None),
     };
     if let Some(h) = &args.handle {
         match state {
@@ -772,8 +720,6 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
     // checkpoint. Failed jobs write nothing (their state is the last
     // accepted q^n, not a result).
     let mut output = None;
-    let mut state = state;
-    let mut reason = reason;
     if args.write_checkpoint && state != JobState::Failed {
         let path = args.out_dir.join("final.ckpt");
         let write = std::fs::create_dir_all(&args.out_dir)
@@ -792,7 +738,7 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
         }
     }
 
-    ThreadOutcome {
+    JobRecord {
         state,
         steps: solver.steps(),
         sim_time: solver.time(),
@@ -802,6 +748,7 @@ fn run_job(args: JobArgs) -> ThreadOutcome {
         resizes,
         reason,
         output,
+        ..Default::default()
     }
 }
 

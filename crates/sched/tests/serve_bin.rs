@@ -199,6 +199,49 @@ fn mixed_manifest_outcomes_trace_and_budget_invariance() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Regression: a served job of the shipped Sod tube (`t_end: 0.15`, no
+/// `max_steps`) stepped past its end time, to t = 0.150216. It now stops
+/// exactly at `t_end`, on the state `Solver::run_until` reaches.
+#[test]
+fn served_job_stops_exactly_at_t_end() {
+    let dir = tmp_dir("t_end");
+    let out = dir.join("out");
+    let ledger = dir.join("ledger.jsonl");
+    let manifest = dir.join("jobs.json");
+    let q = |p: &Path| serde_json::to_string(p).unwrap();
+    let jobs = format!(
+        r#"{{ "out_dir": {}, "jobs": [ {{ "case": {}, "name": "sod" }} ] }}"#,
+        q(&out),
+        q(Path::new(sod_case()))
+    );
+    fs::write(&manifest, jobs).unwrap();
+    let (code, text) = serve(&[
+        "--jobs",
+        manifest.to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{text}");
+    let row: serde_json::Value =
+        serde_json::from_str(fs::read_to_string(&ledger).unwrap().trim()).unwrap();
+    assert_eq!(row["state"], "done", "{row}");
+    assert_eq!(
+        row["sim_time"].as_f64().map(f64::to_bits),
+        Some(0.15f64.to_bits())
+    );
+
+    let admitted = mfc_cli::admit(&CaseFile::from_path(Path::new(sod_case())).unwrap()).unwrap();
+    let mut alone = Solver::new(admitted.case(), admitted.solver_config(), Context::serial());
+    alone.run_until(0.15, usize::MAX).unwrap();
+    let want = dir.join("alone.ckpt");
+    save_checkpoint(&want, alone.state(), alone.time(), alone.steps()).unwrap();
+    assert!(
+        fs::read(out.join("00_sod/final.ckpt")).unwrap() == fs::read(&want).unwrap(),
+        "the served job's checkpoint differs from Solver::run_until"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Typed admission control: a bad invocation, a malformed manifest, a
 /// misspelled manifest key and a job the scheduler refuses all exit 2
 /// before anything runs.

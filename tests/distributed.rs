@@ -224,3 +224,85 @@ fn curvilinear_cfl_steps_do_not_depend_on_the_rank_count() {
         }
     }
 }
+
+/// What admission used to refuse on more than one rank: a `t_end` case
+/// with probes, one of them on the block face x = 0.5 of the 2- and
+/// 4-rank layouts. On 1, 2 and 4 ranks — and as one lone block — the last
+/// step lands on `t_end` bit for bit, the final states are bitwise equal
+/// and the probe CSVs byte-identical.
+#[test]
+fn t_end_and_probes_are_rank_count_invariant() {
+    use mfc::core::output::block_to_vec;
+    use mfc::core::par::{run_ranks, GlobalField, ResilienceOpts};
+    use mfc::core::probes::{Probe, ProbeOutput, ProbeSet};
+    use mfc::core::{StepControl, Stop};
+    use mfc::Context;
+
+    let case = presets::two_phase_benchmark(2, [24, 24, 1]);
+    let cfg = SolverConfig::default();
+    let mut lone = mfc::Solver::new(&case, cfg, Context::serial());
+    lone.run_steps(5).unwrap();
+    // Between two of the run's natural steps, so the last one is clipped.
+    let t_end = 0.7 * lone.time();
+    let stop = Stop {
+        steps: u64::MAX,
+        t_end,
+    };
+    let probes = vec![
+        Probe {
+            name: "face".into(),
+            x: [0.5, 0.3, 0.0],
+        },
+        Probe {
+            name: "inner".into(),
+            x: [0.8, 0.55, 0.0],
+        },
+    ];
+    let dir = std::env::temp_dir().join(format!("mfc_dist_probes_{}", std::process::id()));
+    let csvs = |sub: &str| {
+        ["face", "inner"]
+            .map(|p| std::fs::read(dir.join(sub).join(format!("{p}_probe.csv"))).unwrap())
+    };
+
+    let mut lone = mfc::Solver::new(&case, cfg, Context::serial());
+    let mut set = ProbeSet::new(probes.clone(), lone.domain(), lone.grid());
+    lone.run(stop, Some(&mut set), |_| StepControl::Continue)
+        .unwrap();
+    assert_eq!(lone.time().to_bits(), t_end.to_bits());
+    std::fs::create_dir_all(dir.join("lone")).unwrap();
+    set.write_csvs(&dir.join("lone"), &lone).unwrap();
+    let serial = GlobalField {
+        n: case.cells,
+        neq: lone.domain().eq.neq(),
+        data: block_to_vec(lone.state()),
+    };
+    for ranks in [1usize, 2, 4] {
+        let sub = format!("r{ranks}");
+        std::fs::create_dir_all(dir.join(&sub)).unwrap();
+        let out = ProbeOutput {
+            dir: dir.join(&sub),
+            probes: probes.clone(),
+        };
+        let opts = ResilienceOpts::fault_free("", 0);
+        let (field, stats) = run_ranks(
+            &case,
+            cfg,
+            ranks,
+            stop,
+            Some(&out),
+            Staging::DeviceDirect,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(stats.time.to_bits(), t_end.to_bits(), "{ranks} ranks");
+        assert_eq!(stats.steps, lone.steps(), "{ranks} ranks");
+        assert_eq!(field.max_abs_diff(&serial), 0.0, "{ranks} ranks");
+        assert!(
+            csvs(&sub) == csvs("lone"),
+            "{ranks} ranks: probe CSVs differ"
+        );
+    }
+    let rows = String::from_utf8(csvs("lone")[0].clone()).unwrap();
+    assert_eq!(rows.lines().count() as u64, lone.steps());
+    let _ = std::fs::remove_dir_all(&dir);
+}

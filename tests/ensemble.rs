@@ -64,9 +64,7 @@ fn standalone_ckpt(case_path: &Path, steps: usize, out: &Path) {
     let ctx = Context::with_workers(1).with_vector_width(cfg.vector_width);
     let mut solver = Solver::new(&case, cfg, ctx);
     let t_end = cf.run.t_end.unwrap_or(f64::INFINITY);
-    while solver.time() < t_end && solver.steps() < steps as u64 {
-        solver.step().unwrap();
-    }
+    solver.run_until(t_end, steps).unwrap();
     save_checkpoint(out, solver.state(), solver.time(), solver.steps()).unwrap();
 }
 

@@ -105,7 +105,6 @@ fn wave_files_are_written_once_after_the_replay_bitwise_equal_to_fault_free() {
             output: Some(WaveOutput {
                 dir: dir.join(tag),
                 wave_size: 1,
-                step_id: STEPS,
             }),
             ..ResilienceOpts::fault_free(dir.join(format!("{tag}_ckpt")), 4)
         };

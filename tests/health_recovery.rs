@@ -400,7 +400,6 @@ fn rejected_step_without_a_ladder_is_numerical_and_writes_no_wave_file() {
         output: Some(WaveOutput {
             dir: dir.join("waves"),
             wave_size: 1,
-            step_id: 30,
         }),
         ..ResilienceOpts::fault_free(&dir, 0)
     };

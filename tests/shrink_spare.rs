@@ -105,7 +105,6 @@ fn wave_files_follow_the_post_recovery_roster_under_both_policies() {
             output: Some(WaveOutput {
                 dir: dir.join("waves"),
                 wave_size: 2,
-                step_id: STEPS,
             }),
             ..opts_for(&dir, faults, &events, policy, spares)
         };
