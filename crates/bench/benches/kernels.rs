@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mfc_bench::{packed_buffer, BENCH_N, BENCH_NF};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::fluid::{Fluid, FluidTable};
+use mfc_core::isa;
 use mfc_core::riemann::RiemannSolver;
 use mfc_core::weno::{self, WenoOrder};
 use mfc_layout::{Dims4, Flat4D};
@@ -48,13 +49,9 @@ fn bench_weno(c: &mut Criterion) {
     g.finish();
 }
 
-/// One entry point of the WENO line kernel.
-type WenoLineFn = fn(WenoOrder, &[f64], usize, usize, &mut [f64], &mut [f64]);
-
-/// The WENO5 line kernel alone, outside the solver: the entry the fused
-/// engine dispatches to (AVX2 where the CPU has it) against the
-/// baseline-target entry, on a cache-resident batch of 96-cell lines (the
-/// `grind3d` line length).
+/// The WENO5 line kernel alone, outside the solver: every entry the CPU
+/// runs (the fused engine dispatches to the widest), on a cache-resident
+/// batch of 96-cell lines (the `grind3d` line length).
 fn bench_weno_line(c: &mut Criterion) {
     const LINES: usize = 56;
     const CELLS: usize = 96;
@@ -70,15 +67,8 @@ fn bench_weno_line(c: &mut Criterion) {
     let mut g = c.benchmark_group("weno_line");
     g.throughput(Throughput::Elements((SWEEPS * LINES * (CELLS + 1)) as u64));
     g.sample_size(10);
-    let entries: [(String, WenoLineFn); 2] = [
-        (
-            format!("dispatched_{}", mfc_core::isa::kernel_isa()),
-            weno::reconstruct_line_padded,
-        ),
-        ("baseline".into(), weno::reconstruct_line_padded_baseline),
-    ];
-    for (name, entry) in entries {
-        g.bench_function(name, |b| {
+    for tier in isa::WENO.tiers() {
+        g.bench_function(tier.name(), |b| {
             b.iter(|| {
                 for _ in 0..SWEEPS {
                     for ((line, l), r) in v
@@ -86,7 +76,16 @@ fn bench_weno_line(c: &mut Criterion) {
                         .zip(left.chunks_exact_mut(CELLS + 1))
                         .zip(right.chunks_exact_mut(CELLS + 1))
                     {
-                        entry(WenoOrder::Weno5, black_box(line), PAD, CELLS, l, r);
+                        let line = black_box(line);
+                        weno::reconstruct_line_padded_at(
+                            tier,
+                            WenoOrder::Weno5,
+                            line,
+                            PAD,
+                            CELLS,
+                            l,
+                            r,
+                        );
                     }
                 }
                 black_box(left[0] + right[0])

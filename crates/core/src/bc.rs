@@ -4,6 +4,8 @@
 //! so edge/corner ghost regions are filled consistently by the sequence of
 //! sweeps — the same strategy as MFC's `s_populate_variables_buffers`.
 
+use std::time::Instant;
+
 use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig};
 use serde::{Deserialize, Serialize};
 
@@ -72,58 +74,72 @@ impl BcSpec {
 /// `skip` marks axes whose ghosts are owned by the halo exchange (interior
 /// block faces of a distributed run); `skip = [(false,false); 3]` applies
 /// physical BCs everywhere.
+///
+/// Each face is one `s_populate_buffers` launch whose items are its ghost
+/// cells, but the copy runs by whole rows: per variable, each line along
+/// `axis` fills its ghost layers innermost (x), or each ghost row (y) or
+/// plane (z) is one contiguous copy of its source.
 pub fn apply_bcs(ctx: &Context, field: &mut StateField, bc: &BcSpec, skip: [(bool, bool); 3]) {
     let dom = *field.domain();
-    let ng = dom.ng;
-    let neq = dom.eq.neq();
+    let (ng, eq) = (dom.ng, dom.eq);
+    let neq = eq.neq();
     let cost = KernelCost::new(KernelClass::Other, 1.0, 8.0 * neq as f64, 8.0 * neq as f64);
+    let cfg = LaunchConfig::tuned("s_populate_buffers");
+    let block = dom.dims3().len();
 
-    for (axis, &(skip_lo, skip_hi)) in skip.iter().enumerate().take(dom.eq.ndim()) {
+    for (axis, &(skip_lo, skip_hi)) in skip.iter().enumerate().take(eq.ndim()) {
         let n = dom.n[axis];
-        // Transverse extents (full, ghost-inclusive, so corners fill).
-        let t1 = if axis == 0 { dom.ext(1) } else { dom.ext(0) };
-        let t2 = if axis == 2 { dom.ext(1) } else { dom.ext(2) };
-        let plane = t1 * t2;
+        // Cells between neighbours along `axis`. A slab — one x row (x),
+        // one z plane (y) or the whole block (z) — holds whole lines along
+        // `axis`, so each slab fills its ghosts from its own cells.
+        let stride = [1, dom.ext(0), dom.ext(0) * dom.ext(1)][axis];
+        let slab = stride * dom.ext(axis);
+        let plane = block / dom.ext(axis);
 
-        for (side, is_hi) in [(0usize, false), (1usize, true)] {
-            if (side == 0 && skip_lo) || (side == 1 && skip_hi) {
+        for (is_hi, skipped) in [(false, skip_lo), (true, skip_hi)] {
+            if skipped {
                 continue;
             }
             let kind = if is_hi { bc.hi[axis] } else { bc.lo[axis] };
-            let cfg = LaunchConfig::tuned("s_populate_buffers");
-            ctx.launch(&cfg, cost, plane * ng, |item| {
-                let g = item / plane;
-                let r = item % plane;
-                let (a, b) = (r % t1, r / t1);
-                // (ghost index, source index) along `axis`.
-                // flip: 0 = none, 1 = normal momentum, 2 = all momenta.
-                let (gi, si, flip) = match (kind, is_hi) {
-                    (BcKind::Periodic, false) => (ng - 1 - g, ng + n - 1 - g, 0u8),
-                    (BcKind::Periodic, true) => (ng + n + g, ng + g, 0),
-                    (BcKind::Reflective, false) => (ng - 1 - g, ng + g, 1),
-                    (BcKind::Reflective, true) => (ng + n + g, ng + n - 1 - g, 1),
-                    (BcKind::NoSlip, false) => (ng - 1 - g, ng + g, 2),
-                    (BcKind::NoSlip, true) => (ng + n + g, ng + n - 1 - g, 2),
-                    (BcKind::Transmissive, false) => (ng - 1 - g, ng, 0),
-                    (BcKind::Transmissive, true) => (ng + n + g, ng + n - 1, 0),
+            // (ghost, source) offsets in a slab of each ghost layer, in
+            // layer order.
+            let layers: Vec<(usize, usize)> = (0..ng)
+                .map(|g| match (kind, is_hi) {
+                    (BcKind::Periodic, false) => (ng - 1 - g, ng + n - 1 - g),
+                    (BcKind::Periodic, true) => (ng + n + g, ng + g),
+                    (BcKind::Reflective | BcKind::NoSlip, false) => (ng - 1 - g, ng + g),
+                    (BcKind::Reflective | BcKind::NoSlip, true) => (ng + n + g, ng + n - 1 - g),
+                    (BcKind::Transmissive, false) => (ng - 1 - g, ng),
+                    (BcKind::Transmissive, true) => (ng + n + g, ng + n - 1),
+                })
+                .map(|(gi, si)| (gi * stride, si * stride))
+                .collect();
+            let t0 = Instant::now();
+            let data = field.as_mut_slice();
+            for e in 0..neq {
+                let flip = match kind {
+                    BcKind::Reflective => e == eq.mom(axis),
+                    BcKind::NoSlip => (0..eq.ndim()).any(|d| e == eq.mom(d)),
+                    _ => false,
                 };
-                let to_coord = |along: usize| -> (usize, usize, usize) {
-                    match axis {
-                        0 => (along, a, b),
-                        1 => (a, along, b),
-                        _ => (a, b, along),
+                for lines in data[e * block..(e + 1) * block].chunks_exact_mut(slab) {
+                    for &(gi, si) in &layers {
+                        // x: one value per layer, read and written
+                        // directly — a row loop over rows of one value
+                        // ran slower here than the per-item fill.
+                        if stride == 1 {
+                            let v = lines[si];
+                            lines[gi] = if flip { -v } else { v };
+                        } else {
+                            lines.copy_within(si..si + stride, gi);
+                            if flip {
+                                lines[gi..gi + stride].iter_mut().for_each(|v| *v = -*v);
+                            }
+                        }
                     }
-                };
-                let (gi3, si3) = (to_coord(gi), to_coord(si));
-                for e in 0..neq {
-                    let mut v = field.get(si3.0, si3.1, si3.2, e);
-                    let is_momentum = (0..dom.eq.ndim()).any(|d| e == dom.eq.mom(d));
-                    if (flip == 1 && e == dom.eq.mom(axis)) || (flip == 2 && is_momentum) {
-                        v = -v;
-                    }
-                    field.set(gi3.0, gi3.1, gi3.2, e, v);
                 }
-            });
+            }
+            ctx.record(cfg.label, cost, (plane * ng) as u64, 1, 1, t0, t0.elapsed());
         }
     }
 }
@@ -144,6 +160,107 @@ mod tests {
             }
         }
         s
+    }
+
+    /// The per-item ghost fill the row-wise one replaced: one item per
+    /// ghost cell, every variable through `get`/`set`, layers outermost.
+    fn apply_bcs_per_item(field: &mut StateField, bc: &BcSpec, skip: [(bool, bool); 3]) {
+        let dom = *field.domain();
+        let ng = dom.ng;
+        for (axis, &(skip_lo, skip_hi)) in skip.iter().enumerate().take(dom.eq.ndim()) {
+            let n = dom.n[axis];
+            let t1 = if axis == 0 { dom.ext(1) } else { dom.ext(0) };
+            let t2 = if axis == 2 { dom.ext(1) } else { dom.ext(2) };
+            let plane = t1 * t2;
+            for (is_hi, skipped) in [(false, skip_lo), (true, skip_hi)] {
+                if skipped {
+                    continue;
+                }
+                let kind = if is_hi { bc.hi[axis] } else { bc.lo[axis] };
+                for item in 0..plane * ng {
+                    let (g, r) = (item / plane, item % plane);
+                    let (a, b) = (r % t1, r / t1);
+                    let (gi, si, flip) = match (kind, is_hi) {
+                        (BcKind::Periodic, false) => (ng - 1 - g, ng + n - 1 - g, 0u8),
+                        (BcKind::Periodic, true) => (ng + n + g, ng + g, 0),
+                        (BcKind::Reflective, false) => (ng - 1 - g, ng + g, 1),
+                        (BcKind::Reflective, true) => (ng + n + g, ng + n - 1 - g, 1),
+                        (BcKind::NoSlip, false) => (ng - 1 - g, ng + g, 2),
+                        (BcKind::NoSlip, true) => (ng + n + g, ng + n - 1 - g, 2),
+                        (BcKind::Transmissive, false) => (ng - 1 - g, ng, 0),
+                        (BcKind::Transmissive, true) => (ng + n + g, ng + n - 1, 0),
+                    };
+                    let at = |along: usize| match axis {
+                        0 => (along, a, b),
+                        1 => (a, along, b),
+                        _ => (a, b, along),
+                    };
+                    let (gi3, si3) = (at(gi), at(si));
+                    for e in 0..dom.eq.neq() {
+                        let mut v = field.get(si3.0, si3.1, si3.2, e);
+                        let is_momentum = (0..dom.eq.ndim()).any(|d| e == dom.eq.mom(d));
+                        if (flip == 1 && e == dom.eq.mom(axis)) || (flip == 2 && is_momentum) {
+                            v = -v;
+                        }
+                        field.set(gi3.0, gi3.1, gi3.2, e, v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The row-wise fill writes bitwise what the per-item reference writes
+    /// — every kind on every face, mixed kinds per axis, skipped faces, a
+    /// NaN's sign, extents of `8k + r` cells and an axis exactly as long as
+    /// its ghost layers — and records the same `s_populate_buffers` items.
+    #[test]
+    fn row_wise_fill_matches_the_per_item_reference_bitwise() {
+        use BcKind::*;
+        let kinds = [Periodic, Reflective, NoSlip, Transmissive];
+        let skips = [
+            [(false, false); 3],
+            [(true, false), (false, true), (false, false)],
+            [(false, false), (true, true), (false, true)],
+        ];
+        for (ndim, cells) in [(1, [19, 1, 1]), (2, [13, 10, 1]), (3, [17, 9, 3])] {
+            let eq = EqIdx::new(2, ndim);
+            let dom = Domain::new(cells, 3, eq);
+            let mut field = StateField::zeros(dom);
+            for (x, v) in field.as_mut_slice().iter_mut().enumerate() {
+                *v = ((x * 2654435761) % 10007) as f64 - 5003.5;
+            }
+            field.as_mut_slice()[dom.ext(0) + 4] = -f64::NAN;
+            for (c, skip) in skips.iter().enumerate() {
+                for (t, &kind) in kinds.iter().enumerate() {
+                    let bc = BcSpec {
+                        lo: [kind, kinds[(t + 1) % 4], kinds[(t + 2) % 4]],
+                        hi: [kinds[(t + c) % 4], kind, kinds[(t + 3) % 4]],
+                    };
+                    let ctx = Context::serial();
+                    let (mut rows, mut items) = (field.clone(), field.clone());
+                    apply_bcs(&ctx, &mut rows, &bc, *skip);
+                    apply_bcs_per_item(&mut items, &bc, *skip);
+                    for (x, (r, i)) in rows.as_slice().iter().zip(items.as_slice()).enumerate() {
+                        assert_eq!(
+                            r.to_bits(),
+                            i.to_bits(),
+                            "{ndim}-D {bc:?} {skip:?}: slot {x}"
+                        );
+                    }
+                    let (mut launches, mut ghosts) = (0, 0);
+                    for (d, &(lo, hi)) in skip.iter().enumerate().take(ndim) {
+                        for skipped in [lo, hi] {
+                            if !skipped {
+                                launches += 1;
+                                ghosts += (dom.dims3().len() / dom.ext(d) * dom.ng) as u64;
+                            }
+                        }
+                    }
+                    let stats = ctx.ledger().kernel("s_populate_buffers").unwrap();
+                    assert_eq!((stats.launches, stats.items), (launches, ghosts));
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use crate::bc::BcSpec;
 use crate::domain::Domain;
-use crate::eqidx::EqIdx;
-use crate::fluid::Fluid;
+use crate::eos::{prim_to_cons, MAX_FLUIDS};
+use crate::eqidx::{EqIdx, EqLayout};
+use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
 use crate::state::StateField;
 use mfc_acc::Context;
@@ -179,99 +180,136 @@ impl CaseBuilder {
 
     /// Paint the initial *conservative* state onto a block whose interior
     /// covers global cells `offset .. offset + dom.n` (offset in cells;
-    /// `[0,0,0]` for single-rank runs).
+    /// `[0,0,0]` for single-rank runs). Each cell is painted in registers
+    /// and converted straight into the field with [`prim_to_cons`], the
+    /// per-cell conversion of every primitive→conservative pass; `ctx` and
+    /// `grid` are unused (the global grid comes from `self.grid()`).
     pub fn init_block(
         &self,
-        ctx: &Context,
+        _ctx: &Context,
         dom: &Domain,
-        grid: &Grid,
+        _grid: &Grid,
         offset: [usize; 3],
     ) -> StateField {
         let eq = self.eq();
         assert_eq!(&eq, &dom.eq);
         let global = self.grid();
-        let mut prim = StateField::zeros(*dom);
+        let table = FluidTable::new(&self.fluids);
+        let mut cons = StateField::zeros(*dom);
         let d3 = dom.dims3();
+        let (neq, block) = (eq.neq(), d3.len());
+        let (mut prim, mut cell) = (eq.vars::<f64>(), eq.vars::<f64>());
+        let states = self.patch_states();
+        let out = cons.as_mut_slice();
         // Paint ghost-inclusive so initial BC fill is consistent even at
-        // physical boundaries (clamped sampling).
-        let _ = grid;
+        // physical boundaries (clamped sampling). Inactive dimensions
+        // sample at coordinate 0 so that, e.g., a circle centered at z = 0
+        // works in 2-D.
+        let center = |d: usize, i: usize| {
+            let local = i as isize - dom.pad(d) as isize;
+            if d < self.ndim {
+                sample_center(&global, d, offset[d], local)
+            } else {
+                0.0
+            }
+        };
         for k in 0..d3.n3 {
             for j in 0..d3.n2 {
+                let (y, z) = (center(1, j), center(2, k));
                 for i in 0..d3.n1 {
-                    // Inactive dimensions sample at coordinate 0 so that,
-                    // e.g., a circle centered at z = 0 works in 2-D.
-                    let mut x = [0.0; 3];
-                    for (d, xi) in x.iter_mut().enumerate().take(self.ndim) {
-                        let local = match d {
-                            0 => i as isize - dom.pad(0) as isize,
-                            1 => j as isize - dom.pad(1) as isize,
-                            _ => k as isize - dom.pad(2) as isize,
-                        };
-                        *xi = sample_center(&global, d, offset[d], local);
-                    }
-                    let state = self.state_at(x);
-                    let mut cell = vec![0.0; eq.neq()];
+                    let state = self.paint(&states, [center(0, i), y, z]);
                     for f in 0..eq.nf() {
-                        cell[eq.cont(f)] = state.alpha[f].max(1e-8) * state.rho[f];
+                        prim[eq.cont(f)] = state.alpha[f].max(1e-8) * state.rho[f];
                     }
                     for d in 0..eq.ndim() {
-                        cell[eq.mom(d)] = state.vel[d];
+                        prim[eq.mom(d)] = state.vel[d];
                     }
-                    cell[eq.energy()] = state.p;
+                    prim[eq.energy()] = state.p;
                     for a in 0..eq.n_adv() {
-                        cell[eq.adv(a)] = state.alpha[a].clamp(1e-8, 1.0 - 1e-8);
+                        prim[eq.adv(a)] = state.alpha[a].clamp(1e-8, 1.0 - 1e-8);
                     }
-                    prim.store_cell(i, j, k, &cell);
+                    prim_to_cons(&eq, &table, &prim[..neq], &mut cell[..neq]);
+                    let at = i + d3.n1 * (j + d3.n2 * k);
+                    for (e, v) in cell[..neq].iter().enumerate() {
+                        out[at + e * block] = *v;
+                    }
                 }
             }
         }
-        let mut cons = StateField::zeros(*dom);
-        crate::state::prim_to_cons_field(ctx, &self.fluids, &prim, &mut cons);
         cons
     }
 
     /// The painted primitive state at physical point `x`, with optional
     /// smooth blending across the last patch's boundary.
-    pub fn state_at(&self, x: [f64; 3]) -> PatchState {
-        let mut current: Option<PatchState> = None;
-        for patch in &self.patches {
+    pub fn state_at(&self, x: [f64; 3]) -> CellState {
+        self.paint(&self.patch_states(), x)
+    }
+
+    fn patch_states(&self) -> Vec<CellState> {
+        self.patches
+            .iter()
+            .map(|p| CellState::of(&p.state))
+            .collect()
+    }
+
+    /// [`CaseBuilder::state_at`] with each patch's state in `states`;
+    /// inlined into the per-cell loop of [`CaseBuilder::init_block`].
+    #[inline(always)]
+    fn paint(&self, states: &[CellState], x: [f64; 3]) -> CellState {
+        // Smooth blend over ~smear_cells cell widths.
+        let h = (self.hi[0] - self.lo[0]) / self.cells[0] as f64;
+        let w = self.smear_cells * h;
+        let mut current: Option<CellState> = None;
+        for (patch, state) in self.patches.iter().zip(states) {
             if self.smear_cells > 0.0 {
                 if let Some(d) = patch.region.signed_distance(x) {
-                    // Smooth blend over ~smear_cells cell widths.
-                    let h = (self.hi[0] - self.lo[0]) / self.cells[0] as f64;
-                    let w = self.smear_cells * h;
                     let t = 0.5 * (1.0 - (d / w).tanh()); // 1 inside, 0 outside
                     if t > 1e-9 {
-                        let base = current.take().unwrap_or_else(|| patch.state.clone());
-                        current = Some(blend(&base, &patch.state, t));
+                        current = Some(current.unwrap_or(*state).blend(state, t));
                     }
                     continue;
                 }
             }
             if patch.region.contains(x) {
-                current = Some(patch.state.clone());
+                current = Some(*state);
             }
         }
         current.expect("no patch covers the point; add a Region::All background patch first")
     }
 }
 
-fn blend(a: &PatchState, b: &PatchState, t: f64) -> PatchState {
-    let mix = |x: f64, y: f64| (1.0 - t) * x + t * y;
-    PatchState {
-        alpha: a
-            .alpha
-            .iter()
-            .zip(&b.alpha)
-            .map(|(&x, &y)| mix(x, y))
-            .collect(),
-        rho: a.rho.iter().zip(&b.rho).map(|(&x, &y)| mix(x, y)).collect(),
-        vel: [
-            mix(a.vel[0], b.vel[0]),
-            mix(a.vel[1], b.vel[1]),
-            mix(a.vel[2], b.vel[2]),
-        ],
-        p: mix(a.p, b.p),
+/// One point's painted primitive state: a [`PatchState`] or a blend of
+/// two, in fixed arrays of [`MAX_FLUIDS`] (unused fluids stay 0).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellState {
+    pub alpha: [f64; MAX_FLUIDS],
+    pub rho: [f64; MAX_FLUIDS],
+    pub vel: [f64; 3],
+    pub p: f64,
+}
+
+impl CellState {
+    fn of(s: &PatchState) -> Self {
+        let mut c = CellState {
+            alpha: [0.0; MAX_FLUIDS],
+            rho: [0.0; MAX_FLUIDS],
+            vel: s.vel,
+            p: s.p,
+        };
+        c.alpha[..s.alpha.len()].copy_from_slice(&s.alpha);
+        c.rho[..s.rho.len()].copy_from_slice(&s.rho);
+        c
+    }
+
+    /// `(1 - t) self + t other`, componentwise.
+    fn blend(&self, other: &CellState, t: f64) -> CellState {
+        let mix = |x: f64, y: f64| (1.0 - t) * x + t * y;
+        CellState {
+            alpha: std::array::from_fn(|f| mix(self.alpha[f], other.alpha[f])),
+            rho: std::array::from_fn(|f| mix(self.rho[f], other.rho[f])),
+            vel: std::array::from_fn(|d| mix(self.vel[d], other.vel[d])),
+            p: mix(self.p, other.p),
+        }
     }
 }
 

@@ -109,6 +109,13 @@ pub(crate) struct RateMetric<'a> {
     radial: Option<&'a [f64]>,
     /// Per-fluid viscosities; `None` when no fluid is viscous.
     viscous: Option<&'a [Fluid]>,
+    /// Whether [`RateMetric::rate`] adds the diffusive `2 nu / h^2`. Without
+    /// viscosity that term is `0 / h^2 = +0` — and adding `+0` to the
+    /// convective term, which is never `-0`, changes no bit — unless some
+    /// `h^2` is 0 or NaN (admission lets a width below ~1.5e-162 through,
+    /// and `h^2` underflows), where it is `0 / 0 = NaN`; only then is it
+    /// kept for an inviscid case.
+    diffusive: bool,
 }
 
 impl<'a> RateMetric<'a> {
@@ -117,10 +124,21 @@ impl<'a> RateMetric<'a> {
         widths: [&'a [f64]; 3],
         radial: Option<&'a [f64]>,
     ) -> Self {
+        let viscous = crate::viscous::is_viscous(fluids).then_some(fluids);
+        // `|h1 h2| >= |h1 min|h2||` after rounding too, so the smallest
+        // radius bounds every azimuthal width.
+        let r_min = radial.map_or(1.0, |r| r.iter().fold(f64::INFINITY, |m, r| m.min(r.abs())));
+        let squares = |w: &[f64], s: f64| w.iter().all(|x| (x * s) * (x * s) > 0.0);
+        let diffusive = viscous.is_some()
+            || !(squares(widths[0], 1.0)
+                && squares(widths[1], 1.0)
+                && squares(widths[2], r_min)
+                && radial.is_none_or(|r| squares(r, 1.0)));
         RateMetric {
             widths,
             radial,
-            viscous: crate::viscous::is_viscous(fluids).then_some(fluids),
+            viscous,
+            diffusive,
         }
     }
 
@@ -164,7 +182,11 @@ impl<'a> RateMetric<'a> {
                     h
                 }
             };
-            rate = rate + ((p[eq.mom(d)].abs() + c) / h + L::splat(2.0) * nu / (h * h));
+            let mut r = (p[eq.mom(d)].abs() + c) / h;
+            if self.diffusive {
+                r = r + L::splat(2.0) * nu / (h * h);
+            }
+            rate = rate + r;
         }
         rate
     }
@@ -240,6 +262,54 @@ mod tests {
         let c = (1.4 * 1.0e5 / 1.4f64).sqrt();
         let want = 0.5 / ((100.0 + c) / 0.125);
         assert!((dt - want).abs() < 1e-12 * want, "dt={dt} want={want}");
+    }
+
+    /// An inviscid rate without the `2 nu / h^2` term is bitwise the rate
+    /// with it, over signed, zero and extreme states; a width whose square
+    /// underflows keeps the term and its `0 / 0 = NaN`.
+    #[test]
+    fn inviscid_rate_skips_the_diffusive_term_bitwise() {
+        let eq = EqIdx::new(2, 3);
+        let fluids = [Fluid::air(), Fluid::water()];
+        let table = FluidTable::new(&fluids);
+        let w = [0.5, 1e-150, 3e7];
+        let r = [0.0, 2e-3, 1e5];
+        let widths = [&w[..], &w[..], &w[..]];
+        let metric = RateMetric::new(&fluids, widths, Some(&r[1..]));
+        assert!(!metric.diffusive);
+        let with_term = RateMetric {
+            diffusive: true,
+            ..RateMetric::new(&fluids, widths, Some(&r[1..]))
+        };
+        for (n, u) in [0.0, -0.0, 3.0, -1e300, f64::NAN].into_iter().enumerate() {
+            for (a, p) in [(0.3, 1e5), (1e-8, 0.0), (0.9, -2e8), (0.5, f64::INFINITY)] {
+                let mut prim = [0.0; 7];
+                prim[eq.cont(0)] = 1.2 * a;
+                prim[eq.cont(1)] = 1000.0 * (1.0 - a);
+                prim[eq.mom(0)] = u;
+                prim[eq.mom(1)] = -u;
+                prim[eq.mom(2)] = 7.0;
+                prim[eq.energy()] = p;
+                prim[eq.adv(0)] = a;
+                let (i, j, k) = (n % 3, (n + 1) % 2, n % 2);
+                let got = metric.rate(&eq, &table, &prim, i, j, k);
+                let want = with_term.rate(&eq, &table, &prim, i, j, k);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "u={u} a={a} p={p}: {got} vs {want}"
+                );
+            }
+        }
+        let tiny = [1e-170];
+        let metric = RateMetric::new(&fluids, [&tiny, &tiny, &tiny], None);
+        assert!(metric.diffusive);
+        let mut prim = [0.0; 7];
+        prim[eq.cont(0)] = 1.2;
+        prim[eq.mom(0)] = 1.0;
+        prim[eq.energy()] = 1e5;
+        prim[eq.adv(0)] = 1.0;
+        assert!(metric.rate(&eq, &table, &prim, 0, 0, 0).is_nan());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const MAX_FLUIDS: usize = 8;
 /// packed width each lane performs exactly the same operation sequence on
 /// its own cell, so lane `i` of the packed result is bitwise the scalar
 /// result for cell `i`.
-#[inline]
+#[inline(always)]
 pub fn cons_to_prim<E: EqLayout, L: Lane>(
     eq: &E,
     fluids: &FluidTable,
@@ -93,7 +93,7 @@ pub fn prim_to_cons<E: EqLayout, L: Lane>(eq: &E, fluids: &FluidTable, prim: &[L
 }
 
 /// Mixture density, pressure, and frozen sound speed of a primitive cell.
-#[inline]
+#[inline(always)]
 pub fn sound_speed<E: EqLayout, L: Lane>(eq: &E, fluids: &FluidTable, prim: &[L]) -> (L, L, L) {
     let mut rho = L::splat(0.0);
     for i in 0..eq.nf() {

@@ -173,7 +173,7 @@ impl<L: Lane> MixtureRules<L> {
     /// `alphas` must have one entry per fluid; entries should be in
     /// `[0, 1]` and sum to 1 (enforced elsewhere; small diffuse-interface
     /// excursions are tolerated).
-    #[inline]
+    #[inline(always)]
     pub fn evaluate(fluids: &[Fluid], alphas: &[L]) -> Self {
         debug_assert_eq!(fluids.len(), alphas.len());
         let mut big_gamma = L::splat(0.0);

@@ -75,6 +75,7 @@ use crate::domain::Domain;
 use crate::eos::cons_to_prim;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
+use crate::isa::{self, Tier};
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
 use crate::rhs::{RhsConfig, RhsMode, RhsWorkspace};
 use crate::riemann::RiemannSolver;
@@ -646,12 +647,11 @@ impl<E: EqLayout> Sweep<'_, E> {
         ustar[b * rnf + m] = s;
     }
 
-    /// Stage 4: Riemann solve per face, through the entry the running CPU
-    /// selects ([`crate::isa`]): [`Sweep::riemann_body`] compiled for the
-    /// build's baseline target or with AVX2 enabled. The solvers' whole
-    /// call chain is `#[inline(always)]`, so the AVX2 copy is AVX2 code end
-    /// to end; with `RiemannSolver::flux` left at `#[inline]` the entry ran
-    /// no faster than the baseline one.
+    /// Stage 4: Riemann solve per face, through the entry of
+    /// [`isa::RIEMANN`] the running CPU selects. The solvers' whole call
+    /// chain is `#[inline(always)]`, so a wider entry is wider code end to
+    /// end; with `RiemannSolver::flux` left at `#[inline]` the AVX2 entry
+    /// ran no faster than the baseline one.
     #[inline(never)]
     fn riemann<L: Lane>(
         &self,
@@ -661,27 +661,25 @@ impl<E: EqLayout> Sweep<'_, E> {
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::isa::avx2() {
-            // SAFETY: the running CPU was just seen to support AVX2, the
-            // only requirement of `riemann_avx2` beyond those of the body.
-            return unsafe { self.riemann_avx2::<L>(u, v, left, right, ustar) };
-        }
-        self.riemann_body::<L>(u, v, left, right, ustar);
+        self.riemann_at::<L>(isa::RIEMANN.tier(), u, v, left, right, ustar);
     }
 
-    /// [`Sweep::riemann_body`] compiled with AVX2 (and never FMA) enabled.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn riemann_avx2<L: Lane>(
+    /// [`Sweep::riemann`] through its `tier` entry.
+    #[inline(always)]
+    fn riemann_at<L: Lane>(
         &self,
+        tier: Tier,
         u: Unit,
         v: &[f64],
         left: &mut [f64],
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        self.riemann_body::<L>(u, v, left, right, ustar);
+        isa::RIEMANN.run_at(
+            tier,
+            #[inline(always)]
+            || self.riemann_body::<L>(u, v, left, right, ustar),
+        );
     }
 
     /// All-admissible packets solve lane-wide; a packet with any flagged
@@ -938,8 +936,8 @@ mod tests {
         out
     }
 
-    /// One pencil through the dispatched Riemann entry and through the
-    /// baseline body at lane width `L`: identical flux and `S*` bits.
+    /// One pencil through every Riemann entry the CPU runs at lane width
+    /// `L`: identical flux and `S*` bits to the baseline entry.
     fn riemann_entries_agree<E: EqLayout, L: Lane>(sweep: &Sweep<'_, E>, label: &str) {
         let (eq, rnf) = (&sweep.eq, sweep.rnf);
         let v = prim_lines(eq, sweep.rext, 1);
@@ -953,34 +951,32 @@ mod tests {
             b0: 0,
             bw: BW,
         };
-        let (mut flux, mut ustar) = (left.clone(), vec![0.0; BW * rnf]);
-        let (mut flux0, mut ustar0) = (left, vec![0.0; BW * rnf]);
-        sweep.riemann::<L>(u, &v, &mut flux, &right, &mut ustar);
-        sweep.riemann_body::<L>(u, &v, &mut flux0, &right, &mut ustar0);
-        for (what, got, want) in [("flux", &flux, &flux0), ("S*", &ustar, &ustar0)] {
-            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert!(g.is_finite(), "{label} W={}: {what}[{i}] = {g}", L::WIDTH);
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "{label} W={}: {what}[{i}] avx2 {g:e} vs baseline {w:e}",
-                    L::WIDTH
-                );
+        let (mut flux0, mut ustar0) = (left.clone(), vec![0.0; BW * rnf]);
+        sweep.riemann_at::<L>(Tier::Baseline, u, &v, &mut flux0, &right, &mut ustar0);
+        for tier in isa::RIEMANN.entries_or_skip() {
+            let (mut flux, mut ustar) = (left.clone(), vec![0.0; BW * rnf]);
+            sweep.riemann_at::<L>(tier, u, &v, &mut flux, &right, &mut ustar);
+            for (what, got, want) in [("flux", &flux, &flux0), ("S*", &ustar, &ustar0)] {
+                for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert!(g.is_finite(), "{label} W={}: {what}[{i}] = {g}", L::WIDTH);
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{label} W={}: {what}[{i}] {} {g:e} vs baseline {w:e}",
+                        L::WIDTH,
+                        tier.name()
+                    );
+                }
             }
         }
     }
 
-    /// The Riemann stage's AVX2 entry and its baseline body are one source
-    /// compiled twice without contraction: identical flux and `S*` bits for
-    /// every solver at every lane width, a replayed packet included. Where
-    /// the CPU lacks AVX2 the dispatched entry *is* the baseline one and
-    /// there is nothing to compare.
+    /// The Riemann stage's entries are one source compiled per tier without
+    /// contraction: identical flux and `S*` bits for every solver at every
+    /// lane width, a replayed packet included. It ships no AVX-512 entry
+    /// (that copy ran slower than AVX2 on `grind3d`; EXPERIMENTS.md).
     #[test]
     fn riemann_avx2_entry_matches_the_baseline_entry_bitwise() {
-        if !crate::isa::avx2() {
-            eprintln!("skipped: this CPU runs the baseline entry only");
-            return;
-        }
         let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         with_eq_layout!(EqIdx::new(2, 3), eq => {
             for solver in [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov] {

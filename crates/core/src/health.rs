@@ -26,6 +26,7 @@ use crate::cfl::{rate_flops, RateMetric};
 use crate::eos::cons_to_prim;
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
+use crate::isa::{self, Tier};
 use crate::state::StateField;
 
 /// Tolerances of the health scan.
@@ -129,6 +130,21 @@ pub(crate) fn scan(
     prim: Option<&mut StateField>,
     metric: Option<&RateMetric>,
 ) -> Result<f64, Violation> {
+    scan_at(isa::HEALTH.tier(), ctx, fluids, health, cons, prim, metric)
+}
+
+/// [`scan`] through its `tier` entry: the whole per-cell walk — lane
+/// packets, conversion, checks, rate and the scalar fallback — is compiled
+/// into each entry of [`isa::HEALTH`].
+fn scan_at(
+    tier: Tier,
+    ctx: &Context,
+    fluids: &[Fluid],
+    health: &HealthConfig,
+    cons: &StateField,
+    prim: Option<&mut StateField>,
+    metric: Option<&RateMetric>,
+) -> Result<f64, Violation> {
     let dom = *cons.domain();
     if let Some(prim) = &prim {
         assert_eq!(prim.domain(), &dom);
@@ -189,7 +205,11 @@ pub(crate) fn scan(
             &cfg,
             cost,
             dom.interior_cells(),
-            |_gang, range| with_lane_width!(vw, L => scanner.scan_range::<L>(range)),
+            |_gang, range| with_lane_width!(vw, L => isa::HEALTH.run_at(
+                tier,
+                #[inline(always)]
+                || scanner.scan_range::<L>(range),
+            )),
         )
     });
     results
@@ -220,6 +240,7 @@ struct HealthScanner<'a, E> {
 impl<E: EqLayout> HealthScanner<'_, E> {
     /// Walk a contiguous interior item range, lane packets first: the
     /// first violation, or the maximum rate of the range.
+    #[inline(always)]
     fn scan_range<L: Lane>(&self, range: std::ops::Range<usize>) -> Result<f64, Violation> {
         let mut max = f64::NEG_INFINITY;
         let mut item = range.start;
@@ -458,6 +479,96 @@ mod tests {
         let v = scan_and_convert(&ctx, &fluids, &h, &bad, &mut prim).expect("violation");
         assert_eq!(v.kind, ViolationKind::AlphaOutOfRange);
         assert_eq!(v.value, 1.5);
+    }
+
+    /// A two-phase field of `8k + r` cells per row with varied healthy
+    /// cells: `n` interior cells, 3 ghost layers.
+    fn varied(n: [usize; 3]) -> (Vec<Fluid>, Domain, StateField) {
+        let ctx = Context::serial();
+        let fluids = vec![Fluid::air(), Fluid::water()];
+        let dom = Domain::new(n, 3, EqIdx::new(2, 2));
+        let eq = dom.eq;
+        let mut prim = StateField::zeros(dom);
+        let d3 = dom.dims3();
+        for k in 0..d3.n3 {
+            for j in 0..d3.n2 {
+                for i in 0..d3.n1 {
+                    let h = |s: usize| ((i * 7 + j * 31 + k * 13 + s) * 2654435761 % 1000) as f64;
+                    let a = 0.05 + 0.9e-3 * h(0);
+                    prim.set(i, j, k, eq.cont(0), 1.2 * a);
+                    prim.set(i, j, k, eq.cont(1), 1000.0 * (1.0 - a));
+                    prim.set(i, j, k, eq.mom(0), 0.4 * h(1) - 200.0);
+                    prim.set(i, j, k, eq.mom(1), 0.2 * h(2) - 100.0);
+                    prim.set(i, j, k, eq.energy(), 1.0e5 * (0.5 + 4e-3 * h(3)));
+                    prim.set(i, j, k, eq.adv(0), a);
+                }
+            }
+        }
+        let mut cons = StateField::zeros(dom);
+        prim_to_cons_field(&ctx, &fluids, &prim, &mut cons);
+        (fluids, dom, cons)
+    }
+
+    /// The scan through every health entry this CPU runs, at lane widths
+    /// 1, 4 and 8: the rate's bits, the first violation (kind, cell, eq
+    /// and the value's bits) and the stored primitives equal the baseline
+    /// entry's.
+    fn entries_agree(fluids: &[Fluid], cons: &StateField, what: &str) {
+        let dom = *cons.domain();
+        let widths: Vec<Vec<f64>> = (0..3)
+            .map(|d| (0..dom.ext(d)).map(|i| 0.01 + 1e-4 * i as f64).collect())
+            .collect();
+        let metric = RateMetric::new(fluids, [&widths[0], &widths[1], &widths[2]], None);
+        let h = HealthConfig::default();
+        let run = |tier, w| {
+            let ctx = Context::serial().with_vector_width(w);
+            let mut prim = StateField::zeros(dom);
+            let r = scan_at(tier, &ctx, fluids, &h, cons, Some(&mut prim), Some(&metric));
+            let r = r
+                .map(f64::to_bits)
+                .map_err(|v| (v.kind, v.cell, v.eq, v.value.to_bits()));
+            let bits: Vec<u64> = prim.as_slice().iter().map(|v| v.to_bits()).collect();
+            (r, bits)
+        };
+        for w in [1, 4, 8] {
+            let (want, want_prim) = run(Tier::Baseline, w);
+            for tier in isa::HEALTH.entries_or_skip() {
+                let (got, got_prim) = run(tier, w);
+                assert_eq!(got, want, "{what} W={w}: {} entry", tier.name());
+                if want.is_ok() {
+                    assert!(
+                        got_prim == want_prim,
+                        "{what} W={w}: {} primitives",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn healthy_scan_entries_match_bitwise() {
+        let (fluids, _, cons) = varied([19, 5, 1]);
+        entries_agree(&fluids, &cons, "healthy");
+    }
+
+    /// Flagged lanes inside full packets: the packet drops to the scalar
+    /// walk, which must report the x-fastest first offender on every
+    /// entry — here the later lane of the packet holds the first kind
+    /// checked, and the row below holds an earlier cell's violation.
+    #[test]
+    fn flagged_scan_entries_match_bitwise() {
+        let (fluids, dom, cons) = varied([19, 5, 1]);
+        let eq = dom.eq;
+        let mut bad = cons.clone();
+        bad.set(9, 4, 0, eq.adv(0), 1.5);
+        bad.set(12, 4, 0, eq.energy(), f64::NAN);
+        bad.set(3, 5, 0, eq.cont(0), -2.0);
+        bad.set(3, 5, 0, eq.cont(1), 1.0);
+        entries_agree(&fluids, &bad, "alpha then NaN in one packet");
+        let mut vacuum = cons.clone();
+        vacuum.set(17, 6, 0, eq.energy(), -1.0e9);
+        entries_agree(&fluids, &vacuum, "vacuum pressure");
     }
 
     #[test]

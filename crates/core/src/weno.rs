@@ -15,6 +15,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::isa::{self, Tier};
+
 /// Reconstruction order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -262,9 +264,9 @@ pub fn reconstruct_line(
 /// layers. This is the WENO stage of the sweep engine at every lane width
 /// and in both loop orders.
 ///
-/// The line body is compiled twice from one source — for the build's
-/// baseline target and, on x86-64, with AVX2 enabled — and runs the entry
-/// [`crate::isa::kernel_isa`] names; the two are bitwise identical.
+/// The line body is compiled once per tier [`crate::isa::WENO`] ships and
+/// runs the widest entry the CPU supports; every entry is bitwise
+/// identical.
 pub fn reconstruct_line_padded(
     order: WenoOrder,
     v: &[f64],
@@ -273,19 +275,17 @@ pub fn reconstruct_line_padded(
     left: &mut [f64],
     right: &mut [f64],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::isa::avx2() {
-        // SAFETY: the running CPU was just seen to support AVX2, the only
-        // requirement of `line_avx2` beyond those of the safe line body.
-        return unsafe { line_avx2(order, v, pad, n, left, right) };
-    }
-    line_body(order, v, pad, n, left, right);
+    reconstruct_line_padded_at(isa::WENO.tier(), order, v, pad, n, left, right);
 }
 
-/// The baseline-target entry of [`reconstruct_line_padded`], whatever the
-/// CPU supports — for benchmarks and the entry-equivalence test.
+/// [`reconstruct_line_padded`] through its `tier` entry, whatever the
+/// process would pick — for benchmarks and the entry-equivalence test.
+///
+/// # Panics
+/// If the WENO stage does not ship `tier` or the CPU cannot run it.
 #[doc(hidden)]
-pub fn reconstruct_line_padded_baseline(
+pub fn reconstruct_line_padded_at(
+    tier: Tier,
     order: WenoOrder,
     v: &[f64],
     pad: usize,
@@ -293,21 +293,11 @@ pub fn reconstruct_line_padded_baseline(
     left: &mut [f64],
     right: &mut [f64],
 ) {
-    line_body(order, v, pad, n, left, right);
-}
-
-/// [`line_body`] compiled with AVX2 (and never FMA) enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn line_avx2(
-    order: WenoOrder,
-    v: &[f64],
-    pad: usize,
-    n: usize,
-    left: &mut [f64],
-    right: &mut [f64],
-) {
-    line_body(order, v, pad, n, left, right);
+    isa::WENO.run_at(
+        tier,
+        #[inline(always)]
+        || line_body(order, v, pad, n, left, right),
+    );
 }
 
 /// The order is matched once per line and each arm is a plain loop over
@@ -687,42 +677,55 @@ mod tests {
                 );
             }
         }
-    }
 
-    /// A deterministic rough buffer: smooth waves, a jump and noise.
-    fn rough(i: usize) -> f64 {
-        let x = i as f64;
-        let noise = (i.wrapping_mul(2654435761) % 1000) as f64 * 1e-4;
-        (0.37 * x).sin() + if i % 23 < 11 { 2.0 } else { -0.5 } + noise
-    }
-
-    /// The AVX2 entry and the baseline entry of the line kernel are one
-    /// source compiled twice without contraction: identical bits on every
-    /// order and line length. Where the CPU lacks AVX2 the dispatched
-    /// entry *is* the baseline one and there is nothing to compare.
-    #[test]
-    fn avx2_entry_matches_the_baseline_entry_bitwise() {
-        if !crate::isa::avx2() {
-            eprintln!("skipped: this CPU runs the baseline entry only");
-            return;
-        }
-        let pad = 3;
-        for order in ORDERS {
-            for n in [0, 1, 2, 3, 4, 5, 7, 8, 31, 96, 257] {
-                let v: Vec<f64> = (0..n + 2 * pad).map(|i| rough(i + 5 * n)).collect();
-                let (mut l, mut r) = (vec![0.0; n + 1], vec![0.0; n + 1]);
-                let (mut lb, mut rb) = (vec![0.0; n + 1], vec![0.0; n + 1]);
-                reconstruct_line_padded(order, &v, pad, n, &mut l, &mut r);
-                reconstruct_line_padded_baseline(order, &v, pad, n, &mut lb, &mut rb);
-                for m in 0..=n {
-                    assert!(
-                        l[m].to_bits() == lb[m].to_bits() && r[m].to_bits() == rb[m].to_bits(),
-                        "{order:?} n={n} face {m}: avx2 ({:e}, {:e}) vs baseline ({:e}, {:e})",
-                        l[m],
-                        r[m],
-                        lb[m],
-                        rb[m]
-                    );
+        /// Every entry of the line kernel is one source compiled per tier
+        /// without contraction: identical bits on every order, line length
+        /// and magnitude, and on every entry the left face of a line is the
+        /// right face of the mirrored line. Tiers the CPU cannot run are
+        /// skipped with a note on stderr.
+        #[test]
+        fn avx2_entry_matches_the_baseline_entry_bitwise(
+            base in proptest::collection::vec(-1.0f64..1.0, 16),
+            exp in -300i32..=12,
+            kind in 0usize..4,
+            n in 0usize..260,
+        ) {
+            let pad = 3;
+            let scale = 10f64.powi(exp);
+            let len = n + 2 * pad;
+            let step = (base[2] + 1.0) * len as f64 / 2.0;
+            let v: Vec<f64> = (0..len)
+                .map(|i| scale * match kind {
+                    0 => base[i % 16],
+                    1 => base[0],
+                    2 => if (i as f64) < step { base[0] } else { base[1] },
+                    _ => 1.0 + 1e-3 * base[i % 16],
+                })
+                .collect();
+            let mirror: Vec<f64> = v.iter().rev().copied().collect();
+            for order in ORDERS {
+                let at = |tier, v: &[f64]| {
+                    let (mut l, mut r) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+                    reconstruct_line_padded_at(tier, order, v, pad, n, &mut l, &mut r);
+                    (l, r)
+                };
+                let (lb, rb) = at(Tier::Baseline, &v);
+                for tier in isa::WENO.entries_or_skip() {
+                    let (l, r) = at(tier, &v);
+                    let (ml, mr) = at(tier, &mirror);
+                    for m in 0..=n {
+                        prop_assert!(
+                            l[m].to_bits() == lb[m].to_bits() && r[m].to_bits() == rb[m].to_bits(),
+                            "{order:?} n={n} face {m}: {} ({:e}, {:e}) vs baseline ({:e}, {:e})",
+                            tier.name(), l[m], r[m], lb[m], rb[m]
+                        );
+                        prop_assert!(
+                            l[m].to_bits() == mr[n - m].to_bits()
+                                && r[m].to_bits() == ml[n - m].to_bits(),
+                            "{order:?} n={n} face {m}: {} ({:e}, {:e}) vs mirrored ({:e}, {:e})",
+                            tier.name(), l[m], r[m], mr[n - m], ml[n - m]
+                        );
+                    }
                 }
             }
         }
