@@ -28,6 +28,7 @@ use mfc_trace::{Category, LedgerRow, SpanGuard, TraceHandle};
 use crate::config::LaunchConfig;
 use crate::cost::KernelCost;
 use crate::ledger::Ledger;
+use crate::shared::{AddView, ParSlice};
 use crate::vector::{validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, DEFAULT_WIDTH};
 use crate::with_lane_width;
 
@@ -486,29 +487,42 @@ impl Context {
     /// once against [`Lane`] (a [`LaneGangBody`]), runs at the context's
     /// vector width with exclusive use of `state[gang]` (the per-worker
     /// scratch blocks of the fused sweep), and handles its own packet/tail
-    /// tiling inside each gang range. Per-gang return values reach `each`
+    /// tiling inside each gang range. The launch's output buffers `outs`
+    /// reach the body as [`AddView`]s: the buffers themselves when the
+    /// launch runs as one gang on the calling thread, one shared
+    /// [`ParSlice`] per buffer when it forks (each gang then adds only
+    /// into the slots its units own). Per-gang return values reach `each`
     /// in gang order; returns the gang count. Recording is the caller's
     /// job ([`Context::record`]).
-    pub fn gang_vec_scope<S, R, B>(
+    pub fn gang_vec_scope<S, R, B, const N: usize>(
         &self,
         n: usize,
         work_items: u64,
         state: &mut [S],
+        mut outs: [&mut [f64]; N],
         body: &B,
-        each: impl FnMut(R),
+        mut each: impl FnMut(R),
     ) -> usize
     where
         S: Send,
         R: Send,
-        B: LaneGangBody<S, R>,
+        B: LaneGangBody<S, R, N>,
     {
-        with_lane_width!(self.vector_width, L => self.fork_join(
-            n,
-            work_items,
-            state,
-            |g, range, st| body.run::<L>(g, range, st),
-            each,
-        ))
+        with_lane_width!(self.vector_width, L => {
+            if self.one_gang(n, work_items) {
+                each(body.run::<L, _>(0, 0..n, &mut state[0], &mut outs));
+                1
+            } else {
+                let views = outs.map(ParSlice::new);
+                self.fork_join(
+                    n,
+                    work_items,
+                    state,
+                    |g, range, st| body.run::<L, _>(g, range, st, &mut { views }),
+                    each,
+                )
+            }
+        })
     }
 
     /// [`Context::gang_vec_scope`] over per-*unit* state: unit `u` owns
@@ -516,17 +530,18 @@ impl Context {
     /// (`state[i]` belongs to unit `range.start + i`) — scratch that
     /// outlives one gang's pass, such as a stage-major sweep's pencil
     /// blocks, which every stage revisits under the same split.
-    pub fn gang_vec_units<S, R, B>(
+    pub fn gang_vec_units<S, R, B, const N: usize>(
         &self,
         work_items: u64,
         units: &mut [S],
+        outs: [&mut [f64]; N],
         body: &B,
         each: impl FnMut(R),
     ) -> usize
     where
         S: Send,
         R: Send,
-        B: LaneGangBody<[S], R>,
+        B: LaneGangBody<[S], R, N>,
     {
         let n = units.len();
         let blocks = if self.one_gang(n, work_items) {
@@ -543,13 +558,7 @@ impl Context {
                 chunk
             })
             .collect();
-        with_lane_width!(self.vector_width, L => self.fork_join(
-            n,
-            work_items,
-            &mut chunks,
-            |g, range, st| body.run::<L>(g, range, st),
-            each,
-        ))
+        self.gang_vec_scope(n, work_items, &mut chunks, outs, &Chunks(body), each)
     }
 
     /// Launch a gang-decomposed kernel over `n` items: the body sees its
@@ -624,6 +633,26 @@ fn max_vec_row<L: Lane, K: LaneMaxKernel>(
 impl Default for Context {
     fn default() -> Self {
         Context::new()
+    }
+}
+
+/// A per-unit gang body run over its gang's chunk of unit states
+/// ([`Context::gang_vec_units`]).
+struct Chunks<'b, B>(&'b B);
+
+impl<'c, S: 'c, R, B, const N: usize> LaneGangBody<&'c mut [S], R, N> for Chunks<'_, B>
+where
+    B: LaneGangBody<[S], R, N>,
+{
+    #[inline(always)]
+    fn run<L: Lane, O: AddView>(
+        &self,
+        gang: usize,
+        range: Range<usize>,
+        state: &mut &'c mut [S],
+        out: &mut [O; N],
+    ) -> R {
+        self.0.run::<L, O>(gang, range, state, out)
     }
 }
 
@@ -975,7 +1004,13 @@ mod tests {
     }
 
     impl crate::vector::LaneGangBody<u64, u64> for Marked<'_> {
-        fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, st: &mut u64) -> u64 {
+        fn run<L: Lane, O: AddView>(
+            &self,
+            _gang: usize,
+            range: Range<usize>,
+            st: &mut u64,
+            _out: &mut [O; 0],
+        ) -> u64 {
             (self.mark)();
             *st = range.map(|u| (u * u) as u64).sum();
             *st
@@ -983,7 +1018,13 @@ mod tests {
     }
 
     impl crate::vector::LaneGangBody<[u64], u64> for Marked<'_> {
-        fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, st: &mut [u64]) -> u64 {
+        fn run<L: Lane, O: AddView>(
+            &self,
+            _gang: usize,
+            range: Range<usize>,
+            st: &mut [u64],
+            _out: &mut [O; 0],
+        ) -> u64 {
             (self.mark)();
             assert_eq!(range.len(), st.len(), "one state per unit of the range");
             for (u, s) in range.zip(st.iter_mut()) {
@@ -1047,7 +1088,7 @@ mod tests {
             };
             let mut scratch = vec![0u64; ctx.workers()];
             let mut total = 0u64;
-            ctx.gang_vec_scope(a, (a * b) as u64, &mut scratch, &k, |s: u64| total += s);
+            ctx.gang_vec_scope(a, (a * b) as u64, &mut scratch, [], &k, |s: u64| total += s);
             vec![total]
         }),
         ("gang_vec_units", false, |ctx, a, b, mark| {
@@ -1058,7 +1099,7 @@ mod tests {
             };
             let mut units = vec![0u64; a];
             let mut total = 0u64;
-            ctx.gang_vec_units((a * b) as u64, &mut units, &k, |s: u64| total += s);
+            ctx.gang_vec_units((a * b) as u64, &mut units, [], &k, |s: u64| total += s);
             units.push(total);
             units
         }),
@@ -1106,7 +1147,13 @@ mod tests {
     fn gang_vec_scope_runs_every_unit_once_at_any_width() {
         struct Body;
         impl crate::vector::LaneGangBody<u64, u64> for Body {
-            fn run<L: Lane>(&self, _g: usize, range: std::ops::Range<usize>, st: &mut u64) -> u64 {
+            fn run<L: Lane, O: AddView>(
+                &self,
+                _g: usize,
+                range: std::ops::Range<usize>,
+                st: &mut u64,
+                _out: &mut [O; 0],
+            ) -> u64 {
                 for u in range {
                     *st += u as u64 + L::WIDTH as u64 - L::WIDTH as u64;
                 }
@@ -1118,7 +1165,8 @@ mod tests {
             let n = 3 * PAR_MIN_ITEMS;
             let mut scratch = vec![0u64; ctx.workers()];
             let mut total = 0u64;
-            let gangs = ctx.gang_vec_scope(n, n as u64, &mut scratch, &Body, |s: u64| total += s);
+            let gangs =
+                ctx.gang_vec_scope(n, n as u64, &mut scratch, [], &Body, |s: u64| total += s);
             assert_eq!(gangs, 3);
             assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
         }

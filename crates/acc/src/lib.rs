@@ -42,7 +42,7 @@ pub use ledger::{
     KernelStats, Ledger, ResilienceEvent, ResilienceEventKind, TransferDirection, TransferStats,
 };
 pub use report::resilience_summary;
-pub use shared::ParSlice;
+pub use shared::{AddView, ParSlice};
 pub use vector::{
     validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64, DEFAULT_WIDTH,
     MAX_WIDTH, MAX_WORKERS,

@@ -5,7 +5,19 @@
 //! cell, one line at a time). [`ParSlice`] is the device-memory analog: a
 //! shared view whose slots are written through relaxed atomic stores —
 //! plain `mov`s on every 64-bit platform, so the store is the exact bit
-//! pattern of the `f64` and the kernel arithmetic is untouched.
+//! pattern of the `f64` and the kernel arithmetic is untouched. It writes
+//! lane by lane, though, so a lane packet never becomes one vector store.
+//!
+//! Which launches use it: every `launch_par` / `launch_vec` body that
+//! writes a field (the primitive conversion, the health scan's primitive
+//! store, the viscous, axisymmetric and alpha-source RHS kernels, the exec
+//! tests), and a [`crate::Context::gang_vec_scope`] /
+//! [`crate::Context::gang_vec_units`] launch that forks. Those gang
+//! launches take their outputs instead of capturing them and hand each gang
+//! an [`AddView`] of them: the buffers themselves (`&mut [f64]`, with
+//! vector loads and stores) when the launch runs as one gang on the calling
+//! thread, so the exclusive borrow is the compiler's to check, and one
+//! `ParSlice` per buffer, shared by every gang, when it forks.
 //!
 //! The determinism contract matches a device global-memory buffer: each
 //! index must be written by **at most one** gang per launch. Under that
@@ -98,6 +110,62 @@ impl<'a> ParSlice<'a> {
     }
 }
 
+/// A gang body's accumulating view of one launch output: the buffer itself
+/// when the launch runs as one gang, a [`ParSlice`] when it forks. Both
+/// perform the same `slot + v` per slot, so a body written once against
+/// this trait gives identical bits through either.
+pub trait AddView {
+    /// `slot i += v`.
+    fn add(&mut self, i: usize, v: f64);
+
+    /// Lanewise `+=` into the `L::WIDTH` consecutive slots from `i`.
+    fn add_lanes<L: Lane>(&mut self, i: usize, v: L);
+
+    /// `slot i + b += v(b)` for every `b < n`: one row of consecutive
+    /// slots, `b` ascending.
+    #[inline(always)]
+    fn add_row(&mut self, i: usize, n: usize, mut v: impl FnMut(usize) -> f64) {
+        for b in 0..n {
+            self.add(i + b, v(b));
+        }
+    }
+}
+
+/// The one-gang view: plain loads and stores, a lane packet as one vector
+/// load, add and store, and a row as one slice.
+impl AddView for &mut [f64] {
+    #[inline(always)]
+    fn add(&mut self, i: usize, v: f64) {
+        self[i] += v;
+    }
+
+    #[inline(always)]
+    fn add_lanes<L: Lane>(&mut self, i: usize, v: L) {
+        let dst = &mut self[i..];
+        (L::load(dst) + v).store(dst);
+    }
+
+    #[inline(always)]
+    fn add_row(&mut self, i: usize, n: usize, mut v: impl FnMut(usize) -> f64) {
+        for (b, d) in self[i..i + n].iter_mut().enumerate() {
+            *d += v(b);
+        }
+    }
+}
+
+/// The forked view: each gang adds only into slots it owns.
+impl AddView for ParSlice<'_> {
+    #[inline(always)]
+    fn add(&mut self, i: usize, v: f64) {
+        ParSlice::add(self, i, v);
+    }
+
+    #[inline(always)]
+    fn add_lanes<L: Lane>(&mut self, i: usize, v: L) {
+        ParSlice::add_lanes(self, i, v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,5 +200,27 @@ mod tests {
             }
         });
         assert!(buf.iter().enumerate().all(|(i, &x)| x == i as f64));
+    }
+
+    /// The plain and shared views add the same bits, lane packets, rows and
+    /// single slots alike, at every width.
+    #[test]
+    fn plain_and_shared_views_add_identical_bits() {
+        fn adds<V: AddView>(mut v: V) {
+            v.add_lanes(
+                1,
+                crate::VecF64::<4>::from_lanes(|l| 0.1 * l as f64 - 1e-17),
+            );
+            v.add_lanes(3, crate::VecF64::<8>::from_lanes(|l| 1e3 / (l + 1) as f64));
+            v.add_lanes(5, 0.3);
+            v.add_row(2, 9, |b| (b as f64).sqrt() * 1e-5);
+            v.add(12, -0.7);
+        }
+        let start: Vec<f64> = (0..13).map(|i| (i as f64 * 0.77).sin()).collect();
+        let (mut plain, mut shared) = (start.clone(), start);
+        adds(&mut plain[..]);
+        adds(ParSlice::new(&mut shared));
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&shared));
     }
 }

@@ -28,6 +28,8 @@
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
+use crate::shared::AddView;
+
 /// Largest supported lane width.
 pub const MAX_WIDTH: usize = 8;
 
@@ -389,10 +391,20 @@ pub trait LaneMaxKernel: Sync {
 /// A gang-scope body executable at any lane width (see
 /// [`crate::exec::Context::gang_vec_scope`] and
 /// [`crate::exec::Context::gang_vec_units`]): `run` receives the gang id,
-/// its contiguous unit range, and exclusive scratch, and handles its own
-/// packet/tail tiling.
-pub trait LaneGangBody<S: ?Sized, R>: Sync {
-    fn run<L: Lane>(&self, gang: usize, range: std::ops::Range<usize>, state: &mut S) -> R;
+/// its contiguous unit range, exclusive scratch and its views of the
+/// launch's `N` output buffers, and handles its own packet/tail tiling.
+/// `run` is instantiated once per view type — the plain buffers of a
+/// one-gang launch and the shared views of a forked one
+/// ([`crate::shared::AddView`]) — and the launch picks the instance, never
+/// the element.
+pub trait LaneGangBody<S: ?Sized, R, const N: usize = 0>: Sync {
+    fn run<L: Lane, O: AddView>(
+        &self,
+        gang: usize,
+        range: std::ops::Range<usize>,
+        state: &mut S,
+        out: &mut [O; N],
+    ) -> R;
 }
 
 /// Dispatch a runtime lane width to a monomorphized instantiation:

@@ -34,6 +34,11 @@ pub trait EqLayout: Copy + Send + Sync + 'static {
     /// A per-cell private array with one slot per equation.
     type Vars<L: Lane>: AsRef<[L]> + AsMut<[L]>;
 
+    /// `Some((nf, ndim))` for a [`ConstEq`], `None` for the run-time
+    /// [`EqIdx`]: the compile-time key of a stage whose ISA tier depends on
+    /// the layout ([`crate::isa::riemann`]).
+    const SHAPE: Option<(usize, usize)>;
+
     /// A zeroed private array.
     fn vars<L: Lane>(&self) -> Self::Vars<L>;
 
@@ -109,6 +114,7 @@ pub struct EqIdx {
 
 impl EqLayout for EqIdx {
     type Vars<L: Lane> = [L; MAX_EQ];
+    const SHAPE: Option<(usize, usize)> = None;
 
     #[inline(always)]
     fn vars<L: Lane>(&self) -> [L; MAX_EQ] {
@@ -198,6 +204,7 @@ pub struct ConstEq<const NF: usize, const NDIM: usize, const NEQ: usize>;
 
 impl<const NF: usize, const NDIM: usize, const NEQ: usize> EqLayout for ConstEq<NF, NDIM, NEQ> {
     type Vars<L: Lane> = [L; NEQ];
+    const SHAPE: Option<(usize, usize)> = Some((NF, NDIM));
 
     #[inline(always)]
     fn vars<L: Lane>(&self) -> [L; NEQ] {
@@ -343,6 +350,15 @@ mod tests {
         for (nf, ndim, want) in [(1, 1, 3), (1, 2, 4), (2, 2, 6), (2, 3, 7), (3, 1, MAX_EQ)] {
             let got = with_eq_layout!(EqIdx::new(nf, ndim), e => e.vars::<f64>().as_ref().len());
             assert_eq!(got, want, "nf={nf} ndim={ndim}");
+        }
+        // `isa::LAYOUTS` names exactly the dispatched shapes, each keyed by
+        // its `SHAPE`, and the fallback by `None`.
+        fn shape<E: EqLayout>(_: E) -> Option<(usize, usize)> {
+            E::SHAPE
+        }
+        for want in crate::isa::LAYOUTS {
+            let (nf, ndim) = want.unwrap_or((3, 1));
+            assert_eq!(with_eq_layout!(EqIdx::new(nf, ndim), e => shape(e)), want);
         }
         // The test hook sends every shape to the run-time layout.
         FORCE_RUNTIME_LAYOUT.set(true);

@@ -50,11 +50,21 @@
 //! own face, so every width is bitwise the scalar engine. The WENO stage
 //! runs the scalar per-cell line kernel at every width (its plain cell loop
 //! is what the compiler's loop vectoriser packs best). WENO and Riemann are
-//! each compiled twice, for the baseline target and with AVX2, and run the
-//! entry the CPU selects ([`crate::isa`]). The gather's copy is a scalar
-//! byte shuffle; the conversion runs lane packets along each line, and so
-//! does the x update; the y and z updates are a scalar loop whose innermost
-//! index runs across the pencil's lines, consecutive in canonical x.
+//! each compiled once per ISA tier they ship and run the widest entry the
+//! CPU has ([`crate::isa`]): WENO up to AVX-512 on every layout, Riemann up
+//! to the tier of the sweep's equation layout ([`crate::isa::riemann`]:
+//! AVX-512 for 3, 4 and 6 equations, AVX2 otherwise). The gather's copy is a
+//! scalar byte shuffle; the conversion runs lane packets along each line,
+//! and so does the x update; the y and z updates are a scalar loop whose
+//! innermost index runs across the pencil's lines, consecutive in canonical
+//! x.
+//!
+//! The update writes the RHS and div(u) through the views the gang launch
+//! hands each gang ([`mfc_acc::AddView`]): the buffers themselves when the
+//! sweep runs as one gang on the calling thread — one worker, or too little
+//! work to fork — so an x packet is one vector load, add and store and a
+//! y/z row one slice; one shared atomic [`mfc_acc::ParSlice`] per buffer
+//! when it forks. Pencils own disjoint cells, so both give the same bits.
 //!
 //! Each stage lands in the `mfc-acc` ledger under its own label with the
 //! same per-item cost in both engines — `f_*` pencil-major, `s_*`
@@ -68,7 +78,7 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneGangBody, ParSlice};
+use mfc_acc::{AddView, Context, KernelClass, KernelCost, Lane, LaneGangBody};
 
 use crate::axisym::Geometry;
 use crate::domain::Domain;
@@ -212,14 +222,12 @@ pub(crate) fn sweep_axis(
     let dom = *dom;
     let eq = dom.eq;
     let neq = eq.neq();
-    let d3 = dom.dims3();
-    let (n1, n2, n3) = (d3.n1, d3.n2, d3.n3);
     // Along the sweep axis: `s_n` interior cells, `s_n + 1` faces, and a
     // gathered line of the full padded extent.
     let s_n = dom.n[axis];
     let rext = dom.ext(axis);
     let rnf = s_n + 1;
-    let (bq, bcount, oq, ocount) = batching(&dom, axis);
+    let (_, bcount, _, ocount) = batching(&dom, axis);
     let nlines = bcount * ocount;
     // The sweep's unit of work is one pencil — an (outer transverse
     // coordinate, batch of PENCIL_B lines) pair — flattened with the batch
@@ -298,37 +306,9 @@ pub(crate) fn sweep_axis(
     // instantiated per layout, and every per-face loop inside them runs on
     // that instance's (for the shipped shapes, literal) counts.
     with_eq_layout!(eq, eq => {
-        let sweep = Sweep {
-            eq,
-            fluids: &table,
-            order: cfg.order,
-            solver: cfg.solver,
-            limiter: cfg.limiter,
-            axis,
-            qsl: cons.as_slice(),
-            rsl: ParSlice::new(rhs.as_mut_slice()),
-            dsl: ParSlice::new(divu),
-            w: &widths[axis][..],
-            radial: (axis == 2 && cfg.geometry == Geometry::Cylindrical3D).then_some(&radii[..]),
-            n1,
-            n2,
-            n3,
-            cell_stride: n1 * n2 * n3,
-            sweep_stride: match axis {
-                0 => 1,
-                1 => n1,
-                _ => n1 * n2,
-            },
-            pad: dom.pad(axis),
-            s_n,
-            rext,
-            rnf,
-            batch_t1: axis < 2,
-            bq,
-            bcount,
-            oq,
-            nbatches,
-        };
+        let radial = (axis == 2 && cfg.geometry == Geometry::Cylindrical3D).then_some(&radii[..]);
+        let sweep = Sweep::new(eq, &dom, axis, cfg, &table, cons.as_slice(), &widths[axis], radial);
+        let outs = [rhs.as_mut_slice(), &mut divu[..]];
         match cfg.mode {
             RhsMode::Fused => {
                 // One scratch block per worker gang: each gang's pencils
@@ -338,14 +318,14 @@ pub(crate) fn sweep_axis(
                 if fused.len() < workers {
                     fused.resize_with(workers, || PencilScratch::new(&dom, 1));
                 }
-                pencil_major(ctx, &sweep, units, work, fused, &rows, lines)
+                pencil_major(ctx, &sweep, units, work, fused, outs, &rows, lines)
             }
             RhsMode::Staged => {
                 let scratch = staged.get_or_insert_with(|| {
                     let slots = (0..eq.ndim()).map(|a| pencil_count(&dom, a)).max();
                     PencilScratch::new(&dom, slots.unwrap_or(0))
                 });
-                stage_major(ctx, &sweep, units, work, scratch, &rows)
+                stage_major(ctx, &sweep, units, work, scratch, outs, &rows)
             }
         }
     })
@@ -354,14 +334,20 @@ pub(crate) fn sweep_axis(
 /// Per stage: cost per item, items, lane width.
 type Rows = [(KernelCost, u64, usize); 5];
 
+/// The sweep's outputs, in the order the update reads them: the canonical
+/// RHS and div(u). The launch hands them to its gangs as [`AddView`]s.
+type Outs<'o> = [&'o mut [f64]; 2];
+
 /// Pencil-major: every gang streams its pencils through all five stages in
 /// its own scratch slot, timing each stage.
+#[allow(clippy::too_many_arguments)]
 fn pencil_major<E: EqLayout>(
     ctx: &Context,
     sweep: &Sweep<'_, E>,
     units: usize,
     work: u64,
     scratch: &mut [PencilScratch],
+    outs: Outs<'_>,
     rows: &Rows,
     lines: u64,
 ) {
@@ -369,7 +355,7 @@ fn pencil_major<E: EqLayout>(
     // Per-stage CPU time summed over gangs in fixed gang order (exceeds
     // the axis wall clock when gangs overlap; the residual clamps at 0).
     let mut stage = [Duration::ZERO; 5];
-    let gangs = ctx.gang_vec_scope(units, work, scratch, sweep, |t: [Duration; 5]| {
+    let gangs = ctx.gang_vec_scope(units, work, scratch, outs, sweep, |t: [Duration; 5]| {
         for (sum, gang) in stage.iter_mut().zip(t) {
             *sum += gang;
         }
@@ -409,14 +395,17 @@ fn stage_major<E: EqLayout>(
     units: usize,
     work: u64,
     scratch: &mut PencilScratch,
+    outs: Outs<'_>,
     rows: &Rows,
 ) {
     let mut pencils: Vec<Pencil> = scratch.pencils().take(units).collect();
     assert_eq!(pencils.len(), units, "staged scratch holds every pencil");
+    let [rhs, divu] = outs;
     for (stage, (label, &(cost, items, lanes))) in LABELS.iter().zip(rows).enumerate() {
         let t0 = Instant::now();
         let pass = Pass { sweep, stage };
-        let gangs = ctx.gang_vec_units(work, &mut pencils, &pass, |()| {});
+        let outs = [&mut rhs[..], &mut divu[..]];
+        let gangs = ctx.gang_vec_units(work, &mut pencils, outs, &pass, |()| {});
         ctx.record(label[1], cost, items, gangs, lanes, t0, t0.elapsed());
     }
 }
@@ -431,11 +420,12 @@ struct Unit {
 }
 
 /// Shared environment of one directional sweep and its five stages,
-/// executable at any lane width. Each stage is an out-of-line function that
-/// either loop order calls once per pencil, so there is one copy of it per
-/// layout and lane width; inlined into both loop orders instead, the
-/// pencil-major conversion and Riemann stages ran 30 % and 15 % slower per
-/// item on `grind3d`.
+/// executable at any lane width. The outputs are not part of it: each gang
+/// gets its own views of them from the launch ([`Sweep::update`]). Each
+/// stage is an out-of-line function that either loop order calls once per
+/// pencil, so there is one copy of it per layout and lane width; inlined
+/// into both loop orders instead, the pencil-major conversion and Riemann
+/// stages ran 30 % and 15 % slower per item on `grind3d`.
 struct Sweep<'a, E> {
     eq: E,
     fluids: &'a FluidTable,
@@ -445,8 +435,6 @@ struct Sweep<'a, E> {
     axis: usize,
     /// Canonical conservative state.
     qsl: &'a [f64],
-    rsl: ParSlice<'a>,
-    dsl: ParSlice<'a>,
     /// Ghost-inclusive cell widths along the sweep axis.
     w: &'a [f64],
     /// Radii by first transverse coordinate (cylindrical azimuthal sweeps).
@@ -472,7 +460,57 @@ struct Sweep<'a, E> {
     nbatches: usize,
 }
 
-impl<E: EqLayout> Sweep<'_, E> {
+impl<'a, E: EqLayout> Sweep<'a, E> {
+    /// The sweep along `axis` of the block `dom`, reading the state `qsl`,
+    /// with the ghost-inclusive cell widths `w` along `axis` and, for a
+    /// cylindrical azimuthal sweep, the radii by first transverse
+    /// coordinate.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        eq: E,
+        dom: &Domain,
+        axis: usize,
+        cfg: &RhsConfig,
+        fluids: &'a FluidTable,
+        qsl: &'a [f64],
+        w: &'a [f64],
+        radial: Option<&'a [f64]>,
+    ) -> Self {
+        let d3 = dom.dims3();
+        let (n1, n2, n3) = (d3.n1, d3.n2, d3.n3);
+        let (bq, bcount, oq, _) = batching(dom, axis);
+        let s_n = dom.n[axis];
+        Sweep {
+            eq,
+            fluids,
+            order: cfg.order,
+            solver: cfg.solver,
+            limiter: cfg.limiter,
+            axis,
+            qsl,
+            w,
+            radial,
+            n1,
+            n2,
+            n3,
+            cell_stride: n1 * n2 * n3,
+            sweep_stride: match axis {
+                0 => 1,
+                1 => n1,
+                _ => n1 * n2,
+            },
+            pad: dom.pad(axis),
+            s_n,
+            rext: dom.ext(axis),
+            rnf: s_n + 1,
+            batch_t1: axis < 2,
+            bq,
+            bcount,
+            oq,
+            nbatches: bcount.div_ceil(PENCIL_B),
+        }
+    }
+
     #[inline(always)]
     fn unit(&self, unit: usize) -> Unit {
         let b0 = (unit % self.nbatches) * PENCIL_B;
@@ -647,8 +685,13 @@ impl<E: EqLayout> Sweep<'_, E> {
         ustar[b * rnf + m] = s;
     }
 
+    /// The Riemann stage of this sweep's layout: its tier is a constant of
+    /// `E` ([`isa::riemann`]), so a layout that does not ship AVX-512
+    /// compiles no AVX-512 copy of the stage.
+    const RIEMANN: isa::Stage = isa::riemann(E::SHAPE);
+
     /// Stage 4: Riemann solve per face, through the entry of
-    /// [`isa::RIEMANN`] the running CPU selects. The solvers' whole call
+    /// [`Sweep::RIEMANN`] the running CPU selects. The solvers' whole call
     /// chain is `#[inline(always)]`, so a wider entry is wider code end to
     /// end; with `RiemannSolver::flux` left at `#[inline]` the AVX2 entry
     /// ran no faster than the baseline one.
@@ -661,7 +704,7 @@ impl<E: EqLayout> Sweep<'_, E> {
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        self.riemann_at::<L>(isa::RIEMANN.tier(), u, v, left, right, ustar);
+        self.riemann_at::<L>(Self::RIEMANN.tier(), u, v, left, right, ustar);
     }
 
     /// [`Sweep::riemann`] through its `tier` entry.
@@ -675,7 +718,7 @@ impl<E: EqLayout> Sweep<'_, E> {
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        isa::RIEMANN.run_at(
+        Self::RIEMANN.run_at(
             tier,
             #[inline(always)]
             || self.riemann_body::<L>(u, v, left, right, ustar),
@@ -733,22 +776,31 @@ impl<E: EqLayout> Sweep<'_, E> {
     }
 
     /// Stage 5: flux divergence into the canonical RHS and `S*` differences
-    /// into div(u). In 3-D cylindrical coordinates the azimuthal cell width
-    /// is `r * dtheta`, with `r` set by the pencil's outer coordinate.
+    /// into div(u), through the launch's views of them ([`AddView`]: the
+    /// buffers themselves when the sweep runs as one gang, shared views
+    /// when it forks). In 3-D cylindrical coordinates the azimuthal cell
+    /// width is `r * dtheta`, with `r` set by the pencil's outer coordinate.
     ///
     /// On the y and z sweeps the pencil's lines are consecutive in
     /// canonical x, so the loop runs cell by cell along the sweep, then per
-    /// variable across the lines: each (cell, variable) row writes `bw`
+    /// variable across the lines: each (cell, variable) row adds `bw`
     /// consecutive values, a cache line at a time, instead of revisiting
     /// every cache line of the RHS once per line. The x sweep keeps lane
     /// packets along each line, whose cells are consecutive, with the
-    /// variables innermost. Every single loop nest tried for all three axes
-    /// lost on one side (`grind3d`, 3 steps at 96³): with the variable loop
-    /// outside the cells the x update took 92–164 ms against 58 ms ±6, and
-    /// with it innermost y and z took 150/203 ms against 104/156 ms for
-    /// this nest (EXPERIMENTS.md, "Riemann at eight lanes").
+    /// variables innermost; through the plain view each packet is one
+    /// vector load, add and store. Every single loop nest tried for all
+    /// three axes lost on one side (`grind3d`, 3 steps at 96³): with the
+    /// variable loop outside the cells the x update took 92–164 ms against
+    /// 58 ms ±6, and with it innermost y and z took 150/203 ms against
+    /// 104/156 ms for this nest (EXPERIMENTS.md, "Riemann at eight lanes").
     #[inline(never)]
-    fn update<L: Lane>(&self, u: Unit, flux: &[f64], ustar: &[f64]) {
+    fn update<L: Lane, O: AddView>(
+        &self,
+        u: Unit,
+        flux: &[f64],
+        ustar: &[f64],
+        [rhs, divu]: &mut [O; 2],
+    ) {
         let neq = self.eq.neq();
         let (rnf, pad) = (self.rnf, self.pad);
         let (t1, t2) = self.line_t(u, 0);
@@ -764,21 +816,22 @@ impl<E: EqLayout> Sweep<'_, E> {
                     for e in 0..neq {
                         let fb = (b * neq + e) * rnf + s;
                         let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
-                        self.rsl.add_lanes(line + s + e * self.cell_stride, d);
+                        rhs.add_lanes(line + s + e * self.cell_stride, d);
                     }
                     let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
-                    self.dsl.add_lanes(line + s, dv);
+                    divu.add_lanes(line + s, dv);
                     s += L::WIDTH;
                 }
                 while s < self.s_n {
                     let inv_dx = 1.0 / (self.w[pad + s] * metric);
                     for e in 0..neq {
                         let fb = (b * neq + e) * rnf + s;
-                        let d = (flux[fb] - flux[fb + 1]) * inv_dx;
-                        self.rsl.add(line + s + e * self.cell_stride, d);
+                        rhs.add(
+                            line + s + e * self.cell_stride,
+                            (flux[fb] - flux[fb + 1]) * inv_dx,
+                        );
                     }
-                    self.dsl
-                        .add(line + s, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
+                    divu.add(line + s, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
                     s += 1;
                 }
             }
@@ -788,28 +841,28 @@ impl<E: EqLayout> Sweep<'_, E> {
             let inv_dx = 1.0 / (self.w[pad + s] * metric);
             let cell = cell0 + s * self.sweep_stride;
             for e in 0..neq {
-                let row = cell + e * self.cell_stride;
-                for b in 0..u.bw {
+                rhs.add_row(cell + e * self.cell_stride, u.bw, |b| {
                     let fb = (b * neq + e) * rnf + s;
-                    self.rsl.add(row + b, (flux[fb] - flux[fb + 1]) * inv_dx);
-                }
+                    (flux[fb] - flux[fb + 1]) * inv_dx
+                });
             }
-            for b in 0..u.bw {
+            divu.add_row(cell, u.bw, |b| {
                 let ub = b * rnf + s;
-                self.dsl.add(cell + b, (ustar[ub + 1] - ustar[ub]) * inv_dx);
-            }
+                (ustar[ub + 1] - ustar[ub]) * inv_dx
+            });
         }
     }
 }
 
 /// Pencil-major: each gang streams its pencil range through all five
 /// stages in its one scratch slot, returning the per-stage times.
-impl<E: EqLayout> LaneGangBody<PencilScratch, [Duration; 5]> for Sweep<'_, E> {
-    fn run<L: Lane>(
+impl<E: EqLayout> LaneGangBody<PencilScratch, [Duration; 5], 2> for Sweep<'_, E> {
+    fn run<L: Lane, O: AddView>(
         &self,
         _gang: usize,
         range: Range<usize>,
         scratch: &mut PencilScratch,
+        out: &mut [O; 2],
     ) -> [Duration; 5] {
         let Pencil {
             v,
@@ -833,7 +886,7 @@ impl<E: EqLayout> LaneGangBody<PencilScratch, [Duration; 5]> for Sweep<'_, E> {
             self.riemann::<L>(u, v, left, right, ustar);
             times[3] += t0.elapsed();
             let t0 = Instant::now();
-            self.update::<L>(u, left, ustar);
+            self.update::<L, O>(u, left, ustar, out);
             times[4] += t0.elapsed();
         }
         times
@@ -848,8 +901,14 @@ struct Pass<'s, 'a, E> {
 
 /// Stage-major: each gang runs one stage over its pencils, each in its own
 /// slot.
-impl<'p, E: EqLayout> LaneGangBody<[Pencil<'p>], ()> for Pass<'_, '_, E> {
-    fn run<L: Lane>(&self, _gang: usize, range: Range<usize>, pencils: &mut [Pencil<'p>]) {
+impl<'p, E: EqLayout> LaneGangBody<[Pencil<'p>], (), 2> for Pass<'_, '_, E> {
+    fn run<L: Lane, O: AddView>(
+        &self,
+        _gang: usize,
+        range: Range<usize>,
+        pencils: &mut [Pencil<'p>],
+        out: &mut [O; 2],
+    ) {
         let sweep = self.sweep;
         for (unit, p) in range.zip(pencils) {
             let u = sweep.unit(unit);
@@ -858,7 +917,7 @@ impl<'p, E: EqLayout> LaneGangBody<[Pencil<'p>], ()> for Pass<'_, '_, E> {
                 1 => sweep.convert::<L>(u, p.v),
                 2 => sweep.weno(u, p.v, p.left, p.right),
                 3 => sweep.riemann::<L>(u, p.v, p.left, p.right, p.ustar),
-                _ => sweep.update::<L>(u, p.left, p.ustar),
+                _ => sweep.update::<L, O>(u, p.left, p.ustar, out),
             }
         }
     }
@@ -870,7 +929,7 @@ mod tests {
     use crate::case::presets;
     use crate::eqidx::EqIdx;
     use crate::solver::{Solver, SolverConfig};
-    use mfc_acc::with_lane_width;
+    use mfc_acc::{with_lane_width, ParSlice};
 
     /// Lines, interior cells and pad of the Riemann entry test's pencil.
     const BW: usize = 3;
@@ -890,10 +949,8 @@ mod tests {
             order: WenoOrder::Weno5,
             solver,
             limiter: Limiter::default(),
-            axis: 1,
+            axis: 1.min(eq.ndim() - 1),
             qsl: &[],
-            rsl: ParSlice::new(&mut []),
-            dsl: ParSlice::new(&mut []),
             w: &[],
             radial: None,
             n1: 1,
@@ -913,8 +970,8 @@ mod tests {
         }
     }
 
-    /// Two-phase primitive lines, `[b][e][i]` with `n` values per line: a
-    /// varied admissible state at every `i`.
+    /// Primitive lines of one or two fluids, `[b][e][i]` with `n` values
+    /// per line: a varied admissible state at every `i`.
     fn prim_lines<E: EqLayout>(eq: &E, n: usize, seed: usize) -> Vec<f64> {
         let neq = eq.neq();
         let mut out = vec![0.0; BW * neq * n];
@@ -922,22 +979,25 @@ mod tests {
             for i in 0..n {
                 let h =
                     |k: usize| ((seed + 31 * b + 7 * i + 13 * k) * 2654435761 % 1000) as f64 * 1e-3;
-                let alpha = 0.05 + 0.9 * h(0);
+                let alpha = if eq.nf() == 1 { 1.0 } else { 0.05 + 0.9 * h(0) };
                 let at = |e: usize| (b * neq + e) * n + i;
                 out[at(eq.cont(0))] = 1.2 * alpha;
-                out[at(eq.cont(1))] = 1000.0 * (1.0 - alpha);
+                if eq.nf() == 2 {
+                    out[at(eq.cont(1))] = 1000.0 * (1.0 - alpha);
+                    out[at(eq.adv(0))] = alpha;
+                }
                 for d in 0..eq.ndim() {
                     out[at(eq.mom(d))] = 400.0 * (h(1 + d) - 0.5);
                 }
                 out[at(eq.energy())] = 1.0e5 * (0.5 + 4.0 * h(5));
-                out[at(eq.adv(0))] = alpha;
             }
         }
         out
     }
 
-    /// One pencil through every Riemann entry the CPU runs at lane width
-    /// `L`: identical flux and `S*` bits to the baseline entry.
+    /// One pencil through every Riemann entry of the sweep's layout the CPU
+    /// runs at lane width `L`: identical flux and `S*` bits to the baseline
+    /// entry.
     fn riemann_entries_agree<E: EqLayout, L: Lane>(sweep: &Sweep<'_, E>, label: &str) {
         let (eq, rnf) = (&sweep.eq, sweep.rnf);
         let v = prim_lines(eq, sweep.rext, 1);
@@ -953,7 +1013,7 @@ mod tests {
         };
         let (mut flux0, mut ustar0) = (left.clone(), vec![0.0; BW * rnf]);
         sweep.riemann_at::<L>(Tier::Baseline, u, &v, &mut flux0, &right, &mut ustar0);
-        for tier in isa::RIEMANN.entries_or_skip() {
+        for tier in Sweep::<E>::RIEMANN.entries_or_skip() {
             let (mut flux, mut ustar) = (left.clone(), vec![0.0; BW * rnf]);
             sweep.riemann_at::<L>(tier, u, &v, &mut flux, &right, &mut ustar);
             for (what, got, want) in [("flux", &flux, &flux0), ("S*", &ustar, &ustar0)] {
@@ -971,22 +1031,110 @@ mod tests {
         }
     }
 
+    /// Every solver at every lane width on the sweep instance of one
+    /// layout.
+    fn riemann_layout_agrees<E: EqLayout>(eq: E, fluids: &FluidTable) {
+        for solver in [
+            RiemannSolver::Hllc,
+            RiemannSolver::Hll,
+            RiemannSolver::Rusanov,
+        ] {
+            let sweep = riemann_sweep(eq, fluids, solver);
+            let label = format!("{:?} {solver:?}", E::SHAPE);
+            for w in [1, 2, 4, 8] {
+                with_lane_width!(w, L => riemann_entries_agree::<_, L>(&sweep, &label));
+            }
+        }
+    }
+
     /// The Riemann stage's entries are one source compiled per tier without
-    /// contraction: identical flux and `S*` bits for every solver at every
-    /// lane width, a replayed packet included. It ships no AVX-512 entry
-    /// (that copy ran slower than AVX2 on `grind3d`; EXPERIMENTS.md).
+    /// contraction: on every layout the sweep dispatches (each on the tiers
+    /// it ships: AVX2 on (2,3), AVX-512 on the others) and on the
+    /// run-time fallback, identical flux and `S*` bits for every solver at
+    /// every lane width, a replayed packet included.
     #[test]
     fn riemann_avx2_entry_matches_the_baseline_entry_bitwise() {
-        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
-        with_eq_layout!(EqIdx::new(2, 3), eq => {
-            for solver in [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov] {
-                let sweep = riemann_sweep(eq, &fluids, solver);
-                let label = format!("{solver:?}");
-                for w in [1, 2, 4, 8] {
-                    with_lane_width!(w, L => riemann_entries_agree::<_, L>(&sweep, &label));
+        let one = FluidTable::new(&[Fluid::air()]);
+        let two = FluidTable::new(&[Fluid::air(), Fluid::water()]);
+        for shape in isa::LAYOUTS {
+            match shape {
+                Some((nf, ndim)) => with_eq_layout!(EqIdx::new(nf, ndim), eq => {
+                    assert_eq!(shape_of(eq), shape, "the dispatched instance");
+                    riemann_layout_agrees(eq, if nf == 1 { &one } else { &two });
+                }),
+                None => {
+                    riemann_layout_agrees(EqIdx::new(1, 3), &one);
+                    riemann_layout_agrees(EqIdx::new(2, 3), &two);
                 }
             }
-        });
+        }
+    }
+
+    fn shape_of<E: EqLayout>(_: E) -> Option<(usize, usize)> {
+        E::SHAPE
+    }
+
+    /// Every pencil of every axis through the update twice, from the same
+    /// RHS and div(u): once through the plain views a one-gang launch
+    /// hands out, once through the shared ones of a forked launch.
+    fn update_views_agree<L: Lane>(dom: &Domain, axis: usize, label: &str) {
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
+        let hash =
+            |i: usize, k: usize| ((i * 2654435761 + k * 40503) % 10007) as f64 * 1.7e-4 - 0.8;
+        let widths: Vec<f64> = (0..dom.ext(axis)).map(|i| 0.5 + hash(i, 9).abs()).collect();
+        let cfg = RhsConfig::default();
+        let sweep = Sweep::new(dom.eq, dom, axis, &cfg, &fluids, &[], &widths, None);
+        let [_, fs, us] = PencilScratch::new(dom, 1).slot;
+        let flux: Vec<f64> = (0..fs).map(|i| hash(i, 1) * 1e3).collect();
+        let ustar: Vec<f64> = (0..us).map(|i| hash(i, 2)).collect();
+        let cells = dom.dims3().len();
+        let rhs0: Vec<f64> = (0..cells * dom.eq.neq()).map(|i| hash(i, 3)).collect();
+        let divu0: Vec<f64> = (0..cells).map(|i| hash(i, 4)).collect();
+        let (mut rhs_a, mut divu_a) = (rhs0.clone(), divu0.clone());
+        let (mut rhs_b, mut divu_b) = (rhs0.clone(), divu0.clone());
+        for unit in 0..pencil_count(dom, axis) {
+            let u = sweep.unit(unit);
+            sweep.update::<L, _>(u, &flux, &ustar, &mut [&mut rhs_a[..], &mut divu_a[..]]);
+            let mut shared = [ParSlice::new(&mut rhs_b), ParSlice::new(&mut divu_b)];
+            sweep.update::<L, _>(u, &flux, &ustar, &mut shared);
+        }
+        for (what, a, b, before) in [
+            ("rhs", &rhs_a, &rhs_b, &rhs0),
+            ("div(u)", &divu_a, &divu_b, &divu0),
+        ] {
+            assert!(
+                a != before,
+                "{label} W={}: the update wrote no {what}",
+                L::WIDTH
+            );
+            for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{label} W={}: {what}[{i}]",
+                    L::WIDTH
+                );
+            }
+        }
+    }
+
+    /// The plain views a one-gang launch hands the update (vector loads
+    /// and stores on x, one slice per row on y and z) give the RHS and
+    /// div(u) bits of the shared `ParSlice` views, on every axis, at every
+    /// lane width, with partial pencils and partial packets: extents `8k +
+    /// r` in 3-D, and a 1-D line.
+    #[test]
+    fn plain_and_shared_update_views_give_identical_bits() {
+        let cube = Domain::new([19, 13, 11], 3, EqIdx::new(2, 3));
+        let line = Domain::new([29, 1, 1], 3, EqIdx::new(2, 1));
+        for (dom, axes) in [(cube, 0..3), (line, 0..1)] {
+            for axis in axes {
+                let label = format!("{:?} axis {axis}", dom.n);
+                for w in [1, 2, 4, 8] {
+                    with_lane_width!(w, L => update_views_agree::<L>(&dom, axis, &label));
+                }
+            }
+        }
     }
 
     /// Fused evaluations never allocate the staged engine's grid-sized

@@ -9,15 +9,21 @@
 //! stage ships that the running CPU supports, everywhere but in the
 //! entry-equivalence tests and benchmarks. The CPU's tier is detected once
 //! per process with `is_x86_feature_detected!`; no flag, case key,
-//! environment variable or cargo feature sets it. Rust never contracts a multiply-add and packing lanes cannot
-//! change an IEEE result, so every entry of a stage is bitwise identical.
+//! environment variable or cargo feature sets it. Rust never contracts a
+//! multiply-add and packing lanes cannot change an IEEE result, so every
+//! entry of a stage is bitwise identical.
 //!
 //! A stage ships a tier only where that tier beat the next-lower one in
-//! every interleaved run on both `grind3d` and `sod1d` physics
-//! (EXPERIMENTS.md, "A third ISA tier"; the table is DESIGN.md's vector
-//! row): the WENO line kernel and the health/CFL tail pass run up to
-//! AVX-512, the Riemann stage up to AVX2 (its AVX-512 copy lost on
-//! `grind3d`), and the gather, conversion and update stages have no entry
+//! every interleaved run on a workload of its shape (EXPERIMENTS.md, "A
+//! third ISA tier" and "Riemann's tier per layout"; the table is DESIGN.md's
+//! vector row). The WENO line kernel and the health/CFL tail pass run up
+//! to AVX-512 on every layout. The Riemann stage's tier is a compile-time
+//! function of the equation layout ([`riemann`]), because what its private
+//! arrays cost in registers depends on the layout: AVX-512 on the 3-, 4-
+//! and 6-equation layouts, AVX2 on the 7-equation one (where the AVX-512
+//! copy lost) and on the run-time fallback (where it did not win every
+//! round), and a layout that does not ship AVX-512 compiles no AVX-512 copy
+//! of the stage. The gather, conversion and update stages have no entry
 //! but their baseline code.
 
 use std::sync::OnceLock;
@@ -90,19 +96,31 @@ pub const WENO: Stage = Stage {
     name: "weno",
     ships: Tier::Avx512,
 };
-/// The sweep's Riemann stage ([`crate::fused`]).
-pub const RIEMANN: Stage = Stage {
-    name: "riemann",
-    ships: Tier::Avx2,
-};
+/// The sweep's Riemann stage ([`crate::fused`]) for the equation layout
+/// of `nf` fluids in `ndim` dimensions, `shape = Some((nf, ndim))` for a
+/// [`crate::eqidx::ConstEq`] and `None` for the run-time
+/// [`crate::eqidx::EqIdx`] fallback. A `const fn`, so each sweep
+/// instance's tier is a constant of its layout.
+pub const fn riemann(shape: Option<(usize, usize)>) -> Stage {
+    let ships = match shape {
+        Some((1, 1)) | Some((1, 2)) | Some((2, 2)) => Tier::Avx512,
+        _ => Tier::Avx2,
+    };
+    Stage {
+        name: "riemann",
+        ships,
+    }
+}
 /// The post-step health scan with its folded CFL rate ([`crate::health`]).
 pub const HEALTH: Stage = Stage {
     name: "health",
     ships: Tier::Avx512,
 };
 
-/// Every dispatched stage, in sweep order, then the tail pass.
-const STAGES: [Stage; 3] = [WENO, RIEMANN, HEALTH];
+/// The layouts the sweep is instantiated for: the [`crate::eqidx::ConstEq`]
+/// shapes `with_eq_layout!` dispatches, then the run-time fallback.
+pub const LAYOUTS: [Option<(usize, usize)>; 5] =
+    [Some((1, 1)), Some((1, 2)), Some((2, 2)), Some((2, 3)), None];
 
 impl Stage {
     /// The entry this stage runs in this process.
@@ -162,14 +180,28 @@ fn avx512<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// The tier each dispatched stage runs in this process, e.g.
-/// `"weno avx512, riemann avx2, health avx512"`.
+/// The tier each dispatched stage runs in this process, Riemann's per
+/// layout as `(nf,ndim)`, e.g. `"weno avx512, riemann (1,1) avx512 (1,2)
+/// avx512 (2,2) avx512 (2,3) avx2 other avx2, health avx512"`.
 pub fn kernel_isa() -> String {
-    STAGES
+    let riemann: Vec<String> = LAYOUTS
         .iter()
-        .map(|s| format!("{} {}", s.name, s.tier().name()))
-        .collect::<Vec<_>>()
-        .join(", ")
+        .map(|&shape| {
+            let tier = riemann(shape).tier().name();
+            match shape {
+                Some((nf, ndim)) => format!("({nf},{ndim}) {tier}"),
+                None => format!("other {tier}"),
+            }
+        })
+        .collect();
+    format!(
+        "{} {}, riemann {}, {} {}",
+        WENO.name,
+        WENO.tier().name(),
+        riemann.join(" "),
+        HEALTH.name,
+        HEALTH.tier().name()
+    )
 }
 
 #[cfg(test)]
@@ -196,11 +228,28 @@ mod tests {
 
     #[test]
     fn every_stage_runs_a_tier_it_ships_and_the_cpu_supports() {
-        for s in STAGES {
+        for s in [WENO, HEALTH].into_iter().chain(LAYOUTS.map(riemann)) {
             let t = s.tier();
             assert!(t <= s.ships && t.supported(), "{s:?} runs {t:?}");
             assert_eq!(s.tiers().last(), Some(t));
             assert_eq!(s.run_at(t, || 7), 7);
         }
+    }
+
+    #[test]
+    fn kernel_isa_names_the_riemann_tier_of_every_layout() {
+        let isa = kernel_isa();
+        for (shape, want) in [
+            ("(1,1)", riemann(Some((1, 1)))),
+            ("(1,2)", riemann(Some((1, 2)))),
+            ("(2,2)", riemann(Some((2, 2)))),
+            ("(2,3)", riemann(Some((2, 3)))),
+            ("other", riemann(None)),
+        ] {
+            let named = format!("{shape} {}", want.tier().name());
+            assert!(isa.contains(&named), "{isa:?} lacks {named:?}");
+        }
+        assert_eq!(riemann(Some((2, 3))).ships, Tier::Avx2);
+        assert_eq!(riemann(Some((1, 1))).ships, Tier::Avx512);
     }
 }
