@@ -19,7 +19,6 @@
 //! attached trace.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,11 +50,6 @@ pub struct Context {
     /// friends); validated power of two ≤ `vector::MAX_WIDTH`. Results
     /// are bitwise identical at every width by the [`Lane`] contract.
     vector_width: usize,
-    /// Full lane packets / scalar-tail elements executed so far, shared
-    /// across clones like the ledger (the remainder-fraction counter the
-    /// perfmodel's effective-width term consumes).
-    lane_packets: Arc<AtomicU64>,
-    lane_tail: Arc<AtomicU64>,
     /// Measured-profile recording endpoint; `None` (the default) keeps
     /// every launch on an untraced fast path — one branch per launch.
     tracer: Option<Arc<TraceHandle>>,
@@ -82,8 +76,6 @@ impl Context {
             ledger: Arc::new(Ledger::new()),
             workers: workers.max(1),
             vector_width: DEFAULT_WIDTH,
-            lane_packets: Arc::new(AtomicU64::new(0)),
-            lane_tail: Arc::new(AtomicU64::new(0)),
             tracer: None,
         }
     }
@@ -185,47 +177,11 @@ impl Context {
         }
     }
 
-    /// Account lane tiling of a vector-executed launch: `full_packets`
-    /// whole packets plus `tail_elems` scalar-remainder elements. The
-    /// vector entry points do this themselves; bodies that tile inside a
-    /// gang scope (the sweep stages, the health scan) report here.
-    pub fn note_lane_tiling(&self, full_packets: u64, tail_elems: u64) {
-        self.lane_packets.fetch_add(full_packets, Ordering::Relaxed);
-        self.lane_tail.fetch_add(tail_elems, Ordering::Relaxed);
-    }
-
-    /// Cumulative `(full_packets, tail_elems)` over all vector launches.
-    pub fn lane_stats(&self) -> (u64, u64) {
-        (
-            self.lane_packets.load(Ordering::Relaxed),
-            self.lane_tail.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Fraction of vector-launch elements that fell into scalar remainder
-    /// tails (0 when no vector launch ran), and the effective lane width
-    /// `W·full_packets/(full_packets + tail_elems)` the perfmodel uses.
-    pub fn lane_efficiency(&self) -> (f64, f64) {
-        let (packets, tail) = self.lane_stats();
-        let elems = self.vector_width as u64 * packets + tail;
-        if elems == 0 {
-            return (0.0, self.vector_width as f64);
-        }
-        let tail_fraction = tail as f64 / elems as f64;
-        let effective = self.vector_width as f64 * packets as f64 / (packets + tail) as f64;
-        (tail_fraction, effective)
-    }
-
     /// Attach this context's ledger snapshot to the trace so exporters can
     /// cross-check traced aggregates against the analytic totals. Call at
     /// the end of a traced run.
     pub fn flush_ledger_to_trace(&self) {
         if let Some(t) = &self.tracer {
-            let (packets, tail) = self.lane_stats();
-            if packets + tail > 0 {
-                let (tail_fraction, _) = self.lane_efficiency();
-                t.counter("lane_tail_fraction", tail_fraction);
-            }
             let rows = self
                 .ledger
                 .kernel_stats()
@@ -467,7 +423,7 @@ impl Context {
         result
     }
 
-    /// Lane-tiling account and record of a `rows × row_len` vector launch.
+    /// Record a `rows × row_len` vector launch.
     fn finish_vec(
         &self,
         cfg: &LaunchConfig,
@@ -478,7 +434,6 @@ impl Context {
         t0: Instant,
     ) {
         let w = self.vector_width;
-        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
         let items = (rows * row_len) as u64;
         self.record(cfg.label, cost, items, gangs, w, t0, t0.elapsed());
     }
@@ -865,17 +820,15 @@ mod tests {
                 row_len,
             };
             ctx.launch_vec(&LaunchConfig::tuned("stencil"), cost(), rows, row_len, &k);
-            (out, ctx.lane_stats())
+            out
         };
-        let (reference, _) = run(1, 1);
+        let reference = run(1, 1);
         for width in [2, 4, 8] {
             for workers in [1, 4] {
-                let (got, (packets, tail)) = run(width, workers);
+                let got = run(width, workers);
                 for (a, b) in reference.iter().zip(&got) {
                     assert_eq!(a.to_bits(), b.to_bits(), "w={width} workers={workers}");
                 }
-                assert_eq!(packets as usize, rows * (row_len / width));
-                assert_eq!(tail as usize, rows * (row_len % width));
             }
         }
     }
@@ -926,10 +879,6 @@ mod tests {
         assert!(mfc_trace::reconcile_trace(&parsed).is_ok());
         assert!(json.contains("\"lanes\":4"), "lanes annotation missing");
         assert!(json.contains("\"vector_width\""), "width counter missing");
-        assert!(
-            json.contains("\"lane_tail_fraction\""),
-            "tail counter missing"
-        );
     }
 
     #[test]

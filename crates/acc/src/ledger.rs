@@ -41,11 +41,6 @@ impl KernelStats {
     pub fn arithmetic_intensity(&self) -> f64 {
         self.flops / (self.bytes_read + self.bytes_written)
     }
-
-    /// Measured host FLOP rate (FLOP/s).
-    pub fn host_flops_per_sec(&self) -> f64 {
-        self.flops / self.wall.as_secs_f64().max(1e-12)
-    }
 }
 
 /// Accumulated transfer statistics for one direction.

@@ -4,9 +4,8 @@
 //! GPU, so this crate reproduces the *structure* of the paper's offload
 //! layer instead of its hardware:
 //!
-//! * [`LaunchConfig`] names a kernel (ledger rows aggregate by label)
-//!   and says whether its `private` arrays are compile-time sized
-//!   (§III-D); `gang vector collapse(n)` with a `seq` inner loop — the one
+//! * [`LaunchConfig`] names a kernel (ledger rows aggregate by label);
+//!   `gang vector collapse(n)` with a `seq` inner loop — the one
 //!   spelling "appended to every parallel loop in MFC" (§III-C) — is what
 //!   every entry point does, not a per-launch choice.
 //! * [`Context::launch`] executes a kernel body over a collapsed iteration
@@ -35,7 +34,7 @@ pub mod report;
 pub mod shared;
 pub mod vector;
 
-pub use config::{LaunchConfig, PrivateMode};
+pub use config::LaunchConfig;
 pub use cost::{KernelClass, KernelCost};
 pub use exec::{Context, PAR_MIN_ITEMS};
 pub use ledger::{

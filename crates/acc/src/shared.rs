@@ -86,12 +86,6 @@ impl<'a> ParSlice<'a> {
         self.set(i, self.get(i) + v);
     }
 
-    /// Lane load of `L::WIDTH` consecutive slots starting at `i`.
-    #[inline(always)]
-    pub fn get_lanes<L: Lane>(&self, i: usize) -> L {
-        L::from_lanes(|lane| self.get(i + lane))
-    }
-
     /// Lane store into `L::WIDTH` consecutive slots starting at `i`.
     #[inline(always)]
     pub fn set_lanes<L: Lane>(&self, i: usize, v: L) {

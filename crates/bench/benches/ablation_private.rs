@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig, PrivateMode};
+use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig};
 
 const CELLS: usize = 200_000;
 const NEQ: usize = 7;
@@ -35,7 +35,7 @@ fn bench_private_arrays(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("compile_time_sized", |b| {
-        let cfg = LaunchConfig::tuned("private_stack").with_private(PrivateMode::CompileTimeSized);
+        let cfg = LaunchConfig::tuned("private_stack");
         b.iter(|| {
             let mut total = 0.0;
             ctx.launch(&cfg, cost, CELLS, |cell| {
@@ -47,7 +47,7 @@ fn bench_private_arrays(c: &mut Criterion) {
     });
 
     g.bench_function("runtime_sized", |b| {
-        let cfg = LaunchConfig::tuned("private_heap").with_private(PrivateMode::RuntimeSized);
+        let cfg = LaunchConfig::tuned("private_heap");
         let neq = std::hint::black_box(NEQ); // size only known at run time
         b.iter(|| {
             let mut total = 0.0;

@@ -53,13 +53,6 @@ impl BcSpec {
         Self::all(BcKind::Transmissive)
     }
 
-    /// Set both faces of one axis.
-    pub fn with_axis(mut self, axis: usize, kind: BcKind) -> Self {
-        self.lo[axis] = kind;
-        self.hi[axis] = kind;
-        self
-    }
-
     /// Whether both faces of `axis` are periodic (then the distributed
     /// topology wraps too).
     pub fn axis_periodic(&self, axis: usize) -> bool {

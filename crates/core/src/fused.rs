@@ -238,23 +238,12 @@ pub(crate) fn sweep_axis(
     let units = ocount * nbatches;
     let work = (nlines * s_n) as u64;
 
-    // Analytic lane tiling of the vector stages (the same convention as
-    // `launch_vec`): the conversion tiles `rext` cells, WENO `neq` face
-    // lines and Riemann one face line of `rnf` faces per pencil line; the
-    // x update tiles `s_n` cells per line. The scalar gather and transverse
-    // update contribute no vector elements. (The WENO stage is accounted as
-    // tiled although its packing is left to the compiler: the count is of
-    // elements that run as lanes.)
+    // Per stage: cost per item, items, lanes. The conversion, WENO,
+    // Riemann and the x update run as lane packets; the gather and the
+    // transverse update are scalar.
     let vw = ctx.vector_width();
     let update_lanes = if axis == 0 { vw } else { 1 };
-    let face_rows = (nlines * (neq + 1)) as u64;
     let lines = nlines as u64;
-    let x_cells = if axis == 0 { s_n } else { 0 };
-    ctx.note_lane_tiling(
-        face_rows * (rnf / vw) as u64 + lines * (rext / vw + x_cells / vw) as u64,
-        face_rows * (rnf % vw) as u64 + lines * (rext % vw + x_cells % vw) as u64,
-    );
-    // Per stage: cost per item, items, lanes.
     let gh = cfg.order.ghost_layers();
     let rows = [
         (

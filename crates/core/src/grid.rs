@@ -130,18 +130,6 @@ impl Grid {
         }
     }
 
-    pub fn new_2d(x: Grid1D, y: Grid1D) -> Self {
-        Grid {
-            x,
-            y,
-            z: Grid1D::collapsed(),
-        }
-    }
-
-    pub fn new_3d(x: Grid1D, y: Grid1D, z: Grid1D) -> Self {
-        Grid { x, y, z }
-    }
-
     /// Uniform grid over a box.
     pub fn uniform(n: [usize; 3], lo: [f64; 3], hi: [f64; 3]) -> Self {
         Grid {

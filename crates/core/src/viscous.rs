@@ -17,39 +17,9 @@ use crate::eqidx::EqIdx;
 use crate::fluid::Fluid;
 use crate::state::StateField;
 
-/// Mixture dynamic viscosity of one primitive cell.
-#[inline(always)]
-fn cell_mu(dom: &Domain, fluids: &[Fluid], prim: &StateField, i: usize, j: usize, k: usize) -> f64 {
-    let eq = dom.eq;
-    let mut cell = [0.0; MAX_EQ];
-    prim.load_cell(i, j, k, &mut cell[..eq.neq()]);
-    let mut alphas = [0.0; MAX_FLUIDS];
-    eq.alphas(&cell[..eq.neq()], &mut alphas[..eq.nf()]);
-    fluids
-        .iter()
-        .zip(&alphas[..eq.nf()])
-        .map(|(f, &a)| a * f.viscosity)
-        .sum()
-}
-
 /// Whether any component is viscous.
 pub fn is_viscous(fluids: &[Fluid]) -> bool {
     fluids.iter().any(|f| f.viscosity > 0.0)
-}
-
-/// Largest mixture kinematic viscosity over the interior (for the viscous
-/// CFL bound).
-pub fn max_kinematic_viscosity(dom: &Domain, fluids: &[Fluid], prim: &StateField) -> f64 {
-    let eq = dom.eq;
-    let mut nu_max = 0.0f64;
-    let mut cell = [0.0; MAX_EQ];
-    for (i, j, k) in dom.interior() {
-        prim.load_cell(i, j, k, &mut cell[..eq.neq()]);
-        let rho: f64 = (0..eq.nf()).map(|f| cell[eq.cont(f)]).sum();
-        let mu = cell_mu(dom, fluids, prim, i, j, k);
-        nu_max = nu_max.max(mu / rho.max(1e-300));
-    }
-    nu_max
 }
 
 /// Add the viscous flux divergence to `rhs` over interior cells.
@@ -150,8 +120,7 @@ impl ViscousKernel<'_> {
         L::load(&self.src[cell.base + self.eq.mom(d) * self.block..])
     }
 
-    /// Mixture dynamic viscosity (volume-fraction weighted), per lane —
-    /// the lane transcription of [`cell_mu`].
+    /// Mixture dynamic viscosity (volume-fraction weighted), per lane.
     #[inline(always)]
     fn mu_at<L: Lane>(&self, cell: CellRef) -> L {
         let eq = &self.eq;
@@ -365,7 +334,23 @@ mod tests {
             prim.set(i, 0, 0, eq.energy(), 1.0e5);
             prim.set(i, 0, 0, eq.adv(0), 0.25);
         }
-        let mu = cell_mu(&dom, &fluids, &prim, 4, 0, 0);
+        let d3 = dom.dims3();
+        let c = [4, dom.pad(1), dom.pad(2)];
+        let mut rhs = StateField::zeros(dom);
+        let kernel = ViscousKernel {
+            eq,
+            fluids: &fluids,
+            src: prim.as_slice(),
+            widths: [&[], &[], &[]],
+            ndim: 1,
+            ny: 1,
+            pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
+            stride: [1, d3.n1, d3.n1 * d3.n2],
+            block: d3.len(),
+            rsl: ParSlice::new(rhs.as_mut_slice()),
+        };
+        let base = c[0] + d3.n1 * (c[1] + d3.n2 * c[2]);
+        let mu: f64 = kernel.mu_at(CellRef { base, c });
         assert!((mu - (0.25 * 2.0 + 0.75 * 10.0)).abs() < 1e-12);
         assert!(is_viscous(&fluids));
         assert!(!is_viscous(&[Fluid::air()]));

@@ -91,11 +91,6 @@ impl Flat4D {
         let start = self.dims.idx(0, i2, i3, i4);
         &mut self.data[start..start + self.dims.n1]
     }
-
-    /// Consume the array and return the raw buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 #[cfg(test)]

@@ -187,7 +187,6 @@ fn main() {
         out_dir: out_dir
             .or(manifest.as_ref().and_then(|m| m.out_dir.clone()))
             .unwrap_or(defaults.out_dir),
-        write_checkpoints: true,
     };
     let ledger_path = ledger.unwrap_or_else(|| cfg.out_dir.join("ledger.jsonl"));
 

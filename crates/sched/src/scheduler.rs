@@ -41,11 +41,10 @@ pub struct SchedConfig {
     /// Dispatch rounds a waiting job must sit out per effective priority
     /// point gained (starvation control; see [`AdmissionQueue`]).
     pub aging_rounds: u64,
-    /// Per-job artifacts land under `out_dir/<id>_<name>/`.
-    pub out_dir: PathBuf,
-    /// Write each non-failed job's final state as a CRC'd checkpoint
+    /// Per-job artifacts land under `out_dir/<id>_<name>/`; every job that
+    /// does not fail writes its final state there as a CRC'd checkpoint
     /// (`final.ckpt`) — the bitwise-comparable output of the job.
-    pub write_checkpoints: bool,
+    pub out_dir: PathBuf,
 }
 
 impl Default for SchedConfig {
@@ -55,7 +54,6 @@ impl Default for SchedConfig {
             queue_cap: 16,
             aging_rounds: 4,
             out_dir: PathBuf::from("out/serve"),
-            write_checkpoints: true,
         }
     }
 }
@@ -595,7 +593,6 @@ impl Scheduler {
             cancel_at_step: e.spec.cancel_at_step,
             fault_at_step: e.spec.fault_at_step,
             out_dir: self.cfg.out_dir.join(format!("{id:02}_{}", e.name)),
-            write_checkpoint: self.cfg.write_checkpoints,
             handle: self.tracer.as_ref().map(|t| t.handle(1 + id as usize)),
         };
         std::thread::spawn(move || {
@@ -632,7 +629,6 @@ struct JobArgs {
     cancel_at_step: Option<u64>,
     fault_at_step: Option<u64>,
     out_dir: PathBuf,
-    write_checkpoint: bool,
     handle: Option<Arc<TraceHandle>>,
 }
 
@@ -720,7 +716,7 @@ fn run_job(args: JobArgs) -> JobRecord {
     // checkpoint. Failed jobs write nothing (their state is the last
     // accepted q^n, not a result).
     let mut output = None;
-    if args.write_checkpoint && state != JobState::Failed {
+    if state != JobState::Failed {
         let path = args.out_dir.join("final.ckpt");
         let write = std::fs::create_dir_all(&args.out_dir)
             .map_err(|e| format!("cannot create job output dir: {e}"))

@@ -204,9 +204,10 @@ impl TraceHandle {
         start: Instant,
         wall: Duration,
     ) {
-        self.kernel_gangs(
+        self.kernel_vec(
             label,
             items,
+            1,
             1,
             flops,
             bytes_read,
@@ -217,36 +218,9 @@ impl TraceHandle {
     }
 
     /// [`TraceHandle::kernel`] with the gang count the launch actually used
-    /// (1 = serial). Gangs annotate the event; the accounted totals are
-    /// whole-launch values either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn kernel_gangs(
-        &self,
-        label: &'static str,
-        items: u64,
-        gangs: u32,
-        flops: f64,
-        bytes_read: f64,
-        bytes_written: f64,
-        start: Instant,
-        wall: Duration,
-    ) {
-        self.kernel_vec(
-            label,
-            items,
-            gangs,
-            1,
-            flops,
-            bytes_read,
-            bytes_written,
-            start,
-            wall,
-        );
-    }
-
-    /// [`TraceHandle::kernel_gangs`] with the lane width the launch executed
-    /// at (1 = scalar). Like gangs, lanes annotate the event; the accounted
-    /// totals stay whole-launch per-element values.
+    /// (1 = serial) and the lane width it executed at (1 = scalar). Gangs
+    /// and lanes annotate the event; the accounted totals stay whole-launch
+    /// per-element values.
     #[allow(clippy::too_many_arguments)]
     pub fn kernel_vec(
         &self,

@@ -1,101 +1,48 @@
 //! Discrete conservation under periodic boundaries: the telescoping-flux
 //! property of the finite-volume scheme, across dimensions, orders,
-//! solvers, and pack strategies.
+//! solvers, loop orders and worker counts (members of the generated
+//! matrix), and with reflective walls; plus the mirror symmetry of a
+//! centred blast.
 
-use mfc::core::rhs::{RhsConfig, RhsMode};
-use mfc::core::riemann::RiemannSolver;
-use mfc::core::weno::WenoOrder;
-use mfc::{presets, Context, Solver, SolverConfig};
+#[path = "matrix/mod.rs"]
+mod matrix;
 
-fn drift(ndim: usize, cfg: SolverConfig, steps: usize) -> f64 {
-    let n = match ndim {
-        1 => [48, 1, 1],
-        2 => [16, 16, 1],
-        _ => [10, 10, 10],
-    };
-    let case = presets::two_phase_benchmark(ndim, n);
-    let mut solver = Solver::new(&case, cfg, Context::with_workers(cfg.workers));
-    let before = solver.conservation();
-    solver.run_steps(steps).unwrap();
-    let after = solver.conservation();
-    let eq = case.eq();
-    // Conserved rows: partial densities, momentum, energy (alpha rows are
-    // non-conservative by construction).
-    (0..=eq.energy())
-        .map(|e| (after[e] - before[e]).abs() / before[e].abs().max(1e-30))
-        .fold(0.0, f64::max)
+use matrix::{is, witnesses, Ax};
+use mfc::{Context, Solver, SolverConfig};
+
+/// Every member with `conservation = true` (periodic, Cartesian, no body)
+/// keeps its partial densities, momentum and energy to round-off; the
+/// matrix pairs that oracle with every value of every other axis.
+fn conserved_for_every(axis: Ax) {
+    witnesses(axis, &[is::conservation(true)]);
 }
 
 #[test]
 fn conserved_in_every_dimension() {
-    for ndim in 1..=3 {
-        let d = drift(ndim, SolverConfig::default(), 5);
-        assert!(d < 1e-11, "ndim={ndim}: drift {d}");
-    }
+    conserved_for_every(Ax::geometry);
 }
 
 #[test]
 fn conserved_for_every_order() {
-    for order in [WenoOrder::First, WenoOrder::Weno3, WenoOrder::Weno5] {
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                order,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let d = drift(2, cfg, 5);
-        assert!(d < 1e-11, "{order:?}: drift {d}");
-    }
+    conserved_for_every(Ax::order);
 }
 
 #[test]
 fn conserved_for_every_solver() {
-    for solver in [
-        RiemannSolver::Hllc,
-        RiemannSolver::Hll,
-        RiemannSolver::Rusanov,
-    ] {
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                solver,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let d = drift(2, cfg, 5);
-        assert!(d < 1e-11, "{solver:?}: drift {d}");
-    }
+    conserved_for_every(Ax::riemann);
 }
 
 #[test]
 fn conserved_in_both_sweep_loop_orders() {
-    for mode in [RhsMode::Staged, RhsMode::Fused] {
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                mode,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let d = drift(3, cfg, 3);
-        assert!(d < 1e-11, "{mode:?}: drift {d}");
-    }
+    conserved_for_every(Ax::loop_order);
 }
 
+/// Gang-parallel sweeps keep the telescoping-flux property: the
+/// divergence accumulation writes each cell from exactly one gang, so the
+/// discrete sums are the serial ones bit for bit.
 #[test]
 fn conserved_at_every_worker_count() {
-    // Gang-parallel sweeps keep the telescoping-flux property: the
-    // divergence accumulation writes each cell from exactly one gang, so
-    // the discrete sums are the serial ones bit for bit.
-    for workers in [2usize, 3, 4, 8] {
-        let cfg = SolverConfig {
-            workers,
-            ..Default::default()
-        };
-        let d = drift(3, cfg, 3);
-        assert!(d < 1e-11, "workers={workers}: drift {d}");
-    }
+    conserved_for_every(Ax::workers);
 }
 
 #[test]

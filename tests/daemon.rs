@@ -119,7 +119,6 @@ fn config(budget: usize, out_dir: PathBuf) -> SchedConfig {
         queue_cap: 16,
         aging_rounds: 2,
         out_dir,
-        write_checkpoints: true,
     }
 }
 

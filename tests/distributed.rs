@@ -1,64 +1,40 @@
 //! Distributed-vs-serial equivalence and the I/O strategies, exercising
-//! the real halo-exchange code on simulated ranks.
+//! the real halo-exchange code on simulated ranks. Rank counts and halo
+//! staging are axes of the generated matrix (`tests/matrix/mod.rs`), whose
+//! members are checked against their 1-rank reference; the equivalence
+//! tests here run those members.
 
+#[path = "matrix/mod.rs"]
+mod matrix;
+
+use matrix::{is, witnesses, Ax, Bc, Dt, Geo};
 use mfc::core::par::{run_distributed, run_single};
-use mfc::core::rhs::RhsConfig;
 use mfc::core::weno::WenoOrder;
 use mfc::mpsim::{Staging, WaveWriter, World};
 use mfc::{presets, SolverConfig};
 
 #[test]
 fn distributed_matches_serial_bitwise_1d() {
-    let case = presets::sod(96);
-    let cfg = SolverConfig::default();
-    let serial = run_single(&case, cfg, 8);
-    for ranks in [2usize, 3, 4, 8] {
-        let (dist, _) = run_distributed(&case, cfg, ranks, 8, Staging::DeviceDirect).unwrap();
-        assert_eq!(dist.max_abs_diff(&serial), 0.0, "{ranks} ranks");
-    }
+    witnesses(Ax::ranks, &[is::geometry(Geo::Cart1)]);
 }
 
 #[test]
 fn distributed_matches_serial_bitwise_2d_and_3d() {
-    let cfg = SolverConfig::default();
-    let case2 = presets::two_phase_benchmark(2, [24, 24, 1]);
-    let serial2 = run_single(&case2, cfg, 4);
-    for ranks in [2usize, 4, 6] {
-        let (dist, _) = run_distributed(&case2, cfg, ranks, 4, Staging::DeviceDirect).unwrap();
-        assert_eq!(dist.max_abs_diff(&serial2), 0.0, "2d {ranks} ranks");
-    }
-    let case3 = presets::two_phase_benchmark(3, [12, 12, 12]);
-    let serial3 = run_single(&case3, cfg, 2);
-    for ranks in [2usize, 4, 8] {
-        let (dist, _) = run_distributed(&case3, cfg, ranks, 2, Staging::DeviceDirect).unwrap();
-        assert_eq!(dist.max_abs_diff(&serial3), 0.0, "3d {ranks} ranks");
-    }
+    witnesses(Ax::ranks, &[is::geometry(Geo::Cart2)]);
+    witnesses(Ax::ranks, &[is::geometry(Geo::Cart3)]);
 }
 
 #[test]
 fn distributed_matches_serial_with_weno3() {
-    let case = presets::two_phase_benchmark(2, [20, 20, 1]);
-    let cfg = SolverConfig {
-        rhs: RhsConfig {
-            order: WenoOrder::Weno3,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let serial = run_single(&case, cfg, 4);
-    let (dist, _) = run_distributed(&case, cfg, 4, 4, Staging::DeviceDirect).unwrap();
-    assert_eq!(dist.max_abs_diff(&serial), 0.0);
+    witnesses(Ax::ranks, &[is::order(WenoOrder::Weno3)]);
 }
 
+/// Non-periodic boundaries: ranks at the domain edge apply physical BCs,
+/// interior faces exchange halos.
 #[test]
 fn transmissive_case_distributes_correctly() {
-    // Non-periodic boundaries: ranks at the domain edge apply physical
-    // BCs, interior faces exchange halos.
-    let case = presets::shock_droplet_2d(32);
-    let cfg = SolverConfig::default();
-    let serial = run_single(&case, cfg, 3);
-    let (dist, _) = run_distributed(&case, cfg, 4, 3, Staging::DeviceDirect).unwrap();
-    assert_eq!(dist.max_abs_diff(&serial), 0.0);
+    witnesses(Ax::ranks, &[is::bc(Bc::Transmissive)]);
+    witnesses(Ax::bc, &[is::ranks(4)]);
 }
 
 #[test]
@@ -116,11 +92,7 @@ fn message_faults_are_bitwise_invisible_at_4ranks() {
 
 #[test]
 fn host_staging_changes_cost_not_physics() {
-    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
-    let cfg = SolverConfig::default();
-    let (a, _) = run_distributed(&case, cfg, 4, 3, Staging::DeviceDirect).unwrap();
-    let (b, _) = run_distributed(&case, cfg, 4, 3, Staging::HostStaged).unwrap();
-    assert_eq!(a.max_abs_diff(&b), 0.0);
+    witnesses(Ax::ranks, &[is::staging(Staging::HostStaged)]);
 }
 
 #[test]
@@ -168,60 +140,15 @@ fn wave_writer_round_trips_solver_output() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite regression: the rank body's copy of the CFL step left out
-/// the azimuthal metric `r dtheta`, so a `cylindrical3_d` run took a
-/// different dt — and produced a different field — on the distributed
-/// driver than on the serial solver. Both call one `select_dt` now.
+/// Regression: the rank body's copy of the CFL step left out the azimuthal
+/// metric `r dtheta`, so a `cylindrical3_d` run took a different dt — and
+/// produced a different field — on the distributed driver than on the
+/// serial solver. Both call one `select_dt` now; the matrix holds every
+/// geometry × dt × ranks triple.
 #[test]
 fn curvilinear_cfl_steps_do_not_depend_on_the_rank_count() {
-    use mfc::core::axisym::Geometry;
-    use mfc::core::bc::{BcKind, BcSpec};
-    use mfc::core::fluid::Fluid;
-    use mfc::core::solver::DtMode;
-    use mfc::{CaseBuilder, PatchState, Region};
-    use std::f64::consts::PI;
-
-    // (geometry, ndim, cells, theta range of the blob: a sector of the
-    // annulus in 3-D, the inactive coordinate 0 in 2-D)
-    for (geometry, ndim, n, theta) in [
-        (Geometry::Cylindrical3D, 3, [12, 12, 8], [2.0, 4.5]),
-        (Geometry::Axisymmetric, 2, [12, 12, 1], [-1.0, 1.0]),
-    ] {
-        // z in [0,1], r in [0.2, 1.2], theta in [0, 2 pi); an
-        // over-pressured blob so the fields move and the CFL bound varies.
-        let case = CaseBuilder::new(vec![Fluid::air()], ndim, n)
-            .extent([0.0, 0.2, 0.0], [1.0, 1.2, 2.0 * PI])
-            .bc(BcSpec {
-                lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Periodic],
-                hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Periodic],
-            })
-            .patch(Region::All, PatchState::single(1.2, [0.0; 3], 1.0e5))
-            .patch(
-                Region::Box {
-                    lo: [0.3, 0.5, theta[0]],
-                    hi: [0.7, 0.9, theta[1]],
-                },
-                PatchState::single(2.4, [0.0; 3], 4.0e5),
-            );
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                geometry,
-                ..Default::default()
-            },
-            dt: DtMode::Cfl(0.5),
-            ..Default::default()
-        };
-        let serial = run_single(&case, cfg, 6);
-        for ranks in [1usize, 2, 4] {
-            let (dist, stats) =
-                run_distributed(&case, cfg, ranks, 6, Staging::DeviceDirect).unwrap();
-            assert_eq!(
-                dist.max_abs_diff(&serial),
-                0.0,
-                "{geometry:?} on {ranks} ranks"
-            );
-            assert!(stats.time > 0.0, "{geometry:?}: driver reports no time");
-        }
+    for ranks in [2, 4] {
+        witnesses(Ax::geometry, &[is::dt(Dt::Cfl), is::ranks(ranks)]);
     }
 }
 

@@ -82,7 +82,6 @@ fn sched(budget: usize, out_dir: PathBuf) -> Scheduler {
         queue_cap: 16,
         aging_rounds: 2,
         out_dir,
-        write_checkpoints: true,
     })
 }
 
@@ -321,7 +320,6 @@ fn admission_control_is_typed() {
         queue_cap: 2,
         aging_rounds: 2,
         out_dir: out.clone(),
-        write_checkpoints: false,
     });
     s.submit(spec("a", 2, 0)).unwrap();
     s.submit(spec("b", 2, 0)).unwrap();

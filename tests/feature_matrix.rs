@@ -1,38 +1,26 @@
-//! Cross-feature integration: combinations the individual suites don't
-//! cover (viscous + distributed, WENO-Z end-to-end, stretched grids,
-//! mixed BCs, RK variants).
+//! Cross-feature integration: WENO-Z against the exact Sod solution,
+//! stretched grids, mixed BCs, RK stability and restart. The feature
+//! combinations (viscous + distributed, loop orders × schemes × orders,
+//! worker gangs × ranks, solvers × fluid counts) are members of the
+//! generated matrix (`tests/matrix/mod.rs`); the tests that named them
+//! here run their members.
 
+#[path = "matrix/mod.rs"]
+mod matrix;
+
+use matrix::{is, witnesses, Ax};
 use mfc::core::bc::{BcKind, BcSpec};
 use mfc::core::fluid::Fluid;
-use mfc::core::par::{run_distributed, run_single};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::{ExactRiemann, PrimSide, RiemannSolver};
 use mfc::core::time::TimeScheme;
 use mfc::core::weno::WenoOrder;
-use mfc::mpsim::Staging;
 use mfc::{presets, CaseBuilder, Context, PatchState, Region, Solver, SolverConfig};
 
+/// Viscous members on every rank count match their 1-rank reference.
 #[test]
 fn viscous_distributed_matches_serial_bitwise() {
-    let case = CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [16, 16, 1])
-        .bc(BcSpec::periodic())
-        .patch(
-            Region::All,
-            PatchState::single(1.2, [20.0, -5.0, 0.0], 1.0e5),
-        )
-        .patch(
-            Region::Sphere {
-                center: [0.5, 0.5, 0.0],
-                radius: 0.2,
-            },
-            PatchState::single(1.5, [20.0, -5.0, 0.0], 1.2e5),
-        );
-    let cfg = SolverConfig::default();
-    let serial = run_single(&case, cfg, 4);
-    for ranks in [2usize, 4] {
-        let (dist, _) = run_distributed(&case, cfg, ranks, 4, Staging::DeviceDirect).unwrap();
-        assert_eq!(dist.max_abs_diff(&serial), 0.0, "{ranks} ranks");
-    }
+    witnesses(Ax::ranks, &[is::viscous(true)]);
 }
 
 #[test]
@@ -77,17 +65,7 @@ fn wenoz_solves_sod_accurately() {
 
 #[test]
 fn wenoz_distributed_matches_serial() {
-    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
-    let cfg = SolverConfig {
-        rhs: RhsConfig {
-            order: WenoOrder::Weno5Z,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let serial = run_single(&case, cfg, 3);
-    let (dist, _) = run_distributed(&case, cfg, 4, 3, Staging::DeviceDirect).unwrap();
-    assert_eq!(dist.max_abs_diff(&serial), 0.0);
+    witnesses(Ax::ranks, &[is::order(WenoOrder::Weno5Z)]);
 }
 
 #[test]
@@ -207,157 +185,44 @@ fn every_time_scheme_solves_sod() {
     }
 }
 
+/// Stage-major members of every scheme and order match their pencil-major
+/// reference.
 #[test]
 fn rhs_modes_identical_across_schemes_and_orders() {
-    // The sweep-engine axis composes with time schemes and orders: every
-    // combination must agree bitwise between staged and fused.
-    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
-    for scheme in [TimeScheme::Rk2, TimeScheme::Rk3] {
-        for order in [WenoOrder::Weno3, WenoOrder::Weno5, WenoOrder::Weno5Z] {
-            let mut fields = Vec::new();
-            for mode in [RhsMode::Staged, RhsMode::Fused] {
-                let cfg = SolverConfig {
-                    rhs: RhsConfig {
-                        order,
-                        mode,
-                        ..Default::default()
-                    },
-                    scheme,
-                    ..Default::default()
-                };
-                fields.push(run_single(&case, cfg, 3));
-            }
-            assert_eq!(
-                fields[0].max_abs_diff(&fields[1]),
-                0.0,
-                "{scheme:?} {order:?}"
-            );
-        }
-    }
+    let staged = is::loop_order(RhsMode::Staged);
+    witnesses(Ax::scheme, &[staged]);
+    witnesses(Ax::order, &[staged]);
 }
 
 #[test]
 fn rhs_modes_identical_with_viscosity_and_mixed_bcs() {
-    // Fused sweeps feed the same divu/rhs the shared viscous and source
-    // stages consume; mixed physical BCs exercise the ghost layers the
-    // fused gather must still read.
-    let case = viscous_mixed_bc();
-    let mut fields = Vec::new();
-    for mode in [RhsMode::Staged, RhsMode::Fused] {
-        let cfg = SolverConfig {
-            rhs: RhsConfig {
-                mode,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        fields.push(run_single(&case, cfg, 4));
-    }
-    assert_eq!(fields[0].max_abs_diff(&fields[1]), 0.0);
+    let staged = is::loop_order(RhsMode::Staged);
+    witnesses(Ax::viscous, &[staged]);
+    witnesses(Ax::bc, &[staged]);
 }
 
-/// Viscous + mixed physical BCs: shells see reflective/transmissive
-/// ghosts, the interior never does.
-fn viscous_mixed_bc() -> CaseBuilder {
-    CaseBuilder::new(vec![Fluid::air().with_viscosity(0.05)], 2, [20, 12, 1])
-        .bc(BcSpec {
-            lo: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-            hi: [BcKind::Periodic, BcKind::Reflective, BcKind::Transmissive],
-        })
-        .patch(
-            Region::All,
-            PatchState::single(1.2, [30.0, 0.0, 0.0], 1.0e5),
-        )
-        .patch(
-            Region::Sphere {
-                center: [0.5, 0.5, 0.0],
-                radius: 0.2,
-            },
-            PatchState::single(1.5, [30.0, 0.0, 0.0], 1.2e5),
-        )
-}
-
+/// On 4 ranks: every order, loop order, staging and viscosity matches the
+/// 1-rank reference.
 #[test]
 fn distributed_exchange_composes_with_orders_staging_and_viscosity() {
-    // The exchange composes with the rest of the feature matrix: both RHS
-    // engines, both WENO-5 flavors, both staging modes, and a viscous
-    // mixed-BC case must all agree bitwise with the serial answer on 4
-    // ranks.
-    let case = presets::two_phase_benchmark(2, [20, 20, 1]);
-    for mode in [RhsMode::Staged, RhsMode::Fused] {
-        for order in [WenoOrder::Weno5, WenoOrder::Weno5Z] {
-            for staging in [Staging::DeviceDirect, Staging::HostStaged] {
-                let cfg = SolverConfig {
-                    rhs: RhsConfig {
-                        order,
-                        mode,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let serial = run_single(&case, cfg, 3);
-                let (dist, _) = run_distributed(&case, cfg, 4, 3, staging).unwrap();
-                assert_eq!(
-                    dist.max_abs_diff(&serial),
-                    0.0,
-                    "{mode:?} {order:?} {staging:?}"
-                );
-            }
-        }
+    let four = is::ranks(4);
+    for axis in [Ax::order, Ax::loop_order, Ax::staging, Ax::viscous, Ax::bc] {
+        witnesses(axis, &[four]);
     }
-    let viscous = viscous_mixed_bc();
-    let cfg = SolverConfig::default();
-    let serial = run_single(&viscous, cfg, 4);
-    let (dist, _) = run_distributed(&viscous, cfg, 4, 4, Staging::DeviceDirect).unwrap();
-    assert_eq!(dist.max_abs_diff(&serial), 0.0, "viscous mixed-BC");
 }
 
 #[test]
 fn worker_gangs_compose_with_orders_schemes_and_modes() {
-    // The worker-count axis composes with the rest of the matrix: every
-    // (order, mode) pair at 3 workers reproduces its serial answer
-    // bitwise, RK2 and RK3 alike.
-    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
-    for scheme in [TimeScheme::Rk2, TimeScheme::Rk3] {
-        for order in [WenoOrder::Weno3, WenoOrder::Weno5Z] {
-            for mode in [RhsMode::Staged, RhsMode::Fused] {
-                let mut cfg = SolverConfig {
-                    rhs: RhsConfig {
-                        order,
-                        mode,
-                        ..Default::default()
-                    },
-                    scheme,
-                    ..Default::default()
-                };
-                let serial = run_single(&case, cfg, 3);
-                cfg.workers = 3;
-                let par = run_single(&case, cfg, 3);
-                assert_eq!(
-                    par.max_abs_diff(&serial),
-                    0.0,
-                    "{scheme:?} {order:?} {mode:?}"
-                );
-            }
-        }
+    let four = is::workers(4);
+    for axis in [Ax::order, Ax::scheme, Ax::loop_order] {
+        witnesses(axis, &[four]);
     }
 }
 
 #[test]
 fn worker_gangs_compose_with_viscous_distributed_exchange() {
-    // The heaviest composition: viscous stresses + mixed physical BCs +
-    // 4 simulated ranks + 4 worker gangs per rank, against the 1-worker
-    // serial answer.
-    let case = viscous_mixed_bc();
-    let mut cfg = SolverConfig::default();
-    let serial = run_single(&case, cfg, 4);
-    cfg.workers = 4;
-    let (dist, _) = run_distributed(&case, cfg, 4, 4, Staging::DeviceDirect).unwrap();
-    assert_eq!(
-        dist.max_abs_diff(&serial),
-        0.0,
-        "viscous mixed-BC at 4 ranks x 4 workers"
-    );
+    witnesses(Ax::workers, &[is::viscous(true)]);
+    witnesses(Ax::workers, &[is::ranks(4)]);
 }
 
 #[test]
@@ -390,61 +255,11 @@ fn restart_continues_bitwise() {
 
 #[test]
 fn rusanov_runs_the_two_phase_benchmark() {
-    // Rusanov diffuses alpha and the partial densities consistently, so
-    // it survives (diffusively) on multiphase problems.
-    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
-    let cfg = SolverConfig {
-        rhs: RhsConfig {
-            solver: RiemannSolver::Rusanov,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut solver = Solver::new(&case, cfg, Context::serial());
-    solver.run_steps(10).unwrap();
-    let prim = solver.primitives();
-    let eq = case.eq();
-    let dom = *solver.domain();
-    for (i, j, k) in dom.interior() {
-        let p = prim.get(i, j, k, eq.energy());
-        assert!(p.is_finite() && p > 0.0, "Rusanov: p = {p}");
-    }
+    witnesses(Ax::fluids, &[is::riemann(RiemannSolver::Rusanov)]);
 }
 
 #[test]
 fn hll_runs_single_fluid_flows() {
-    // HLL averages the contact away, so the mixture EOS coefficients and
-    // the partial densities drift apart at material interfaces — the
-    // textbook reason diffuse-interface codes need HLLC. As a baseline it
-    // is validated on single-fluid problems.
-    let case = CaseBuilder::new(vec![Fluid::air()], 2, [16, 16, 1])
-        .bc(BcSpec::periodic())
-        .smear(1.0)
-        .patch(
-            Region::All,
-            PatchState::single(1.2, [30.0, 10.0, 0.0], 1.0e5),
-        )
-        .patch(
-            Region::Sphere {
-                center: [0.5, 0.5, 0.0],
-                radius: 0.2,
-            },
-            PatchState::single(0.6, [30.0, 10.0, 0.0], 1.0e5),
-        );
-    let cfg = SolverConfig {
-        rhs: RhsConfig {
-            solver: RiemannSolver::Hll,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut solver = Solver::new(&case, cfg, Context::serial());
-    solver.run_steps(15).unwrap();
-    let prim = solver.primitives();
-    let eq = case.eq();
-    let dom = *solver.domain();
-    for (i, j, k) in dom.interior() {
-        let p = prim.get(i, j, k, eq.energy());
-        assert!(p.is_finite() && p > 0.0, "HLL: p = {p}");
-    }
+    witnesses(Ax::riemann, &[is::fluids(1)]);
+    witnesses(Ax::geometry, &[is::riemann(RiemannSolver::Hll)]);
 }

@@ -4,103 +4,59 @@
 //! Riemann solves, same update order per cell; only the loop order and
 //! the scratch layout differ.
 //!
-//! Covered here: all five shipped case files (serial and 2-rank
-//! distributed) plus a property sweep over domain shapes (extents that
-//! are not multiples of the 8-line pencil batch), orders, Riemann
-//! solvers, limiters, geometries, viscosity, worker counts, lane widths
-//! and the recovery ladder's degraded rung.
+//! The loop order is an axis of the generated matrix
+//! (`tests/matrix/mod.rs`): its stage-major members, checked against their
+//! pencil-major references, hold every value of every other axis —
+//! shipped cases serial and on 2 ranks, extents that are not multiples of
+//! the 8-line pencil batch, orders, Riemann solvers, limiters, geometries,
+//! viscosity, worker counts and lane widths. The tests here run those
+//! members, and check the recovery ladder's degraded rung directly.
 
-use proptest::prelude::*;
+#[path = "matrix/mod.rs"]
+mod matrix;
 
-use mfc::core::axisym::Geometry;
+use matrix::{is, shipped, witnesses, Ax};
 use mfc::core::bc::apply_bcs;
-use mfc::core::limiter::Limiter;
-use mfc::core::par::{run_distributed, run_single};
 use mfc::core::rhs::{compute_rhs, RhsConfig, RhsMode, RhsWorkspace};
 use mfc::core::riemann::RiemannSolver;
 use mfc::core::state::StateField;
 use mfc::core::weno::WenoOrder;
-use mfc::mpsim::Staging;
 use mfc::{presets, CaseBuilder, Context, Solver, SolverConfig};
-use mfc_cli::CaseFile;
 
-fn cases_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../cases")
-}
-
-/// Load a shipped case, shrunk so equivalence runs stay fast.
-fn shipped(name: &str, cells: [usize; 3]) -> (CaseBuilder, SolverConfig) {
-    let mut cf = CaseFile::from_path(&cases_dir().join(name)).unwrap();
-    cf.cells = cells;
-    let case = cf.to_case().unwrap();
-    let cfg = cf.numerics.to_solver_config().unwrap();
-    (case, cfg)
-}
-
-fn with_mode(mut cfg: SolverConfig, mode: RhsMode) -> SolverConfig {
-    cfg.rhs.mode = mode;
-    cfg
-}
-
-const SHIPPED: [(&str, [usize; 3], usize); 5] = [
-    ("sod.json", [200, 1, 1], 8),
-    ("taylor_green.json", [32, 32, 1], 5),
-    ("bubble_cloud_2d.json", [48, 48, 1], 4),
-    ("shock_droplet_2d.json", [48, 48, 1], 4),
-    ("shock_droplet_3d.json", [13, 10, 9], 4),
-];
+const STAGED: RhsMode = RhsMode::Staged;
 
 #[test]
 fn fused_matches_staged_bitwise_on_all_shipped_cases() {
-    for (name, cells, steps) in SHIPPED {
-        let (case, cfg) = shipped(name, cells);
-        let staged = run_single(&case, with_mode(cfg, RhsMode::Staged), steps);
-        let fused = run_single(&case, with_mode(cfg, RhsMode::Fused), steps);
-        assert_eq!(fused.max_abs_diff(&staged), 0.0, "{name}");
-    }
+    shipped(&[is::loop_order(STAGED), is::ranks(1)]);
 }
 
 #[test]
 fn fused_matches_staged_bitwise_distributed_2_ranks() {
-    for (name, cells, steps) in SHIPPED {
-        let (case, cfg) = shipped(name, cells);
-        let (staged, _) = run_distributed(
-            &case,
-            with_mode(cfg, RhsMode::Staged),
-            2,
-            steps,
-            Staging::DeviceDirect,
-        )
-        .unwrap();
-        let (fused, _) = run_distributed(
-            &case,
-            with_mode(cfg, RhsMode::Fused),
-            2,
-            steps,
-            Staging::DeviceDirect,
-        )
-        .unwrap();
-        assert_eq!(fused.max_abs_diff(&staged), 0.0, "{name}");
-    }
+    shipped(&[is::loop_order(STAGED), is::ranks(2)]);
 }
 
 #[test]
 fn fused_matches_staged_in_3d() {
-    let case = presets::two_phase_benchmark(3, [12, 12, 12]);
-    let cfg = SolverConfig::default();
-    let staged = run_single(&case, with_mode(cfg, RhsMode::Staged), 4);
-    let fused = run_single(&case, with_mode(cfg, RhsMode::Fused), 4);
-    assert_eq!(fused.max_abs_diff(&staged), 0.0);
+    witnesses(Ax::geometry, &[is::loop_order(STAGED)]);
+}
+
+#[test]
+fn fused_matches_staged_on_random_configs() {
+    for axis in [
+        Ax::extent,
+        Ax::order,
+        Ax::riemann,
+        Ax::limiter,
+        Ax::viscous,
+        Ax::workers,
+        Ax::width,
+    ] {
+        witnesses(axis, &[is::loop_order(STAGED)]);
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// An extent of `8 k + r` cells, `r` in 1..8: never a whole number of
-/// 8-line pencil batches, so every sweep has a short last pencil.
-fn off_batch(k: usize, r: usize) -> usize {
-    8 * k + r
 }
 
 /// One RHS evaluation of `solver`'s state under `cfg`, on a fresh
@@ -117,65 +73,31 @@ fn rhs_bits(solver: &Solver, case: &CaseBuilder, ctx: &Context, cfg: &RhsConfig)
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Staged and fused agree bitwise across random domain shapes,
-    /// reconstruction orders, Riemann solvers, limiters, geometries
-    /// (Cartesian, axisymmetric, cylindrical 3-D with its radial metric),
-    /// with and without viscosity, at 1 and 3 workers and lane widths 1
-    /// and 4 — and, on the stepped state, under the recovery ladder's last
-    /// rung (WENO3 + Rusanov inside the WENO5-sized domain).
-    #[test]
-    fn fused_matches_staged_on_random_configs(
-        ndim in 1usize..=3,
-        k in (1usize..3, 1usize..3, 1usize..3),
-        r in (1usize..8, 1usize..8, 1usize..8),
-        order_i in 0usize..3,
-        solver_i in 0usize..3,
-        limiter_i in 0usize..2,
-        curved in proptest::bool::ANY,
-        viscous in proptest::bool::ANY,
-        workers_i in 0usize..2,
-        width_i in 0usize..2,
-        degraded in proptest::bool::ANY,
-        steps in 1usize..3,
-    ) {
-        let n = match ndim {
-            1 => [off_batch(k.0, r.0) * 4, 1, 1],
-            // 2-D blocks reach the 1024-item threshold of a gang split.
-            2 => [off_batch(k.0 + 2, r.0), off_batch(k.1 + 2, r.1), 1],
-            _ => [off_batch(k.0, r.0), off_batch(k.1, r.1), off_batch(k.2, r.2)],
-        };
-        let mut case = presets::two_phase_benchmark(ndim, n);
-        if viscous {
-            case.fluids = case.fluids.iter().map(|f| f.with_viscosity(1e-3)).collect();
-        }
-        let mut cfg = SolverConfig::default();
-        cfg.rhs.order = [WenoOrder::Weno3, WenoOrder::Weno5, WenoOrder::Weno5Z][order_i];
-        cfg.rhs.solver = [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov][solver_i];
-        cfg.rhs.limiter = [Limiter::FirstOrderFallback, Limiter::ZhangShu][limiter_i];
-        cfg.rhs.geometry = match (curved, ndim) {
-            (true, 2) => Geometry::Axisymmetric,
-            (true, 3) => Geometry::Cylindrical3D,
-            _ => Geometry::Cartesian,
-        };
-        let ctx = Context::with_workers([1, 3][workers_i]).with_vector_width([1, 4][width_i]);
-        let stepped = |mode| {
-            let mut solver = Solver::new(&case, with_mode(cfg, mode), ctx.clone());
-            solver.run_steps(steps).unwrap();
-            solver
-        };
-        let (staged, fused) = (stepped(RhsMode::Staged), stepped(RhsMode::Fused));
-        prop_assert!(bits(staged.state().as_slice()) == bits(fused.state().as_slice()));
-        if degraded && cfg.rhs.order.ghost_layers() == 3 {
+/// The recovery ladder's last rung runs WENO3 + Rusanov inside a domain
+/// sized for WENO5's ghost layers; both loop orders give the same RHS
+/// bits there, in every dimension, with and without viscosity, on
+/// extents that are not multiples of the pencil batch.
+#[test]
+fn degraded_rung_matches_in_both_loop_orders() {
+    for (ndim, n) in [(1, [44, 1, 1]), (2, [19, 21, 1]), (3, [11, 10, 9])] {
+        for viscous in [false, true] {
+            let mut case = presets::two_phase_benchmark(ndim, n);
+            if viscous {
+                case.fluids = case.fluids.iter().map(|f| f.with_viscosity(1e-3)).collect();
+            }
+            let ctx = Context::with_workers(3).with_vector_width(4);
+            let mut solver = Solver::new(&case, SolverConfig::default(), ctx.clone());
+            solver.run_steps(1).unwrap();
             let rung = RhsConfig {
                 order: WenoOrder::Weno3,
                 solver: RiemannSolver::Rusanov,
-                ..cfg.rhs
+                ..Default::default()
             };
-            let eval = |mode| rhs_bits(&fused, &case, &ctx, &RhsConfig { mode, ..rung });
-            prop_assert!(eval(RhsMode::Staged) == eval(RhsMode::Fused), "degraded rung");
+            let eval = |mode| rhs_bits(&solver, &case, &ctx, &RhsConfig { mode, ..rung });
+            assert!(
+                eval(STAGED) == eval(RhsMode::Fused),
+                "{ndim}-D, viscous {viscous}"
+            );
         }
     }
 }

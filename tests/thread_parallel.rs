@@ -6,39 +6,32 @@
 //! contract makes multi-worker runs **bitwise identical** to
 //! [`Context::serial`] at every worker count — including counts that
 //! oversubscribe the host, so this suite is meaningful on a 1-core CI
-//! runner too. These tests are the enforcement:
+//! runner too. The worker counts are an axis of the generated matrix
+//! (`tests/matrix/mod.rs`), whose members hold every worker count against
+//! every other axis value; the equivalence tests here run those members.
+//! Beside them:
 //!
-//! 1. Property: random 3-D domains × both sweep engines × every Riemann
-//!    solver, serial vs 2/3/4/8 workers; and 2-D domains on 2 ranks ×
-//!    both halo stagings.
-//! 2. Engagement: a deterministic case large enough that every gate
+//! 1. Engagement: a deterministic case large enough that every gate
 //!    (`PAR_MIN_ITEMS`) opens, checked via the trace's per-launch gang
-//!    annotation — so the equivalence above is not vacuous.
-//! 3. Shipped cases: every `cases/*.json` at 4 workers reproduces the
-//!    1-worker state bitwise over the golden step counts, serially and
-//!    on 2 simulated ranks.
-//! 4. Recovery: the health watchdog + ladder walk the same rungs at
+//!    annotation — so the equivalence is not vacuous.
+//! 2. Recovery: the health watchdog + ladder walk the same rungs at
 //!    4 workers as serially, bitwise.
 
-use proptest::prelude::*;
+#[path = "matrix/mod.rs"]
+mod matrix;
+
 use std::sync::Arc;
 
-use mfc::core::par::{run_distributed, run_single};
+use matrix::{is, shipped, witnesses, Ax};
 use mfc::core::recovery::{RecoveryAction, RecoveryPolicy};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
-use mfc::mpsim::Staging;
 use mfc::trace::{EventKind, Tracer};
 use mfc::{presets, Context, DtMode, Solver, SolverConfig};
-use mfc_cli::CaseFile;
 
-/// Worker counts exercised everywhere: an even split, a remainder split,
-/// the CI target, and an oversubscribing count.
+/// Worker counts of the engagement test: an even split, a remainder
+/// split, the CI target, and an oversubscribing count.
 const WORKER_COUNTS: [usize; 4] = [2, 3, 4, 8];
-
-fn cases_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../cases")
-}
 
 fn cfg_with(mode: RhsMode, solver: RiemannSolver, workers: usize) -> SolverConfig {
     SolverConfig {
@@ -52,55 +45,21 @@ fn cfg_with(mode: RhsMode, solver: RiemannSolver, workers: usize) -> SolverConfi
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Every worker count on 3-D members, and every solver and loop order at
+/// 4 workers, reproduces the 1-worker reference bitwise.
+#[test]
+fn random_domains_bitwise_equal_at_every_worker_count() {
+    witnesses(Ax::workers, &[is::geometry(matrix::Geo::Cart3)]);
+    witnesses(Ax::riemann, &[is::workers(4)]);
+    witnesses(Ax::extent, &[is::workers(4)]);
+}
 
-    /// Serial and gang-parallel runs agree bitwise on random 3-D domains
-    /// for both sweep engines and every Riemann solver.
-    #[test]
-    fn random_domains_bitwise_equal_at_every_worker_count(
-        nx in 8usize..=14,
-        ny in 8usize..=14,
-        nz in 8usize..=14,
-        mode_fused in proptest::bool::ANY,
-        solver_idx in 0usize..3,
-    ) {
-        let mode = if mode_fused { RhsMode::Fused } else { RhsMode::Staged };
-        let solver = [RiemannSolver::Hllc, RiemannSolver::Hll, RiemannSolver::Rusanov][solver_idx];
-        let case = presets::two_phase_benchmark(3, [nx, ny, nz]);
-        let serial = run_single(&case, cfg_with(mode, solver, 1), 2);
-        for workers in WORKER_COUNTS {
-            let par = run_single(&case, cfg_with(mode, solver, workers), 2);
-            prop_assert_eq!(
-                par.max_abs_diff(&serial), 0.0,
-                "{:?} {:?} workers={}", mode, solver, workers
-            );
-        }
-    }
-
-    /// Distributed runs keep the bitwise guarantee when worker gangs and
-    /// halo staging compose.
-    #[test]
-    fn distributed_bitwise_equal_with_worker_gangs(
-        nx in 10usize..=14,
-        ny in 10usize..=14,
-        mode_fused in proptest::bool::ANY,
-        host_staged in proptest::bool::ANY,
-        workers_idx in 0usize..4,
-    ) {
-        let mode = if mode_fused { RhsMode::Fused } else { RhsMode::Staged };
-        let staging = if host_staged { Staging::HostStaged } else { Staging::DeviceDirect };
-        let workers = WORKER_COUNTS[workers_idx];
-        let case = presets::two_phase_benchmark(2, [nx, ny, 1]);
-        let serial = run_single(&case, cfg_with(mode, RiemannSolver::Hllc, 1), 3);
-        let (dist, _) =
-            run_distributed(&case, cfg_with(mode, RiemannSolver::Hllc, workers), 2, 3, staging)
-                .unwrap();
-        prop_assert_eq!(
-            dist.max_abs_diff(&serial), 0.0,
-            "{:?} {:?} workers={}", mode, staging, workers
-        );
-    }
+/// Distributed members keep the bitwise guarantee when worker gangs and
+/// halo staging compose.
+#[test]
+fn distributed_bitwise_equal_with_worker_gangs() {
+    witnesses(Ax::workers, &[is::ranks(2)]);
+    witnesses(Ax::staging, &[is::workers(4)]);
 }
 
 /// On a domain past every `PAR_MIN_ITEMS` gate the launches really do
@@ -144,64 +103,17 @@ fn parallel_engagement_is_real_and_bitwise_transparent() {
     }
 }
 
-/// Every shipped case file reproduces its 1-worker state bitwise at
-/// 4 workers over the golden step counts — the same guarantee the golden
-/// harness enforces for the serial path, extended to worker gangs.
+/// Every shipped case reproduces its golden digest at 4 workers.
 #[test]
 fn shipped_cases_bitwise_equal_at_four_workers() {
-    for (name, steps) in [
-        ("sod", 12usize),
-        ("taylor_green", 6),
-        ("shock_droplet_2d", 5),
-        ("bubble_cloud_2d", 5),
-        ("shock_droplet_3d", 5),
-    ] {
-        let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
-        let case = cf.to_case().unwrap();
-        let cfg = cf.numerics.to_solver_config().unwrap();
-
-        let mut serial = Solver::new(&case, cfg, Context::serial());
-        serial.run_steps(steps).unwrap();
-
-        let mut par = Solver::new(&case, cfg, Context::with_workers(4));
-        par.run_steps(steps).unwrap();
-
-        assert_eq!(
-            serial.state().as_slice(),
-            par.state().as_slice(),
-            "{name}: 4-worker state diverged from serial"
-        );
-        assert_eq!(
-            serial.time().to_bits(),
-            par.time().to_bits(),
-            "{name}: dt path diverged"
-        );
-    }
+    shipped(&[is::workers(4), is::ranks(1)]);
 }
 
 /// Shipped cases on 2 simulated ranks with 4 worker gangs per rank still
-/// match the serial state.
+/// reproduce their golden digests.
 #[test]
 fn shipped_cases_distributed_bitwise_equal_at_four_workers() {
-    for (name, steps) in [
-        ("sod", 6usize),
-        ("taylor_green", 4),
-        ("shock_droplet_2d", 3),
-        ("bubble_cloud_2d", 3),
-        ("shock_droplet_3d", 3),
-    ] {
-        let cf = CaseFile::from_path(&cases_dir().join(format!("{name}.json"))).unwrap();
-        let case = cf.to_case().unwrap();
-        let mut cfg = cf.numerics.to_solver_config().unwrap();
-        let serial = run_single(&case, cfg, steps);
-        cfg.workers = 4;
-        let (dist, _) = run_distributed(&case, cfg, 2, steps, Staging::DeviceDirect).unwrap();
-        assert_eq!(
-            dist.max_abs_diff(&serial),
-            0.0,
-            "{name}: 2 ranks x 4 workers diverged from serial"
-        );
-    }
+    shipped(&[is::workers(4), is::ranks(2)]);
 }
 
 /// The recovery ladder walks the same rungs under worker gangs: the
