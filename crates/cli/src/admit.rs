@@ -19,7 +19,9 @@
 //! - `numerics.workers` ≤ [`MAX_WORKERS`] — thread exhaustion
 //! - `run.ranks` + `run.spares` ≤ [`MAX_RANKS`] — thread exhaustion in
 //!   `World::run` (exit 101 after `--dry-run` had said "admissible")
-//! - geometry fits `ndim` and has a radial `lo` ≥ 0 — `axisym.rs` asserts
+//! - geometry fits `ndim` and has a radial `lo` ≥ 0 — `axisym.rs` asserts;
+//!   the radial axis is not periodic — r = hi wrapped onto r = lo, a run
+//!   that neither conserves nor means anything
 //! - `lo` < `hi`, finite, cells wider than rounding, on every axis (an
 //!   inactive axis still gets a one-cell grid) — `grid.rs` asserts
 //! - `run.steps` or `run.t_end` set; `io.wave` ≥ 1
@@ -35,6 +37,7 @@ use std::path::{Path, PathBuf};
 
 use mfc_acc::MAX_WORKERS;
 use mfc_core::axisym::Geometry;
+use mfc_core::bc::BcKind;
 use mfc_core::case::{CaseBuilder, Region};
 use mfc_core::probes::Probe;
 use mfc_core::recovery::RecoveryPolicy;
@@ -57,7 +60,8 @@ apply the same checks; a refused case is exit 2 and nothing is written):
   numerics     known scheme, vector_width a power of two <= 8, cfl in
                (0, 1], fixed dt finite and > 0, workers <= 256
   geometry     axisymmetric needs ndim >= 2, cylindrical3_d ndim = 3, both
-               a radial lo >= 0; lo < hi and finite on every axis
+               a radial lo >= 0 and a non-periodic radial axis (axis 1);
+               lo < hi and finite on every axis
   stopping     run.steps or run.t_end (finite, > 0), whichever comes
                first; the last step lands on t_end, on any rank count
   layout       ranks <= cells, ranks + spares <= 4096, blocks at least
@@ -295,6 +299,11 @@ fn check_case(
         !num.geometry.has_radial_axis() || case.lo[1] >= 0.0,
         "the radial axis must start at r >= 0, got lo[1] = {}",
         case.lo[1]
+    );
+    require!(
+        !num.geometry.has_radial_axis()
+            || (case.bc.lo[1] != BcKind::Periodic && case.bc.hi[1] != BcKind::Periodic),
+        "the radial axis (axis 1) cannot be periodic: r = hi would wrap onto r = lo"
     );
     for d in 0..3 {
         let (lo, hi, n) = (case.lo[d], case.hi[d], case.cells[d]);

@@ -10,8 +10,9 @@ use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use mfc_acc::Context;
-use mfc_cli::{vtk_fields, CaseFile, ProbeConfig};
+use mfc_cli::{vtk_fields, BcConfig, CaseFile, ProbeConfig};
 use mfc_core::axisym::Geometry;
+use mfc_core::bc::BcKind;
 use mfc_core::case::Region;
 use mfc_core::output::{block_to_vec, write_vtk_rectilinear};
 use mfc_core::par::GlobalField;
@@ -457,7 +458,7 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         c.run.ranks = 2;
     };
     type Row<'a> = (&'a str, i32, &'a dyn Fn(&mut CaseFile));
-    let rows: [Row; 27] = [
+    let rows: [Row; 28] = [
         ("numerics.cfl must be in (0, 1]", 2, &|c| {
             c.numerics.cfl = 0.0
         }),
@@ -495,6 +496,12 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
             c.ndim = 2;
             c.cells = [32, 32, 1];
             c.lo[1] = -1.0;
+            c.numerics.geometry = Geometry::Axisymmetric;
+        }),
+        ("the radial axis (axis 1) cannot be periodic", 2, &|c| {
+            c.ndim = 2;
+            c.cells = [32, 32, 1];
+            c.bc = BcConfig::Uniform(BcKind::Periodic);
             c.numerics.geometry = Geometry::Axisymmetric;
         }),
         ("patches[0] must be the `all` background", 2, &|c| {

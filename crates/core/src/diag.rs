@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 
+use crate::axisym::Geometry;
 use crate::domain::Domain;
 use crate::grid::Grid;
 use crate::state::StateField;
@@ -9,15 +10,21 @@ use crate::state::StateField;
 /// Integral of every conserved variable over the interior,
 /// `sum_cells q dV` — must be constant in time under periodic BCs (up to
 /// round-off), which is one of the validation suite's core assertions.
-pub fn conservation_totals(q: &StateField, grid: &Grid) -> Vec<f64> {
+/// With a radial axis (axis 1) a cell's volume carries its centre radius:
+/// `r dr dx` axisymmetric (per radian), `r dr dtheta dx` cylindrical.
+pub fn conservation_totals(q: &StateField, grid: &Grid, geometry: Geometry) -> Vec<f64> {
     let dom = *q.domain();
     let neq = dom.eq.neq();
     let wx = grid.x.widths();
     let wy = grid.y.widths();
     let wz = grid.z.widths();
+    let radial = geometry.has_radial_axis().then(|| grid.y.centers());
     let mut totals = vec![0.0; neq];
     for (i, j, k) in dom.interior() {
-        let dv = wx[i - dom.pad(0)] * wy[j - dom.pad(1)] * wz[k - dom.pad(2)];
+        let mut dv = wx[i - dom.pad(0)] * wy[j - dom.pad(1)] * wz[k - dom.pad(2)];
+        if let Some(r) = radial {
+            dv *= r[j - dom.pad(1)];
+        }
         for (e, t) in totals.iter_mut().enumerate() {
             *t += q.get(i, j, k, e) * dv;
         }
@@ -185,8 +192,25 @@ mod tests {
         for (i, j, k) in dom.interior() {
             q.set(i, j, k, 0, 3.0);
         }
-        let t = conservation_totals(&q, &grid);
+        let t = conservation_totals(&q, &grid, Geometry::Cartesian);
         assert!((t[0] - 3.0 * 2.0).abs() < 1e-12); // rho * volume
+    }
+
+    #[test]
+    fn conservation_totals_weight_by_radius_on_curvilinear_grids() {
+        let eq = EqIdx::new(1, 2);
+        let dom = Domain::new([2, 4, 1], 2, eq);
+        // r in [1, 3], dr = 0.5: sum of r dr = (3^2 - 1^2) / 2 = 4.
+        let grid = Grid::uniform([2, 4, 1], [0.0, 1.0, 0.0], [1.0, 3.0, 1.0]);
+        let mut q = StateField::zeros(dom);
+        for (i, j, k) in dom.interior() {
+            q.set(i, j, k, 0, 3.0);
+        }
+        for geometry in [Geometry::Axisymmetric, Geometry::Cylindrical3D] {
+            let t = conservation_totals(&q, &grid, geometry);
+            assert!((t[0] - 3.0 * 4.0).abs() < 1e-12, "{geometry:?}: {}", t[0]);
+        }
+        assert!((conservation_totals(&q, &grid, Geometry::Cartesian)[0] - 3.0 * 2.0).abs() < 1e-12);
     }
 
     #[test]

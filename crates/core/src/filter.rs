@@ -39,55 +39,79 @@ pub fn apply_azimuthal_filter(ctx: &Context, plan: &LowpassPlan, q: &mut StateFi
         8.0,
     );
     let cfg = LaunchConfig::tuned("s_fourier_filter");
-    let lines = dom.n[0] * dom.n[1] * neq;
-    let mut line = vec![0.0; ntheta];
-    ctx.launch(&cfg, cost, lines * ntheta, |item| {
-        // One ledger item per touched element; do the work once per line.
-        if item % ntheta != 0 {
+    // The rows a filtered ring must keep in range: partial densities and
+    // volume fractions.
+    let bounded: Vec<usize> = (0..eq.nf())
+        .map(|i| eq.cont(i))
+        .chain((0..eq.n_adv()).map(|i| eq.adv(i)))
+        .collect();
+    let cells = dom.n[0] * dom.n[1];
+    let mut lines = vec![0.0; neq * ntheta];
+    let mut ranges = vec![(0.0, 0.0); neq];
+    ctx.launch(&cfg, cost, cells * neq * ntheta, |item| {
+        // One ledger item per touched element; do the work once per ring
+        // cell (i, j), every equation at once.
+        if item % (neq * ntheta) != 0 {
             return;
         }
-        let l = item / ntheta;
-        let i = l % dom.n[0] + dom.pad(0);
-        let j = (l / dom.n[0]) % dom.n[1];
-        let e = l / (dom.n[0] * dom.n[1]);
+        let c = item / (neq * ntheta);
+        let i = c % dom.n[0] + dom.pad(0);
+        let j = c / dom.n[0];
         let jj = j + dom.pad(1);
-        for (t, v) in line.iter_mut().enumerate() {
-            *v = q.get(i, jj, t + dom.pad(2), e);
+        for (e, line) in lines.chunks_exact_mut(ntheta).enumerate() {
+            for (t, v) in line.iter_mut().enumerate() {
+                *v = q.get(i, jj, t + dom.pad(2), e);
+            }
+            ranges[e] = line
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (lo.min(v), hi.max(v))
+                });
+            plan.apply_line(j, line);
         }
-        let range = line
+        let scale = bounded
             .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-        plan.apply_line(j, &mut line);
-        keep_in_range(&mut line, range);
-        for (t, v) in line.iter().enumerate() {
-            q.set(i, jj, t + dom.pad(2), e, *v);
+            .map(|&e| range_scale(&lines[e * ntheta..][..ntheta], ranges[e]))
+            .fold(1.0, f64::min);
+        for (e, line) in lines.chunks_exact_mut(ntheta).enumerate() {
+            if scale < 1.0 {
+                blend_toward_mean(line, scale);
+            }
+            for (t, v) in line.iter().enumerate() {
+                q.set(i, jj, t + dom.pad(2), e, *v);
+            }
         }
     });
 }
 
-/// Scale a filtered line about its mean until it lies inside `(lo, hi)`,
-/// the range of the line before filtering. A truncated spectrum overshoots
-/// a sharp interface (Gibbs), which would push a volume fraction or a
-/// partial density out of its physical range; the scaling (Zhang–Shu's,
-/// per line) keeps the mean, the ring's conserved total, and leaves a line
-/// that stays in range untouched.
-fn keep_in_range(line: &mut [f64], (lo, hi): (f64, f64)) {
+/// The largest factor `s` in [0, 1] for which the filtered `line`, scaled
+/// about its mean by `s`, lies inside `(lo, hi)`, the range of the line
+/// before filtering. A truncated spectrum overshoots a sharp interface
+/// (Gibbs), which would push a volume fraction or a partial density out
+/// of its physical range.
+fn range_scale(line: &[f64], (lo, hi): (f64, f64)) -> f64 {
     let mean = line.iter().sum::<f64>() / line.len() as f64;
     let mut scale = 1.0f64;
-    for &v in line.iter() {
+    for &v in line {
         if v > hi {
             scale = scale.min((hi - mean) / (v - mean));
         } else if v < lo {
             scale = scale.min((mean - lo) / (mean - v));
         }
     }
-    if scale < 1.0 {
-        let scale = scale.max(0.0);
-        for v in line.iter_mut() {
-            *v = mean + scale * (*v - mean);
-        }
+    scale.max(0.0)
+}
+
+/// `v = mean + scale (v - mean)`. One factor for every equation of a ring
+/// cell blends the whole filtered state with the ring's mean state
+/// (Zhang–Shu's scaling): the mean, the ring's conserved total, is kept,
+/// and every cell's state is one convex combination of two states; a
+/// factor per equation would mix the two equation by equation and distort
+/// the phase density `alpha_i rho_i / alpha_i`.
+fn blend_toward_mean(line: &mut [f64], scale: f64) {
+    let mean = line.iter().sum::<f64>() / line.len() as f64;
+    for v in line.iter_mut() {
+        *v = mean + scale * (*v - mean);
     }
 }
 
@@ -167,6 +191,45 @@ mod tests {
         assert!((sum(&q) - before).abs() < 1e-12);
         // The innermost ring was filtered: the step is smoothed.
         assert!(q.get(5, 3, 4 + 3, 0) > 1e-3);
+    }
+
+    /// A sharp partial-density step overshoots in the innermost ring; the
+    /// factor that brings it back in range scales every equation of the
+    /// ring cell, the energy's smooth mode-1 wave (which the filter itself
+    /// keeps) included.
+    #[test]
+    fn one_factor_scales_every_equation_of_a_ring_cell() {
+        let (dom, mut q) = setup(4, 16);
+        let (eq, pad) = (dom.eq, dom.pad(2));
+        let plan = LowpassPlan::new(4, 16);
+        let step = |k: usize| {
+            if (5..11).contains(&k) {
+                1.0 - 1e-6
+            } else {
+                1e-6
+            }
+        };
+        let wave = |k: usize| 2.0 + (std::f64::consts::TAU * k as f64 / 16.0).cos();
+        for (i, j, k) in dom.interior() {
+            q.set(i, j, k, eq.cont(0), step(k - pad));
+            q.set(i, j, k, eq.energy(), wave(k - pad));
+        }
+        apply_azimuthal_filter(&Context::serial(), &plan, &mut q);
+        let s = q.get(5, 3, pad, eq.energy()) - 2.0;
+        assert!(s > 0.0 && s < 1.0, "energy scaled by {s}");
+        let mut filtered: Vec<f64> = (0..16).map(step).collect();
+        plan.apply_line(0, &mut filtered);
+        let mean = filtered.iter().sum::<f64>() / 16.0;
+        for (k, f) in filtered.iter().enumerate() {
+            let want = mean + s * (f - mean);
+            let got = q.get(5, 3, k + pad, eq.cont(0));
+            assert!((got - want).abs() < 1e-12, "k = {k}: {got} vs {want}");
+            let e = q.get(5, 3, k + pad, eq.energy());
+            assert!(
+                (e - (2.0 + s * (wave(k) - 2.0))).abs() < 1e-12,
+                "k = {k}: {e}"
+            );
+        }
     }
 
     #[test]

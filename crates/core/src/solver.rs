@@ -570,7 +570,7 @@ impl Solver {
 
     /// Conserved-variable totals.
     pub fn conservation(&self) -> Vec<f64> {
-        crate::diag::conservation_totals(&self.q, &self.env.grid)
+        crate::diag::conservation_totals(&self.q, &self.env.grid, self.cfg.rhs.geometry)
     }
 
     /// Grind time over everything run so far (ns/cell/eq/RHS-eval).

@@ -255,11 +255,61 @@ fn restart_continues_bitwise() {
 
 #[test]
 fn rusanov_runs_the_two_phase_benchmark() {
-    witnesses(Ax::fluids, &[is::riemann(RiemannSolver::Rusanov)]);
+    // Rusanov diffuses alpha and the partial densities consistently, so
+    // it survives (diffusively) on multiphase problems.
+    let case = presets::two_phase_benchmark(2, [16, 16, 1]);
+    let cfg = SolverConfig {
+        rhs: RhsConfig {
+            solver: RiemannSolver::Rusanov,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut solver = Solver::new(&case, cfg, Context::serial());
+    solver.run_steps(10).unwrap();
+    let prim = solver.primitives();
+    let eq = case.eq();
+    let dom = *solver.domain();
+    for (i, j, k) in dom.interior() {
+        let p = prim.get(i, j, k, eq.energy());
+        assert!(p.is_finite() && p > 0.0, "Rusanov: p = {p}");
+    }
 }
 
 #[test]
 fn hll_runs_single_fluid_flows() {
-    witnesses(Ax::riemann, &[is::fluids(1)]);
-    witnesses(Ax::geometry, &[is::riemann(RiemannSolver::Hll)]);
+    // HLL averages the contact away, so the mixture EOS coefficients and
+    // the partial densities drift apart at material interfaces — the
+    // textbook reason diffuse-interface codes need HLLC. As a baseline it
+    // is validated on single-fluid problems.
+    let case = CaseBuilder::new(vec![Fluid::air()], 2, [16, 16, 1])
+        .bc(BcSpec::periodic())
+        .smear(1.0)
+        .patch(
+            Region::All,
+            PatchState::single(1.2, [30.0, 10.0, 0.0], 1.0e5),
+        )
+        .patch(
+            Region::Sphere {
+                center: [0.5, 0.5, 0.0],
+                radius: 0.2,
+            },
+            PatchState::single(0.6, [30.0, 10.0, 0.0], 1.0e5),
+        );
+    let cfg = SolverConfig {
+        rhs: RhsConfig {
+            solver: RiemannSolver::Hll,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut solver = Solver::new(&case, cfg, Context::serial());
+    solver.run_steps(15).unwrap();
+    let prim = solver.primitives();
+    let eq = case.eq();
+    let dom = *solver.domain();
+    for (i, j, k) in dom.interior() {
+        let p = prim.get(i, j, k, eq.energy());
+        assert!(p.is_finite() && p > 0.0, "HLL: p = {p}");
+    }
 }

@@ -6,7 +6,8 @@
 #[path = "matrix/mod.rs"]
 mod matrix;
 
-use matrix::{admissible, admissible_targets, array, check_all, generate, Physics};
+use matrix::{admissible, admissible_targets, array, check_all, generate, is, Bc, Geo, Physics};
+use mfc_cli::admit;
 
 #[test]
 fn array_holds_every_admissible_pair_and_is_deterministic() {
@@ -19,6 +20,19 @@ fn array_holds_every_admissible_pair_and_is_deterministic() {
     assert!(missing.is_empty(), "targets no member holds: {missing:?}");
     for m in members {
         assert!(admissible(m), "inadmissible member {}", m.id());
+    }
+    // The rule that drops a periodic radial axis early states what
+    // `admit` refuses.
+    for m in members
+        .iter()
+        .filter(|m| !matches!(m.geometry(), Geo::Cart1 | Geo::Cart2 | Geo::Cart3))
+    {
+        let periodic = m.with(&[is::bc(Bc::Periodic)]);
+        assert!(
+            admit(&periodic.case_file()).is_err(),
+            "admitted {}",
+            periodic.id()
+        );
     }
     let again: Vec<String> = generate().iter().map(|m| m.id()).collect();
     let ids: Vec<String> = members.iter().map(|m| m.id()).collect();

@@ -61,7 +61,10 @@ pub enum Geo {
 }
 
 /// One boundary kind on every face, or `Mixed`: reflective/transmissive
-/// on x, periodic on y, transmissive/no-slip on z.
+/// on x, periodic on y, transmissive/no-slip on z — on a curvilinear grid,
+/// whose radial axis y `admit` refuses to make periodic, periodic on x and
+/// the azimuth, reflective/transmissive on r. `admit` refuses `Periodic`
+/// there too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bc {
     Periodic,
@@ -178,15 +181,20 @@ const RULES: &[Rule] = &[
         reads: &[Ax::staging, Ax::ranks],
         ok: |m| m.staging() == Staging::DeviceDirect || m.ranks() > 1,
     },
-    // The conserved totals weigh cells by Cartesian volume, and a body
-    // overwrites the cells it covers: the oracle needs a periodic
-    // Cartesian member without one.
+    // `admit` refuses a periodic radial axis; stated here as well so the
+    // search drops such a member before it walks the free axes.
     Rule {
-        reads: &[Ax::conservation, Ax::geometry, Ax::bc, Ax::ibm],
+        reads: &[Ax::geometry, Ax::bc],
         ok: |m| {
-            let cartesian = matches!(m.geometry(), Geo::Cart1 | Geo::Cart2 | Geo::Cart3);
-            !m.conservation() || (cartesian && m.bc() == Bc::Periodic && !m.ibm())
+            m.bc() != Bc::Periodic || matches!(m.geometry(), Geo::Cart1 | Geo::Cart2 | Geo::Cart3)
         },
+    },
+    // A body overwrites the cells it covers: the conservation oracle needs
+    // a periodic member without one. (`admit` makes every periodic member
+    // Cartesian: a radial axis cannot be periodic.)
+    Rule {
+        reads: &[Ax::conservation, Ax::bc, Ax::ibm],
+        ok: |m| !m.conservation() || (m.bc() == Bc::Periodic && !m.ibm()),
     },
 ];
 
@@ -240,6 +248,15 @@ impl Member {
 
     pub fn holds(&self, pins: &[(Ax, u8)]) -> bool {
         holds(&self.v, pins)
+    }
+
+    /// The member with `pins` applied.
+    pub fn with(&self, pins: &[(Ax, u8)]) -> Member {
+        let mut m = self.clone();
+        for &(a, x) in pins {
+            m.v[a as usize] = x;
+        }
+        m
     }
 
     /// The axis values, after the name of a fixed member's physics.
@@ -373,6 +390,10 @@ fn generated(m: &Member) -> CaseFile {
         Bc::Reflective => BcConfig::Uniform(Reflective),
         Bc::NoSlip => BcConfig::Uniform(NoSlip),
         Bc::Transmissive => BcConfig::Uniform(Transmissive),
+        Bc::Mixed if geometry.has_radial_axis() => BcConfig::Full {
+            lo: [Periodic, Reflective, Periodic],
+            hi: [Periodic, Transmissive, Periodic],
+        },
         Bc::Mixed => BcConfig::Full {
             lo: [Reflective, Periodic, Transmissive],
             hi: [Transmissive, Periodic, NoSlip],
@@ -460,12 +481,12 @@ fn classify(cf: &CaseFile) -> [u8; N] {
 
 /// A fixed member: the axis values of `physics`' case file, `pins` applied.
 fn fixed(physics: Physics, pins: &[(Ax, u8)]) -> Member {
-    let mut m = Member { v: [0; N], physics };
-    m.v = classify(&m.source());
-    for &(a, x) in pins {
-        m.v[a as usize] = x;
+    let m = Member { v: [0; N], physics };
+    Member {
+        v: classify(&m.source()),
+        ..m
     }
-    m
+    .with(pins)
 }
 
 /// The fixed members: the benchmark's traffic at reduced size, then every

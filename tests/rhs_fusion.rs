@@ -16,7 +16,9 @@
 mod matrix;
 
 use matrix::{is, shipped, witnesses, Ax};
+use mfc::core::axisym::Geometry;
 use mfc::core::bc::apply_bcs;
+use mfc::core::limiter::Limiter;
 use mfc::core::rhs::{compute_rhs, RhsConfig, RhsMode, RhsWorkspace};
 use mfc::core::riemann::RiemannSolver;
 use mfc::core::state::StateField;
@@ -74,30 +76,50 @@ fn rhs_bits(solver: &Solver, case: &CaseBuilder, ctx: &Context, cfg: &RhsConfig)
 }
 
 /// The recovery ladder's last rung runs WENO3 + Rusanov inside a domain
-/// sized for WENO5's ghost layers; both loop orders give the same RHS
-/// bits there, in every dimension, with and without viscosity, on
-/// extents that are not multiples of the pencil batch.
+/// sized for WENO5's ghost layers, under the run's limiter and geometry;
+/// both loop orders give the same RHS bits there on the stepped state: in
+/// every dimension, Cartesian and curvilinear (axisymmetric in 2-D,
+/// cylindrical 3-D with its radial metric), under both limiters, with and
+/// without viscosity, serially and at 3 workers × width 4, on extents that
+/// are not multiples of the pencil batch.
 #[test]
 fn degraded_rung_matches_in_both_loop_orders() {
-    for (ndim, n) in [(1, [44, 1, 1]), (2, [19, 21, 1]), (3, [11, 10, 9])] {
-        for viscous in [false, true] {
-            let mut case = presets::two_phase_benchmark(ndim, n);
-            if viscous {
-                case.fluids = case.fluids.iter().map(|f| f.with_viscosity(1e-3)).collect();
+    for (ndim, n, curved) in [
+        (1, [44, 1, 1], None),
+        (2, [19, 21, 1], Some(Geometry::Axisymmetric)),
+        (3, [11, 10, 9], Some(Geometry::Cylindrical3D)),
+    ] {
+        let geometries = [Some(Geometry::Cartesian), curved];
+        for geometry in geometries.into_iter().flatten() {
+            for limiter in [Limiter::FirstOrderFallback, Limiter::ZhangShu] {
+                for viscous in [false, true] {
+                    for (workers, width) in [(1, 1), (3, 4)] {
+                        let mut case = presets::two_phase_benchmark(ndim, n);
+                        if viscous {
+                            case.fluids =
+                                case.fluids.iter().map(|f| f.with_viscosity(1e-3)).collect();
+                        }
+                        let mut cfg = SolverConfig::default();
+                        cfg.rhs.geometry = geometry;
+                        cfg.rhs.limiter = limiter;
+                        let ctx = Context::with_workers(workers).with_vector_width(width);
+                        let mut solver = Solver::new(&case, cfg, ctx.clone());
+                        solver.run_steps(1).unwrap();
+                        let rung = RhsConfig {
+                            order: WenoOrder::Weno3,
+                            solver: RiemannSolver::Rusanov,
+                            ..cfg.rhs
+                        };
+                        let eval =
+                            |mode| rhs_bits(&solver, &case, &ctx, &RhsConfig { mode, ..rung });
+                        assert!(
+                            eval(STAGED) == eval(RhsMode::Fused),
+                            "{ndim}-D {geometry:?}, {limiter:?}, viscous {viscous}, \
+                             {workers} workers, width {width}"
+                        );
+                    }
+                }
             }
-            let ctx = Context::with_workers(3).with_vector_width(4);
-            let mut solver = Solver::new(&case, SolverConfig::default(), ctx.clone());
-            solver.run_steps(1).unwrap();
-            let rung = RhsConfig {
-                order: WenoOrder::Weno3,
-                solver: RiemannSolver::Rusanov,
-                ..Default::default()
-            };
-            let eval = |mode| rhs_bits(&solver, &case, &ctx, &RhsConfig { mode, ..rung });
-            assert!(
-                eval(STAGED) == eval(RhsMode::Fused),
-                "{ndim}-D, viscous {viscous}"
-            );
         }
     }
 }
