@@ -8,15 +8,6 @@ use std::sync::Mutex;
 
 use crate::cost::{KernelClass, KernelCost};
 
-/// Direction of a data-region transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TransferDirection {
-    /// `update device` / `enter data copyin`.
-    HostToDevice,
-    /// `update host` / `exit data copyout`.
-    DeviceToHost,
-}
-
 /// Accumulated statistics for one kernel label.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KernelStats {
@@ -41,13 +32,6 @@ impl KernelStats {
     pub fn arithmetic_intensity(&self) -> f64 {
         self.flops / (self.bytes_read + self.bytes_written)
     }
-}
-
-/// Accumulated transfer statistics for one direction.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct TransferStats {
-    pub count: u64,
-    pub bytes: u64,
 }
 
 /// Kind of fault-tolerance event recorded by the resilient run driver.
@@ -119,11 +103,11 @@ pub struct ResilienceEvent {
     pub detail: String,
 }
 
-/// Thread-safe accumulation of kernel launches and data transfers.
+/// Thread-safe accumulation of kernel launches and fault-tolerance events.
 ///
 /// This is the substitute for `nsys`/`rocprof` output: every number the
-/// performance model needs (per-kernel FLOPs, bytes, iteration counts,
-/// transfer volumes) accumulates here while the *real* solver runs.
+/// performance model needs (per-kernel FLOPs, bytes, iteration counts)
+/// accumulates here while the *real* solver runs.
 #[derive(Debug, Default)]
 pub struct Ledger {
     inner: Mutex<LedgerInner>,
@@ -132,7 +116,6 @@ pub struct Ledger {
 #[derive(Debug, Default)]
 struct LedgerInner {
     kernels: HashMap<&'static str, KernelStats>,
-    transfers: HashMap<TransferDirection, TransferStats>,
     events: Vec<ResilienceEvent>,
 }
 
@@ -155,14 +138,6 @@ impl Ledger {
         e.bytes_read += cost.bytes_read_per_item * items as f64;
         e.bytes_written += cost.bytes_written_per_item * items as f64;
         e.wall += wall;
-    }
-
-    /// Record a data-region transfer.
-    pub fn record_transfer(&self, dir: TransferDirection, bytes: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        let e = inner.transfers.entry(dir).or_default();
-        e.count += 1;
-        e.bytes += bytes;
     }
 
     /// Snapshot of every kernel's statistics, sorted by descending wall
@@ -198,17 +173,6 @@ impl Ledger {
             e.wall += s.wall;
         }
         out
-    }
-
-    /// Transfer statistics for one direction.
-    pub fn transfers(&self, dir: TransferDirection) -> TransferStats {
-        self.inner
-            .lock()
-            .unwrap()
-            .transfers
-            .get(&dir)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Total wall time across all kernels.
@@ -249,7 +213,6 @@ impl Ledger {
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.kernels.clear();
-        inner.transfers.clear();
         inner.events.clear();
     }
 }
@@ -283,17 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn transfers_accumulate_per_direction() {
-        let l = Ledger::new();
-        l.record_transfer(TransferDirection::HostToDevice, 100);
-        l.record_transfer(TransferDirection::HostToDevice, 50);
-        l.record_transfer(TransferDirection::DeviceToHost, 10);
-        assert_eq!(l.transfers(TransferDirection::HostToDevice).count, 2);
-        assert_eq!(l.transfers(TransferDirection::HostToDevice).bytes, 150);
-        assert_eq!(l.transfers(TransferDirection::DeviceToHost).bytes, 10);
-    }
-
-    #[test]
     fn by_class_merges_labels() {
         let l = Ledger::new();
         l.record_launch("weno_x", cost(), 5, Duration::from_millis(1));
@@ -316,7 +268,6 @@ mod tests {
     fn reset_clears_everything() {
         let l = Ledger::new();
         l.record_launch("k", cost(), 1, Duration::from_millis(1));
-        l.record_transfer(TransferDirection::DeviceToHost, 8);
         l.record_event(ResilienceEvent {
             kind: ResilienceEventKind::Checkpoint,
             rank: 0,
@@ -327,7 +278,6 @@ mod tests {
         });
         l.reset();
         assert!(l.kernel("k").is_none());
-        assert_eq!(l.transfers(TransferDirection::DeviceToHost).count, 0);
         assert!(l.events().is_empty());
     }
 

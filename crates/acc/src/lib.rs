@@ -17,9 +17,9 @@
 //!   through [`Context::record`]: wall time plus caller-declared FLOP/byte
 //!   counts.
 //! * OpenACC data regions need no object here — host and "device" are the
-//!   same memory — so `update device/host` copies are
-//!   [`Ledger::record_transfer`] entries: exactly the events an OpenACC
-//!   profile records.
+//!   same memory, so there are no `update device/host` copies to record.
+//!   The host-staged halo copies of non-GPU-aware MPI live in the cost
+//!   model only (`mfc_mpsim::CommParams`).
 //!
 //! The ledger is what the performance model (`mfc-perfmodel`) consumes to
 //! place each kernel on a device roofline: per-kernel arithmetic intensity
@@ -37,9 +37,7 @@ pub mod vector;
 pub use config::LaunchConfig;
 pub use cost::{KernelClass, KernelCost};
 pub use exec::{Context, PAR_MIN_ITEMS};
-pub use ledger::{
-    KernelStats, Ledger, ResilienceEvent, ResilienceEventKind, TransferDirection, TransferStats,
-};
+pub use ledger::{KernelStats, Ledger, ResilienceEvent, ResilienceEventKind};
 pub use report::resilience_summary;
 pub use shared::{AddView, ParSlice};
 pub use vector::{

@@ -8,7 +8,7 @@ use mfc_core::case::presets;
 use mfc_core::par::run_distributed;
 use mfc_core::solver::SolverConfig;
 use mfc_fft::{lowpass_filter_line, LowpassPlan};
-use mfc_mpsim::{Staging, WaveWriter, World};
+use mfc_mpsim::{WaveWriter, World};
 
 fn bench_halo_exchange(c: &mut Criterion) {
     let mut g = c.benchmark_group("halo_exchange");
@@ -21,8 +21,7 @@ fn bench_halo_exchange(c: &mut Criterion) {
                 let case = presets::two_phase_benchmark(2, [24, 24, 1]);
                 let cfg = SolverConfig::default();
                 b.iter(|| {
-                    let (field, _) =
-                        run_distributed(&case, cfg, r, 1, Staging::DeviceDirect).unwrap();
+                    let (field, _) = run_distributed(&case, cfg, r, 1).unwrap();
                     std::hint::black_box(field.data[0])
                 })
             },

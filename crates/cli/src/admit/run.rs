@@ -15,7 +15,7 @@ use mfc_core::par::{run_ranks, GlobalField, ResilienceError, ResilienceOpts, Wav
 use mfc_core::probes::{ProbeOutput, ProbeSet};
 use mfc_core::solver::Solver;
 use mfc_core::{HealthConfig, StepControl};
-use mfc_mpsim::{FaultCtx, Staging};
+use mfc_mpsim::FaultCtx;
 use mfc_trace::Tracer;
 
 use super::{admit, Admitted};
@@ -135,11 +135,9 @@ impl Admitted {
             };
             let dir = out_dir.clone();
             let probes = (!probes.is_empty()).then_some(ProbeOutput { dir, probes });
-            let staging = Staging::DeviceDirect;
             let t0 = std::time::Instant::now();
-            let (gf, stats) =
-                run_ranks(case, cfg, self.ranks, stop, probes.as_ref(), staging, &opts)
-                    .map_err(map_resilience_err)?;
+            let (gf, stats) = run_ranks(case, cfg, self.ranks, stop, probes.as_ref(), &opts)
+                .map_err(map_resilience_err)?;
             let wall = t0.elapsed();
             let grind = wall.as_nanos() as f64
                 / (cells as f64

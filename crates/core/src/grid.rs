@@ -91,10 +91,6 @@ impl Grid1D {
         self.x1() - self.x0()
     }
 
-    pub fn min_width(&self) -> f64 {
-        self.widths.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
-
     /// Cell widths padded with `ng` replicated ghost widths on each side,
     /// indexed by the ghost-inclusive cell index.
     pub fn widths_with_ghosts(&self, ng: usize) -> Vec<f64> {
@@ -185,7 +181,6 @@ mod tests {
         let mid = g.widths()[50];
         assert!(mid < g.widths()[0]);
         assert!(mid < g.widths()[99]);
-        assert!((g.min_width() - mid).abs() < mid * 0.1);
     }
 
     #[test]

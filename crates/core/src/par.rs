@@ -8,10 +8,11 @@
 //! serial ghost-fill sequence exactly, so a distributed run is *bitwise*
 //! identical to the single-rank run — which the integration tests assert.
 //!
-//! Without GPU-aware MPI ([`Staging::HostStaged`]), every halo buffer pays
-//! a device→host copy before the send and a host→device copy after the
-//! receive; both land in the transfer ledger, and their modelled cost is
-//! Fig. 4's gap.
+//! Host and "device" share memory here, so a halo buffer is sent straight
+//! from the packed slab: the device→host and host→device copies that
+//! non-GPU-aware MPI adds around every message live in the cost model only
+//! ([`mfc_mpsim::CommParams`], Fig. 4's gap). The two frozen drivers that
+//! still take a [`Staging`] ignore it.
 //!
 //! There is one time step — [`Solver::step_with`] — and one run loop —
 //! [`crate::run`]; a rank is a block plus a comm link: the rank body of
@@ -29,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind as Kind, TransferDirection};
+use mfc_acc::{Context, Ledger, ResilienceEvent, ResilienceEventKind as Kind};
 use mfc_mpsim::{
     best_block_dims, block_extents, validate_halo_extents, CartComm, Comm, CommFault,
     FailurePolicy, FaultCtx, SpareWake, Staging, WaveWriter, World,
@@ -97,7 +98,7 @@ pub struct CommStats {
 }
 
 /// Run `steps` time steps of `case` on `n_ranks` simulated ranks — the one
-/// driver ([`run_distributed_resilient`]) with every optional layer off;
+/// driver ([`run_ranks`]) with every optional layer off;
 /// returns the assembled global conservative state and rank-0's comm
 /// statistics.
 pub fn run_distributed(
@@ -105,23 +106,23 @@ pub fn run_distributed(
     cfg: SolverConfig,
     n_ranks: usize,
     steps: usize,
-    staging: Staging,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
     let opts = ResilienceOpts::fault_free(PathBuf::new(), 0);
-    run_distributed_resilient(case, cfg, n_ranks, steps, staging, &opts)
+    run_ranks(case, cfg, n_ranks, Stop::steps(steps as u64), None, &opts)
 }
 
-/// [`run_distributed`] under a named [`ExchangeMode`]; every mode runs
-/// the paired exchange.
+/// [`run_distributed`] under a named [`ExchangeMode`] and [`Staging`];
+/// every mode runs the paired exchange, and both stagings send from the
+/// packed slab.
 pub fn run_distributed_with_mode(
     case: &CaseBuilder,
     cfg: SolverConfig,
     n_ranks: usize,
     steps: usize,
-    staging: Staging,
+    _staging: Staging,
     _mode: ExchangeMode,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
-    run_distributed(case, cfg, n_ranks, steps, staging)
+    run_distributed(case, cfg, n_ranks, steps)
 }
 
 /// Logical rank `logical`'s place in the decomposition `dims` of `case` and
@@ -346,17 +347,18 @@ impl std::error::Error for ResilienceError {}
 /// per-rank blocks on rank 0 (`None` elsewhere) plus its comm counters.
 type RankOutcome = Result<(Option<Vec<Vec<f64>>>, CommStats), ResilienceError>;
 
-/// [`run_ranks`] for `steps` steps and no probes.
+/// [`run_ranks`] for `steps` steps and no probes; both [`Staging`]s run
+/// the same exchange.
 pub fn run_distributed_resilient(
     case: &CaseBuilder,
     cfg: SolverConfig,
     n_ranks: usize,
     steps: usize,
-    staging: Staging,
+    _staging: Staging,
     opts: &ResilienceOpts,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
     let stop = Stop::steps(steps as u64);
-    run_ranks(case, cfg, n_ranks, stop, None, staging, opts)
+    run_ranks(case, cfg, n_ranks, stop, None, opts)
 }
 
 /// The decomposed run: every rank drives its block through the run loop
@@ -389,7 +391,6 @@ pub fn run_ranks(
     n_ranks: usize,
     stop: Stop,
     probes: Option<&ProbeOutput>,
-    staging: Staging,
     opts: &ResilienceOpts,
 ) -> Result<(GlobalField, CommStats), ResilienceError> {
     let eq = case.eq();
@@ -465,7 +466,6 @@ pub fn run_ranks(
         let mut rank = Rank {
             comm,
             cart,
-            staging,
             stats: CommStats::default(),
             rank: me,
             case,
@@ -569,7 +569,6 @@ pub fn run_ranks(
 struct Rank<'a> {
     comm: &'a mut Comm,
     cart: CartComm,
-    staging: Staging,
     stats: CommStats,
     /// Logical rank: the slot in the current epoch's roster. It moves when
     /// the communicator shrinks or a spare is promoted.
@@ -608,7 +607,7 @@ impl Link for Rank<'_> {
         rhs: &mut StateField,
     ) -> Result<(), CommFault> {
         let stats = &mut self.stats;
-        halo_exchange(&env.ctx, self.comm, &self.cart, q, self.staging, stats)?;
+        halo_exchange(&env.ctx, self.comm, &self.cart, q, stats)?;
         env.local_rhs(cfg, q, rhs);
         Ok(())
     }
@@ -629,19 +628,16 @@ impl Layers for Rank<'_> {
         }
         let step = blk.steps();
         if done {
-            // ---- Last step accepted: the output layer (§III-A). Bring the
-            // state back to the host (a ledger event), write in throttled
-            // waves, and commit the per-rank outcomes like a checkpoint
-            // wave; a comm fault here rolls back and replays like any
-            // other. ----
+            // ---- Last step accepted: the output layer (§III-A). Write in
+            // throttled waves and commit the per-rank outcomes like a
+            // checkpoint wave; a comm fault here rolls back and replays like
+            // any other. ----
             let Some(out) = &self.opts.output else {
                 return Ok(Boundary::Stop);
             };
             let t0 = Instant::now();
             let dom = blk.domain();
             let bytes = (dom.interior_cells() * dom.eq.neq() * 8) as u64;
-            let ledger = blk.context().ledger();
-            ledger.record_transfer(TransferDirection::DeviceToHost, bytes);
             let path = WaveWriter::rank_path(&out.dir, step as usize, self.rank);
             let save = || save_interior(&path, blk.state(), blk.layout(), blk.time(), step);
             let saved = WaveWriter::new(out.wave_size).write(self.comm, bytes, save);
@@ -965,21 +961,20 @@ fn halo_exchange(
     comm: &mut Comm,
     cart: &CartComm,
     q: &mut StateField,
-    staging: Staging,
     stats: &mut CommStats,
 ) -> Result<(), CommFault> {
     let _span = ctx.span("halo_exchange", Category::Phase);
     for axis in 0..q.domain().eq.ndim() {
         for (send_dir, tag) in halo_dirs(axis) {
             if let Some(dest) = cart.neighbor(axis, send_dir) {
-                let buf = pack_send_slab(ctx, q, axis, send_dir, staging, stats);
+                let buf = pack_send_slab(q, axis, send_dir, stats);
                 comm.send(dest, tag, buf);
             }
         }
         for (send_dir, tag) in halo_dirs(axis) {
             if let Some(src) = cart.neighbor(axis, -send_dir) {
                 let buf = comm.recv_policied(src, tag)?;
-                unpack_recv_slab(ctx, q, axis, send_dir, staging, &buf);
+                unpack_recv_slab(q, axis, send_dir, &buf);
             }
         }
     }
@@ -1004,15 +999,8 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
 }
 
 /// Pack the interior slab adjacent to the `send_dir` face of `axis`,
-/// accounting for staging transfers and message statistics.
-fn pack_send_slab(
-    ctx: &Context,
-    q: &StateField,
-    axis: usize,
-    send_dir: i32,
-    staging: Staging,
-    stats: &mut CommStats,
-) -> Vec<f64> {
+/// counting the message.
+fn pack_send_slab(q: &StateField, axis: usize, send_dir: i32, stats: &mut CommStats) -> Vec<f64> {
     let dom = *q.domain();
     let ng = dom.ng;
     let lo = if send_dir > 0 {
@@ -1021,10 +1009,6 @@ fn pack_send_slab(
         dom.pad(axis)
     };
     let buf = pack_slab(q, axis, lo, ng);
-    if staging == Staging::HostStaged {
-        ctx.ledger()
-            .record_transfer(TransferDirection::DeviceToHost, (buf.len() * 8) as u64);
-    }
     stats.messages += 1;
     stats.bytes += (buf.len() * 8) as u64;
     buf
@@ -1032,20 +1016,9 @@ fn pack_send_slab(
 
 /// Unpack a received buffer into the ghost slab opposite the `send_dir`
 /// face of `axis`.
-fn unpack_recv_slab(
-    ctx: &Context,
-    q: &mut StateField,
-    axis: usize,
-    send_dir: i32,
-    staging: Staging,
-    buf: &[f64],
-) {
+fn unpack_recv_slab(q: &mut StateField, axis: usize, send_dir: i32, buf: &[f64]) {
     let dom = *q.domain();
     let ng = dom.ng;
-    if staging == Staging::HostStaged {
-        ctx.ledger()
-            .record_transfer(TransferDirection::HostToDevice, (buf.len() * 8) as u64);
-    }
     let lo = if send_dir > 0 {
         0
     } else {
@@ -1128,7 +1101,6 @@ pub(crate) fn stepped_rank_blocks(
         let mut link = Rank {
             comm: &mut comm,
             cart,
-            staging: Staging::DeviceDirect,
             stats: CommStats::default(),
             rank,
             case,
@@ -1165,8 +1137,7 @@ mod tests {
             cfg.rhs.mode = mode;
             let serial = run_single(&case, cfg, 10);
             for ranks in [2usize, 4] {
-                let (dist, stats) =
-                    run_distributed(&case, cfg, ranks, 10, Staging::DeviceDirect).unwrap();
+                let (dist, stats) = run_distributed(&case, cfg, ranks, 10).unwrap();
                 assert_eq!(dist.n, serial.n);
                 let diff = dist.max_abs_diff(&serial);
                 assert_eq!(diff, 0.0, "{mode:?} ranks={ranks}: max diff {diff:e}");
@@ -1259,18 +1230,23 @@ mod tests {
         let case = presets::two_phase_benchmark(2, [16, 16, 1]);
         let cfg = SolverConfig::default();
         let serial = run_single(&case, cfg, 4);
-        let (dist, _) = run_distributed(&case, cfg, 4, 4, Staging::DeviceDirect).unwrap();
+        let (dist, _) = run_distributed(&case, cfg, 4, 4).unwrap();
         let diff = dist.max_abs_diff(&serial);
         assert_eq!(diff, 0.0, "max diff {diff:e}");
     }
 
+    /// `Staging` is still a name the frozen drivers take: both values
+    /// give the same bits.
     #[test]
     fn staged_and_direct_produce_identical_physics() {
         let case = presets::two_phase_benchmark(2, [16, 16, 1]);
         let cfg = SolverConfig::default();
-        let (a, _) = run_distributed(&case, cfg, 2, 3, Staging::DeviceDirect).unwrap();
-        let (b, _) = run_distributed(&case, cfg, 2, 3, Staging::HostStaged).unwrap();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        let opts = ResilienceOpts::fault_free("", 0);
+        let bits = |staging| {
+            let (field, _) = run_distributed_resilient(&case, cfg, 2, 3, staging, &opts).unwrap();
+            field.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(Staging::DeviceDirect), bits(Staging::HostStaged));
     }
 
     fn resil_dir(name: &str) -> std::path::PathBuf {
@@ -1450,7 +1426,7 @@ mod tests {
         // rejected host-side with a typed error naming the axis.
         let case = presets::sod(16);
         let cfg = SolverConfig::default();
-        let err = run_distributed(&case, cfg, 8, 1, Staging::DeviceDirect)
+        let err = run_distributed(&case, cfg, 8, 1)
             .expect_err("2-cell-wide ranks cannot source a 3-layer halo");
         match err {
             ResilienceError::Decomposition { detail } => {
@@ -1483,8 +1459,8 @@ mod tests {
         let cfg = SolverConfig::default();
         let small = presets::two_phase_benchmark(2, [16, 16, 1]);
         let big = presets::two_phase_benchmark(2, [32, 32, 1]);
-        let (_, s_small) = run_distributed(&small, cfg, 2, 1, Staging::DeviceDirect).unwrap();
-        let (_, s_big) = run_distributed(&big, cfg, 2, 1, Staging::DeviceDirect).unwrap();
+        let (_, s_small) = run_distributed(&small, cfg, 2, 1).unwrap();
+        let (_, s_big) = run_distributed(&big, cfg, 2, 1).unwrap();
         // Halo area doubles (one split axis, transverse extent doubles).
         assert!(s_big.bytes > s_small.bytes);
         assert_eq!(s_big.messages, s_small.messages);

@@ -832,8 +832,7 @@ mod tests {
             assert_eq!(solver.step().unwrap().dt, dt);
             assert!(solver.context().ledger().events().is_empty());
             let serial = run_single(&case, cfg, 2);
-            let (dist, _) =
-                run_distributed(&case, cfg, 2, 2, mfc_mpsim::Staging::DeviceDirect).unwrap();
+            let (dist, _) = run_distributed(&case, cfg, 2, 2).unwrap();
             assert_eq!(dist.max_abs_diff(&serial), 0.0, "dt = {dt}");
         }
     }

@@ -26,17 +26,6 @@ impl Dir {
             Dir::Z => 2,
         }
     }
-
-    /// Direction from a 0-based axis number.
-    #[inline]
-    pub fn from_axis(axis: usize) -> Dir {
-        match axis {
-            0 => Dir::X,
-            1 => Dir::Y,
-            2 => Dir::Z,
-            _ => panic!("axis {axis} out of range (expected 0..3)"),
-        }
-    }
 }
 
 /// Extents of a 3-D block, `(n1, n2, n3)` with `n1` fastest.
@@ -139,19 +128,6 @@ impl Dims4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dir_axis_round_trip() {
-        for d in Dir::ALL {
-            assert_eq!(Dir::from_axis(d.axis()), d);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn dir_from_bad_axis_panics() {
-        let _ = Dir::from_axis(3);
-    }
 
     #[test]
     fn dims3_linear_index_is_fortran_ordered() {

@@ -39,18 +39,6 @@ impl Flat4D {
         a
     }
 
-    /// Wrap an existing buffer. Panics if the length does not match.
-    pub fn from_vec(dims: Dims4, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            dims.len(),
-            "buffer length {} does not match dims {:?}",
-            data.len(),
-            dims
-        );
-        Flat4D { dims, data }
-    }
-
     #[inline]
     pub fn dims(&self) -> Dims4 {
         self.dims
@@ -84,13 +72,6 @@ impl Flat4D {
         let start = self.dims.idx(0, i2, i3, i4);
         &self.data[start..start + self.dims.n1]
     }
-
-    /// Mutable variant of [`Flat4D::line`].
-    #[inline]
-    pub fn line_mut(&mut self, i2: usize, i3: usize, i4: usize) -> &mut [f64] {
-        let start = self.dims.idx(0, i2, i3, i4);
-        &mut self.data[start..start + self.dims.n1]
-    }
 }
 
 #[cfg(test)]
@@ -104,20 +85,6 @@ mod tests {
         });
         let line = a.line(1, 1, 1);
         assert_eq!(line, &[1110.0, 1111.0, 1112.0, 1113.0]);
-    }
-
-    #[test]
-    fn line_mut_writes_through() {
-        let mut a = Flat4D::zeros(Dims4::new(3, 2, 2, 1));
-        a.line_mut(1, 0, 0).copy_from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.get(0, 1, 0, 0), 1.0);
-        assert_eq!(a.get(2, 1, 0, 0), 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_vec_rejects_wrong_length() {
-        let _ = Flat4D::from_vec(Dims4::new(2, 2, 2, 2), vec![0.0; 3]);
     }
 
     #[test]

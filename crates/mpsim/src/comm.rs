@@ -591,24 +591,11 @@ impl World {
         Self::run_inner(size, 0, None, body)
     }
 
-    /// [`World::run`] under a fault script: the plan's message faults are
-    /// applied by the transport, and each rank's `Comm` carries the
-    /// shared [`FaultCtx`] for the policied exchange path.
-    pub fn run_with_faults<T, F>(size: usize, faults: Arc<FaultCtx>, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Comm) -> T + Sync,
-    {
-        assert_eq!(
-            faults.board.size(),
-            size,
-            "fault board sized for a different world"
-        );
-        Self::run_inner(size, 0, Some(faults), body)
-    }
-
-    /// [`World::run_with_faults`] plus `spares` hot-spare ranks: physical
-    /// ranks `active..active + spares` start outside the decomposition
+    /// [`World::run`] under a fault script, plus `spares` hot-spare ranks:
+    /// the plan's message faults are applied by the transport, each rank's
+    /// `Comm` carries the shared [`FaultCtx`] for the policied exchange
+    /// path, and physical ranks `active..active + spares` start outside
+    /// the decomposition
     /// ([`Comm::is_spare`]) and idle on the fault board until a recovery
     /// under `FailurePolicy::Spare` promotes one into a dead rank's
     /// logical slot. Results are ordered by physical rank (spares last).
@@ -817,7 +804,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let got = World::run_with_faults(2, faulty(plan, 2), |mut c| {
+        let got = World::run_with_spares(2, 0, faulty(plan, 2), |mut c| {
             if c.rank() == 0 {
                 c.send(1, 3, vec![42.0]);
                 0.0
@@ -842,7 +829,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let got = World::run_with_faults(2, faulty(plan, 2), |mut c| {
+        let got = World::run_with_spares(2, 0, faulty(plan, 2), |mut c| {
             if c.rank() == 0 {
                 c.send(1, 3, vec![1.0]);
                 c.send(1, 3, vec![2.0]);
@@ -878,7 +865,7 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        let got = World::run_with_faults(2, faulty(plan, 2), |mut c| {
+        let got = World::run_with_spares(2, 0, faulty(plan, 2), |mut c| {
             if c.rank() == 0 {
                 c.send(1, 3, vec![1.0]);
                 c.send(1, 3, vec![2.0]);
@@ -917,7 +904,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let got = World::run_with_faults(2, faulty(plan, 2), |mut c| {
+        let got = World::run_with_spares(2, 0, faulty(plan, 2), |mut c| {
             if c.rank() == 0 {
                 c.send(1, 3, vec![1.0]);
                 c.send(1, 3, vec![2.0]);
@@ -953,7 +940,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let got = World::run_with_faults(2, faulty(plan, 2), |mut c| {
+        let got = World::run_with_spares(2, 0, faulty(plan, 2), |mut c| {
             if c.rank() == 0 {
                 c.send(1, 1, vec![1.0]);
                 c.send(1, 2, vec![2.0]);
@@ -971,7 +958,7 @@ mod tests {
     fn dead_peer_is_detected_not_hung() {
         let ctx = faulty(FaultPlan::default(), 2);
         let board_ctx = Arc::clone(&ctx);
-        let got = World::run_with_faults(2, ctx, move |mut c| {
+        let got = World::run_with_spares(2, 0, ctx, move |mut c| {
             if c.rank() == 1 {
                 board_ctx.board.mark_dead(1);
                 // Dead rank sends nothing and returns.
@@ -988,7 +975,7 @@ mod tests {
     #[test]
     fn silent_alive_peer_times_out_after_retries() {
         let ctx = faulty(FaultPlan::default(), 2);
-        let got = World::run_with_faults(2, ctx, |mut c| {
+        let got = World::run_with_spares(2, 0, ctx, |mut c| {
             if c.rank() == 1 {
                 // Alive but never sends.
                 c.barrier();
@@ -1008,7 +995,7 @@ mod tests {
     fn recovery_request_unblocks_policied_receivers() {
         let ctx = faulty(FaultPlan::default(), 3);
         let req_ctx = Arc::clone(&ctx);
-        let got = World::run_with_faults(3, ctx, move |mut c| {
+        let got = World::run_with_spares(3, 0, ctx, move |mut c| {
             if c.rank() == 2 {
                 req_ctx.board.request_recovery();
                 return 1;
@@ -1025,7 +1012,7 @@ mod tests {
     #[test]
     fn stale_generation_messages_are_discarded() {
         let ctx = faulty(FaultPlan::default(), 2);
-        let got = World::run_with_faults(2, ctx, |mut c| {
+        let got = World::run_with_spares(2, 0, ctx, |mut c| {
             if c.rank() == 0 {
                 // Send in generation 0, then recover to generation 1 and
                 // send the real value.

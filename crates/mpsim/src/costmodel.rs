@@ -78,28 +78,6 @@ impl CommParams {
             Staging::HostStaged => net + 2.0 * (self.stage_latency_s + bytes / self.host_link_bw),
         }
     }
-
-    /// Modelled time for one full halo exchange of a `[bx, by, bz]`-cell
-    /// block carrying `neq` variables with `ng` ghost layers: two faces per
-    /// decomposed axis, 8 bytes per double.
-    ///
-    /// `split` says which axes actually have neighbours (an axis owned by a
-    /// single rank exchanges nothing).
-    pub fn halo_time(&self, block: [usize; 3], neq: usize, ng: usize, split: [bool; 3]) -> f64 {
-        let [bx, by, bz] = block;
-        let mut t = 0.0;
-        let per_cell = 8.0 * neq as f64 * ng as f64;
-        if split[0] {
-            t += 2.0 * self.message_time(per_cell * (by * bz) as f64);
-        }
-        if split[1] {
-            t += 2.0 * self.message_time(per_cell * (bx * bz) as f64);
-        }
-        if split[2] {
-            t += 2.0 * self.message_time(per_cell * (bx * by) as f64);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -122,25 +100,5 @@ mod tests {
         let p = CommParams::summit(Staging::DeviceDirect);
         let t = p.message_time(8.0);
         assert!((t - p.latency_s) / t < 0.01);
-    }
-
-    #[test]
-    fn halo_time_counts_only_split_axes() {
-        let p = CommParams::frontier(Staging::DeviceDirect);
-        let t_all = p.halo_time([64, 64, 64], 7, 3, [true; 3]);
-        let t_one = p.halo_time([64, 64, 64], 7, 3, [true, false, false]);
-        assert!((t_all / t_one - 3.0).abs() < 1e-12);
-        assert_eq!(p.halo_time([64, 64, 64], 7, 3, [false; 3]), 0.0);
-    }
-
-    #[test]
-    fn halo_scales_with_face_area_not_volume() {
-        let p = CommParams::frontier(Staging::DeviceDirect);
-        // Doubling every edge quadruples (not octuples) the cost in the
-        // bandwidth-dominated regime.
-        let t1 = p.halo_time([256, 256, 256], 7, 3, [true; 3]);
-        let t2 = p.halo_time([512, 512, 512], 7, 3, [true; 3]);
-        let ratio = t2 / t1;
-        assert!(ratio > 3.5 && ratio < 4.5, "ratio={ratio}");
     }
 }

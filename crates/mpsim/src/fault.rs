@@ -207,11 +207,6 @@ impl FaultPlan {
             .position(|d| d.rank == rank && d.step == step)
     }
 
-    /// Highest step at which any death is scheduled (detection horizon).
-    pub fn last_death_step(&self) -> Option<u64> {
-        self.deaths.iter().map(|d| d.step).max()
-    }
-
     /// Validate the plan against a world of `active` ranks: every death
     /// must target a real rank, and at least one rank must survive all
     /// permanent deaths (the survivor quorum that consensus-based
@@ -641,7 +636,6 @@ mod tests {
         );
         assert!(plan.drops.is_empty());
         assert!(!plan.is_empty());
-        assert_eq!(plan.last_death_step(), Some(5));
     }
 
     #[test]

@@ -1,49 +1,9 @@
-//! Discrete conservation under periodic boundaries: the telescoping-flux
-//! property of the finite-volume scheme, across dimensions, orders,
-//! solvers, loop orders and worker counts (members of the generated
-//! matrix), and with reflective walls; plus the mirror symmetry of a
-//! centred blast.
+//! Conservation with reflective walls, and the mirror symmetry of a
+//! centred blast. Conservation under periodic boundaries — across
+//! dimensions, orders, solvers, loop orders and worker counts — is the
+//! conservation oracle of the generated matrix (`tests/matrix.rs`).
 
-#[path = "matrix/mod.rs"]
-mod matrix;
-
-use matrix::{is, witnesses, Ax};
 use mfc::{Context, Solver, SolverConfig};
-
-/// Every member with `conservation = true` (periodic, Cartesian, no body)
-/// keeps its partial densities, momentum and energy to round-off; the
-/// matrix pairs that oracle with every value of every other axis.
-fn conserved_for_every(axis: Ax) {
-    witnesses(axis, &[is::conservation(true)]);
-}
-
-#[test]
-fn conserved_in_every_dimension() {
-    conserved_for_every(Ax::geometry);
-}
-
-#[test]
-fn conserved_for_every_order() {
-    conserved_for_every(Ax::order);
-}
-
-#[test]
-fn conserved_for_every_solver() {
-    conserved_for_every(Ax::riemann);
-}
-
-#[test]
-fn conserved_in_both_sweep_loop_orders() {
-    conserved_for_every(Ax::loop_order);
-}
-
-/// Gang-parallel sweeps keep the telescoping-flux property: the
-/// divergence accumulation writes each cell from exactly one gang, so the
-/// discrete sums are the serial ones bit for bit.
-#[test]
-fn conserved_at_every_worker_count() {
-    conserved_for_every(Ax::workers);
-}
 
 #[test]
 fn reflective_box_conserves_mass_and_energy() {

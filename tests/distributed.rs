@@ -1,41 +1,12 @@
-//! Distributed-vs-serial equivalence and the I/O strategies, exercising
-//! the real halo-exchange code on simulated ranks. Rank counts and halo
-//! staging are axes of the generated matrix (`tests/matrix/mod.rs`), whose
-//! members are checked against their 1-rank reference; the equivalence
-//! tests here run those members.
+//! The distributed driver beyond rank-count equivalence, on simulated
+//! ranks: message faults, halo traffic, the wave writer, and `t_end` with
+//! probes. The rank count is an axis of the generated matrix
+//! (`tests/matrix.rs`), whose members — every geometry × dt × rank count
+//! among them — are checked against their 1-rank reference there.
 
-#[path = "matrix/mod.rs"]
-mod matrix;
-
-use matrix::{is, witnesses, Ax, Bc, Dt, Geo};
 use mfc::core::par::{run_distributed, run_single};
-use mfc::core::weno::WenoOrder;
 use mfc::mpsim::{Staging, WaveWriter, World};
 use mfc::{presets, SolverConfig};
-
-#[test]
-fn distributed_matches_serial_bitwise_1d() {
-    witnesses(Ax::ranks, &[is::geometry(Geo::Cart1)]);
-}
-
-#[test]
-fn distributed_matches_serial_bitwise_2d_and_3d() {
-    witnesses(Ax::ranks, &[is::geometry(Geo::Cart2)]);
-    witnesses(Ax::ranks, &[is::geometry(Geo::Cart3)]);
-}
-
-#[test]
-fn distributed_matches_serial_with_weno3() {
-    witnesses(Ax::ranks, &[is::order(WenoOrder::Weno3)]);
-}
-
-/// Non-periodic boundaries: ranks at the domain edge apply physical BCs,
-/// interior faces exchange halos.
-#[test]
-fn transmissive_case_distributes_correctly() {
-    witnesses(Ax::ranks, &[is::bc(Bc::Transmissive)]);
-    witnesses(Ax::bc, &[is::ranks(4)]);
-}
 
 #[test]
 fn message_faults_are_bitwise_invisible_at_4ranks() {
@@ -91,17 +62,12 @@ fn message_faults_are_bitwise_invisible_at_4ranks() {
 }
 
 #[test]
-fn host_staging_changes_cost_not_physics() {
-    witnesses(Ax::ranks, &[is::staging(Staging::HostStaged)]);
-}
-
-#[test]
 fn halo_traffic_is_surface_not_volume() {
     let cfg = SolverConfig::default();
     let small = presets::two_phase_benchmark(3, [12, 12, 12]);
     let big = presets::two_phase_benchmark(3, [24, 24, 24]);
-    let (_, s) = run_distributed(&small, cfg, 8, 1, Staging::DeviceDirect).unwrap();
-    let (_, b) = run_distributed(&big, cfg, 8, 1, Staging::DeviceDirect).unwrap();
+    let (_, s) = run_distributed(&small, cfg, 8, 1).unwrap();
+    let (_, b) = run_distributed(&big, cfg, 8, 1).unwrap();
     // Linear dimension doubles: halo bytes should grow ~4x (surface), far
     // less than the 8x volume growth.
     let ratio = b.bytes as f64 / s.bytes as f64;
@@ -138,18 +104,6 @@ fn wave_writer_round_trips_solver_output() {
         assert_eq!(&got, want);
     }
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Regression: the rank body's copy of the CFL step left out the azimuthal
-/// metric `r dtheta`, so a `cylindrical3_d` run took a different dt — and
-/// produced a different field — on the distributed driver than on the
-/// serial solver. Both call one `select_dt` now; the matrix holds every
-/// geometry × dt × ranks triple.
-#[test]
-fn curvilinear_cfl_steps_do_not_depend_on_the_rank_count() {
-    for ranks in [2, 4] {
-        witnesses(Ax::geometry, &[is::dt(Dt::Cfl), is::ranks(ranks)]);
-    }
 }
 
 /// What admission used to refuse on more than one rank: a `t_end` case
@@ -211,16 +165,7 @@ fn t_end_and_probes_are_rank_count_invariant() {
             probes: probes.clone(),
         };
         let opts = ResilienceOpts::fault_free("", 0);
-        let (field, stats) = run_ranks(
-            &case,
-            cfg,
-            ranks,
-            stop,
-            Some(&out),
-            Staging::DeviceDirect,
-            &opts,
-        )
-        .unwrap();
+        let (field, stats) = run_ranks(&case, cfg, ranks, stop, Some(&out), &opts).unwrap();
         assert_eq!(stats.time.to_bits(), t_end.to_bits(), "{ranks} ranks");
         assert_eq!(stats.steps, lone.steps(), "{ranks} ranks");
         assert_eq!(field.max_abs_diff(&serial), 0.0, "{ranks} ranks");

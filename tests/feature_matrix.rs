@@ -1,27 +1,18 @@
-//! Cross-feature integration: WENO-Z against the exact Sod solution,
-//! stretched grids, mixed BCs, RK stability and restart. The feature
+//! Cross-feature integration against external truth and robustness:
+//! WENO-Z against the exact Sod solution, a shock on a stretched grid,
+//! mixed BCs, every RK scheme on Sod, bitwise restart, and the Rusanov and
+//! HLL solvers on the flows they are meant for. The bitwise feature
 //! combinations (viscous + distributed, loop orders × schemes × orders,
 //! worker gangs × ranks, solvers × fluid counts) are members of the
-//! generated matrix (`tests/matrix/mod.rs`); the tests that named them
-//! here run their members.
+//! generated matrix (`tests/matrix.rs`).
 
-#[path = "matrix/mod.rs"]
-mod matrix;
-
-use matrix::{is, witnesses, Ax};
 use mfc::core::bc::{BcKind, BcSpec};
 use mfc::core::fluid::Fluid;
-use mfc::core::rhs::{RhsConfig, RhsMode};
+use mfc::core::rhs::RhsConfig;
 use mfc::core::riemann::{ExactRiemann, PrimSide, RiemannSolver};
 use mfc::core::time::TimeScheme;
 use mfc::core::weno::WenoOrder;
 use mfc::{presets, CaseBuilder, Context, PatchState, Region, Solver, SolverConfig};
-
-/// Viscous members on every rank count match their 1-rank reference.
-#[test]
-fn viscous_distributed_matches_serial_bitwise() {
-    witnesses(Ax::ranks, &[is::viscous(true)]);
-}
 
 #[test]
 fn wenoz_solves_sod_accurately() {
@@ -61,11 +52,6 @@ fn wenoz_solves_sod_accurately() {
     }
     l1 /= 200.0;
     assert!(l1 < 0.015, "WENO-Z Sod L1 error {l1}");
-}
-
-#[test]
-fn wenoz_distributed_matches_serial() {
-    witnesses(Ax::ranks, &[is::order(WenoOrder::Weno5Z)]);
 }
 
 #[test]
@@ -183,46 +169,6 @@ fn every_time_scheme_solves_sod() {
             assert!(rho > 0.0 && rho < 1.2, "{scheme:?}: rho[{i}] = {rho}");
         }
     }
-}
-
-/// Stage-major members of every scheme and order match their pencil-major
-/// reference.
-#[test]
-fn rhs_modes_identical_across_schemes_and_orders() {
-    let staged = is::loop_order(RhsMode::Staged);
-    witnesses(Ax::scheme, &[staged]);
-    witnesses(Ax::order, &[staged]);
-}
-
-#[test]
-fn rhs_modes_identical_with_viscosity_and_mixed_bcs() {
-    let staged = is::loop_order(RhsMode::Staged);
-    witnesses(Ax::viscous, &[staged]);
-    witnesses(Ax::bc, &[staged]);
-}
-
-/// On 4 ranks: every order, loop order, staging and viscosity matches the
-/// 1-rank reference.
-#[test]
-fn distributed_exchange_composes_with_orders_staging_and_viscosity() {
-    let four = is::ranks(4);
-    for axis in [Ax::order, Ax::loop_order, Ax::staging, Ax::viscous, Ax::bc] {
-        witnesses(axis, &[four]);
-    }
-}
-
-#[test]
-fn worker_gangs_compose_with_orders_schemes_and_modes() {
-    let four = is::workers(4);
-    for axis in [Ax::order, Ax::scheme, Ax::loop_order] {
-        witnesses(axis, &[four]);
-    }
-}
-
-#[test]
-fn worker_gangs_compose_with_viscous_distributed_exchange() {
-    witnesses(Ax::workers, &[is::viscous(true)]);
-    witnesses(Ax::workers, &[is::ranks(4)]);
 }
 
 #[test]

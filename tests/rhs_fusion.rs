@@ -1,21 +1,15 @@
-//! The two sweep loop orders run one set of stage kernels — gather,
-//! convert, WENO, Riemann, update — pencil-major (fused) or stage-major
-//! (staged), so they must agree to the bit: same reconstruction, same
-//! Riemann solves, same update order per cell; only the loop order and
-//! the scratch layout differ.
+//! The recovery ladder's degraded rung in both sweep loop orders.
 //!
-//! The loop order is an axis of the generated matrix
-//! (`tests/matrix/mod.rs`): its stage-major members, checked against their
-//! pencil-major references, hold every value of every other axis —
-//! shipped cases serial and on 2 ranks, extents that are not multiples of
-//! the 8-line pencil batch, orders, Riemann solvers, limiters, geometries,
-//! viscosity, worker counts and lane widths. The tests here run those
-//! members, and check the recovery ladder's degraded rung directly.
+//! The two loop orders run one set of stage kernels — gather, convert,
+//! WENO, Riemann, update — pencil-major (fused) or stage-major (staged),
+//! so they must agree to the bit: same reconstruction, same Riemann
+//! solves, same update order per cell; only the loop order and the
+//! scratch layout differ. The loop order is an axis of the generated
+//! matrix (`tests/matrix.rs`), whose stage-major members hold every value
+//! of every other axis and are checked against their pencil-major
+//! references there. The degraded rung — WENO3 + Rusanov in a domain
+//! sized for WENO5 — is no axis value, so it is checked here.
 
-#[path = "matrix/mod.rs"]
-mod matrix;
-
-use matrix::{is, shipped, witnesses, Ax};
 use mfc::core::axisym::Geometry;
 use mfc::core::bc::apply_bcs;
 use mfc::core::limiter::Limiter;
@@ -26,36 +20,6 @@ use mfc::core::weno::WenoOrder;
 use mfc::{presets, CaseBuilder, Context, Solver, SolverConfig};
 
 const STAGED: RhsMode = RhsMode::Staged;
-
-#[test]
-fn fused_matches_staged_bitwise_on_all_shipped_cases() {
-    shipped(&[is::loop_order(STAGED), is::ranks(1)]);
-}
-
-#[test]
-fn fused_matches_staged_bitwise_distributed_2_ranks() {
-    shipped(&[is::loop_order(STAGED), is::ranks(2)]);
-}
-
-#[test]
-fn fused_matches_staged_in_3d() {
-    witnesses(Ax::geometry, &[is::loop_order(STAGED)]);
-}
-
-#[test]
-fn fused_matches_staged_on_random_configs() {
-    for axis in [
-        Ax::extent,
-        Ax::order,
-        Ax::riemann,
-        Ax::limiter,
-        Ax::viscous,
-        Ax::workers,
-        Ax::width,
-    ] {
-        witnesses(axis, &[is::loop_order(STAGED)]);
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()

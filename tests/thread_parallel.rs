@@ -1,15 +1,15 @@
-//! Thread-equivalence suite for gang-parallel RHS execution.
+//! Gang-parallel RHS execution: engagement and the recovery ladder.
 //!
 //! The gang scheduler in `mfc-acc` partitions every hot-path iteration
 //! space across worker threads with a fixed gang → index-block mapping,
 //! and every kernel body writes disjoint slots of its outputs. That
 //! contract makes multi-worker runs **bitwise identical** to
 //! [`Context::serial`] at every worker count — including counts that
-//! oversubscribe the host, so this suite is meaningful on a 1-core CI
-//! runner too. The worker counts are an axis of the generated matrix
-//! (`tests/matrix/mod.rs`), whose members hold every worker count against
-//! every other axis value; the equivalence tests here run those members.
-//! Beside them:
+//! oversubscribe the host, so the check is meaningful on a 1-core CI
+//! runner too. The worker count is an axis of the generated matrix
+//! (`tests/matrix.rs`), whose members hold every worker count against
+//! every other axis value and are checked against their 1-worker
+//! reference there. This file holds what the axes do not:
 //!
 //! 1. Engagement: a deterministic case large enough that every gate
 //!    (`PAR_MIN_ITEMS`) opens, checked via the trace's per-launch gang
@@ -17,12 +17,8 @@
 //! 2. Recovery: the health watchdog + ladder walk the same rungs at
 //!    4 workers as serially, bitwise.
 
-#[path = "matrix/mod.rs"]
-mod matrix;
-
 use std::sync::Arc;
 
-use matrix::{is, shipped, witnesses, Ax};
 use mfc::core::recovery::{RecoveryAction, RecoveryPolicy};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
@@ -43,23 +39,6 @@ fn cfg_with(mode: RhsMode, solver: RiemannSolver, workers: usize) -> SolverConfi
         workers,
         ..Default::default()
     }
-}
-
-/// Every worker count on 3-D members, and every solver and loop order at
-/// 4 workers, reproduces the 1-worker reference bitwise.
-#[test]
-fn random_domains_bitwise_equal_at_every_worker_count() {
-    witnesses(Ax::workers, &[is::geometry(matrix::Geo::Cart3)]);
-    witnesses(Ax::riemann, &[is::workers(4)]);
-    witnesses(Ax::extent, &[is::workers(4)]);
-}
-
-/// Distributed members keep the bitwise guarantee when worker gangs and
-/// halo staging compose.
-#[test]
-fn distributed_bitwise_equal_with_worker_gangs() {
-    witnesses(Ax::workers, &[is::ranks(2)]);
-    witnesses(Ax::staging, &[is::workers(4)]);
 }
 
 /// On a domain past every `PAR_MIN_ITEMS` gate the launches really do
@@ -101,19 +80,6 @@ fn parallel_engagement_is_real_and_bitwise_transparent() {
             );
         }
     }
-}
-
-/// Every shipped case reproduces its golden digest at 4 workers.
-#[test]
-fn shipped_cases_bitwise_equal_at_four_workers() {
-    shipped(&[is::workers(4), is::ranks(1)]);
-}
-
-/// Shipped cases on 2 simulated ranks with 4 worker gangs per rank still
-/// reproduce their golden digests.
-#[test]
-fn shipped_cases_distributed_bitwise_equal_at_four_workers() {
-    shipped(&[is::workers(4), is::ranks(2)]);
 }
 
 /// The recovery ladder walks the same rungs under worker gangs: the

@@ -132,7 +132,7 @@ fn traced_two_rank_sod_exports_valid_reconciling_chrome_trace() {
 fn tracer_attachment_is_bitwise_transparent() {
     let case = presets::sod(64);
     let cfg = cfg_for(RhsMode::Fused);
-    let (plain, _) = run_distributed(&case, cfg, 2, 6, Staging::DeviceDirect).unwrap();
+    let (plain, _) = run_distributed(&case, cfg, 2, 6).unwrap();
     let tracer = Arc::new(Tracer::new());
     let traced = run_traced(&case, cfg, 2, 6, &tracer);
     assert_eq!(

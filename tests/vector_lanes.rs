@@ -1,4 +1,4 @@
-//! Lane-width equivalence suite for the SIMD vector execution layer.
+//! Lane engagement for the SIMD vector execution layer.
 //!
 //! Every hot kernel is written once, generically over the `Lane` trait,
 //! and instantiated at `f64` (width 1) or `VecF64<W>`. Because every lane
@@ -6,25 +6,20 @@
 //! serial order, each lane performs exactly the scalar op sequence — so
 //! any width must reproduce the width-1 run **bitwise**, at any worker
 //! count, in both sweep engines. The lane width is an axis of the
-//! generated matrix (`tests/matrix/mod.rs`), whose members hold every
-//! width against every other axis value, each checked against its width-1
-//! reference; the equivalence tests here run those members. Beside them,
-//! engagement: on a 16^3 case the trace's per-launch lane annotation
-//! shows the vector kernels really executing 4-wide packets — the
-//! equivalence is not vacuous — and the traced per-kernel totals still
-//! reconcile exactly with the analytic ledger.
-
-#[path = "matrix/mod.rs"]
-mod matrix;
+//! generated matrix (`tests/matrix.rs`), whose members hold every width
+//! against every other axis value and are checked against their width-1
+//! reference there. This file holds engagement: on a 16^3 case the
+//! trace's per-launch lane annotation shows the vector kernels really
+//! executing 4-wide packets — the equivalence is not vacuous — and the
+//! traced per-kernel totals still reconcile exactly with the analytic
+//! ledger.
 
 use std::sync::Arc;
 
-use matrix::{is, shipped, witnesses, Ax};
 use mfc::core::rhs::{RhsConfig, RhsMode};
 use mfc::core::riemann::RiemannSolver;
 use mfc::trace::{chrome, reconcile_trace, EventKind, Tracer};
 use mfc::{presets, Context, Solver, SolverConfig};
-use mfc_acc::DEFAULT_WIDTH;
 
 fn cfg_with(mode: RhsMode, solver: RiemannSolver, workers: usize, width: usize) -> SolverConfig {
     SolverConfig {
@@ -37,30 +32,6 @@ fn cfg_with(mode: RhsMode, solver: RiemannSolver, workers: usize, width: usize) 
         vector_width: width,
         ..Default::default()
     }
-}
-
-/// Every lane width, gang-parallel and stage-major, and every solver at
-/// width 8, reproduces the width-1 reference bitwise.
-#[test]
-fn random_domains_bitwise_equal_at_every_lane_width() {
-    witnesses(Ax::width, &[is::workers(4)]);
-    witnesses(Ax::width, &[is::loop_order(RhsMode::Staged)]);
-    witnesses(Ax::riemann, &[is::width(8)]);
-}
-
-/// Every shipped case reproduces its golden digest, recorded at the
-/// default width, at width 1.
-#[test]
-fn shipped_cases_bitwise_equal_at_default_lane_width() {
-    shipped(&[is::width(1), is::ranks(1)]);
-}
-
-/// Shipped cases on 2 simulated ranks at the default width still
-/// reproduce their golden digests — lane packets compose with halo
-/// regions.
-#[test]
-fn shipped_cases_two_rank_bitwise_equal_at_default_lane_width() {
-    shipped(&[is::width(DEFAULT_WIDTH), is::ranks(2)]);
 }
 
 /// On a 16^3 case the vector kernels really engage lane packets (trace
