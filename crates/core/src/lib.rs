@@ -39,6 +39,7 @@ pub mod case;
 pub mod cfl;
 pub mod diag;
 pub mod domain;
+pub mod dtoa;
 pub mod eos;
 pub mod eqidx;
 pub mod filter;

@@ -13,7 +13,8 @@
 //!   global field from the per-rank files, taking the grid and the
 //!   decomposition from the files' headers,
 //! * [`write_vtk_rectilinear`] emits a legacy-VTK rectilinear dataset —
-//!   the open substitute for SILO — loadable by Paraview/VisIt.
+//!   the open substitute for SILO — loadable by Paraview/VisIt, its values
+//!   printed by [`crate::dtoa`].
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -21,6 +22,7 @@ use std::path::Path;
 use mfc_mpsim::WaveWriter;
 
 use crate::domain::Domain;
+use crate::dtoa::TextWriter;
 use crate::grid::Grid;
 use crate::par::GlobalField;
 use crate::restart::{load_block, load_shard, BlockLayout, CheckpointError, CheckpointHeader};
@@ -62,56 +64,56 @@ pub fn postprocess_wave_files(
 /// Write a legacy-VTK (ASCII) rectilinear dataset with one cell-data
 /// scalar array per named field.
 ///
-/// `fields` maps a name to an equation slot of `gf`.
+/// `fields` maps a name to an equation slot of `gf`. Every value is
+/// `format!("{x}")`'s bytes, streamed through [`TextWriter`]'s 64 KiB
+/// buffer. A grid whose extent differs from the field's on any axis, or an
+/// out-of-range slot, is an `InvalidInput` error before the file is created.
 pub fn write_vtk_rectilinear(
     path: &Path,
     grid: &Grid,
     gf: &GlobalField,
     fields: &[(&str, usize)],
 ) -> io::Result<()> {
-    let [nx, ny, nz] = gf.n;
-    if grid.x.n() != nx {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "grid/field extent mismatch on x: grid has {} cells, field {nx}",
-                grid.x.n()
-            ),
-        ));
-    }
-    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(w, "# vtk DataFile Version 3.0")?;
-    writeln!(w, "mfc-rs output")?;
-    writeln!(w, "ASCII")?;
-    writeln!(w, "DATASET RECTILINEAR_GRID")?;
-    writeln!(w, "DIMENSIONS {} {} {}", nx + 1, ny + 1, nz + 1)?;
-    let write_coords =
-        |w: &mut dyn Write, label: &str, faces: &[f64], n: usize| -> io::Result<()> {
-            writeln!(w, "{label}_COORDINATES {} double", n + 1)?;
-            for f in faces.iter().take(n + 1) {
-                write!(w, "{f} ")?;
-            }
-            writeln!(w)
-        };
-    write_coords(&mut w, "X", grid.x.faces(), nx)?;
-    write_coords(&mut w, "Y", grid.y.faces(), ny)?;
-    write_coords(&mut w, "Z", grid.z.faces(), nz)?;
-    writeln!(w, "CELL_DATA {}", nx * ny * nz)?;
-    for (name, slot) in fields {
-        if *slot >= gf.neq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("field slot {slot} out of range (neq = {})", gf.neq),
-            ));
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    for (d, name) in ["x", "y", "z"].into_iter().enumerate() {
+        let cells = grid.axis(d).n();
+        if cells != gf.n[d] {
+            return Err(invalid(format!(
+                "grid/field extent mismatch on {name}: grid has {cells} cells, field {}",
+                gf.n[d]
+            )));
         }
-        writeln!(w, "SCALARS {name} double 1")?;
-        writeln!(w, "LOOKUP_TABLE default")?;
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    writeln!(w, "{}", gf.get(i, j, k, *slot))?;
-                }
-            }
+    }
+    if let Some((_, slot)) = fields.iter().find(|(_, slot)| *slot >= gf.neq) {
+        return Err(invalid(format!(
+            "field slot {slot} out of range (neq = {})",
+            gf.neq
+        )));
+    }
+    let [nx, ny, nz] = gf.n;
+    let cells = nx * ny * nz;
+    let mut w = TextWriter::new(std::fs::File::create(path)?);
+    write!(
+        w,
+        "# vtk DataFile Version 3.0\nmfc-rs output\nASCII\nDATASET RECTILINEAR_GRID\n\
+         DIMENSIONS {} {} {}\n",
+        nx + 1,
+        ny + 1,
+        nz + 1
+    )?;
+    for (d, label) in ["X", "Y", "Z"].into_iter().enumerate() {
+        writeln!(w, "{label}_COORDINATES {} double", gf.n[d] + 1)?;
+        for &f in &grid.axis(d).faces()[..=gf.n[d]] {
+            w.f64(f, b' ')?;
+        }
+        w.write_all(b"\n")?;
+    }
+    writeln!(w, "CELL_DATA {cells}")?;
+    for (name, slot) in fields {
+        write!(w, "SCALARS {name} double 1\nLOOKUP_TABLE default\n")?;
+        // Equation-major, then z, y, x-fastest: one slot is one run.
+        for &v in &gf.data[slot * cells..(slot + 1) * cells] {
+            w.f64(v, b'\n')?;
         }
     }
     w.flush()
@@ -211,6 +213,104 @@ mod tests {
         let values: Vec<&str> = text.lines().collect();
         assert!(values.iter().any(|l| l.trim() == "11")); // density last cell
         assert!(values.iter().any(|l| l.trim() == "23")); // pressure last cell
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The per-value `write!` writer, kept as the reference the streaming
+    /// writer's bytes are held to.
+    fn reference_vtk(grid: &Grid, gf: &GlobalField, fields: &[(&str, usize)]) -> Vec<u8> {
+        let [nx, ny, nz] = gf.n;
+        let mut w = Vec::new();
+        writeln!(w, "# vtk DataFile Version 3.0").unwrap();
+        writeln!(w, "mfc-rs output").unwrap();
+        writeln!(w, "ASCII").unwrap();
+        writeln!(w, "DATASET RECTILINEAR_GRID").unwrap();
+        writeln!(w, "DIMENSIONS {} {} {}", nx + 1, ny + 1, nz + 1).unwrap();
+        for (label, faces, n) in [
+            ("X", grid.x.faces(), nx),
+            ("Y", grid.y.faces(), ny),
+            ("Z", grid.z.faces(), nz),
+        ] {
+            writeln!(w, "{label}_COORDINATES {} double", n + 1).unwrap();
+            for f in faces.iter().take(n + 1) {
+                write!(w, "{f} ").unwrap();
+            }
+            writeln!(w).unwrap();
+        }
+        writeln!(w, "CELL_DATA {}", nx * ny * nz).unwrap();
+        for (name, slot) in fields {
+            writeln!(w, "SCALARS {name} double 1").unwrap();
+            writeln!(w, "LOOKUP_TABLE default").unwrap();
+            for k in 0..nz {
+                for j in 0..ny {
+                    for i in 0..nx {
+                        writeln!(w, "{}", gf.get(i, j, k, *slot)).unwrap();
+                    }
+                }
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn vtk_bytes_equal_the_per_value_writer() {
+        // A two-fluid 3-D field: smooth values across magnitudes, with NaN,
+        // ±inf, -0 and subnormals sown through it.
+        let dir = tmpdir("vtk_bytes");
+        let n = [9, 6, 5];
+        let neq = EqIdx::new(2, 3).neq();
+        let grid = Grid::uniform(n, [-0.3, 0.1, 0.0], [1.7, 2.3, 0.9]);
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            -0.0,
+            5e-324,
+            -2.2e-308,
+        ];
+        let data = (0..n.iter().product::<usize>() * neq)
+            .map(|c| match c % 37 {
+                k if k < specials.len() => specials[k],
+                k => (c as f64 * 0.731).sin() * 10f64.powi(k as i32 % 9 - 4),
+            })
+            .collect();
+        let gf = GlobalField { n, neq, data };
+        let names: Vec<String> = (0..neq).map(|e| format!("q{e}")).collect();
+        let fields: Vec<(&str, usize)> = names.iter().map(|s| s.as_str()).zip(0..).collect();
+        let path = dir.join("out.vtk");
+        write_vtk_rectilinear(&path, &grid, &gf, &fields).unwrap();
+        let got = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+        let want = String::from_utf8(reference_vtk(&grid, &gf, &fields)).unwrap();
+        assert_eq!(got, want);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn vtk_refuses_a_grid_that_misses_the_field_on_any_axis() {
+        let dir = tmpdir("vtk_extent");
+        let n = [4, 3, 2];
+        let gf = GlobalField {
+            n,
+            neq: 1,
+            data: vec![1.0; 24],
+        };
+        let path = dir.join("out.vtk");
+        for d in 0..3 {
+            let mut short = n;
+            short[d] -= 1;
+            let grid = Grid::uniform(short, [0.0; 3], [1.0; 3]);
+            let err = write_vtk_rectilinear(&path, &grid, &gf, &[("rho", 0)])
+                .expect_err("a grid one cell short must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "axis {d}: {err}");
+            assert!(
+                err.to_string().contains(["on x", "on y", "on z"][d]),
+                "{err}"
+            );
+            assert!(!path.exists(), "axis {d}: nothing may be written");
+        }
+        let grid = Grid::uniform(n, [0.0; 3], [1.0; 3]);
+        let err = write_vtk_rectilinear(&path, &grid, &gf, &[("rho", 1)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::domain::{Domain, MAX_EQ};
+use crate::dtoa::TextWriter;
 use crate::eos::cons_to_prim;
 use crate::fluid::{Fluid, FluidTable};
 use crate::grid::Grid;
@@ -150,15 +151,15 @@ impl ProbeSet {
             .collect()
     }
 
-    /// Write one probe's history as CSV (`t, q0, q1, ...`).
+    /// Write one probe's history as CSV (`t, q0, q1, ...`), each value
+    /// `format!("{x}")`'s bytes.
     pub fn write_csv(&self, idx: usize, w: &mut impl Write) -> io::Result<()> {
-        let mut buf = io::BufWriter::new(w);
+        let mut buf = TextWriter::new(w);
         for s in &self.history[idx] {
-            write!(buf, "{}", s.t)?;
-            for v in &s.prim {
-                write!(buf, ",{v}")?;
+            let row = std::iter::once(s.t).chain(s.prim.iter().copied());
+            for (i, v) in row.enumerate() {
+                buf.f64(v, if i == s.prim.len() { b'\n' } else { b',' })?;
             }
-            writeln!(buf)?;
         }
         buf.flush()
     }
@@ -248,6 +249,55 @@ mod tests {
         // Monotone-ish arrival: max equals the post-shock plateau.
         let max = p_series.iter().map(|&(_, p)| p).fold(0.0, f64::max);
         assert!((max - 0.30313).abs() < 0.03, "plateau {max}");
+    }
+
+    /// The CSV bytes equal the per-value `write!` writer's, kept here as
+    /// the reference, on values that exercise every text layout.
+    #[test]
+    fn csv_matches_the_per_value_writer() {
+        let reference = |ps: &ProbeSet| {
+            let mut out = Vec::new();
+            for s in &ps.history[0] {
+                write!(out, "{}", s.t).unwrap();
+                for v in &s.prim {
+                    write!(out, ",{v}").unwrap();
+                }
+                writeln!(out).unwrap();
+            }
+            out
+        };
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            -0.0,
+            f64::from_bits(1),
+            f64::MAX,
+            1e-7,
+            0.1 + 0.2,
+            1e21,
+            -123.456,
+        ];
+        let mut ps = ProbeSet {
+            probes: Vec::new(),
+            cells: Vec::new(),
+            history: vec![Vec::new()],
+        };
+        for (n, t) in (0..40).map(|n| (n, n as f64 * 0.0123)) {
+            let prim = (0..7)
+                .map(|e| match (n + e) % 13 {
+                    k if k < specials.len() => specials[k],
+                    k => (k as f64).sqrt() * 1e3f64.powi(e as i32 - 3),
+                })
+                .collect();
+            ps.history[0].push(Sample { t, prim });
+        }
+        let mut out = Vec::new();
+        ps.write_csv(0, &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            String::from_utf8(reference(&ps)).unwrap()
+        );
     }
 
     #[test]
