@@ -32,6 +32,7 @@ pub mod exec;
 pub mod ledger;
 pub mod report;
 pub mod shared;
+pub mod transpose;
 pub mod vector;
 
 pub use config::LaunchConfig;
@@ -40,6 +41,7 @@ pub use exec::{Context, PAR_MIN_ITEMS};
 pub use ledger::{KernelStats, Ledger, ResilienceEvent, ResilienceEventKind};
 pub use report::resilience_summary;
 pub use shared::{AddView, ParSlice};
+pub use transpose::{Plain, Transpose8};
 pub use vector::{
     validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64, DEFAULT_WIDTH,
     MAX_WIDTH, MAX_WORKERS,

@@ -10,8 +10,8 @@
 //!
 //! Which launches use it: every `launch_par` / `launch_vec` body that
 //! writes a field (the primitive conversion, the health scan's primitive
-//! store, the viscous, axisymmetric and alpha-source RHS kernels, the exec
-//! tests), and a [`crate::Context::gang_vec_scope`] /
+//! store, the viscous and axisymmetric RHS kernels, the exec tests), and a
+//! [`crate::Context::gang_vec_scope`] /
 //! [`crate::Context::gang_vec_units`] launch that forks. Those gang
 //! launches take their outputs instead of capturing them and hand each gang
 //! an [`AddView`] of them: the buffers themselves (`&mut [f64]`, with
@@ -106,14 +106,21 @@ impl<'a> ParSlice<'a> {
 
 /// A gang body's accumulating view of one launch output: the buffer itself
 /// when the launch runs as one gang, a [`ParSlice`] when it forks. Both
-/// perform the same `slot + v` per slot, so a body written once against
-/// this trait gives identical bits through either.
+/// perform the same `slot + v` per slot, and the same plain store, so a
+/// body written once against this trait gives identical bits through
+/// either.
 pub trait AddView {
     /// `slot i += v`.
     fn add(&mut self, i: usize, v: f64);
 
     /// Lanewise `+=` into the `L::WIDTH` consecutive slots from `i`.
     fn add_lanes<L: Lane>(&mut self, i: usize, v: L);
+
+    /// `slot i = v`, whatever the slot held.
+    fn store(&mut self, i: usize, v: f64);
+
+    /// Lanewise store into the `L::WIDTH` consecutive slots from `i`.
+    fn store_lanes<L: Lane>(&mut self, i: usize, v: L);
 
     /// `slot i + b += v(b)` for every `b < n`: one row of consecutive
     /// slots, `b` ascending.
@@ -140,6 +147,16 @@ impl AddView for &mut [f64] {
     }
 
     #[inline(always)]
+    fn store(&mut self, i: usize, v: f64) {
+        self[i] = v;
+    }
+
+    #[inline(always)]
+    fn store_lanes<L: Lane>(&mut self, i: usize, v: L) {
+        v.store(&mut self[i..]);
+    }
+
+    #[inline(always)]
     fn add_row(&mut self, i: usize, n: usize, mut v: impl FnMut(usize) -> f64) {
         for (b, d) in self[i..i + n].iter_mut().enumerate() {
             *d += v(b);
@@ -157,6 +174,16 @@ impl AddView for ParSlice<'_> {
     #[inline(always)]
     fn add_lanes<L: Lane>(&mut self, i: usize, v: L) {
         ParSlice::add_lanes(self, i, v);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, i: usize, v: f64) {
+        ParSlice::set(self, i, v);
+    }
+
+    #[inline(always)]
+    fn store_lanes<L: Lane>(&mut self, i: usize, v: L) {
+        ParSlice::set_lanes(self, i, v);
     }
 }
 
@@ -196,8 +223,8 @@ mod tests {
         assert!(buf.iter().enumerate().all(|(i, &x)| x == i as f64));
     }
 
-    /// The plain and shared views add the same bits, lane packets, rows and
-    /// single slots alike, at every width.
+    /// The plain and shared views add and store the same bits, lane packets,
+    /// rows and single slots alike, at every width.
     #[test]
     fn plain_and_shared_views_add_identical_bits() {
         fn adds<V: AddView>(mut v: V) {
@@ -209,8 +236,10 @@ mod tests {
             v.add_lanes(5, 0.3);
             v.add_row(2, 9, |b| (b as f64).sqrt() * 1e-5);
             v.add(12, -0.7);
+            v.store_lanes(13, crate::VecF64::<2>::from_lanes(|l| -0.0 * l as f64));
+            v.store(15, f64::NAN);
         }
-        let start: Vec<f64> = (0..13).map(|i| (i as f64 * 0.77).sin()).collect();
+        let start: Vec<f64> = (0..16).map(|i| (i as f64 * 0.77).sin()).collect();
         let (mut plain, mut shared) = (start.clone(), start);
         adds(&mut plain[..]);
         adds(ParSlice::new(&mut shared));

@@ -175,13 +175,15 @@ impl Admitted {
             // lands in the solver's own ledger.
             let resilience = resilience_summary(solver.context().ledger());
             solver.context().flush_ledger_to_trace();
-            // The snapshot copies the whole state; only the VTK writer
-            // reads it.
+            let (steps, time) = (solver.steps(), solver.time());
+            let grind = solver.grind().ns_per_cell_eq_rhs();
+            // The snapshot copies the whole state, and only the VTK writer
+            // reads it: it is taken once the solver's workspaces are freed.
             (
-                self.output.vtk.then(|| run_single_snapshot(&solver, case)),
-                solver.steps(),
-                solver.time(),
-                solver.grind().ns_per_cell_eq_rhs(),
+                self.output.vtk.then(|| run_single_snapshot(solver, case)),
+                steps,
+                time,
+                grind,
                 resilience,
             )
         };
@@ -216,11 +218,12 @@ impl Admitted {
     }
 }
 
-/// Snapshot a serial solver's interior as a [`GlobalField`].
-pub(crate) fn run_single_snapshot(solver: &Solver, case: &CaseBuilder) -> GlobalField {
+/// Snapshot a serial solver's interior as a [`GlobalField`], freeing its
+/// workspaces before the copy.
+pub(crate) fn run_single_snapshot(solver: Solver, case: &CaseBuilder) -> GlobalField {
     GlobalField {
         n: case.cells,
         neq: solver.domain().eq.neq(),
-        data: block_to_vec(solver.state()),
+        data: block_to_vec(&solver.into_state()),
     }
 }

@@ -19,7 +19,7 @@ fn snapshot_matches_parallel_gather() {
     let cfg = cf.numerics.to_solver_config().unwrap();
     let a = run_single(&case, cfg, 0);
     let solver = Solver::new(&case, cfg, Context::serial());
-    let b = run_single_snapshot(&solver, &case);
+    let b = run_single_snapshot(solver, &case);
     assert_eq!(a.max_abs_diff(&b), 0.0);
 }
 

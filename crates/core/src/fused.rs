@@ -7,8 +7,9 @@
 //!
 //! 1. *gather*: copy the pencil's conservative lines (x lines too) out of
 //!    the state, batched along the canonical-x coordinate so even the
-//!    strided y/z gathers consume whole cache lines — the paper's
-//!    coalescing pack;
+//!    strided y/z gathers consume whole cache lines, eight steps of the
+//!    eight lines at a time through an 8×8 register transpose — the
+//!    paper's coalescing pack;
 //! 2. *convert* the gathered cells to primitives in place, with the same
 //!    per-cell [`crate::eos::cons_to_prim`] every primitive field is built
 //!    with;
@@ -18,8 +19,10 @@
 //!    inadmissible reconstructed state toward its cell mean first
 //!    ([`crate::limiter::limit_state`]); the flux overwrites the face's
 //!    left state and the contact speed `S*` is kept;
-//! 5. *update*: accumulate the flux divergence into the canonical RHS and
-//!    the `S*` differences into div(u).
+//! 5. *update*: the flux divergence into the canonical RHS and the `S*`
+//!    differences into div(u) — stored by the x sweep, which runs first and
+//!    reaches every interior cell, and added by the y and z sweeps, so
+//!    neither buffer is zero-filled.
 //!
 //! Ghost *transverse* lines are never swept: the update only ever reads
 //! faces on interior transverse coordinates, so their WENO/Riemann work
@@ -53,18 +56,22 @@
 //! each compiled once per ISA tier they ship and run the widest entry the
 //! CPU has ([`crate::isa`]): WENO up to AVX-512 on every layout, Riemann up
 //! to the tier of the sweep's equation layout ([`crate::isa::riemann`]:
-//! AVX-512 for 3, 4 and 6 equations, AVX2 otherwise). The gather's copy is a
-//! scalar byte shuffle; the conversion runs lane packets along each line,
-//! and so does the x update; the y and z updates are a scalar loop whose
-//! innermost index runs across the pencil's lines, consecutive in canonical
-//! x.
+//! AVX-512 for 3, 4 and 6 equations, AVX2 otherwise). The conversion runs
+//! lane packets along each line, and so does the x update. The y and z
+//! gathers and updates meet the state and the RHS in rows across the
+//! pencil's eight lines, consecutive in canonical x, and meet the line
+//! scratch along the lines: an 8×8 tile transpose ([`Transpose8`]) turns
+//! one into the other, compiled per tier: up to AVX2 for the gather
+//! ([`isa::GATHER`]) and AVX-512 for the update ([`isa::UPDATE`]); partial
+//! pencils and the steps past the last whole tile move a value at a time.
 //!
 //! The update writes the RHS and div(u) through the views the gang launch
 //! hands each gang ([`mfc_acc::AddView`]): the buffers themselves when the
 //! sweep runs as one gang on the calling thread — one worker, or too little
-//! work to fork — so an x packet is one vector load, add and store and a
-//! y/z row one slice; one shared atomic [`mfc_acc::ParSlice`] per buffer
-//! when it forks. Pencils own disjoint cells, so both give the same bits.
+//! work to fork — so an x packet is one vector store and a y/z tile row one
+//! vector load, add and store; one shared atomic [`mfc_acc::ParSlice`] per
+//! buffer when it forks. Pencils own disjoint cells, so both give the same
+//! bits.
 //!
 //! Each stage lands in the `mfc-acc` ledger under its own label with the
 //! same per-item cost in both engines — `f_*` pencil-major, `s_*`
@@ -78,7 +85,7 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use mfc_acc::{AddView, Context, KernelClass, KernelCost, Lane, LaneGangBody};
+use mfc_acc::{AddView, Context, KernelClass, KernelCost, Lane, LaneGangBody, Transpose8, VecF64};
 
 use crate::axisym::Geometry;
 use crate::domain::Domain;
@@ -95,6 +102,11 @@ use crate::weno::{reconstruct_line_padded, WenoOrder};
 /// Transverse lines per pencil. Eight 8-byte values span one 64-byte cache
 /// line, so the strided y/z gathers read (and fully consume) whole lines.
 pub(crate) const PENCIL_B: usize = 8;
+
+/// Side of the y/z gather and update tiles ([`Transpose8`]): a full pencil
+/// is one tile wide.
+const TILE: usize = 8;
+const _: () = assert!(PENCIL_B == TILE);
 
 /// Ledger labels of the five stages: pencil-major, stage-major.
 const LABELS: [[&str; 2]; 5] = [
@@ -408,6 +420,19 @@ struct Unit {
     bw: usize,
 }
 
+impl Unit {
+    /// How many of the first `n` steps along the pencil's lines move as
+    /// whole 8×8 tiles: every whole tile of a full pencil, none of a
+    /// partial one.
+    fn tiled(self, n: usize) -> usize {
+        if self.bw == TILE {
+            n - n % TILE
+        } else {
+            0
+        }
+    }
+}
+
 /// Shared environment of one directional sweep and its five stages,
 /// executable at any lane width. The outputs are not part of it: each gang
 /// gets its own views of them from the launch ([`Sweep::update`]). Each
@@ -528,11 +553,26 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         i + self.n1 * (j + self.n2 * (k + self.n3 * e))
     }
 
-    /// Stage 1: gather the pencil's conservative lines (a scalar pack: x
-    /// lines are contiguous in `q`, y/z lines are read across the batch,
-    /// which is consecutive in canonical x).
+    /// Stage 1: gather the pencil's conservative lines, through the entry
+    /// of [`isa::GATHER`] the running CPU selects.
     #[inline(never)]
     fn gather(&self, u: Unit, v: &mut [f64]) {
+        self.gather_at(isa::GATHER.tier(), u, v);
+    }
+
+    /// [`Sweep::gather`] through its `tier` entry.
+    #[inline(always)]
+    fn gather_at(&self, tier: Tier, u: Unit, v: &mut [f64]) {
+        isa::with_transpose!(isa::GATHER, tier, t => self.gather_body(t, u, v))
+    }
+
+    /// x lines are contiguous in `q` and copied whole. A full y/z pencil
+    /// reads each step along the sweep as one row of its eight lines,
+    /// consecutive in canonical x, and writes eight steps of the eight
+    /// lines as one transposed tile; the steps past the last whole tile,
+    /// and every step of a partial pencil, are copied a value at a time.
+    #[inline(always)]
+    fn gather_body<T: Transpose8>(&self, t: T, u: Unit, v: &mut [f64]) {
         let neq = self.eq.neq();
         let rext = self.rext;
         if self.axis == 0 {
@@ -544,21 +584,30 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
                     v[lo..lo + rext].copy_from_slice(&self.qsl[base..base + rext]);
                 }
             }
-        } else {
-            let (t1, t2) = self.line_t(u, 0);
-            for e in 0..neq {
-                let base = self.line_base(t1, t2, e);
-                for s in 0..rext {
-                    let src = base + s * self.sweep_stride;
-                    let dst = e * rext + s;
-                    for (b, vb) in v[dst..]
-                        .iter_mut()
-                        .step_by(neq * rext)
-                        .take(u.bw)
-                        .enumerate()
-                    {
-                        *vb = self.qsl[src + b];
-                    }
+            return;
+        }
+        let (t1, t2) = self.line_t(u, 0);
+        let stride = self.sweep_stride;
+        let tiled = u.tiled(rext);
+        for e in 0..neq {
+            let base = self.line_base(t1, t2, e);
+            for s in (0..tiled).step_by(TILE) {
+                t.transpose8(
+                    &self.qsl[base + s * stride..],
+                    stride,
+                    &mut v[e * rext + s..],
+                    neq * rext,
+                );
+            }
+            for s in tiled..rext {
+                let src = base + s * stride;
+                for (b, vb) in v[e * rext + s..]
+                    .iter_mut()
+                    .step_by(neq * rext)
+                    .take(u.bw)
+                    .enumerate()
+                {
+                    *vb = self.qsl[src + b];
                 }
             }
         }
@@ -770,20 +819,40 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
     /// when it forks). In 3-D cylindrical coordinates the azimuthal cell
     /// width is `r * dtheta`, with `r` set by the pencil's outer coordinate.
     ///
-    /// On the y and z sweeps the pencil's lines are consecutive in
-    /// canonical x, so the loop runs cell by cell along the sweep, then per
-    /// variable across the lines: each (cell, variable) row adds `bw`
-    /// consecutive values, a cache line at a time, instead of revisiting
-    /// every cache line of the RHS once per line. The x sweep keeps lane
-    /// packets along each line, whose cells are consecutive, with the
-    /// variables innermost; through the plain view each packet is one
-    /// vector load, add and store. Every single loop nest tried for all
-    /// three axes lost on one side (`grind3d`, 3 steps at 96³): with the
-    /// variable loop outside the cells the x update took 92–164 ms against
-    /// 58 ms ±6, and with it innermost y and z took 150/203 ms against
-    /// 104/156 ms for this nest (EXPERIMENTS.md, "Riemann at eight lanes").
+    /// The x sweep runs first and reaches every interior cell, so its
+    /// update *stores* `0.0 + d` — the exact bits of adding `d` to a zeroed
+    /// slot, `-0.0` included — and [`crate::rhs::compute_rhs`] clears
+    /// neither buffer. The x update keeps lane packets along each line,
+    /// whose cells are consecutive, with the variables innermost; through
+    /// the plain view each packet is one vector store. The y and z updates
+    /// add, through the entry of [`isa::UPDATE`] the running CPU selects.
     #[inline(never)]
-    fn update<L: Lane, O: AddView>(
+    fn update<L: Lane, O: AddView>(&self, u: Unit, flux: &[f64], ustar: &[f64], out: &mut [O; 2]) {
+        if self.axis == 0 {
+            self.update_x::<L, O>(u, flux, ustar, out);
+        } else {
+            self.update_yz_at(isa::UPDATE.tier(), u, flux, ustar, out);
+        }
+    }
+
+    /// The y/z update through its `tier` entry. Its tile rows are eight
+    /// lanes wide at every lane width, so there is one copy per layout,
+    /// view and tier, not one per width as well.
+    #[inline(never)]
+    fn update_yz_at<O: AddView>(
+        &self,
+        tier: Tier,
+        u: Unit,
+        flux: &[f64],
+        ustar: &[f64],
+        out: &mut [O; 2],
+    ) {
+        isa::with_transpose!(isa::UPDATE, tier, t => self.update_yz(t, u, flux, ustar, out))
+    }
+
+    /// The x sweep's update: stores, lane packets along each line.
+    #[inline(always)]
+    fn update_x<L: Lane, O: AddView>(
         &self,
         u: Unit,
         flux: &[f64],
@@ -792,43 +861,85 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
     ) {
         let neq = self.eq.neq();
         let (rnf, pad) = (self.rnf, self.pad);
+        let (cell0, metric) = self.update_origin(u);
+        for b in 0..u.bw {
+            let (line, ub) = (cell0 + b * self.n1, b * rnf);
+            let mut s = 0;
+            while s + L::WIDTH <= self.s_n {
+                let inv_dx = L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
+                let zero = L::splat(0.0);
+                for e in 0..neq {
+                    let fb = (b * neq + e) * rnf + s;
+                    let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
+                    rhs.store_lanes(line + s + e * self.cell_stride, zero + d);
+                }
+                let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
+                divu.store_lanes(line + s, zero + dv);
+                s += L::WIDTH;
+            }
+            while s < self.s_n {
+                let inv_dx = 1.0 / (self.w[pad + s] * metric);
+                for e in 0..neq {
+                    let fb = (b * neq + e) * rnf + s;
+                    rhs.store(
+                        line + s + e * self.cell_stride,
+                        0.0 + (flux[fb] - flux[fb + 1]) * inv_dx,
+                    );
+                }
+                divu.store(line + s, 0.0 + (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
+                s += 1;
+            }
+        }
+    }
+
+    /// The canonical cell of the pencil's first line at the first interior
+    /// step, and the azimuthal metric of its outer coordinate (1 off it).
+    #[inline(always)]
+    fn update_origin(&self, u: Unit) -> (usize, f64) {
         let (t1, t2) = self.line_t(u, 0);
         let metric = self.radial.map(|r| r[t1]).unwrap_or(1.0);
-        let (i, j, k) = sweep_to_canonical(self.axis, pad, t1, t2);
-        let cell0 = i + self.n1 * (j + self.n2 * k);
-        if self.axis == 0 {
-            for b in 0..u.bw {
-                let (line, ub) = (cell0 + b * self.n1, b * rnf);
-                let mut s = 0;
-                while s + L::WIDTH <= self.s_n {
-                    let inv_dx = L::splat(1.0) / (L::load(&self.w[pad + s..]) * L::splat(metric));
-                    for e in 0..neq {
-                        let fb = (b * neq + e) * rnf + s;
-                        let d = (L::load(&flux[fb..]) - L::load(&flux[fb + 1..])) * inv_dx;
-                        rhs.add_lanes(line + s + e * self.cell_stride, d);
-                    }
-                    let dv = (L::load(&ustar[ub + s + 1..]) - L::load(&ustar[ub + s..])) * inv_dx;
-                    divu.add_lanes(line + s, dv);
-                    s += L::WIDTH;
-                }
-                while s < self.s_n {
-                    let inv_dx = 1.0 / (self.w[pad + s] * metric);
-                    for e in 0..neq {
-                        let fb = (b * neq + e) * rnf + s;
-                        rhs.add(
-                            line + s + e * self.cell_stride,
-                            (flux[fb] - flux[fb + 1]) * inv_dx,
-                        );
-                    }
-                    divu.add(line + s, (ustar[ub + s + 1] - ustar[ub + s]) * inv_dx);
-                    s += 1;
-                }
+        let (i, j, k) = sweep_to_canonical(self.axis, self.pad, t1, t2);
+        (i + self.n1 * (j + self.n2 * k), metric)
+    }
+
+    /// The y/z update. The pencil's lines are consecutive in canonical x,
+    /// so each (step, variable) row of the RHS takes `bw` consecutive
+    /// values. A full pencil transposes eight steps of one variable's line
+    /// scratch, and the same eight shifted by one step, into tiles whose
+    /// rows run across the lines; each row difference is then one 8-lane
+    /// packet added into the RHS. The steps past the last whole tile, and
+    /// every step of a partial pencil, run cell by cell along the sweep,
+    /// then per variable across the lines.
+    #[inline(always)]
+    fn update_yz<T: Transpose8, O: AddView>(
+        &self,
+        t: T,
+        u: Unit,
+        flux: &[f64],
+        ustar: &[f64],
+        [rhs, divu]: &mut [O; 2],
+    ) {
+        let neq = self.eq.neq();
+        let (rnf, pad, stride) = (self.rnf, self.pad, self.sweep_stride);
+        let (cell0, metric) = self.update_origin(u);
+        let tiled = u.tiled(self.s_n);
+        for s0 in (0..tiled).step_by(TILE) {
+            let inv_dx: [f64; TILE] =
+                std::array::from_fn(|r| 1.0 / (self.w[pad + s0 + r] * metric));
+            let cell = |r: usize| cell0 + (s0 + r) * stride;
+            for e in 0..neq {
+                let f = &flux[e * rnf + s0..];
+                add_tile(t, rhs, (f, &f[1..]), neq * rnf, &inv_dx, |r| {
+                    cell(r) + e * self.cell_stride
+                });
             }
-            return;
+            // S* differences run the other way: (S*_{s+1} - S*_s) / dx.
+            let us = &ustar[s0..];
+            add_tile(t, divu, (&us[1..], us), rnf, &inv_dx, cell);
         }
-        for s in 0..self.s_n {
+        for s in tiled..self.s_n {
             let inv_dx = 1.0 / (self.w[pad + s] * metric);
-            let cell = cell0 + s * self.sweep_stride;
+            let cell = cell0 + s * stride;
             for e in 0..neq {
                 rhs.add_row(cell + e * self.cell_stride, u.bw, |b| {
                     let fb = (b * neq + e) * rnf + s;
@@ -840,6 +951,31 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
                 (ustar[ub + 1] - ustar[ub]) * inv_dx
             });
         }
+    }
+}
+
+/// One 8×8 tile of a y/z update: `hi` and `lo` hold the eight lines at
+/// line stride `ls`, eight steps each. Both are transposed, and step `r`
+/// adds `(hi - lo) * inv_dx[r]` across the eight lines, as one packet, into
+/// the row from slot `row(r)`.
+#[inline(always)]
+fn add_tile<T: Transpose8, O: AddView>(
+    t: T,
+    out: &mut O,
+    (hi, lo): (&[f64], &[f64]),
+    ls: usize,
+    inv_dx: &[f64; TILE],
+    row: impl Fn(usize) -> usize,
+) {
+    type Row = VecF64<TILE>;
+    let (mut th, mut tl) = ([0.0; TILE * TILE], [0.0; TILE * TILE]);
+    t.transpose8(hi, ls, &mut th, TILE);
+    t.transpose8(lo, ls, &mut tl, TILE);
+    for (r, (h, l)) in th.chunks_exact(TILE).zip(tl.chunks_exact(TILE)).enumerate() {
+        out.add_lanes(
+            row(r),
+            (Row::load(h) - Row::load(l)) * Row::splat(inv_dx[r]),
+        );
     }
 }
 
@@ -1063,64 +1199,146 @@ mod tests {
         E::SHAPE
     }
 
-    /// Every pencil of every axis through the update twice, from the same
-    /// RHS and div(u): once through the plain views a one-gang launch
-    /// hands out, once through the shared ones of a forked launch.
-    fn update_views_agree<L: Lane>(dom: &Domain, axis: usize, label: &str) {
+    impl<E: EqLayout> Sweep<'_, E> {
+        /// [`Sweep::update`] through its `tier` entry (the x update has
+        /// one entry, the baseline code).
+        fn update_entry<L: Lane, O: AddView>(
+            &self,
+            tier: Tier,
+            u: Unit,
+            flux: &[f64],
+            ustar: &[f64],
+            out: &mut [O; 2],
+        ) {
+            match self.axis {
+                0 => self.update::<L, O>(u, flux, ustar, out),
+                _ => self.update_yz_at(tier, u, flux, ustar, out),
+            }
+        }
+    }
+
+    /// A deterministic value in [-0.8, 0.9) per `(i, k)`.
+    fn hash(i: usize, k: usize) -> f64 {
+        ((i * 2654435761 + k * 40503) % 10007) as f64 * 1.7e-4 - 0.8
+    }
+
+    /// Every pencil of the sweep along `axis` through every update entry
+    /// the CPU runs, from the same RHS and div(u), through the plain views
+    /// a one-gang launch hands out and the shared ones of a forked launch:
+    /// the bits of the baseline entry through the plain views. On a
+    /// cylindrical azimuthal sweep (`radial`) the metric scales every width.
+    fn update_entries_agree<L: Lane>(dom: &Domain, axis: usize, radial: bool, label: &str) {
         let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
-        let hash =
-            |i: usize, k: usize| ((i * 2654435761 + k * 40503) % 10007) as f64 * 1.7e-4 - 0.8;
         let widths: Vec<f64> = (0..dom.ext(axis)).map(|i| 0.5 + hash(i, 9).abs()).collect();
+        let radii: Vec<f64> = (0..dom.ext(1)).map(|j| 0.1 + hash(j, 5).abs()).collect();
+        let radial = radial.then_some(&radii[..]);
         let cfg = RhsConfig::default();
-        let sweep = Sweep::new(dom.eq, dom, axis, &cfg, &fluids, &[], &widths, None);
+        let sweep = Sweep::new(dom.eq, dom, axis, &cfg, &fluids, &[], &widths, radial);
         let [_, fs, us] = PencilScratch::new(dom, 1).slot;
         let flux: Vec<f64> = (0..fs).map(|i| hash(i, 1) * 1e3).collect();
         let ustar: Vec<f64> = (0..us).map(|i| hash(i, 2)).collect();
         let cells = dom.dims3().len();
         let rhs0: Vec<f64> = (0..cells * dom.eq.neq()).map(|i| hash(i, 3)).collect();
         let divu0: Vec<f64> = (0..cells).map(|i| hash(i, 4)).collect();
-        let (mut rhs_a, mut divu_a) = (rhs0.clone(), divu0.clone());
-        let (mut rhs_b, mut divu_b) = (rhs0.clone(), divu0.clone());
-        for unit in 0..pencil_count(dom, axis) {
-            let u = sweep.unit(unit);
-            sweep.update::<L, _>(u, &flux, &ustar, &mut [&mut rhs_a[..], &mut divu_a[..]]);
-            let mut shared = [ParSlice::new(&mut rhs_b), ParSlice::new(&mut divu_b)];
-            sweep.update::<L, _>(u, &flux, &ustar, &mut shared);
-        }
-        for (what, a, b, before) in [
-            ("rhs", &rhs_a, &rhs_b, &rhs0),
-            ("div(u)", &divu_a, &divu_b, &divu0),
-        ] {
-            assert!(
-                a != before,
-                "{label} W={}: the update wrote no {what}",
-                L::WIDTH
-            );
-            for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{label} W={}: {what}[{i}]",
-                    L::WIDTH
-                );
+        let run = |tier: Tier, shared: bool| {
+            let (mut rhs, mut divu) = (rhs0.clone(), divu0.clone());
+            for unit in 0..pencil_count(dom, axis) {
+                let u = sweep.unit(unit);
+                if shared {
+                    let mut views = [ParSlice::new(&mut rhs), ParSlice::new(&mut divu)];
+                    sweep.update_entry::<L, _>(tier, u, &flux, &ustar, &mut views);
+                } else {
+                    let mut views = [&mut rhs[..], &mut divu[..]];
+                    sweep.update_entry::<L, _>(tier, u, &flux, &ustar, &mut views);
+                }
+            }
+            (rhs, divu)
+        };
+        let (rhs_b, divu_b) = run(Tier::Baseline, false);
+        assert!(
+            rhs_b != rhs0 && divu_b != divu0,
+            "{label}: the update wrote nothing"
+        );
+        for tier in isa::UPDATE.entries_or_skip() {
+            for shared in [false, true] {
+                let (rhs, divu) = run(tier, shared);
+                for (what, got, want) in [("rhs", &rhs, &rhs_b), ("div(u)", &divu, &divu_b)] {
+                    for (i, (x, y)) in got.iter().zip(want.iter()).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{label} W={} {} shared={shared}: {what}[{i}]",
+                            L::WIDTH,
+                            tier.name()
+                        );
+                    }
+                }
             }
         }
     }
 
-    /// The plain views a one-gang launch hands the update (vector loads
-    /// and stores on x, one slice per row on y and z) give the RHS and
-    /// div(u) bits of the shared `ParSlice` views, on every axis, at every
-    /// lane width, with partial pencils and partial packets: extents `8k +
-    /// r` in 3-D, and a 1-D line.
+    /// The extents the gather and update entry tests sweep: `8k + r`
+    /// transverse extents (partial pencils) and interior lengths with and
+    /// without a tail past the last whole tile, in 3-D, and a 1-D line.
+    fn entry_domains() -> [(Domain, std::ops::Range<usize>); 3] {
+        [
+            (Domain::new([19, 13, 11], 3, EqIdx::new(2, 3)), 0..3),
+            (Domain::new([16, 24, 10], 3, EqIdx::new(1, 3)), 0..3),
+            (Domain::new([29, 1, 1], 3, EqIdx::new(2, 1)), 0..1),
+        ]
+    }
+
+    /// The update's entries (8×8 tiles through the AVX-512 and AVX2
+    /// transposes, the plain permutation on the baseline) give identical
+    /// RHS and div(u) bits through both views, on every axis, at every
+    /// lane width, with partial pencils, tails and the cylindrical metric;
+    /// the test says which tiers it skipped.
     #[test]
     fn plain_and_shared_update_views_give_identical_bits() {
-        let cube = Domain::new([19, 13, 11], 3, EqIdx::new(2, 3));
-        let line = Domain::new([29, 1, 1], 3, EqIdx::new(2, 1));
-        for (dom, axes) in [(cube, 0..3), (line, 0..1)] {
+        for (dom, axes) in entry_domains() {
             for axis in axes {
-                let label = format!("{:?} axis {axis}", dom.n);
-                for w in [1, 2, 4, 8] {
-                    with_lane_width!(w, L => update_views_agree::<L>(&dom, axis, &label));
+                // Only the azimuthal (z) sweep of a cylindrical run has a metric.
+                for radial in [false, true].into_iter().filter(|&r| !r || axis == 2) {
+                    let label = format!("{:?} axis {axis} radial={radial}", dom.n);
+                    for w in [1, 2, 4, 8] {
+                        with_lane_width!(w, L => update_entries_agree::<L>(&dom, axis, radial, &label));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gather's entries copy every pencil of every axis to identical
+    /// scratch bits, with partial pencils and tails; the test says which
+    /// tiers it skipped.
+    #[test]
+    fn gather_entries_match_the_baseline_entry_bitwise() {
+        let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
+        let cfg = RhsConfig::default();
+        for (dom, axes) in entry_domains() {
+            let q: Vec<f64> = (0..dom.dims3().len() * dom.eq.neq())
+                .map(|i| hash(i, 7))
+                .collect();
+            let widths = vec![1.0; 64];
+            for axis in axes {
+                let sweep = Sweep::new(dom.eq, &dom, axis, &cfg, &fluids, &q, &widths, None);
+                let slot = PencilScratch::new(&dom, 1).slot[0];
+                for unit in 0..pencil_count(&dom, axis) {
+                    let u = sweep.unit(unit);
+                    let mut want = vec![f64::NAN; slot];
+                    sweep.gather_at(Tier::Baseline, u, &mut want);
+                    assert!(want.iter().any(|v| !v.is_nan()), "the gather wrote nothing");
+                    for tier in isa::GATHER.entries_or_skip() {
+                        let mut got = vec![f64::NAN; slot];
+                        sweep.gather_at(tier, u, &mut got);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{:?} axis {axis} pencil {unit}: {} gather differs",
+                            dom.n,
+                            tier.name()
+                        );
+                    }
                 }
             }
         }

@@ -244,20 +244,44 @@ impl<E: EqLayout> HealthScanner<'_, E> {
     fn scan_range<L: Lane>(&self, range: std::ops::Range<usize>) -> Result<f64, Violation> {
         let mut max = f64::NEG_INFINITY;
         let mut item = range.start;
+        // The item's interior (x, y, z), walked row by row: one division
+        // per range, none per packet.
+        let (mut x, mut y, mut z) = (
+            item % self.nx,
+            (item / self.nx) % self.ny,
+            item / (self.nx * self.ny),
+        );
         while item < range.end {
+            let at = [x + self.pad[0], y + self.pad[1], z + self.pad[2]];
             // Packets never cross an x row (loads are unit-stride in x).
-            let avail = (range.end - item).min(self.nx - item % self.nx);
-            if L::WIDTH > 1 && avail >= L::WIDTH {
-                if let Some(rate) = self.packet_healthy::<L>(item) {
+            let avail = (range.end - item).min(self.nx - x);
+            let packet = if L::WIDTH > 1 && avail >= L::WIDTH {
+                self.packet_healthy::<L>(at)
+            } else {
+                None
+            };
+            let step = match packet {
+                Some(rate) => {
                     for lane in 0..L::WIDTH {
                         max = max.max(rate.lane(lane));
                     }
-                    item += L::WIDTH;
-                    continue;
+                    L::WIDTH
+                }
+                None => {
+                    max = max.max(self.scan_cell(at)?);
+                    1
+                }
+            };
+            item += step;
+            x += step;
+            if x == self.nx {
+                x = 0;
+                y += 1;
+                if y == self.ny {
+                    y = 0;
+                    z += 1;
                 }
             }
-            max = max.max(self.scan_cell(item)?);
-            item += 1;
         }
         Ok(max)
     }
@@ -282,12 +306,9 @@ impl<E: EqLayout> HealthScanner<'_, E> {
     /// one lane needs the ordered scalar walk" — it is always safe, never
     /// a verdict by itself.
     #[inline(always)]
-    fn packet_healthy<L: Lane>(&self, item: usize) -> Option<L> {
+    fn packet_healthy<L: Lane>(&self, [i, j, k]: [usize; 3]) -> Option<L> {
         let eq = &self.eq;
         let neq = eq.neq();
-        let i = item % self.nx + self.pad[0];
-        let j = (item / self.nx) % self.ny + self.pad[1];
-        let k = item / (self.nx * self.ny) + self.pad[2];
         let cell = i + self.ext1 * (j + self.ext2 * k);
         let (mut c, mut p) = (eq.vars::<L>(), eq.vars::<L>());
         let (c, p) = (&mut c.as_mut()[..neq], &mut p.as_mut()[..neq]);
@@ -326,12 +347,9 @@ impl<E: EqLayout> HealthScanner<'_, E> {
 
     /// The scalar per-cell scan: flag the violation, or accept the cell
     /// and return its rate.
-    fn scan_cell(&self, item: usize) -> Result<f64, Violation> {
+    fn scan_cell(&self, [i, j, k]: [usize; 3]) -> Result<f64, Violation> {
         let eq = &self.eq;
         let neq = eq.neq();
-        let i = item % self.nx + self.pad[0];
-        let j = (item / self.nx) % self.ny + self.pad[1];
-        let k = item / (self.nx * self.ny) + self.pad[2];
         let cell = i + self.ext1 * (j + self.ext2 * k);
         let (mut c, mut p) = (eq.vars::<f64>(), eq.vars::<f64>());
         let (c, p) = (&mut c.as_mut()[..neq], &mut p.as_mut()[..neq]);

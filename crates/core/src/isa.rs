@@ -23,8 +23,10 @@
 //! and 6-equation layouts, AVX2 on the 7-equation one (where the AVX-512
 //! copy lost) and on the run-time fallback (where it did not win every
 //! round), and a layout that does not ship AVX-512 compiles no AVX-512 copy
-//! of the stage. The gather, conversion and update stages have no entry
-//! but their baseline code.
+//! of the stage. The sweep's gather (up to AVX2) and its y/z update (up to
+//! AVX-512) move their strided pencils as 8×8 tiles through the transpose
+//! of the entry's tier ([`with_transpose`]). The conversion and the x
+//! update have no entry but their baseline code.
 
 use std::sync::OnceLock;
 
@@ -116,6 +118,20 @@ pub const HEALTH: Stage = Stage {
     name: "health",
     ships: Tier::Avx512,
 };
+/// The sweep's gather ([`crate::fused`]), whose y and z pencils move
+/// through 8×8 tile transposes ([`with_transpose`]). Its AVX-512 copy won
+/// 1 and 2 of 5 rounds against AVX2 on `grind3d`'s z and y sweeps, so it
+/// ships AVX2.
+pub const GATHER: Stage = Stage {
+    name: "gather",
+    ships: Tier::Avx2,
+};
+/// The sweep's flux-divergence update ([`crate::fused`]), whose y and z
+/// pencils move through 8×8 tile transposes ([`with_transpose`]).
+pub const UPDATE: Stage = Stage {
+    name: "update",
+    ships: Tier::Avx512,
+};
 
 /// The layouts the sweep is instantiated for: the [`crate::eqidx::ConstEq`]
 /// shapes `with_eq_layout!` dispatches, then the run-time fallback.
@@ -165,6 +181,48 @@ impl Stage {
     }
 }
 
+/// `with_transpose!(stage, tier, t => body)`: run `body` in `stage`'s
+/// `tier` entry with `t` bound to that tier's [`mfc_acc::Transpose8`] —
+/// the AVX-512 or AVX2 token, or the plain permutation on the baseline
+/// tier. Each arm compiles `body` once, for its tier only.
+///
+/// # Panics
+/// As [`Stage::run_at`].
+macro_rules! with_transpose {
+    ($stage:expr, $tier:expr, $t:ident => $body:expr) => {{
+        let stage: $crate::isa::Stage = $stage;
+        match $tier {
+            #[cfg(target_arch = "x86_64")]
+            $crate::isa::Tier::Avx512 => {
+                let $t = mfc_acc::transpose::Avx512::new().expect("an AVX-512 CPU");
+                stage.run_at(
+                    $crate::isa::Tier::Avx512,
+                    #[inline(always)]
+                    || $body,
+                )
+            }
+            #[cfg(target_arch = "x86_64")]
+            $crate::isa::Tier::Avx2 => {
+                let $t = mfc_acc::transpose::Avx2::new().expect("an AVX2 CPU");
+                stage.run_at(
+                    $crate::isa::Tier::Avx2,
+                    #[inline(always)]
+                    || $body,
+                )
+            }
+            tier => {
+                let $t = mfc_acc::Plain;
+                stage.run_at(
+                    tier,
+                    #[inline(always)]
+                    || $body,
+                )
+            }
+        }
+    }};
+}
+pub(crate) use with_transpose;
+
 /// `body` compiled with AVX2 (and never FMA) enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -182,7 +240,8 @@ fn avx512<R>(body: impl FnOnce() -> R) -> R {
 
 /// The tier each dispatched stage runs in this process, Riemann's per
 /// layout as `(nf,ndim)`, e.g. `"weno avx512, riemann (1,1) avx512 (1,2)
-/// avx512 (2,2) avx512 (2,3) avx2 other avx2, health avx512"`.
+/// avx512 (2,2) avx512 (2,3) avx2 other avx2, health avx512, gather avx2,
+/// update avx512"`.
 pub fn kernel_isa() -> String {
     let riemann: Vec<String> = LAYOUTS
         .iter()
@@ -194,13 +253,14 @@ pub fn kernel_isa() -> String {
             }
         })
         .collect();
+    let named = |s: Stage| format!("{} {}", s.name, s.tier().name());
     format!(
-        "{} {}, riemann {}, {} {}",
-        WENO.name,
-        WENO.tier().name(),
+        "{}, riemann {}, {}, {}, {}",
+        named(WENO),
         riemann.join(" "),
-        HEALTH.name,
-        HEALTH.tier().name()
+        named(HEALTH),
+        named(GATHER),
+        named(UPDATE)
     )
 }
 
@@ -228,7 +288,10 @@ mod tests {
 
     #[test]
     fn every_stage_runs_a_tier_it_ships_and_the_cpu_supports() {
-        for s in [WENO, HEALTH].into_iter().chain(LAYOUTS.map(riemann)) {
+        for s in [WENO, HEALTH, GATHER, UPDATE]
+            .into_iter()
+            .chain(LAYOUTS.map(riemann))
+        {
             let t = s.tier();
             assert!(t <= s.ships && t.supported(), "{s:?} runs {t:?}");
             assert_eq!(s.tiers().last(), Some(t));
@@ -251,5 +314,9 @@ mod tests {
         }
         assert_eq!(riemann(Some((2, 3))).ships, Tier::Avx2);
         assert_eq!(riemann(Some((1, 1))).ships, Tier::Avx512);
+        for s in [GATHER, UPDATE] {
+            let named = format!("{} {}", s.name, s.tier().name());
+            assert!(isa.contains(&named), "{isa:?} lacks {named:?}");
+        }
     }
 }

@@ -485,15 +485,24 @@ pub fn run_ranks(
         if rank.left {
             return Ok((None, rank.stats));
         }
-        // All scripted faults are behind us (peers past their last death
-        // cannot re-die), so the final gather uses the plain path.
-        let gathered = rank.comm.gather(crate::output::block_to_vec(blk.state()));
-        if let (Some(ps), Some(out)) = (&probe_set, probes) {
-            let dir = out.dir.display();
-            ps.write_csvs(&out.dir, &blk)
-                .map_err(|e| rank.io(format!("probes in {dir}: {e}")))?;
-        }
+        let written = match (&probe_set, probes) {
+            (Some(ps), Some(out)) => {
+                let dir = out.dir.display();
+                ps.write_csvs(&out.dir, &blk)
+                    .map_err(|e| rank.io(format!("probes in {dir}: {e}")))
+            }
+            _ => Ok(()),
+        };
+        drop(probe_set);
         let (time, steps) = (blk.time(), blk.steps());
+        // The block is copied for the gather only once the solver's
+        // workspaces are freed, so the copy does not raise the rank's peak
+        // memory. All scripted faults are behind us (peers past their last
+        // death cannot re-die), so the final gather uses the plain path,
+        // and every rank joins it before reporting a probe write failure.
+        let block = crate::output::block_to_vec(&blk.into_state());
+        let gathered = rank.comm.gather(block);
+        written?;
         Ok((
             gathered,
             CommStats {
@@ -994,7 +1003,7 @@ pub fn run_single(case: &CaseBuilder, cfg: SolverConfig, steps: usize) -> Global
     GlobalField {
         n: case.cells,
         neq: solver.domain().eq.neq(),
-        data: crate::output::block_to_vec(solver.state()),
+        data: crate::output::block_to_vec(&solver.into_state()),
     }
 }
 

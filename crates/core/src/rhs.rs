@@ -23,9 +23,12 @@
 //! intermediates. Both skip ghost transverse lines, whose faces no update
 //! reads, and both give the same bits because they run the same ops.
 
+use std::ops::Range;
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 
-use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
+use mfc_acc::{AddView, Context, KernelClass, KernelCost, Lane, LaneGangBody};
 use mfc_layout::Dims3;
 
 use crate::axisym::Geometry;
@@ -159,11 +162,13 @@ impl RhsWorkspace {
     }
 }
 
-/// Evaluate `rhs = L(cons)`: zero the accumulators, one sweep per axis,
-/// then the grid-global closures.
+/// Evaluate `rhs = L(cons)`: one sweep per axis, then the grid-global
+/// closures.
 ///
 /// Ghost cells of `cons` must be valid (physical BCs and/or halo exchange
-/// already applied). Only interior entries of `rhs` are written.
+/// already applied). Every interior entry of `rhs` is overwritten — the x
+/// sweep stores where the later sweeps add, so whatever `rhs` held there
+/// before is never read — and no ghost entry is written.
 pub fn compute_rhs(
     ctx: &Context,
     cfg: &RhsConfig,
@@ -183,10 +188,8 @@ pub fn compute_rhs(
         dom.ng,
         cfg.order.ghost_layers().max(1)
     );
-    rhs.fill(0.0);
-    ws.divu.fill(0.0);
-
-    // 1–6. One sweep per direction.
+    // 1–6. One sweep per direction; the x sweep initialises the interior
+    //      of `rhs` and div(u).
     for axis in 0..dom.eq.ndim() {
         sweep_axis(ctx, cfg, fluids, cons, ws, rhs, axis);
     }
@@ -228,54 +231,98 @@ fn alpha_source(
     if eq.n_adv() == 0 {
         return;
     }
-    let d3 = dom.dims3();
+    let t0 = Instant::now();
     let cost = KernelCost::new(
         KernelClass::Other,
         2.0 * eq.n_adv() as f64,
         8.0 * (eq.n_adv() + 1) as f64,
         8.0 * eq.n_adv() as f64,
     );
-    let cfg = LaunchConfig::tuned("s_alpha_source");
-    // Lane-tiled over interior x rows: alpha, div(u) and the RHS slots
-    // are all unit-stride in i within a row.
+    let d3 = dom.dims3();
     let kernel = AlphaSourceKernel {
         eq,
-        ny: dom.n[1],
+        n: dom.n,
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
         d3,
         block: d3.len(),
         state: state.as_slice(),
         divu,
-        rsl: ParSlice::new(rhs.as_mut_slice()),
     };
-    ctx.launch_vec(&cfg, cost, dom.n[1] * dom.n[2], dom.n[0], &kernel);
+    let (rows, items) = (dom.n[1] * dom.n[2], dom.interior_cells() as u64);
+    let gangs = ctx.gang_vec_scope(
+        rows,
+        items,
+        &mut vec![(); ctx.workers()],
+        [rhs.as_mut_slice()],
+        &kernel,
+        |()| {},
+    );
+    let lanes = ctx.vector_width();
+    ctx.record(
+        "s_alpha_source",
+        cost,
+        items,
+        gangs,
+        lanes,
+        t0,
+        t0.elapsed(),
+    );
 }
 
-/// Lane kernel of the alpha source: row = interior (j, k) line, col =
-/// interior x offset.
+/// Gang body of the alpha source over interior x rows, lane-tiled along
+/// each row: alpha, div(u) and the RHS slots are all unit-stride in i
+/// within a row.
 struct AlphaSourceKernel<'a> {
     eq: EqIdx,
-    ny: usize,
+    /// Interior cells per axis.
+    n: [usize; 3],
     pad: [usize; 3],
     d3: Dims3,
     block: usize,
     state: &'a [f64],
     divu: &'a [f64],
-    rsl: ParSlice<'a>,
 }
 
-impl LaneKernel for AlphaSourceKernel<'_> {
+impl AlphaSourceKernel<'_> {
     #[inline(always)]
-    fn packet<L: Lane>(&self, row: usize, col: usize) {
-        let i = col + self.pad[0];
-        let j = row % self.ny + self.pad[1];
-        let k = row / self.ny + self.pad[2];
-        let cell = self.d3.idx(i, j, k);
+    fn packet<L: Lane, O: AddView>(&self, cell: usize, rhs: &mut O) {
         let dv = L::load(&self.divu[cell..]);
         for a in 0..self.eq.n_adv() {
             let e = self.eq.adv(a);
             let alpha = L::load(&self.state[cell + e * self.block..]);
-            self.rsl.add_lanes(cell + e * self.block, alpha * dv);
+            rhs.add_lanes(cell + e * self.block, alpha * dv);
+        }
+    }
+}
+
+/// A gang's rows are interior (y, z) lines, walked in order: one division
+/// per gang, none per packet.
+impl LaneGangBody<(), (), 1> for AlphaSourceKernel<'_> {
+    fn run<L: Lane, O: AddView>(
+        &self,
+        _gang: usize,
+        rows: Range<usize>,
+        _: &mut (),
+        [rhs]: &mut [O; 1],
+    ) {
+        let [nx, ny, _] = self.n;
+        let (mut j, mut k) = (rows.start % ny, rows.start / ny);
+        for _ in rows {
+            let line = self.d3.idx(self.pad[0], j + self.pad[1], k + self.pad[2]);
+            let mut col = 0;
+            while col + L::WIDTH <= nx {
+                self.packet::<L, O>(line + col, rhs);
+                col += L::WIDTH;
+            }
+            while col < nx {
+                self.packet::<f64, O>(line + col, rhs);
+                col += 1;
+            }
+            j += 1;
+            if j == ny {
+                j = 0;
+                k += 1;
+            }
         }
     }
 }
@@ -375,7 +422,7 @@ mod tests {
         }
     }
 
-    /// A non-trivial smooth two-phase state in a 6x5x4 box.
+    /// A non-trivial smooth two-phase state on `dom`, in any dimension.
     fn smooth_state(dom: Domain, fluids: &[Fluid]) -> StateField {
         let eq = dom.eq;
         let mut prim = StateField::zeros(dom);
@@ -387,9 +434,10 @@ mod tests {
                     let a = 0.3 + 0.4 * s.sin().abs().min(0.99);
                     prim.set(i, j, k, eq.cont(0), 1.2 * a);
                     prim.set(i, j, k, eq.cont(1), 1000.0 * (1.0 - a));
-                    prim.set(i, j, k, eq.mom(0), 10.0 * s.cos());
-                    prim.set(i, j, k, eq.mom(1), -5.0 * s.sin());
-                    prim.set(i, j, k, eq.mom(2), 2.0);
+                    let u = [10.0 * s.cos(), -5.0 * s.sin(), 2.0];
+                    for (d, &ud) in u.iter().enumerate().take(eq.ndim()) {
+                        prim.set(i, j, k, eq.mom(d), ud);
+                    }
                     prim.set(i, j, k, eq.energy(), 1.0e5 * (1.0 + 0.1 * s.sin()));
                     prim.set(i, j, k, eq.adv(0), a);
                 }
@@ -428,6 +476,72 @@ mod tests {
         }
         for (k, r) in results.iter().enumerate() {
             assert!(r.0 == results[0].0 && r.1 == results[0].1, "run {k}");
+        }
+    }
+
+    /// `compute_rhs` overwrites every interior slot of `rhs` and div(u) and
+    /// writes no ghost: into buffers whose interior holds NaN and whose
+    /// ghosts hold a sentinel it gives the bits of an evaluation into
+    /// zeroed buffers, sentinels untouched — in 1-, 2- and 3-D, in both loop
+    /// orders, on one gang and forked, on the WENO5 and degraded WENO3
+    /// rungs. An x sweep that added instead of storing would leave NaN.
+    #[test]
+    fn stale_accumulators_are_overwritten_and_ghosts_untouched() {
+        let fluids = [Fluid::air(), Fluid::water()];
+        let sentinel = f64::from_bits(0x7ff4_dead_beef_0001);
+        for (n, ndim) in [([40, 1, 1], 1), ([40, 40, 1], 2), ([13, 12, 11], 3)] {
+            let dom = Domain::new(n, 3, EqIdx::new(2, ndim));
+            let grid = Grid::uniform(n, [0.0; 3], [1.0; 3]);
+            let cons = smooth_state(dom, &fluids);
+            let d3 = dom.dims3();
+            let interior: Vec<bool> = (0..d3.len())
+                .map(|c| {
+                    let (i, j, k) = (c % d3.n1, (c / d3.n1) % d3.n2, c / (d3.n1 * d3.n2));
+                    [i, j, k]
+                        .iter()
+                        .enumerate()
+                        .all(|(a, &x)| (dom.pad(a)..dom.pad(a) + dom.n[a]).contains(&x))
+                })
+                .collect();
+            let stale = |v: &mut [f64]| {
+                for (c, x) in v.iter_mut().enumerate() {
+                    *x = if interior[c % d3.len()] {
+                        f64::NAN
+                    } else {
+                        sentinel
+                    };
+                }
+            };
+            for order in [WenoOrder::Weno5, WenoOrder::Weno3] {
+                for mode in [RhsMode::Staged, RhsMode::Fused] {
+                    for workers in [1, 2] {
+                        let cfg = RhsConfig {
+                            order,
+                            mode,
+                            ..Default::default()
+                        };
+                        let ctx = Context::with_workers(workers);
+                        let label = format!("{ndim}-D {order:?} {mode:?} workers={workers}");
+                        let mut ws = RhsWorkspace::new(dom, &grid);
+                        let mut want = StateField::zeros(dom);
+                        compute_rhs(&ctx, &cfg, &fluids, &cons, &mut ws, &mut want);
+                        let want_divu = ws.divu.clone();
+                        let mut rhs = StateField::zeros(dom);
+                        stale(rhs.as_mut_slice());
+                        stale(&mut ws.divu);
+                        compute_rhs(&ctx, &cfg, &fluids, &cons, &mut ws, &mut rhs);
+                        for (what, got, want) in [
+                            ("rhs", rhs.as_slice(), want.as_slice()),
+                            ("div(u)", &ws.divu[..], &want_divu[..]),
+                        ] {
+                            for (c, (g, w)) in got.iter().zip(want).enumerate() {
+                                let expect = if interior[c % d3.len()] { *w } else { sentinel };
+                                assert_eq!(g.to_bits(), expect.to_bits(), "{label}: {what}[{c}]");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

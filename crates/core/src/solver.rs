@@ -320,6 +320,13 @@ impl Solver {
         &mut self.q
     }
 
+    /// The conservative state, the solver's workspaces freed with the rest
+    /// of it: what a final gather or snapshot copies, so that the copy is
+    /// never held alongside them.
+    pub fn into_state(self) -> StateField {
+        self.q
+    }
+
     /// Resume from a checkpointed state: replaces the conservative state
     /// and the simulation clock (see [`crate::restart`]) and resets the
     /// recovery ladder — what follows is a fresh deterministic run from
