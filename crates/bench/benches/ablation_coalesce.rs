@@ -22,9 +22,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use mfc_bench::transpose::transpose_2134_geam;
 use mfc_bench::{packed_buffer, BENCH_NF};
 use mfc_core::weno::weno5_cell;
-use mfc_layout::{transpose_2134_geam, Dims4, Flat4D};
 
 const N1: usize = 100;
 const N2: usize = 106; // y carries the ghosts for a y sweep
@@ -39,8 +39,7 @@ fn bench_coalescing(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("strided_gpu_like_order", |b| {
-        let d = xbuf.dims();
-        let s = xbuf.as_slice();
+        let s = &xbuf;
         b.iter(|| {
             let mut acc = 0.0;
             for f in 0..BENCH_NF {
@@ -50,7 +49,7 @@ fn bench_coalescing(c: &mut Criterion) {
                         // jump n1 elements — the uncoalesced pattern.
                         for m in 0..cells {
                             let jc = 2 + m;
-                            let base = d.idx(i, jc, k, f);
+                            let base = i + N1 * (jc + N2 * (k + N3 * f));
                             let (l, r) = weno5_cell(&[
                                 s[base - 2 * N1],
                                 s[base - N1],
@@ -68,8 +67,7 @@ fn bench_coalescing(c: &mut Criterion) {
     });
 
     g.bench_function("strided_cache_friendly_order", |b| {
-        let d = xbuf.dims();
-        let s = xbuf.as_slice();
+        let s = &xbuf;
         b.iter(|| {
             let mut acc = 0.0;
             for f in 0..BENCH_NF {
@@ -77,7 +75,7 @@ fn bench_coalescing(c: &mut Criterion) {
                     for m in 0..cells {
                         let jc = 2 + m;
                         for i in 0..N1 {
-                            let base = d.idx(i, jc, k, f);
+                            let base = i + N1 * (jc + N2 * (k + N3 * f));
                             let (l, r) = weno5_cell(&[
                                 s[base - 2 * N1],
                                 s[base - N1],
@@ -95,15 +93,15 @@ fn bench_coalescing(c: &mut Criterion) {
     });
 
     g.bench_function("reshape_then_unit_stride", |b| {
-        let mut ybuf = Flat4D::zeros(Dims4::new(N2, N1, N3, BENCH_NF));
+        let mut ybuf = vec![0.0; xbuf.len()];
         b.iter(|| {
             // The transpose is part of the cost, as in the paper.
-            transpose_2134_geam(&xbuf, &mut ybuf);
+            transpose_2134_geam(&xbuf, [N1, N2, N3, BENCH_NF], &mut ybuf);
             let mut acc = 0.0;
             for f in 0..BENCH_NF {
                 for k in 0..N3 {
                     for i in 0..N1 {
-                        let line = ybuf.line(i, k, f);
+                        let line = &ybuf[N2 * (i + N1 * (k + N3 * f))..][..N2];
                         for m in 0..cells {
                             let c = 2 + m;
                             let (l, r) = weno5_cell(&[

@@ -34,7 +34,7 @@ fn bench_layouts(c: &mut Criterion) {
             for f in 0..BENCH_NF {
                 for k in 0..N3 {
                     for j in 0..N2 {
-                        let line = flat.line(j, k, f);
+                        let line = &flat[N1 * (j + N2 * (k + N3 * f))..][..N1];
                         for m in 0..cells {
                             let c = 2 + m;
                             let (l, r) = weno5_cell(&[
@@ -58,19 +58,14 @@ fn bench_layouts(c: &mut Criterion) {
     g.bench_function("scalar_field_types", |b| {
         b.iter(|| {
             let mut acc = 0.0;
-            for f in 0..BENCH_NF {
+            for sf in &aos {
                 for k in 0..N3 {
                     for j in 0..N2 {
                         for m in 0..cells {
                             let c = 2 + m;
-                            let sf = aos.field(f);
-                            let (l, r) = weno5_cell(&[
-                                sf.get(c - 2, j, k),
-                                sf.get(c - 1, j, k),
-                                sf.get(c, j, k),
-                                sf.get(c + 1, j, k),
-                                sf.get(c + 2, j, k),
-                            ]);
+                            let at = |i: usize| sf[i + N1 * (j + N2 * k)];
+                            let (l, r) =
+                                weno5_cell(&[at(c - 2), at(c - 1), at(c), at(c + 1), at(c + 2)]);
                             acc += l + r;
                         }
                     }

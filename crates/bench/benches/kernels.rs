@@ -12,15 +12,15 @@ use mfc_core::fluid::{Fluid, FluidTable};
 use mfc_core::isa;
 use mfc_core::riemann::RiemannSolver;
 use mfc_core::weno::{self, WenoOrder};
-use mfc_layout::{Dims4, Flat4D};
 
 /// The sweep stage's WENO work: the line kernel over every line of a
 /// direction-coalesced buffer, one line per variable per transverse line.
 fn bench_weno(c: &mut Criterion) {
     let n = BENCH_N;
     let mut g = c.benchmark_group("weno_kernel");
-    let fdims = Dims4::new(n + 1, n / 8, 8, BENCH_NF);
-    g.throughput(Throughput::Elements(fdims.len() as u64));
+    // `n / 8 * 8` lines per field, as `packed` below holds.
+    let faces = (n + 1) * (n / 8) * 8 * BENCH_NF;
+    g.throughput(Throughput::Elements(faces as u64));
     g.sample_size(10);
     for (name, order) in [
         ("weno5", WenoOrder::Weno5),
@@ -30,19 +30,17 @@ fn bench_weno(c: &mut Criterion) {
         // The packed buffer's ghost width must match the stencil.
         let ng = order.ghost_layers();
         let packed = packed_buffer(n + 2 * ng, n / 8, 8, BENCH_NF);
-        let mut left = Flat4D::zeros(fdims);
-        let mut right = Flat4D::zeros(fdims);
+        let (mut left, mut right) = (vec![0.0; faces], vec![0.0; faces]);
         g.bench_function(name, |b| {
             b.iter(|| {
                 for ((line, l), r) in packed
-                    .as_slice()
                     .chunks_exact(n + 2 * ng)
-                    .zip(left.as_mut_slice().chunks_exact_mut(n + 1))
-                    .zip(right.as_mut_slice().chunks_exact_mut(n + 1))
+                    .zip(left.chunks_exact_mut(n + 1))
+                    .zip(right.chunks_exact_mut(n + 1))
                 {
                     weno::reconstruct_line_padded(order, line, ng, n, l, r);
                 }
-                std::hint::black_box(left.as_slice()[0])
+                std::hint::black_box(left[0])
             })
         });
     }

@@ -276,6 +276,29 @@ impl CaseFile {
         if !(1..=3).contains(&self.ndim) {
             return Err(format!("ndim must be 1..=3, got {}", self.ndim));
         }
+        // `Fluid::new`'s asserts, which deserializing skips, plus the
+        // mixture terms the EOS forms from them: each must be finite.
+        for (i, f) in self.fluids.iter().enumerate() {
+            if !(f.gamma.is_finite() && f.gamma > 1.0) {
+                return Err(format!(
+                    "fluids[{i}].gamma must be finite and > 1, got {}",
+                    f.gamma
+                ));
+            }
+            if !(f.pi_inf.is_finite() && f.pi_inf >= 0.0 && f.big_pi().is_finite()) {
+                return Err(format!(
+                    "fluids[{i}].pi_inf must be finite and >= 0 with gamma*pi_inf/(gamma-1) \
+                     finite, got {}",
+                    f.pi_inf
+                ));
+            }
+            if !(f.viscosity.is_finite() && f.viscosity >= 0.0) {
+                return Err(format!(
+                    "fluids[{i}].viscosity must be finite and >= 0, got {}",
+                    f.viscosity
+                ));
+            }
+        }
         if self.patches.is_empty() {
             return Err("at least one patch is required".into());
         }

@@ -450,6 +450,22 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         "rank7.json",
         r#"{ "deaths": [ { "rank": 7, "step": 1 } ] }"#,
     );
+    scratch.write(
+        "drop79.json",
+        r#"{ "drops": [ { "src": 7, "dst": 9, "nth": 0 } ] }"#,
+    );
+    scratch.write(
+        "delay03.json",
+        r#"{ "delays": [ { "src": 0, "dst": 3, "nth": 0, "hold": 2 } ] }"#,
+    );
+    scratch.write(
+        "reorder40.json",
+        r#"{ "reorders": [ { "src": 4, "dst": 0, "nth": 1 } ] }"#,
+    );
+    scratch.write(
+        "stall5.json",
+        r#"{ "stalls": [ { "rank": 5, "step": 1, "millis": 1 } ] }"#,
+    );
     scratch.write("not_a_plan.json", "[");
     scratch.write("not_a_ladder.json", r#"{ "ladder": ["pray"] }"#);
     let distributed = |c: &mut CaseFile| {
@@ -458,7 +474,7 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         c.run.ranks = 2;
     };
     type Row<'a> = (&'a str, i32, &'a dyn Fn(&mut CaseFile));
-    let rows: [Row; 28] = [
+    let rows: [Row; 37] = [
         ("numerics.cfl must be in (0, 1]", 2, &|c| {
             c.numerics.cfl = 0.0
         }),
@@ -503,6 +519,24 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
             c.cells = [32, 32, 1];
             c.bc = BcConfig::Uniform(BcKind::Periodic);
             c.numerics.geometry = Geometry::Axisymmetric;
+        }),
+        // Fluids deserialize without `Fluid::new`'s asserts: on the parent
+        // each of these was admitted and the run exited 4 at step 0 (or,
+        // for the viscosity, ran on).
+        ("fluids[0].gamma must be finite and > 1, got 0.5", 2, &|c| {
+            c.fluids[0].gamma = 0.5
+        }),
+        ("fluids[0].gamma must be finite and > 1, got 1", 2, &|c| {
+            c.fluids[0].gamma = 1.0
+        }),
+        ("fluids[0].pi_inf must be finite and >= 0", 2, &|c| {
+            c.fluids[0].pi_inf = -5.0
+        }),
+        ("fluids[0].pi_inf must be finite and >= 0", 2, &|c| {
+            c.fluids[0].pi_inf = 1e308
+        }),
+        ("fluids[0].viscosity must be finite and >= 0", 2, &|c| {
+            c.fluids[0].viscosity = -1e-3
         }),
         ("patches[0] must be the `all` background", 2, &|c| {
             c.patches.remove(0);
@@ -567,6 +601,35 @@ fn every_admission_rule_refuses_identically_at_every_entry_point() {
         ("bad fault plan", 2, &|c| {
             distributed(c);
             c.run.faults = Some("not_a_plan.json".into());
+        }),
+        // On the parent these plans were admitted and injected nothing.
+        (
+            "drops message 0 from rank 7 to rank 9 but the world has only 2",
+            2,
+            &|c| {
+                distributed(c);
+                c.run.faults = Some("drop79.json".into());
+            },
+        ),
+        (
+            "delays message 0 from rank 0 to rank 3 but the world has only 2",
+            2,
+            &|c| {
+                distributed(c);
+                c.run.faults = Some("delay03.json".into());
+            },
+        ),
+        (
+            "reorders message 1 from rank 4 to rank 0 but the world has only 2",
+            2,
+            &|c| {
+                distributed(c);
+                c.run.faults = Some("reorder40.json".into());
+            },
+        ),
+        ("stalls rank 5 but the world has only 2 ranks", 2, &|c| {
+            distributed(c);
+            c.run.faults = Some("stall5.json".into());
         }),
         ("bad recovery ladder", 2, &|c| {
             c.run.recovery = Some("not_a_ladder.json".into())

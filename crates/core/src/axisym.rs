@@ -87,7 +87,6 @@ pub fn axisym_source(
         8.0 * neq as f64,
     );
     let cfg = LaunchConfig::tuned("s_axisym_source");
-    let d3 = dom.dims3();
     let kernel = AxisymKernel {
         eq,
         fluids: &FluidTable::new(fluids),
@@ -95,9 +94,9 @@ pub fn axisym_source(
         radii,
         ny: dom.n[1],
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-        ext1: d3.n1,
-        ext2: d3.n2,
-        block: d3.len(),
+        ext1: dom.ext(0),
+        ext2: dom.ext(1),
+        block: dom.total_cells(),
         rsl: ParSlice::new(rhs.as_mut_slice()),
     };
     ctx.launch_vec(&cfg, cost, dom.n[1] * dom.n[2], dom.n[0], &kernel);
@@ -182,7 +181,6 @@ pub fn cylindrical_source(
         8.0 * neq as f64,
     );
     let cfg = LaunchConfig::tuned("s_cylindrical_source");
-    let d3 = dom.dims3();
     let kernel = CylindricalKernel {
         eq,
         fluids: &FluidTable::new(fluids),
@@ -190,9 +188,9 @@ pub fn cylindrical_source(
         radii,
         ny: dom.n[1],
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-        ext1: d3.n1,
-        ext2: d3.n2,
-        block: d3.len(),
+        ext1: dom.ext(0),
+        ext2: dom.ext(1),
+        block: dom.total_cells(),
         rsl: ParSlice::new(rhs.as_mut_slice()),
     };
     ctx.launch_vec(&cfg, cost, dom.n[1] * dom.n[2], dom.n[0], &kernel);

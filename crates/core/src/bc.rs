@@ -78,7 +78,7 @@ pub fn apply_bcs(ctx: &Context, field: &mut StateField, bc: &BcSpec, skip: [(boo
     let neq = eq.neq();
     let cost = KernelCost::new(KernelClass::Other, 1.0, 8.0 * neq as f64, 8.0 * neq as f64);
     let cfg = LaunchConfig::tuned("s_populate_buffers");
-    let block = dom.dims3().len();
+    let block = dom.total_cells();
 
     for (axis, &(skip_lo, skip_hi)) in skip.iter().enumerate().take(eq.ndim()) {
         let n = dom.n[axis];
@@ -245,7 +245,7 @@ mod tests {
                         for skipped in [lo, hi] {
                             if !skipped {
                                 launches += 1;
-                                ghosts += (dom.dims3().len() / dom.ext(d) * dom.ng) as u64;
+                                ghosts += (dom.total_cells() / dom.ext(d) * dom.ng) as u64;
                             }
                         }
                     }

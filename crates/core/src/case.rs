@@ -196,8 +196,8 @@ impl CaseBuilder {
         let global = self.grid();
         let table = FluidTable::new(&self.fluids);
         let mut cons = StateField::zeros(*dom);
-        let d3 = dom.dims3();
-        let (neq, block) = (eq.neq(), d3.len());
+        let (neq, block) = (eq.neq(), dom.total_cells());
+        let (n1, n2) = (dom.ext(0), dom.ext(1));
         let (mut prim, mut cell) = (eq.vars::<f64>(), eq.vars::<f64>());
         let states = self.patch_states();
         let out = cons.as_mut_slice();
@@ -213,10 +213,10 @@ impl CaseBuilder {
                 0.0
             }
         };
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
+        for k in 0..dom.ext(2) {
+            for j in 0..n2 {
                 let (y, z) = (center(1, j), center(2, k));
-                for i in 0..d3.n1 {
+                for i in 0..n1 {
                     let state = self.paint(&states, [center(0, i), y, z]);
                     for f in 0..eq.nf() {
                         prim[eq.cont(f)] = state.alpha[f].max(1e-8) * state.rho[f];
@@ -229,7 +229,7 @@ impl CaseBuilder {
                         prim[eq.adv(a)] = state.alpha[a].clamp(1e-8, 1.0 - 1e-8);
                     }
                     prim_to_cons(&eq, &table, &prim[..neq], &mut cell[..neq]);
-                    let at = i + d3.n1 * (j + d3.n2 * k);
+                    let at = i + n1 * (j + n2 * k);
                     for (e, v) in cell[..neq].iter().enumerate() {
                         out[at + e * block] = *v;
                     }

@@ -1,7 +1,5 @@
 //! Local domain extents and ghost-cell bookkeeping.
 
-use mfc_layout::{Dims3, Dims4};
-
 use crate::eqidx::EqIdx;
 
 /// Upper bound on the state-vector length (`2*MAX_FLUIDS + ndim` with
@@ -54,16 +52,6 @@ impl Domain {
         self.n[d] + 2 * self.pad(d)
     }
 
-    /// Ghost-inclusive spatial extents.
-    pub fn dims3(&self) -> Dims3 {
-        Dims3::new(self.ext(0), self.ext(1), self.ext(2))
-    }
-
-    /// Ghost-inclusive 4-D extents (spatial × equations).
-    pub fn dims4(&self) -> Dims4 {
-        Dims4::from_spatial(self.dims3(), self.eq.neq())
-    }
-
     /// Number of interior cells.
     pub fn interior_cells(&self) -> usize {
         self.n[0] * self.n[1] * self.n[2]
@@ -102,14 +90,6 @@ mod tests {
         assert_eq!(d.ext(1), 1);
         assert_eq!(d.ext(2), 1);
         assert_eq!(d.pad(1), 0);
-    }
-
-    #[test]
-    fn dims4_includes_equations() {
-        let eq = EqIdx::new(2, 2);
-        let d = Domain::new([8, 4, 1], 2, eq);
-        let d4 = d.dims4();
-        assert_eq!((d4.n1, d4.n2, d4.n3, d4.n4), (12, 8, 1, eq.neq()));
     }
 
     #[test]

@@ -490,8 +490,7 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         w: &'a [f64],
         radial: Option<&'a [f64]>,
     ) -> Self {
-        let d3 = dom.dims3();
-        let (n1, n2, n3) = (d3.n1, d3.n2, d3.n3);
+        let (n1, n2, n3) = (dom.ext(0), dom.ext(1), dom.ext(2));
         let (bq, bcount, oq, _) = batching(dom, axis);
         let s_n = dom.n[axis];
         Sweep {
@@ -1237,7 +1236,7 @@ mod tests {
         let [_, fs, us] = PencilScratch::new(dom, 1).slot;
         let flux: Vec<f64> = (0..fs).map(|i| hash(i, 1) * 1e3).collect();
         let ustar: Vec<f64> = (0..us).map(|i| hash(i, 2)).collect();
-        let cells = dom.dims3().len();
+        let cells = dom.total_cells();
         let rhs0: Vec<f64> = (0..cells * dom.eq.neq()).map(|i| hash(i, 3)).collect();
         let divu0: Vec<f64> = (0..cells).map(|i| hash(i, 4)).collect();
         let run = |tier: Tier, shared: bool| {
@@ -1316,7 +1315,7 @@ mod tests {
         let fluids = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         let cfg = RhsConfig::default();
         for (dom, axes) in entry_domains() {
-            let q: Vec<f64> = (0..dom.dims3().len() * dom.eq.neq())
+            let q: Vec<f64> = (0..dom.total_cells() * dom.eq.neq())
                 .map(|i| hash(i, 7))
                 .collect();
             let widths = vec![1.0; 64];

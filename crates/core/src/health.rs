@@ -183,7 +183,6 @@ fn scan_at(
     // preserves the exact "first violation in x-fastest order" semantics
     // (and bitwise-identical primitives and rates, since the lane
     // arithmetic is the generic scalar op sequence per lane).
-    let d3 = dom.dims3();
     let table = FluidTable::new(fluids);
     let vw = ctx.vector_width();
     let results = with_eq_layout!(eq, eq => {
@@ -197,9 +196,9 @@ fn scan_at(
             nx,
             ny,
             pad: [px, py, pz],
-            ext1: d3.n1,
-            ext2: d3.n2,
-            block: d3.len(),
+            ext1: dom.ext(0),
+            ext2: dom.ext(1),
+            block: dom.total_cells(),
         };
         ctx.launch_gangs(
             &cfg,
@@ -412,11 +411,10 @@ mod tests {
         let dom = Domain::new([6, 4, 1], 2, EqIdx::new(2, 2));
         let mut prim = StateField::zeros(dom);
         let eq = dom.eq;
-        let d3 = dom.dims3();
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
-                for i in 0..d3.n1 {
-                    let a = 0.3 + 0.4 * (i as f64 / d3.n1 as f64);
+        for k in 0..dom.ext(2) {
+            for j in 0..dom.ext(1) {
+                for i in 0..dom.ext(0) {
+                    let a = 0.3 + 0.4 * (i as f64 / dom.ext(0) as f64);
                     prim.set(i, j, k, eq.cont(0), 1.2 * a);
                     prim.set(i, j, k, eq.cont(1), 1000.0 * (1.0 - a));
                     prim.set(i, j, k, eq.mom(0), 5.0);
@@ -507,10 +505,9 @@ mod tests {
         let dom = Domain::new(n, 3, EqIdx::new(2, 2));
         let eq = dom.eq;
         let mut prim = StateField::zeros(dom);
-        let d3 = dom.dims3();
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
-                for i in 0..d3.n1 {
+        for k in 0..dom.ext(2) {
+            for j in 0..dom.ext(1) {
+                for i in 0..dom.ext(0) {
                     let h = |s: usize| ((i * 7 + j * 31 + k * 13 + s) * 2654435761 % 1000) as f64;
                     let a = 0.05 + 0.9e-3 * h(0);
                     prim.set(i, j, k, eq.cont(0), 1.2 * a);

@@ -1060,7 +1060,7 @@ fn slab_runs(
 
 /// Values in the slab of [`slab_runs`].
 fn slab_len(dom: &Domain, axis: usize, count: usize) -> usize {
-    count * dom.eq.neq() * dom.dims3().len() / dom.ext(axis)
+    count * dom.eq.neq() * dom.total_cells() / dom.ext(axis)
 }
 
 /// Pack `count` layers starting at padded index `lo` along `axis`, full

@@ -29,7 +29,6 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use mfc_acc::{AddView, Context, KernelClass, KernelCost, Lane, LaneGangBody};
-use mfc_layout::Dims3;
 
 use crate::axisym::Geometry;
 use crate::domain::Domain;
@@ -121,13 +120,12 @@ pub struct RhsWorkspace {
 
 impl RhsWorkspace {
     pub fn new(dom: Domain, grid: &Grid) -> Self {
-        let d3 = dom.dims3();
         let widths = [
             grid.x.widths_with_ghosts(dom.pad(0)),
             grid.y.widths_with_ghosts(dom.pad(1)),
             grid.z.widths_with_ghosts(dom.pad(2)),
         ];
-        let mut radii = vec![1.0; d3.n2];
+        let mut radii = vec![1.0; dom.ext(1)];
         for (j, r) in radii.iter_mut().enumerate() {
             let jj = j as isize - dom.pad(1) as isize;
             let centers = grid.y.centers();
@@ -143,7 +141,7 @@ impl RhsWorkspace {
         RhsWorkspace {
             dom,
             prim: StateField::zeros(dom),
-            divu: vec![0.0; d3.len()],
+            divu: vec![0.0; dom.total_cells()],
             widths,
             radii,
             fused: Vec::new(),
@@ -238,13 +236,13 @@ fn alpha_source(
         8.0 * (eq.n_adv() + 1) as f64,
         8.0 * eq.n_adv() as f64,
     );
-    let d3 = dom.dims3();
     let kernel = AlphaSourceKernel {
         eq,
         n: dom.n,
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-        d3,
-        block: d3.len(),
+        ext1: dom.ext(0),
+        ext2: dom.ext(1),
+        block: dom.total_cells(),
         state: state.as_slice(),
         divu,
     };
@@ -277,7 +275,9 @@ struct AlphaSourceKernel<'a> {
     /// Interior cells per axis.
     n: [usize; 3],
     pad: [usize; 3],
-    d3: Dims3,
+    /// Ghost-inclusive cells per x line and per y column.
+    ext1: usize,
+    ext2: usize,
     block: usize,
     state: &'a [f64],
     divu: &'a [f64],
@@ -308,7 +308,7 @@ impl LaneGangBody<(), (), 1> for AlphaSourceKernel<'_> {
         let [nx, ny, _] = self.n;
         let (mut j, mut k) = (rows.start % ny, rows.start / ny);
         for _ in rows {
-            let line = self.d3.idx(self.pad[0], j + self.pad[1], k + self.pad[2]);
+            let line = self.pad[0] + self.ext1 * (j + self.pad[1] + self.ext2 * (k + self.pad[2]));
             let mut col = 0;
             while col + L::WIDTH <= nx {
                 self.packet::<L, O>(line + col, rhs);
@@ -336,10 +336,9 @@ mod tests {
     fn uniform_state(dom: Domain, fluids: &[Fluid], u: [f64; 3], p: f64) -> StateField {
         let eq = dom.eq;
         let mut prim = StateField::zeros(dom);
-        let d3 = dom.dims3();
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
-                for i in 0..d3.n1 {
+        for k in 0..dom.ext(2) {
+            for j in 0..dom.ext(1) {
+                for i in 0..dom.ext(0) {
                     prim.set(i, j, k, eq.cont(0), 1.2 * 0.6);
                     if eq.nf() > 1 {
                         prim.set(i, j, k, eq.cont(1), 1000.0 * 0.4);
@@ -415,9 +414,8 @@ mod tests {
         let cfg = RhsConfig::default();
         compute_rhs(&ctx, &cfg, &fluids, &cons, &mut ws, &mut rhs);
         // Interior (away from unfilled ghost effects): divu ≈ 0.01.
-        let d3 = dom.dims3();
         for i in 8..n - 8 {
-            let dv = ws.divu()[d3.idx(i + 3, 0, 0)];
+            let dv = ws.divu()[i + 3];
             assert!((dv - 0.01).abs() < 1e-4, "divu[{i}] = {dv}");
         }
     }
@@ -426,10 +424,9 @@ mod tests {
     fn smooth_state(dom: Domain, fluids: &[Fluid]) -> StateField {
         let eq = dom.eq;
         let mut prim = StateField::zeros(dom);
-        let d3 = dom.dims3();
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
-                for i in 0..d3.n1 {
+        for k in 0..dom.ext(2) {
+            for j in 0..dom.ext(1) {
+                for i in 0..dom.ext(0) {
                     let s = (i + 2 * j + 3 * k) as f64 * 0.05;
                     let a = 0.3 + 0.4 * s.sin().abs().min(0.99);
                     prim.set(i, j, k, eq.cont(0), 1.2 * a);
@@ -493,10 +490,10 @@ mod tests {
             let dom = Domain::new(n, 3, EqIdx::new(2, ndim));
             let grid = Grid::uniform(n, [0.0; 3], [1.0; 3]);
             let cons = smooth_state(dom, &fluids);
-            let d3 = dom.dims3();
-            let interior: Vec<bool> = (0..d3.len())
+            let interior: Vec<bool> = (0..dom.total_cells())
                 .map(|c| {
-                    let (i, j, k) = (c % d3.n1, (c / d3.n1) % d3.n2, c / (d3.n1 * d3.n2));
+                    let (n1, n2) = (dom.ext(0), dom.ext(1));
+                    let (i, j, k) = (c % n1, (c / n1) % n2, c / (n1 * n2));
                     [i, j, k]
                         .iter()
                         .enumerate()
@@ -505,7 +502,7 @@ mod tests {
                 .collect();
             let stale = |v: &mut [f64]| {
                 for (c, x) in v.iter_mut().enumerate() {
-                    *x = if interior[c % d3.len()] {
+                    *x = if interior[c % dom.total_cells()] {
                         f64::NAN
                     } else {
                         sentinel
@@ -535,7 +532,11 @@ mod tests {
                             ("div(u)", &ws.divu[..], &want_divu[..]),
                         ] {
                             for (c, (g, w)) in got.iter().zip(want).enumerate() {
-                                let expect = if interior[c % d3.len()] { *w } else { sentinel };
+                                let expect = if interior[c % dom.total_cells()] {
+                                    *w
+                                } else {
+                                    sentinel
+                                };
                                 assert_eq!(g.to_bits(), expect.to_bits(), "{label}: {what}[{c}]");
                             }
                         }

@@ -1,27 +1,31 @@
 //! The flow state: a flattened, x-coalesced 4-D array plus sweep kernels.
 
 use mfc_acc::{Context, KernelClass, KernelCost, Lane, LaneKernel, LaunchConfig, ParSlice};
-use mfc_layout::Flat4D;
 
 use crate::domain::Domain;
 use crate::eos::{cons_to_prim, prim_to_cons};
 use crate::eqidx::{with_eq_layout, EqLayout};
 use crate::fluid::{Fluid, FluidTable};
 
-/// The state of one block: ghost-inclusive cells × equations, stored as a
-/// single contiguous [`Flat4D`] with x fastest and the equation index
-/// slowest — the packed layout the paper converged on for all hot kernels.
+/// The state of one block: ghost-inclusive cells × equations, stored as one
+/// contiguous array with x fastest and the equation index slowest — the
+/// packed layout the paper converged on for all hot kernels. Element
+/// `(i, j, k, e)` sits at `i + n1*(j + n2*(k + n3*e))`, where `n1`, `n2`,
+/// `n3` are the ghost-inclusive extents, fixed at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateField {
     dom: Domain,
-    data: Flat4D,
+    /// Ghost-inclusive extents `[n1, n2, n3]` of `dom`.
+    ext: [usize; 3],
+    data: Vec<f64>,
 }
 
 impl StateField {
     pub fn zeros(dom: Domain) -> Self {
         StateField {
             dom,
-            data: Flat4D::zeros(dom.dims4()),
+            ext: [dom.ext(0), dom.ext(1), dom.ext(2)],
+            data: vec![0.0; dom.total_cells() * dom.eq.neq()],
         }
     }
 
@@ -30,22 +34,36 @@ impl StateField {
         &self.dom
     }
 
+    /// Linear index of element `(i, j, k, e)`.
+    #[inline(always)]
+    fn idx(&self, i: usize, j: usize, k: usize, e: usize) -> usize {
+        let [n1, n2, n3] = self.ext;
+        debug_assert!(
+            i < n1 && j < n2 && k < n3 && e < self.dom.eq.neq(),
+            "index ({i},{j},{k},{e}) out of bounds for {:?} x {}",
+            self.ext,
+            self.dom.eq.neq()
+        );
+        i + n1 * (j + n2 * (k + n3 * e))
+    }
+
     /// Ghost-inclusive element access.
     #[inline(always)]
     pub fn get(&self, i: usize, j: usize, k: usize, e: usize) -> f64 {
-        self.data.get(i, j, k, e)
+        self.data[self.idx(i, j, k, e)]
     }
 
     #[inline(always)]
     pub fn set(&mut self, i: usize, j: usize, k: usize, e: usize, v: f64) {
-        self.data.set(i, j, k, e, v);
+        let at = self.idx(i, j, k, e);
+        self.data[at] = v;
     }
 
     /// Copy one cell's state vector into stack scratch.
     #[inline(always)]
     pub fn load_cell(&self, i: usize, j: usize, k: usize, out: &mut [f64]) {
         for (e, o) in out.iter_mut().enumerate().take(self.dom.eq.neq()) {
-            *o = self.data.get(i, j, k, e);
+            *o = self.get(i, j, k, e);
         }
     }
 
@@ -53,46 +71,37 @@ impl StateField {
     #[inline(always)]
     pub fn store_cell(&mut self, i: usize, j: usize, k: usize, cell: &[f64]) {
         for (e, &v) in cell.iter().enumerate().take(self.dom.eq.neq()) {
-            self.data.set(i, j, k, e, v);
+            self.set(i, j, k, e, v);
         }
     }
 
     /// The contiguous 3-D block of one equation.
     #[inline]
     pub fn eq_slice(&self, e: usize) -> &[f64] {
-        let d = self.data.dims();
-        let block = d.n1 * d.n2 * d.n3;
-        &self.data.as_slice()[e * block..(e + 1) * block]
+        let block = self.dom.total_cells();
+        &self.data[e * block..(e + 1) * block]
     }
 
     /// Mutable variant of [`StateField::eq_slice`].
     #[inline]
     pub fn eq_slice_mut(&mut self, e: usize) -> &mut [f64] {
-        let d = self.data.dims();
-        let block = d.n1 * d.n2 * d.n3;
-        &mut self.data.as_mut_slice()[e * block..(e + 1) * block]
+        let block = self.dom.total_cells();
+        &mut self.data[e * block..(e + 1) * block]
     }
 
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        self.data.as_slice()
+        &self.data
     }
 
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data.as_mut_slice()
-    }
-
-    #[inline]
-    pub fn flat(&self) -> &Flat4D {
-        &self.data
+        &mut self.data
     }
 
     /// `self = a*x + b*y` elementwise — the SSP-RK stage combination.
     pub fn lincomb(&mut self, a: f64, x: &StateField, b: f64, y: &StateField) {
-        let out = self.data.as_mut_slice();
-        let xs = x.data.as_slice();
-        let ys = y.data.as_slice();
+        let (out, xs, ys) = (&mut self.data, &x.data, &y.data);
         assert_eq!(out.len(), xs.len());
         assert_eq!(out.len(), ys.len());
         for ((o, &xv), &yv) in out.iter_mut().zip(xs).zip(ys) {
@@ -102,8 +111,7 @@ impl StateField {
 
     /// `self += s * other` elementwise.
     pub fn axpy(&mut self, s: f64, other: &StateField) {
-        let out = self.data.as_mut_slice();
-        let os = other.data.as_slice();
+        let (out, os) = (&mut self.data, &other.data);
         assert_eq!(out.len(), os.len());
         for (o, &v) in out.iter_mut().zip(os) {
             *o += s * v;
@@ -116,9 +124,7 @@ impl StateField {
     /// copy, so the result is bitwise theirs without the field-sized
     /// temporary or the two extra sweeps over memory.
     pub fn ssp_combine(&mut self, a: f64, q0: &StateField, b: f64, dt: f64, rhs: &StateField) {
-        let out = self.data.as_mut_slice();
-        let q0s = q0.data.as_slice();
-        let rs = rhs.data.as_slice();
+        let (out, q0s, rs) = (&mut self.data, &q0.data, &rhs.data);
         assert_eq!(out.len(), q0s.len());
         assert_eq!(out.len(), rs.len());
         for ((o, &q0v), &rv) in out.iter_mut().zip(q0s).zip(rs) {
@@ -128,7 +134,7 @@ impl StateField {
     }
 
     pub fn fill(&mut self, v: f64) {
-        self.data.as_mut_slice().fill(v);
+        self.data.fill(v);
     }
 }
 
@@ -171,7 +177,6 @@ fn convert_cells(
     let dom = *src.domain();
     assert_eq!(out.domain(), &dom);
     let neq = dom.eq.neq();
-    let d3 = dom.dims3();
     let cost = KernelCost::new(
         KernelClass::Other,
         convert_flops(&dom),
@@ -193,11 +198,11 @@ fn convert_cells(
             fluids: &table,
             src: src.as_slice(),
             out: ParSlice::new(out.as_mut_slice()),
-            row_len: d3.n1,
-            block: d3.len(),
+            row_len: dom.ext(0),
+            block: dom.total_cells(),
             to_prim,
         };
-        ctx.launch_vec(&cfg, cost, d3.n2 * d3.n3, d3.n1, &kernel)
+        ctx.launch_vec(&cfg, cost, dom.ext(1) * dom.ext(2), dom.ext(0), &kernel)
     });
 }
 
@@ -252,11 +257,10 @@ mod tests {
     fn sample_prim_field(dom: Domain) -> StateField {
         let mut s = StateField::zeros(dom);
         let eq = dom.eq;
-        let d3 = dom.dims3();
-        for k in 0..d3.n3 {
-            for j in 0..d3.n2 {
-                for i in 0..d3.n1 {
-                    let a = 0.2 + 0.6 * (i as f64 / d3.n1 as f64);
+        for k in 0..dom.ext(2) {
+            for j in 0..dom.ext(1) {
+                for i in 0..dom.ext(0) {
+                    let a = 0.2 + 0.6 * (i as f64 / dom.ext(0) as f64);
                     s.set(i, j, k, eq.cont(0), 1.2 * a);
                     s.set(i, j, k, eq.cont(1), 1000.0 * (1.0 - a));
                     s.set(i, j, k, eq.mom(0), 10.0 + i as f64);
@@ -275,6 +279,35 @@ mod tests {
         s.set(0, 0, 0, 1, 42.0);
         assert_eq!(s.eq_slice(1)[0], 42.0);
         assert_eq!(s.eq_slice(0)[0], 0.0);
+    }
+
+    #[test]
+    fn linear_index_is_fortran_ordered() {
+        // Ghost-inclusive 8 x 7 x 1 cells, 6 equations.
+        let d = dom();
+        let [n1, n2, n3, neq] = [d.ext(0), d.ext(1), d.ext(2), d.eq.neq()];
+        assert_eq!([n1, n2, n3, neq], [8, 7, 1, 6]);
+        let mut s = StateField::zeros(d);
+        assert_eq!(s.as_slice().len(), d.total_cells() * neq);
+        let code = |i: usize, j: usize, e: usize| (1000 * e + 10 * j + i) as f64;
+        for e in 0..neq {
+            for j in 0..n2 {
+                for i in 0..n1 {
+                    s.set(i, j, 0, e, code(i, j, e));
+                }
+            }
+        }
+        for e in 0..neq {
+            for j in 0..n2 {
+                // An x line is contiguous; equations are slowest.
+                let at = n1 * (j + n2 * n3 * e);
+                let line: Vec<f64> = (0..n1).map(|i| code(i, j, e)).collect();
+                assert_eq!(&s.as_slice()[at..at + n1], &line[..]);
+                for i in 0..n1 {
+                    assert_eq!(s.get(i, j, 0, e), code(i, j, e));
+                }
+            }
+        }
     }
 
     #[test]

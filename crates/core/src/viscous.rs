@@ -44,7 +44,6 @@ pub fn add_viscous_fluxes(
         8.0 * (ndim + 1) as f64,
     );
     let cfg = LaunchConfig::tuned("s_viscous_flux");
-    let d3 = dom.dims3();
     let kernel = ViscousKernel {
         eq,
         fluids,
@@ -53,8 +52,8 @@ pub fn add_viscous_fluxes(
         ndim,
         ny: dom.n[1],
         pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-        stride: [1, d3.n1, d3.n1 * d3.n2],
-        block: d3.len(),
+        stride: [1, dom.ext(0), dom.ext(0) * dom.ext(1)],
+        block: dom.total_cells(),
         rsl: ParSlice::new(rhs.as_mut_slice()),
     };
     ctx.launch_vec(&cfg, cost, dom.n[1] * dom.n[2], dom.n[0], &kernel);
@@ -334,7 +333,6 @@ mod tests {
             prim.set(i, 0, 0, eq.energy(), 1.0e5);
             prim.set(i, 0, 0, eq.adv(0), 0.25);
         }
-        let d3 = dom.dims3();
         let c = [4, dom.pad(1), dom.pad(2)];
         let mut rhs = StateField::zeros(dom);
         let kernel = ViscousKernel {
@@ -345,11 +343,11 @@ mod tests {
             ndim: 1,
             ny: 1,
             pad: [dom.pad(0), dom.pad(1), dom.pad(2)],
-            stride: [1, d3.n1, d3.n1 * d3.n2],
-            block: d3.len(),
+            stride: [1, dom.ext(0), dom.ext(0) * dom.ext(1)],
+            block: dom.total_cells(),
             rsl: ParSlice::new(rhs.as_mut_slice()),
         };
-        let base = c[0] + d3.n1 * (c[1] + d3.n2 * c[2]);
+        let base = c[0] + dom.ext(0) * (c[1] + dom.ext(1) * c[2]);
         let mu: f64 = kernel.mu_at(CellRef { base, c });
         assert!((mu - (0.25 * 2.0 + 0.75 * 10.0)).abs() < 1e-12);
         assert!(is_viscous(&fluids));

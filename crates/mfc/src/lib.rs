@@ -7,8 +7,6 @@
 //!   IBM, distributed halo exchange).
 //! * [`mfc_acc`] (`acc`) — the directive-style execution model with the
 //!   FLOP/byte profiling ledger (the OpenACC substitute).
-//! * [`mfc_layout`] (`layout`) — scalar-field vs flat coalesced array layouts
-//!   and the GEAM-style transposes.
 //! * [`mfc_mpsim`] (`mpsim`) — the rank simulator, cartesian decomposition,
 //!   comm cost model, and wave-throttled I/O.
 //! * [`mfc_fft`] (`fft`) — the radix-2 FFT behind the azimuthal filter.
@@ -37,7 +35,6 @@
 pub use mfc_acc as acc;
 pub use mfc_core as core;
 pub use mfc_fft as fft;
-pub use mfc_layout as layout;
 pub use mfc_mpsim as mpsim;
 pub use mfc_perfmodel as perfmodel;
 pub use mfc_trace as trace;

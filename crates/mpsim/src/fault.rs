@@ -207,20 +207,39 @@ impl FaultPlan {
             .position(|d| d.rank == rank && d.step == step)
     }
 
-    /// Validate the plan against a world of `active` ranks: every death
-    /// must target a real rank, and at least one rank must survive all
-    /// permanent deaths (the survivor quorum that consensus-based
-    /// recovery needs). Returns a human-readable configuration error —
-    /// callers surface it as a typed config failure instead of letting
-    /// the run hang at an impossible rendezvous.
+    /// Validate the plan against a world of `active` ranks: every rank a
+    /// fault names (a death, a stall, either end of a dropped, delayed or
+    /// reordered message) must be a real rank, and at least one rank must
+    /// survive all permanent deaths (the survivor quorum that
+    /// consensus-based recovery needs). Returns a human-readable
+    /// configuration error — callers surface it as a typed config failure
+    /// instead of letting the run hang at an impossible rendezvous or
+    /// silently inject nothing.
     pub fn validate_for(&self, active: usize) -> Result<(), String> {
-        for d in &self.deaths {
-            if d.rank >= active {
-                return Err(format!(
-                    "fault plan kills rank {} but the world has only {active} ranks",
-                    d.rank
-                ));
+        let real = |what: String, rank: usize| {
+            if rank < active {
+                Ok(())
+            } else {
+                Err(format!(
+                    "fault plan {what} but the world has only {active} ranks"
+                ))
             }
+        };
+        for d in &self.deaths {
+            real(format!("kills rank {}", d.rank), d.rank)?;
+        }
+        for s in &self.stalls {
+            real(format!("stalls rank {}", s.rank), s.rank)?;
+        }
+        let delays = self.delays.iter().map(|d| ("delays", d.src, d.dst, d.nth));
+        let drops = self.drops.iter().map(|f| ("drops", f.src, f.dst, f.nth));
+        let reorders = self
+            .reorders
+            .iter()
+            .map(|f| ("reorders", f.src, f.dst, f.nth));
+        for (verb, src, dst, nth) in drops.chain(delays).chain(reorders) {
+            let what = format!("{verb} message {nth} from rank {src} to rank {dst}");
+            real(what, src.max(dst))?;
         }
         let perm: std::collections::BTreeSet<usize> = self
             .deaths
@@ -661,6 +680,56 @@ mod tests {
         };
         assert!(out_of_range.validate_for(4).is_err());
         assert!(FaultPlan::none().validate_for(1).is_ok());
+    }
+
+    #[test]
+    fn plan_validation_bounds_every_named_rank() {
+        let msg = MsgFault {
+            src: 0,
+            dst: 1,
+            nth: 0,
+        };
+        let far = MsgFault { dst: 9, ..msg };
+        let stall = RankStall {
+            rank: 1,
+            step: 1,
+            millis: 1,
+        };
+        let delay = |src| MsgDelay {
+            src,
+            dst: 0,
+            nth: 0,
+            hold: 1,
+        };
+        let ok = FaultPlan {
+            drops: vec![msg],
+            delays: vec![delay(1)],
+            reorders: vec![msg],
+            stalls: vec![stall],
+            ..FaultPlan::none()
+        };
+        assert!(ok.validate_for(2).is_ok());
+        for bad in [
+            FaultPlan {
+                drops: vec![far],
+                ..ok.clone()
+            },
+            FaultPlan {
+                delays: vec![delay(2)],
+                ..ok.clone()
+            },
+            FaultPlan {
+                reorders: vec![far],
+                ..ok.clone()
+            },
+            FaultPlan {
+                stalls: vec![RankStall { rank: 5, ..stall }],
+                ..ok.clone()
+            },
+        ] {
+            let err = bad.validate_for(2).unwrap_err();
+            assert!(err.contains("the world has only 2 ranks"), "{err}");
+        }
     }
 
     #[test]

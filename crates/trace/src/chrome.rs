@@ -181,6 +181,17 @@ fn check_kernel_args(args: &Map) -> Result<(), String> {
     Ok(())
 }
 
+/// An event's time range: `ts` and `dur` (µs) non-negative and its end
+/// `ts + dur` finite, as every exported event's is.
+fn check_times(ts: f64, dur: f64) -> Result<(), String> {
+    if ts < 0.0 || dur < 0.0 || !(ts + dur).is_finite() {
+        return Err(format!(
+            "ts {ts:?} / dur {dur:?} out of range (both >= 0, ts + dur finite)"
+        ));
+    }
+    Ok(())
+}
+
 /// Decode a chrome-trace JSON string produced by [`export`].
 pub fn parse_str(s: &str) -> Result<ParsedTrace, String> {
     let root: Value = serde_json::from_str(s).map_err(|e| format!("not JSON: {e}"))?;
@@ -224,6 +235,7 @@ pub fn parse_str(s: &str) -> Result<ParsedTrace, String> {
                 .cloned()
                 .unwrap_or_default(),
         };
+        check_times(parsed.ts_us, parsed.dur_us).map_err(|e| format!("event {i}: {e}"))?;
         if parsed.ph == 'X' && parsed.cat == "kernel" {
             check_kernel_args(&parsed.args).map_err(|e| format!("event {i}: {e}"))?;
         }
@@ -291,6 +303,12 @@ pub fn validate_schema(root: &Value) -> Vec<String> {
         }
         if ph == "X" && obj.get("dur").and_then(Value::as_f64).is_none() {
             errs.push(format!("event {i}: X event missing dur"));
+        }
+        if let Some(ts) = obj.get("ts").and_then(Value::as_f64) {
+            let dur = obj.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
+            if let Err(e) = check_times(ts, dur) {
+                errs.push(format!("event {i}: {e}"));
+            }
         }
         if ph == "X" && obj.get("cat").and_then(Value::as_str) == Some("kernel") {
             let args = obj.get("args").and_then(Value::as_object).cloned();

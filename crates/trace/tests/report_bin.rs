@@ -2,7 +2,8 @@
 //! on a two-rank trace whose kernel events come from traced `mfc-acc`
 //! launches on `workers` gangs, `--validate --reconcile` exits 0 and prints
 //! the schema / nesting verdicts, both ranks, the comm/compute split and
-//! the per-rank worker count; a truncated file exits 3.
+//! the per-rank worker count; a truncated file, or one whose event times
+//! are out of range, exits 3.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -71,6 +72,40 @@ fn validates_reconciles_and_reports_both_ranks_at_one_and_four_workers() {
         let cut = dir.join("truncated.json");
         std::fs::write(&cut, &std::fs::read(&trace).unwrap()[..64]).unwrap();
         assert_eq!(report(&cut, &["--validate"]).status.code(), Some(3));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Event times out of range — a negative `ts` or `dur`, or an end
+/// `ts + dur` past the largest f64 — are a parse failure (exit 3) with and
+/// without `--validate`, which also names them as schema violations,
+/// instead of a report with a 300-digit extent. The same one-event
+/// document with in-range times passes.
+#[test]
+fn out_of_range_event_times_are_refused() {
+    let dir = std::env::temp_dir().join(format!("mfc_trace_report_times_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.json");
+    for (ts, dur, exit) in [
+        ("0", "1.5", 0),
+        ("-1e308", "1e308", 3),
+        ("-1", "2", 3),
+        ("0", "-1", 3),
+        ("1e308", "1e308", 3),
+    ] {
+        let doc = format!(
+            r#"{{"traceEvents": [{{"name": "step", "cat": "phase", "ph": "X",
+                "ts": {ts}, "dur": {dur}, "pid": 0, "tid": 0}}],
+              "metadata": {{"ledger": {{}}, "dropped": {{}}}}}}"#
+        );
+        std::fs::write(&trace, doc).unwrap();
+        for flags in [&[][..], &["--validate"][..]] {
+            let out = report(&trace, flags);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("ts {ts} dur {dur} {flags:?}: {stderr}");
+            assert_eq!(out.status.code(), Some(exit), "{what}");
+            assert_eq!(stderr.contains("out of range"), exit != 0, "{what}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,10 +9,6 @@ use mfc::core::fluid::{Fluid, FluidTable, MixtureRules};
 use mfc::core::riemann::RiemannSolver;
 use mfc::core::weno::{reconstruct_line, WenoOrder};
 use mfc::fft::{fft_inplace, ifft_inplace, lowpass_filter_line, Complex};
-use mfc::layout::{
-    pack_coalesced, transpose_3214_geam, transpose_3214_naive, transpose_3214_tiled,
-    unpack_coalesced, Dims3, Dims4, Dir, Flat4D, ScalarFieldSet,
-};
 use mfc::mpsim::{best_block_dims, CartComm};
 
 fn fluid_strategy() -> impl Strategy<Value = Fluid> {
@@ -124,54 +120,6 @@ proptest! {
         let mut f = vec![0.0; 3];
         let s = RiemannSolver::Hllc.flux(&eq, &fluids, 0, &priml, &primr, &mut f);
         prop_assert!(s >= sl - 1e-9 && s <= sr + 1e-9, "SL={sl} S*={s} SR={sr}");
-    }
-
-    /// Coalesced pack/unpack round-trips for every sweep direction.
-    #[test]
-    fn pack_unpack_identity(
-        n1 in 1usize..12,
-        n2 in 1usize..12,
-        n3 in 1usize..8,
-        nf in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let dims = Dims3::new(n1, n2, n3);
-        let s = ScalarFieldSet::from_fn(dims, nf, |f, i, j, k| {
-            ((seed as usize + f * 31 + i * 7 + j * 13 + k * 17) % 101) as f64
-        });
-        for dir in Dir::ALL {
-            let mut buf = Flat4D::zeros(mfc::layout::pack::coalesced_dims(&s, dir));
-            pack_coalesced(&s, dir, &mut buf);
-            let mut back = ScalarFieldSet::zeros(dims, nf);
-            unpack_coalesced(&buf, dir, &mut back);
-            for f in 0..nf {
-                prop_assert_eq!(s.field(f).as_slice(), back.field(f).as_slice());
-            }
-        }
-    }
-
-    /// All three (3,2,1,4) transpose strategies agree.
-    #[test]
-    fn transpose_strategies_agree(
-        n1 in 1usize..20,
-        n2 in 1usize..20,
-        n3 in 1usize..10,
-        n4 in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let dims = Dims4::new(n1, n2, n3, n4);
-        let a = Flat4D::from_fn(dims, |i, j, k, f| {
-            ((seed as usize + i * 3 + j * 5 + k * 7 + f * 11) % 97) as f64
-        });
-        let mut t_naive = Flat4D::zeros(dims.permuted_3214());
-        let mut t_tiled = Flat4D::zeros(dims.permuted_3214());
-        let mut t_geam = Flat4D::zeros(dims.permuted_3214());
-        transpose_3214_naive(&a, &mut t_naive);
-        transpose_3214_tiled(&a, &mut t_tiled);
-        let mut scratch = Vec::new();
-        transpose_3214_geam(&a, &mut scratch, &mut t_geam);
-        prop_assert_eq!(&t_naive, &t_tiled);
-        prop_assert_eq!(&t_naive, &t_geam);
     }
 
     /// FFT round-trip and Parseval.
