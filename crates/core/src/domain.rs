@@ -93,6 +93,15 @@ mod tests {
     }
 
     #[test]
+    fn dims4_includes_equations() {
+        let eq = EqIdx::new(2, 2);
+        let d = Domain::new([8, 4, 1], 2, eq);
+        assert_eq!((d.ext(0), d.ext(1), d.ext(2)), (12, 8, 1));
+        let q = crate::state::StateField::zeros(d);
+        assert_eq!(q.as_slice().len(), 12 * 8 * eq.neq());
+    }
+
+    #[test]
     fn interior_iterates_every_cell_once() {
         let d = Domain::new([3, 2, 1], 2, EqIdx::new(1, 2));
         let cells: Vec<_> = d.interior().collect();

@@ -282,13 +282,48 @@ mod tests {
     }
 
     #[test]
+    fn spatial_index_is_fortran_ordered() {
+        // Ghost-inclusive 4 x 4 x 4 cells: x fastest, then y, then z.
+        let d = Domain::new([2, 2, 2], 1, EqIdx::new(1, 3));
+        let [n1, n2, n3] = [d.ext(0), d.ext(1), d.ext(2)];
+        assert_eq!([n1, n2, n3], [4, 4, 4]);
+        let mut s = StateField::zeros(d);
+        for (at, v) in [
+            ((1, 0, 0), 1.0),
+            ((0, 1, 0), 2.0),
+            ((0, 0, 1), 3.0),
+            ((3, 3, 3), 4.0),
+        ] {
+            s.set(at.0, at.1, at.2, 0, v);
+        }
+        let q = s.as_slice();
+        assert_eq!(
+            (q[1], q[n1], q[n1 * n2], q[n1 * n2 * n3 - 1]),
+            (1.0, 2.0, 3.0, 4.0)
+        );
+        assert_eq!(q.iter().filter(|&&v| v != 0.0).count(), 4);
+    }
+
+    #[test]
     fn linear_index_is_fortran_ordered() {
-        // Ghost-inclusive 8 x 7 x 1 cells, 6 equations.
+        // Ghost-inclusive 8 x 7 x 1 cells, 6 equations; equations slowest.
         let d = dom();
         let [n1, n2, n3, neq] = [d.ext(0), d.ext(1), d.ext(2), d.eq.neq()];
         assert_eq!([n1, n2, n3, neq], [8, 7, 1, 6]);
         let mut s = StateField::zeros(d);
         assert_eq!(s.as_slice().len(), d.total_cells() * neq);
+        s.set(1, 0, 0, 0, 1.0);
+        s.set(0, 0, 0, 1, 2.0);
+        s.set(n1 - 1, n2 - 1, n3 - 1, neq - 1, 3.0);
+        let q = s.as_slice();
+        assert_eq!((q[1], q[d.total_cells()], q[q.len() - 1]), (1.0, 2.0, 3.0));
+    }
+
+    #[test]
+    fn first_index_is_contiguous() {
+        let d = dom();
+        let [n1, n2, neq] = [d.ext(0), d.ext(1), d.eq.neq()];
+        let mut s = StateField::zeros(d);
         let code = |i: usize, j: usize, e: usize| (1000 * e + 10 * j + i) as f64;
         for e in 0..neq {
             for j in 0..n2 {
@@ -299,15 +334,19 @@ mod tests {
         }
         for e in 0..neq {
             for j in 0..n2 {
-                // An x line is contiguous; equations are slowest.
-                let at = n1 * (j + n2 * n3 * e);
+                let at = n1 * (j + n2 * e);
                 let line: Vec<f64> = (0..n1).map(|i| code(i, j, e)).collect();
                 assert_eq!(&s.as_slice()[at..at + n1], &line[..]);
-                for i in 0..n1 {
-                    assert_eq!(s.get(i, j, 0, e), code(i, j, e));
-                }
             }
         }
+    }
+
+    #[test]
+    fn get_set_round_trip() {
+        let mut s = StateField::zeros(dom());
+        s.set(5, 3, 0, 4, 9.0);
+        assert_eq!(s.get(5, 3, 0, 4), 9.0);
+        assert_eq!(s.as_slice().iter().filter(|&&v| v != 0.0).count(), 1);
     }
 
     #[test]
