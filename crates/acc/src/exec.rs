@@ -47,8 +47,8 @@ pub struct Context {
     ledger: Arc<Ledger>,
     workers: usize,
     /// Lane width of the vector entry points ([`Context::launch_vec`] and
-    /// friends); validated power of two ≤ `vector::MAX_WIDTH`. Results
-    /// are bitwise identical at every width by the [`Lane`] contract.
+    /// friends): 1 or 8, validated. Results are bitwise identical at both
+    /// widths by the [`Lane`] contract.
     vector_width: usize,
     /// Measured-profile recording endpoint; `None` (the default) keeps
     /// every launch on an untraced fast path — one branch per launch.
@@ -83,20 +83,15 @@ impl Context {
     /// Builder form: set the lane width of the vector entry points.
     ///
     /// # Panics
-    /// On an invalid width (not a power of two, or > `MAX_WIDTH`); callers
-    /// taking user input validate with [`crate::vector::validate_width`]
-    /// first and surface a typed configuration error instead.
+    /// On a width other than 1 or 8; callers taking user input validate
+    /// with [`crate::vector::validate_width`] first and surface a typed
+    /// configuration error instead.
     pub fn with_vector_width(mut self, width: usize) -> Self {
-        self.set_vector_width(width);
-        self
-    }
-
-    /// Set the lane width (same validation as [`Context::with_vector_width`]).
-    pub fn set_vector_width(&mut self, width: usize) {
         if let Err(e) = validate_width(width) {
             panic!("{e}");
         }
         self.vector_width = width;
+        self
     }
 
     /// Lane width of the vector entry points.
@@ -369,7 +364,7 @@ impl Context {
     ///
     /// The kernel body is written once against [`Lane`] and monomorphized
     /// here per width; by the `Lane` contract the results are bitwise
-    /// identical at every width and worker count. The traced event is
+    /// identical at both widths and every worker count. The traced event is
     /// annotated with the lane width (`lanes`); the ledger row is
     /// unchanged, so reconciliation stays exact.
     pub fn launch_vec<K: LaneKernel>(
@@ -397,7 +392,7 @@ impl Context {
     /// serial order within each gang; each gang returns its maximum and
     /// the maxima fold in gang order. Since `max` is associative and
     /// commutative this is bitwise identical to the scalar reduction at
-    /// every width and worker count; an empty space gives `-inf`.
+    /// both widths and every worker count; an empty space gives `-inf`.
     pub fn launch_max_vec<K: LaneMaxKernel>(
         &self,
         cfg: &LaunchConfig,
@@ -806,7 +801,7 @@ mod tests {
 
     #[test]
     fn launch_vec_is_bitwise_identical_across_widths_and_workers() {
-        // Row length chosen to leave a scalar tail at every width > 1.
+        // Row length chosen to leave a scalar tail at width 8.
         let (rows, row_len) = (37, 101);
         let src: Vec<f64> = (0..rows * (row_len + 2))
             .map(|i| ((i as f64) * 0.7311).sin() * 3.0 + (i % 13) as f64)
@@ -823,12 +818,10 @@ mod tests {
             out
         };
         let reference = run(1, 1);
-        for width in [2, 4, 8] {
-            for workers in [1, 4] {
-                let got = run(width, workers);
-                for (a, b) in reference.iter().zip(&got) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "w={width} workers={workers}");
-                }
+        for workers in [1, 4] {
+            let got = run(8, workers);
+            for (a, b) in reference.iter().zip(&got) {
+                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
             }
         }
     }
@@ -849,20 +842,18 @@ mod tests {
         let reference = Context::with_workers(1)
             .with_vector_width(1)
             .launch_max_vec(&LaunchConfig::tuned("mv"), cost(), rows, row_len, &MaxBody);
-        for width in [2, 4, 8] {
-            for workers in [1, 4] {
-                let got = Context::with_workers(workers)
-                    .with_vector_width(width)
-                    .launch_max_vec(&LaunchConfig::tuned("mv"), cost(), rows, row_len, &MaxBody);
-                assert_eq!(reference.to_bits(), got.to_bits(), "w={width}");
-            }
+        for workers in [1, 4] {
+            let got = Context::with_workers(workers)
+                .with_vector_width(8)
+                .launch_max_vec(&LaunchConfig::tuned("mv"), cost(), rows, row_len, &MaxBody);
+            assert_eq!(reference.to_bits(), got.to_bits(), "workers={workers}");
         }
     }
 
     #[test]
     fn traced_vector_launch_annotates_lanes_and_reconciles() {
         let tracer = mfc_trace::Tracer::new();
-        let mut ctx = Context::with_workers(4).with_vector_width(4);
+        let mut ctx = Context::with_workers(4).with_vector_width(8);
         ctx.set_tracer(tracer.handle(0));
         let (rows, row_len) = (64, 33);
         let src = vec![1.0f64; rows * (row_len + 2)];
@@ -877,7 +868,7 @@ mod tests {
         let json = mfc_trace::chrome::export_to_string(&tracer.snapshot());
         let parsed = mfc_trace::chrome::parse_str(&json).unwrap();
         assert!(mfc_trace::reconcile_trace(&parsed).is_ok());
-        assert!(json.contains("\"lanes\":4"), "lanes annotation missing");
+        assert!(json.contains("\"lanes\":8"), "lanes annotation missing");
         assert!(json.contains("\"vector_width\""), "width counter missing");
     }
 
@@ -1089,7 +1080,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_vector_width_is_rejected() {
-        let _ = Context::serial().with_vector_width(3);
+        let _ = Context::serial().with_vector_width(4);
     }
 
     #[test]
@@ -1109,7 +1100,7 @@ mod tests {
                 *st
             }
         }
-        for width in [1, 2, 4, 8] {
+        for width in [1, 8] {
             let ctx = Context::with_workers(3).with_vector_width(width);
             let n = 3 * PAR_MIN_ITEMS;
             let mut scratch = vec![0u64; ctx.workers()];

@@ -44,5 +44,5 @@ pub use shared::{AddView, ParSlice};
 pub use transpose::{Plain, Transpose8};
 pub use vector::{
     validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, VecF64, DEFAULT_WIDTH,
-    MAX_WIDTH, MAX_WORKERS,
+    MAX_WORKERS,
 };

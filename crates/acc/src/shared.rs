@@ -224,22 +224,23 @@ mod tests {
     }
 
     /// The plain and shared views add and store the same bits, lane packets,
-    /// rows and single slots alike, at every width.
+    /// rows and single slots alike, at both widths.
     #[test]
     fn plain_and_shared_views_add_identical_bits() {
         fn adds<V: AddView>(mut v: V) {
             v.add_lanes(
                 1,
-                crate::VecF64::<4>::from_lanes(|l| 0.1 * l as f64 - 1e-17),
+                crate::VecF64::<8>::from_lanes(|l| 0.1 * l as f64 - 1e-17),
             );
             v.add_lanes(3, crate::VecF64::<8>::from_lanes(|l| 1e3 / (l + 1) as f64));
             v.add_lanes(5, 0.3);
             v.add_row(2, 9, |b| (b as f64).sqrt() * 1e-5);
             v.add(12, -0.7);
-            v.store_lanes(13, crate::VecF64::<2>::from_lanes(|l| -0.0 * l as f64));
-            v.store(15, f64::NAN);
+            v.store_lanes(13, crate::VecF64::<8>::from_lanes(|l| -0.0 * l as f64));
+            v.store_lanes(21, 2.5);
+            v.store(22, f64::NAN);
         }
-        let start: Vec<f64> = (0..16).map(|i| (i as f64 * 0.77).sin()).collect();
+        let start: Vec<f64> = (0..24).map(|i| (i as f64 * 0.77).sin()).collect();
         let (mut plain, mut shared) = (start.clone(), start);
         adds(&mut plain[..]);
         adds(ParSlice::new(&mut shared));

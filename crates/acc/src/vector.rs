@@ -8,7 +8,7 @@
 //! `a.lane(i) op b.lane(i)`, evaluated by the scalar `f64` operator. No
 //! fused multiply-add, no reassociation, no approximation — so a kernel
 //! written once against the [`Lane`] trait performs, per lane, *exactly*
-//! the scalar op sequence, and the result at any width is bitwise
+//! the scalar op sequence, and the result at width 8 is bitwise
 //! identical to `vector_width = 1` by construction.
 //!
 //! Control flow inside lane kernels is expressed with bitmask selects
@@ -22,28 +22,27 @@
 //! packet starting at item `s` is item `s + i`, so the serial fold order
 //! is reproduced exactly.
 //!
-//! Widths are powers of two up to [`MAX_WIDTH`]; [`DEFAULT_WIDTH`] is 8:
-//! two AVX2 registers per packet, which hides the latency of the Riemann
-//! stage's divisions and square roots behind independent work.
+//! There are two widths: [`DEFAULT_WIDTH`] 8, the production width (two
+//! AVX2 registers per packet, which hides the latency of the Riemann
+//! stage's divisions and square roots behind independent work), and 1, the
+//! scalar reference the tests compare against. Every lane body is compiled
+//! once per width, so a width nobody runs would only cost text and build
+//! time.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 use crate::shared::AddView;
 
-/// Largest supported lane width.
-pub const MAX_WIDTH: usize = 8;
-
 /// Default lane width (`--vector-width 8`).
 pub const DEFAULT_WIDTH: usize = 8;
 
-/// Validate a requested lane width: a power of two, at most [`MAX_WIDTH`].
+/// Validate a requested lane width: 1 (the scalar reference) or
+/// [`DEFAULT_WIDTH`], the two widths [`with_lane_width!`] compiles.
 pub fn validate_width(w: usize) -> Result<(), String> {
-    if (1..=MAX_WIDTH).contains(&w) && w.is_power_of_two() {
+    if w == 1 || w == DEFAULT_WIDTH {
         Ok(())
     } else {
-        Err(format!(
-            "vector_width must be a power of two in 1..={MAX_WIDTH}, got {w}"
-        ))
+        Err(format!("vector_width must be 1 or 8, got {w}"))
     }
 }
 
@@ -246,7 +245,7 @@ impl Lane for f64 {
     }
 }
 
-/// A `W`-lane packet of `f64` (`W` a power of two, at most [`MAX_WIDTH`]).
+/// A `W`-lane packet of `f64` (the kernels run `W` = [`DEFAULT_WIDTH`]).
 ///
 /// Plain `[f64; W]` under the hood: the element loops are fixed-length
 /// and unit-stride, exactly the shape LLVM's auto-vectorizer turns into
@@ -370,14 +369,15 @@ impl<const W: usize> Lane for VecF64<W> {
     }
 }
 
-/// A kernel body executable at any lane width over a `rows × row_len`
+/// A kernel body executable at either lane width over a `rows × row_len`
 /// iteration space (see [`crate::exec::Context::launch_vec`]).
 ///
 /// `packet(row, col)` must process items `(row, col .. col + L::WIDTH)` —
 /// the runtime guarantees the packet never crosses a row boundary, so
 /// unit-stride lane loads relative to `col` are always in-bounds within
 /// the row's data. The trait has a generic method (object safety is not
-/// needed) so one body monomorphizes to every width plus the scalar tail.
+/// needed) so one body monomorphizes to the packet width plus the scalar
+/// tail.
 pub trait LaneKernel: Sync {
     fn packet<L: Lane>(&self, row: usize, col: usize);
 }
@@ -388,7 +388,7 @@ pub trait LaneMaxKernel: Sync {
     fn packet<L: Lane>(&self, row: usize, col: usize) -> L;
 }
 
-/// A gang-scope body executable at any lane width (see
+/// A gang-scope body executable at either lane width (see
 /// [`crate::exec::Context::gang_vec_scope`] and
 /// [`crate::exec::Context::gang_vec_units`]): `run` receives the gang id,
 /// its contiguous unit range, exclusive scratch and its views of the
@@ -409,21 +409,14 @@ pub trait LaneGangBody<S: ?Sized, R, const N: usize = 0>: Sync {
 
 /// Dispatch a runtime lane width to a monomorphized instantiation:
 /// `with_lane_width!(w, L => expr)` evaluates `expr` with `L` bound to
-/// `f64` (w = 1) or `VecF64<w>`. The width must already be validated.
+/// `f64` (w = 1) or `VecF64<8>` (w = 8). The width must already be
+/// validated.
 #[macro_export]
 macro_rules! with_lane_width {
     ($w:expr, $L:ident => $body:expr) => {
         match $w {
             1 => {
                 type $L = f64;
-                $body
-            }
-            2 => {
-                type $L = $crate::vector::VecF64<2>;
-                $body
-            }
-            4 => {
-                type $L = $crate::vector::VecF64<4>;
                 $body
             }
             8 => {
@@ -441,11 +434,12 @@ mod tests {
 
     #[test]
     fn width_validation() {
-        for w in [1, 2, 4, 8] {
+        for w in [1, 8] {
             assert!(validate_width(w).is_ok(), "width {w}");
         }
-        for w in [0, 3, 5, 6, 7, 12, 16] {
-            assert!(validate_width(w).is_err(), "width {w}");
+        for w in [0, 2, 3, 4, 5, 6, 7, 12, 16] {
+            let e = validate_width(w).unwrap_err();
+            assert!(e.contains("1 or 8"), "width {w}: {e}");
         }
     }
 
@@ -468,7 +462,7 @@ mod tests {
     #[test]
     fn ops_are_bitwise_lanewise_scalar() {
         let vals = probe_values();
-        const W: usize = 4;
+        const W: usize = 8;
         for (ai, a0) in vals.iter().enumerate() {
             for &b0 in &vals {
                 let a = VecF64::<W>::from_lanes(|i| a0 + i as f64 * 0.5);
@@ -504,13 +498,13 @@ mod tests {
         let vals = probe_values();
         for &x in &vals {
             for &y in &vals {
-                let a = VecF64::<2>::splat(x);
-                let b = VecF64::<2>::splat(y);
-                assert_eq!(VecF64::<2>::mask_any(a.lt(b)), x < y);
-                assert_eq!(VecF64::<2>::mask_any(a.le(b)), x <= y);
-                assert_eq!(VecF64::<2>::mask_any(a.gt(b)), x > y);
-                assert_eq!(VecF64::<2>::mask_any(a.ge(b)), x >= y);
-                assert_eq!(VecF64::<2>::mask_all(a.finite()), x.is_finite());
+                let a = VecF64::<8>::splat(x);
+                let b = VecF64::<8>::splat(y);
+                assert_eq!(VecF64::<8>::mask_any(a.lt(b)), x < y);
+                assert_eq!(VecF64::<8>::mask_any(a.le(b)), x <= y);
+                assert_eq!(VecF64::<8>::mask_any(a.gt(b)), x > y);
+                assert_eq!(VecF64::<8>::mask_any(a.ge(b)), x >= y);
+                assert_eq!(VecF64::<8>::mask_all(a.finite()), x.is_finite());
             }
         }
     }
@@ -519,13 +513,13 @@ mod tests {
     #[test]
     fn select_preserves_exact_bits() {
         let exotic = f64::from_bits(0x7ff8_dead_beef_0001); // NaN payload
-        let a = VecF64::<4>::from_lanes(|i| if i % 2 == 0 { exotic } else { -0.0 });
-        let b = VecF64::<4>::splat(7.0);
+        let a = VecF64::<8>::from_lanes(|i| if i % 2 == 0 { exotic } else { -0.0 });
+        let b = VecF64::<8>::splat(7.0);
         let m = a.lt(b); // NaN < 7.0 is false; -0.0 < 7.0 is true
-        let s = VecF64::<4>::select(m, a, b);
+        let s = VecF64::<8>::select(m, a, b);
         assert_eq!(s.lane(0).to_bits(), 7.0f64.to_bits());
         assert_eq!(s.lane(1).to_bits(), (-0.0f64).to_bits());
-        let n = VecF64::<4>::select(VecF64::<4>::mask_not(m), a, b);
+        let n = VecF64::<8>::select(VecF64::<8>::mask_not(m), a, b);
         assert_eq!(n.lane(0).to_bits(), exotic.to_bits());
     }
 
@@ -546,20 +540,21 @@ mod tests {
 
     #[test]
     fn mask_logic() {
-        type M = <VecF64<4> as Lane>::Mask;
-        let t: M = [TRUE_BITS; 4];
-        let f: M = [0; 4];
-        let mixed: M = [TRUE_BITS, 0, TRUE_BITS, 0];
-        assert!(VecF64::<4>::mask_all(t) && !VecF64::<4>::mask_all(mixed));
-        assert!(VecF64::<4>::mask_any(mixed) && !VecF64::<4>::mask_any(f));
-        assert_eq!(VecF64::<4>::mask_and(mixed, t), mixed);
-        assert_eq!(VecF64::<4>::mask_or(mixed, f), mixed);
-        assert_eq!(VecF64::<4>::mask_not(f), t);
+        type V = VecF64<8>;
+        type M = <V as Lane>::Mask;
+        let t: M = [TRUE_BITS; 8];
+        let f: M = [0; 8];
+        let mixed: M = std::array::from_fn(|i| if i % 2 == 0 { TRUE_BITS } else { 0 });
+        assert!(V::mask_all(t) && !V::mask_all(mixed));
+        assert!(V::mask_any(mixed) && !V::mask_any(f));
+        assert_eq!(V::mask_and(mixed, t), mixed);
+        assert_eq!(V::mask_or(mixed, f), mixed);
+        assert_eq!(V::mask_not(f), t);
     }
 
     #[test]
     fn dispatch_macro_covers_all_widths() {
-        for w in [1usize, 2, 4, 8] {
+        for w in [1usize, 8] {
             let width = with_lane_width!(w, L => L::WIDTH);
             assert_eq!(width, w);
         }

@@ -11,7 +11,8 @@
 //! - [`CaseFile::to_case`] lowers: 1..=`MAX_FLUIDS` fluids, `ndim` 1..=3,
 //!   a patch, one `alpha`/`rho` per fluid summing to 1 — EOS array panics
 //! - [`crate::NumericsConfig::to_solver_config`] lowers: known scheme,
-//!   `vector_width` a power of two ≤ 8 — `Context::with_vector_width`
+//!   `vector_width` 1 or 8, the two widths the lane kernels are compiled
+//!   at — `Context::with_vector_width`
 //! - `patches[0]` is the `all` background — `CaseBuilder::state_at` expect
 //! - `half_space.axis` is active — index panic in `Region::contains`
 //! - `numerics.cfl` in (0, 1] — assert in `cfl::try_max_dt_geom`
@@ -57,8 +58,8 @@ apply the same checks; a refused case is exit 2 and nothing is written):
   schema       1..=8 fluids, ndim 1..=3, patches[0] the `all` background,
                one alpha/rho per fluid summing to 1, half_space on an
                active axis
-  numerics     known scheme, vector_width a power of two <= 8, cfl in
-               (0, 1], fixed dt finite and > 0, workers <= 256
+  numerics     known scheme, vector_width 1 or 8, cfl in (0, 1], fixed
+               dt finite and > 0, workers <= 256
   geometry     axisymmetric needs ndim >= 2, cylindrical3_d ndim = 3, both
                a radial lo >= 0 and a non-periodic radial axis (axis 1);
                lo < hi and finite on every axis

@@ -28,6 +28,7 @@ use mfc_cli::{admit, vtk_fields, CaseFile};
 use mfc_core::eqidx::EqIdx;
 use mfc_core::grid::Grid;
 use mfc_core::output::{postprocess_wave_files, write_vtk_rectilinear};
+use mfc_trace::Out;
 
 const USAGE: &str =
     "usage: mfc-post <dir> <step> <out.vtk>\n       mfc-post --case <case.json> <step> <out.vtk>";
@@ -74,7 +75,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (dir, rest) = match args.first().map(|s| s.as_str()) {
         Some("--help") | Some("-h") => {
-            println!("{USAGE}");
+            writeln!(Out, "{USAGE}");
             return;
         }
         Some("--case") if args.len() == 4 => (wave_dir_of_case(&args[1]), &args[2..]),
@@ -89,7 +90,8 @@ fn main() {
 
     let (h, gf) = postprocess_wave_files(&dir, step).unwrap_or_else(|e| fail_io(&e.to_string()));
     let n = gf.n;
-    println!(
+    writeln!(
+        Out,
         "reassembled {}x{}x{} cells x {} equations from {} rank files",
         n[0],
         n[1],
@@ -106,5 +108,5 @@ fn main() {
     if let Err(e) = write_vtk_rectilinear(&out, &grid, &gf, &refs) {
         fail_io(&format!("writing {}: {e}", out.display()));
     }
-    println!("wrote {}", out.display());
+    writeln!(Out, "wrote {}", out.display());
 }

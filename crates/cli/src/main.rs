@@ -2,6 +2,7 @@
 
 use mfc_cli::{admit, CaseFile, RunError, ADMISSION_RULES};
 use mfc_mpsim::FailurePolicy;
+use mfc_trace::Out;
 
 const USAGE: &str = "usage: mfc-run <case.json> [--validate] [--dry-run] \
 [--workers N] [--vector-width N] \
@@ -28,8 +29,8 @@ flags:
                          Results are bitwise identical at every count
   --vector-width N       SIMD lane width for the vectorized kernels
                          (numerics.vector_width case key; default 8).
-                         Must be a power of two in 1..=8; results are
-                         bitwise identical at every width
+                         8 (lane packets) or 1 (scalar); results are
+                         bitwise identical at both widths
   --faults plan.json     fault-injection plan (mfc_mpsim::FaultPlan)
   --checkpoint-every N   checkpoint wave period in steps. Multi-rank,
                          checkpointed and fault-plan runs step every rank
@@ -110,7 +111,7 @@ const SWITCHES: [&str; 2] = ["--validate", "--dry-run"];
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}\n{ADMISSION_RULES}\n{EXIT_CODES}");
+        write!(Out, "{HELP}\n{ADMISSION_RULES}\n{EXIT_CODES}");
         return;
     }
     // Locate the case file first (skipping flag values), so every flag
@@ -153,29 +154,31 @@ fn main() {
 
     let admitted = admit(&case).unwrap_or_else(|e| fail(&e));
     if admit_only {
-        println!("{}", admitted.report());
+        writeln!(Out, "{}", admitted.report());
         return;
     }
-    println!(
+    writeln!(
+        Out,
         "running case '{}' ({:?} cells, {} fluids)",
         case.name,
         case.cells,
         case.fluids.len()
     );
     let s = admitted.run().unwrap_or_else(|e| fail(&e));
-    println!(
+    writeln!(
+        Out,
         "done: {} steps, t = {:.4e}, {} cells, grind {:.1} ns/cell/PDE/RHS",
         s.steps, s.time, s.cells, s.grind_ns
     );
     if !s.resilience.is_empty() {
-        println!("resilience events:");
-        print!("{}", s.resilience);
+        writeln!(Out, "resilience events:");
+        write!(Out, "{}", s.resilience);
     }
     if let Some(p) = s.vtk_path {
-        println!("wrote {}", p.display());
+        writeln!(Out, "wrote {}", p.display());
     }
     if let Some(p) = &case.run.trace {
-        println!("wrote trace {}", p.display());
+        writeln!(Out, "wrote trace {}", p.display());
     }
 }
 

@@ -53,8 +53,8 @@ pub struct NumericsConfig {
     /// serial baselines untouched. Settable as `--workers N`.
     pub workers: usize,
     /// SIMD lane width for the vectorized kernels (OpenACC `vector`
-    /// analog). Must be a power of two in 1..=8; results are bitwise
-    /// identical at every width. Settable as `--vector-width N`.
+    /// analog): 8 or 1; results are bitwise identical at both widths.
+    /// Settable as `--vector-width N`.
     pub vector_width: usize,
 }
 

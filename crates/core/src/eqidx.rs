@@ -542,7 +542,7 @@ mod tests {
                     };
                     for spikes in [false, true] {
                         let q = state(dom, &fl, seed, spikes);
-                        for (width, workers) in [(1, 1), (4, 1), (1, 4), (4, 4)] {
+                        for (width, workers) in [(1, 1), (8, 1), (1, 4), (8, 4)] {
                             let konst = evaluate(&q, &fl, &cfg, width, workers, false);
                             let run_time = evaluate(&q, &fl, &cfg, width, workers, true);
                             prop_assert_eq!(&konst.1, &run_time.1);
@@ -564,7 +564,7 @@ mod tests {
             let fl = fluids(2);
             let dom = Domain::new(cells(2), 3, EqIdx::new(2, 2));
             let q = state(dom, &fl, 12345, true);
-            let (_, report) = evaluate(&q, &fl, &RhsConfig::default(), 4, 1, false);
+            let (_, report) = evaluate(&q, &fl, &RhsConfig::default(), 8, 1, false);
             assert!(report.contains("Some("), "{report}");
         }
 
@@ -580,7 +580,7 @@ mod tests {
                     mode,
                     ..Default::default()
                 };
-                evaluate(&q, &fl, &cfg, 4, 4, false)
+                evaluate(&q, &fl, &cfg, 8, 4, false)
             };
             let (fused, staged) = (run(RhsMode::Fused), run(RhsMode::Staged));
             assert_eq!(fused.1, staged.1);

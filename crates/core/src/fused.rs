@@ -50,8 +50,8 @@
 //! The Riemann stage tiles lane packets along the unit-stride face index
 //! within each pencil line (OpenACC's `vector` level nested inside the
 //! pencil `gang`s); each lane performs the exact scalar op sequence on its
-//! own face, so every width is bitwise the scalar engine. The WENO stage
-//! runs the scalar per-cell line kernel at every width (its plain cell loop
+//! own face, so the 8-wide sweep is bitwise the scalar engine. The WENO
+//! stage runs the scalar per-cell line kernel at both widths (its plain cell loop
 //! is what the compiler's loop vectoriser packs best). WENO and Riemann are
 //! each compiled once per ISA tier they ship and run the widest entry the
 //! CPU has ([`crate::isa`]): WENO up to AVX-512 on every layout, Riemann up
@@ -434,7 +434,7 @@ impl Unit {
 }
 
 /// Shared environment of one directional sweep and its five stages,
-/// executable at any lane width. The outputs are not part of it: each gang
+/// executable at either lane width. The outputs are not part of it: each gang
 /// gets its own views of them from the launch ([`Sweep::update`]). Each
 /// stage is an out-of-line function that either loop order calls once per
 /// pencil, so there is one copy of it per layout and lane width; inlined
@@ -648,7 +648,7 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
     }
 
     /// Stage 3: WENO reconstruction per line per variable, through the
-    /// scalar per-cell line kernel at every lane width: its plain cell loop
+    /// scalar per-cell line kernel at both lane widths: its plain cell loop
     /// is what LLVM's loop vectoriser turns into the host's packed
     /// arithmetic, faster than explicit packets ran it (lanes are bitwise
     /// invisible, so the choice cannot change a value).
@@ -835,7 +835,7 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
     }
 
     /// The y/z update through its `tier` entry. Its tile rows are eight
-    /// lanes wide at every lane width, so there is one copy per layout,
+    /// lanes wide at both lane widths, so there is one copy per layout,
     /// view and tier, not one per width as well.
     #[inline(never)]
     fn update_yz_at<O: AddView>(
@@ -1155,7 +1155,7 @@ mod tests {
         }
     }
 
-    /// Every solver at every lane width on the sweep instance of one
+    /// Every solver at both lane widths on the sweep instance of one
     /// layout.
     fn riemann_layout_agrees<E: EqLayout>(eq: E, fluids: &FluidTable) {
         for solver in [
@@ -1165,7 +1165,7 @@ mod tests {
         ] {
             let sweep = riemann_sweep(eq, fluids, solver);
             let label = format!("{:?} {solver:?}", E::SHAPE);
-            for w in [1, 2, 4, 8] {
+            for w in [1, 8] {
                 with_lane_width!(w, L => riemann_entries_agree::<_, L>(&sweep, &label));
             }
         }
@@ -1175,7 +1175,7 @@ mod tests {
     /// contraction: on every layout the sweep dispatches (each on the tiers
     /// it ships: AVX2 on (2,3), AVX-512 on the others) and on the
     /// run-time fallback, identical flux and `S*` bits for every solver at
-    /// every lane width, a replayed packet included.
+    /// both lane widths, a replayed packet included.
     #[test]
     fn riemann_avx2_entry_matches_the_baseline_entry_bitwise() {
         let one = FluidTable::new(&[Fluid::air()]);
@@ -1289,8 +1289,8 @@ mod tests {
 
     /// The update's entries (8×8 tiles through the AVX-512 and AVX2
     /// transposes, the plain permutation on the baseline) give identical
-    /// RHS and div(u) bits through both views, on every axis, at every
-    /// lane width, with partial pencils, tails and the cylindrical metric;
+    /// RHS and div(u) bits through both views, on every axis, at both
+    /// lane widths, with partial pencils, tails and the cylindrical metric;
     /// the test says which tiers it skipped.
     #[test]
     fn plain_and_shared_update_views_give_identical_bits() {
@@ -1299,7 +1299,7 @@ mod tests {
                 // Only the azimuthal (z) sweep of a cylindrical run has a metric.
                 for radial in [false, true].into_iter().filter(|&r| !r || axis == 2) {
                     let label = format!("{:?} axis {axis} radial={radial}", dom.n);
-                    for w in [1, 2, 4, 8] {
+                    for w in [1, 8] {
                         with_lane_width!(w, L => update_entries_agree::<L>(&dom, axis, radial, &label));
                     }
                 }

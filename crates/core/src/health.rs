@@ -525,7 +525,7 @@ mod tests {
     }
 
     /// The scan through every health entry this CPU runs, at lane widths
-    /// 1, 4 and 8: the rate's bits, the first violation (kind, cell, eq
+    /// 1 and 8: the rate's bits, the first violation (kind, cell, eq
     /// and the value's bits) and the stored primitives equal the baseline
     /// entry's.
     fn entries_agree(fluids: &[Fluid], cons: &StateField, what: &str) {
@@ -545,7 +545,7 @@ mod tests {
             let bits: Vec<u64> = prim.as_slice().iter().map(|v| v.to_bits()).collect();
             (r, bits)
         };
-        for w in [1, 4, 8] {
+        for w in [1, 8] {
             let (want, want_prim) = run(Tier::Baseline, w);
             for tier in isa::HEALTH.entries_or_skip() {
                 let (got, got_prim) = run(tier, w);

@@ -55,8 +55,8 @@ pub struct SolverConfig {
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// SIMD lane width for the vectorized kernels (OpenACC `vector`
-    /// analog). Must be a power of two in 1..=8. Results are bitwise
-    /// identical at every width; 1 disables lane packets entirely.
+    /// analog): 8, or 1, which disables lane packets entirely. Results
+    /// are bitwise identical at both widths.
     #[serde(default = "default_vector_width")]
     pub vector_width: usize,
 }

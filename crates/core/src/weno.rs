@@ -261,7 +261,7 @@ pub fn reconstruct_line(
 /// [`reconstruct_line`] with an explicit pad width, which may exceed the
 /// stencil's ghost requirement (a WENO5-sized line temporarily degraded to
 /// WENO3 by the recovery ladder): the stencil just ignores the extra
-/// layers. This is the WENO stage of the sweep engine at every lane width
+/// layers. This is the WENO stage of the sweep engine at both lane widths
 /// and in both loop orders.
 ///
 /// The line body is compiled once per tier [`crate::isa::WENO`] ships and

@@ -10,6 +10,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -376,23 +377,25 @@ impl Comm {
     /// The untraced blocking-receive core shared by [`Comm::recv`] and
     /// the policied path.
     fn recv_blocking(&mut self, source: usize, tag: u64) -> Vec<f64> {
-        if let Some(p) = self.take_pending(source, tag) {
-            return p;
-        }
-        let src_phys = self.roster[source];
         let deadline = Instant::now() + PLAIN_RECV_DEADLINE;
+        self.take_pending(source, tag)
+            .or_else(|| self.pop_until(source, tag, deadline))
+            .expect("plain recv exceeded the deadlock safety net")
+    }
+
+    /// Take messages off this rank's mailbox until the one from logical
+    /// `source` with `tag` arrives, or `None` once `deadline` has passed.
+    /// Stale-generation messages are discarded, others parked as pending.
+    fn pop_until(&mut self, source: usize, tag: u64, deadline: Instant) -> Option<Vec<f64>> {
+        let src_phys = self.roster[source];
         loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .expect("plain recv exceeded the deadlock safety net");
-            let m = self.mailboxes[self.phys]
-                .pop(remaining)
-                .expect("plain recv exceeded the deadlock safety net");
+            let left = deadline.checked_duration_since(Instant::now())?;
+            let m = self.mailboxes[self.phys].pop(left)?;
             if m.gen < self.gen.get() {
                 continue;
             }
             if m.src == src_phys && m.tag == tag {
-                return m.payload;
+                return Some(m.payload);
             }
             self.pending.push_back(m);
         }
@@ -426,26 +429,10 @@ impl Comm {
         let src_phys = self.roster[source];
         let mut attempt: u32 = 0;
         loop {
-            let slice = faults.detector.slice(attempt);
-            let deadline = Instant::now() + slice;
             // Drain whatever arrives within this slice.
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match self.mailboxes[self.phys].pop(deadline - now) {
-                    None => break,
-                    Some(m) => {
-                        if m.gen < self.gen.get() {
-                            continue;
-                        }
-                        if m.src == src_phys && m.tag == tag {
-                            return Ok(m.payload);
-                        }
-                        self.pending.push_back(m);
-                    }
-                }
+            let deadline = Instant::now() + faults.detector.slice(attempt);
+            if let Some(p) = self.pop_until(source, tag, deadline) {
+                return Ok(p);
             }
             // Slice expired: heartbeat checks, then retransmit + retry.
             if faults.board.recovery_pending() {
@@ -489,23 +476,10 @@ impl Comm {
     /// All-reduce of one scalar (`MPI_Allreduce`): every rank receives
     /// `op` folded over every rank's contribution.
     pub fn allreduce(&mut self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        let _span = self.trace_collective("allreduce", 8);
-        const REDUCE_TAG: u64 = u64::MAX - 1;
-        const BCAST_TAG: u64 = u64::MAX - 2;
-        if self.logical == 0 {
-            let mut acc = value;
-            for src in 1..self.size() {
-                let v = self.recv(src, REDUCE_TAG);
-                acc = op(acc, v[0]);
-            }
-            for dst in 1..self.size() {
-                self.send(dst, BCAST_TAG, vec![acc]);
-            }
-            acc
-        } else {
-            self.send(0, REDUCE_TAG, vec![value]);
-            self.recv(0, BCAST_TAG)[0]
-        }
+        let Ok(v) = self.allreduce_via(value, op, |c, src, tag| {
+            Ok::<_, Infallible>(c.recv(src, tag))
+        });
+        v
     }
 
     /// Fault-aware [`Comm::allreduce`]. Doubles as the per-step
@@ -516,14 +490,25 @@ impl Comm {
         value: f64,
         op: impl Fn(f64, f64) -> f64,
     ) -> Result<f64, CommFault> {
+        self.allreduce_via(value, op, Self::recv_policied)
+    }
+
+    /// The one all-reduce: rank 0 folds every contribution in rank order
+    /// and broadcasts the result; `recv` is the plain or the policied
+    /// receive.
+    fn allreduce_via<E>(
+        &mut self,
+        value: f64,
+        op: impl Fn(f64, f64) -> f64,
+        mut recv: impl FnMut(&mut Self, usize, u64) -> Result<Vec<f64>, E>,
+    ) -> Result<f64, E> {
         let _span = self.trace_collective("allreduce", 8);
         const REDUCE_TAG: u64 = u64::MAX - 1;
         const BCAST_TAG: u64 = u64::MAX - 2;
         if self.logical == 0 {
             let mut acc = value;
             for src in 1..self.size() {
-                let v = self.recv_policied(src, REDUCE_TAG)?;
-                acc = op(acc, v[0]);
+                acc = op(acc, recv(self, src, REDUCE_TAG)?[0]);
             }
             for dst in 1..self.size() {
                 self.send(dst, BCAST_TAG, vec![acc]);
@@ -531,7 +516,7 @@ impl Comm {
             Ok(acc)
         } else {
             self.send(0, REDUCE_TAG, vec![value]);
-            Ok(self.recv_policied(0, BCAST_TAG)?[0])
+            Ok(recv(self, 0, BCAST_TAG)?[0])
         }
     }
 

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mfc_sched::{write_ledger, JobSpec, JobState, SchedClient, SchedConfig, Scheduler, Server};
+use mfc_trace::Out;
 use serde::Deserialize;
 
 const USAGE: &str = "usage: mfc-serve (--jobs manifest.json | --listen ADDR) [--budget W] \
@@ -120,7 +121,7 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                print!("{HELP}");
+                write!(Out, "{HELP}");
                 return;
             }
             "--jobs" => match it.next() {
@@ -212,7 +213,8 @@ fn main() {
         ));
     }
 
-    println!(
+    writeln!(
+        Out,
         "serving {} job(s) on a budget of {} worker(s), queue cap {}",
         manifest_jobs, cfg.budget, cfg.queue_cap
     );
@@ -240,7 +242,7 @@ fn main() {
                 Ok(s) => s,
                 Err(e) => die_io(&format!("cannot listen on {addr}: {e}")),
             };
-            println!("listening on {}", server.addr());
+            writeln!(Out, "listening on {}", server.addr());
             let records = sched.serve(&client, events);
             server.stop();
             records
@@ -258,12 +260,14 @@ fn main() {
         }
     }
 
-    println!(
+    writeln!(
+        Out,
         "{:>3} {:<20} {:>9} {:>7} {:>9} {:>9} {:>10} {:>6} {:>7}",
         "id", "job", "state", "steps", "wall_ms", "cpu_ms", "worker_s", "share", "resizes"
     );
     for r in &records {
-        println!(
+        writeln!(
+            Out,
             "{:>3} {:<20} {:>9} {:>7} {:>9.1} {:>9.1} {:>10.3} {:>6} {:>7}{}",
             r.id,
             r.job,
@@ -281,12 +285,13 @@ fn main() {
         );
     }
     let done = records.iter().filter(|r| r.state == JobState::Done).count();
-    println!(
+    writeln!(
+        Out,
         "wrote {} ({done}/{} done)",
         ledger_path.display(),
         records.len()
     );
     if let Some(p) = &trace {
-        println!("wrote trace {}", p.display());
+        writeln!(Out, "wrote trace {}", p.display());
     }
 }

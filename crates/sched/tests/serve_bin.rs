@@ -276,7 +276,18 @@ fn bad_invocations_manifests_and_jobs_exit_2() {
         ),
     )
     .unwrap();
-    let rows: [(&str, &[&str], &str); 4] = [
+    // The job's lane-width override meets the same admission rule as the
+    // case key.
+    let width4 = dir.join("width4.json");
+    fs::write(
+        &width4,
+        format!(
+            r#"{{ "jobs": [ {{ "case": {}, "vector_width": 4 }} ] }}"#,
+            serde_json::to_string(sod_case()).unwrap()
+        ),
+    )
+    .unwrap();
+    let rows: [(&str, &[&str], &str); 5] = [
         ("no --jobs", &[], "usage"),
         ("malformed manifest", &["--jobs", bad.to_str().unwrap()], ""),
         (
@@ -289,6 +300,11 @@ fn bad_invocations_manifests_and_jobs_exit_2() {
             &["--jobs", reject.to_str().unwrap()],
             "rejected at admission",
         ),
+        (
+            "4-wide job",
+            &["--jobs", width4.to_str().unwrap()],
+            "vector_width must be 1 or 8, got 4",
+        ),
     ];
     // The startup probe of the artifact directory runs before admission.
     let out_dir = dir.join("out");
@@ -298,6 +314,32 @@ fn bad_invocations_manifests_and_jobs_exit_2() {
         assert!(text.contains(needle), "{what}: {text}");
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `bin --help` into a pipe whose read end is already closed (`--help |
+/// true` after the reader has gone): exit 0. Into `/dev/full`: exit 3,
+/// an I/O error. Neither panics. The read end is dropped before the
+/// spawn, so the first write fails.
+fn help_into_a_closed_or_full_stdout(bin: &str) {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let full = std::fs::File::create("/dev/full").unwrap();
+    for (stdout, code) in [(Stdio::from(writer), 0), (Stdio::from(full), 3)] {
+        let out = Command::new(bin)
+            .arg("--help")
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_exits_0_and_full_stdout_exits_3_without_a_panic() {
+    help_into_a_closed_or_full_stdout(serve_bin());
 }
 
 /// Satellite regression: an unwritable --out-dir must be a typed

@@ -1,8 +1,7 @@
 //! `mfc-trace-report <trace.json>` — summarize and check a trace captured
 //! with `mfc-run --trace`.
 
-use mfc_trace::chrome;
-use mfc_trace::nesting;
+use mfc_trace::{chrome, nesting, Out};
 
 const USAGE: &str = "usage: mfc-trace-report <trace.json> [--validate] [--reconcile]";
 
@@ -38,7 +37,7 @@ fn main() {
     for arg in &args {
         match arg.as_str() {
             "--help" | "-h" => {
-                print!("{HELP}");
+                write!(Out, "{HELP}");
                 return;
             }
             "--validate" => validate = true,
@@ -79,7 +78,7 @@ fn main() {
         };
         let errs = chrome::validate_schema(&root);
         if errs.is_empty() {
-            println!("schema: OK");
+            writeln!(Out, "schema: OK");
         } else {
             failed = true;
             for e in &errs {
@@ -98,7 +97,7 @@ fn main() {
 
     if validate {
         match nesting::check_trace(&parsed) {
-            Ok(()) => println!("span nesting: OK"),
+            Ok(()) => writeln!(Out, "span nesting: OK"),
             Err(errs) => {
                 failed = true;
                 for e in &errs {
@@ -108,7 +107,7 @@ fn main() {
         }
     }
 
-    print!("{}", mfc_trace::report::render(&parsed));
+    write!(Out, "{}", mfc_trace::report::render(&parsed));
 
     if reconcile {
         if let Err(errs) = mfc_trace::reconcile_trace(&parsed) {

@@ -22,6 +22,9 @@
 //! * [`nesting`] — well-nestedness validation of span streams (no
 //!   orphaned or overlapping spans), proptest-driven from the solver.
 //! * [`report`] — the text summary the `mfc-trace-report` binary prints.
+//! * [`Out`] — the stdout of the workspace's binaries, which depend on
+//!   this crate: a closed stdout ends their output quietly instead of
+//!   panicking.
 
 pub mod aggregate;
 pub mod chrome;
@@ -33,3 +36,20 @@ pub mod tracer;
 pub use aggregate::{reconcile_trace, splits, KernelAgg, RankSplit};
 pub use event::{Category, CommOp, Event, EventKind, LedgerRow};
 pub use tracer::{RankTrace, SpanGuard, TraceHandle, Tracer, DEFAULT_CAPACITY};
+
+/// The binaries' stdout, written with `write!` / `writeln!`. When the
+/// reader has gone (`mfc-run --help | head -1`) the rest of the output is
+/// dropped quietly and the process goes on to its own exit code, where
+/// `print!` panics; any other failed write is an I/O error, exit 3.
+pub struct Out;
+
+impl Out {
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("error: cannot write to stdout: {e}");
+                std::process::exit(3);
+            }
+        }
+    }
+}

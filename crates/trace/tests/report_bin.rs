@@ -6,7 +6,7 @@
 //! are out of range, exits 3.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::Instant;
 
 use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig, PAR_MIN_ITEMS};
@@ -42,6 +42,32 @@ fn report(trace: &Path, flags: &[&str]) -> Output {
         .args(flags)
         .output()
         .unwrap()
+}
+
+/// `bin --help` into a pipe whose read end is already closed (`--help |
+/// true` after the reader has gone): exit 0. Into `/dev/full`: exit 3,
+/// an I/O error. Neither panics. The read end is dropped before the
+/// spawn, so the first write fails.
+fn help_into_a_closed_or_full_stdout(bin: &str) {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let full = std::fs::File::create("/dev/full").unwrap();
+    for (stdout, code) in [(Stdio::from(writer), 0), (Stdio::from(full), 3)] {
+        let out = Command::new(bin)
+            .arg("--help")
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_exits_0_and_full_stdout_exits_3_without_a_panic() {
+    help_into_a_closed_or_full_stdout(env!("CARGO_BIN_EXE_mfc-trace-report"));
 }
 
 #[test]

@@ -150,7 +150,7 @@ axes! {
     // 8 ranks split a 3-D grid along all three axes.
     ranks: usize = [1, 2, 4, 8];
     workers: usize = [1, 2, 4];
-    width: usize = [1, 2, 4, 8];
+    width: usize = [1, 8];
     loop_order: RhsMode = [RhsMode::Fused, RhsMode::Staged];
     // Not a feature of the program but of the member: whether its
     // conserved totals are checked. Pairing it with every other axis value
@@ -530,7 +530,7 @@ fn shipped_executions() -> [[(Ax, u8); 4]; 3] {
     [
         [is::ranks(2), is::workers(4), is::width(8), staged],
         [is::ranks(1), is::workers(4), is::width(1), fused],
-        [is::ranks(1), is::workers(1), is::width(2), staged],
+        [is::ranks(1), is::workers(1), is::width(8), staged],
     ]
 }
 

@@ -44,7 +44,7 @@ fn rhs_bits(solver: &Solver, case: &CaseBuilder, ctx: &Context, cfg: &RhsConfig)
 /// both loop orders give the same RHS bits there on the stepped state: in
 /// every dimension, Cartesian and curvilinear (axisymmetric in 2-D,
 /// cylindrical 3-D with its radial metric), under both limiters, with and
-/// without viscosity, serially and at 3 workers × width 4, on extents that
+/// without viscosity, serially and at 3 workers × width 8, on extents that
 /// are not multiples of the pencil batch.
 #[test]
 fn degraded_rung_matches_in_both_loop_orders() {
@@ -57,7 +57,7 @@ fn degraded_rung_matches_in_both_loop_orders() {
         for geometry in geometries.into_iter().flatten() {
             for limiter in [Limiter::FirstOrderFallback, Limiter::ZhangShu] {
                 for viscous in [false, true] {
-                    for (workers, width) in [(1, 1), (3, 4)] {
+                    for (workers, width) in [(1, 1), (3, 8)] {
                         let mut case = presets::two_phase_benchmark(ndim, n);
                         if viscous {
                             case.fluids =

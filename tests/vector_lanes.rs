@@ -1,16 +1,16 @@
 //! Lane engagement for the SIMD vector execution layer.
 //!
 //! Every hot kernel is written once, generically over the `Lane` trait,
-//! and instantiated at `f64` (width 1) or `VecF64<W>`. Because every lane
+//! and instantiated at `f64` (width 1) or `VecF64<8>`. Because every lane
 //! op is purely elementwise and horizontal folds extract lanes in fixed
 //! serial order, each lane performs exactly the scalar op sequence — so
-//! any width must reproduce the width-1 run **bitwise**, at any worker
+//! width 8 must reproduce the width-1 run **bitwise**, at any worker
 //! count, in both sweep engines. The lane width is an axis of the
-//! generated matrix (`tests/matrix.rs`), whose members hold every width
+//! generated matrix (`tests/matrix.rs`), whose members hold both widths
 //! against every other axis value and are checked against their width-1
 //! reference there. This file holds engagement: on a 16^3 case the
 //! trace's per-launch lane annotation shows the vector kernels really
-//! executing 4-wide packets — the equivalence is not vacuous — and the
+//! executing 8-wide packets — the equivalence is not vacuous — and the
 //! traced per-kernel totals still reconcile exactly with the analytic
 //! ledger.
 
@@ -49,14 +49,14 @@ fn lane_engagement_is_real_and_ledger_reconciles() {
         scalar.run_steps(2).unwrap();
 
         let tracer = Arc::new(Tracer::new());
-        let mut ctx = Context::serial().with_vector_width(4);
+        let mut ctx = Context::serial().with_vector_width(8);
         ctx.set_tracer(tracer.handle(0));
-        let mut vec = Solver::new(&case, cfg_with(mode, RiemannSolver::Hllc, 1, 4), ctx);
+        let mut vec = Solver::new(&case, cfg_with(mode, RiemannSolver::Hllc, 1, 8), ctx);
         vec.run_steps(2).unwrap();
         assert_eq!(
             scalar.state().as_slice(),
             vec.state().as_slice(),
-            "{mode:?}: W=4 state diverged from scalar"
+            "{mode:?}: W=8 state diverged from scalar"
         );
         vec.context().flush_ledger_to_trace();
 
@@ -71,8 +71,8 @@ fn lane_engagement_is_real_and_ledger_reconciles() {
             .max()
             .unwrap();
         assert_eq!(
-            max_lanes, 4,
-            "{mode:?}: no kernel launch recorded 4-wide lane execution"
+            max_lanes, 8,
+            "{mode:?}: no kernel launch recorded 8-wide lane execution"
         );
 
         let parsed = chrome::parse_str(&chrome::export_to_string(&traces)).unwrap();
