@@ -122,13 +122,14 @@ pub trait AddView {
     /// Lanewise store into the `L::WIDTH` consecutive slots from `i`.
     fn store_lanes<L: Lane>(&mut self, i: usize, v: L);
 
-    /// `slot i + b += v(b)` for every `b < n`: one row of consecutive
-    /// slots, `b` ascending.
+    /// `slot i + b = f(b, slot i + b)` for every `b < n`: one row of
+    /// consecutive slots, `b` ascending.
+    fn map_row(&mut self, i: usize, n: usize, f: impl FnMut(usize, f64) -> f64);
+
+    /// `slot i + b += v(b)` for every `b < n`.
     #[inline(always)]
     fn add_row(&mut self, i: usize, n: usize, mut v: impl FnMut(usize) -> f64) {
-        for b in 0..n {
-            self.add(i + b, v(b));
-        }
+        self.map_row(i, n, |b, x| x + v(b));
     }
 }
 
@@ -157,9 +158,9 @@ impl AddView for &mut [f64] {
     }
 
     #[inline(always)]
-    fn add_row(&mut self, i: usize, n: usize, mut v: impl FnMut(usize) -> f64) {
+    fn map_row(&mut self, i: usize, n: usize, mut f: impl FnMut(usize, f64) -> f64) {
         for (b, d) in self[i..i + n].iter_mut().enumerate() {
-            *d += v(b);
+            *d = f(b, *d);
         }
     }
 }
@@ -184,6 +185,13 @@ impl AddView for ParSlice<'_> {
     #[inline(always)]
     fn store_lanes<L: Lane>(&mut self, i: usize, v: L) {
         ParSlice::set_lanes(self, i, v);
+    }
+
+    #[inline(always)]
+    fn map_row(&mut self, i: usize, n: usize, mut f: impl FnMut(usize, f64) -> f64) {
+        for b in 0..n {
+            self.set(i + b, f(b, self.get(i + b)));
+        }
     }
 }
 
@@ -223,8 +231,8 @@ mod tests {
         assert!(buf.iter().enumerate().all(|(i, &x)| x == i as f64));
     }
 
-    /// The plain and shared views add and store the same bits, lane packets,
-    /// rows and single slots alike, at both widths.
+    /// The plain and shared views add, store and map the same bits, lane
+    /// packets, rows and single slots alike, at both widths.
     #[test]
     fn plain_and_shared_views_add_identical_bits() {
         fn adds<V: AddView>(mut v: V) {
@@ -239,6 +247,7 @@ mod tests {
             v.store_lanes(13, crate::VecF64::<8>::from_lanes(|l| -0.0 * l as f64));
             v.store_lanes(21, 2.5);
             v.store(22, f64::NAN);
+            v.map_row(14, 7, |b, x| 0.3 * x + (b as f64).sqrt());
         }
         let start: Vec<f64> = (0..24).map(|i| (i as f64 * 0.77).sin()).collect();
         let (mut plain, mut shared) = (start.clone(), start);

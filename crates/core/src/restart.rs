@@ -15,6 +15,12 @@
 //! [ raw little-endian f64 block: equation-major, x fastest, ghosts included ]
 //! ```
 //!
+//! The file contract is the header and the interior cells. A padded
+//! block's ghost bytes are whatever the writer's state held there — the
+//! last BC or halo fill, or `0.0` after a rejected step or a re-shard —
+//! and no reader may rely on them: every consumer refills ghosts before
+//! reading them.
+//!
 //! The header names which block of which decomposition the file holds, so
 //! a file set is read without knowing who wrote it:
 //!
@@ -306,7 +312,8 @@ pub fn save_checkpoint(
 }
 
 /// Write `q`, ghost cells included, as the block `layout` places in its
-/// decomposition: a rank's checkpoint-wave shard or crash dump.
+/// decomposition: a rank's checkpoint-wave shard or crash dump. The ghost
+/// bytes are `q`'s last fill, not part of the file contract.
 pub fn save_block(
     path: &Path,
     q: &StateField,
@@ -442,7 +449,8 @@ pub(crate) fn load_shard(path: PathBuf) -> Result<(CheckpointHeader, StateField)
 ///
 /// If the caller's own file `shard(me)` declares exactly this block (same
 /// `global`, `dims`, `off`, extents and ghost width) it is returned whole,
-/// ghost cells included: one file read. Otherwise the writers'
+/// ghost cells included — the writer's last fill, which nothing reads
+/// before refilling it: one file read. Otherwise the writers'
 /// decomposition comes from that file's header — from shard 0's if the
 /// caller's own file does not load — and exactly the owned cells are
 /// copied from every shard that intersects the block. Ghost layers are

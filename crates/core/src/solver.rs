@@ -31,7 +31,7 @@ use crate::recovery::{RecoveryPolicy, RecoveryState, SolverError, StepFault, Ste
 use crate::restart::{save_block, BlockLayout};
 use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
 use crate::state::StateField;
-use crate::time::{rk_step, RkWorkspace, TimeScheme};
+use crate::time::{rk_step_in, RkWorkspace, TimeScheme};
 
 /// Time-step selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,7 +82,7 @@ impl Default for SolverConfig {
 }
 
 /// What a stage's RHS evaluation needs of its block besides the state:
-/// everything a [`Link`] may touch while `rk_step` holds `q`.
+/// everything a [`Link`] may touch while `rk_step_in` holds `q`.
 pub(crate) struct RhsEnv {
     pub ctx: Context,
     fluids: Vec<Fluid>,
@@ -400,10 +400,11 @@ impl Solver {
     /// degenerate CFL reduction or a post-step health violation, on this
     /// block or (the reductions make both collective) on a peer — with `q`
     /// back on `q^n`: a dt fault never touched it, and a health fault
-    /// restores it from the copy `rk_step` took (`rk.q0` — which before
-    /// this attempt's `rk_step` still held `q^{n-1}`, so only this path
-    /// may read it). `Err(_)` is a link failure: the state is mid-update
-    /// and the caller rolls back.
+    /// restores its interior from the copy `rk_step_in` took (`rk.q0` —
+    /// which before this attempt's `rk_step_in` still held `q^{n-1}`, so
+    /// only this path may read it) and zeroes its ghosts, which the next
+    /// attempt refills before reading. `Err(_)` is a link failure: the
+    /// state is mid-update and the caller rolls back.
     fn attempt<L: Link>(
         &mut self,
         cfg: &SolverConfig,
@@ -433,7 +434,8 @@ impl Solver {
         // A link failure abandons the remaining stages.
         let rk_span = self.env.ctx.span("rk_stages", Category::Phase);
         let mut failed = None;
-        rk_step(cfg.scheme, dt, &mut self.q, &mut self.rk, |q, rhs| {
+        let ctx = self.env.ctx.clone();
+        rk_step_in(&ctx, cfg.scheme, dt, &mut self.q, &mut self.rk, |q, rhs| {
             if failed.is_none() {
                 failed = link.eval_rhs(&mut self.env, &cfg.rhs, q, rhs).err();
             }
@@ -460,7 +462,7 @@ impl Solver {
             self.rate = metric.and(local.ok());
             return Ok(Ok(dt));
         }
-        self.q.as_mut_slice().copy_from_slice(self.rk.q0.as_slice());
+        self.rk.restore(&mut self.q);
         Ok(Err(local
             .err()
             .map_or(StepFault::Peer, StepFault::Unphysical)))
@@ -777,15 +779,20 @@ mod tests {
         }
     }
 
-    /// A rejected step leaves `state()` bit-for-bit the `q^n` it started
-    /// from, whether the fault struck before `rk_step` (a degenerate CFL
-    /// reduction: `q` untouched, `rk.q0` still `q^{n-1}`, so restoring
-    /// from it would be wrong) or after it (the health scan: `rk.q0` is
-    /// the only copy of `q^n`, also under `Rk1`).
+    /// A rejected step leaves `state()` on the `q^n` it started from.
+    /// Struck before `rk_step_in` (a degenerate CFL reduction: `q`
+    /// untouched, `rk.q0` still `q^{n-1}`, so restoring from it would be
+    /// wrong), the whole state is bit-for-bit the injected one. Struck
+    /// after it (the health scan: `rk.q0` is the only copy of `q^n`, also
+    /// under `Rk1`), the interior is, and every ghost is `0.0`.
     #[test]
     fn rejected_step_leaves_the_injected_state_bitwise() {
         let case = presets::sod(64);
         let bits = |q: &StateField| q.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let interior = |q: &StateField| {
+            let cells = crate::output::block_to_vec(q);
+            cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
         for scheme in [TimeScheme::Rk1, TimeScheme::Rk3] {
             for dt in [DtMode::Cfl(0.5), DtMode::Fixed(1.0e-4)] {
                 for ladder in [false, true] {
@@ -807,7 +814,7 @@ mod tests {
                             solver.state_mut().set(10, 0, 0, e, f64::NAN)
                         }
                     }
-                    let injected = bits(solver.state());
+                    let (injected, want) = (bits(solver.state()), interior(solver.state()));
                     let err = solver.step().unwrap_err();
                     let at = format!("{scheme:?} {dt:?} ladder={ladder}");
                     match (dt, &err.fault) {
@@ -816,7 +823,24 @@ mod tests {
                         (_, other) => panic!("{at}: unexpected fault {other:?}"),
                     }
                     assert_eq!(err.attempts > 1, ladder, "{at}");
-                    assert!(bits(solver.state()) == injected, "{at}: state differs");
+                    let q = solver.state();
+                    match dt {
+                        DtMode::Cfl(_) => assert!(bits(q) == injected, "{at}: state differs"),
+                        DtMode::Fixed(_) => {
+                            assert!(interior(q) == want, "{at}: interior differs");
+                            let dom = *q.domain();
+                            let inside = |c: usize, d: usize| {
+                                (dom.pad(d)..dom.pad(d) + dom.n[d]).contains(&c)
+                            };
+                            // Sod is 1-D: every ghost is on x.
+                            for e in 0..dom.eq.neq() {
+                                for i in (0..dom.ext(0)).filter(|&i| !inside(i, 0)) {
+                                    let v = q.get(i, 0, 0, e);
+                                    assert_eq!(v.to_bits(), 0, "{at}: ghost ({i}, {e}) is {v}");
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -979,8 +1003,8 @@ mod tests {
     /// zeroed allocation, whose pages never become resident. The staged
     /// loop order, the viscous closure (which still converts the whole
     /// grid) and the in-kernel conversion of the axisymmetric source step
-    /// to the bits they stepped to when every evaluation converted the
-    /// whole grid first.
+    /// to the interior bits they stepped to when every evaluation
+    /// converted the whole grid first.
     #[test]
     fn fused_inviscid_steps_never_write_the_primitive_field() {
         use crate::par::stepped_rank_blocks;
@@ -1000,7 +1024,7 @@ mod tests {
             let mut solver = Solver::new(&case, cfg, Context::serial());
             solver.run_steps(3).unwrap();
             let mut crc = Crc32::new();
-            for v in solver.state().as_slice() {
+            for v in crate::output::block_to_vec(solver.state()) {
                 crc.update(&v.to_le_bytes());
             }
             crc.finish()
@@ -1016,10 +1040,13 @@ mod tests {
         assert_eq!(got, WHOLE_GRID_DIGESTS, "{got:08x?}");
     }
 
-    /// [`fused_inviscid_steps_never_write_the_primitive_field`]'s state
-    /// digests as they were when every evaluation converted the whole grid
-    /// to primitives first.
-    const WHOLE_GRID_DIGESTS: [u32; 4] = [0x96e4a4d2, 0xa62e048c, 0x69de5767, 0x224bee44];
+    /// [`fused_inviscid_steps_never_write_the_primitive_field`]'s digests
+    /// of the interior state as they were when every evaluation converted
+    /// the whole grid to primitives first. Computed on the last revision
+    /// whose RK tail still combined whole ghost-inclusive arrays, with
+    /// this interior digest: only ghosts moved since, so any drift here is
+    /// an interior change.
+    const WHOLE_GRID_DIGESTS: [u32; 4] = [0x5c7d58ce, 0x1a2217a3, 0x281bfed6, 0x5f4713cb];
 
     /// The dt of every CFL step is bitwise the standalone rule applied to
     /// the step's `q` — a whole-grid conversion, then `try_max_dt_geom` —

@@ -99,40 +99,6 @@ impl StateField {
         &mut self.data
     }
 
-    /// `self = a*x + b*y` elementwise — the SSP-RK stage combination.
-    pub fn lincomb(&mut self, a: f64, x: &StateField, b: f64, y: &StateField) {
-        let (out, xs, ys) = (&mut self.data, &x.data, &y.data);
-        assert_eq!(out.len(), xs.len());
-        assert_eq!(out.len(), ys.len());
-        for ((o, &xv), &yv) in out.iter_mut().zip(xs).zip(ys) {
-            *o = a * xv + b * yv;
-        }
-    }
-
-    /// `self += s * other` elementwise.
-    pub fn axpy(&mut self, s: f64, other: &StateField) {
-        let (out, os) = (&mut self.data, &other.data);
-        assert_eq!(out.len(), os.len());
-        for (o, &v) in out.iter_mut().zip(os) {
-            *o += s * v;
-        }
-    }
-
-    /// `self = a*q0 + b*(self + dt*rhs)` elementwise — the tail of an SSP-RK
-    /// stage in one pass and in place. Per element this is the operation
-    /// sequence of `axpy(dt, rhs)` followed by `lincomb(a, q0, b, ..)` on a
-    /// copy, so the result is bitwise theirs without the field-sized
-    /// temporary or the two extra sweeps over memory.
-    pub fn ssp_combine(&mut self, a: f64, q0: &StateField, b: f64, dt: f64, rhs: &StateField) {
-        let (out, q0s, rs) = (&mut self.data, &q0.data, &rhs.data);
-        assert_eq!(out.len(), q0s.len());
-        assert_eq!(out.len(), rs.len());
-        for ((o, &q0v), &rv) in out.iter_mut().zip(q0s).zip(rs) {
-            let stage = *o + dt * rv;
-            *o = a * q0v + b * stage;
-        }
-    }
-
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
     }
@@ -376,20 +342,6 @@ mod tests {
         prim_to_cons_field(&ctx, &fluids, &prim, &mut cons);
         let stats = ctx.ledger().kernel("s_convert_to_conservative").unwrap();
         assert_eq!(stats.items as usize, dom().total_cells());
-    }
-
-    #[test]
-    fn lincomb_and_axpy() {
-        let d = dom();
-        let mut a = StateField::zeros(d);
-        let mut x = StateField::zeros(d);
-        let mut y = StateField::zeros(d);
-        x.fill(2.0);
-        y.fill(3.0);
-        a.lincomb(0.5, &x, 2.0, &y); // 1 + 6 = 7
-        assert!(a.as_slice().iter().all(|&v| v == 7.0));
-        a.axpy(-1.0, &x);
-        assert!(a.as_slice().iter().all(|&v| v == 5.0));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! * every traced run — any domain, rank count, sweep engine — yields a
 //!   well-nested span tree per rank (property-tested),
 //! * the chrome-trace export of a 2-rank run of the shipped Sod case is
-//!   schema-valid and its per-kernel aggregated bytes/FLOPs reconcile
-//!   **exactly** (bitwise) with the analytic kernel ledger,
+//!   schema-valid, its per-kernel aggregated bytes/FLOPs reconcile
+//!   **exactly** (bitwise) with the analytic kernel ledger, and the RK
+//!   tail shows as one snapshot per step and one combine per stage,
 //! * the per-rank comm/compute split — the measured counterpart of the
 //!   paper's Fig. 4 analytic curve — is populated,
 //! * attaching a tracer never perturbs the physics (bitwise).
@@ -114,6 +115,16 @@ fn traced_two_rank_sod_exports_valid_reconciling_chrome_trace() {
                 .any(|e| e.name == "wave_file" && e.cat == "io"),
             "rank {rank} lacks the wave_file io leaf"
         );
+        // The RK tail is ledgered: one q^n snapshot per step and one
+        // combine per stage of the case's SSP-RK3.
+        let kernels = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.cat == "kernel" && e.name == name)
+                .count()
+        };
+        assert_eq!(kernels("s_rk_snapshot"), 8, "rank {rank}");
+        assert_eq!(kernels("s_rk_combine"), 8 * 3, "rank {rank}");
     }
 
     // Fig. 4 counterpart: a measured comm/compute split per rank.
