@@ -55,12 +55,13 @@
 //! is what the compiler's loop vectoriser packs best). WENO and Riemann are
 //! each compiled once per ISA tier they ship and run the widest entry the
 //! CPU has ([`crate::isa`]): WENO up to AVX-512 on every layout, Riemann up
-//! to the tier of the sweep's equation layout ([`crate::isa::riemann`]:
-//! AVX-512 for 3, 4 and 6 equations, AVX2 otherwise). The conversion runs
-//! lane packets along each line, and so does the x update. The y and z
-//! gathers and updates meet the state and the RHS in rows across the
-//! pencil's eight lines, consecutive in canonical x, and meet the line
-//! scratch along the lines: an 8×8 tile transpose ([`Transpose8`]) turns
+//! to the tier of the sweep's solver on its equation layout
+//! ([`crate::isa::riemann`]: HLLC AVX-512 everywhere, HLL and Rusanov
+//! AVX-512 on the one-fluid 1-D and 2-D layouts and AVX2 otherwise). The
+//! conversion runs lane packets along each line, and so does the x update.
+//! The y and z gathers and updates meet the state and the RHS in rows
+//! across the pencil's eight lines, consecutive in canonical x, and meet the
+//! line scratch along the lines: an 8×8 tile transpose ([`Transpose8`]) turns
 //! one into the other, compiled per tier: up to AVX2 for the gather
 //! ([`isa::GATHER`]) and AVX-512 for the update ([`isa::UPDATE`]); partial
 //! pencils and the steps past the last whole tile move a value at a time.
@@ -95,7 +96,7 @@ use crate::fluid::{Fluid, FluidTable};
 use crate::isa::{self, Tier};
 use crate::limiter::{admissible, admissible_mask, limit_state, Limiter};
 use crate::rhs::{RhsConfig, RhsMode, RhsWorkspace};
-use crate::riemann::RiemannSolver;
+use crate::riemann::{hll, hllc, rusanov, RiemannSolver};
 use crate::state::{convert_flops, StateField};
 use crate::weno::{reconstruct_line_padded, WenoOrder};
 
@@ -722,16 +723,11 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         ustar[b * rnf + m] = s;
     }
 
-    /// The Riemann stage of this sweep's layout: its tier is a constant of
-    /// `E` ([`isa::riemann`]), so a layout that does not ship AVX-512
-    /// compiles no AVX-512 copy of the stage.
-    const RIEMANN: isa::Stage = isa::riemann(E::SHAPE);
-
-    /// Stage 4: Riemann solve per face, through the entry of
-    /// [`Sweep::RIEMANN`] the running CPU selects. The solvers' whole call
-    /// chain is `#[inline(always)]`, so a wider entry is wider code end to
-    /// end; with `RiemannSolver::flux` left at `#[inline]` the AVX2 entry
-    /// ran no faster than the baseline one.
+    /// Stage 4: Riemann solve per face, through the entry of the sweep's
+    /// solver's Riemann stage ([`isa::riemann`]) the running CPU selects.
+    /// The solvers' whole call chain is `#[inline(always)]`, so a wider
+    /// entry is wider code end to end; with `RiemannSolver::flux` left at
+    /// `#[inline]` the AVX2 entry ran no faster than the baseline one.
     #[inline(never)]
     fn riemann<L: Lane>(
         &self,
@@ -741,10 +737,15 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        self.riemann_at::<L>(Self::RIEMANN.tier(), u, v, left, right, ustar);
+        let tier = isa::riemann(self.solver, E::SHAPE).tier();
+        self.riemann_at::<L>(tier, u, v, left, right, ustar);
     }
 
-    /// [`Sweep::riemann`] through its `tier` entry.
+    /// [`Sweep::riemann`] through its `tier` entry. The solver is matched
+    /// once per call, outside the face loop: each arm's stage is a constant
+    /// of the solver and `E`, so a solver's packet loop is compiled only
+    /// for the tiers it ships on this layout, and no packet branches on the
+    /// solver.
     #[inline(always)]
     fn riemann_at<L: Lane>(
         &self,
@@ -755,11 +756,31 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         right: &[f64],
         ustar: &mut [f64],
     ) {
-        Self::RIEMANN.run_at(
-            tier,
-            #[inline(always)]
-            || self.riemann_body::<L>(u, v, left, right, ustar),
-        );
+        let (eq, fluids, axis) = (&self.eq, self.fluids, self.axis);
+        macro_rules! solve_with {
+            ($solver:ident, $flux:path) => {
+                const { isa::riemann(RiemannSolver::$solver, E::SHAPE) }.run_at(
+                    tier,
+                    #[inline(always)]
+                    || {
+                        self.riemann_body::<L>(
+                            u,
+                            v,
+                            left,
+                            right,
+                            ustar,
+                            #[inline(always)]
+                            |pl: &[L], pr: &[L], f: &mut [L]| $flux(eq, fluids, axis, pl, pr, f),
+                        )
+                    },
+                )
+            };
+        }
+        match self.solver {
+            RiemannSolver::Hllc => solve_with!(Hllc, hllc::hllc_flux),
+            RiemannSolver::Hll => solve_with!(Hll, hll::hll_flux),
+            RiemannSolver::Rusanov => solve_with!(Rusanov, rusanov::rusanov_flux),
+        }
     }
 
     /// All-admissible packets solve lane-wide; a packet with any flagged
@@ -773,6 +794,7 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
         left: &mut [f64],
         right: &[f64],
         ustar: &mut [f64],
+        solve: impl Fn(&[L], &[L], &mut [L]) -> L,
     ) {
         let eq = &self.eq;
         let neq = eq.neq();
@@ -793,7 +815,7 @@ impl<'a, E: EqLayout> Sweep<'a, E> {
                 if L::mask_all(ok) {
                     let mut f = eq.vars::<L>();
                     let f = &mut f.as_mut()[..neq];
-                    let s = self.solver.flux(eq, self.fluids, self.axis, pl, pr, f);
+                    let s = solve(pl, pr, f);
                     for e in 0..neq {
                         f[e].store(&mut left[(b * neq + e) * rnf + m..]);
                     }
@@ -1137,7 +1159,7 @@ mod tests {
         };
         let (mut flux0, mut ustar0) = (left.clone(), vec![0.0; BW * rnf]);
         sweep.riemann_at::<L>(Tier::Baseline, u, &v, &mut flux0, &right, &mut ustar0);
-        for tier in Sweep::<E>::RIEMANN.entries_or_skip() {
+        for tier in isa::riemann(sweep.solver, E::SHAPE).entries_or_skip() {
             let (mut flux, mut ustar) = (left.clone(), vec![0.0; BW * rnf]);
             sweep.riemann_at::<L>(tier, u, &v, &mut flux, &right, &mut ustar);
             for (what, got, want) in [("flux", &flux, &flux0), ("S*", &ustar, &ustar0)] {
@@ -1158,11 +1180,7 @@ mod tests {
     /// Every solver at both lane widths on the sweep instance of one
     /// layout.
     fn riemann_layout_agrees<E: EqLayout>(eq: E, fluids: &FluidTable) {
-        for solver in [
-            RiemannSolver::Hllc,
-            RiemannSolver::Hll,
-            RiemannSolver::Rusanov,
-        ] {
+        for solver in RiemannSolver::ALL {
             let sweep = riemann_sweep(eq, fluids, solver);
             let label = format!("{:?} {solver:?}", E::SHAPE);
             for w in [1, 8] {
@@ -1172,12 +1190,13 @@ mod tests {
     }
 
     /// The Riemann stage's entries are one source compiled per tier without
-    /// contraction: on every layout the sweep dispatches (each on the tiers
-    /// it ships: AVX2 on (2,3), AVX-512 on the others) and on the
-    /// run-time fallback, identical flux and `S*` bits for every solver at
-    /// both lane widths, a replayed packet included.
+    /// contraction: on every layout the sweep dispatches and on the
+    /// run-time fallback, each solver's entries on the tiers it ships there
+    /// ([`isa::riemann`]: HLLC's AVX-512 on every layout, HLL's and
+    /// Rusanov's AVX2 or AVX-512) give identical flux and `S*` bits at both
+    /// lane widths, a replayed packet included.
     #[test]
-    fn riemann_avx2_entry_matches_the_baseline_entry_bitwise() {
+    fn riemann_entries_match_the_baseline_entry_bitwise() {
         let one = FluidTable::new(&[Fluid::air()]);
         let two = FluidTable::new(&[Fluid::air(), Fluid::water()]);
         for shape in isa::LAYOUTS {

@@ -18,17 +18,21 @@
 //! third ISA tier" and "Riemann's tier per layout"; the table is DESIGN.md's
 //! vector row). The WENO line kernel and the health/CFL tail pass run up
 //! to AVX-512 on every layout. The Riemann stage's tier is a compile-time
-//! function of the equation layout ([`riemann`]), because what its private
-//! arrays cost in registers depends on the layout: AVX-512 on the 3-, 4-
-//! and 6-equation layouts, AVX2 on the 7-equation one (where the AVX-512
-//! copy lost) and on the run-time fallback (where it did not win every
-//! round), and a layout that does not ship AVX-512 compiles no AVX-512 copy
-//! of the stage. The sweep's gather (up to AVX2) and its y/z update (up to
+//! function of the solver and the equation layout ([`riemann`]), because
+//! what a solver's private arrays cost in registers depends on both: HLLC,
+//! which builds one side's flux and conservative vector per face, runs
+//! AVX-512 on every layout; HLL and Rusanov, which keep both sides', run
+//! AVX-512 on the 3- and 4-equation layouts and AVX2 on the two-fluid 6-
+//! and 7-equation ones, where their AVX-512 copies lost, and on the
+//! run-time fallback. A solver that does not ship AVX-512 on a layout
+//! compiles no AVX-512 copy of its stage there. The sweep's gather (up to AVX2) and its y/z update (up to
 //! AVX-512) move their strided pencils as 8×8 tiles through the transpose
 //! of the entry's tier ([`with_transpose`]). The conversion and the x
 //! update have no entry but their baseline code.
 
 use std::sync::OnceLock;
+
+use crate::riemann::RiemannSolver;
 
 /// An instruction-set tier, narrowest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,14 +102,20 @@ pub const WENO: Stage = Stage {
     name: "weno",
     ships: Tier::Avx512,
 };
-/// The sweep's Riemann stage ([`crate::fused`]) for the equation layout
-/// of `nf` fluids in `ndim` dimensions, `shape = Some((nf, ndim))` for a
-/// [`crate::eqidx::ConstEq`] and `None` for the run-time
-/// [`crate::eqidx::EqIdx`] fallback. A `const fn`, so each sweep
-/// instance's tier is a constant of its layout.
-pub const fn riemann(shape: Option<(usize, usize)>) -> Stage {
-    let ships = match shape {
-        Some((1, 1)) | Some((1, 2)) | Some((2, 2)) => Tier::Avx512,
+/// The sweep's Riemann stage ([`crate::fused`]) for `solver` on the
+/// equation layout of `nf` fluids in `ndim` dimensions, `shape =
+/// Some((nf, ndim))` for a [`crate::eqidx::ConstEq`] and `None` for the
+/// run-time [`crate::eqidx::EqIdx`] fallback. A `const fn`, so each sweep
+/// instance's tier per solver is a constant of its layout.
+///
+/// HLLC builds one side's flux and conservative vector per face and ships
+/// AVX-512 on every layout. HLL and Rusanov keep both sides' vectors: they
+/// ship AVX-512 on (1,1) and (1,2), and AVX2 on the two-fluid (2,2) and
+/// (2,3), where their AVX-512 copies ran 40–100 % slower, and on the
+/// fallback, where theirs did not beat the parent's AVX2 copy.
+pub const fn riemann(solver: RiemannSolver, shape: Option<(usize, usize)>) -> Stage {
+    let ships = match (solver, shape) {
+        (RiemannSolver::Hllc, _) | (_, Some((1, 1)) | Some((1, 2))) => Tier::Avx512,
         _ => Tier::Avx2,
     };
     Stage {
@@ -239,29 +249,28 @@ fn avx512<R>(body: impl FnOnce() -> R) -> R {
 }
 
 /// The tier each dispatched stage runs in this process, Riemann's per
-/// layout as `(nf,ndim)`, e.g. `"weno avx512, riemann (1,1) avx512 (1,2)
-/// avx512 (2,2) avx512 (2,3) avx2 other avx2, health avx512, gather avx2,
-/// update avx512"`.
+/// solver and layout as `(nf,ndim)`, e.g. `"weno avx512, riemann hllc
+/// (1,1) avx512 (1,2) avx512 (2,2) avx512 (2,3) avx512 other avx512,
+/// riemann hll (1,1) avx512 (1,2) avx512 (2,2) avx2 (2,3) avx2 other avx2,
+/// riemann rusanov …, health avx512, gather avx2, update avx512"`.
 pub fn kernel_isa() -> String {
-    let riemann: Vec<String> = LAYOUTS
-        .iter()
-        .map(|&shape| {
-            let tier = riemann(shape).tier().name();
-            match shape {
-                Some((nf, ndim)) => format!("({nf},{ndim}) {tier}"),
-                None => format!("other {tier}"),
-            }
-        })
-        .collect();
     let named = |s: Stage| format!("{} {}", s.name, s.tier().name());
-    format!(
-        "{}, riemann {}, {}, {}, {}",
-        named(WENO),
-        riemann.join(" "),
-        named(HEALTH),
-        named(GATHER),
-        named(UPDATE)
-    )
+    let mut out = vec![named(WENO)];
+    for solver in RiemannSolver::ALL {
+        let tiers: Vec<String> = LAYOUTS
+            .iter()
+            .map(|&shape| {
+                let tier = riemann(solver, shape).tier().name();
+                match shape {
+                    Some((nf, ndim)) => format!("({nf},{ndim}) {tier}"),
+                    None => format!("other {tier}"),
+                }
+            })
+            .collect();
+        out.push(format!("riemann {} {}", solver.name(), tiers.join(" ")));
+    }
+    out.extend([HEALTH, GATHER, UPDATE].map(named));
+    out.join(", ")
 }
 
 #[cfg(test)]
@@ -288,10 +297,10 @@ mod tests {
 
     #[test]
     fn every_stage_runs_a_tier_it_ships_and_the_cpu_supports() {
-        for s in [WENO, HEALTH, GATHER, UPDATE]
+        let riemanns = RiemannSolver::ALL
             .into_iter()
-            .chain(LAYOUTS.map(riemann))
-        {
+            .flat_map(|solver| LAYOUTS.map(|shape| riemann(solver, shape)));
+        for s in [WENO, HEALTH, GATHER, UPDATE].into_iter().chain(riemanns) {
             let t = s.tier();
             assert!(t <= s.ships && t.supported(), "{s:?} runs {t:?}");
             assert_eq!(s.tiers().last(), Some(t));
@@ -301,20 +310,33 @@ mod tests {
 
     #[test]
     fn kernel_isa_names_the_riemann_tier_of_every_layout() {
+        use RiemannSolver::{Hll, Hllc, Rusanov};
+        use Tier::{Avx2, Avx512};
         let isa = kernel_isa();
-        for (shape, want) in [
-            ("(1,1)", riemann(Some((1, 1)))),
-            ("(1,2)", riemann(Some((1, 2)))),
-            ("(2,2)", riemann(Some((2, 2)))),
-            ("(2,3)", riemann(Some((2, 3)))),
-            ("other", riemann(None)),
+        // The shipped table, per solver in `LAYOUTS` order: (1,1), (1,2),
+        // (2,2), (2,3), the fallback.
+        for (solver, ships) in [
+            (Hllc, [Avx512, Avx512, Avx512, Avx512, Avx512]),
+            (Hll, [Avx512, Avx512, Avx2, Avx2, Avx2]),
+            (Rusanov, [Avx512, Avx512, Avx2, Avx2, Avx2]),
         ] {
-            let named = format!("{shape} {}", want.tier().name());
+            let named: Vec<String> = LAYOUTS
+                .iter()
+                .zip(ships)
+                .map(|(&shape, want)| {
+                    let stage = riemann(solver, shape);
+                    assert_eq!(stage.ships, want, "{solver:?} {shape:?}");
+                    let tier = stage.tier().name();
+                    match shape {
+                        Some((nf, ndim)) => format!("({nf},{ndim}) {tier}"),
+                        None => format!("other {tier}"),
+                    }
+                })
+                .collect();
+            let named = format!("riemann {} {}", solver.name(), named.join(" "));
             assert!(isa.contains(&named), "{isa:?} lacks {named:?}");
         }
-        assert_eq!(riemann(Some((2, 3))).ships, Tier::Avx2);
-        assert_eq!(riemann(Some((1, 1))).ships, Tier::Avx512);
-        for s in [GATHER, UPDATE] {
+        for s in [WENO, HEALTH, GATHER, UPDATE] {
             let named = format!("{} {}", s.name, s.tier().name());
             assert!(isa.contains(&named), "{isa:?} lacks {named:?}");
         }

@@ -2,11 +2,18 @@
 //!
 //! * [`hllc`]: the production solver (Toro's HLLC adapted to the
 //!   5-equation model, following Coralic & Colonius) — the second-most
-//!   expensive kernel in the paper.
-//! * [`hll`], [`rusanov`]: two-wave and single-wave baselines.
+//!   expensive kernel in the paper. It builds the physical flux and
+//!   conservative vector of the face's upwind side only.
+//! * [`hll`], [`rusanov`]: two-wave and single-wave baselines, which build
+//!   both sides' ([`face_side`]).
 //! * [`exact`]: the exact stiffened-gas Riemann solver, used purely as a
 //!   validation oracle (Sod-type tests compare the full solver and the
 //!   HLLC fluxes against it).
+//!
+//! Every approximate solver is [`face_state`] on both sides (the mixture,
+//! sound speed and total energy), then [`side_vectors`] on the sides it
+//! reads. The sweep compiles each solver's face loop once per ISA tier it
+//! ships on the layout ([`crate::isa::riemann`]).
 
 pub mod exact;
 pub mod hll;
@@ -30,14 +37,34 @@ pub enum RiemannSolver {
 }
 
 impl RiemannSolver {
+    /// Every solver.
+    pub const ALL: [RiemannSolver; 3] = [
+        RiemannSolver::Hllc,
+        RiemannSolver::Hll,
+        RiemannSolver::Rusanov,
+    ];
+
+    /// The solver's case-file name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RiemannSolver::Hllc => "hllc",
+            RiemannSolver::Hll => "hll",
+            RiemannSolver::Rusanov => "rusanov",
+        }
+    }
+
     /// Approximate FLOPs per face per equation-system solve, from the
     /// arithmetic in each implementation (divisions/sqrts weighted 4/8).
     pub fn flops_per_face(self, eq: &impl EqLayout) -> f64 {
         let neq = eq.neq() as f64;
+        let (nf, ndim) = (eq.nf() as f64, eq.ndim() as f64);
         match self {
-            // 2 EOS evals (~30 each incl. sqrt), wave speeds, star states
-            // and flux assembly ~12 per equation.
-            RiemannSolver::Hllc => 90.0 + 14.0 * neq,
+            // Counted from the code, add/sub/mul 1, div 4, sqrt 8, compares,
+            // selects, min/max/abs/clamp 0: `face_state` on both sides
+            // 2 (6 nf + 4 ndim + 19), `davis_speeds` 24, the upwind side's
+            // `side_vectors` 2 nf + 2 ndim + 2, the star correction
+            // 5 nf + 4 ndim + 20. (1,1) 117, (2,3) 164.
+            RiemannSolver::Hllc => 84.0 + 19.0 * nf + 14.0 * ndim,
             RiemannSolver::Hll => 80.0 + 12.0 * neq,
             RiemannSolver::Rusanov => 70.0 + 8.0 * neq,
         }
@@ -86,6 +113,20 @@ pub(crate) struct FaceState<L = f64> {
     pub rho_e: L,
 }
 
+impl<L: Lane> FaceState<L> {
+    /// Per lane, `a` where `m` is set and `b` elsewhere.
+    #[inline(always)]
+    pub(crate) fn select(m: L::Mask, a: &Self, b: &Self) -> Self {
+        FaceState {
+            rho: L::select(m, a.rho, b.rho),
+            un: L::select(m, a.un, b.un),
+            p: L::select(m, a.p, b.p),
+            c: L::select(m, a.c, b.c),
+            rho_e: L::select(m, a.rho_e, b.rho_e),
+        }
+    }
+}
+
 /// Evaluate density, pressure, sound speed, and total energy of a
 /// primitive state (normal along `axis`).
 #[inline(always)]
@@ -114,9 +155,10 @@ pub(crate) fn face_state<E: EqLayout, L: Lane>(
     }
 }
 
-/// Everything a solver needs from one side of a face, from a single
-/// mixture evaluation: the [`FaceState`], and the physical flux and
-/// conservative vector derived from it.
+/// The physical flux `f` and conservative vector `q` of one primitive
+/// state, built from its [`FaceState`] into the caller's arrays (returned
+/// by value, the run-time layout's `MAX_EQ`-wide arrays were copied, and
+/// HLL and Rusanov on the fallback ran 15–20 % slower).
 ///
 /// `flux` is the flux of the homogeneous (conservative) part of the
 /// 5-equation system; the volume-fraction flux is the conservative
@@ -125,6 +167,45 @@ pub(crate) fn face_state<E: EqLayout, L: Lane>(
 /// [`crate::eos::prim_to_cons`] of the state — its density, kinetic and
 /// internal energy are, expression for expression, the ones
 /// [`face_state`] already holds, so reusing them changes no bit.
+#[inline(always)]
+pub(crate) fn side_vectors<E: EqLayout, L: Lane>(
+    eq: &E,
+    prim: &[L],
+    fs: &FaceState<L>,
+    axis: usize,
+    f: &mut [L],
+    q: &mut [L],
+) {
+    for i in 0..eq.nf() {
+        let e = eq.cont(i);
+        f[e] = prim[e] * fs.un;
+        q[e] = prim[e];
+    }
+    // The normal momentum flux gains the pressure. Testing `d == axis` per
+    // component, rather than adding it at the run-time index `mom(axis)`,
+    // keeps every slot index a constant, so the arrays can live in
+    // registers.
+    for d in 0..eq.ndim() {
+        let e = eq.mom(d);
+        q[e] = fs.rho * prim[e];
+        f[e] = if d == axis {
+            q[e] * fs.un + fs.p
+        } else {
+            q[e] * fs.un
+        };
+    }
+    f[eq.energy()] = (fs.rho_e + fs.p) * fs.un;
+    q[eq.energy()] = fs.rho_e;
+    for i in 0..eq.n_adv() {
+        let e = eq.adv(i);
+        f[e] = prim[e] * fs.un;
+        q[e] = prim[e];
+    }
+}
+
+/// Everything the two-sided solvers (HLL, Rusanov) need from one side of
+/// a face, from a single mixture evaluation: the [`FaceState`] and its
+/// [`side_vectors`].
 pub(crate) struct FaceSide<E: EqLayout, L: Lane> {
     pub state: FaceState<L>,
     pub flux: E::Vars<L>,
@@ -138,33 +219,10 @@ pub(crate) fn face_side<E: EqLayout, L: Lane>(
     prim: &[L],
     axis: usize,
 ) -> FaceSide<E, L> {
-    let fs = face_state(eq, fluids, prim, axis);
-    let mut flux = eq.vars::<L>();
-    let mut cons = eq.vars::<L>();
-    let (f, q) = (flux.as_mut(), cons.as_mut());
-    for i in 0..eq.nf() {
-        let e = eq.cont(i);
-        f[e] = prim[e] * fs.un;
-        q[e] = prim[e];
-    }
-    for d in 0..eq.ndim() {
-        let e = eq.mom(d);
-        f[e] = fs.rho * prim[e] * fs.un;
-        q[e] = fs.rho * prim[e];
-    }
-    f[eq.mom(axis)] = f[eq.mom(axis)] + fs.p;
-    f[eq.energy()] = (fs.rho_e + fs.p) * fs.un;
-    q[eq.energy()] = fs.rho_e;
-    for i in 0..eq.n_adv() {
-        let e = eq.adv(i);
-        f[e] = prim[e] * fs.un;
-        q[e] = prim[e];
-    }
-    FaceSide {
-        state: fs,
-        flux,
-        cons,
-    }
+    let state = face_state(eq, fluids, prim, axis);
+    let (mut flux, mut cons) = (eq.vars::<L>(), eq.vars::<L>());
+    side_vectors(eq, prim, &state, axis, flux.as_mut(), cons.as_mut());
+    FaceSide { state, flux, cons }
 }
 
 /// The Davis wave-speed estimates `(S_L, S_R)` and the contact speed `S*`
@@ -236,11 +294,7 @@ pub(crate) mod tests {
         prim[eq.mom(1)] = -12.0;
         let mut want = vec![0.0; eq.neq()];
         physical_flux(&eq, &fluids, &prim, 0, &mut want);
-        for solver in [
-            RiemannSolver::Hllc,
-            RiemannSolver::Hll,
-            RiemannSolver::Rusanov,
-        ] {
+        for solver in RiemannSolver::ALL {
             let mut got = vec![0.0; eq.neq()];
             solver.flux(&eq, &fluids, 0, &prim, &prim, &mut got);
             for (g, w) in got.iter().zip(&want) {
@@ -262,11 +316,7 @@ pub(crate) mod tests {
         let r = [0.8, -10.0, 0.9e5];
         let ml = [0.8, 10.0, 0.9e5];
         let mr = [1.2, -50.0, 1.5e5];
-        for solver in [
-            RiemannSolver::Hllc,
-            RiemannSolver::Hll,
-            RiemannSolver::Rusanov,
-        ] {
+        for solver in RiemannSolver::ALL {
             let mut f = vec![0.0; 3];
             let mut fm = vec![0.0; 3];
             solver.flux(&eq, &fluids, 0, &l, &r, &mut f);
@@ -293,11 +343,7 @@ pub(crate) mod tests {
         // Uniform rightward flow: interface velocity must be u.
         let prim = [1.2, 42.0, 1.0e5];
         let mut f = vec![0.0; 3];
-        for solver in [
-            RiemannSolver::Hllc,
-            RiemannSolver::Hll,
-            RiemannSolver::Rusanov,
-        ] {
+        for solver in RiemannSolver::ALL {
             let s = solver.flux(&eq, &fluids, 0, &prim, &prim, &mut f);
             assert!((s - 42.0).abs() < 1e-9, "{solver:?}: s = {s}");
         }

@@ -180,13 +180,13 @@ fn check(name: &str, steps: usize) {
     let golden: GoldenRecord = serde_json::from_str(&text).unwrap();
     // Every entry of a dispatched stage is bitwise identical by
     // construction; a drift report still says which tier each stage ran,
-    // Riemann's for each equation layout `(nf,ndim)`.
+    // Riemann's for each solver and equation layout `(nf,ndim)`.
     let isa = mfc_core::isa::kernel_isa();
     eprintln!("{name}: dispatched stages ran {isa}");
     if let Err(diff) = compare(&golden, &actual) {
         panic!(
             "{name} drifted from its golden record (dispatched stages, Riemann per \
-             equation layout (nf,ndim): {isa}):\n{diff}\
+             solver and equation layout (nf,ndim): {isa}):\n{diff}\
              If the change is intentional, regenerate with \
              MFC_BLESS=1 cargo test --test golden"
         );
